@@ -10,13 +10,11 @@ simulation and deployment:
   fingerprint-keyed LRUs (:class:`PlanCache`), so repeated strategies in
   REINFORCE episodes, MCMC walks and seed re-evaluations are free;
 - :meth:`PlanBuilder.evaluate_many` is the canonical population entry
-  point: candidates become lanes priced through one shared
-  :class:`~repro.simulation.batch.LanePlanner`, hopeless lanes are
-  killed before compilation (``prune_stage="prebound"``), and survivors
-  run in ascending-bound order against the shared best-so-far;
+  point: duplicates are evaluated once, and the distinct candidates run
+  in input order against the shared best-so-far;
 - :class:`BatchEvaluator` is the multi-context / multi-process front
   end over ``evaluate_many``, with deterministic, input-ordered results
-  (``max_workers=1`` falls back to the serial batched path).
+  (``max_workers=1`` falls back to the serial path).
 
 Cache behaviour is observable through the ``plan_cache_hits_total`` and
 ``plan_cache_misses_total`` telemetry counters.

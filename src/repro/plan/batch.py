@@ -2,9 +2,9 @@
 
 Strategy search is dominated by evaluator throughput (thousands of
 candidates per search).  The canonical population entry point is
-:meth:`PlanBuilder.evaluate_many` — lane-batched bounds, prebound
-pruning, ascending-bound evaluation order.  The BatchEvaluator is the
-multi-context / multi-process front end over it: ``evaluate`` and
+:meth:`PlanBuilder.evaluate_many` — dedupe, then one serial sweep in
+input order.  The BatchEvaluator is the multi-context / multi-process
+front end over it: ``evaluate`` and
 ``evaluate_pairs`` are two adapters over **one** implementation
 (``evaluate`` wraps each strategy with its context and delegates to
 ``evaluate_pairs``; both return outcomes in input order) which fans
@@ -231,9 +231,7 @@ class BatchEvaluator:
     def _evaluate_serial(self, todo: Sequence[Tuple[str, Strategy, str]], *,
                          best: Optional[BestMap] = None,
                          prune: bool = True) -> List[EvalOutcome]:
-        # one lane-batched evaluate_many per context: the builder prices
-        # all lanes through its LanePlanner, kills hopeless ones before
-        # compiling, and evaluates the rest in ascending-bound order
+        # one evaluate_many per context, each in input order
         results: List[Optional[EvalOutcome]] = [None] * len(todo)
         by_context: Dict[str, List[int]] = {}
         for i, (context, _, _) in enumerate(todo):

@@ -11,7 +11,7 @@ bit-identical to fresh ones (the whole chain is deterministic).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .. import telemetry
 from ..cluster.topology import Cluster
@@ -23,7 +23,6 @@ from ..parallel.distgraph import DistGraph
 from ..parallel.strategy import Strategy
 from ..profiling.profiler import Profile, Profiler
 from ..scheduling.list_scheduler import FifoScheduler, ListScheduler
-from ..simulation.batch import LanePlanner
 from ..simulation.costs import ProfileCostModel
 from ..simulation.engine import Simulator
 from ..simulation.kernel import PRUNE_GUARD, kernel_lower_bound, lower
@@ -78,8 +77,8 @@ class PlanBuilder:
         )
         self._plans = PlanCache(plan_cache_size, kind="plan")
         self._outcomes = PlanCache(outcome_cache_size, kind="outcome")
-        self._lane_planner: Optional[LanePlanner] = None
-        # pruning observability: evaluate() calls vs pruned outcomes
+        # pruning observability: outcomes served (fresh or cached, each
+        # counted once) vs the pruned ones among them
         self.evals_total = 0
         self.evals_pruned = 0
 
@@ -240,11 +239,11 @@ class PlanBuilder:
         limit = self._prune_limit(best, prune_above) if prune else None
         if trace:
             limit = None
-        self.evals_total += 1
         if not trace:
             cached = self.cached_outcome(fp, limit=limit, best=best)
             if cached is not None:
                 return cached
+        self.evals_total += 1
         outcome = self._evaluate_fresh(strategy, fp, trace=trace,
                                        limit=limit, prune=prune)
         if not trace and (not outcome.pruned
@@ -263,104 +262,30 @@ class PlanBuilder:
                      time=outcome.time, cached=False)
         return outcome
 
-    def evaluate_many(
-        self, strategies: Sequence[Strategy], *,
-        best: Optional[BestSoFar] = None,
-        prune: bool = True,
-        prune_above: Union[None, float, Sequence[Optional[float]]] = None,
-    ) -> List[EvalOutcome]:
-        """Evaluate a population of candidates through one batched pass.
+    def evaluate_many(self, strategies: Sequence[Strategy], *,
+                      best: Optional[BestSoFar] = None,
+                      prune: bool = True,
+                      prune_above: Optional[float] = None
+                      ) -> List[EvalOutcome]:
+        """Evaluate a population of candidates, in input order.
 
         The single canonical population entry point: every consumer
         that evaluates more than one candidate (`BatchEvaluator`, the
         fleet's borrowed workers, REINFORCE episodes, CEM rounds, MCMC
-        restarts) routes through here.  Results are returned in input
-        order and each is exactly what :meth:`evaluate` would return —
-        per-candidate outcome caching, fingerprinting and best-so-far
-        observation all behave identically.
-
-        What the batch adds over a per-candidate loop:
-
-        - duplicate strategies are evaluated once and fanned out;
-        - under a prune threshold (``best`` and/or ``prune_above``) all
-          lanes are first priced through the shared
-          :class:`~repro.simulation.batch.LanePlanner` — one
-          no-contention lower bound per lane from stacked per-op
-          arrays, at a fraction of a compile's cost — and lanes whose
-          admissible bound already exceeds the threshold are killed
-          *before* compilation (``prune_stage="prebound"``);
-        - surviving lanes are evaluated in ascending-bound order, so
-          the likeliest winner runs first and tightens ``best`` for
-          everyone after it.
-
-        Pruning never changes the winner: prebound kills use admissible
-        bounds, so any lane that could beat the threshold is fully
-        evaluated and bit-identical to its serial ``evaluate`` (and to
-        ``engine="reference"``).  With ``prune=False`` or no threshold
-        source the batch degrades to the plain input-order sweep.
-
-        ``prune_above`` may be a scalar or a per-candidate sequence
-        (the fleet stamps one threshold snapshot per item at dispatch).
+        restarts) routes through here.  Duplicate strategies are
+        evaluated once and fanned out; every distinct candidate is one
+        :meth:`evaluate` call in input order, so outcome caching,
+        pruning and best-so-far observation behave exactly as in a
+        serial loop.  ``prune_above`` is one hard cap for the whole
+        population (the fleet passes its dispatch-time snapshot).
         """
-        strategies = list(strategies)
-        if not strategies:
-            return []
-        n = len(strategies)
-        if prune_above is None or isinstance(prune_above, (int, float)):
-            thresholds: List[Optional[float]] = [prune_above] * n
-        else:
-            thresholds = list(prune_above)
-            if len(thresholds) != n:
-                raise ValueError(
-                    f"prune_above sequence has {len(thresholds)} entries "
-                    f"for {n} strategies")
         fps = [self.fingerprint(s) for s in strategies]
-        first: Dict[str, int] = {}
-        for i, fp in enumerate(fps):
-            first.setdefault(fp, i)
-        unique = [i for i, fp in enumerate(fps) if first[fp] == i]
-        outcomes: List[Optional[EvalOutcome]] = [None] * n
-
-        bounds: Optional[Dict[int, float]] = None
-        may_prune = prune and (best is not None
-                               or any(t is not None for t in thresholds))
-        if may_prune:
-            planner = self._lane_planner
-            if planner is None:
-                planner = LanePlanner(self.graph, self.cluster, self.cost)
-                self._lane_planner = planner
-            if planner.usable:
-                arr, _ = planner.bounds([strategies[i] for i in unique])
-                bounds = {i: float(arr[k]) for k, i in enumerate(unique)}
-        order = (sorted(unique, key=lambda i: (bounds[i], i))
-                 if bounds is not None else unique)
-        for i in order:
-            limit = self._prune_limit(best, thresholds[i]) if prune else None
-            bound = bounds[i] if bounds is not None else float("-inf")
-            if limit is not None and bound > limit * (1.0 + PRUNE_GUARD):
-                self.evals_total += 1
-                cached = self.cached_outcome(fps[i], limit=limit, best=best)
-                if cached is not None:
-                    outcomes[i] = cached
-                    continue
-                outcome = self._pruned_outcome(
-                    stage="prebound", bound=bound, threshold=limit,
-                    dist_ops=0)
-                # admissible and threshold-independent, like "bound"
-                self._outcomes.put(fps[i], outcome)
-                self.evals_pruned += 1
-                self._observe_pruned_fraction()
-                record_event("candidate_evaluated", feasible=False,
-                             time=outcome.time, cached=False)
-                outcomes[i] = outcome
-            else:
-                outcomes[i] = self.evaluate(strategies[i], best=best,
-                                            prune=prune,
-                                            prune_above=thresholds[i])
-        for i, fp in enumerate(fps):
-            if outcomes[i] is None:
-                outcomes[i] = outcomes[first[fp]]
-        return outcomes  # type: ignore[return-value]
+        done: Dict[str, EvalOutcome] = {}
+        for strategy, fp in zip(strategies, fps):
+            if fp not in done:
+                done[fp] = self.evaluate(strategy, best=best, prune=prune,
+                                         prune_above=prune_above)
+        return [done[fp] for fp in fps]
 
     def cached_outcome(self, fp: str, *,
                        limit: Optional[float] = None,
@@ -378,10 +303,12 @@ class PlanBuilder:
         cached = self._outcomes.get(fp)
         if cached is None:
             return None
+        if cached.pruned and (
+                limit is None or cached.bound is None
+                or not cached.bound > limit * (1.0 + PRUNE_GUARD)):
+            return None
+        self.evals_total += 1
         if cached.pruned:
-            if (limit is None or cached.bound is None
-                    or not cached.bound > limit * (1.0 + PRUNE_GUARD)):
-                return None
             self.evals_pruned += 1
             self._observe_pruned_fraction()
         elif best is not None and cached.feasible:
@@ -444,11 +371,9 @@ class PlanBuilder:
         process) so later evaluations of the same strategy hit the cache.
 
         Mid-sim-pruned outcomes are threshold-dependent and are never
-        installed; static bound-pruned ones ("bound" from the lowered
-        kernel, "prebound" from the batched lane planner) are — the
-        bound is a property of the candidate and :meth:`cached_outcome`
-        re-checks it against the serving threshold."""
-        if outcome.pruned and outcome.prune_stage not in ("bound",
-                                                          "prebound"):
+        installed; "bound"-pruned ones are — the kernel bound is a
+        property of the candidate and :meth:`cached_outcome` re-checks
+        it against the serving threshold."""
+        if outcome.pruned and outcome.prune_stage != "bound":
             return
         self._outcomes.put(fingerprint, outcome)

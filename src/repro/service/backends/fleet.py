@@ -152,12 +152,10 @@ def _worker_evaluate(builders: Dict[str, Any], msg: EvalRequestMessage):
         builders[digest] = PlanBuilder(
             graph, cluster, profile,
             use_order_scheduling=order, group_of=group_of)
-    # whole lane-batches per context: one evaluate_many prices every
-    # lane of the chunk through the builder's LanePlanner and kills
-    # hopeless ones before compiling.  The manager piggybacked its
-    # best-so-far at dispatch time; the threshold stays fixed for the
-    # whole chunk (worker-local tightening would over-prune k-elite
-    # searches), which is exactly evaluate_many's prune_above form.
+    # one evaluate_many per context in the chunk.  The manager
+    # piggybacked its best-so-far at dispatch time; the threshold stays
+    # fixed for the whole chunk (worker-local tightening would over-prune
+    # k-elite searches), so it goes in as the scalar prune_above cap.
     outcomes: "list" = [None] * len(msg.items)
     by_context: Dict[str, "list"] = {}
     for i, (name, _) in enumerate(msg.items):

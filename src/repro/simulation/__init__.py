@@ -1,6 +1,5 @@
 """Discrete-event simulation of distributed training iterations."""
 
-from .batch import LanePlanner
 from .costs import CostProvider, ProfileCostModel, TruthCostModel
 from .engine import Simulator
 from .kernel import SimKernel, lower
@@ -9,7 +8,6 @@ from .metrics import SimulationResult, union_length
 
 __all__ = [
     "CostProvider",
-    "LanePlanner",
     "ProfileCostModel",
     "TruthCostModel",
     "Simulator",

@@ -307,8 +307,8 @@ class SimKernel:
 
 
 #: relative slack applied to every bound-vs-threshold comparison before
-#: pruning a candidate.  The bounds (static kernel bound, lane bound,
-#: the mid-sim tail bound) are sums over op chains whose floating-point
+#: pruning a candidate.  The bounds (static kernel bound, the mid-sim
+#: tail bound) are sums over op chains whose floating-point
 #: rounding differs from the event loop's own accumulation, so a bound
 #: can exceed the true makespan by a few ulps (~n*eps relative) — and a
 #: threshold sitting within that noise of the true makespan (the

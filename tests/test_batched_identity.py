@@ -1,26 +1,24 @@
-"""Paired fuzzing of the batched population surface.
+"""Paired fuzzing of the population surface.
 
 ``PlanBuilder.evaluate_many`` is the canonical population entry point;
 its contract, hammered here across cost regimes:
 
-- every *surviving* lane's outcome is bit-identical to a serial
-  ``evaluate`` of the same strategy (work-conserving and FIFO
+- it is exactly the serial best-so-far sweep: on a fresh builder every
+  outcome equals a loop of ``evaluate`` calls over the same pool, field
+  for field;
+- every *surviving* candidate's outcome is bit-identical to an unpruned
+  serial ``evaluate`` of the same strategy (work-conserving and FIFO
   scheduling, kernel and reference engines);
-- the batched winner is the serial winner, byte-equal makespan;
-- lanes killed by the lane bound ("prebound"), the static kernel bound
-  ("bound") or a mid-simulation abort ("midsim") report *admissible*
-  partial makespans — ``outcome.bound`` never exceeds the true serial
-  makespan, so no potential winner is ever pruned;
-- the lane bound stays admissible even under the strict
-  (non-work-conserving) engine mode;
-- stochastic (jittered) cost providers disable lane pricing outright
-  and evaluate_many degrades to the plain serial sweep, bit-identically.
+- the pruned winner is the unpruned winner, byte-equal makespan;
+- candidates cut by the static kernel bound ("bound") or a
+  mid-simulation abort ("midsim") report *admissible* partial
+  makespans — ``outcome.bound`` never exceeds the true serial
+  makespan, so no potential winner is ever pruned.
 """
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.agent.policy import actions_to_strategy, num_actions
@@ -29,9 +27,6 @@ from repro.graph import GraphBuilder, build_training_graph
 from repro.graph.grouping import group_operations
 from repro.plan import BestSoFar, PlanBuilder
 from repro.profiling import exact_profile
-from repro.scheduling import ListScheduler
-from repro.simulation import LanePlanner, Simulator
-from repro.simulation.costs import TruthCostModel
 
 CLUSTER = cluster_4gpu()
 
@@ -69,16 +64,12 @@ def serial_truth(graph, profile, pool, **builder_kwargs):
     return [builder.evaluate(s, prune=False) for s in pool]
 
 
-def assert_paired(outcomes, truth, *, check_winner=True):
-    """The paired-fuzz contract for one (batched, serial) pool sweep.
-
-    ``check_winner=False`` for sweeps under per-lane hard limits, which
-    may legitimately kill the true winner (``prune_above`` is a cap,
-    not a best-so-far)."""
+def assert_paired(outcomes, truth):
+    """The paired-fuzz contract for one (pruned, unpruned) pool sweep."""
     assert len(outcomes) == len(truth)
     for got, want in zip(outcomes, truth):
         if got.pruned:
-            assert got.prune_stage in ("prebound", "bound", "midsim")
+            assert got.prune_stage in ("bound", "midsim")
             assert not got.feasible
             assert got.time == float("inf")
             assert got.bound is not None
@@ -87,13 +78,11 @@ def assert_paired(outcomes, truth, *, check_winner=True):
             if want.feasible:
                 assert got.bound <= want.time + 1e-9
         else:
-            # surviving lane: bit-identical to its serial evaluation
+            # survivor: bit-identical to its serial evaluation
             assert got.time == want.time
             assert got.feasible == want.feasible
             assert got.oom == want.oom
-    # winner identity (byte-equal), when any lane is feasible
-    if not check_winner:
-        return
+    # winner identity (byte-equal), when any candidate is feasible
     times = [o.time if o.feasible else float("inf") for o in truth]
     idx = min(range(len(times)), key=times.__getitem__)
     if math.isfinite(times[idx]):
@@ -146,14 +135,32 @@ class TestPairedIdentity:
               suppress_health_check=[HealthCheck.too_slow])
     @given(graph_and_pool())
     def test_reference_engine_pairing(self, payload):
-        """Batched on the kernel engine vs serial on the reference
-        engine: the acceptance pairing — surviving lanes byte-equal."""
+        """evaluate_many on the kernel engine vs an unpruned serial
+        sweep on the reference engine: survivors byte-equal."""
         graph, pool = payload
         profile = exact_profile(graph, CLUSTER)
         truth = serial_truth(graph, profile, pool, engine="reference")
         builder = PlanBuilder(graph, CLUSTER, profile)
         outcomes = builder.evaluate_many(pool, best=BestSoFar())
         assert_paired(outcomes, truth)
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(graph_and_pool())
+    def test_evaluate_many_equals_serial_sweep(self, payload):
+        """On a fresh builder, evaluate_many over distinct candidates is
+        the serial best-so-far sweep in input order, field for field."""
+        graph, pool = payload
+        profile = exact_profile(graph, CLUSTER)
+        ref = PlanBuilder(graph, CLUSTER, profile)
+        pool = list({ref.fingerprint(s): s for s in pool}.values())
+        shared = BestSoFar()
+        want = [ref.evaluate(s, best=shared) for s in pool]
+        got = PlanBuilder(graph, CLUSTER, profile).evaluate_many(
+            pool, best=BestSoFar())
+        fields = ("time", "feasible", "oom", "pruned", "prune_stage", "bound")
+        assert ([[getattr(o, f) for f in fields] for o in got]
+                == [[getattr(o, f) for f in fields] for o in want])
 
     def test_unpruned_evaluate_many_is_the_serial_sweep(self):
         graph = random_graph(2, 16, 8, True)
@@ -177,7 +184,7 @@ class TestPairedIdentity:
         assert outcomes[2] is outcomes[0]
         before = builder.evals_total
         builder.evaluate_many([pool[0], pool[0], pool[0]])
-        # duplicates beyond the first lane never re-enter evaluate()
+        # duplicates beyond the first occurrence never re-enter evaluate()
         assert builder.evals_total == before + 1
 
 
@@ -203,123 +210,3 @@ class TestPruneAboveLanes:
         for got, want in zip(outcomes, truth):
             if want.feasible and want.time > limit:
                 assert got.pruned
-
-    def test_per_strategy_thresholds(self):
-        graph = random_graph(2, 16, 8, True)
-        profile = exact_profile(graph, CLUSTER)
-        pool = candidate_strategies(graph, np.random.default_rng(7), 3)
-        truth = serial_truth(graph, profile, pool)
-        builder = PlanBuilder(graph, CLUSTER, profile)
-        thresholds = [None, 1e-12, None]
-        outcomes = builder.evaluate_many(pool, prune_above=thresholds)
-        # a per-lane hard limit may kill the true winner by design
-        assert_paired(outcomes, truth, check_winner=False)
-        # unthresholded lanes are always fully evaluated
-        assert not outcomes[0].pruned
-        assert not outcomes[2].pruned
-        # the tightly-thresholded lane is killed whenever its lane
-        # bound is finite (reconstruction failures degrade to -inf and
-        # must fall through to the full pipeline)
-        if outcomes[1].pruned:
-            assert outcomes[1].bound > 1e-12
-
-    def test_threshold_sequence_length_mismatch(self):
-        graph = random_graph(1, 8, 4, False)
-        profile = exact_profile(graph, CLUSTER)
-        pool = candidate_strategies(graph, np.random.default_rng(1), 3)
-        builder = PlanBuilder(graph, CLUSTER, profile)
-        with pytest.raises(ValueError):
-            builder.evaluate_many(pool, prune_above=[1.0])
-
-    def test_prebound_kill_avoids_compilation(self):
-        """Lanes killed by the lane bound never reach the compiler:
-        their outcome reports dist_ops == 0."""
-        graph = random_graph(2, 16, 8, False)
-        profile = exact_profile(graph, CLUSTER)
-        pool = candidate_strategies(graph, np.random.default_rng(6), 6)
-        builder = PlanBuilder(graph, CLUSTER, profile)
-        outcomes = builder.evaluate_many(pool, prune_above=1e-12)
-        for outcome in outcomes:
-            if outcome.prune_stage == "prebound":
-                assert outcome.dist_ops == 0
-                assert outcome.bound > 1e-12
-
-    def test_prebound_outcome_not_served_under_looser_threshold(self):
-        """A prebound-killed lane must be re-evaluated exactly once the
-        threshold loosens above its recorded bound."""
-        graph = random_graph(2, 16, 8, False)
-        profile = exact_profile(graph, CLUSTER)
-        pool = candidate_strategies(graph, np.random.default_rng(8), 4)
-        truth = serial_truth(graph, profile, pool)
-        builder = PlanBuilder(graph, CLUSTER, profile)
-        first = builder.evaluate_many(pool, prune_above=1e-12)
-        killed = [i for i, o in enumerate(first)
-                  if o.prune_stage == "prebound" and truth[i].feasible]
-        if not killed:
-            pytest.skip("no prebound-killed feasible lane on this pool")
-        second = builder.evaluate_many(pool)
-        for i in killed:
-            assert not second[i].pruned
-            assert second[i].time == truth[i].time
-
-
-# --------------------------------------------------------------------- #
-class TestStrictModeAdmissibility:
-    def test_lane_bound_below_strict_makespan(self):
-        """The lane bound is a no-contention earliest-finish DP; under
-        the strict (non-work-conserving) engine mode start times only
-        move later, so the bound must stay admissible there too."""
-        graph = random_graph(2, 16, 8, True)
-        profile = exact_profile(graph, CLUSTER)
-        builder = PlanBuilder(graph, CLUSTER, profile)
-        planner = LanePlanner(graph, CLUSTER, builder.cost)
-        assert planner.usable
-        pool = candidate_strategies(graph, np.random.default_rng(3), 6)
-        bounds, finish = planner.bounds(pool)
-        assert finish.shape == (len(pool), planner.n_ops)
-        sim = Simulator(builder.cost)
-        checked = 0
-        for strategy, bound in zip(pool, bounds):
-            if not builder.evaluate(strategy, prune=False).feasible:
-                continue
-            plan = builder.build(strategy)
-            prios = ListScheduler().schedule(plan.dist,
-                                             builder.cost).priorities
-            strict = sim.run(plan.dist, priorities=prios, strict=True)
-            assert bound <= strict.makespan + 1e-9
-            checked += 1
-        assert checked > 0
-
-
-# --------------------------------------------------------------------- #
-class TestJitteredCosts:
-    def test_stochastic_cost_disables_lane_pricing(self):
-        graph = random_graph(2, 16, 8, False)
-        jittered = TruthCostModel(CLUSTER, jitter_sigma=0.05, seed=11)
-        assert not jittered.deterministic
-        planner = LanePlanner(graph, CLUSTER, jittered)
-        assert not planner.usable
-        pool = candidate_strategies(graph, np.random.default_rng(5), 3)
-        bounds, _ = planner.bounds(pool)
-        assert np.all(np.isneginf(bounds))
-
-    def test_evaluate_many_degrades_to_serial_sweep(self):
-        """With an unusable planner installed, evaluate_many must fall
-        through to the plain serial best-so-far sweep, bit-identically
-        (no lane is ever prebound-killed on a -inf bound)."""
-        graph = random_graph(2, 16, 8, True)
-        profile = exact_profile(graph, CLUSTER)
-        pool = candidate_strategies(graph, np.random.default_rng(9), 5)
-        ref = PlanBuilder(graph, CLUSTER, profile)
-        shared = BestSoFar()
-        want = [ref.evaluate(s, best=shared) for s in pool]
-        builder = PlanBuilder(graph, CLUSTER, profile)
-        builder._lane_planner = LanePlanner(
-            graph, CLUSTER,
-            TruthCostModel(CLUSTER, jitter_sigma=0.05, seed=11))
-        assert not builder._lane_planner.usable
-        outcomes = builder.evaluate_many(pool, best=BestSoFar())
-        for got, exp in zip(outcomes, want):
-            assert got.pruned == exp.pruned
-            assert got.time == exp.time
-            assert got.feasible == exp.feasible

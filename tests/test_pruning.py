@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import telemetry
 from repro.agent.policy import actions_to_strategy, num_actions
 from repro.cluster import cluster_4gpu
 from repro.errors import FleetProtocolError
@@ -26,7 +27,7 @@ from repro.parallel.strategy import (
     make_dp_strategy,
     make_mp_strategy,
 )
-from repro.plan import BatchEvaluator, BestSoFar, PlanBuilder
+from repro.plan import BatchEvaluator, BestSoFar, EvalOutcome, PlanBuilder
 from repro.profiling import Profiler, exact_profile
 from repro.scheduling import ListScheduler
 from repro.service.messages import (
@@ -346,6 +347,28 @@ class TestCacheSoundness:
         assert outcome.bound is not None
         assert builder.evals_pruned == 1
         assert builder.evals_total == 1
+
+    def test_seeded_bound_outcome_served_by_batch_evaluator(self):
+        """A worker's "bound" outcome seeded into a fresh builder and
+        then served from its cache counts as one served evaluation, so
+        the pruned fraction is defined and never above 1."""
+        graph = random_graph(2, 16, 8, False)
+        builder = PlanBuilder(graph, CLUSTER, exact_profile(graph, CLUSTER))
+        strategy = candidate_strategies(
+            graph, np.random.default_rng(5), 1)[0]
+        seeded = EvalOutcome(time=float("inf"), oom=False, result=None,
+                             dist_ops=0, pruned=True, bound=5.0,
+                             prune_stage="bound")
+        builder.seed_outcome(builder.fingerprint(strategy), seeded)
+        best = BestSoFar()
+        best.observe(1.0)
+        with telemetry.session() as tel:
+            outcomes = BatchEvaluator(builder).evaluate([strategy],
+                                                        best=best)
+            fraction = tel.registry.get("plan_pruned_fraction").value
+        assert outcomes == [seeded]
+        assert (builder.evals_pruned, builder.evals_total) == (1, 1)
+        assert fraction == 1.0
 
     def test_trace_bypasses_pruning(self):
         make, strategy, exact, bound = self._pickable()
