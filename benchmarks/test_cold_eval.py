@@ -8,9 +8,10 @@ benchmark measures it two ways:
 - **new**    — ``PlanBuilder.evaluate`` as shipped: one compile, one
   array lowering, two kernel-engine simulations per candidate;
 - **legacy** — the pre-kernel pipeline reconstructed in-process: the
-  same compile, two ``engine="reference"`` candidate simulations, and a
-  third reference simulation of the winning order (what ``evaluate``
-  used to run).
+  same compile, two candidate simulations on the test oracle's
+  reference loop (``tests.oracle.run_reference``), and a third
+  reference simulation of the winning order (what ``evaluate`` used to
+  run).
 
 Because both sides share the current compile path and its caches, the
 in-process ratio *understates* the true pre-PR speedup; the committed
@@ -42,10 +43,11 @@ from repro.parallel.compiler import GraphCompiler
 from repro.plan import PlanBuilder
 from repro.profiling import Profiler
 from repro.scheduling.list_scheduler import ListScheduler
-from repro.simulation import ProfileCostModel, Simulator
+from repro.simulation import ProfileCostModel
 from repro.simulation.kernel import lower
 
 from test_evaluator_throughput import candidate_pool
+from tests.oracle import run_reference
 
 #: measured ratio may drop to this fraction of the committed baseline
 #: ratio before the benchmark fails (machine-relative, so portable)
@@ -72,7 +74,6 @@ def setup(request):
 def _legacy_evaluate(graph, cluster, profile, candidates):
     """The pre-kernel cold pipeline: compile + 3 reference simulations."""
     cost = ProfileCostModel(cluster, profile)
-    sim = Simulator(cost)
     sched = ListScheduler()
     caps = {d.device_id: d.usable_memory_bytes for d in cluster.devices}
     makespans = []
@@ -82,18 +83,19 @@ def _legacy_evaluate(graph, cluster, profile, candidates):
         resident = compiler.resident_bytes
         kernel = lower(dist)
         prios, _, _ = sched._rank_priorities(kernel, cost)
-        rank_run = sim.run(dist, priorities=prios, engine="reference",
-                           resident_bytes=dict(resident), capacities=caps,
-                           trace=True)
-        earliest_run = sim.run(dist, priorities=None, engine="reference",
-                               resident_bytes=dict(resident),
-                               capacities=caps, trace=True)
+        rank_run = run_reference(cost, dist, priorities=prios,
+                                 resident_bytes=dict(resident),
+                                 capacities=caps, trace=True)
+        earliest_run = run_reference(cost, dist, priorities=None,
+                                     resident_bytes=dict(resident),
+                                     capacities=caps, trace=True)
         if rank_run.makespan <= earliest_run.makespan:
             winner = prios
         else:
             winner = ListScheduler._trace_order(earliest_run.schedule)
-        final = sim.run(dist, priorities=winner, engine="reference",
-                        resident_bytes=dict(resident), capacities=caps)
+        final = run_reference(cost, dist, priorities=winner,
+                              resident_bytes=dict(resident),
+                              capacities=caps)
         makespans.append(final.makespan)
     return makespans
 

@@ -50,10 +50,6 @@ class AgentConfig:
     eval_workers: int = 1
     # winner-safe branch-and-bound pruning (results bit-identical)
     prune: bool = True
-    # simulation event loop: "kernel" (array-lowered, default) or
-    # "reference" (pure-python); the engines are bit-identical, so this
-    # is a throughput knob, never a result knob
-    engine: str = "kernel"
     # opt-in best-so-far pruning of REINFORCE rollouts (faster but NOT
     # reward-transparent; see TrainerConfig.prune_rollouts)
     prune_rollouts: bool = False
@@ -100,7 +96,6 @@ class HeteroGAgent:
             graph, self.cluster, profile,
             use_order_scheduling=self.config.use_order_scheduling,
             group_of=grouping.group_of,
-            engine=self.config.engine,
         )
         ctx = GraphContext(
             name=name, graph=graph, grouping=grouping, features=features,

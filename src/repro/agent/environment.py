@@ -33,8 +33,7 @@ class StrategyEvaluator:
 
     def __init__(self, graph: ComputationGraph, cluster: Cluster,
                  profile: Profile, *, use_order_scheduling: bool = True,
-                 group_of: Optional[Dict[str, int]] = None,
-                 engine: str = "kernel"):
+                 group_of: Optional[Dict[str, int]] = None):
         self.graph = graph
         self.cluster = cluster
         self.profile = profile
@@ -43,7 +42,6 @@ class StrategyEvaluator:
         self.builder = PlanBuilder(
             graph, cluster, profile,
             use_order_scheduling=use_order_scheduling, group_of=group_of,
-            engine=engine,
         )
         self.cost = self.builder.cost
         self.capacities = self.builder.capacities

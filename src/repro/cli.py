@@ -186,11 +186,19 @@ def cmd_clusters(args: argparse.Namespace) -> int:  # noqa: ARG001
     return 0
 
 
+def _check_eval_workers(args: argparse.Namespace) -> None:
+    """``plan``/``churn`` count evaluation processes with ``--workers``;
+    unlike the service commands, 0 has no inline meaning there."""
+    if args.workers < 1:
+        raise ReproError(f"--workers must be >= 1, got {args.workers}")
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
     """``repro plan``: run the strategy search for one model."""
     from .experiments import ExperimentContext
     from .experiments.common import bench_agent_config
     from .reporting import describe_strategy
+    _check_eval_workers(args)
     cluster = CLUSTERS[args.cluster]()
     graph = build_model(args.model, args.preset)
     print(f"searching strategy for {graph.name} on {cluster} "
@@ -200,7 +208,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     config = bench_agent_config(args.seed)
     config.eval_workers = args.workers
     config.prune = not args.no_prune
-    config.engine = args.engine
     measured = ctx.run_heterog(graph, episodes=args.episodes,
                                agent_config=config)
     print(f"per-iteration time : {measured.display_time} s")
@@ -330,6 +337,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
     from .heterog import HeteroG
     from .resilience import FaultSchedule
 
+    _check_eval_workers(args)
     model_name = _resolve_model(args.model)
     cluster = _resolve_cluster(args.cluster)()
     episodes, steps = args.episodes, args.steps
@@ -355,7 +363,6 @@ def cmd_churn(args: argparse.Namespace) -> int:
                            agent=bench_agent_config(args.seed))
     config.agent.eval_workers = args.workers
     config.agent.prune = not args.no_prune
-    config.agent.engine = args.engine
     heterog = HeteroG(cluster, config)
     with telemetry.session() as tel:
         print(f"searching healthy deployment for {graph.name} on {cluster} "
@@ -388,19 +395,15 @@ def _backend_options(args: argparse.Namespace) -> Optional[dict]:
 
 
 def _add_eval_args(p: argparse.ArgumentParser) -> None:
-    """The evaluation knobs shared by every planning command
+    """The evaluation knob shared by every planning command
     (``plan`` / ``serve`` / ``bench-service`` / ``churn``): same flag
-    names, same defaults everywhere.  Both are result-transparent
-    throughput switches; ``--no-prune`` is nevertheless fingerprinted
-    by the planning service so a pruned and an unpruned request never
-    coalesce, keeping A/B timings honest."""
+    name, same default everywhere.  It is a result-transparent
+    throughput switch, nevertheless fingerprinted by the planning
+    service so a pruned and an unpruned request never coalesce, keeping
+    A/B timings honest."""
     p.add_argument("--no-prune", action="store_true",
                    help="disable branch-and-bound candidate pruning "
                    "(slower; results are identical either way)")
-    p.add_argument("--engine", choices=["kernel", "reference"],
-                   default="kernel",
-                   help="simulation event loop (default: kernel; the "
-                   "reference loop is slower but bit-identical)")
 
 
 def _add_backend_args(p: argparse.ArgumentParser) -> None:
@@ -439,7 +442,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     cluster = _resolve_cluster(args.cluster)()
     graph = build_model(model_name, args.preset)
     config = HeteroGConfig(seed=args.seed)
-    config.agent.engine = args.engine
     # each unique group gets its own episode budget, so groups have
     # distinct fingerprints while copies within a group are identical
     requests = [
@@ -492,7 +494,6 @@ def cmd_bench_service(args: argparse.Namespace) -> int:
     print(f"benchmarking {args.duplicates} duplicate requests for "
           f"{graph.name} on {cluster}...", file=sys.stderr)
     config = HeteroGConfig(seed=args.seed)
-    config.agent.engine = args.engine
     numbers = bench_coalescing(
         graph, cluster, duplicates=args.duplicates,
         episodes=args.episodes, workers=args.workers,

@@ -35,12 +35,6 @@ from .pruning import BestSoFar
 DEFAULT_PLAN_CACHE = 64
 DEFAULT_OUTCOME_CACHE = 4096
 
-#: valid values for the builder's ``engine`` knob.  The two engines are
-#: bit-identical (PR 3's paired-fuzzing contract), so the knob changes
-#: wall-clock only, never results — which is why it is *not* part of the
-#: context fingerprint.
-ENGINES = ("kernel", "reference")
-
 
 class PlanBuilder:
     """Builds and evaluates :class:`ExecutionPlan`s for one context."""
@@ -50,13 +44,7 @@ class PlanBuilder:
                  use_order_scheduling: bool = True,
                  group_of: Optional[Mapping[str, int]] = None,
                  plan_cache_size: int = DEFAULT_PLAN_CACHE,
-                 outcome_cache_size: int = DEFAULT_OUTCOME_CACHE,
-                 engine: str = "kernel"):
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown simulation engine {engine!r}; expected one of "
-                f"{ENGINES}")
-        self.engine = engine
+                 outcome_cache_size: int = DEFAULT_OUTCOME_CACHE):
         self.graph = graph
         self.cluster = cluster
         self.profile = profile if profile is not None else Profiler().profile(
@@ -153,7 +141,7 @@ class PlanBuilder:
             schedule = self._scheduler.schedule(
                 dist, self.cost, kernel=kernel,
                 resident_bytes=resident, capacities=self.capacities,
-                prune_above=limit, prune=prune, engine=self.engine,
+                prune_above=limit, prune=prune,
             )
             sim = schedule.sim_result
             if sim is not None and sim.pruned:
@@ -185,8 +173,7 @@ class PlanBuilder:
     # ------------------------------------------------------------------ #
     def simulate(self, plan: ExecutionPlan, *,
                  trace: bool = False,
-                 prune_above: Optional[float] = None,
-                 engine: Optional[str] = None) -> SimulationResult:
+                 prune_above: Optional[float] = None) -> SimulationResult:
         """Run the Strategy Maker's simulator over a plan.
 
         Plans built by this builder already carry the chosen order's
@@ -194,8 +181,6 @@ class PlanBuilder:
         e.g. after mutating the dist graph.  ``prune_above`` aborts the
         run once the simulated clock exceeds it (deterministic cost
         providers only) and returns a partial, ``pruned`` result.
-        ``engine`` overrides the builder's engine for this run (the two
-        engines return bit-identical results).
         """
         kernel = plan.kernel
         if kernel is not None and kernel.version != plan.dist.version:
@@ -209,7 +194,6 @@ class PlanBuilder:
             capacities=dict(plan.capacities),
             trace=trace,
             kernel=kernel,
-            engine=engine if engine is not None else self.engine,
             prune_above=prune_above,
         )
 

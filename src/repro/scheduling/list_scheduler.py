@@ -100,8 +100,7 @@ class ListScheduler:
                  resident_bytes: Optional[Dict[str, int]] = None,
                  capacities: Optional[Dict[str, int]] = None,
                  prune_above: Optional[float] = None,
-                 prune: bool = True,
-                 engine: str = "kernel") -> Schedule:
+                 prune: bool = True) -> Schedule:
         """Choose the better of the two candidate orders.
 
         ``kernel`` reuses an existing lowering (otherwise taken from the
@@ -121,11 +120,6 @@ class ListScheduler:
         winner.  Both prunings apply only under deterministic cost
         providers (a stochastic provider's RNG draw sequence must not
         depend on pruning) and ``prune=False`` disables them outright.
-
-        ``engine`` selects the candidate simulations' event loop
-        (``"kernel"`` or ``"reference"``); the two engines are
-        bit-identical, so the chosen order and its makespan do not
-        depend on it.
         """
         from ..simulation.engine import Simulator  # local: avoid cycle
         tel = telemetry.active()
@@ -143,8 +137,7 @@ class ListScheduler:
             rank_run = simulator.run(graph, priorities=rank_priorities,
                                      resident_bytes=resident_bytes,
                                      capacities=capacities, trace=True,
-                                     kernel=kernel, engine=engine,
-                                     prune_above=limit,
+                                     kernel=kernel, prune_above=limit,
                                      _prio_ids=prio_arr)
             # a completed rank run's makespan is itself a prune
             # threshold for the earliest candidate: rank wins ties, so
@@ -158,7 +151,7 @@ class ListScheduler:
             earliest_run = simulator.run(graph, priorities=None,
                                          resident_bytes=resident_bytes,
                                          capacities=capacities, trace=True,
-                                         kernel=kernel, engine=engine,
+                                         kernel=kernel,
                                          prune_above=earliest_limit)
             place_seconds = time.perf_counter() - place_start
         if rank_run.pruned and earliest_run.pruned:
@@ -226,9 +219,8 @@ class FifoScheduler:
                  resident_bytes: Optional[Dict[str, int]] = None,
                  capacities: Optional[Dict[str, int]] = None,
                  prune_above: Optional[float] = None,
-                 prune: bool = True,
-                 engine: str = "kernel") -> Schedule:
-        # prune_above/prune/engine are accepted for scheduler
+                 prune: bool = True) -> Schedule:
+        # prune_above/prune are accepted for scheduler
         # interchangeability but moot here: FIFO ordering runs no
         # candidate simulations
         if not self.randomize:

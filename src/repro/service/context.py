@@ -88,7 +88,6 @@ class PlanContext:
             self._builder = PlanBuilder(
                 self.graph, self.cluster, self.profile,
                 use_order_scheduling=self.use_order_scheduling,
-                engine=self.config.agent.engine,
             )
         return self._builder
 

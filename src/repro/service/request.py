@@ -46,11 +46,10 @@ def _config_payload(config: HeteroGConfig) -> Any:
 
     The agent's ``seed`` and ``use_order_scheduling`` are overridden by
     the request (see :class:`~repro.service.context.PlanContext`), and
-    ``eval_workers`` / ``engine`` never change results (parallel
-    evaluation is bit-identical to serial, the kernel and reference
-    event loops are bit-identical to each other), so none of them
-    splits contexts.  The winner-safe ``prune`` flag is likewise
-    result-transparent and does not split contexts — but it IS part of
+    ``eval_workers`` never changes results (parallel evaluation is
+    bit-identical to serial), so none of them splits contexts.  The
+    winner-safe ``prune`` flag is likewise result-transparent and does
+    not split contexts — but it IS part of
     the request fingerprint, so a pruned and an unpruned request never
     coalesce; ``prune_rollouts`` (which changes training trajectories)
     stays in the payload.
@@ -60,7 +59,6 @@ def _config_payload(config: HeteroGConfig) -> Any:
     agent.pop("use_order_scheduling", None)
     agent.pop("eval_workers", None)
     agent.pop("prune", None)
-    agent.pop("engine", None)
     return {
         "seed": config.seed,
         "profile_noise_sigma": config.profile_noise_sigma,

@@ -16,20 +16,19 @@ a ready-but-blocked op parks on the first busy resource it needs and is
 re-tried (in priority order) when that resource frees — O(1) amortized
 per event instead of rescanning every blocked op.
 
-Two interchangeable implementations run that model:
+The event loop runs on a :class:`SimKernel` array lowering of the graph:
+integer op/resource ids, precomputed adjacency, resources, activation
+sizes and (for deterministic cost providers) durations.  One lowering
+is shared across ranking, both candidate-order simulations and every
+re-simulation of a plan.
 
-- the **kernel engine** (default): operates on a :class:`SimKernel`
-  array lowering of the graph — integer op/resource ids, precomputed
-  adjacency, resources, activation sizes and (for deterministic cost
-  providers) durations.  One lowering is shared across ranking, both
-  candidate-order simulations and every re-simulation of a plan.
-- the **reference engine** (``engine="reference"``): the original
-  string-keyed event loop, kept verbatim as the golden oracle for the
-  equivalence suite (tests/test_sim_kernel.py).
-
-Both produce bit-identical results: the kernel loop replicates the
-reference loop's event ordering, tie-breaking counter draws, float
-arithmetic order, and even dict insertion orders of the result tables.
+The loop is paired against the original string-keyed event loop, which
+lives only in the test suite (``tests/oracle``), on every observable
+output: makespan, per-op start/finish, busy/overlap metrics, peak
+memory, the OOM device set, the prune verdict and partial makespan,
+and deadlock error text.  Wherever they affect those outputs, the loop
+keeps the oracle's event order, tie-breaking counter draws, float
+arithmetic order and result-table insertion order.
 """
 
 from __future__ import annotations
@@ -41,13 +40,10 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .. import telemetry
 from ..errors import SimulationError
-from ..parallel.distgraph import DistGraph, DistOp
+from ..parallel.distgraph import DistGraph
 from .costs import CostProvider
 from .kernel import PRUNE_GUARD, SimKernel, lower
-from .memory import MemoryTracker
 from .metrics import SimulationResult, union_length
-
-_ENGINES = ("kernel", "reference")
 
 
 class Simulator:
@@ -66,7 +62,6 @@ class Simulator:
         trace: bool = False,
         strict: bool = False,
         kernel: Optional[SimKernel] = None,
-        engine: str = "kernel",
         prune_above: Optional[float] = None,
         _prio_ids: Optional[List[int]] = None,
     ) -> SimulationResult:
@@ -83,9 +78,7 @@ class Simulator:
 
         ``kernel``: a pre-lowered :class:`SimKernel` for ``graph`` (e.g.
         the one cached on an ExecutionPlan).  When omitted, the kernel is
-        taken from the graph's own lowering cache.  ``engine="reference"``
-        selects the original dict-based loop instead (golden oracle; it
-        ignores ``kernel``).
+        taken from the graph's own lowering cache.
 
         ``prune_above``: cooperative mid-simulation pruning.  The event
         loop aborts as soon as it can prove the makespan strictly
@@ -102,53 +95,30 @@ class Simulator:
         ``_prio_ids`` (internal): ``priorities`` already lowered to a
         per-op-index list that is a permutation of ``range(n)`` — the
         scheduler passes its freshly computed order this way so the
-        kernel engine skips re-mapping the dict through the name table.
-        Must agree with ``priorities``; the kernel engine trusts it.
+        event loop skips re-mapping the dict through the name table.
+        Must agree with ``priorities``; the event loop trusts it.
         """
-        if engine not in _ENGINES:
-            raise SimulationError(
-                f"unknown simulation engine {engine!r}; expected one of "
-                f"{_ENGINES}"
-            )
         tel = telemetry.active()
         if tel is None:
-            return self._dispatch(graph, priorities=priorities,
-                                  resident_bytes=resident_bytes,
-                                  capacities=capacities, trace=trace,
-                                  strict=strict, kernel=kernel,
-                                  engine=engine, tel=None,
-                                  prune_above=prune_above,
-                                  prio_ids=_prio_ids)
+            return self._run_kernel(
+                graph, kernel, priorities=priorities,
+                resident_bytes=resident_bytes, capacities=capacities,
+                trace=trace, strict=strict, tel=None,
+                prune_above=prune_above, prio_ids=_prio_ids)
         with tel.span("simulate", graph=graph.name, ops=len(graph)):
-            return self._dispatch(graph, priorities=priorities,
-                                  resident_bytes=resident_bytes,
-                                  capacities=capacities, trace=trace,
-                                  strict=strict, kernel=kernel,
-                                  engine=engine, tel=tel,
-                                  prune_above=prune_above,
-                                  prio_ids=_prio_ids)
-
-    def _dispatch(self, graph, *, priorities, resident_bytes, capacities,
-                  trace, strict, kernel, engine, tel, prune_above=None,
-                  prio_ids=None):
-        if engine == "reference":
-            return self._run_reference(
-                graph, priorities=priorities, resident_bytes=resident_bytes,
-                capacities=capacities, trace=trace, strict=strict, tel=tel,
-                prune_above=prune_above)
-        return self._run_kernel(
-            graph, kernel if kernel is not None else lower(graph),
-            priorities=priorities, resident_bytes=resident_bytes,
-            capacities=capacities, trace=trace, strict=strict, tel=tel,
-            prune_above=prune_above, prio_ids=prio_ids)
+            return self._run_kernel(
+                graph, kernel, priorities=priorities,
+                resident_bytes=resident_bytes, capacities=capacities,
+                trace=trace, strict=strict, tel=tel,
+                prune_above=prune_above, prio_ids=_prio_ids)
 
     # ------------------------------------------------------------------ #
-    # kernel engine: integer-indexed arrays, one lowering per graph
+    # event loop: integer-indexed arrays, one lowering per graph
     # ------------------------------------------------------------------ #
     def _run_kernel(
         self,
         graph: DistGraph,
-        kernel: SimKernel,
+        kernel: Optional[SimKernel],
         *,
         priorities: Optional[Mapping[str, int]],
         resident_bytes: Optional[Dict[str, int]],
@@ -159,6 +129,8 @@ class Simulator:
         prune_above: Optional[float] = None,
         prio_ids: Optional[List[int]] = None,
     ) -> SimulationResult:
+        if kernel is None:
+            kernel = lower(graph)
         if strict and priorities is None:
             raise SimulationError("strict mode requires explicit priorities")
         wall_start = time.perf_counter() if tel is not None else 0.0
@@ -506,263 +478,12 @@ class Simulator:
         )
         if trace:
             # dict(zip(...)) keeps the iteration in C; insertion order is
-            # start order, matching the reference engine's trace dict
+            # start order, matching the test oracle's trace dict
             result.schedule = dict(zip(
                 map(names.__getitem__, start_order),
                 zip(map(started.__getitem__, start_order),
                     map(finished.__getitem__, start_order)),
             ))
-        if tel is not None:
-            self._observe_run(tel, executed, now, wall_start)
-        return result
-
-    # ------------------------------------------------------------------ #
-    # reference engine: the original dict-keyed loop, kept verbatim as
-    # the golden oracle for the kernel-equivalence suite
-    # ------------------------------------------------------------------ #
-    def _run_reference(
-        self,
-        graph: DistGraph,
-        *,
-        priorities: Optional[Mapping[str, int]],
-        resident_bytes: Optional[Dict[str, int]],
-        capacities: Optional[Dict[str, int]],
-        trace: bool,
-        strict: bool,
-        tel: Optional["telemetry.Telemetry"],
-        prune_above: Optional[float] = None,
-    ) -> SimulationResult:
-        if strict and priorities is None:
-            raise SimulationError("strict mode requires explicit priorities")
-        wall_start = time.perf_counter() if tel is not None else 0.0
-        prune_limit = float("inf") if prune_above is None else prune_above
-        # see the kernel engine: tail cuts must violate by more than the
-        # fp guard margin; the clock check stays exact
-        tail_limit = prune_limit * (1.0 + PRUNE_GUARD)
-        was_pruned = False
-
-        ops: Dict[str, DistOp] = {name: graph.op(name)
-                                  for name in graph.op_names}
-        resources_of: Dict[str, Tuple[str, ...]] = {
-            name: op.resources() for name, op in ops.items()
-        }
-        pending_deps: Dict[str, int] = {
-            name: len(graph.predecessors(name)) for name in ops
-        }
-
-        # strict mode: per-resource queues in priority order; an op may only
-        # start while it is at the head of every one of its resource queues
-        if strict:
-            strict_queues: Dict[str, List[str]] = {}
-            for name in ops:
-                for r in resources_of[name]:
-                    strict_queues.setdefault(r, []).append(name)
-            for r, names in strict_queues.items():
-                names.sort(key=lambda n: priorities.get(n, 0))
-            head_index: Dict[str, int] = {r: 0 for r in strict_queues}
-
-            def is_head(name: str) -> bool:
-                return all(
-                    strict_queues[r][head_index[r]] == name
-                    for r in resources_of[name]
-                )
-
-            def advance_heads(name: str) -> None:
-                for r in resources_of[name]:
-                    head_index[r] += 1
-        else:
-            def is_head(name: str) -> bool:  # noqa: ARG001
-                return True
-
-            def advance_heads(name: str) -> None:  # noqa: ARG001
-                return None
-
-        # tail-based abort mirror of the kernel engine: same recursion,
-        # same float accumulation order (successor list order), so pruned
-        # partial results stay bit-identical across engines
-        tails: Optional[Dict[str, float]] = None
-        if (prune_above is not None
-                and getattr(self.cost, "deterministic", False)):
-            try:
-                order = graph.topological_order()
-            except Exception:
-                order = None  # cyclic: deadlock detection handles it
-            if order is not None:
-                tails = {}
-                duration_of = self.cost.duration
-                for name in reversed(order):
-                    tail = 0.0
-                    for s in graph.successors(name):
-                        t = duration_of(ops[s]) + tails[s]
-                        if t > tail:
-                            tail = t
-                    tails[name] = tail
-
-        memory = MemoryTracker(graph, resident_bytes or {})
-        use_fifo = priorities is None
-        counter = itertools.count()
-
-        def priority_of(name: str) -> float:
-            return next(counter) if use_fifo else priorities.get(name, 0)
-
-        resource_busy: Dict[str, bool] = {}
-        # per-resource priority heap of (priority, tiebreak, name) waiters
-        waiting: Dict[str, List[Tuple[float, int, str]]] = {}
-        now = 0.0
-        completions: List[Tuple[float, int, str]] = []
-        started: Dict[str, float] = {}
-        finished: Dict[str, float] = {}
-        device_busy: Dict[str, float] = {}
-        link_intervals: Dict[str, List[Tuple[float, float]]] = {}
-        comm_intervals: List[Tuple[float, float]] = []
-        compute_intervals: List[Tuple[float, float]] = []
-        in_wait_queue: Dict[str, bool] = {}
-        # telemetry: when each op first became ready / where it last parked
-        ready_at: Dict[str, float] = {}
-        parked_on: Dict[str, str] = {}
-
-        def try_start(name: str, prio: float) -> None:
-            """Start ``name`` if possible; otherwise park it on the first
-            busy resource it needs (or the strict-order head block)."""
-            if tel is not None and name not in ready_at:
-                ready_at[name] = now
-            op = ops[name]
-            blocked_on: Optional[str] = None
-            for r in resources_of[name]:
-                if resource_busy.get(r, False):
-                    blocked_on = r
-                    break
-            if blocked_on is None and not is_head(name):
-                # strict mode: wait on the first resource where this op is
-                # not at the head of the queue
-                for r in resources_of[name]:
-                    if strict_queues[r][head_index[r]] != name:
-                        blocked_on = r
-                        break
-            if blocked_on is not None:
-                heapq.heappush(
-                    waiting.setdefault(blocked_on, []),
-                    (prio, next(counter), name),
-                )
-                in_wait_queue[name] = True
-                if tel is not None:
-                    parked_on[name] = blocked_on
-                return
-
-            advance_heads(name)
-            for r in resources_of[name]:
-                resource_busy[r] = True
-            duration = self.cost.duration(op)
-            if duration < 0:
-                raise SimulationError(
-                    f"negative duration for {name}: {duration}"
-                )
-            memory.on_start(op)
-            started[name] = now
-            if tel is not None:
-                wait = now - ready_at.get(name, now)
-                tel.registry.histogram(
-                    "sim_queue_wait_seconds",
-                    help="simulated time ops spend ready but blocked",
-                ).observe(wait)
-                blocked = parked_on.pop(name, None)
-                if blocked is not None and wait > 0:
-                    tel.registry.counter(
-                        "sim_resource_wait_seconds_total",
-                        labels={"resource": blocked},
-                        help="simulated wait attributed to each resource",
-                    ).inc(wait)
-            heapq.heappush(completions,
-                           (now + duration, next(counter), name))
-
-        def release_resource(resource: str) -> None:
-            """Free a resource and retry its waiters in priority order."""
-            resource_busy[resource] = False
-            queue = waiting.get(resource)
-            if not queue:
-                return
-            # retry all current waiters; those still blocked re-park on
-            # whatever resource now blocks them (possibly this one again)
-            current, waiting[resource] = queue, []
-            for prio, _, name in sorted(current):
-                in_wait_queue[name] = False
-                try_start(name, prio)
-
-        # kick off sources in priority order
-        initial = sorted(
-            (priority_of(name), next(counter), name)
-            for name, deps in pending_deps.items() if deps == 0
-        )
-        for prio, _, name in initial:
-            try_start(name, prio)
-
-        executed = 0
-        total = len(ops)
-        while completions:
-            now, _, name = heapq.heappop(completions)
-            if now > prune_limit:
-                was_pruned = True
-                break
-            if tails is not None and now + tails[name] > tail_limit:
-                was_pruned = True
-                now += tails[name]
-                break
-            op = ops[name]
-            finished[name] = now
-            executed += 1
-            memory.on_finish(op)
-            if tel is not None:
-                tel.registry.counter(
-                    "sim_ops_total", labels={"kind": op.kind.value},
-                    help="dist-ops completed, by kind",
-                ).inc()
-
-            begin = started[name]
-            if op.is_compute:
-                device_busy[op.device] = device_busy.get(op.device, 0.0) + (
-                    now - begin
-                )
-                compute_intervals.append((begin, now))
-            else:
-                comm_intervals.append((begin, now))
-                for r in resources_of[name]:
-                    if r.startswith("link:"):
-                        link_intervals.setdefault(r, []).append((begin, now))
-
-            # new ready successors first (so a freed resource sees them)
-            for succ in graph.successors(name):
-                pending_deps[succ] -= 1
-                if pending_deps[succ] == 0:
-                    try_start(succ, priority_of(succ))
-
-            for r in resources_of[name]:
-                release_resource(r)
-
-        if executed != total and not was_pruned:
-            stuck = [n for n, d in pending_deps.items() if d > 0][:5]
-            waiting_named = [n for n, w in in_wait_queue.items() if w][:5]
-            raise SimulationError(
-                f"deadlock: executed {executed}/{total} ops; "
-                f"stuck deps on {stuck}; parked {waiting_named}"
-            )
-
-        capacities = capacities or {}
-        result = SimulationResult(
-            makespan=now,
-            device_busy=device_busy,
-            link_busy={
-                r: union_length(iv) for r, iv in link_intervals.items()
-            },
-            communication_time=union_length(comm_intervals),
-            computation_wall=union_length(compute_intervals),
-            peak_memory=dict(memory.peak),
-            oom_devices=memory.oom_devices(capacities),
-            pruned=was_pruned,
-        )
-        if trace:
-            result.schedule = {
-                n: (started[n], finished.get(n, 0.0)) for n in started
-            }
         if tel is not None:
             self._observe_run(tel, executed, now, wall_start)
         return result

@@ -23,7 +23,8 @@ Durations are only pre-evaluated for *deterministic* cost providers
 (``cost.deterministic`` is True).  Stochastic providers — the truth
 model's per-execution jitter — are still queried lazily in start order,
 which keeps the jitter RNG draw sequence, and therefore the results,
-bit-identical to the dict engine.
+bit-identical to the dict-based loop of the test oracle
+(``tests/oracle``).
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ class SimKernel:
         # DistGraph.topological_order: insertion order among ready ops).
         # A cyclic graph yields a partial order and sets ``has_cycle``;
         # the engine still runs it and reports the deadlock exactly as
-        # the dict engine did.
+        # the dict-based oracle loop does.
         indeg = list(self.pred_count)
         topo: List[int] = [i for i in range(n) if indeg[i] == 0]
         head = 0

@@ -8,7 +8,7 @@ its contract, hammered here across cost regimes:
   for field;
 - every *surviving* candidate's outcome is bit-identical to an unpruned
   serial ``evaluate`` of the same strategy (work-conserving and FIFO
-  scheduling, kernel and reference engines);
+  scheduling, the simulator and the test oracle's reference loop);
 - the pruned winner is the unpruned winner, byte-equal makespan;
 - candidates cut by the static kernel bound ("bound") or a
   mid-simulation abort ("midsim") report *admissible* partial
@@ -27,6 +27,8 @@ from repro.graph import GraphBuilder, build_training_graph
 from repro.graph.grouping import group_operations
 from repro.plan import BestSoFar, PlanBuilder
 from repro.profiling import exact_profile
+
+from tests.oracle import reference_simulator
 
 CLUSTER = cluster_4gpu()
 
@@ -135,11 +137,12 @@ class TestPairedIdentity:
               suppress_health_check=[HealthCheck.too_slow])
     @given(graph_and_pool())
     def test_reference_engine_pairing(self, payload):
-        """evaluate_many on the kernel engine vs an unpruned serial
-        sweep on the reference engine: survivors byte-equal."""
+        """evaluate_many on the simulator vs an unpruned serial sweep
+        on the oracle's reference loop: survivors byte-equal."""
         graph, pool = payload
         profile = exact_profile(graph, CLUSTER)
-        truth = serial_truth(graph, profile, pool, engine="reference")
+        with reference_simulator():
+            truth = serial_truth(graph, profile, pool)
         builder = PlanBuilder(graph, CLUSTER, profile)
         outcomes = builder.evaluate_many(pool, best=BestSoFar())
         assert_paired(outcomes, truth)

@@ -199,6 +199,19 @@ class TestCLIPlan:
         data = json.loads(open(save).read())
         assert data["per_op"]
 
+    @pytest.mark.parametrize("command", [
+        ["plan", "transformer", "--preset", "tiny"],
+        ["churn", "transformer", "--preset", "tiny", "--quick"],
+    ])
+    def test_zero_eval_workers_one_line_error(self, capsys, command):
+        """--workers counts evaluation processes for plan/churn: 0 is
+        rejected up front with exit 2 and a message naming the flag."""
+        assert main(command + ["--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--workers" in err
+        assert "Traceback" not in err
+
     def test_experiment_rejects_unknown(self):
         with pytest.raises(SystemExit):
             main(["experiment", "table99"])

@@ -1,12 +1,11 @@
 """Golden-equivalence suite for the array-lowered simulation kernel.
 
-The kernel engine (``engine="kernel"``, the default) must be
-*bit-identical* to the original dict-based event loop, which is kept in
-the tree as ``engine="reference"``.  These tests pair the two engines
-over compiled model graphs and crafted edge cases and compare every
-observable: the full schedule trace, makespan, busy/overlap metrics,
-peak memory, the OOM device set, and — for deadlocks — the exact error
-message bytes.
+``Simulator.run`` must be *bit-identical* to the original dict-based
+event loop, which lives in the test oracle (``tests.oracle``).  These
+tests pair the two loops over compiled model graphs and crafted edge
+cases and compare every observable: the full schedule trace, makespan,
+busy/overlap metrics, peak memory, the OOM device set, the prune
+verdict, and — for deadlocks — the exact error message bytes.
 """
 
 from __future__ import annotations
@@ -34,6 +33,8 @@ from repro.simulation import ProfileCostModel, Simulator, TruthCostModel
 from repro.simulation.costs import MappingCostModel
 from repro.simulation.kernel import lower
 
+from tests.oracle import run_reference
+
 
 def assert_results_identical(a, b) -> None:
     """Every observable of two SimulationResults must match exactly."""
@@ -45,18 +46,20 @@ def assert_results_identical(a, b) -> None:
     assert a.peak_memory == b.peak_memory
     assert a.oom_devices == b.oom_devices
     assert a.schedule == b.schedule
+    assert a.pruned == b.pruned
 
 
 def run_pair(make_cost, dist, **kw):
-    """Run both engines on fresh cost providers; compare outcome or error."""
+    """Run the simulator and the oracle on fresh cost providers; compare
+    outcome or error."""
     try:
-        a = Simulator(make_cost()).run(dist, engine="kernel", **kw)
+        a = Simulator(make_cost()).run(dist, **kw)
     except SimulationError as exc:
         with pytest.raises(SimulationError) as err:
-            Simulator(make_cost()).run(dist, engine="reference", **kw)
+            run_reference(make_cost(), dist, **kw)
         assert str(err.value) == str(exc)
         return None
-    b = Simulator(make_cost()).run(dist, engine="reference", **kw)
+    b = run_reference(make_cost(), dist, **kw)
     assert_results_identical(a, b)
     return a
 
@@ -93,6 +96,10 @@ COST_MAKERS = [
 ]
 
 
+#: prune thresholds, as fractions of the unpruned makespan
+PRUNE_FRACTIONS = (0.3, 0.6, 0.9, 0.999)
+
+
 @pytest.mark.parametrize("cost_name,make", COST_MAKERS,
                          ids=[c[0] for c in COST_MAKERS])
 def test_engines_identical_on_compiled_graphs(compiled, cost_name, make):
@@ -108,16 +115,19 @@ def test_engines_identical_on_compiled_graphs(compiled, cost_name, make):
     ]
     for prios in prio_sets:
         for strict in (False, True) if prios is not None else (False,):
-            run_pair(
-                lambda: make(cluster, profile), dist,
-                priorities=prios, resident_bytes=dict(resident),
-                capacities=caps, trace=True, strict=strict,
-            )
+            kw = dict(priorities=prios, resident_bytes=dict(resident),
+                      capacities=caps, trace=True, strict=strict)
+            full = run_pair(lambda: make(cluster, profile), dist, **kw)
+            # mid-simulation pruning: the prune verdict and the partial
+            # makespan must match too, from early cuts to near-misses
+            for frac in PRUNE_FRACTIONS if full is not None else ():
+                run_pair(lambda: make(cluster, profile), dist,
+                         prune_above=frac * full.makespan, **kw)
 
 
 def test_memory_pressure_oom_sets_identical(compiled):
-    """Shrunken capacities force OOM; both engines must flag the same
-    devices at the same peaks."""
+    """Shrunken capacities force OOM; simulator and oracle must flag the
+    same devices at the same peaks."""
     cluster, profile, dist, resident, caps = compiled
     tight = {d: max(1, int(c * 1e-4)) for d, c in caps.items()}
     result = run_pair(
@@ -141,7 +151,7 @@ def _chain_graph() -> DistGraph:
 
 def test_cycle_deadlock_messages_byte_equal():
     """A cycle (crafted via direct adjacency mutation, like the engine
-    edge-case tests do) must deadlock both engines with the same text."""
+    edge-case tests do) must deadlock both loops with the same text."""
     g = _chain_graph()
     g._succ["op3"].append("op0")
     g._pred["op0"].append("op3")
@@ -151,7 +161,7 @@ def test_cycle_deadlock_messages_byte_equal():
 
 def test_strict_priority_inversion_deadlock():
     """Strict mode with priorities that invert the DAG order deadlocks;
-    the error text must match the reference engine byte for byte."""
+    the error text must match the oracle byte for byte."""
     g = _chain_graph()
     inverted = {f"op{i}": 10 - i for i in range(4)}
     cost = MappingCostModel({}, default=1.0)
