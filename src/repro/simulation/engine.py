@@ -12,9 +12,36 @@ The same engine serves as the Strategy Maker's internal simulator (with
 :class:`TruthCostModel`); see DESIGN.md.
 
 Work-conserving scheduling is implemented with per-resource wait queues:
-a ready-but-blocked op parks on the first busy resource it needs and is
-re-tried (in priority order) when that resource frees — O(1) amortized
-per event instead of rescanning every blocked op.
+a ready-but-blocked op parks on the first busy resource it needs, in a
+heap ordered by (priority, tie-break counter), and is retried in
+priority order when that resource frees.  A completion touches only the
+queues of the resources it frees, never every blocked op.
+
+Parking invariant: outside strict mode, every parked op sits on a
+resource that is busy at that moment, and an op can start only when all
+of its resources are free.
+
+When priorities are distinct and the mode is not strict, draining a
+freed resource *z* stops early.  Its heap is popped in priority order;
+a waiter that is still blocked moves verbatim to its first busy
+resource; the first waiter whose resources are all free starts and
+thereby takes *z* again (every waiter parked on *z* needs *z*).  The
+rest of the heap stays parked on *z*.  This is exact — the same ops
+start in the same order as when every waiter is re-examined:
+
+- by the invariant, every op that could start while *z* drains is
+  parked on *z*, whichever busy resource the blocked ops chose;
+- after *z* is taken again every remaining entry needs *z*, so it is
+  parked on a busy resource and the invariant still holds;
+- with distinct priorities the tie-break counter, which goes stale when
+  an entry moves, is never compared.
+
+A drain thus pops only the blocked waiters ahead of the one that starts.
+Two cases keep the full re-scan, where every waiter goes back through
+``try_start``: strict mode, where an op also parks on a *free* resource
+when it is not at the head of that resource's queue, so the invariant
+does not hold; and tied priorities, where the order among equal
+priorities follows the counter drawn at each re-park.
 
 The event loop runs on a :class:`SimKernel` array lowering of the graph:
 integer op/resource ids, precomputed adjacency, resources, activation
@@ -26,9 +53,10 @@ The loop is paired against the original string-keyed event loop, which
 lives only in the test suite (``tests/oracle``), on every observable
 output: makespan, per-op start/finish, busy/overlap metrics, peak
 memory, the OOM device set, the prune verdict and partial makespan,
-and deadlock error text.  Wherever they affect those outputs, the loop
-keeps the oracle's event order, tie-breaking counter draws, float
-arithmetic order and result-table insertion order.
+and deadlock error text.  The oracle re-examines every waiter on each
+free.  Wherever they affect those outputs, the loop keeps the oracle's
+event order, the relative order of its tie-breaking counter draws,
+float arithmetic order and result-table insertion order.
 """
 
 from __future__ import annotations
@@ -163,15 +191,14 @@ class Simulator:
             prio = [get_prio(name, 0) for name in names]
         counter = itertools.count()
         heappush = heapq.heappush
-        # When priorities are all distinct (always true for FIFO, whose
-        # priorities are fresh counter draws, for every scheduler-built
-        # order, and for a prio_ids permutation), waiter-heap entries
-        # never tie on priority, so the tie-break counter is never
-        # compared and release_resource may move a still-blocked waiter's
-        # heap entry to its next queue verbatim instead of paying a
-        # try_start round trip.
-        fast_requeue = (use_fifo or prio_ids is not None
-                        or len(set(prio)) == n)
+        heappop = heapq.heappop
+        # Distinct priorities (always true for FIFO, whose priorities are
+        # fresh counter draws, for every scheduler-built order, and for a
+        # prio_ids permutation) never tie, so the waiter heaps never
+        # compare their tie-break counters; outside strict mode that lets
+        # drain_waiters stop early (see the module docstring).
+        early_stop = not strict and (use_fifo or prio_ids is not None
+                                     or len(set(prio)) == n)
 
         durations = kernel.durations_for(self.cost)
         cost_duration = self.cost.duration
@@ -332,37 +359,41 @@ class Simulator:
         def drain_waiters(resource: int, queue: List[Tuple[float, int, int]]
                           ) -> None:
             """Retry a freed resource's waiters in priority order."""
-            # those still blocked re-park on whatever resource now blocks
-            # them (possibly this one again)
             waiting[resource] = None
-            if fast_requeue:
-                # a waiter that is still blocked re-parks on its first
-                # busy resource; that scan is everything try_start would
-                # do for it, so do it inline and move the heap entry as
-                # is (only its never-compared tie-break counter goes
-                # stale).  In strict mode a fully-free waiter still goes
-                # through try_start for the head-of-queue check.
-                for entry in (queue if len(queue) == 1 else sorted(queue)):
-                    i = entry[2]
-                    blocked = -1
-                    for r in res_of[i]:
-                        if resource_busy[r]:
-                            blocked = r
-                            break
-                    if blocked >= 0:
-                        queue2 = waiting[blocked]
-                        if queue2 is None:
-                            queue2 = waiting[blocked] = []
-                        heappush(queue2, entry)
-                        if tel is not None:
-                            parked_on[i] = blocked
-                    else:
-                        in_wait_queue[i] = False
-                        try_start(i, entry[0])
+            if not early_stop:
+                # full re-scan: every waiter goes back through try_start
+                # and re-parks on whatever now blocks it, drawing a new
+                # tie-break counter
+                for p, _, i in (queue if len(queue) == 1 else sorted(queue)):
+                    in_wait_queue[i] = False
+                    try_start(i, p)
                 return
-            for p, _, i in (queue if len(queue) == 1 else sorted(queue)):
-                in_wait_queue[i] = False
-                try_start(i, p)
+            while queue:
+                entry = heappop(queue)
+                i = entry[2]
+                blocked = -1
+                for r in res_of[i]:
+                    if resource_busy[r]:
+                        blocked = r
+                        break
+                if blocked < 0:
+                    # it starts and takes this resource again, which every
+                    # waiter left needs: the rest of the heap stays
+                    # parked here as it is
+                    in_wait_queue[i] = False
+                    try_start(i, entry[0])
+                    if queue:
+                        waiting[resource] = queue
+                    return
+                # still blocked: move the entry verbatim to its first busy
+                # resource (only its never-compared tie-break counter goes
+                # stale)
+                queue2 = waiting[blocked]
+                if queue2 is None:
+                    queue2 = waiting[blocked] = []
+                heappush(queue2, entry)
+                if tel is not None:
+                    parked_on[i] = blocked
 
         # kick off sources in priority order
         initial = sorted(
@@ -373,7 +404,6 @@ class Simulator:
             try_start(i, p)
 
         executed = 0
-        heappop = heapq.heappop
         while completions:
             now, _, i = heappop(completions)
             if now > prune_limit:

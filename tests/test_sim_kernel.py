@@ -138,6 +138,76 @@ def test_memory_pressure_oom_sets_identical(compiled):
 
 
 # --------------------------------------------------------------------- #
+# paired fuzz under heavy contention
+# --------------------------------------------------------------------- #
+#: the shared resource pool: two directed links (an AllReduce over
+#: gpu0/gpu1 holds both plus the NCCL token) and two NIC ports
+_LINKS = ("link:gpu0->gpu1", "link:gpu1->gpu0")
+_NICS = ("nic:0", "nic:1")
+
+
+def _contended_graph(rng: random.Random, index: int):
+    """A random DAG whose ops hold 1-3 resources from a pool of five, in
+    random order, so many ops wait on the same resources and often
+    block on a different one from where they are parked; multi-resource
+    ops free several resources with one completion."""
+    g = DistGraph(f"contended{index}")
+    durations = {}
+    integral = index % 2 == 0  # whole-number durations: many equal times
+    for k in range(rng.randint(8, 18)):
+        name = f"op{k}"
+        roll = rng.random()
+        if roll < 0.2:
+            op = DistOp(name, DistOpKind.SPLIT,
+                        device=rng.choice(("gpu0", "gpu1")),
+                        size_bytes=rng.choice((64.0, 256.0)))
+        elif roll < 0.3:
+            op = DistOp(name, DistOpKind.ALLREDUCE, devices=("gpu0", "gpu1"),
+                        size_bytes=rng.choice((64.0, 256.0)))
+        else:
+            src = rng.randrange(2)
+            others = [r for r in _LINKS + _NICS if r != _LINKS[src]]
+            op = DistOp(name, DistOpKind.TRANSFER, src_device=f"gpu{src}",
+                        dst_device=f"gpu{1 - src}",
+                        size_bytes=rng.choice((64.0, 256.0, 1024.0)),
+                        extra_resources=tuple(
+                            rng.sample(others, rng.randint(0, 2))))
+        deps = [f"op{j}" for j in range(k) if rng.random() < 0.15]
+        g.add(op, deps=deps)
+        durations[name] = (float(rng.randint(1, 3)) if integral
+                           else rng.uniform(0.5, 3.0))
+    return g, durations
+
+
+def test_engines_identical_under_heavy_contention():
+    """FIFO, distinct, shuffled-distinct and tied priorities, strict on
+    and off, every prune threshold: the early-stop wait queues must
+    match the full re-scan oracle on every observable."""
+    rng = random.Random(2024)
+    for index in range(200):
+        dist, durations = _contended_graph(rng, index)
+        names = dist.op_names
+        perm = list(range(len(names)))
+        rng.shuffle(perm)
+        prio_sets = [
+            None,
+            {n: i for i, n in enumerate(names)},
+            {n: perm[i] for i, n in enumerate(names)},
+            {n: perm[i] % 3 for i, n in enumerate(names)},
+        ]
+        caps = {"gpu0": rng.choice((300, 2000)), "gpu1": 2000}
+        for prios in prio_sets:
+            for strict in (False, True) if prios is not None else (False,):
+                kw = dict(priorities=prios, capacities=caps, trace=True,
+                          strict=strict)
+                cost = MappingCostModel(durations)
+                full = run_pair(lambda: cost, dist, **kw)
+                for frac in PRUNE_FRACTIONS if full is not None else ():
+                    run_pair(lambda: cost, dist,
+                             prune_above=frac * full.makespan, **kw)
+
+
+# --------------------------------------------------------------------- #
 # crafted edge cases
 # --------------------------------------------------------------------- #
 def _chain_graph() -> DistGraph:

@@ -7,10 +7,12 @@ import threading
 import pytest
 
 from repro import telemetry
+from repro.baselines import dp_strategy
 from repro.cluster import cluster_4gpu
 from repro.parallel import GraphCompiler, single_device_strategy
 from repro.parallel.distgraph import DistGraph, DistOp, DistOpKind
 from repro.profiling import exact_profile
+from repro.scheduling import ListScheduler
 from repro.simulation import ProfileCostModel, Simulator
 from repro.simulation.metrics import SimulationResult
 from repro.telemetry import (
@@ -319,6 +321,45 @@ class TestAmbientSession:
             assert other.link_busy == baseline.link_busy
             assert other.peak_memory == baseline.peak_memory
             assert other.communication_time == baseline.communication_time
+
+    def test_contended_results_identical_and_waits_accounted(self):
+        """Data parallelism over four GPUs with ring all-reduce: ops
+        queue on links and the NCCL token, so the wait-queue drain runs
+        with telemetry on.  Results must not move, and the queue-wait
+        histogram must hold each op's start minus its latest
+        predecessor's finish."""
+        cluster = cluster_4gpu()
+        graph = make_mlp(name="tel_dp")
+        profile = exact_profile(graph, cluster)
+        dist = GraphCompiler(cluster, profile).compile(
+            graph, dp_strategy("EV-AR", graph, cluster))
+        cost = ProfileCostModel(cluster, profile)
+        sim = Simulator(cost)
+        rank = ListScheduler().schedule(dist, cost).priorities
+        for priorities in (None, rank):
+            baseline = sim.run(dist, priorities=priorities, trace=True)
+            with telemetry.session() as tel:
+                traced = sim.run(dist, priorities=priorities, trace=True)
+            assert traced.makespan == baseline.makespan
+            assert traced.schedule == baseline.schedule
+            assert traced.device_busy == baseline.device_busy
+            assert traced.link_busy == baseline.link_busy
+            assert traced.peak_memory == baseline.peak_memory
+
+            schedule = traced.schedule
+            expected = 0.0
+            for name, (start, _) in schedule.items():  # start order
+                ready = max((schedule[p][1]
+                             for p in dist.predecessors(name)), default=0.0)
+                expected += start - ready
+            waits = tel.registry.histogram("sim_queue_wait_seconds")
+            assert waits.total == len(dist)
+            assert waits.sum == expected
+            assert expected > 0  # something really queued
+            per_resource = sum(
+                m.value for m in tel.registry.metrics()
+                if m.name == "sim_resource_wait_seconds_total")
+            assert per_resource == pytest.approx(expected)
 
     def test_engine_metrics_collected(self):
         cluster = cluster_4gpu()
