@@ -80,7 +80,7 @@ def _legacy_evaluate(graph, cluster, profile, candidates):
     for strategy in candidates:
         compiler = GraphCompiler(cluster, profile)
         dist = compiler.compile(graph, strategy)
-        resident = compiler.resident_bytes
+        resident = dist.resident_bytes
         kernel = lower(dist)
         prios, _, _ = sched._rank_priorities(kernel, cost)
         rank_run = run_reference(cost, dist, priorities=prios,

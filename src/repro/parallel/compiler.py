@@ -20,6 +20,17 @@ Parameter-gradient and ApplyGradient ops are canonicalized to follow the
 *forward* op's placement (parameters live where the forward replicas are;
 cf. Table 2's observation that heavy layers and "the operations to compute
 their gradients" are placed together).
+
+The compiler runs once per candidate the Strategy Maker evaluates, so it
+compiles straight into the simulation kernel's arrays in one pass: every
+dist-op is lowered (:class:`~repro.simulation.kernel.Lowering`) the moment
+it is emitted, with its predecessors as integer ids, and the finished
+graph carries its :class:`~repro.simulation.kernel.SimKernel`, so
+``lower(dist)`` does no second walk.  What depends only on the training
+graph (topological order, predecessor tuples, strategy keys, group ids,
+activation sizes) is tabulated once per graph and reused by every
+compile; per-compile state (route cache, name counter, PS load, resident
+bytes) lives in a :class:`_Compilation` that ends with the call.
 """
 
 from __future__ import annotations
@@ -30,88 +41,111 @@ from ..cluster.topology import Cluster
 from ..errors import CompileError
 from ..graph.dag import ComputationGraph
 from ..graph.op import Operation, OpPhase
-from ..profiling.cost_model import op_resident_bytes
+from ..profiling.cost_model import op_memory_bytes, op_resident_bytes
 from ..profiling.profiler import Profile
-from .aggregation import LinkLookup, choose_allreduce, choose_ps_device
+from ..simulation.kernel import Lowering, SimKernel
+from .aggregation import choose_allreduce, choose_ps_device
 from .distgraph import DistGraph, DistOp, DistOpKind
-from .strategy import OpStrategy, ParallelKind, Strategy
+from .strategy import CommMethod, OpStrategy, Strategy
 
 _SHARE_TOL = 1e-9
 
 
+class _OpInfo:
+    """What the compiler needs of one training-graph op, per graph."""
+
+    __slots__ = ("index", "op", "name", "preds", "ref", "pgrad", "applies",
+                 "group", "resident", "full_bytes", "batched", "param_bytes",
+                 "act_bytes")
+
+    def __init__(self, index: int, op: Operation, group: Optional[int]):
+        self.index = index
+        self.op = op
+        self.name = op.name
+        self.preds: Tuple["_OpInfo", ...] = ()
+        self.pgrad = op.produces_param_gradient
+        # canonical strategy key: param-grad/apply ops follow their
+        # forward op
+        self.ref = (op.forward_ref if op.forward_ref is not None and (
+            self.pgrad or op.phase is OpPhase.APPLY) else op.name)
+        self.applies: List["_OpInfo"] = []
+        self.group = group
+        # parameters (and optimizer state) are resident wherever a
+        # forward/loss op holding them is placed
+        self.resident = (op_resident_bytes(op) if op.param_bytes > 0 and
+                         op.phase in (OpPhase.FORWARD, OpPhase.LOSS) else 0)
+        self.full_bytes = float(op.output.size_bytes)
+        self.batched = op.output.batch_dim is not None
+        self.param_bytes = float(op.param_bytes)
+        # batch fraction -> activation bytes of one instance
+        self.act_bytes: Dict[float, float] = {}
+
+    def activation_bytes(self, fraction: float) -> float:
+        """``output_bytes`` of an instance processing ``fraction``."""
+        nbytes = self.act_bytes.get(fraction)
+        if nbytes is None:
+            nbytes = float(op_memory_bytes(self.op, fraction))
+            self.act_bytes[fraction] = nbytes
+        return nbytes
+
+
+class _GraphTables:
+    """Per-graph tables shared by every compile of one training graph."""
+
+    def __init__(self, graph: ComputationGraph,
+                 group_of: Mapping[str, int]):
+        self.graph = graph
+        order = graph.topological_order()
+        infos = [_OpInfo(i, graph.op(name), group_of.get(name))
+                 for i, name in enumerate(order)]
+        by_name = {info.name: info for info in infos}
+        for info in infos:
+            info.preds = tuple(by_name[p] for p in graph.predecessors(info.name))
+            if info.pgrad:
+                info.applies = [by_name[s] for s in graph.successors(info.name)
+                                if by_name[s].op.phase is OpPhase.APPLY]
+        self.ops = infos
+        # APPLY ops are emitted by the aggregation lowering of their
+        # parameter gradient, not on their own
+        self.lowered = [info for info in infos
+                        if info.op.phase is not OpPhase.APPLY]
+
+
 class GraphCompiler:
-    """Compiles (graph, strategy) -> :class:`DistGraph`."""
+    """Compiles (graph, strategy) -> :class:`DistGraph`.
+
+    One compiler serves any number of compiles; it keeps only tables
+    that depend on the context (per-graph op tables, NIC ports per
+    device pair), never state of one call.
+    """
 
     def __init__(self, cluster: Cluster, profile: Optional[Profile] = None,
                  group_of: Optional[Mapping[str, int]] = None):
         self.cluster = cluster
         self.profile = profile
         self.group_of = dict(group_of or {})
-        self._lookup = self._make_lookup()
         self._nic_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        self._tables: Optional[_GraphTables] = None
 
-    def _make_lookup(self) -> LinkLookup:
+    def _link(self, src: str, dst: str) -> Tuple[float, float]:
+        """(bandwidth, latency) of a link: profiled when the profile has
+        a model of it, else the cluster's spec."""
         if self.profile is not None:
-            profile = self.profile
-
-            def lookup(src: str, dst: str) -> Tuple[float, float]:
-                model = profile.link_models.get((src, dst))
-                if model is None:
-                    link = self.cluster.link(src, dst)
-                    return link.bandwidth, link.latency
+            model = self.profile.link_models.get((src, dst))
+            if model is not None:
                 return model.bandwidth, model.latency
-
-            return lookup
-
-        def lookup(src: str, dst: str) -> Tuple[float, float]:
-            link = self.cluster.link(src, dst)
-            return link.bandwidth, link.latency
-
-        return lookup
+        link = self.cluster.link(src, dst)
+        return link.bandwidth, link.latency
 
     # ------------------------------------------------------------------ #
     def compile(self, graph: ComputationGraph, strategy: Strategy) -> DistGraph:
-        dist = DistGraph(f"{graph.name}:distributed")
-        self._dist = dist
-        self._counter = 0
-        self._route_cache: Dict[Tuple, str] = {}
-        # bytes of parameters already hosted per PS device (round-robin
-        # balancing of PS roles, like TF's variable placement)
-        self._ps_load: Dict[str, float] = {}
-        # device -> resident bytes (parameters + optimizer state)
-        self.resident_bytes: Dict[str, int] = {d: 0 for d in self.cluster.device_ids}
-
-        topo = graph.topological_order()
-        for name in topo:
-            op = graph.op(name)
-            if op.phase is OpPhase.APPLY:
-                continue  # generated by the aggregation lowering below
-            st = self._resolved_strategy(graph, strategy, op)
-            if op.produces_param_gradient:
-                self._lower_param_gradient(graph, strategy, op, st)
-            else:
-                self._lower_regular(graph, strategy, op, st)
-
-        dist.validate()
-        return dist
-
-    # ------------------------------------------------------------------ #
-    def _resolved_strategy(self, graph: ComputationGraph, strategy: Strategy,
-                           op: Operation) -> OpStrategy:
-        """Canonical strategy: param-grad/apply ops follow their forward op."""
-        if op.forward_ref is not None and (
-            op.produces_param_gradient or op.phase is OpPhase.APPLY
-        ):
-            return strategy.get(op.forward_ref)
-        return strategy.get(op.name)
-
-    def _fresh(self, prefix: str) -> str:
-        self._counter += 1
-        return f"{prefix}#{self._counter}"
-
-    def _group(self, op: Operation) -> Optional[int]:
-        return self.group_of.get(op.name)
-
+        """The distributed graph of ``strategy``, with its simulation
+        kernel attached and its per-device resident bytes in
+        ``resident_bytes``."""
+        tables = self._tables
+        if tables is None or tables.graph is not graph:
+            tables = self._tables = _GraphTables(graph, self.group_of)
+        return _Compilation(self, tables, strategy).run()
 
     def _comm_resources(self, src: str, dst: str) -> Tuple[str, ...]:
         """NIC ports seized by an inter-server path (shared bottleneck of
@@ -135,281 +169,291 @@ class GraphCompiler:
                     out.append(r)
         return tuple(out)
 
+
+class _Compilation:
+    """State of one compile: the graph being emitted, its lowering, the
+    route caches, the name counter, PS load and resident bytes.
+
+    Dist-ops are referred to by their integer id (emission order)."""
+
+    def __init__(self, compiler: GraphCompiler, tables: _GraphTables,
+                 strategy: Strategy):
+        self.compiler = compiler
+        self.tables = tables
+        self.strategy = strategy
+        dist = DistGraph(f"{tables.graph.name}:distributed")
+        self.dist = dist
+        self.ops = dist._ops
+        self.lowering = Lowering()
+        self.counter = 0
+        self.route_cache: Dict[tuple, int] = {}
+        # producer index -> (gather device, id of its Split)
+        self.gathered: Dict[int, Tuple[str, int]] = {}
+        # bytes of parameters already hosted per PS device (round-robin
+        # balancing of PS roles, like TF's variable placement)
+        self.ps_load: Dict[str, float] = {}
+        # device -> resident bytes (parameters + optimizer state)
+        self.resident = {d: 0 for d in compiler.cluster.device_ids}
+        n = len(tables.ops)
+        # per training op (by table index): resolved strategy, instance ids
+        self.strategies: List[Optional[OpStrategy]] = [None] * n
+        self.instance_ids: List[Optional[List[int]]] = [None] * n
+
+    def run(self) -> DistGraph:
+        for info in self.tables.lowered:
+            st = self.resolve(info)
+            if info.pgrad:
+                self.lower_param_gradient(info, st)
+            else:
+                self.lower_regular(info, st)
+        dist = self.dist
+        dist.resident_bytes = self.resident
+        dist._sim_kernel = SimKernel(dist, self.lowering)
+        dist.validate()
+        return dist
+
+    # ------------------------------------------------------------------ #
+    def resolve(self, info: _OpInfo) -> OpStrategy:
+        """Canonical strategy of ``info`` (resolved once per compile)."""
+        st = self.strategies[info.index]
+        if st is None:
+            st = self.strategies[info.index] = self.strategy.get(info.ref)
+        return st
+
+    def emit(self, op: DistOp, preds: List[int],
+             nbytes: Optional[float] = None) -> int:
+        """Add ``op`` to the graph and lower it; returns its id."""
+        i = self.dist._append(op, preds)
+        self.lowering.add(op, nbytes)
+        return i
+
+    def fresh(self, prefix: str) -> str:
+        self.counter += 1
+        return f"{prefix}#{self.counter}"
+
     # ------------------------------------------------------------------ #
     # instance creation and input routing
     # ------------------------------------------------------------------ #
-    def _lower_regular(self, graph: ComputationGraph, strategy: Strategy,
-                       op: Operation, st: OpStrategy) -> None:
+    def lower_regular(self, info: _OpInfo, st: OpStrategy) -> List[int]:
         shares = st.batch_shares()
-        instance_names: List[str] = []
+        names: List[str] = []
+        ids: List[int] = []
+        op = info.op
+        group = info.group
+        preds = info.preds
+        tensor_at = self.tensor_at
         for device, fraction in shares.items():
-            inst = DistOp(
-                name=f"{op.name}@{device}",
-                kind=DistOpKind.COMPUTE,
-                source_op=op,
-                device=device,
-                batch_fraction=fraction,
-                group=self._group(op),
-            )
-            deps = self._route_inputs(graph, strategy, op, device, fraction)
-            self._dist.add(inst, deps)
-            instance_names.append(inst.name)
-        self._dist.instances[op.name] = instance_names
-        # parameters (and optimizer state) are resident wherever the op is
-        if op.param_bytes > 0 and op.phase in (OpPhase.FORWARD, OpPhase.LOSS):
+            inst = DistOp(f"{info.name}@{device}", DistOpKind.COMPUTE, op,
+                          device, batch_fraction=fraction, group=group)
+            deps = [tensor_at(pred, device, fraction, inst.name)
+                    for pred in preds]
+            ids.append(self.emit(inst, deps, info.activation_bytes(fraction)))
+            names.append(inst.name)
+        self.dist.instances[info.name] = names
+        self.instance_ids[info.index] = ids
+        if info.resident:
+            resident = self.resident
             for device in shares:
-                self.resident_bytes[device] += op_resident_bytes(op)
+                resident[device] += info.resident
+        return ids
 
-    def _route_inputs(self, graph: ComputationGraph, strategy: Strategy,
-                      op: Operation, device: str, fraction: float
-                      ) -> List[str]:
-        """Dependencies of one instance of ``op`` on ``device``."""
-        deps: List[str] = []
-        for pred_name in graph.predecessors(op.name):
-            pred = graph.op(pred_name)
-            provider = self._tensor_at(graph, strategy, pred, device, fraction)
-            deps.append(provider)
-        return deps
-
-    def _tensor_at(self, graph: ComputationGraph, strategy: Strategy,
-                   pred: Operation, device: str, fraction: float) -> str:
+    def tensor_at(self, pred: _OpInfo, device: str, fraction: float,
+                  consumer: str) -> int:
         """Dist-op whose completion makes ``pred``'s output (the consumer's
         batch share of it) available on ``device``."""
         # many consumer instances route the same (producer, device, share)
         # triple; the whole resolution is deterministic and every op it
         # might create is itself route-cached, so memoize the answer
-        memo_key = (pred.name, device, fraction)
-        cached = self._route_cache.get(memo_key)
-        if cached is not None:
-            return cached
-        provider = self._tensor_at_uncached(graph, strategy, pred, device,
-                                            fraction)
-        self._route_cache[memo_key] = provider
+        memo_key = (pred.index, device, fraction)
+        provider = self.route_cache.get(memo_key)
+        if provider is None:
+            provider = self.tensor_at_uncached(pred, device, fraction,
+                                               consumer)
+            self.route_cache[memo_key] = provider
         return provider
 
-    def _tensor_at_uncached(self, graph: ComputationGraph, strategy: Strategy,
-                            pred: Operation, device: str, fraction: float
-                            ) -> str:
-        pred_st = self._resolved_strategy(graph, strategy, pred)
-        pred_shares = pred_st.batch_shares()
-        pred_instances = self._dist.instances[pred.name]
-        full_bytes = float(pred.output.size_bytes)
+    def tensor_at_uncached(self, pred: _OpInfo, device: str, fraction: float,
+                           consumer: str) -> int:
+        pred_shares = self.resolve(pred).batch_shares()
+        pred_instances = self.instance_ids[pred.index]
+        if pred_instances is None:
+            raise KeyError(pred.name)
+        full_bytes = pred.full_bytes
 
         # unbatched tensor: single producer broadcasts the full tensor
-        if pred.output.batch_dim is None:
+        if not pred.batched:
             if len(pred_instances) != 1:
                 raise CompileError(
                     f"replicated unbatched op {pred.name!r} has a consumer "
                     "outside gradient aggregation"
                 )
-            return self._materialize(pred_instances[0],
-                                     next(iter(pred_shares)), device,
-                                     full_bytes, key=(pred.name, device, "bc"))
+            return self.materialize(pred_instances[0],
+                                    next(iter(pred_shares)), device,
+                                    full_bytes, key=(pred.index, device, "bc"))
 
         # aligned allocations: direct replica-to-replica connection
         if device in pred_shares and abs(pred_shares[device] - fraction) < _SHARE_TOL:
-            return f"{pred.name}@{device}"
+            local = f"{pred.name}@{device}"
+            provider = self.dist._id_of.get(local)
+            if provider is None:
+                raise CompileError(
+                    f"edge references unknown dist-op: {local}->{consumer}")
+            return provider
 
         # mismatched allocations: concat on a gather device, split, ship
-        gather_dev, split_name = self._gather_and_split(
-            pred, pred_shares, full_bytes
-        )
-        slice_bytes = full_bytes * fraction
-        return self._materialize(split_name, gather_dev, device, slice_bytes,
-                                 key=(pred.name, device, "slice",
-                                      round(fraction, 12)))
+        gather_dev, split = self.gather_and_split(pred, pred_shares,
+                                                  full_bytes)
+        return self.materialize(split, gather_dev, device, full_bytes * fraction,
+                                key=(pred.index, device, "slice",
+                                     round(fraction, 12)))
 
-    def _gather_and_split(self, pred: Operation,
-                          pred_shares: Dict[str, float],
-                          full_bytes: float) -> Tuple[str, str]:
+    def gather_and_split(self, pred: _OpInfo, pred_shares: Dict[str, float],
+                         full_bytes: float) -> Tuple[str, int]:
         """Concat ``pred``'s replica outputs on one device and split there.
 
-        Returns (gather_device, name of the dist-op producing the splits).
+        Returns (gather_device, id of the dist-op producing the splits).
         Cached per producer so many consumers share one concat/split pair.
         """
-        key = (pred.name, "split")
-        if key in self._route_cache:
-            dev = self._route_cache[(pred.name, "gather_dev")]
-            return dev, self._route_cache[key]
+        cached = self.gathered.get(pred.index)
+        if cached is not None:
+            return cached
 
         # gather on the producer device carrying the largest share
         gather_dev = max(pred_shares, key=lambda d: (pred_shares[d], d))
+        local = self.dist._id_of[f"{pred.name}@{gather_dev}"]
         if len(pred_shares) == 1:
-            concat_name = f"{pred.name}@{gather_dev}"
+            concat = local
         else:
-            transfers: List[str] = []
+            deps = [local]
             for dev, share in pred_shares.items():
                 if dev == gather_dev:
                     continue
-                t = self._materialize(
-                    f"{pred.name}@{dev}", dev, gather_dev,
-                    full_bytes * share,
-                    key=(pred.name, dev, "gather"),
-                )
-                transfers.append(t)
-            concat = DistOp(
-                name=self._fresh(f"concat:{pred.name}"),
-                kind=DistOpKind.CONCAT,
-                device=gather_dev,
-                size_bytes=full_bytes,
-                group=self._group(pred),
-            )
-            self._dist.add(
-                concat, [f"{pred.name}@{gather_dev}"] + transfers
-            )
-            concat_name = concat.name
+                deps.append(self.materialize(
+                    self.dist._id_of[f"{pred.name}@{dev}"], dev, gather_dev,
+                    full_bytes * share, key=(pred.index, dev, "gather")))
+            concat = self.emit(DistOp(
+                self.fresh(f"concat:{pred.name}"), DistOpKind.CONCAT,
+                device=gather_dev, size_bytes=full_bytes, group=pred.group,
+            ), deps)
 
-        split = DistOp(
-            name=self._fresh(f"split:{pred.name}"),
-            kind=DistOpKind.SPLIT,
-            device=gather_dev,
-            size_bytes=full_bytes,
-            group=self._group(pred),
-        )
-        self._dist.add(split, [concat_name])
-        self._route_cache[key] = split.name
-        self._route_cache[(pred.name, "gather_dev")] = gather_dev
-        return gather_dev, split.name
+        split = self.emit(DistOp(
+            self.fresh(f"split:{pred.name}"), DistOpKind.SPLIT,
+            device=gather_dev, size_bytes=full_bytes, group=pred.group,
+        ), [concat])
+        self.gathered[pred.index] = (gather_dev, split)
+        return gather_dev, split
 
-    def _materialize(self, producer: str, src_dev: str, dst_dev: str,
-                     size_bytes: float, key: Tuple) -> str:
+    def materialize(self, producer: int, src_dev: str, dst_dev: str,
+                    size_bytes: float, key: tuple) -> int:
         """Make ``producer``'s output available on ``dst_dev``; returns the
         dist-op to depend on (the producer itself if already local)."""
         if src_dev == dst_dev:
             return producer
-        if key in self._route_cache:
-            return self._route_cache[key]
-        transfer = DistOp(
-            name=self._fresh(f"t:{producer}->{dst_dev}"),
-            kind=DistOpKind.TRANSFER,
-            src_device=src_dev,
-            dst_device=dst_dev,
-            size_bytes=size_bytes,
-            group=self._dist.op(producer).group,
-            extra_resources=self._comm_resources(src_dev, dst_dev),
-        )
-        self._dist.add(transfer, [producer])
-        self._route_cache[key] = transfer.name
-        return transfer.name
+        cached = self.route_cache.get(key)
+        if cached is not None:
+            return cached
+        source = self.ops[producer]
+        transfer = self.emit(DistOp(
+            self.fresh(f"t:{source.name}->{dst_dev}"), DistOpKind.TRANSFER,
+            src_device=src_dev, dst_device=dst_dev, size_bytes=size_bytes,
+            group=source.group,
+            extra_resources=self.compiler._comm_resources(src_dev, dst_dev),
+        ), [producer])
+        self.route_cache[key] = transfer
+        return transfer
 
     # ------------------------------------------------------------------ #
     # gradient aggregation lowering
     # ------------------------------------------------------------------ #
-    def _lower_param_gradient(self, graph: ComputationGraph, strategy: Strategy,
-                              op: Operation, st: OpStrategy) -> None:
+    def lower_param_gradient(self, info: _OpInfo, st: OpStrategy) -> None:
         """Lower a parameter-gradient op plus its ApplyGradient consumer."""
         # the gradient compute replicas themselves
-        self._lower_regular(graph, strategy, op, st)
-        instances = self._dist.instances[op.name]
+        instances = self.lower_regular(info, st)
         devices = st.devices()
-        grad_bytes = float(op.output.size_bytes)
 
-        apply_ops = [
-            graph.op(s) for s in graph.successors(op.name)
-            if graph.op(s).phase is OpPhase.APPLY
-        ]
-        if len(apply_ops) != 1:
+        if len(info.applies) != 1:
             raise CompileError(
-                f"param gradient {op.name!r} must feed exactly one "
-                f"ApplyGradient, found {len(apply_ops)}"
+                f"param gradient {info.name!r} must feed exactly one "
+                f"ApplyGradient, found {len(info.applies)}"
             )
-        apply_op = apply_ops[0]
+        apply = info.applies[0]
 
         if len(devices) == 1:
             # MP (or single-device DP): no aggregation needed
-            self._add_apply(apply_op, devices[0], deps=instances)
+            self.add_apply(apply, devices[0], instances)
             return
 
         if st.comm is None:
             raise CompileError(
-                f"replicated gradient {op.name!r} has no comm method"
+                f"replicated gradient {info.name!r} has no comm method"
             )
-        from .strategy import CommMethod
         if st.comm is CommMethod.PS:
-            self._lower_ps(op, apply_op, st, instances, grad_bytes)
+            self.lower_ps(info, apply, devices, instances)
         else:
-            self._lower_allreduce(op, apply_op, st, instances, grad_bytes)
+            self.lower_allreduce(info, apply, devices, instances)
 
-    def _add_apply(self, apply_op: Operation, device: str,
-                   deps: List[str]) -> str:
-        inst = DistOp(
-            name=f"{apply_op.name}@{device}",
-            kind=DistOpKind.APPLY,
-            source_op=apply_op,
-            device=device,
-            group=self._group(apply_op),
-        )
-        self._dist.add(inst, deps)
-        self._dist.instances.setdefault(apply_op.name, []).append(inst.name)
-        return inst.name
+    def add_apply(self, apply: _OpInfo, device: str, deps: List[int]) -> int:
+        inst = DistOp(f"{apply.name}@{device}", DistOpKind.APPLY, apply.op,
+                      device, group=apply.group)
+        i = self.emit(inst, deps, apply.activation_bytes(1.0))
+        self.dist.instances.setdefault(apply.name, []).append(inst.name)
+        ids = self.instance_ids[apply.index]
+        if ids is None:
+            ids = self.instance_ids[apply.index] = []
+        ids.append(i)
+        return i
 
-    def _lower_ps(self, op: Operation, apply_op: Operation, st: OpStrategy,
-                  instances: List[str], grad_bytes: float) -> None:
+    def lower_ps(self, info: _OpInfo, apply: _OpInfo, devices: List[str],
+                 instances: List[int]) -> None:
         """PS chain: push gradients -> aggregate -> apply -> pull params."""
-        devices = st.devices()
-        ps_dev = choose_ps_device(devices, grad_bytes, self._lookup,
-                                   load=self._ps_load)
+        compiler = self.compiler
+        grad_bytes = info.full_bytes
+        ps_dev = choose_ps_device(devices, grad_bytes, compiler._link,
+                                  load=self.ps_load)
 
-        pushes: List[str] = []
-        local: List[str] = []
-        for inst_name in instances:
-            inst = self._dist.op(inst_name)
-            if inst.device == ps_dev:
-                local.append(inst_name)
+        pushes: List[int] = []
+        local: List[int] = []
+        for inst_id in instances:
+            inst_dev = self.ops[inst_id].device
+            if inst_dev == ps_dev:
+                local.append(inst_id)
                 continue
-            push = DistOp(
-                name=self._fresh(f"push:{op.name}@{inst.device}"),
-                kind=DistOpKind.TRANSFER,
-                src_device=inst.device,
-                dst_device=ps_dev,
-                size_bytes=grad_bytes,
-                group=self._group(op),
-                extra_resources=self._comm_resources(inst.device, ps_dev),
-            )
-            self._dist.add(push, [inst_name])
-            pushes.append(push.name)
+            pushes.append(self.emit(DistOp(
+                self.fresh(f"push:{info.name}@{inst_dev}"),
+                DistOpKind.TRANSFER, src_device=inst_dev, dst_device=ps_dev,
+                size_bytes=grad_bytes, group=info.group,
+                extra_resources=compiler._comm_resources(inst_dev, ps_dev),
+            ), [inst_id]))
 
-        agg = DistOp(
-            name=self._fresh(f"ga:{op.name}"),
-            kind=DistOpKind.AGGREGATE,
-            device=ps_dev,
-            size_bytes=grad_bytes * len(devices),
-            group=self._group(op),
-        )
-        self._dist.add(agg, local + pushes)
-        apply_name = self._add_apply(apply_op, ps_dev, deps=[agg.name])
+        agg = self.emit(DistOp(
+            self.fresh(f"ga:{info.name}"), DistOpKind.AGGREGATE,
+            device=ps_dev, size_bytes=grad_bytes * len(devices),
+            group=info.group,
+        ), local + pushes)
+        apply_id = self.add_apply(apply, ps_dev, [agg])
 
         # parameter pull back to the other replica devices
         for dev in devices:
             if dev == ps_dev:
                 continue
-            pull = DistOp(
-                name=self._fresh(f"pull:{op.name}->{dev}"),
-                kind=DistOpKind.TRANSFER,
-                src_device=ps_dev,
-                dst_device=dev,
-                size_bytes=float(op.param_bytes),
-                group=self._group(op),
-                extra_resources=self._comm_resources(ps_dev, dev),
-            )
-            self._dist.add(pull, [apply_name])
+            self.emit(DistOp(
+                self.fresh(f"pull:{info.name}->{dev}"), DistOpKind.TRANSFER,
+                src_device=ps_dev, dst_device=dev,
+                size_bytes=info.param_bytes, group=info.group,
+                extra_resources=compiler._comm_resources(ps_dev, dev),
+            ), [apply_id])
 
-    def _lower_allreduce(self, op: Operation, apply_op: Operation,
-                         st: OpStrategy, instances: List[str],
-                         grad_bytes: float) -> None:
+    def lower_allreduce(self, info: _OpInfo, apply: _OpInfo,
+                        devices: List[str], instances: List[int]) -> None:
         """AllReduce collective followed by a local apply on every device."""
-        devices = st.devices()
-        hierarchical, _ = choose_allreduce(devices, grad_bytes, self._lookup,
-                                           self.cluster)
-        collective = DistOp(
-            name=self._fresh(f"ar:{op.name}"),
-            kind=DistOpKind.ALLREDUCE,
-            devices=tuple(devices),
-            size_bytes=grad_bytes,
-            hierarchical=hierarchical,
-            group=self._group(op),
-            extra_resources=self._ring_resources(devices),
-        )
-        self._dist.add(collective, instances)
+        compiler = self.compiler
+        hierarchical, _ = choose_allreduce(devices, info.full_bytes,
+                                           compiler._link, compiler.cluster)
+        collective = self.emit(DistOp(
+            self.fresh(f"ar:{info.name}"), DistOpKind.ALLREDUCE,
+            devices=tuple(devices), size_bytes=info.full_bytes,
+            hierarchical=hierarchical, group=info.group,
+            extra_resources=compiler._ring_resources(devices),
+        ), instances)
         for dev in devices:
-            self._add_apply(apply_op, dev, deps=[collective.name])
+            self.add_apply(apply, dev, [collective])

@@ -11,7 +11,7 @@ graph serves both.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import CompileError
@@ -38,7 +38,22 @@ _COMPUTE_KINDS = frozenset({
 })
 
 
-@dataclass(slots=True)
+def _slotted(cls):
+    """Rebuild a dataclass with ``__slots__`` for its fields.
+
+    What ``dataclass(slots=True)`` does on Python >= 3.10; the package
+    also supports 3.9.  The generated ``__init__`` binds the defaults
+    itself, so the class-level defaults can go.
+    """
+    names = tuple(f.name for f in fields(cls))
+    body = {k: v for k, v in cls.__dict__.items()
+            if k not in names and k not in ("__dict__", "__weakref__")}
+    body["__slots__"] = names
+    return type(cls)(cls.__name__, cls.__bases__, body)
+
+
+@_slotted
+@dataclass
 class DistOp:
     """One node of the distributed training DAG."""
 
@@ -108,22 +123,25 @@ class DistOp:
 
 
 class DistGraph:
-    """DAG of :class:`DistOp` nodes with dependency edges."""
+    """DAG of :class:`DistOp` nodes with dependency edges.
+
+    The adjacency is stored once, as integer op ids (insertion order):
+    ``_succ_ids[i]`` / ``_pred_ids[i]`` list the ids of op ``i``'s
+    successors / predecessors in edge-insertion order.  The name-keyed
+    accessors derive from it on demand.
+    """
 
     def __init__(self, name: str):
         self.name = name
-        self._ops: Dict[str, DistOp] = {}
-        self._succ: Dict[str, List[str]] = {}
-        self._pred: Dict[str, List[str]] = {}
-        self._edges: set = set()  # (src_id, dst_id) pairs, for O(1) dedupe
-        # integer mirror of the adjacency (op insertion order), kept in
-        # lock-step by add/add_edge so the simulation kernel can lower
-        # the graph without re-mapping every edge through a name table
+        self._ops: List[DistOp] = []
         self._id_of: Dict[str, int] = {}
         self._succ_ids: List[List[int]] = []
         self._pred_ids: List[List[int]] = []
         # original op name -> its compute instances (per device)
         self.instances: Dict[str, List[str]] = {}
+        # device -> resident bytes (parameters + optimizer state), filled
+        # by the GraphCompiler; empty for hand-built graphs
+        self.resident_bytes: Dict[str, int] = {}
         # mutation stamp: lets repro.simulation.kernel cache one array
         # lowering per graph and re-lower only after a change
         self._version = 0
@@ -136,18 +154,32 @@ class DistGraph:
 
     # ------------------------------------------------------------------ #
     def add(self, op: DistOp, deps: Sequence[str] = ()) -> DistOp:
-        if op.name in self._ops:
-            raise CompileError(f"duplicate dist-op name {op.name!r}")
-        self._ops[op.name] = op
-        self._succ[op.name] = []
-        self._pred[op.name] = []
-        self._id_of[op.name] = len(self._succ_ids)
-        self._succ_ids.append([])
-        self._pred_ids.append([])
-        self._version += 1
+        self._append(op, [])
         for dep in deps:
             self.add_edge(dep, op.name)
         return op
+
+    def _append(self, op: DistOp, preds: List[int]) -> int:
+        """Add ``op`` after predecessors already resolved to op ids; returns
+        its id.  Repeated ids count once (first occurrence kept), like
+        repeated :meth:`add_edge` calls.  The graph keeps ``preds`` as its
+        own list: the caller must not change it afterwards."""
+        name = op.name
+        id_of = self._id_of
+        if name in id_of:
+            raise CompileError(f"duplicate dist-op name {name!r}")
+        i = len(self._ops)
+        id_of[name] = i
+        self._ops.append(op)
+        self._succ_ids.append([])
+        if len(preds) > 1 and len(set(preds)) != len(preds):
+            preds = list(dict.fromkeys(preds))
+        self._pred_ids.append(preds)
+        succ_ids = self._succ_ids
+        for p in preds:
+            succ_ids[p].append(i)
+        self._version += 1 + len(preds)
+        return i
 
     def add_edge(self, src: str, dst: str) -> None:
         id_of = self._id_of
@@ -155,14 +187,11 @@ class DistGraph:
         di = id_of.get(dst)
         if si is None or di is None:
             raise CompileError(f"edge references unknown dist-op: {src}->{dst}")
-        key = (si, di)
-        if key in self._edges:
+        preds = self._pred_ids[di]
+        if si in preds:
             return
-        self._edges.add(key)
-        self._succ[src].append(dst)
-        self._pred[dst].append(src)
+        preds.append(si)
         self._succ_ids[si].append(di)
-        self._pred_ids[di].append(si)
         self._version += 1
 
     # ------------------------------------------------------------------ #
@@ -170,43 +199,49 @@ class DistGraph:
         return len(self._ops)
 
     def __iter__(self) -> Iterator[DistOp]:
-        return iter(self._ops.values())
+        return iter(self._ops)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._ops
+        return name in self._id_of
 
-    def op(self, name: str) -> DistOp:
+    def _id(self, name: str) -> int:
         try:
-            return self._ops[name]
+            return self._id_of[name]
         except KeyError:
             raise CompileError(f"unknown dist-op {name!r}") from None
 
+    def op(self, name: str) -> DistOp:
+        return self._ops[self._id(name)]
+
     @property
     def op_names(self) -> List[str]:
-        return list(self._ops.keys())
+        return list(self._id_of)
 
     def successors(self, name: str) -> List[str]:
-        return list(self._succ[name])
+        ops = self._ops
+        return [ops[j].name for j in self._succ_ids[self._id(name)]]
 
     def predecessors(self, name: str) -> List[str]:
-        return list(self._pred[name])
+        ops = self._ops
+        return [ops[j].name for j in self._pred_ids[self._id(name)]]
 
     def topological_order(self) -> List[str]:
-        indeg = {n: len(p) for n, p in self._pred.items()}
-        ready = [n for n in self._ops if indeg[n] == 0]
-        order: List[str] = []
+        """Kahn's algorithm, insertion order among ready ops."""
+        indeg = list(map(len, self._pred_ids))
+        order = [i for i, d in enumerate(indeg) if d == 0]
+        succ_ids = self._succ_ids
         head = 0
-        while head < len(ready):
-            node = ready[head]
+        while head < len(order):
+            node = order[head]
             head += 1
-            order.append(node)
-            for succ in self._succ[node]:
+            for succ in succ_ids[node]:
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
-                    ready.append(succ)
+                    order.append(succ)
         if len(order) != len(self._ops):
             raise CompileError(f"distributed graph {self.name!r} has a cycle")
-        return order
+        ops = self._ops
+        return [ops[i].name for i in order]
 
     def validate(self) -> None:
         # cycle detection via the array lowering: it runs the same Kahn
@@ -219,15 +254,15 @@ class DistGraph:
     # ------------------------------------------------------------------ #
     def counts_by_kind(self) -> Dict[DistOpKind, int]:
         out: Dict[DistOpKind, int] = {}
-        for op in self._ops.values():
+        for op in self._ops:
             out[op.kind] = out.get(op.kind, 0) + 1
         return out
 
     def communication_ops(self) -> List[DistOp]:
-        return [o for o in self._ops.values() if o.is_communication]
+        return [o for o in self._ops if o.is_communication]
 
     def compute_ops(self) -> List[DistOp]:
-        return [o for o in self._ops.values() if o.is_compute]
+        return [o for o in self._ops if o.is_compute]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kinds = {k.value: v for k, v in self.counts_by_kind().items()}

@@ -59,6 +59,10 @@ class PlanBuilder:
         self._scheduler = (ListScheduler() if use_order_scheduling
                            else FifoScheduler())
         self._simulator = Simulator(self.cost)
+        # one compiler per context: its per-graph tables are built on the
+        # first compile and shared by every later one
+        self._compiler = GraphCompiler(cluster, self.profile,
+                                       group_of=self.group_of)
         self.context_fingerprint = fingerprint_context(
             graph, cluster, self.profile,
             use_order_scheduling=use_order_scheduling, group_of=self.group_of,
@@ -87,14 +91,15 @@ class PlanBuilder:
     def compile(self, strategy: Strategy) -> "tuple[DistGraph, Dict[str, int]]":
         """Compile only: the dist graph plus per-device resident bytes.
 
-        Uncached — for consumers that post-process the dist graph
-        (gradient fusion, pipeline transforms) before scheduling it
-        themselves.  Standard consumers should use :meth:`build`.
+        Every call compiles afresh (no plan cache), through the context's
+        one :class:`GraphCompiler`, whose per-graph tables persist across
+        calls.  For consumers that post-process the dist graph (gradient
+        fusion, pipeline transforms) before scheduling it themselves;
+        standard consumers should use :meth:`build`.  The graph comes
+        with its simulation kernel attached (``lower(dist)`` is free).
         """
-        compiler = GraphCompiler(self.cluster, self.profile,
-                                 group_of=self.group_of)
-        dist = compiler.compile(self.graph, strategy)
-        return dist, compiler.resident_bytes
+        dist = self._compiler.compile(self.graph, strategy)
+        return dist, dist.resident_bytes
 
     def build(self, strategy: Strategy,
               fingerprint: Optional[str] = None,
@@ -127,8 +132,9 @@ class PlanBuilder:
             return cached, None
         with telemetry.span("plan.build", graph=self.graph.name):
             dist, resident = self.compile(strategy)
-            # one array lowering serves ranking, both candidate-order
-            # simulations, and every later simulation of the cached plan
+            # the compile's array lowering serves ranking, both
+            # candidate-order simulations, and every later simulation of
+            # the cached plan
             kernel = lower(dist)
             if limit is not None:
                 bound = kernel_lower_bound(kernel, self.cost)

@@ -5,7 +5,7 @@ event processing: rebuilding ``Dict[str, ...]`` tables of dependencies
 and resources, re-deriving every op's exclusive-resource tuple, hashing
 op-name strings in every heap operation, and recomputing activation
 sizes (``memory.output_bytes``) on every start/free.  All of that is a
-pure function of the graph, so :func:`lower` computes it **once** into a
+pure function of the graph, so it is computed **once** into a
 :class:`SimKernel` of flat integer-indexed arrays:
 
 - ops, durations-by-op-index, per-op resource-id tuples;
@@ -13,9 +13,14 @@ pure function of the graph, so :func:`lower` computes it **once** into a
 - memory lowering (charge-device index + output bytes per op);
 - a Kahn topological order shared with the ranking pass.
 
-The kernel is cached on the graph itself (invalidated by a mutation
-version stamp) and on the :class:`~repro.plan.plan.ExecutionPlan`, so
-one lowering serves ranking, both candidate-order simulations in
+:meth:`Lowering.add` is the one per-op lowering routine.  The graph
+compiler runs it on each dist-op as it emits it and attaches the
+finished kernel to the graph, so :func:`lower` on a compiled graph is a
+lookup; ``SimKernel(graph)`` runs it over a graph built by hand or
+transformed after compiling.  The kernel is cached on the graph itself
+(invalidated by a mutation version stamp) and on the
+:class:`~repro.plan.plan.ExecutionPlan`, so one lowering serves
+ranking, both candidate-order simulations in
 :class:`~repro.scheduling.list_scheduler.ListScheduler`, and every later
 re-simulation of the plan.
 
@@ -40,6 +45,103 @@ from .memory import output_bytes
 _DURATION_CACHE_SLOTS = 4
 
 
+class Lowering:
+    """Per-op array lowering, built one op at a time in insertion order.
+
+    :meth:`add` is the one lowering routine: :class:`SimKernel` feeds it
+    every op of a finished graph, and the
+    :class:`~repro.parallel.compiler.GraphCompiler` feeds it each op the
+    moment it emits it.  Per op it records the kind flags, the
+    exclusive-resource ids (interned in first-use order) and the memory
+    lowering (charge-device index and output bytes).  Resources are
+    interned by *structure* (device, link endpoints plus extra ports),
+    so each distinct resource tuple is built once rather than once per
+    op; the name table comes out identical to interning
+    ``op.resources()`` strings op by op.
+    """
+
+    __slots__ = (
+        "resource_names", "res_ids", "is_compute", "is_comm",
+        "kind_values", "mem_dev_names", "mem_dev_index", "charge_dev",
+        "out_bytes", "_resource_ids", "_placed",
+    )
+
+    def __init__(self) -> None:
+        self.resource_names: List[str] = []
+        self.res_ids: List[Tuple[int, ...]] = []
+        self.is_compute: List[bool] = []
+        self.is_comm: List[bool] = []
+        self.kind_values: List[str] = []
+        self.mem_dev_names: List[str] = []
+        self.mem_dev_index: Dict[str, int] = {}
+        self.charge_dev: List[int] = []
+        self.out_bytes: List[float] = []
+        self._resource_ids: Dict[str, int] = {}
+        # placement key -> (resource-id tuple, charge-device index)
+        self._placed: Dict[tuple, Tuple[Tuple[int, ...], int]] = {}
+
+    def _intern(self, resource: str) -> int:
+        rid = self._resource_ids.get(resource)
+        if rid is None:
+            rid = len(self.resource_names)
+            self._resource_ids[resource] = rid
+            self.resource_names.append(resource)
+        return rid
+
+    def _mem_dev(self, device: str) -> int:
+        di = self.mem_dev_index.get(device)
+        if di is None:
+            di = len(self.mem_dev_names)
+            self.mem_dev_index[device] = di
+            self.mem_dev_names.append(device)
+        return di
+
+    def add(self, op: DistOp, nbytes: Optional[float] = None) -> None:
+        """Lower ``op``; ``nbytes`` is its ``output_bytes`` when the caller
+        already knows it (computed here otherwise)."""
+        kind = op.kind
+        if kind is DistOpKind.TRANSFER:
+            key = (op.src_device, op.dst_device, op.extra_resources)
+            placed = self._placed.get(key)
+            if placed is None:
+                rids = (self._intern(f"link:{key[0]}->{key[1]}"),)
+                rids += tuple(map(self._intern, key[2]))
+                placed = self._placed[key] = (rids, self._mem_dev(key[1]))
+            self.is_compute.append(False)
+            self.is_comm.append(True)
+            if nbytes is None:
+                nbytes = float(op.size_bytes)
+        elif kind is DistOpKind.ALLREDUCE:
+            key = (op.devices, op.extra_resources)
+            placed = self._placed.get(key)
+            if placed is None:
+                devices = op.devices
+                m = len(devices)
+                rids = tuple(
+                    self._intern(f"link:{devices[j]}->{devices[(j + 1) % m]}")
+                    for j in range(m) if devices[j] != devices[(j + 1) % m])
+                rids += tuple(map(self._intern, op.extra_resources))
+                rids += (self._intern(NCCL_RESOURCE),)
+                # allreduce works in place on the gradient buffers
+                placed = self._placed[key] = (rids, -1)
+            self.is_compute.append(False)
+            self.is_comm.append(True)
+            nbytes = 0.0
+        else:  # every other kind computes on one device
+            placed = self._placed.get(op.device)
+            if placed is None:
+                placed = self._placed[op.device] = (
+                    (self._intern(op.device),), self._mem_dev(op.device))
+            self.is_compute.append(True)
+            self.is_comm.append(False)
+            if nbytes is None:
+                nbytes = output_bytes(op)
+        self.kind_values.append(kind._value_)
+        self.res_ids.append(placed[0])
+        self.charge_dev.append(placed[1])
+        self.out_bytes.append(nbytes)
+
+
 class SimKernel:
     """A :class:`DistGraph` lowered to integer-indexed flat arrays.
 
@@ -48,6 +150,10 @@ class SimKernel:
     the graph has changed since.  All arrays are indexed by *op index*
     (the graph's insertion order, matching ``graph.op_names``) or by
     *resource id* (first-use order over ops).
+
+    ``lowering`` is the per-op lowering of exactly ``graph``'s ops when
+    the caller built it while emitting them (the graph compiler does);
+    otherwise every op is lowered here.
     """
 
     __slots__ = (
@@ -60,154 +166,45 @@ class SimKernel:
         "_tail_cache",
     )
 
-    def __init__(self, graph: DistGraph):
+    def __init__(self, graph: DistGraph,
+                 lowering: Optional[Lowering] = None):
         self.graph = graph
         self.version = graph.version
-        # lowering reads the graph's internal tables directly: it runs once
-        # per compiled graph on the cold-evaluation path, so the defensive
-        # copies of the public accessors are pure overhead here
-        ops = list(graph._ops.values())
-        self.ops: List[DistOp] = ops
-        names = [op.name for op in ops]
-        self.names: List[str] = names
-        index = {name: i for i, name in enumerate(names)}
-        self.index: Dict[str, int] = index
-        n = len(names)
+        # lowering reads the graph's internal tables directly: the
+        # defensive copies of the public accessors are pure overhead here
+        ops = graph._ops
+        if lowering is None:
+            lowering = Lowering()
+            for op in ops:
+                lowering.add(op)
+        self.ops: List[DistOp] = list(ops)
+        self.names: List[str] = list(graph._id_of)
+        self.index: Dict[str, int] = dict(graph._id_of)
+        n = len(ops)
         self.n = n
 
-        # adjacency (list-of-lists keeps the graph's edge order, which the
-        # engine relies on for memory refcount release order).  The graph
-        # maintains an integer mirror in lock-step with add/add_edge;
-        # copy it unless code mutated the string dicts directly (tests
-        # craft cycles that way), in which case fall back to mapping the
-        # authoritative string adjacency through the name table.
-        succ_map = graph._succ
-        pred_map = graph._pred
-        succ_ids = graph._succ_ids
-        pred_ids = graph._pred_ids
-        if (list(map(len, succ_ids)) == list(map(len, succ_map.values()))
-                and list(map(len, pred_ids))
-                == list(map(len, pred_map.values()))):
-            self.succ: List[Tuple[int, ...]] = list(map(tuple, succ_ids))
-            self.pred: List[Tuple[int, ...]] = list(map(tuple, pred_ids))
-        else:
-            to_index = index.__getitem__
-            self.succ = [
-                tuple(map(to_index, succ_map[name])) for name in names
-            ]
-            self.pred = [
-                tuple(map(to_index, pred_map[name])) for name in names
-            ]
-        self.pred_count: List[int] = [len(p) for p in self.pred]
-        self.succ_count: List[int] = [len(s) for s in self.succ]
+        # adjacency as int tuples, in the graph's edge order (the engine
+        # relies on it for memory refcount release order)
+        self.succ: List[Tuple[int, ...]] = list(map(tuple, graph._succ_ids))
+        self.pred: List[Tuple[int, ...]] = list(map(tuple, graph._pred_ids))
+        self.pred_count: List[int] = list(map(len, self.pred))
+        self.succ_count: List[int] = list(map(len, self.succ))
         self.sources: List[int] = [
             i for i, c in enumerate(self.pred_count) if c == 0
         ]
 
-        # One fused pass per op computes kinds, resources (interned to
-        # integer ids in first-use order) and the memory lowering (charge
-        # device + output bytes, charge_device/output_bytes inlined).
-        # Resources are interned by *structure* — link endpoints, device
-        # name — so the "link:a->b" strings are built once per distinct
-        # resource (~100s) rather than once per op (~1000s); the name
-        # table comes out identical to interning op.resources() strings.
-        resource_ids: Dict[str, int] = {}
-        resource_names: List[str] = []
-        link_ids: Dict[Tuple[str, str], int] = {}
-        res_ids: List[Tuple[int, ...]] = []
-        kinds: List[DistOpKind] = []
-        is_compute: List[bool] = []
-        is_comm: List[bool] = []
-        mem_dev_index: Dict[str, int] = {}
-        mem_dev_names: List[str] = []
-        charge_dev: List[int] = []
-        out_bytes: List[float] = []
-
-        def intern(r: str) -> int:
-            rid = resource_ids.get(r)
-            if rid is None:
-                rid = len(resource_names)
-                resource_ids[r] = rid
-                resource_names.append(r)
-            return rid
-
-        compute_k = DistOpKind.COMPUTE
-        split_k = DistOpKind.SPLIT
-        concat_k = DistOpKind.CONCAT
-        transfer_k = DistOpKind.TRANSFER
-        allreduce_k = DistOpKind.ALLREDUCE
-
-        for op in ops:
-            k = op.kind
-            kinds.append(k)
-            if (k is compute_k or k is split_k or k is concat_k
-                    or k is DistOpKind.AGGREGATE or k is DistOpKind.APPLY):
-                is_compute.append(True)
-                is_comm.append(False)
-                res_ids.append((intern(op.device),))
-                mem_device = op.device
-            elif k is transfer_k:
-                is_compute.append(False)
-                is_comm.append(True)
-                key = (op.src_device, op.dst_device)
-                rid = link_ids.get(key)
-                if rid is None:
-                    rid = intern(f"link:{key[0]}->{key[1]}")
-                    link_ids[key] = rid
-                extras = op.extra_resources
-                if extras:
-                    res_ids.append((rid,) + tuple(map(intern, extras)))
-                else:
-                    res_ids.append((rid,))
-                mem_device = op.dst_device
-            elif k is allreduce_k:
-                is_compute.append(False)
-                is_comm.append(True)
-                devices = op.devices
-                m = len(devices)
-                rids: List[int] = []
-                for j in range(m):
-                    a, b = devices[j], devices[(j + 1) % m]
-                    if a != b:
-                        rid = link_ids.get((a, b))
-                        if rid is None:
-                            rid = intern(f"link:{a}->{b}")
-                            link_ids[(a, b)] = rid
-                        rids.append(rid)
-                rids.extend(map(intern, op.extra_resources))
-                rids.append(intern(NCCL_RESOURCE))
-                res_ids.append(tuple(rids))
-                mem_device = None
-            else:  # pragma: no cover - no further kinds exist
-                is_compute.append(op.is_compute)
-                is_comm.append(op.is_communication)
-                res_ids.append(tuple(map(intern, op.resources())))
-                mem_device = None
-
-            if mem_device is None:
-                charge_dev.append(-1)
-                out_bytes.append(0.0)
-                continue
-            di = mem_dev_index.get(mem_device)
-            if di is None:
-                di = len(mem_dev_names)
-                mem_dev_index[mem_device] = di
-                mem_dev_names.append(mem_device)
-            charge_dev.append(di)
-            out_bytes.append(output_bytes(op))
-
-        self.resource_names = resource_names
-        self.res_ids = res_ids
+        self.resource_names = lowering.resource_names
+        self.res_ids = lowering.res_ids
         self.is_link: List[bool] = [
-            r.startswith("link:") for r in resource_names
+            r.startswith("link:") for r in self.resource_names
         ]
-        self.is_compute = is_compute
-        self.is_comm = is_comm
-        self.kind_values: List[str] = [k.value for k in kinds]
-        self.mem_dev_names = mem_dev_names
-        self.mem_dev_index = mem_dev_index
-        self.charge_dev = charge_dev
-        self.out_bytes = out_bytes
+        self.is_compute = lowering.is_compute
+        self.is_comm = lowering.is_comm
+        self.kind_values = lowering.kind_values
+        self.mem_dev_names = lowering.mem_dev_names
+        self.mem_dev_index = lowering.mem_dev_index
+        self.charge_dev = lowering.charge_dev
+        self.out_bytes = lowering.out_bytes
 
         # Kahn topological order (same tie-breaking as
         # DistGraph.topological_order: insertion order among ready ops).
@@ -215,12 +212,13 @@ class SimKernel:
         # the engine still runs it and reports the deadlock exactly as
         # the dict-based oracle loop does.
         indeg = list(self.pred_count)
-        topo: List[int] = [i for i in range(n) if indeg[i] == 0]
+        topo: List[int] = list(self.sources)
+        succ = self.succ
         head = 0
         while head < len(topo):
             node = topo[head]
             head += 1
-            for s in self.succ[node]:
+            for s in succ[node]:
                 indeg[s] -= 1
                 if indeg[s] == 0:
                     topo.append(s)
@@ -375,7 +373,10 @@ def kernel_lower_bound(kernel: SimKernel,
 
 
 def lower(graph: DistGraph) -> SimKernel:
-    """Lower ``graph`` once; reuse the cached kernel until it mutates."""
+    """Lower ``graph`` once; reuse the cached kernel until it mutates.
+
+    Compiled graphs arrive with their kernel attached, so this is a
+    lookup for them."""
     cached = getattr(graph, "_sim_kernel", None)
     if cached is not None and cached.version == graph.version:
         return cached

@@ -5,6 +5,9 @@ observable: makespan, per-op start/finish, busy/overlap metrics, peak
 memory, the OOM set, the prune verdict and partial makespan, and
 deadlock error text.  :func:`reference_simulator` swaps it in for
 ``Simulator.run`` so whole pipelines can be paired against it too.
+
+The original string-keyed graph compiler lives next to it, as
+``ReferenceCompiler`` in :mod:`tests.oracle.compiler`.
 """
 
 from __future__ import annotations

@@ -36,11 +36,11 @@ class TestSingleDevice:
         assert len(compute) == len(mlp_graph)
 
     def test_resident_memory_on_one_device(self, mlp_graph, four_gpu):
-        compiler, _ = compile_with(
+        _, dist = compile_with(
             mlp_graph, four_gpu, single_device_strategy(mlp_graph, four_gpu)
         )
         from repro.profiling.cost_model import RESIDENT_OVERHEAD
-        resident = compiler.resident_bytes
+        resident = dist.resident_bytes
         assert resident["gpu0"] == pytest.approx(
             RESIDENT_OVERHEAD * mlp_graph.total_param_bytes(), rel=0.01)
         assert all(resident[d] == 0 for d in ("gpu1", "gpu2", "gpu3"))
@@ -105,10 +105,10 @@ class TestDataParallel:
         st = uniform_strategy(mlp_graph, four_gpu, make_dp_strategy(
             four_gpu, ReplicaAllocation.EVEN, CommMethod.ALLREDUCE))
         from repro.profiling.cost_model import RESIDENT_OVERHEAD
-        compiler, _ = compile_with(mlp_graph, four_gpu, st)
+        _, dist = compile_with(mlp_graph, four_gpu, st)
         expect = RESIDENT_OVERHEAD * mlp_graph.total_param_bytes()
         for dev in four_gpu.device_ids:
-            assert compiler.resident_bytes[dev] == pytest.approx(expect,
+            assert dist.resident_bytes[dev] == pytest.approx(expect,
                                                                  rel=0.01)
 
 

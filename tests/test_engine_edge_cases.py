@@ -83,8 +83,7 @@ class TestEngineEdgeCases:
         g = DistGraph("g")
         g.add(compute("a", "d0"))
         g.add(compute("b", "d0"), ["a"])
-        g._succ["b"].append("a")
-        g._pred["a"].append("b")
+        g.add_edge("b", "a")
         from repro.errors import CompileError
         with pytest.raises(CompileError):
             g.topological_order()

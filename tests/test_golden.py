@@ -2,9 +2,10 @@
 ``tests/golden/answers.json`` bit for bit.
 
 Makespans, winner fingerprints, the scheduler's chosen order, prune
-verdicts and OOM sets all stay identical through every refactor that
-does not change an answer on purpose.  A change that does regenerates
-the file with ``tests/golden/regen.py`` and says why in CHANGES.md.
+verdicts, OOM sets and the compiled graphs all stay identical through
+every refactor that does not change an answer on purpose.  A change
+that does regenerates the file with ``tests/golden/regen.py`` and says
+why in CHANGES.md.
 """
 
 from tests.golden.regen import compute_answers, diff, load_answers

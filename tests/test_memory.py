@@ -79,9 +79,9 @@ class TestRefcounting:
         compiler = GraphCompiler(cluster, profile)
         dist = compiler.compile(mlp_graph, st)
         sim = Simulator(ProfileCostModel(cluster, profile))
-        res = sim.run(dist, resident_bytes=compiler.resident_bytes)
+        res = sim.run(dist, resident_bytes=dist.resident_bytes)
         total_activations = sum(op.output.size_bytes for op in mlp_graph)
-        resident = compiler.resident_bytes["gpu0"]
+        resident = dist.resident_bytes["gpu0"]
         assert res.peak_memory["gpu0"] < resident + total_activations
         assert res.peak_memory["gpu0"] > resident
 
@@ -95,7 +95,7 @@ class TestOOMInSimulation:
         compiler = GraphCompiler(cluster, profile)
         dist = compiler.compile(mlp_graph, st)
         sim = Simulator(ProfileCostModel(cluster, profile))
-        res = sim.run(dist, resident_bytes=compiler.resident_bytes,
+        res = sim.run(dist, resident_bytes=dist.resident_bytes,
                       capacities={d: 10 for d in cluster.device_ids})
         assert res.oom
         assert set(res.oom_devices) == set(cluster.device_ids)
@@ -108,7 +108,7 @@ class TestOOMInSimulation:
         compiler = GraphCompiler(cluster, profile)
         dist = compiler.compile(mlp_graph, st)
         sim = Simulator(ProfileCostModel(cluster, profile))
-        res = sim.run(dist, resident_bytes=compiler.resident_bytes,
+        res = sim.run(dist, resident_bytes=dist.resident_bytes,
                       capacities={d.device_id: d.memory_bytes
                                   for d in cluster.devices})
         assert not res.oom

@@ -66,7 +66,7 @@ def test_random_strategy_compiles_and_simulates(payload):
     cost = ProfileCostModel(CLUSTER, profile)
     schedule = ListScheduler().schedule(dist, cost)
     result = Simulator(cost).run(dist, priorities=schedule.priorities,
-                                 resident_bytes=compiler.resident_bytes)
+                                 resident_bytes=dist.resident_bytes)
 
     # fundamental scheduling bounds
     cp = critical_path(dist, cost)
@@ -79,7 +79,7 @@ def test_random_strategy_compiles_and_simulates(payload):
 
     # memory accounting is non-negative and peaks at least at resident
     for dev, peak in result.peak_memory.items():
-        assert peak >= compiler.resident_bytes.get(dev, 0) - 1e-6
+        assert peak >= dist.resident_bytes.get(dev, 0) - 1e-6
 
 
 @settings(max_examples=15, deadline=None,
