@@ -86,7 +86,7 @@ class HeteroGAgent:
         self._profiles[name] = profile
         encoder = FeatureEncoder(self.cluster, profile)
         features = encoder.encode(graph)
-        adjacency = encoder.adjacency_mask(graph)
+        neighbourhood = encoder.neighbourhood(graph)
         grouping = group_operations(
             graph, encoder.average_exec_times(graph), self.config.max_groups
         )
@@ -99,7 +99,7 @@ class HeteroGAgent:
         )
         ctx = GraphContext(
             name=name, graph=graph, grouping=grouping, features=features,
-            adjacency_mask=adjacency, assignment=assignment,
+            neighbourhood=neighbourhood, assignment=assignment,
             evaluator=evaluator,
         )
         self._contexts.append(ctx)

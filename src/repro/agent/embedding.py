@@ -7,7 +7,8 @@ from typing import List
 import numpy as np
 
 from ..nn import functional as F
-from ..nn.layers import Dense, GATLayer, Module
+from ..nn.functional import Neighbourhood
+from ..nn.layers import GATLayer, Module
 from ..nn.tensor import Tensor, parameter
 
 
@@ -28,10 +29,10 @@ class GATEncoder(Module):
         self.hidden_dim = hidden_dim
 
     def node_embeddings(self, features: np.ndarray,
-                        adjacency_mask: np.ndarray) -> Tensor:
+                        neighbourhood: Neighbourhood) -> Tensor:
         h = Tensor(features)
         for layer in self.layers:
-            h = layer(h, adjacency_mask)
+            h = layer(h, neighbourhood)
         return h  # (O, hidden)
 
     def group_embeddings(self, node_emb: Tensor,
@@ -40,8 +41,8 @@ class GATEncoder(Module):
         pooled = F.matmul(Tensor(assignment), node_emb)   # (N, hidden)
         return F.elu(F.matmul(pooled, self.group_proj))   # (N, hidden)
 
-    def __call__(self, features: np.ndarray, adjacency_mask: np.ndarray,
+    def __call__(self, features: np.ndarray, neighbourhood: Neighbourhood,
                  assignment: np.ndarray) -> Tensor:
         return self.group_embeddings(
-            self.node_embeddings(features, adjacency_mask), assignment
+            self.node_embeddings(features, neighbourhood), assignment
         )

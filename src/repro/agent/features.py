@@ -20,6 +20,7 @@ import numpy as np
 from ..cluster.topology import Cluster
 from ..graph.dag import ComputationGraph
 from ..graph.op import OpPhase
+from ..nn.functional import Neighbourhood
 from ..profiling.profiler import Profile
 
 _PHASES = list(OpPhase)
@@ -36,7 +37,7 @@ def _log1p_kb(size_bytes: float) -> float:
 
 @dataclass
 class FeatureEncoder:
-    """Builds the (O, F) node-feature matrix and (O, O) adjacency mask."""
+    """Builds the (O, F) node-feature matrix and the GAT neighbourhood."""
 
     cluster: Cluster
     profile: Profile
@@ -96,16 +97,14 @@ class FeatureEncoder:
         std[std < 1e-9] = 1.0
         return (mat - mean) / std
 
-    def adjacency_mask(self, graph: ComputationGraph) -> np.ndarray:
-        """(O, O) bool: True where j is a (bidirectional) neighbour of o,
-        self-loops included — the GAT aggregates over N_o including o."""
+    def neighbourhood(self, graph: ComputationGraph) -> Neighbourhood:
+        """The GAT's neighbourhoods N_o: o's neighbours along graph edges
+        in either direction, and o itself."""
         index = {n: i for i, n in enumerate(graph.op_names)}
-        n = len(index)
-        mask = np.eye(n, dtype=bool)
-        for src, dst in graph.edges():
-            mask[index[src], index[dst]] = True
-            mask[index[dst], index[src]] = True
-        return mask
+        pairs = np.asarray(
+            [(index[src], index[dst]) for src, dst in graph.edges()],
+            dtype=np.int64).reshape(-1, 2)
+        return Neighbourhood.from_edges(len(index), pairs[:, 0], pairs[:, 1])
 
     def average_exec_times(self, graph: ComputationGraph) -> Dict[str, float]:
         """Mean predicted execution time across GPU models (for grouping)."""

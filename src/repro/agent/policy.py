@@ -18,6 +18,7 @@ from ..errors import StrategyError
 from ..graph.dag import ComputationGraph
 from ..graph.grouping import Grouping
 from ..nn import functional as F
+from ..nn.functional import Neighbourhood
 from ..nn.layers import Module
 from ..nn.tensor import Tensor
 from ..nn.transformer_xl import StrategyNetwork
@@ -105,16 +106,16 @@ class PolicyNetwork(Module):
         )
         self.actions = actions
 
-    def logits(self, features: np.ndarray, adjacency_mask: np.ndarray,
+    def logits(self, features: np.ndarray, neighbourhood: Neighbourhood,
                assignment: np.ndarray) -> Tensor:
-        groups = self.encoder(features, adjacency_mask, assignment)
+        groups = self.encoder(features, neighbourhood, assignment)
         return self.strategy_net(groups)
 
-    def sample(self, features: np.ndarray, adjacency_mask: np.ndarray,
+    def sample(self, features: np.ndarray, neighbourhood: Neighbourhood,
                assignment: np.ndarray, rng: np.random.Generator,
                greedy: bool = False,
                forced_actions: Optional[Sequence[int]] = None) -> PolicySample:
-        logits = self.logits(features, adjacency_mask, assignment)
+        logits = self.logits(features, neighbourhood, assignment)
         logp = F.log_softmax(logits, axis=-1)          # (N, A)
         probs = np.exp(logp.data)
         n = probs.shape[0]

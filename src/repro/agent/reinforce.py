@@ -19,6 +19,7 @@ from .. import telemetry
 from ..graph.dag import ComputationGraph
 from ..graph.grouping import Grouping
 from ..nn import functional as F
+from ..nn.functional import Neighbourhood
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor
 from ..plan import BatchEvaluator, BestSoFar
@@ -40,7 +41,7 @@ class GraphContext:
     graph: ComputationGraph
     grouping: Grouping
     features: np.ndarray         # (O, F)
-    adjacency_mask: np.ndarray   # (O, O) bool
+    neighbourhood: Neighbourhood  # GAT attention entries, built once
     assignment: np.ndarray       # (N, O)
     evaluator: StrategyEvaluator
     baseline: MovingAverageBaseline = field(
@@ -141,7 +142,7 @@ class ReinforceTrainer:
             if queue:
                 forced = queue.pop(0)
             sample = self.policy.sample(
-                ctx.features, ctx.adjacency_mask, ctx.assignment, self.rng,
+                ctx.features, ctx.neighbourhood, ctx.assignment, self.rng,
                 forced_actions=forced,
             )
             strategy = actions_to_strategy(

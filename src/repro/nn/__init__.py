@@ -1,6 +1,7 @@
 """numpy autodiff engine + layers for the GNN policy (no external ML deps)."""
 
 from . import functional
+from .functional import Neighbourhood
 from .layers import Dense, GATLayer, LayerNorm, Module, MultiHeadSelfAttention
 from .optim import SGD, Adam, Optimizer
 from .tensor import Tensor, make_op, parameter
@@ -11,6 +12,7 @@ __all__ = [
     "parameter",
     "make_op",
     "functional",
+    "Neighbourhood",
     "Module",
     "Dense",
     "LayerNorm",

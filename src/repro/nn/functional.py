@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -101,12 +102,13 @@ def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
     """Exponential linear unit."""
     mask = a.data > 0
-    exp_part = alpha * (np.exp(np.minimum(a.data, 0.0)) - 1.0)
-    data = np.where(mask, a.data, exp_part)
+    data = np.where(mask, a.data,
+                    alpha * (np.exp(np.minimum(a.data, 0.0)) - 1.0))
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(grad * np.where(mask, 1.0, exp_part + alpha))
+            # d/dx alpha (e^x - 1) = alpha e^x = data + alpha where x <= 0
+            a._accumulate(grad * np.where(mask, 1.0, data + alpha))
 
     return make_op(data, (a,), backward)
 
@@ -229,14 +231,19 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return make_op(data, tuple(tensors), backward)
 
 
-def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Where ``mask`` is True keep ``a``; elsewhere substitute ``value``
-    (no gradient flows to substituted positions)."""
-    data = np.where(mask, a.data, value)
+def gather(a: Tensor, index: np.ndarray) -> Tensor:
+    """``a[:, index]``: pick columns of a 2-D tensor by an integer array
+    of any shape; the result has shape ``(a.shape[0],) + index.shape``."""
+    rows, cols = a.shape
+    data = a.data[:, index]
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(grad * mask)
+            flat = (index.ravel()[None, :]
+                    + cols * np.arange(rows)[:, None]).ravel()
+            a._accumulate(np.bincount(
+                flat, weights=grad.ravel(), minlength=rows * cols
+            ).reshape(rows, cols))
 
     return make_op(data, (a,), backward)
 
@@ -309,3 +316,82 @@ def dropout(a: Tensor, rate: float, rng: Optional[np.random.Generator],
             a._accumulate(grad * mask)
 
     return make_op(a.data * mask, (a,), backward)
+
+
+@dataclass(frozen=True, eq=False)
+class Neighbourhood:
+    """The attention neighbourhood of a graph's nodes, as an edge list.
+
+    Entry ``e`` says node ``col[e]`` is a neighbour of node ``row[e]``.
+    The entries hold both directions of every graph edge plus one
+    self-loop per node, deduplicated and sorted by (row, col), so every
+    row segment ``row_starts[o]:row_starts[o + 1]`` is non-empty.
+    ``col_order`` lists the entries sorted by (col, row), with
+    ``col_starts`` marking its col segments; backward reduces through it.
+    """
+
+    size: int
+    row: np.ndarray          # (E,) int
+    col: np.ndarray          # (E,) int
+    row_starts: np.ndarray   # (size,) int
+    col_order: np.ndarray    # (E,) int permutation of the entries
+    col_starts: np.ndarray   # (size,) int
+
+    @staticmethod
+    def from_edges(size: int, src: np.ndarray,
+                   dst: np.ndarray) -> "Neighbourhood":
+        """Neighbourhood of ``size`` nodes joined by the directed edges
+        ``src[i] -> dst[i]`` (integer node ids)."""
+        nodes = np.arange(size, dtype=np.int64)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        keys = np.unique(np.concatenate(
+            (src * size + dst, dst * size + src, nodes * (size + 1))))
+        row, col = np.divmod(keys, size)
+        col_order = np.argsort(col, kind="stable")
+        return Neighbourhood(
+            size=size, row=row, col=col,
+            row_starts=np.searchsorted(row, nodes),
+            col_order=col_order,
+            col_starts=np.searchsorted(col[col_order], nodes),
+        )
+
+
+def graph_attention(wh: Tensor, s_row: Tensor, s_col: Tensor,
+                    nbr: Neighbourhood) -> Tensor:
+    """One head of graph attention over the entries of ``nbr``.
+
+    ``out[o] = sum_e alpha_e wh[col_e]`` over row ``o``'s entries, where
+    ``alpha`` is the row-wise softmax of
+    ``leaky_relu(s_row[row_e] + s_col[col_e])`` (slope 0.2).  ``wh`` is
+    (O, d), the scores are (O, 1); work and memory are O(E d), not
+    O(O^2).
+    """
+    slope = 0.2
+    row, col, starts = nbr.row, nbr.col, nbr.row_starts
+    pre = s_row.data[row, 0] + s_col.data[col, 0]            # (E,)
+    positive = pre > 0
+    logits = np.where(positive, pre, slope * pre)
+    shifted = logits - np.maximum.reduceat(logits, starts)[row]
+    e = np.exp(shifted)
+    alpha = e / np.add.reduceat(e, starts)[row]
+    data = np.add.reduceat(alpha[:, None] * wh.data[col], starts, axis=0)
+
+    def backward(grad: np.ndarray) -> None:
+        grad_rows = grad[row]                                # (E, d)
+        if wh.requires_grad:
+            weighted = (alpha[:, None] * grad_rows)[nbr.col_order]
+            wh._accumulate(np.add.reduceat(weighted, nbr.col_starts,
+                                           axis=0))
+        if not (s_row.requires_grad or s_col.requires_grad):
+            return
+        g_alpha = (grad_rows * wh.data[col]).sum(axis=1)     # (E,)
+        dot = np.add.reduceat(alpha * g_alpha, starts)[row]
+        g_pre = alpha * (g_alpha - dot) * np.where(positive, 1.0, slope)
+        if s_row.requires_grad:
+            s_row._accumulate(np.add.reduceat(g_pre, starts)[:, None])
+        if s_col.requires_grad:
+            s_col._accumulate(np.add.reduceat(
+                g_pre[nbr.col_order], nbr.col_starts)[:, None])
+
+    return make_op(data, (wh, s_row, s_col), backward)

@@ -88,8 +88,8 @@ class GATLayer(Module):
     """One multi-head graph-attention layer (Velickovic et al., 2017).
 
     ``e_o = ||_k sigma( sum_j alpha^k_{oj} W^k e'_j )`` with attention
-    coefficients from a shared additive mechanism, masked to the graph's
-    neighbourhood (paper Sec. 4.1.1).
+    coefficients from a shared additive mechanism over the graph's
+    neighbourhood (paper Sec. 4.1.1), computed edge by edge.
     """
 
     def __init__(self, in_dim: int, out_dim: int, heads: int,
@@ -102,19 +102,15 @@ class GATLayer(Module):
         self.attn_src = [parameter((self.head_dim, 1), rng) for _ in range(heads)]
         self.attn_dst = [parameter((self.head_dim, 1), rng) for _ in range(heads)]
 
-    def __call__(self, h: Tensor, adjacency_mask: np.ndarray) -> Tensor:
-        """``h``: (O, in_dim); ``adjacency_mask``: (O, O) bool, True where
-        node j is a neighbour of node o (self-loops included)."""
+    def __call__(self, h: Tensor, neighbourhood: F.Neighbourhood) -> Tensor:
+        """``h``: (O, in_dim); node o attends over its ``neighbourhood``
+        row (its graph neighbours and itself)."""
         outputs = []
         for k in range(self.heads):
             wh = F.matmul(h, self.w[k])                      # (O, d)
             src_score = F.matmul(wh, self.attn_src[k])       # (O, 1)
             dst_score = F.matmul(wh, self.attn_dst[k])       # (O, 1)
-            logits = F.add(src_score, F.transpose(dst_score))  # (O, O)
-            logits = F.leaky_relu(logits)
-            logits = F.masked_fill(logits, adjacency_mask, -1e9)
-            alpha = F.softmax(logits, axis=-1)
-            out = F.matmul(alpha, wh)                        # (O, d)
+            out = F.graph_attention(wh, src_score, dst_score, neighbourhood)
             outputs.append(F.elu(out))
         return F.concat(outputs, axis=-1)
 

@@ -95,6 +95,9 @@ class Tensor:
             if node._backward is None or node.grad is None:
                 continue
             node._backward(node.grad)
+            # only leaves keep their gradient: an op's output gradient
+            # is spent once it reached the op's inputs
+            node.grad = None
 
     # ------------------------------------------------------------------ #
     # operator sugar (implementations live in functional.py to keep this

@@ -11,7 +11,7 @@ widths are configurable; tests/benches run a scaled-down instance.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -28,17 +28,17 @@ class RelativePositionBias(Module):
         self.heads = heads
         self.max_distance = max_distance
         self.table = parameter((heads, 2 * max_distance + 1), rng, scale=0.02)
+        # n -> (n, n) table column of each clip(j - i), built once per n
+        self._rel: Dict[int, np.ndarray] = {}
 
     def __call__(self, n: int) -> Tensor:
-        idx = np.arange(n)
-        rel = np.clip(idx[None, :] - idx[:, None], -self.max_distance,
-                      self.max_distance) + self.max_distance   # (n, n)
-        # gather via one-hot matmul to stay differentiable
-        one_hot = np.eye(2 * self.max_distance + 1)[rel]        # (n, n, B)
-        flat = Tensor(one_hot.reshape(n * n, -1))
-        bias = F.matmul(flat, F.transpose(self.table))          # (n*n, heads)
-        bias = F.reshape(bias, (n, n, self.heads))
-        return F.transpose(bias, (2, 0, 1))                     # (heads, n, n)
+        rel = self._rel.get(n)
+        if rel is None:
+            idx = np.arange(n)
+            rel = np.clip(idx[None, :] - idx[:, None], -self.max_distance,
+                          self.max_distance) + self.max_distance
+            self._rel[n] = rel
+        return F.gather(self.table, rel)                        # (heads, n, n)
 
 
 class EncoderLayer(Module):

@@ -7,7 +7,9 @@ deadlock error text.  :func:`reference_simulator` swaps it in for
 ``Simulator.run`` so whole pipelines can be paired against it too.
 
 The original string-keyed graph compiler lives next to it, as
-``ReferenceCompiler`` in :mod:`tests.oracle.compiler`.
+``ReferenceCompiler`` in :mod:`tests.oracle.compiler`, and the original
+dense masked-attention GAT layer as ``DenseGATLayer`` in
+:mod:`tests.oracle.gat`.
 """
 
 from __future__ import annotations

@@ -121,12 +121,12 @@ class TestTrainer:
         fresh.load_policy_state(state)
         a = trained_agent.policy.logits(
             trained_agent.context("train_mlp").features,
-            trained_agent.context("train_mlp").adjacency_mask,
+            trained_agent.context("train_mlp").neighbourhood,
             trained_agent.context("train_mlp").assignment,
         ).data
         b = fresh.policy.logits(
             fresh.context("train_mlp").features,
-            fresh.context("train_mlp").adjacency_mask,
+            fresh.context("train_mlp").neighbourhood,
             fresh.context("train_mlp").assignment,
         ).data
         assert np.allclose(a, b)

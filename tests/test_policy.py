@@ -1,11 +1,15 @@
 """Tests for the policy network, action encoding/decoding, and rewards."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.agent import (
     DP_ACTIONS,
+    AgentConfig,
     FeatureEncoder,
+    GATEncoder,
     MovingAverageBaseline,
     PolicyNetwork,
     action_to_op_strategy,
@@ -17,6 +21,7 @@ from repro.agent import (
 from repro.agent.environment import EvalOutcome
 from repro.errors import StrategyError
 from repro.graph.grouping import group_operations
+from repro.nn import Neighbourhood
 from repro.parallel import CommMethod, ParallelKind, ReplicaAllocation
 
 
@@ -92,12 +97,11 @@ class TestPolicyNetwork:
     def _inputs(self, n_ops=12, n_groups=4, feature_dim=10):
         rng = np.random.default_rng(0)
         features = rng.normal(size=(n_ops, feature_dim))
-        adj = rng.random((n_ops, n_ops)) < 0.2
-        np.fill_diagonal(adj, True)
-        adj |= adj.T
+        src, dst = np.nonzero(rng.random((n_ops, n_ops)) < 0.2)
+        nbr = Neighbourhood.from_edges(n_ops, src, dst)
         assignment = np.zeros((n_groups, n_ops))
         assignment[rng.integers(0, n_groups, n_ops), np.arange(n_ops)] = 1.0
-        return features, adj, assignment
+        return features, nbr, assignment
 
     def test_sample_shapes(self):
         policy = self._policy()
@@ -153,6 +157,33 @@ class TestPolicyNetwork:
         assert (s1.actions == s2.actions).all()
 
 
+class TestGATMemory:
+    def test_encoder_memory_grows_with_edges_not_ops_squared(self):
+        """Forward and backward at the default sizes on 5,000 ops with
+        about four neighbours each stay far below the 200 MB of a single
+        dense (O, O) float64 matrix."""
+        ops, groups, feature_dim = 5000, 60, 16
+        cfg = AgentConfig()
+        rng = np.random.default_rng(0)
+        dst = np.repeat(np.arange(1, ops), 2)
+        src = (rng.random(dst.size) * dst).astype(np.int64)  # earlier op
+        nbr = Neighbourhood.from_edges(ops, src, dst)
+        features = rng.normal(size=(ops, feature_dim))
+        assignment = np.zeros((groups, ops))
+        assignment[rng.integers(0, groups, ops), np.arange(ops)] = 1.0
+        encoder = GATEncoder(feature_dim, cfg.gat_hidden, cfg.gat_layers,
+                             cfg.gat_heads, seed=0)
+        tracemalloc.start()
+        try:
+            out = encoder(features, nbr, assignment)
+            out.sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(p.grad is not None for p in encoder.parameters())
+        assert peak < 64 * 2 ** 20
+
+
 class TestReward:
     def _outcome(self, time, oom=False, infeasible=False):
         return EvalOutcome(time=time, oom=oom, result=None, dist_ops=1,
@@ -200,9 +231,10 @@ class TestFeatureEncoder:
         g = make_mlp(name="feat_mlp2")
         profile = Profiler(seed=0).profile(g, four_gpu)
         enc = FeatureEncoder(four_gpu, profile)
-        adj = enc.adjacency_mask(g)
-        assert adj.diagonal().all()
-        assert (adj == adj.T).all()
+        nbr = enc.neighbourhood(g)
+        entries = set(zip(nbr.row.tolist(), nbr.col.tolist()))
+        assert all((o, o) in entries for o in range(len(g)))
+        assert entries == {(c, r) for r, c in entries}
 
     def test_avg_exec_times_cover_graph(self, four_gpu):
         from tests.helpers import make_mlp
