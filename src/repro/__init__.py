@@ -13,7 +13,7 @@ Public surface:
 - ``repro.agent`` — GNN policy and REINFORCE strategy search.
 - ``repro.baselines`` — DP baselines and related-work schemes.
 - ``repro.plan`` — cached ExecutionPlan layer (PlanBuilder, PlanCache,
-  BatchEvaluator) shared by search, baselines and deployment.
+  BestSoFar) shared by search, baselines and deployment.
 - ``repro.runtime`` — execution engine (testbed stand-in) and runner.
 - ``repro.service`` — the long-lived planning service (typed
   :class:`PlanRequest`/:class:`PlanResult` surface, request coalescing,

@@ -45,9 +45,6 @@ class AgentConfig:
     use_seeds: bool = True
     use_order_scheduling: bool = True
     seed: int = 0
-    # worker processes for strategy evaluation (1 = serial in-process;
-    # results are bit-identical either way)
-    eval_workers: int = 1
     # winner-safe branch-and-bound pruning (results bit-identical)
     prune: bool = True
     # opt-in best-so-far pruning of REINFORCE rollouts (faster but NOT
@@ -138,7 +135,6 @@ class HeteroGAgent:
                     entropy_weight=cfg.entropy_weight,
                     entropy_decay=cfg.entropy_decay,
                     use_seeds=cfg.use_seeds,
-                    eval_workers=cfg.eval_workers,
                     prune=cfg.prune,
                     prune_rollouts=cfg.prune_rollouts,
                 ),

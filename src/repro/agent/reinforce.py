@@ -22,7 +22,7 @@ from ..nn import functional as F
 from ..nn.functional import Neighbourhood
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor
-from ..plan import BatchEvaluator, BestSoFar
+from ..plan import BestSoFar
 from .environment import EvalOutcome, StrategyEvaluator
 from .policy import PolicyNetwork, actions_to_strategy
 from .reward import MovingAverageBaseline, compute_reward
@@ -72,8 +72,6 @@ class TrainerConfig:
     baseline_decay: float = 0.9
     clip_norm: float = 5.0
     use_seeds: bool = True
-    # worker processes for strategy evaluation; 1 = serial in-process
-    eval_workers: int = 1
     # winner-safe pruning layers (scheduler candidate-race abort etc.);
     # never changes any outcome the trainer sees
     prune: bool = True
@@ -104,10 +102,6 @@ class ReinforceTrainer:
         self._seed_queues: Dict[str, List[np.ndarray]] = {}
         self._repair_attempts: Dict[str, int] = {}
         self._raw_seeds_pending: Dict[str, bool] = {}
-        self._batch = BatchEvaluator(
-            {ctx.name: ctx.evaluator.builder for ctx in self.contexts},
-            max_workers=config.eval_workers,
-        )
         # per-graph best-so-far trackers (only consulted when the
         # prune_rollouts opt-in is set; observation is free otherwise)
         self._best: Dict[str, BestSoFar] = {
@@ -132,7 +126,7 @@ class ReinforceTrainer:
         losses: List[Tensor] = []
         rewards: Dict[str, float] = {}
         # Phase 1: sample one candidate per graph (policy RNG is touched
-        # only here, so batching the evaluations below cannot perturb it).
+        # only here, so the evaluations below cannot perturb it).
         rollouts = []
         for ctx in self.contexts:
             if self._raw_seeds_pending.pop(ctx.name, False):
@@ -149,17 +143,16 @@ class ReinforceTrainer:
                 ctx.graph, ctx.evaluator.cluster, ctx.grouping, sample.actions
             )
             rollouts.append((ctx, sample, strategy))
-        # Phase 2: evaluate the rollout batch (cached + optionally parallel;
-        # bit-identical to evaluating serially in context order).  The
+        # Phase 2: evaluate each rollout in context order.  The
         # best-so-far trackers are threaded only under the
         # prune_rollouts opt-in (see TrainerConfig).
-        best = (self._best
-                if self.config.prune and self.config.prune_rollouts
-                else None)
-        outcomes = self._batch.evaluate_pairs(
-            [(ctx.name, strategy) for ctx, _, strategy in rollouts],
-            best=best, prune=self.config.prune,
-        )
+        track = self.config.prune and self.config.prune_rollouts
+        outcomes = [
+            ctx.evaluator.evaluate(
+                strategy, best=self._best[ctx.name] if track else None,
+                prune=self.config.prune)
+            for ctx, _, strategy in rollouts
+        ]
         # Phase 3: rewards, baselines and the policy-gradient loss.
         for (ctx, sample, strategy), outcome in zip(rollouts, outcomes):
             self._maybe_repair_ladder(ctx, sample.actions, outcome)
@@ -222,7 +215,8 @@ class ReinforceTrainer:
         weights = None
         for _ in range(4):
             strategy = memory_ladder_strategy(ctx.graph, cluster, weights)
-            outcome = ctx.evaluator.evaluate(strategy)
+            outcome = ctx.evaluator.evaluate(strategy,
+                                             prune=self.config.prune)
             if outcome.feasible:
                 if outcome.time < ctx.best_raw_time:
                     ctx.best_raw_time = outcome.time
@@ -262,10 +256,6 @@ class ReinforceTrainer:
     def train(self, episodes: int) -> None:
         for _ in range(episodes):
             self.train_episode()
-
-    def close(self) -> None:
-        """Release the evaluation worker pool (no-op when serial)."""
-        self._batch.close()
 
     # ------------------------------------------------------------------ #
     def best_strategy(self, name: str):

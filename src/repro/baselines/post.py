@@ -23,7 +23,7 @@ from ..cluster.topology import Cluster
 from ..graph.dag import ComputationGraph
 from ..graph.grouping import Grouping, group_operations
 from ..parallel.strategy import Strategy
-from ..plan import BatchEvaluator, BestSoFar, PlanBuilder
+from ..plan import BestSoFar, PlanBuilder
 from ..profiling.profiler import Profile, Profiler
 
 
@@ -40,7 +40,7 @@ class PostSearch:
 
     def __init__(self, graph: ComputationGraph, cluster: Cluster,
                  profile: Optional[Profile] = None, *, max_groups: int = 60,
-                 seed: int = 0, workers: int = 1, prune: bool = True):
+                 seed: int = 0, prune: bool = True):
         self.graph = graph
         # branch-and-bound pruning is search-transparent for CEM: a
         # candidate is only aborted when provably worse than BOTH the
@@ -57,10 +57,6 @@ class PostSearch:
             use_order_scheduling=False,
             group_of=self.grouping.group_of,
         )
-        # the samples of one CEM round are independent: evaluate them as
-        # a batch (parallel when workers > 1, identical results either way)
-        self.batch_evaluator = BatchEvaluator(self.builder,
-                                              max_workers=workers)
         self.rng = np.random.default_rng(seed)
 
     def _evaluate(self, placements: np.ndarray) -> float:
@@ -69,15 +65,15 @@ class PostSearch:
         outcome = self.builder.evaluate(strategy)
         return outcome.time if outcome.feasible else float("inf")
 
-    def _evaluate_batch(self, batch: List[np.ndarray],
+    def _evaluate_round(self, batch: List[np.ndarray],
                         best: Optional[BestSoFar] = None) -> List[float]:
         strategies = [
             actions_to_strategy(self.graph, self.cluster, self.grouping,
                                 draws)
             for draws in batch
         ]
-        outcomes = self.batch_evaluator.evaluate(strategies, best=best,
-                                                 prune=self.prune)
+        outcomes = self.builder.evaluate_many(strategies, best=best,
+                                              prune=self.prune)
         # pruned outcomes score inf, same as infeasible ones: they are
         # provably outside the elite cut, so their exact time is moot
         return [o.time if o.feasible else float("inf") for o in outcomes]
@@ -105,7 +101,7 @@ class PostSearch:
             ]
             round_best = (BestSoFar(keep=num_elite, floor=global_best)
                           if self.prune else None)
-            scores = self._evaluate_batch(batch, best=round_best)
+            scores = self._evaluate_round(batch, best=round_best)
             evaluations += len(batch)
             for draws, time in zip(batch, scores):
                 if time < best_time:

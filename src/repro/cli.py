@@ -186,27 +186,18 @@ def cmd_clusters(args: argparse.Namespace) -> int:  # noqa: ARG001
     return 0
 
 
-def _check_eval_workers(args: argparse.Namespace) -> None:
-    """``plan``/``churn`` count evaluation processes with ``--workers``;
-    unlike the service commands, 0 has no inline meaning there."""
-    if args.workers < 1:
-        raise ReproError(f"--workers must be >= 1, got {args.workers}")
-
-
 def cmd_plan(args: argparse.Namespace) -> int:
     """``repro plan``: run the strategy search for one model."""
     from .experiments import ExperimentContext
     from .experiments.common import bench_agent_config
     from .reporting import describe_strategy
-    _check_eval_workers(args)
     cluster = CLUSTERS[args.cluster]()
     graph = build_model(args.model, args.preset)
     print(f"searching strategy for {graph.name} on {cluster} "
-          f"({args.episodes} episodes, {args.workers} eval worker(s))...",
+          f"({args.episodes} episodes)...",
           file=sys.stderr)
     ctx = ExperimentContext(cluster, seed=args.seed)
     config = bench_agent_config(args.seed)
-    config.eval_workers = args.workers
     config.prune = not args.no_prune
     measured = ctx.run_heterog(graph, episodes=args.episodes,
                                agent_config=config)
@@ -337,7 +328,6 @@ def cmd_churn(args: argparse.Namespace) -> int:
     from .heterog import HeteroG
     from .resilience import FaultSchedule
 
-    _check_eval_workers(args)
     model_name = _resolve_model(args.model)
     cluster = _resolve_cluster(args.cluster)()
     episodes, steps = args.episodes, args.steps
@@ -361,7 +351,6 @@ def cmd_churn(args: argparse.Namespace) -> int:
         schedule = churn.schedule(cluster)
     config = HeteroGConfig(episodes=episodes, seed=args.seed,
                            agent=bench_agent_config(args.seed))
-    config.agent.eval_workers = args.workers
     config.agent.prune = not args.no_prune
     heterog = HeteroG(cluster, config)
     with telemetry.session() as tel:
@@ -672,9 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("model", choices=sorted(ALL_MODELS))
     p.add_argument("--episodes", type=int, default=24)
-    p.add_argument("--workers", type=int, default=1,
-                   help="strategy-evaluation worker processes "
-                   "(default: 1 = serial; results are identical)")
     p.add_argument("--save", metavar="PATH",
                    help="save the strategy as JSON")
     _add_eval_args(p)
@@ -767,9 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="episodes per replan search (default: 4)")
     p.add_argument("--quick", action="store_true",
                    help="CI smoke mode: trim episodes and steps")
-    p.add_argument("--workers", type=int, default=1,
-                   help="strategy-evaluation worker processes "
-                   "(default: 1 = serial; results are identical)")
     _add_eval_args(p)
     p.add_argument("--preset", choices=["tiny", "bench", "paper"],
                    default="bench", help="model scale (default: bench)")

@@ -181,7 +181,6 @@ class ExperimentContext:
         agent.train(episodes if episodes is not None else env_episodes())
         search_seconds = time.time() - start
         strategy = agent.best_strategy(graph.name)
-        agent.trainer.close()  # release eval workers, if any
         measured = self.measure(
             graph, strategy, "HeteroG",
             use_order_scheduling=use_order_scheduling,

@@ -9,18 +9,15 @@ simulation and deployment:
   context and memoizes both plans and :class:`EvalOutcome`s in
   fingerprint-keyed LRUs (:class:`PlanCache`), so repeated strategies in
   REINFORCE episodes, MCMC walks and seed re-evaluations are free;
-- :meth:`PlanBuilder.evaluate_many` is the canonical population entry
-  point: duplicates are evaluated once, and the distinct candidates run
-  in input order against the shared best-so-far;
-- :class:`BatchEvaluator` is the multi-context / multi-process front
-  end over ``evaluate_many``, with deterministic, input-ordered results
-  (``max_workers=1`` falls back to the serial path).
+- :meth:`PlanBuilder.evaluate` and :meth:`PlanBuilder.evaluate_many`
+  are the only ways to evaluate candidates: ``evaluate_many`` evaluates
+  duplicates once and runs the distinct candidates serially, in input
+  order, against the shared best-so-far.
 
 Cache behaviour is observable through the ``plan_cache_hits_total`` and
 ``plan_cache_misses_total`` telemetry counters.
 """
 
-from .batch import BatchEvaluator
 from .builder import PlanBuilder
 from .cache import PlanCache
 from .fingerprint import (
@@ -32,7 +29,6 @@ from .plan import EvalOutcome, ExecutionPlan
 from .pruning import BestSoFar
 
 __all__ = [
-    "BatchEvaluator",
     "BestSoFar",
     "EvalOutcome",
     "ExecutionPlan",

@@ -259,15 +259,14 @@ class PlanBuilder:
                       ) -> List[EvalOutcome]:
         """Evaluate a population of candidates, in input order.
 
-        The single canonical population entry point: every consumer
-        that evaluates more than one candidate (`BatchEvaluator`, the
-        fleet's borrowed workers, REINFORCE episodes, CEM rounds, MCMC
-        restarts) routes through here.  Duplicate strategies are
+        The single population entry point: every consumer that
+        evaluates a population of candidates (CEM rounds, the FlexFlow
+        seeding sweep) routes through here.  Duplicate strategies are
         evaluated once and fanned out; every distinct candidate is one
         :meth:`evaluate` call in input order, so outcome caching,
         pruning and best-so-far observation behave exactly as in a
         serial loop.  ``prune_above`` is one hard cap for the whole
-        population (the fleet passes its dispatch-time snapshot).
+        population.
         """
         fps = [self.fingerprint(s) for s in strategies]
         done: Dict[str, EvalOutcome] = {}
@@ -354,16 +353,3 @@ class PlanBuilder:
             result=result,
             dist_ops=plan.num_dist_ops,
         )
-
-    # ------------------------------------------------------------------ #
-    def seed_outcome(self, fingerprint: str, outcome: EvalOutcome) -> None:
-        """Install an externally-computed outcome (e.g. from a worker
-        process) so later evaluations of the same strategy hit the cache.
-
-        Mid-sim-pruned outcomes are threshold-dependent and are never
-        installed; "bound"-pruned ones are — the kernel bound is a
-        property of the candidate and :meth:`cached_outcome` re-checks
-        it against the serving threshold."""
-        if outcome.pruned and outcome.prune_stage != "bound":
-            return
-        self._outcomes.put(fingerprint, outcome)

@@ -9,8 +9,8 @@ search.  It is:
 - **monotonic**: the threshold only ever tightens as exact feasible
   makespans are observed, so serving a cached pruned outcome recorded
   at a looser threshold stays sound within the same search;
-- **thread-safe**: the serial loop, the process-pool fold-back and the
-  fleet manager's result loop all observe into the same tracker;
+- **thread-safe**: observations and threshold reads take a lock, so
+  one tracker may be shared across threads;
 - **k-aware**: an elite-selection search (the CEM baseline keeps the
   ``num_elite`` best of each round) prunes at the *k-th best* observed,
   not the best — a candidate only becomes useless once it can neither

@@ -8,19 +8,9 @@ result caching, accounting) from *where* admitted requests execute:
 - :class:`ThreadBackend` — in-process daemon threads (the default);
 - :class:`ProcessFleetBackend` — persistent worker processes with warm
   plan contexts, heartbeat failure detection and re-dispatch.
-
-The module also keeps the per-process **active fleet registry**: while
-a fleet backend is running, :func:`active_fleet` returns it so the
-:class:`~repro.plan.BatchEvaluator` can borrow the fleet's workers for
-candidate fan-out instead of opening a second process pool.  Forked
-fleet workers clear the registry on startup so a worker-side evaluator
-never tries to borrow the fleet it lives inside.
 """
 
 from __future__ import annotations
-
-import threading
-from typing import List, Optional
 
 from .base import ExecutionBackend, make_backend
 from .fleet import ProcessFleetBackend
@@ -33,35 +23,4 @@ __all__ = [
     "ThreadBackend",
     "ProcessFleetBackend",
     "make_backend",
-    "active_fleet",
 ]
-
-_FLEETS: List[ProcessFleetBackend] = []
-_FLEETS_LOCK = threading.Lock()
-
-
-def _register_fleet(fleet: ProcessFleetBackend) -> None:
-    with _FLEETS_LOCK:
-        if fleet not in _FLEETS:
-            _FLEETS.append(fleet)
-
-
-def _unregister_fleet(fleet: ProcessFleetBackend) -> None:
-    with _FLEETS_LOCK:
-        if fleet in _FLEETS:
-            _FLEETS.remove(fleet)
-
-
-def _reset_fleet_registry() -> None:
-    """Forked children inherit the list; they must start empty."""
-    with _FLEETS_LOCK:
-        _FLEETS.clear()
-
-
-def active_fleet() -> Optional[ProcessFleetBackend]:
-    """The most recently started live fleet in this process, if any."""
-    with _FLEETS_LOCK:
-        for fleet in reversed(_FLEETS):
-            if not fleet._closed:
-                return fleet
-    return None

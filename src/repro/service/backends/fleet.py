@@ -36,11 +36,11 @@ The architecture mirrors optuna-distributed's manager/worker split:
   waiters see exactly one result;
 - **re-dispatch budget** — a request that loses ``redispatch_limit``
   workers is failed with :class:`~repro.errors.WorkerLostError`
-  instead of grinding the fleet down worker by worker;
-- **shared fleet** — while a fleet is live, the in-process
-  :class:`~repro.plan.BatchEvaluator` borrows it for candidate fan-out
-  (:meth:`ProcessFleetBackend.evaluate_batch`) instead of opening a
-  second private process pool.
+  instead of grinding the fleet down worker by worker.
+
+The fleet fans out whole plan requests, never the candidates of one
+search: a search evaluates its candidates serially on the worker that
+serves it.
 
 ``stall_labels`` is the deterministic fault-injection hook the failure
 tests use: requests whose label starts with a key sleep that many
@@ -59,7 +59,7 @@ import time
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ... import telemetry
 from ...errors import (
@@ -70,8 +70,6 @@ from ...errors import (
 )
 from ..messages import (
     CompletedMessage,
-    EvalCompletedMessage,
-    EvalRequestMessage,
     FailedMessage,
     HeartbeatMessage,
     Message,
@@ -135,60 +133,17 @@ def _worker_serve(contexts: "OrderedDict[str, Any]", request,
     )
 
 
-def _worker_evaluate(builders: Dict[str, Any], msg: EvalRequestMessage):
-    """Evaluate one borrowed-BatchEvaluator chunk on primed builders."""
-    from ...parallel.serialize import strategy_from_dict
-    from ...plan import PlanBuilder
-
-    for name, digest in msg.digests.items():
-        if digest in builders:
-            continue
-        payload = msg.payloads.get(name)
-        if payload is None:
-            raise FleetProtocolError(
-                f"eval chunk references unprimed context {name!r} "
-                f"({digest[:12]}) and carries no payload for it")
-        graph, cluster, profile, order, group_of = payload
-        builders[digest] = PlanBuilder(
-            graph, cluster, profile,
-            use_order_scheduling=order, group_of=group_of)
-    # one evaluate_many per context in the chunk.  The manager
-    # piggybacked its best-so-far at dispatch time; the threshold stays
-    # fixed for the whole chunk (worker-local tightening would over-prune
-    # k-elite searches), so it goes in as the scalar prune_above cap.
-    outcomes: "list" = [None] * len(msg.items)
-    by_context: Dict[str, "list"] = {}
-    for i, (name, _) in enumerate(msg.items):
-        by_context.setdefault(name, []).append(i)
-    for name, idxs in by_context.items():
-        builder = builders[msg.digests[name]]
-        strategies = [
-            strategy_from_dict(msg.items[i][1], builder.graph,
-                               builder.cluster)
-            for i in idxs
-        ]
-        outs = builder.evaluate_many(
-            strategies, prune=msg.prune,
-            prune_above=msg.prune_above.get(name))
-        for i, outcome in zip(idxs, outs):
-            outcomes[i] = outcome
-    return outcomes
-
-
 def _fleet_worker_main(worker_id: str, inbox, outbox,
                        heartbeat_interval: float,
                        max_contexts: int) -> None:
     """Entry point of one fleet worker process."""
-    # the forked child inherits the parent's ambient telemetry session
-    # and fleet registry; both are manager-process concerns — drop them
-    # so worker-side evaluations stay silent and a BatchEvaluator used
-    # *inside* a worker never tries to borrow the fleet it lives in.
-    _clear_active_fleets()
+    # the forked child inherits the parent's ambient telemetry session,
+    # a manager-process concern: drop it so worker-side evaluations
+    # stay silent
     while telemetry.active() is not None:
         telemetry.disable()
 
     contexts: "OrderedDict[str, Any]" = OrderedDict()
-    eval_builders: Dict[str, Any] = {}
     served = [0]
     stop = threading.Event()
 
@@ -222,7 +177,7 @@ def _fleet_worker_main(worker_id: str, inbox, outbox,
                 except (ReproError, ValueError, KeyError,
                         TypeError) as exc:
                     outbox.put(FailedMessage(
-                        ticket=msg.ticket, worker=worker_id, kind="plan",
+                        ticket=msg.ticket, worker=worker_id,
                         error_type=type(exc).__name__,
                         message=str(exc)[:500]).to_wire())
                 else:
@@ -230,22 +185,6 @@ def _fleet_worker_main(worker_id: str, inbox, outbox,
                     outbox.put(CompletedMessage(
                         ticket=msg.ticket, worker=worker_id,
                         result=result).to_wire())
-            elif isinstance(msg, EvalRequestMessage):
-                outbox.put(ProgressMessage(
-                    ticket=msg.job, worker=worker_id).to_wire())
-                try:
-                    outcomes = _worker_evaluate(eval_builders, msg)
-                except (ReproError, ValueError, KeyError,
-                        TypeError) as exc:
-                    outbox.put(FailedMessage(
-                        ticket=msg.job, worker=worker_id, kind="eval",
-                        error_type=type(exc).__name__,
-                        message=str(exc)[:500]).to_wire())
-                else:
-                    served[0] += 1
-                    outbox.put(EvalCompletedMessage(
-                        job=msg.job, worker=worker_id,
-                        outcomes=outcomes).to_wire())
             else:
                 raise FleetProtocolError(
                     f"worker {worker_id} cannot handle "
@@ -254,39 +193,22 @@ def _fleet_worker_main(worker_id: str, inbox, outbox,
         stop.set()
 
 
-def _clear_active_fleets() -> None:
-    """Forked children must not see the parent's registered fleet."""
-    from . import _reset_fleet_registry
-    _reset_fleet_registry()
-
-
 # --------------------------------------------------------------------- #
 # manager side
 @dataclass
 class _Job:
-    """One unit of fleet work: an admitted plan ticket or an eval chunk."""
+    """One admitted plan ticket on its way through the fleet."""
 
-    kind: str                        # "plan" | "eval"
-    key: str                         # ticket fingerprint or eval job id
-    ticket: Any = None               # PlanTicket (plan jobs)
-    message: Any = None              # prebuilt EvalRequestMessage (eval)
+    key: str                         # the ticket's fingerprint
+    ticket: Any                      # PlanTicket
     queue_seconds: float = 0.0
     attempts: int = 0
     worker: Optional[str] = None     # currently assigned worker id
     lost_on: List[str] = field(default_factory=list)
-    # eval-job completion plumbing
-    event: Optional[threading.Event] = None
-    outcomes: Optional[list] = None
-    error: Optional[BaseException] = None
-    # shared best-so-far trackers by context name (eval jobs): read at
-    # dispatch time to stamp the chunk's thresholds, written by the
-    # manager loop when exact outcomes come back
-    best: Optional[dict] = None
 
     @property
     def request_id(self) -> str:
-        return self.ticket.request.request_id if self.ticket is not None \
-            else self.key
+        return self.ticket.request.request_id
 
 
 @dataclass
@@ -305,7 +227,6 @@ class _WorkerHandle:
     condemned: bool = False
     reported_misses: int = 0
     served: int = 0
-    primed: set = field(default_factory=set)  # eval-context digests
 
     @property
     def idle(self) -> bool:
@@ -326,7 +247,6 @@ class FleetStats:
     discarded: int = 0
     plan_completed: int = 0
     plan_failed: int = 0
-    eval_jobs: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         import dataclasses
@@ -369,17 +289,14 @@ class ProcessFleetBackend(ExecutionBackend):
         self._manager: Optional[threading.Thread] = None
         self._wake = threading.Event()
         self._closing = threading.Event()
-        self._mutex = threading.Lock()
-        self._cond = threading.Condition(self._mutex)
+        self._cond = threading.Condition()
         self._fleet: Dict[str, _WorkerHandle] = {}   # manager thread only
-        self._jobs: Dict[Tuple[str, str], _Job] = {}  # assigned jobs
+        self._jobs: Dict[str, _Job] = {}             # assigned jobs by key
         self._ready: "collections.deque[_Job]" = collections.deque()
-        self._eval_inbox: List[_Job] = []            # under _mutex
         self._serving: Dict[str, str] = {}           # key -> worker (mutex)
         self._inproc: "queue_mod.Queue" = queue_mod.Queue()
         self._mp = None
         self._worker_seq = itertools.count()
-        self._job_seq = itertools.count(1)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -394,8 +311,6 @@ class ProcessFleetBackend(ExecutionBackend):
             target=self._event_loop, daemon=True,
             name=f"{self.service.name}-fleet-manager")
         self._manager.start()
-        from . import _register_fleet
-        _register_fleet(self)
 
     def wake(self) -> None:
         self._wake.set()
@@ -404,8 +319,6 @@ class ProcessFleetBackend(ExecutionBackend):
         if self._closed:
             return
         self._closed = True
-        from . import _unregister_fleet
-        _unregister_fleet(self)
         self._closing.set()
         self._wake.set()
         if self._manager is not None:
@@ -424,7 +337,7 @@ class ProcessFleetBackend(ExecutionBackend):
     # test / introspection hooks
     def wait_serving(self, key: str, timeout: float = 10.0) -> Optional[str]:
         """Block until a worker reports it started serving ``key``
-        (a ticket fingerprint or eval job id); returns the worker id."""
+        (a ticket fingerprint); returns the worker id."""
         deadline = time.monotonic() + timeout
         with self._cond:
             while key not in self._serving:
@@ -453,66 +366,6 @@ class ProcessFleetBackend(ExecutionBackend):
             "stats": self.stats.snapshot(),
             "closed": self._closed,
         }
-
-    # ------------------------------------------------------------------ #
-    # BatchEvaluator borrow path
-    def evaluate_batch(self, payloads: Dict[str, tuple],
-                       digests: Dict[str, str],
-                       items: List[Tuple[str, dict]], *,
-                       best: Optional[Dict[str, Any]] = None,
-                       prune: bool = True) -> list:
-        """Evaluate (context, strategy-dict) pairs on the fleet.
-
-        Splits ``items`` into per-worker chunks, dispatches them like
-        plan requests (same re-dispatch machinery), and reassembles
-        outcomes in input order.  Raises on fleet shutdown or an
-        exhausted re-dispatch budget — the caller
-        (:class:`~repro.plan.BatchEvaluator`) falls back to its own
-        pool/serial path on any :class:`~repro.errors.ReproError`.
-
-        ``best`` maps context names to shared
-        :class:`~repro.plan.pruning.BestSoFar` trackers: each chunk's
-        wire message is stamped with the trackers' thresholds at
-        dispatch time, and exact outcomes are observed back as chunks
-        complete, so later-dispatched chunks prune harder.
-        """
-        if self._closed or not items:
-            if self._closed:
-                raise ServiceClosedError("fleet backend is closed")
-            return []
-        chunk_count = min(len(items), self.workers)
-        bounds = [(len(items) * i) // chunk_count
-                  for i in range(chunk_count + 1)]
-        jobs: List[_Job] = []
-        with self._mutex:
-            for i in range(chunk_count):
-                chunk = items[bounds[i]:bounds[i + 1]]
-                used = {name for name, _ in chunk}
-                job_id = f"eval-{next(self._job_seq):06d}"
-                job = _Job(
-                    kind="eval", key=job_id,
-                    message=EvalRequestMessage(
-                        job=job_id,
-                        digests={n: d for n, d in digests.items()
-                                 if n in used},
-                        payloads={n: p for n, p in payloads.items()
-                                  if n in used},
-                        items=list(chunk),
-                        prune=prune),
-                    best=({n: t for n, t in best.items() if n in used}
-                          if prune and best else None),
-                    event=threading.Event())
-                self._eval_inbox.append(job)
-                jobs.append(job)
-        self.stats.eval_jobs += len(jobs)
-        self._wake.set()
-        outcomes: list = []
-        for job in jobs:
-            job.event.wait()
-            if job.error is not None:
-                raise job.error
-            outcomes.extend(job.outcomes or [])
-        return outcomes
 
     # ------------------------------------------------------------------ #
     # manager event loop
@@ -599,21 +452,16 @@ class ProcessFleetBackend(ExecutionBackend):
                 self._cond.notify_all()
             return
         if isinstance(msg, CompletedMessage):
-            self._on_job_result(msg.worker, ("plan", msg.ticket),
-                                result=msg.result)
-            return
-        if isinstance(msg, EvalCompletedMessage):
-            self._on_job_result(msg.worker, ("eval", msg.job),
-                                outcomes=msg.outcomes)
+            self._on_job_result(msg.worker, msg.ticket, result=msg.result)
             return
         if isinstance(msg, FailedMessage):
             self._on_job_result(
-                msg.worker, (msg.kind, msg.ticket),
+                msg.worker, msg.ticket,
                 error=rebuild_error(msg.error_type, msg.message))
             return
 
-    def _on_job_result(self, worker_id: str, key: Tuple[str, str], *,
-                       result=None, outcomes=None, error=None) -> None:
+    def _on_job_result(self, worker_id: str, key: str, *,
+                       result=None, error=None) -> None:
         """At-most-once resolution: only the assigned worker resolves."""
         job = self._jobs.get(key)
         worker = self._fleet.get(worker_id)
@@ -624,48 +472,29 @@ class ProcessFleetBackend(ExecutionBackend):
             telemetry.emit_count("service_fleet_results_discarded_total",
                                  help="late fleet results discarded")
             self.service.recorder.emit(
-                job.request_id if job is not None else key[1],
+                job.request_id if job is not None else key,
                 "worker_result_discarded", worker=worker_id)
-            if worker is not None and worker.condemned \
-                    and worker.job is None:
-                pass  # reaped by _check_health once the process exits
             return
         del self._jobs[key]
         with self._cond:
-            self._serving.pop(key[1], None)
+            self._serving.pop(key, None)
         if worker is not None and worker.job is job:
             worker.job = None
             worker.served += 1
         if error is not None:
             self._resolve_error(job, error)
-        elif job.kind == "plan":
+        else:
             self.stats.plan_completed += 1
             result.queue_seconds = job.queue_seconds
             self.service._finish(job.ticket, result=result,
                                  queue_seconds=job.queue_seconds)
-        else:
-            if job.best and outcomes:
-                # fold exact results into the shared trackers so chunks
-                # still waiting for a worker dispatch with a tighter
-                # threshold; pruned/infeasible outcomes are never
-                # observed (their time is not exact)
-                for (name, _), outcome in zip(job.message.items, outcomes):
-                    tracker = job.best.get(name)
-                    if tracker is not None and outcome.feasible:
-                        tracker.observe(outcome.time)
-            job.outcomes = outcomes
-            job.event.set()
         self._update_gauges()
 
     def _resolve_error(self, job: _Job, error: BaseException) -> None:
-        self._jobs.pop((job.kind, job.key), None)
-        if job.kind == "plan":
-            self.stats.plan_failed += 1
-            self.service._finish(job.ticket, error=error,
-                                 queue_seconds=job.queue_seconds)
-        else:
-            job.error = error
-            job.event.set()
+        self._jobs.pop(job.key, None)
+        self.stats.plan_failed += 1
+        self.service._finish(job.ticket, error=error,
+                             queue_seconds=job.queue_seconds)
 
     # ------------------------------------------------------------------ #
     def _check_health(self) -> None:
@@ -789,10 +618,6 @@ class ProcessFleetBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     def _assign_work(self) -> None:
         self._wake.clear()
-        with self._mutex:
-            if self._eval_inbox:
-                self._ready.extend(self._eval_inbox)
-                self._eval_inbox.clear()
         while True:
             worker = next((w for w in self._fleet.values() if w.idle),
                           None)
@@ -806,7 +631,7 @@ class ProcessFleetBackend(ExecutionBackend):
     def _next_job(self) -> Optional[_Job]:
         while self._ready:
             job = self._ready.popleft()
-            if job.kind == "plan" and job.ticket.done:
+            if job.ticket.done:
                 continue
             return job
         if self._closing.is_set():
@@ -819,53 +644,30 @@ class ProcessFleetBackend(ExecutionBackend):
             self.service._observe("service_wait_seconds", queue_seconds)
             if self.service._fail_expired(ticket, queue_seconds):
                 continue  # deadline lapsed while queued: never dispatch
-            return _Job(kind="plan", key=ticket.fingerprint,
-                        ticket=ticket, queue_seconds=queue_seconds)
+            return _Job(key=ticket.fingerprint, ticket=ticket,
+                        queue_seconds=queue_seconds)
 
     def _dispatch(self, job: _Job, worker: _WorkerHandle) -> None:
         job.attempts += 1
         job.worker = worker.id
         worker.job = job
-        self._jobs[(job.kind, job.key)] = job
+        self._jobs[job.key] = job
         self.stats.dispatched += 1
-        if job.kind == "plan":
-            request = job.ticket.request
-            if job.attempts == 1:
-                # the worker-side evaluation is this service's
-                # "executed" unit, re-dispatches don't re-count
-                with self.service._lock:
-                    self.service.stats.executed += 1
-            stall = next(
-                (s for prefix, s in self.stall_labels.items()
-                 if request.label.startswith(prefix)), 0.0)
-            self.service.recorder.emit(
-                request.request_id, "dispatched", worker=worker.id,
-                attempt=job.attempts)
-            msg: Message = PlanRequestMessage(
-                ticket=job.key, request=request,
-                queue_seconds=job.queue_seconds, stall_seconds=stall)
-        else:
-            eval_msg: EvalRequestMessage = job.message
-            needed = {
-                name: payload
-                for name, payload in eval_msg.payloads.items()
-                if eval_msg.digests[name] not in worker.primed
-            }
-            worker.primed.update(eval_msg.digests.values())
-            # piggyback the current best-so-far per context: chunks
-            # dispatched after earlier ones completed see a tighter
-            # threshold (the trackers are monotonic, so a stale stamp is
-            # merely conservative, never wrong)
-            thresholds: Dict[str, float] = {}
-            if job.best:
-                for name, tracker in job.best.items():
-                    t = tracker.threshold()
-                    if t != float("inf"):
-                        thresholds[name] = t
-            msg = EvalRequestMessage(
-                job=eval_msg.job, digests=eval_msg.digests,
-                payloads=needed, items=eval_msg.items,
-                prune_above=thresholds, prune=eval_msg.prune)
+        request = job.ticket.request
+        if job.attempts == 1:
+            # the worker-side evaluation is this service's
+            # "executed" unit, re-dispatches don't re-count
+            with self.service._lock:
+                self.service.stats.executed += 1
+        stall = next(
+            (s for prefix, s in self.stall_labels.items()
+             if request.label.startswith(prefix)), 0.0)
+        self.service.recorder.emit(
+            request.request_id, "dispatched", worker=worker.id,
+            attempt=job.attempts)
+        msg = PlanRequestMessage(
+            ticket=job.key, request=request,
+            queue_seconds=job.queue_seconds, stall_seconds=stall)
         try:
             worker.inbox.put(msg.to_wire())
         except (OSError, ValueError):
@@ -876,13 +678,9 @@ class ProcessFleetBackend(ExecutionBackend):
     def _fail_undispatched(self, error: BaseException) -> None:
         while self._ready:
             job = self._ready.popleft()
-            if job.kind == "plan" and job.ticket.done:
+            if job.ticket.done:
                 continue
-            self._jobs.pop((job.kind, job.key), None)
-            self._resolve_error(job, error)
-        with self._mutex:
-            pending, self._eval_inbox = self._eval_inbox, []
-        for job in pending:
+            self._jobs.pop(job.key, None)
             self._resolve_error(job, error)
 
     # ------------------------------------------------------------------ #
@@ -911,8 +709,7 @@ class ProcessFleetBackend(ExecutionBackend):
             self.stats.exited += 1
             self._release_reader(worker)
         self._fleet.clear()
-        # unblock every remaining waiter: evaluate_batch callers that
-        # raced with close() and any job the drain loop left in flight
+        # fail any job the drain loop left in flight
         closed = ServiceClosedError("fleet backend closed")
         self._fail_undispatched(closed)
         for job in list(self._jobs.values()):

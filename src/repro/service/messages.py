@@ -15,8 +15,6 @@ Manager -> worker:
 
 - :class:`PlanRequestMessage` — serve one admitted plan request on a
   warm worker-side context;
-- :class:`EvalRequestMessage` — evaluate a chunk of candidate
-  strategies (the :class:`~repro.plan.BatchEvaluator` borrow path);
 - :class:`ShutdownMessage` — drain and exit.
 
 Worker -> manager:
@@ -27,26 +25,25 @@ Worker -> manager:
   "mid-request" hook);
 - :class:`CompletedMessage` / :class:`FailedMessage` — one request's
   outcome;
-- :class:`EvalCompletedMessage` — one evaluation chunk's outcomes;
 - :class:`HeartbeatMessage` — periodic liveness beacon from a
   worker-side daemon thread (missed beats trigger failure detection).
 
-Payload fields (``request``, ``result``, profile tuples, outcomes)
-stay live objects inside the wire dict — the queue's pickling moves
-them — so the round trip is about typed framing, not serialization.
+Payload fields (``request``, ``result``) stay live objects inside the
+wire dict — the queue's pickling moves them — so the round trip is
+about typed framing, not serialization.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional
 
 from ..errors import FleetProtocolError
 
-# v2: EvalRequestMessage grew the best-so-far piggyback fields
-# (``prune_above`` per-context thresholds + the ``prune`` escape hatch)
-WIRE_VERSION = 2
+# v3: the evaluation-chunk messages are gone and FailedMessage lost its
+# ``kind`` field (every job is a plan request)
+WIRE_VERSION = 3
 
 _WIRE_FIELDS = ("v", "type")
 
@@ -130,31 +127,6 @@ class PlanRequestMessage(Message):
 
 @_register
 @dataclass(frozen=True)
-class EvalRequestMessage(Message):
-    """Evaluate a chunk of (context, strategy-dict) candidate pairs.
-
-    ``digests`` names the builder context(s) the chunk needs;
-    ``payloads`` carries the (graph, cluster, profile, flags) tuples
-    only for contexts the manager has not yet primed on this worker.
-
-    ``prune_above`` piggybacks the manager's best-so-far per context at
-    dispatch time: the worker prunes candidates that provably exceed
-    the threshold for their context (missing contexts are evaluated in
-    full).  ``prune=False`` disables worker-side pruning outright.
-    """
-
-    TYPE = "eval_request"
-
-    job: str = ""
-    digests: Dict[str, str] = field(default_factory=dict)
-    payloads: Dict[str, tuple] = field(default_factory=dict)
-    items: List[Tuple[str, dict]] = field(default_factory=list)
-    prune_above: Dict[str, float] = field(default_factory=dict)
-    prune: bool = True
-
-
-@_register
-@dataclass(frozen=True)
 class ShutdownMessage(Message):
     """Drain and exit the worker main loop."""
 
@@ -198,16 +170,6 @@ class CompletedMessage(Message):
 
 @_register
 @dataclass(frozen=True)
-class EvalCompletedMessage(Message):
-    TYPE = "eval_completed"
-
-    job: str = ""
-    worker: str = ""
-    outcomes: List[Any] = field(default_factory=list)
-
-
-@_register
-@dataclass(frozen=True)
 class FailedMessage(Message):
     """A job raised on the worker.
 
@@ -221,7 +183,6 @@ class FailedMessage(Message):
 
     ticket: str = ""
     worker: str = ""
-    kind: str = "plan"               # "plan" | "eval"
     error_type: str = ""
     message: str = ""
 

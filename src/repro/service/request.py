@@ -45,19 +45,16 @@ def _config_payload(config: HeteroGConfig) -> Any:
     """The configuration fields that influence planning results.
 
     The agent's ``seed`` and ``use_order_scheduling`` are overridden by
-    the request (see :class:`~repro.service.context.PlanContext`), and
-    ``eval_workers`` never changes results (parallel evaluation is
-    bit-identical to serial), so none of them splits contexts.  The
-    winner-safe ``prune`` flag is likewise result-transparent and does
-    not split contexts — but it IS part of
-    the request fingerprint, so a pruned and an unpruned request never
-    coalesce; ``prune_rollouts`` (which changes training trajectories)
-    stays in the payload.
+    the request (see :class:`~repro.service.context.PlanContext`), so
+    neither splits contexts.  The winner-safe ``prune`` flag is
+    result-transparent and does not split contexts either — but it IS
+    part of the request fingerprint, so a pruned and an unpruned request
+    never coalesce; ``prune_rollouts`` (which changes training
+    trajectories) stays in the payload.
     """
     agent = dataclasses.asdict(config.agent)
     agent.pop("seed", None)
     agent.pop("use_order_scheduling", None)
-    agent.pop("eval_workers", None)
     agent.pop("prune", None)
     return {
         "seed": config.seed,

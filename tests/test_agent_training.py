@@ -1,5 +1,7 @@
 """Tests for the REINFORCE trainer, agent facade, and seed candidates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.errors import StrategyError
 from repro.graph.grouping import group_operations
 from repro.parallel import single_device_strategy
 from repro.profiling import Profiler
+from repro.scheduling import ListScheduler
 
 from tests.helpers import make_mlp
 
@@ -146,3 +149,23 @@ class TestTrainer:
         agent.train(6)
         assert agent.best_time("g1") < float("inf")
         assert agent.best_time("g2") < float("inf")
+
+    def test_no_prune_reaches_every_schedule_call(self, four_gpu,
+                                                  monkeypatch):
+        """prune=False (--no-prune) disables the scheduler's
+        candidate-race abort for the memory-ladder raw seeds too, not
+        only for the policy's rollouts."""
+        calls = []
+        schedule = ListScheduler.schedule
+
+        def spy(self, *args, **kwargs):
+            calls.append(kwargs.get("prune", True))
+            return schedule(self, *args, **kwargs)
+
+        monkeypatch.setattr(ListScheduler, "schedule", spy)
+        agent = HeteroGAgent(four_gpu, dataclasses.replace(SMALL,
+                                                           prune=False))
+        agent.add_graph(make_mlp(name="no_prune_mlp"))
+        agent.train(2)
+        assert agent.trainer._raw_seeds_pending == {}
+        assert calls and not any(calls)

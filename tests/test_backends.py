@@ -11,7 +11,6 @@ import warnings
 import pytest
 
 from repro.agent import AgentConfig
-from repro.baselines import DP_BASELINES, dp_strategy
 from repro.cluster import cluster_4gpu
 from repro.config import HeteroGConfig
 from repro.errors import (
@@ -21,7 +20,6 @@ from repro.errors import (
     ServiceOverloadedError,
     WorkerLostError,
 )
-from repro.plan import BatchEvaluator, PlanBuilder
 from repro.service import (
     InlineBackend,
     PlanRequest,
@@ -30,7 +28,6 @@ from repro.service import (
     ThreadBackend,
     make_backend,
 )
-from repro.service.backends import active_fleet
 from repro.service.messages import (
     CompletedMessage,
     HeartbeatMessage,
@@ -377,24 +374,3 @@ class TestFleetBackend:
             assert backend.snapshot()["alive"] == 0
         exits = journal_events(svc, event="worker_exit")
         assert len(exits) >= 2
-
-    def test_batch_evaluator_borrows_fleet(self, mlp, four_gpu):
-        strategies = [dp_strategy(n, mlp, four_gpu)
-                      for n in DP_BASELINES]
-        serial = [PlanBuilder(mlp, four_gpu).evaluate(s)
-                  for s in strategies]
-        svc, backend = self.fleet_service("borrow")
-        with svc:
-            backend.ensure_started()
-            assert active_fleet() is backend
-            batch = BatchEvaluator(PlanBuilder(mlp, four_gpu),
-                                   max_workers=2)
-            outcomes = batch.evaluate(strategies)
-            assert batch._pool is None   # borrowed, no private pool
-            assert backend.stats.eval_jobs >= 1
-        assert [o.time for o in outcomes] == [o.time for o in serial]
-        assert [o.oom for o in outcomes] == [o.oom for o in serial]
-        assert active_fleet() is None    # unregistered on close
-        # with the fleet gone the evaluator falls back transparently
-        fallback = batch.evaluate([strategies[0]])
-        assert fallback[0].time == serial[0].time

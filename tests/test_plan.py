@@ -1,4 +1,4 @@
-"""The cached ExecutionPlan layer: fingerprints, caches, batch eval."""
+"""The cached ExecutionPlan layer: fingerprints, caches, population eval."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from repro import telemetry
 from repro.baselines import DP_BASELINES, dp_strategy
 from repro.errors import CompileError
 from repro.parallel.strategy import single_device_strategy
-from repro.plan import BatchEvaluator, PlanBuilder, PlanCache
+from repro.plan import PlanBuilder, PlanCache
 from repro.profiling import MeasurementNoise, Profiler
 
 
@@ -160,32 +160,18 @@ class TestEvaluationCaching:
 
 
 # --------------------------------------------------------------------- #
-# BatchEvaluator
+# evaluate_many
 # --------------------------------------------------------------------- #
-class TestBatchEvaluator:
+class TestEvaluateMany:
     def candidates(self, graph, cluster):
         strategies = [dp_strategy(n, graph, cluster) for n in DP_BASELINES]
         strategies.append(single_device_strategy(graph, cluster))
         return strategies
 
-    def test_parallel_matches_serial(self, mlp_graph, four_gpu, mlp_profile):
-        strategies = self.candidates(mlp_graph, four_gpu)
-        serial = [
-            fresh_builder(mlp_graph, four_gpu, mlp_profile).evaluate(s)
-            for s in strategies
-        ]
-        with BatchEvaluator(fresh_builder(mlp_graph, four_gpu, mlp_profile),
-                            max_workers=2) as batch:
-            parallel = batch.evaluate(strategies)
-        assert [o.time for o in parallel] == [o.time for o in serial]
-        assert [o.oom for o in parallel] == [o.oom for o in serial]
-        assert [o.dist_ops for o in parallel] == [o.dist_ops for o in serial]
-
     def test_input_order_preserved(self, mlp_graph, four_gpu, mlp_profile):
         strategies = self.candidates(mlp_graph, four_gpu)
         b = fresh_builder(mlp_graph, four_gpu, mlp_profile)
-        batch = BatchEvaluator(b)
-        outcomes = batch.evaluate(strategies)
+        outcomes = b.evaluate_many(strategies)
         for s, outcome in zip(strategies, outcomes):
             assert outcome.time == b.evaluate(s).time
 
@@ -193,12 +179,11 @@ class TestBatchEvaluator:
                                        mlp_profile):
         s = dp_strategy("EV-AR", mlp_graph, four_gpu)
         b = fresh_builder(mlp_graph, four_gpu, mlp_profile)
-        batch = BatchEvaluator(b)
-        outcomes = batch.evaluate([s, s, s])
+        outcomes = b.evaluate_many([s, s, s])
         assert outcomes[0] is outcomes[1] is outcomes[2]
-        # one batch-level lookup plus the single fresh evaluation's own
-        # lookup -- NOT three evaluations
-        assert b.outcome_cache.misses == 2
+        # the single fresh evaluation's own lookup -- NOT three
+        # evaluations
+        assert b.outcome_cache.misses == 1
         assert b.outcome_cache.hits == 0
 
     def test_parent_cache_served_and_seeded(self, mlp_graph, four_gpu,
@@ -206,42 +191,12 @@ class TestBatchEvaluator:
         strategies = self.candidates(mlp_graph, four_gpu)
         b = fresh_builder(mlp_graph, four_gpu, mlp_profile)
         warm = b.evaluate(strategies[0])
-        batch = BatchEvaluator(b)
-        outcomes = batch.evaluate(strategies)
+        outcomes = b.evaluate_many(strategies)
         assert outcomes[0] is warm  # pre-cached outcome reused verbatim
-        # fresh results were folded back into the parent cache
-        again = batch.evaluate(strategies)
+        # fresh results landed in the builder's cache
+        again = b.evaluate_many(strategies)
         assert [o.time for o in again] == [o.time for o in outcomes]
         assert b.outcome_cache.hit_rate > 0
-
-    def test_multi_context_pairs(self, mlp_graph, tiny_vgg, four_gpu,
-                                 mlp_profile, vgg_profile):
-        evaluator = BatchEvaluator({
-            "mlp": PlanBuilder(mlp_graph, four_gpu, mlp_profile),
-            "vgg": PlanBuilder(tiny_vgg, four_gpu, vgg_profile),
-        })
-        pairs = [
-            ("mlp", dp_strategy("EV-AR", mlp_graph, four_gpu)),
-            ("vgg", dp_strategy("EV-AR", tiny_vgg, four_gpu)),
-            ("mlp", dp_strategy("CP-AR", mlp_graph, four_gpu)),
-        ]
-        outcomes = evaluator.evaluate_pairs(pairs)
-        assert len(outcomes) == 3
-        assert all(o.feasible for o in outcomes)
-        assert outcomes[0].time != outcomes[1].time  # different graphs
-
-    def test_context_required_when_ambiguous(self, mlp_graph, four_gpu,
-                                             mlp_profile):
-        evaluator = BatchEvaluator({
-            "a": fresh_builder(mlp_graph, four_gpu, mlp_profile),
-            "b": fresh_builder(mlp_graph, four_gpu, mlp_profile),
-        })
-        with pytest.raises(ValueError):
-            evaluator.evaluate([dp_strategy("EV-AR", mlp_graph, four_gpu)])
-
-    def test_rejects_bad_worker_count(self, builder):
-        with pytest.raises(ValueError):
-            BatchEvaluator(builder, max_workers=0)
 
 
 # --------------------------------------------------------------------- #

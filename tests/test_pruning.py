@@ -27,12 +27,12 @@ from repro.parallel.strategy import (
     make_dp_strategy,
     make_mp_strategy,
 )
-from repro.plan import BatchEvaluator, BestSoFar, EvalOutcome, PlanBuilder
+from repro.plan import BestSoFar, PlanBuilder
 from repro.profiling import Profiler, exact_profile
 from repro.scheduling import ListScheduler
 from repro.service.messages import (
     WIRE_VERSION,
-    EvalRequestMessage,
+    PlanRequestMessage,
     message_from_wire,
 )
 from repro.simulation import ProfileCostModel, Simulator
@@ -234,21 +234,6 @@ class TestWinnerIdentity:
         idx1, t1, _ = serial_winner(pruned, pool, best=BestSoFar())
         assert (idx1, t1) == (idx0, t0)
 
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(graph_and_pool())
-    def test_batch_evaluator_shared_best_same_winner(self, payload):
-        graph, pool = payload
-        profile = exact_profile(graph, CLUSTER)
-        ref = PlanBuilder(graph, CLUSTER, profile)
-        idx0, t0, _ = serial_winner(ref, pool, prune=False)
-        with BatchEvaluator(PlanBuilder(graph, CLUSTER, profile),
-                            max_workers=1) as batch:
-            outcomes = batch.evaluate(pool, best=BestSoFar())
-        times = [o.time if o.feasible else float("inf") for o in outcomes]
-        idx1 = min(range(len(times)), key=times.__getitem__)
-        assert (idx1, times[idx1]) == (idx0, t0)
-
     def test_strict_mode_midsim_prune_admissible(self):
         """strict (non-work-conserving) engine mode: a pruned partial
         clock is a lower bound, and a loose limit changes nothing."""
@@ -348,26 +333,21 @@ class TestCacheSoundness:
         assert builder.evals_pruned == 1
         assert builder.evals_total == 1
 
-    def test_seeded_bound_outcome_served_by_batch_evaluator(self):
-        """A worker's "bound" outcome seeded into a fresh builder and
-        then served from its cache counts as one served evaluation, so
-        the pruned fraction is defined and never above 1."""
-        graph = random_graph(2, 16, 8, False)
-        builder = PlanBuilder(graph, CLUSTER, exact_profile(graph, CLUSTER))
-        strategy = candidate_strategies(
-            graph, np.random.default_rng(5), 1)[0]
-        seeded = EvalOutcome(time=float("inf"), oom=False, result=None,
-                             dist_ops=0, pruned=True, bound=5.0,
-                             prune_stage="bound")
-        builder.seed_outcome(builder.fingerprint(strategy), seeded)
+    def test_cached_bound_outcome_served_by_evaluate_many(self):
+        """A cached "bound" outcome served by evaluate_many under a
+        shared best-so-far counts as one served evaluation, so the
+        pruned fraction stays defined and never above 1."""
+        make, strategy, exact, bound = self._pickable()
+        builder = make()
+        first = builder.evaluate(strategy, prune_above=bound / 2.0)
+        assert first.pruned and first.prune_stage == "bound"
         best = BestSoFar()
-        best.observe(1.0)
+        best.observe(bound / 2.0)
         with telemetry.session() as tel:
-            outcomes = BatchEvaluator(builder).evaluate([strategy],
-                                                        best=best)
+            outcomes = builder.evaluate_many([strategy], best=best)
             fraction = tel.registry.get("plan_pruned_fraction").value
-        assert outcomes == [seeded]
-        assert (builder.evals_pruned, builder.evals_total) == (1, 1)
+        assert outcomes == [first]
+        assert (builder.evals_pruned, builder.evals_total) == (2, 2)
         assert fraction == 1.0
 
     def test_trace_bypasses_pruning(self):
@@ -382,16 +362,17 @@ class TestCacheSoundness:
 # --------------------------------------------------------------------- #
 class TestWireProtocol:
     def test_version_bumped_for_prune_fields(self):
-        assert WIRE_VERSION == 2
-        msg = EvalRequestMessage(job="j", prune_above={"ctx": 1.5})
+        """v2 added the prune fields of the evaluation frames; v3
+        removed those frames and ``FailedMessage.kind``."""
+        assert WIRE_VERSION == 3
+        msg = PlanRequestMessage(ticket="t", queue_seconds=0.5)
         wire = msg.to_wire()
-        assert wire["v"] == 2
+        assert wire["v"] == 3
         decoded = message_from_wire(wire)
-        assert decoded.prune_above == {"ctx": 1.5}
-        assert decoded.prune is True
+        assert decoded == msg
 
     def test_old_version_frame_rejected(self):
-        wire = EvalRequestMessage(job="j").to_wire()
-        wire["v"] = 1
+        wire = PlanRequestMessage(ticket="t").to_wire()
+        wire["v"] = 2
         with pytest.raises(FleetProtocolError):
             message_from_wire(wire)

@@ -203,13 +203,14 @@ class TestCLIPlan:
         ["plan", "transformer", "--preset", "tiny"],
         ["churn", "transformer", "--preset", "tiny", "--quick"],
     ])
-    def test_zero_eval_workers_one_line_error(self, capsys, command):
-        """--workers counts evaluation processes for plan/churn: 0 is
-        rejected up front with exit 2 and a message naming the flag."""
-        assert main(command + ["--workers", "0"]) == 2
+    def test_workers_option_rejected(self, capsys, command):
+        """plan/churn evaluate candidates serially and take no
+        --workers: the parser rejects it with exit 2, naming the flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--workers", "2"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "--workers" in err
+        assert "unrecognized arguments: --workers 2" in err
         assert "Traceback" not in err
 
     def test_experiment_rejects_unknown(self):
