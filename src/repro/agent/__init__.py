@@ -2,7 +2,6 @@
 
 from .agent import AgentConfig, HeteroGAgent
 from .embedding import GATEncoder
-from .environment import EvalOutcome, StrategyEvaluator
 from .features import FeatureEncoder
 from .policy import (
     DP_ACTIONS,
@@ -13,7 +12,7 @@ from .policy import (
     num_actions,
     uniform_action_vector,
 )
-from .reinforce import GraphContext, ReinforceTrainer, TrainerConfig
+from .reinforce import GraphContext, ReinforceTrainer
 from .reward import MovingAverageBaseline, compute_reward
 from .seeds import seed_action_vectors
 
@@ -22,8 +21,6 @@ __all__ = [
     "AgentConfig",
     "GATEncoder",
     "FeatureEncoder",
-    "StrategyEvaluator",
-    "EvalOutcome",
     "PolicyNetwork",
     "PolicySample",
     "DP_ACTIONS",
@@ -33,7 +30,6 @@ __all__ = [
     "uniform_action_vector",
     "GraphContext",
     "ReinforceTrainer",
-    "TrainerConfig",
     "MovingAverageBaseline",
     "compute_reward",
     "seed_action_vectors",

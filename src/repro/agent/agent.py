@@ -16,11 +16,11 @@ from ..errors import StrategyError
 from ..graph.dag import ComputationGraph
 from ..graph.grouping import Grouping, group_operations
 from ..parallel.strategy import Strategy
+from ..plan import PlanBuilder
 from ..profiling.profiler import Profile, Profiler
-from .environment import StrategyEvaluator
 from .features import FeatureEncoder
 from .policy import PolicyNetwork, num_actions
-from .reinforce import GraphContext, ReinforceTrainer, TrainerConfig
+from .reinforce import GraphContext, ReinforceTrainer
 
 
 @dataclass
@@ -30,6 +30,9 @@ class AgentConfig:
     Paper defaults: 12 GAT layers x 8 heads, 8 Transformer-XL layers,
     N = 2000 groups.  The defaults here are CPU-feasible reductions of the
     same architecture; pass ``paper_scale()`` for the faithful sizes.
+    ``learning_rate``, the entropy schedule, ``use_seeds``, ``prune``
+    and ``seed`` configure the
+    :class:`~repro.agent.reinforce.ReinforceTrainer` directly.
     """
 
     max_groups: int = 60
@@ -47,9 +50,6 @@ class AgentConfig:
     seed: int = 0
     # winner-safe branch-and-bound pruning (results bit-identical)
     prune: bool = True
-    # opt-in best-so-far pruning of REINFORCE rollouts (faster but NOT
-    # reward-transparent; see TrainerConfig.prune_rollouts)
-    prune_rollouts: bool = False
 
     @staticmethod
     def paper_scale() -> "AgentConfig":
@@ -89,7 +89,7 @@ class HeteroGAgent:
         )
         index = {n: i for i, n in enumerate(graph.op_names)}
         assignment = grouping.assignment_matrix(index)
-        evaluator = StrategyEvaluator(
+        builder = PlanBuilder(
             graph, self.cluster, profile,
             use_order_scheduling=self.config.use_order_scheduling,
             group_of=grouping.group_of,
@@ -97,7 +97,7 @@ class HeteroGAgent:
         ctx = GraphContext(
             name=name, graph=graph, grouping=grouping, features=features,
             neighbourhood=neighbourhood, assignment=assignment,
-            evaluator=evaluator,
+            builder=builder,
         )
         self._contexts.append(ctx)
         self._trainer = None  # contexts changed; rebuild on next train
@@ -127,19 +127,8 @@ class HeteroGAgent:
         if self._trainer is None:
             if not self._contexts:
                 raise StrategyError("no graphs registered yet")
-            cfg = self.config
-            self._trainer = ReinforceTrainer(
-                self.policy, self._contexts,
-                TrainerConfig(
-                    learning_rate=cfg.learning_rate,
-                    entropy_weight=cfg.entropy_weight,
-                    entropy_decay=cfg.entropy_decay,
-                    use_seeds=cfg.use_seeds,
-                    prune=cfg.prune,
-                    prune_rollouts=cfg.prune_rollouts,
-                ),
-                seed=cfg.seed,
-            )
+            self._trainer = ReinforceTrainer(self.policy, self._contexts,
+                                             self.config)
         return self._trainer
 
     def train(self, episodes: int) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,15 +22,20 @@ from ..nn import functional as F
 from ..nn.functional import Neighbourhood
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor
-from ..plan import BestSoFar
-from .environment import EvalOutcome, StrategyEvaluator
+from ..plan import EvalOutcome, PlanBuilder
 from .policy import PolicyNetwork, actions_to_strategy
 from .reward import MovingAverageBaseline, compute_reward
 from .seeds import seed_action_vectors
 
+if TYPE_CHECKING:
+    from .agent import AgentConfig
+
 # rewards are negative (-sqrt(T), x10 on OOM): symmetric-log buckets
 _REWARD_BUCKETS = tuple(-(4.0 ** i) for i in range(8, -1, -1)) + (
     0.0, 1.0, 4.0)
+
+#: global gradient-norm clip of the policy optimizer
+CLIP_NORM = 5.0
 
 
 @dataclass
@@ -43,7 +48,7 @@ class GraphContext:
     features: np.ndarray         # (O, F)
     neighbourhood: Neighbourhood  # GAT attention entries, built once
     assignment: np.ndarray       # (N, O)
-    evaluator: StrategyEvaluator
+    builder: PlanBuilder
     baseline: MovingAverageBaseline = field(
         default_factory=lambda: MovingAverageBaseline(0.9)
     )
@@ -63,54 +68,28 @@ class GraphContext:
             self.best_actions = actions.copy()
 
 
-@dataclass
-class TrainerConfig:
-    """Hyper-parameters of the REINFORCE update."""
-    learning_rate: float = 3e-3
-    entropy_weight: float = 5e-3
-    entropy_decay: float = 0.995   # anneal exploration over episodes
-    baseline_decay: float = 0.9
-    clip_norm: float = 5.0
-    use_seeds: bool = True
-    # winner-safe pruning layers (scheduler candidate-race abort etc.);
-    # never changes any outcome the trainer sees
-    prune: bool = True
-    # opt-in: thread the per-graph best-so-far into rollout evaluation.
-    # OFF by default because it is NOT reward-transparent: a pruned
-    # rollout earns the infeasible penalty instead of -sqrt(T), which
-    # changes the policy-gradient trajectory (and therefore the search
-    # path) relative to an unpruned run.  Enable only when training
-    # throughput matters more than bit-identical training curves.
-    prune_rollouts: bool = False
-
-
 class ReinforceTrainer:
     """Trains one policy over a set of graph contexts."""
 
     def __init__(self, policy: PolicyNetwork, contexts: Sequence[GraphContext],
-                 config: TrainerConfig = TrainerConfig(), seed: int = 0):
+                 config: AgentConfig):
         if not contexts:
             raise ValueError("trainer needs at least one graph context")
         self.policy = policy
         self.contexts = list(contexts)
         self.config = config
         self.optimizer = Adam(policy.parameters(), lr=config.learning_rate,
-                              clip_norm=config.clip_norm)
-        self.rng = np.random.default_rng(seed)
+                              clip_norm=CLIP_NORM)
+        self.rng = np.random.default_rng(config.seed)
         self.episode = 0
         self._entropy_weight = config.entropy_weight
         self._seed_queues: Dict[str, List[np.ndarray]] = {}
         self._repair_attempts: Dict[str, int] = {}
         self._raw_seeds_pending: Dict[str, bool] = {}
-        # per-graph best-so-far trackers (only consulted when the
-        # prune_rollouts opt-in is set; observation is free otherwise)
-        self._best: Dict[str, BestSoFar] = {
-            ctx.name: BestSoFar() for ctx in self.contexts
-        }
         if config.use_seeds:
             for ctx in self.contexts:
                 self._seed_queues[ctx.name] = seed_action_vectors(
-                    ctx.graph, ctx.evaluator.cluster, ctx.grouping
+                    ctx.graph, ctx.builder.cluster, ctx.grouping
                 )
                 self._raw_seeds_pending[ctx.name] = True
 
@@ -140,19 +119,14 @@ class ReinforceTrainer:
                 forced_actions=forced,
             )
             strategy = actions_to_strategy(
-                ctx.graph, ctx.evaluator.cluster, ctx.grouping, sample.actions
+                ctx.graph, ctx.builder.cluster, ctx.grouping, sample.actions
             )
             rollouts.append((ctx, sample, strategy))
-        # Phase 2: evaluate each rollout in context order.  The
-        # best-so-far trackers are threaded only under the
-        # prune_rollouts opt-in (see TrainerConfig).
-        track = self.config.prune and self.config.prune_rollouts
-        outcomes = [
-            ctx.evaluator.evaluate(
-                strategy, best=self._best[ctx.name] if track else None,
-                prune=self.config.prune)
-            for ctx, _, strategy in rollouts
-        ]
+        # Phase 2: evaluate each rollout in context order.  No
+        # best-so-far is threaded in: a pruned rollout would train on the
+        # infeasible penalty instead of its reward.
+        outcomes = [ctx.builder.evaluate(strategy, prune=self.config.prune)
+                    for ctx, _, strategy in rollouts]
         # Phase 3: rewards, baselines and the policy-gradient loss.
         for (ctx, sample, strategy), outcome in zip(rollouts, outcomes):
             self._maybe_repair_ladder(ctx, sample.actions, outcome)
@@ -211,12 +185,12 @@ class ReinforceTrainer:
         """Evaluate the per-op memory-ladder strategy with a bounded
         rebalance loop (feasibility fallback for the large-model rows)."""
         from .seeds import memory_ladder_strategy, rebalance_weights
-        cluster = ctx.evaluator.cluster
+        cluster = ctx.builder.cluster
         weights = None
         for _ in range(4):
             strategy = memory_ladder_strategy(ctx.graph, cluster, weights)
-            outcome = ctx.evaluator.evaluate(strategy,
-                                             prune=self.config.prune)
+            outcome = ctx.builder.evaluate(strategy,
+                                           prune=self.config.prune)
             if outcome.feasible:
                 if outcome.time < ctx.best_raw_time:
                     ctx.best_raw_time = outcome.time
@@ -239,7 +213,7 @@ class ReinforceTrainer:
             return
         if outcome.result is None or not outcome.result.peak_memory:
             return
-        m = ctx.evaluator.cluster.num_devices
+        m = ctx.builder.cluster.num_devices
         if (actions < m).mean() < 0.5:
             return  # only repair MP-ladder-like candidates
         attempts = self._repair_attempts.get(ctx.name, 0)
@@ -248,7 +222,7 @@ class ReinforceTrainer:
         self._repair_attempts[ctx.name] = attempts + 1
         from .seeds import rebalanced_ladder
         repaired = rebalanced_ladder(
-            ctx.graph, ctx.evaluator.cluster, ctx.grouping,
+            ctx.graph, ctx.builder.cluster, ctx.grouping,
             outcome.result.peak_memory,
         )
         self._seed_queues.setdefault(ctx.name, []).insert(0, repaired)
@@ -266,7 +240,7 @@ class ReinforceTrainer:
             return ctx.best_raw_strategy
         if ctx.best_actions is None:
             return None
-        return actions_to_strategy(ctx.graph, ctx.evaluator.cluster,
+        return actions_to_strategy(ctx.graph, ctx.builder.cluster,
                                    ctx.grouping, ctx.best_actions)
 
     def best_time(self, name: str) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .environment import EvalOutcome
+from ..plan import EvalOutcome
 
 OOM_PENALTY_FACTOR = 10.0
 # reward assigned when the strategy cannot even be compiled/simulated
@@ -21,10 +21,10 @@ def compute_reward(outcome: EvalOutcome) -> float:
     """R = -sqrt(T); x10 on OOM; large fixed penalty when uncompilable.
 
     A pruned outcome (evaluation aborted because the candidate provably
-    exceeds the best-so-far; only produced under the trainer's
-    ``prune_rollouts`` opt-in) carries ``time=inf`` and takes the same
-    fixed penalty — the true time is unknown but certainly worse than
-    anything already found.
+    exceeds a best-so-far) carries ``time=inf`` and takes the same fixed
+    penalty — the true time is unknown but certainly worse than anything
+    already found.  The trainer never produces one: it evaluates its
+    rollouts without a best-so-far.
     """
     if outcome.infeasible or outcome.pruned:
         return -OOM_PENALTY_FACTOR * math.sqrt(INFEASIBLE_TIME)

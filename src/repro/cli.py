@@ -431,14 +431,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     cluster = _resolve_cluster(args.cluster)()
     graph = build_model(model_name, args.preset)
     config = HeteroGConfig(seed=args.seed)
+    config.agent.prune = not args.no_prune
     # each unique group gets its own episode budget, so groups have
     # distinct fingerprints while copies within a group are identical
     requests = [
         PlanRequest(graph=graph, cluster=cluster,
                     episodes=args.episodes + i // max(1, args.duplicates),
                     timeout=args.timeout, config=config,
-                    label=f"serve:{i // max(1, args.duplicates)}",
-                    prune=not args.no_prune)
+                    label=f"serve:{i // max(1, args.duplicates)}")
         for i in range(args.requests * args.duplicates)
     ]
     print(f"serving {len(requests)} requests "
@@ -483,12 +483,12 @@ def cmd_bench_service(args: argparse.Namespace) -> int:
     print(f"benchmarking {args.duplicates} duplicate requests for "
           f"{graph.name} on {cluster}...", file=sys.stderr)
     config = HeteroGConfig(seed=args.seed)
+    config.agent.prune = not args.no_prune
     numbers = bench_coalescing(
         graph, cluster, duplicates=args.duplicates,
         episodes=args.episodes, workers=args.workers,
         config=config,
-        backend=args.backend, backend_options=_backend_options(args),
-        prune=not args.no_prune)
+        backend=args.backend, backend_options=_backend_options(args))
     for key, value in numbers.items():
         print(f"  {key:26s} {value}")
     if numbers["divergent_results"]:

@@ -13,14 +13,21 @@ from .agent.agent import AgentConfig
 class HeteroGConfig:
     """Knobs for strategy search and deployment.
 
+    The one home of a planning request's search settings: the planning
+    service reads them from here alone, and fingerprints every field
+    that can change a result.
+
     - ``episodes``: RL episodes for the strategy search.
     - ``use_order_scheduling``: HeteroG's rank-based execution order vs the
       framework's default FIFO ("whether to use default execution order or
-      our order scheduling algorithm").
+      our order scheduling algorithm"); overrides
+      ``agent.use_order_scheduling``.
     - ``checkpoint_path``: where to save trained variables (accepted for
       API fidelity; the simulated engine has no variables to persist).
-    - ``agent``: GNN policy hyper-parameters.
-    - ``seed``: master seed for profiling/search determinism.
+    - ``agent``: GNN policy and training hyper-parameters, including the
+      winner-safe ``prune`` switch (``--no-prune``).
+    - ``seed``: master seed for profiling/search determinism; overrides
+      ``agent.seed``.
     """
 
     episodes: int = 40

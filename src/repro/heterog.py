@@ -71,7 +71,6 @@ class HeteroG:
             profile=profile,
             episodes=episodes if episodes is not None
             else self.config.episodes,
-            use_order_scheduling=self.config.use_order_scheduling,
             config=self.config,
             label="heterog",
         )

@@ -71,8 +71,7 @@ SpeedFn = Callable[[Job, Sequence[str]], float]
 
 
 def cp_ar_speed_fn(cluster: Cluster, seed: int = 0, iterations: int = 2,
-                   service: Optional[PlanningService] = None,
-                   prune: bool = True) -> SpeedFn:
+                   service: Optional[PlanningService] = None) -> SpeedFn:
     """Fast speed oracle: CP-AR data parallelism on the sub-cluster.
 
     A full HeteroG search per candidate allocation is the faithful (but
@@ -103,7 +102,6 @@ def cp_ar_speed_fn(cluster: Cluster, seed: int = 0, iterations: int = 2,
             measure_iterations=iterations,
             config=config,
             label=f"multijob:{job.name}",
-            prune=prune,
         ))
         return result.speed(job.global_batch)
 

@@ -28,8 +28,7 @@ class ExecutionPlan:
 
     Carries the resident bytes the compiler derived (parameters +
     optimizer state per device) and the device capacities, so no hidden
-    state needs to flow alongside it — this replaces the old
-    ``StrategyEvaluator._last_resident`` side-channel.
+    state needs to flow alongside it.
 
     ``kernel`` is the array lowering of ``dist`` shared by every
     simulation of this plan (ranking and both candidate orders already

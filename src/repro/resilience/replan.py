@@ -58,8 +58,7 @@ class Replanner:
     def __init__(self, graph: ComputationGraph, base_cluster: Cluster, *,
                  agent_config: Optional[AgentConfig] = None,
                  episodes: int = 6, max_rounds: int = 3, seed: int = 0,
-                 service: Optional[PlanningService] = None,
-                 prune: bool = True):
+                 service: Optional[PlanningService] = None):
         if episodes < 1:
             raise ReproError(f"episodes must be >= 1, got {episodes}")
         self.graph = graph
@@ -68,10 +67,11 @@ class Replanner:
         self.episodes = episodes
         self.max_rounds = max_rounds
         self.seed = seed
-        self.prune = prune
         self.service = service if service is not None \
             else PlanningService(workers=0, name="replanner")
-        self._config = HeteroGConfig(seed=seed, agent=self.agent_config)
+        self._config = HeteroGConfig(
+            seed=seed, agent=self.agent_config,
+            use_order_scheduling=self.agent_config.use_order_scheduling)
 
     # ---------------------------------------------------------------- #
     def _request(self, cluster: Cluster,
@@ -81,10 +81,8 @@ class Replanner:
             cluster=cluster,
             episodes=episodes if episodes is not None else self.episodes,
             max_rounds=self.max_rounds,
-            use_order_scheduling=self.agent_config.use_order_scheduling,
             config=self._config,
             label="replan",
-            prune=self.prune,
         )
 
     def replan(self, cluster: Cluster, *,

@@ -111,8 +111,7 @@ def bench_coalescing(graph: ComputationGraph, cluster, *,
                      workers: int = 2, seed: int = 0,
                      config: Optional[HeteroGConfig] = None,
                      backend: str = "auto",
-                     backend_options: Optional[Dict] = None,
-                     prune: bool = True) -> Dict:
+                     backend_options: Optional[Dict] = None) -> Dict:
     """Coalesced concurrent serving vs naive serial replanning.
 
     Serial baseline: each duplicate request re-plans from scratch on a
@@ -132,7 +131,7 @@ def bench_coalescing(graph: ComputationGraph, cluster, *,
 
     def request() -> PlanRequest:
         return PlanRequest(graph=graph, cluster=cluster, episodes=episodes,
-                           config=config, label="bench", prune=prune)
+                           config=config, label="bench")
 
     # naive serial replanning: a cold service (cold contexts, cold
     # caches) per request
@@ -176,7 +175,7 @@ def bench_coalescing(graph: ComputationGraph, cluster, *,
         "episodes": episodes,
         "workers": workers,
         "backend": backend,
-        "prune": prune,
+        "prune": config.agent.prune,
         "serial_seconds": round(serial_s, 3),
         "concurrent_seconds": round(concurrent_s, 3),
         "speedup": round(serial_s / concurrent_s, 2)

@@ -3,10 +3,10 @@
 A :class:`PlanContext` is the unit of reuse inside the planning
 service: it owns the fitted :class:`~repro.profiling.profiler.Profile`,
 a standalone :class:`~repro.plan.PlanBuilder` for build requests, and a
-lazily created :class:`~repro.agent.HeteroGAgent` (whose evaluator
-wraps its own grouped builder) for search requests.  Repeated requests
-on the same context hit the plan layer's fingerprint caches instead of
-recompiling, which is where the service's amortization comes from.
+lazily created :class:`~repro.agent.HeteroGAgent` (with its own grouped
+builder) for search requests.  Repeated requests on the same context
+hit the plan layer's fingerprint caches instead of recompiling, which
+is where the service's amortization comes from.
 
 Contexts are internally locked: the service may serve many contexts
 concurrently, but requests on one context run serialized, keeping every
@@ -56,7 +56,6 @@ class PlanContext:
         self.graph = request.graph
         self.cluster = request.cluster
         self.config = request.config
-        self.use_order_scheduling = request.use_order_scheduling
         self.lock = threading.RLock()
         self.served = 0
         self.episodes_trained = 0
@@ -80,14 +79,14 @@ class PlanContext:
     def builder(self) -> PlanBuilder:
         """Standalone builder used by build (explicit-strategy) requests.
 
-        Search requests use the agent evaluator's own grouped builder;
+        Search requests use the agent's own grouped builder;
         keeping the two separate makes a build request's deployment
         independent of whether a search happened first.
         """
         if self._builder is None:
             self._builder = PlanBuilder(
                 self.graph, self.cluster, self.profile,
-                use_order_scheduling=self.use_order_scheduling,
+                use_order_scheduling=self.config.use_order_scheduling,
             )
         return self._builder
 
@@ -96,7 +95,7 @@ class PlanContext:
         if self._agent is None:
             agent_config = dataclasses.replace(
                 self.config.agent,
-                use_order_scheduling=self.use_order_scheduling,
+                use_order_scheduling=self.config.use_order_scheduling,
                 seed=self.config.seed,
             )
             self._agent = HeteroGAgent(self.cluster, agent_config)
@@ -106,11 +105,11 @@ class PlanContext:
 
     @property
     def search_builder(self) -> Optional[PlanBuilder]:
-        """The agent evaluator's builder, if a search ever ran here."""
+        """The agent's grouped builder, if a search ever ran here."""
         if self._agent is None:
             return None
         ctx = self._agent.try_context(self.graph.name)
-        return ctx.evaluator.builder if ctx is not None else None
+        return ctx.builder if ctx is not None else None
 
     # ------------------------------------------------------------------ #
     def handle(self, request: PlanRequest) -> Served:
@@ -125,10 +124,6 @@ class PlanContext:
         agent = self.agent
         builder = self.search_builder
         budget = request.budget
-        # the request's --no-prune switch overrides the config default
-        # for this dispatch (serialized under the context lock)
-        prune = bool(request.prune and self.config.agent.prune)
-        agent.trainer.config.prune = prune
         outcome: Optional[EvalOutcome] = None
         strategy: Optional[Strategy] = None
         ran = 0
@@ -143,7 +138,8 @@ class PlanContext:
                 strategy = agent.trainer.best_strategy(self.graph.name)
                 if strategy is None:
                     continue
-                outcome = builder.evaluate(strategy, prune=prune)
+                outcome = builder.evaluate(strategy,
+                                           prune=self.config.agent.prune)
                 if outcome.feasible:
                     break
         if outcome is None or not outcome.feasible:
@@ -168,10 +164,8 @@ class PlanContext:
     def _build(self, request: PlanRequest) -> Served:
         """Build (and optionally engine-measure) an explicit strategy."""
         builder = self.builder
-        outcome = builder.evaluate(
-            request.strategy,
-            prune=bool(request.prune and self.config.agent.prune),
-        )
+        outcome = builder.evaluate(request.strategy,
+                                   prune=self.config.agent.prune)
         deployment: Optional[Deployment] = None
         if not outcome.infeasible:
             with telemetry.span("pipeline.schedule", graph=self.graph.name):

@@ -2,9 +2,9 @@
 
 A :class:`PlanRequest` names *everything* that determines a planning
 outcome — the computation graph, the cluster (or client ``device_info``
-description), the search budget or the explicit strategy to build, the
-scheduler flag and the configuration seeds — and derives two content
-fingerprints from it:
+description), the search budget or the explicit strategy to build, and
+the :class:`~repro.config.HeteroGConfig` (scheduler and prune flags,
+seeds, agent) — and derives two content fingerprints from it:
 
 - ``context_key`` identifies the warm :class:`~repro.service.context.
   PlanContext` (graph + cluster + profile + config) the request is
@@ -45,17 +45,17 @@ def _config_payload(config: HeteroGConfig) -> Any:
     """The configuration fields that influence planning results.
 
     The agent's ``seed`` and ``use_order_scheduling`` are overridden by
-    the request (see :class:`~repro.service.context.PlanContext`), so
-    neither splits contexts.  The winner-safe ``prune`` flag is
-    result-transparent and does not split contexts either — but it IS
-    part of the request fingerprint, so a pruned and an unpruned request
-    never coalesce; ``prune_rollouts`` (which changes training
-    trajectories) stays in the payload.
+    the config's own (see :class:`~repro.service.context.PlanContext`),
+    so neither splits contexts; ``checkpoint_path`` never affects a
+    result, and ``episodes`` enters the fingerprint as the search
+    budget.  Every other agent field stays in the payload — the
+    winner-safe ``prune`` flag included, so pruned and unpruned
+    requests are served on separate warm contexts and never coalesce,
+    keeping ``--no-prune`` timings honest.
     """
     agent = dataclasses.asdict(config.agent)
     agent.pop("seed", None)
     agent.pop("use_order_scheduling", None)
-    agent.pop("prune", None)
     return {
         "seed": config.seed,
         "profile_noise_sigma": config.profile_noise_sigma,
@@ -71,7 +71,9 @@ class PlanRequest:
     ``strategy=None`` asks for a strategy *search* (up to ``max_rounds``
     batches of ``episodes`` RL episodes until a feasible strategy is
     found); an explicit ``strategy`` asks the service to *build* (and
-    optionally engine-measure) that strategy's deployment.
+    optionally engine-measure) that strategy's deployment.  Search
+    settings — order scheduling, pruning, the agent — come from
+    ``config`` alone.
     """
 
     graph: ComputationGraph
@@ -83,12 +85,6 @@ class PlanRequest:
     measure_iterations: Optional[int] = None  # engine-measure the result
     priority: int = 0                # higher is served first
     timeout: Optional[float] = None  # seconds (queue wait + service)
-    use_order_scheduling: bool = True
-    # branch-and-bound candidate pruning (winner-safe; False forces the
-    # full unpruned evaluation — the ``--no-prune`` A/B switch).  It IS
-    # fingerprinted so a pruned and an unpruned request never coalesce,
-    # keeping --no-prune timings honest.
-    prune: bool = True
     config: Optional[HeteroGConfig] = None
     label: str = ""                  # client tag (not fingerprinted)
     request_id: str = ""             # correlation id (auto-assigned)
@@ -156,7 +152,7 @@ class PlanRequest:
         payload = {
             "graph": _graph_payload(self.graph),
             "cluster": _cluster_payload(self.cluster),
-            "use_order_scheduling": bool(self.use_order_scheduling),
+            "use_order_scheduling": bool(self.config.use_order_scheduling),
             "config": _config_payload(self.config),
         }
         if self.profile is not None:
@@ -188,7 +184,6 @@ class PlanRequest:
                 "context": self.context_key,
                 "mode": mode,
                 "measure": self.measure_iterations or 0,
-                "prune": bool(self.prune),
             })
             object.__setattr__(self, "_fingerprint", cached)
         return cached

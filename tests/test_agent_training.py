@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.agent import AgentConfig, HeteroGAgent, seed_action_vectors
-from repro.agent.environment import StrategyEvaluator
 from repro.errors import StrategyError
 from repro.graph.grouping import group_operations
 from repro.parallel import single_device_strategy
+from repro.plan import PlanBuilder
 from repro.profiling import Profiler
 from repro.scheduling import ListScheduler
 
@@ -38,7 +38,7 @@ class TestEvaluator:
     def test_feasible_single_device(self, four_gpu):
         g = make_mlp(name="eval_mlp")
         profile = Profiler(seed=0).profile(g, four_gpu)
-        ev = StrategyEvaluator(g, four_gpu, profile)
+        ev = PlanBuilder(g, four_gpu, profile)
         outcome = ev.evaluate(single_device_strategy(g, four_gpu))
         assert outcome.feasible
         assert outcome.time > 0
@@ -49,10 +49,10 @@ class TestEvaluator:
         g = make_mlp(name="order_mlp", layers=4)
         profile = Profiler(seed=0).profile(g, four_gpu)
         st = single_device_strategy(g, four_gpu)
-        with_order = StrategyEvaluator(g, four_gpu, profile,
-                                       use_order_scheduling=True)
-        without = StrategyEvaluator(g, four_gpu, profile,
-                                    use_order_scheduling=False)
+        with_order = PlanBuilder(g, four_gpu, profile,
+                                 use_order_scheduling=True)
+        without = PlanBuilder(g, four_gpu, profile,
+                              use_order_scheduling=False)
         assert with_order.evaluate(st).time <= without.evaluate(st).time * 1.05
 
 
@@ -98,7 +98,7 @@ class TestTrainer:
         ctx = trained_agent.context("train_mlp")
         best = trained_agent.best_time("train_mlp")
         for name, st in all_dp_strategies(ctx.graph, four_gpu).items():
-            outcome = ctx.evaluator.evaluate(st)
+            outcome = ctx.builder.evaluate(st)
             if outcome.feasible:
                 assert best <= outcome.time + 1e-9, name
 

@@ -18,11 +18,11 @@ from repro.agent import (
     num_actions,
     uniform_action_vector,
 )
-from repro.agent.environment import EvalOutcome
 from repro.errors import StrategyError
 from repro.graph.grouping import group_operations
 from repro.nn import Neighbourhood
 from repro.parallel import CommMethod, ParallelKind, ReplicaAllocation
+from repro.plan import EvalOutcome
 
 
 @pytest.fixture(scope="module")

@@ -52,12 +52,12 @@ class TestExecutionEngine:
                                                      four_gpu):
         """The testbed and the Strategy Maker's simulator are different
         cost models (no circular evaluation)."""
-        from repro.agent.environment import StrategyEvaluator
+        from repro.plan import PlanBuilder
         from repro.profiling import Profiler
         profile = Profiler(seed=0).profile(mlp_graph, four_gpu)
         st = dp_strategy("EV-AR", mlp_graph, four_gpu)
-        sim_time = StrategyEvaluator(mlp_graph, four_gpu,
-                                     profile).evaluate(st).time
+        sim_time = PlanBuilder(mlp_graph, four_gpu,
+                               profile).evaluate(st).time
         dep = build_deployment(mlp_graph, four_gpu, st, profile=profile)
         engine = ExecutionEngine(four_gpu, seed=3)
         truth = engine.measure(dep.dist, dep.schedule, dep.resident_bytes,

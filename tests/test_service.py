@@ -1,6 +1,7 @@
 """Planning service: typed requests, coalescing, admission control,
 and concurrency determinism."""
 
+import dataclasses
 import threading
 import time
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro import telemetry
 from repro.agent import AgentConfig
+from repro.baselines import dp_strategy
 from repro.cluster import cluster_4gpu
 from repro.config import HeteroGConfig
 from repro.errors import (
@@ -113,6 +115,58 @@ class TestRequestValidation:
         assert a.fingerprint == b.fingerprint
 
 
+def _changed(value):
+    """A different value of the same type (new field types must add a
+    case here rather than slip past the fingerprint guard)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 2 if value else 0.5
+    raise TypeError(f"no changed value for {value!r}")
+
+
+# config fields that cannot change a result or are overridden, so they
+# stay out of the fingerprint on purpose
+_NOT_FINGERPRINTED = {
+    "checkpoint_path",            # never read while planning
+    "agent.seed",                 # overridden by the config's seed
+    "agent.use_order_scheduling",  # overridden by the config's flag
+}
+
+
+class TestFingerprintCoverage:
+    """A knob that can change a result must be part of the fingerprint."""
+
+    def test_every_config_field_is_fingerprinted(self, mlp, four_gpu):
+        def fingerprint(config):
+            # episodes=None: the config's episode budget is the search's
+            return PlanRequest(graph=mlp, cluster=four_gpu,
+                               config=config).fingerprint
+
+        reference = fingerprint(fast_config())
+        paths = [f.name for f in dataclasses.fields(HeteroGConfig)
+                 if f.name != "agent"]
+        paths += [f"agent.{f.name}" for f in dataclasses.fields(AgentConfig)]
+        missed, stale = [], []
+        for path in paths:
+            config = fast_config()
+            config.agent = dataclasses.replace(config.agent)
+            *owner, name = path.split(".")
+            target = config.agent if owner else config
+            value = getattr(target, name)
+            setattr(target, name, "elsewhere.ckpt"
+                    if path == "checkpoint_path" else _changed(value))
+            same = fingerprint(config) == reference
+            if same and path not in _NOT_FINGERPRINTED:
+                missed.append(path)
+            elif not same and path in _NOT_FINGERPRINTED:
+                stale.append(path)
+        assert missed == [], "fields missing from the fingerprint"
+        assert stale == [], "allow-listed fields that are fingerprinted"
+
+
 class TestServiceValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(workers=-1),
@@ -158,6 +212,24 @@ class TestInlineService:
         assert built.reused_context
         assert built.deployment is not None
         assert built.outcome.feasible
+
+    def test_config_order_flag_is_honoured(self, mlp, four_gpu):
+        """``HeteroGConfig.use_order_scheduling=False`` builds with the
+        default FIFO order instead of being served the ordered plan."""
+        strategy = dp_strategy("CP-AR", mlp, four_gpu)
+        fifo_config = dataclasses.replace(fast_config(),
+                                          use_order_scheduling=False)
+        ordered = PlanRequest(graph=mlp, cluster=four_gpu,
+                              strategy=strategy, config=fast_config())
+        fifo = PlanRequest(graph=mlp, cluster=four_gpu, strategy=strategy,
+                           config=fifo_config)
+        assert ordered.fingerprint != fifo.fingerprint
+        with PlanningService(workers=0) as service:
+            first = service.plan(ordered)
+            second = service.plan(fifo)
+        assert first.deployment.schedule.chosen is not None
+        assert not second.from_cache
+        assert second.deployment.schedule.chosen is None
 
     def test_failure_not_cached(self, mlp, four_gpu):
         """A failed request must not poison the result cache."""
