@@ -9,7 +9,6 @@ regularizer for exploration.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -101,7 +100,6 @@ class ReinforceTrainer:
 
     def _train_episode(self) -> Dict[str, float]:
         tel = telemetry.active()
-        wall_start = time.perf_counter() if tel is not None else 0.0
         losses: List[Tensor] = []
         rewards: Dict[str, float] = {}
         # Phase 1: sample one candidate per graph (policy RNG is touched
@@ -172,13 +170,8 @@ class ReinforceTrainer:
         self.optimizer.step()
         self.episode += 1
         self._entropy_weight *= self.config.entropy_decay
-        if tel is not None:
-            tel.registry.counter("agent_episodes_total",
-                                 help="REINFORCE episodes trained").inc()
-            tel.registry.histogram(
-                "agent_episode_wall_seconds",
-                help="wall-clock time per training episode",
-            ).observe(time.perf_counter() - wall_start)
+        telemetry.emit_count("agent_episodes_total",
+                             help="REINFORCE episodes trained")
         return rewards
 
     def _evaluate_raw_seeds(self, ctx: GraphContext) -> None:

@@ -21,7 +21,7 @@ from ..cluster.topology import Cluster
 from ..graph.dag import ComputationGraph
 from ..graph.grouping import Grouping, group_operations
 from ..parallel.strategy import Strategy
-from ..plan import BestSoFar, PlanBuilder
+from ..plan import PlanBuilder
 from ..profiling.profiler import Profile, Profiler
 
 
@@ -39,14 +39,11 @@ class FlexFlowSearch:
 
     def __init__(self, graph: ComputationGraph, cluster: Cluster,
                  profile: Optional[Profile] = None, *, max_groups: int = 60,
-                 seed: int = 0, prune: bool = False):
+                 seed: int = 0):
         self.graph = graph
-        # OFF by default: MCMC acceptance needs the proposal's exact
-        # finite time (and draws acceptance randomness on finite scores),
-        # so best-so-far pruning changes the walk.  Opt in only when
-        # throughput matters more than reproducing the unpruned chain.
-        self.prune = prune
-        self._best = BestSoFar() if prune else None
+        # no best-so-far pruning: MCMC acceptance needs the proposal's
+        # exact finite time (and draws acceptance randomness on finite
+        # scores), so pruning would change the walk
         self.cluster = cluster
         self.profile = profile or Profiler(seed=seed).profile(graph, cluster)
         avg = {op.name: op.flops for op in graph}
@@ -66,7 +63,7 @@ class FlexFlowSearch:
     def _evaluate(self, actions: np.ndarray) -> float:
         strategy = actions_to_strategy(self.graph, self.cluster,
                                        self.grouping, actions)
-        outcome = self.builder.evaluate(strategy, best=self._best)
+        outcome = self.builder.evaluate(strategy)
         if not outcome.feasible:
             return float("inf")
         return outcome.time
@@ -81,8 +78,7 @@ class FlexFlowSearch:
                       np.full(n, m + 3, dtype=np.int64)]
         outcomes = self.builder.evaluate_many(
             [actions_to_strategy(self.graph, self.cluster, self.grouping, c)
-             for c in candidates],
-            best=self._best)
+             for c in candidates])
         scored = sorted(
             (o.time if o.feasible else float("inf"), i)
             for i, o in enumerate(outcomes))

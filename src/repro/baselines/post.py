@@ -40,14 +40,8 @@ class PostSearch:
 
     def __init__(self, graph: ComputationGraph, cluster: Cluster,
                  profile: Optional[Profile] = None, *, max_groups: int = 60,
-                 seed: int = 0, prune: bool = True):
+                 seed: int = 0):
         self.graph = graph
-        # branch-and-bound pruning is search-transparent for CEM: a
-        # candidate is only aborted when provably worse than BOTH the
-        # global best AND the round's would-be elite cut (keep=num_elite),
-        # so the elite set, the refit distribution and the final best are
-        # bit-identical to the unpruned search.
-        self.prune = prune
         self.cluster = cluster
         self.profile = profile or Profiler(seed=seed).profile(graph, cluster)
         avg = {op.name: op.flops for op in graph}
@@ -66,14 +60,13 @@ class PostSearch:
         return outcome.time if outcome.feasible else float("inf")
 
     def _evaluate_round(self, batch: List[np.ndarray],
-                        best: Optional[BestSoFar] = None) -> List[float]:
+                        best: BestSoFar) -> List[float]:
         strategies = [
             actions_to_strategy(self.graph, self.cluster, self.grouping,
                                 draws)
             for draws in batch
         ]
-        outcomes = self.builder.evaluate_many(strategies, best=best,
-                                              prune=self.prune)
+        outcomes = self.builder.evaluate_many(strategies, best=best)
         # pruned outcomes score inf, same as infeasible ones: they are
         # provably outside the elite cut, so their exact time is moot
         return [o.time if o.feasible else float("inf") for o in outcomes]
@@ -88,10 +81,13 @@ class PostSearch:
         best_time = float("inf")
         evaluations = 0
         num_elite = max(1, int(samples_per_round * elite_fraction))
+        # branch-and-bound pruning is search-transparent for CEM: the
         # global best-so-far spans rounds; each round layers a
         # keep=num_elite tracker on top so only candidates that can
-        # neither win overall nor make the round's elite set are pruned
-        global_best = BestSoFar() if self.prune else None
+        # neither win overall nor make the round's elite set are pruned.
+        # The elite set, the refit distribution and the final best are
+        # bit-identical to the unpruned search.
+        global_best = BestSoFar()
         for _ in range(rounds):
             batch: List[np.ndarray] = [
                 np.array([
@@ -99,8 +95,7 @@ class PostSearch:
                 ])
                 for _ in range(samples_per_round)
             ]
-            round_best = (BestSoFar(keep=num_elite, floor=global_best)
-                          if self.prune else None)
+            round_best = BestSoFar(keep=num_elite, floor=global_best)
             scores = self._evaluate_round(batch, best=round_best)
             evaluations += len(batch)
             for draws, time in zip(batch, scores):

@@ -76,14 +76,6 @@ def _resolve_model(name: str) -> str:
     raise ReproError(f"unknown model {name!r}; {hint}")
 
 
-def _write_metrics(registry, path: str) -> None:
-    """Dump a metrics registry: Prometheus text for .prom/.txt, else JSON."""
-    if path.endswith((".prom", ".txt")):
-        registry.save_prometheus(path)
-    else:
-        registry.save_json(path)
-
-
 def _add_output_args(parser: argparse.ArgumentParser, *,
                      journal: bool = False) -> None:
     """The shared telemetry-output options (one definition, not four)."""
@@ -98,10 +90,22 @@ def _add_output_args(parser: argparse.ArgumentParser, *,
 
 
 def _save_outputs(args: argparse.Namespace, tel) -> None:
-    """Shared ``--metrics-out`` / ``--journal-out`` epilogue."""
-    if getattr(args, "metrics_out", None):
-        _write_metrics(tel.registry, args.metrics_out)
-        print(f"metrics written to {args.metrics_out}", file=sys.stderr)
+    """Shared ``--metrics-out`` / ``--journal-out`` epilogue.  The
+    session's closed spans are folded into one ``span_seconds{span=…}``
+    histogram before the registry is written (.prom/.txt: Prometheus
+    text, else JSON)."""
+    path = getattr(args, "metrics_out", None)
+    if path:
+        for span in tel.tracer.to_events():
+            tel.registry.histogram(
+                "span_seconds", labels={"span": span["name"]},
+                help="wall-clock seconds per closed span",
+            ).observe(span["duration"])
+        if path.endswith((".prom", ".txt")):
+            tel.registry.save_prometheus(path)
+        else:
+            tel.registry.save_json(path)
+        print(f"metrics written to {path}", file=sys.stderr)
     if getattr(args, "journal_out", None):
         from .telemetry.flight import default_recorder
         default_recorder().journal.save_jsonl(args.journal_out)

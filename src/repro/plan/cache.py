@@ -66,9 +66,5 @@ class PlanCache:
         self._data.clear()
 
     def _count(self, name: str) -> None:
-        tel = telemetry.active()
-        if tel is not None:
-            tel.registry.counter(
-                name, labels={"kind": self.kind},
-                help="plan-layer cache lookups by outcome",
-            ).inc()
+        telemetry.emit_count(name, labels={"kind": self.kind},
+                             help="plan-layer cache lookups by outcome")

@@ -290,12 +290,9 @@ class ResilientTrainer:
                 self.recorder.emit(self.episode_id, "device_joined",
                                    target=ev.target,
                                    devices=fleet.num_devices)
-        tel = telemetry.active()
-        if tel is not None:
-            tel.registry.gauge(
-                "elastic_fleet_devices",
-                help="physical fleet size after the latest capacity event",
-            ).set(fleet.num_devices)
+        telemetry.emit_gauge(
+            "elastic_fleet_devices", fleet.num_devices,
+            help="physical fleet size after the latest capacity event")
         if self.policy == "ride" or self.replanner is None:
             return
         notices = [e for e in events if e.kind is FaultKind.PREEMPT]
@@ -362,7 +359,6 @@ class ResilientTrainer:
                 <= set(self.deployment.cluster.device_ids):
             return                # arrivals already folded in (or doomed)
         cause = "arrival:" + "+".join(sorted(e.target for e in arrivals))
-        tel = telemetry.active()
         if self.policy == "elastic":
             decision = self.elastic_policy.decide(
                 self.deployment, cluster,
@@ -374,11 +370,9 @@ class ResilientTrainer:
                     expected_savings=decision.expected_savings,
                     replan_cost=decision.replan_cost,
                     reason=decision.reason)
-                if tel is not None:
-                    tel.registry.counter(
-                        "elastic_scale_ups_skipped_total",
-                        help="arrivals where replanning did not pay",
-                    ).inc()
+                telemetry.emit_count(
+                    "elastic_scale_ups_skipped_total",
+                    help="arrivals where replanning did not pay")
                 return
         else:
             decision = None       # replan policy adopts unconditionally
@@ -400,11 +394,9 @@ class ResilientTrainer:
                 expected_savings=0.0,
                 replan_cost=recovery.search_seconds,
                 reason="searched plan not faster than incumbent")
-            if tel is not None:
-                tel.registry.counter(
-                    "elastic_scale_ups_skipped_total",
-                    help="arrivals where replanning did not pay",
-                ).inc()
+            telemetry.emit_count(
+                "elastic_scale_ups_skipped_total",
+                help="arrivals where replanning did not pay")
             return
         # the search ran concurrently with training on the old plan:
         # adoption costs one restart, no work is thrown away
@@ -426,11 +418,9 @@ class ResilientTrainer:
             if decision is not None else 0.0,
             replan_cost=decision.replan_cost
             if decision is not None else recovery.search_seconds)
-        if tel is not None:
-            tel.registry.counter(
-                "elastic_scale_up_replans_total",
-                help="arrivals adopted via a priced replan",
-            ).inc()
+        telemetry.emit_count(
+            "elastic_scale_up_replans_total",
+            help="arrivals adopted via a priced replan")
 
     def _predicted_makespan(self) -> float:
         plan = self.deployment.plan

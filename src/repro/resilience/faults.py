@@ -402,14 +402,11 @@ class FaultInjector:
                                         target))
         if fired:
             self._push_overlay()
-            tel = telemetry.active()
-            if tel is not None:
-                for event in fired:
-                    tel.registry.counter(
-                        "resilience_faults_injected_total",
-                        labels={"kind": event.kind.value},
-                        help="fault events activated by the injector",
-                    ).inc()
+            for event in fired:
+                telemetry.emit_count(
+                    "resilience_faults_injected_total",
+                    labels={"kind": event.kind.value},
+                    help="fault events activated by the injector")
         return fired
 
     def _activate(self, event: FaultEvent) -> None:

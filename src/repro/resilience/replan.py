@@ -99,16 +99,8 @@ class Replanner:
                             devices=cluster.num_devices):
             result = self.service.plan(self._request(cluster, episodes))
         elapsed = time.time() - start
-        tel = telemetry.active()
-        if tel is not None:
-            tel.registry.counter(
-                "resilience_replans_total",
-                help="replacement-plan searches completed",
-            ).inc()
-            tel.registry.histogram(
-                "resilience_replan_seconds",
-                help="wall-clock spent searching replacement plans",
-            ).observe(elapsed)
+        telemetry.emit_count("resilience_replans_total",
+                             help="replacement-plan searches completed")
         assert result.deployment is not None  # searches raise when infeasible
         return RecoveryPlan(
             deployment=result.deployment,

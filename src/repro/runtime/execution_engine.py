@@ -82,7 +82,6 @@ class ExecutionEngine:
                       trace: bool = False) -> SimulationResult:
         """Execute one iteration; raises :class:`OutOfMemoryError` if a
         device's peak usage exceeds its capacity (as the real run would)."""
-        tel = telemetry.active()
         with telemetry.span("engine.iteration", graph=dist.name):
             result = self._simulator.run(
                 dist,
@@ -91,16 +90,14 @@ class ExecutionEngine:
                 capacities=self.capacities,
                 trace=trace,
             )
-        if tel is not None:
-            tel.registry.histogram(
-                "engine_iteration_seconds", labels={"graph": dist.name},
-                help="simulated per-iteration time on the truth engine",
-            ).observe(result.makespan)
-            for device in result.oom_devices:
-                tel.registry.counter(
-                    "engine_oom_total", labels={"device": device},
-                    help="iterations that exceeded a device's memory",
-                ).inc()
+        telemetry.emit_observe(
+            "engine_iteration_seconds", result.makespan,
+            labels={"graph": dist.name},
+            help="simulated per-iteration time on the truth engine")
+        for device in result.oom_devices:
+            telemetry.emit_count(
+                "engine_oom_total", labels={"device": device},
+                help="iterations that exceeded a device's memory")
         if check_memory and result.oom_devices:
             worst = result.oom_devices[0]
             raise OutOfMemoryError(
@@ -123,11 +120,10 @@ class ExecutionEngine:
                 if i >= warmup:
                     stats.times.append(result.makespan)
                     stats.last_result = result
-        tel = telemetry.active()
-        if tel is not None and stats.iterations >= 2 and stats.mean > 0:
+        if stats.iterations >= 2 and stats.mean > 0:
             # realized run-to-run jitter (std/mean) vs the configured sigma
-            tel.registry.gauge(
-                "engine_jitter_realized", labels={"graph": dist.name},
-                help="coefficient of variation of measured iterations",
-            ).set(stats.std / stats.mean)
+            telemetry.emit_gauge(
+                "engine_jitter_realized", stats.std / stats.mean,
+                labels={"graph": dist.name},
+                help="coefficient of variation of measured iterations")
         return stats

@@ -72,13 +72,10 @@ class DistributedRunner:
                     self.deployment.resident_bytes,
                 )
                 report.iteration_times.append(result.makespan)
-        tel = telemetry.active()
-        if tel is not None:
-            tel.registry.gauge(
-                "runner_throughput_samples_per_second",
-                labels={"graph": self.deployment.graph.name},
-                help="training throughput of the last run() call",
-            ).set(report.throughput)
+        telemetry.emit_gauge(
+            "runner_throughput_samples_per_second", report.throughput,
+            labels={"graph": self.deployment.graph.name},
+            help="training throughput of the last run() call")
         return report
 
 

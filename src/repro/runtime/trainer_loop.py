@@ -69,17 +69,13 @@ class ConvergenceModel:
 
     def end_to_end_minutes(self, per_iteration_seconds: float) -> float:
         minutes = self.iterations * per_iteration_seconds / 60.0
-        tel = telemetry.active()
-        if tel is not None:
-            labels = {"model": self.model_name}
-            tel.registry.gauge(
-                "trainer_iterations_to_target", labels=labels,
-                help="iterations needed to reach the target accuracy",
-            ).set(self.iterations)
-            tel.registry.gauge(
-                "trainer_end_to_end_minutes", labels=labels,
-                help="projected end-to-end training minutes",
-            ).set(minutes)
+        labels = {"model": self.model_name}
+        telemetry.emit_gauge(
+            "trainer_iterations_to_target", self.iterations, labels=labels,
+            help="iterations needed to reach the target accuracy")
+        telemetry.emit_gauge(
+            "trainer_end_to_end_minutes", minutes, labels=labels,
+            help="projected end-to-end training minutes")
         return minutes
 
 
@@ -224,10 +220,6 @@ class FailureDetector:
         record_event("fault_detected", kind=event.kind,
                      resource=event.resource, iteration=event.iteration,
                      severity=event.severity)
-        tel = telemetry.active()
-        if tel is not None:
-            tel.registry.counter(
-                "resilience_detections_total",
-                labels={"kind": event.kind},
-                help="faults noticed by the failure detector",
-            ).inc()
+        telemetry.emit_count(
+            "resilience_detections_total", labels={"kind": event.kind},
+            help="faults noticed by the failure detector")

@@ -14,7 +14,6 @@ the chosen order a third time.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -122,18 +121,14 @@ class ListScheduler:
         depend on pruning) and ``prune=False`` disables them outright.
         """
         from ..simulation.engine import Simulator  # local: avoid cycle
-        tel = telemetry.active()
         kernel = kernel if kernel is not None else lower(graph)
         simulator = Simulator(cost)
         can_prune = prune and getattr(cost, "deterministic", False)
         limit = prune_above if can_prune else None
         with telemetry.span("schedule.ranking", graph=graph.name):
-            rank_start = time.perf_counter()
             rank_priorities, ranks, prio_arr = self._rank_priorities(
                 kernel, cost)
-            rank_seconds = time.perf_counter() - rank_start
         with telemetry.span("schedule.placement", graph=graph.name):
-            place_start = time.perf_counter()
             rank_run = simulator.run(graph, priorities=rank_priorities,
                                      resident_bytes=resident_bytes,
                                      capacities=capacities, trace=True,
@@ -153,7 +148,6 @@ class ListScheduler:
                                          capacities=capacities, trace=True,
                                          kernel=kernel,
                                          prune_above=earliest_limit)
-            place_seconds = time.perf_counter() - place_start
         if rank_run.pruned and earliest_run.pruned:
             # both candidates exceed the caller's best-so-far: the whole
             # strategy is out of the race; min of the partial makespans
@@ -171,16 +165,8 @@ class ListScheduler:
         else:
             chosen = ("rank" if rank_run.makespan <= earliest_run.makespan
                       else "earliest")
-        if tel is not None:
-            reg = tel.registry
-            reg.histogram("sched_ranking_seconds",
-                          help="upward-rank computation wall time",
-                          ).observe(rank_seconds)
-            reg.histogram("sched_placement_seconds",
-                          help="candidate-order simulation wall time",
-                          ).observe(place_seconds)
-            reg.counter("sched_chosen_total", labels={"order": chosen},
-                        help="which candidate execution order won").inc()
+        telemetry.emit_count("sched_chosen_total", labels={"order": chosen},
+                             help="which candidate execution order won")
         if chosen == "rank":
             return Schedule(priorities=rank_priorities,
                             ranks=ranks,

@@ -63,8 +63,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
+from collections import Counter
 from typing import Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from .. import telemetry
 from ..errors import SimulationError
@@ -126,42 +128,41 @@ class Simulator:
         event loop skips re-mapping the dict through the name table.
         Must agree with ``priorities``; the event loop trusts it.
         """
+        if kernel is None:
+            kernel = lower(graph)
+        with telemetry.span("simulate", graph=graph.name, ops=len(graph)):
+            run = self._run_kernel(
+                kernel, priorities=priorities,
+                resident_bytes=resident_bytes, capacities=capacities,
+                trace=trace, strict=strict,
+                prune_above=prune_above, prio_ids=_prio_ids)
         tel = telemetry.active()
-        if tel is None:
-            return self._run_kernel(
-                graph, kernel, priorities=priorities,
-                resident_bytes=resident_bytes, capacities=capacities,
-                trace=trace, strict=strict, tel=None,
-                prune_above=prune_above, prio_ids=_prio_ids)
-        with tel.span("simulate", graph=graph.name, ops=len(graph)):
-            return self._run_kernel(
-                graph, kernel, priorities=priorities,
-                resident_bytes=resident_bytes, capacities=capacities,
-                trace=trace, strict=strict, tel=tel,
-                prune_above=prune_above, prio_ids=_prio_ids)
+        if tel is not None:
+            _observe_run(tel.registry, kernel, *run)
+        return run[0]
 
     # ------------------------------------------------------------------ #
     # event loop: integer-indexed arrays, one lowering per graph
     # ------------------------------------------------------------------ #
     def _run_kernel(
         self,
-        graph: DistGraph,
-        kernel: Optional[SimKernel],
+        kernel: SimKernel,
         *,
         priorities: Optional[Mapping[str, int]],
         resident_bytes: Optional[Dict[str, int]],
         capacities: Optional[Dict[str, int]],
         trace: bool,
         strict: bool,
-        tel: Optional["telemetry.Telemetry"],
         prune_above: Optional[float] = None,
         prio_ids: Optional[List[int]] = None,
-    ) -> SimulationResult:
-        if kernel is None:
-            kernel = lower(graph)
+    ) -> Tuple[SimulationResult, List[int], List[float], List[float],
+               List[Tuple[float, int, int]]]:
+        """Run the event loop.  Returns the result plus, uncopied, the
+        op ids in start order, the start and finish times per op id, and
+        the completion-heap entries of the ops still running at a prune
+        cut (empty for a complete run)."""
         if strict and priorities is None:
             raise SimulationError("strict mode requires explicit priorities")
-        wall_start = time.perf_counter() if tel is not None else 0.0
         prune_limit = float("inf") if prune_above is None else prune_above
         # the tail bound's fp rounding differs from the event loop's own
         # accumulation; require violation beyond the guard margin so a
@@ -255,36 +256,11 @@ class Simulator:
         in_wait_queue = [False] * n
         wait_seen = [False] * n
         wait_order: List[int] = []
-        # telemetry: when each op first became ready / where it last parked
-        if tel is not None:
-            ready_seen = [False] * n
-            ready_at = [0.0] * n
-            parked_on = [-1] * n
-            registry = tel.registry
-            # metric handles are resolved once, outside the event loop
-            queue_wait_hist = registry.histogram(
-                "sim_queue_wait_seconds",
-                help="simulated time ops spend ready but blocked",
-            )
-            resource_names = kernel.resource_names
-            res_wait_counters: Dict[int, object] = {}
-            ops_counters = {
-                kind: registry.counter(
-                    "sim_ops_total", labels={"kind": kind},
-                    help="dist-ops completed, by kind",
-                )
-                for kind in set(kernel.kind_values)
-            }
-            kind_counter_of = [ops_counters[k] for k in kernel.kind_values]
-
         mem_dev_names = kernel.mem_dev_names
 
         def try_start(i: int, p: float) -> None:
             """Start op ``i`` if possible; otherwise park it on the first
             busy resource it needs (or the strict-order head block)."""
-            if tel is not None and not ready_seen[i]:
-                ready_seen[i] = True
-                ready_at[i] = now
             blocked = -1
             for r in res_of[i]:
                 if resource_busy[r]:
@@ -306,8 +282,6 @@ class Simulator:
                 if not wait_seen[i]:
                     wait_seen[i] = True
                     wait_order.append(i)
-                if tel is not None:
-                    parked_on[i] = blocked
                 return
 
             if strict:
@@ -339,21 +313,6 @@ class Simulator:
                         mem_peak[ri] = current
             started[i] = now
             start_order.append(i)
-            if tel is not None:
-                wait = now - ready_at[i]
-                queue_wait_hist.observe(wait)
-                blocked_r = parked_on[i]
-                parked_on[i] = -1
-                if blocked_r >= 0 and wait > 0:
-                    counter_handle = res_wait_counters.get(blocked_r)
-                    if counter_handle is None:
-                        counter_handle = registry.counter(
-                            "sim_resource_wait_seconds_total",
-                            labels={"resource": resource_names[blocked_r]},
-                            help="simulated wait attributed to each resource",
-                        )
-                        res_wait_counters[blocked_r] = counter_handle
-                    counter_handle.inc(wait)
             heappush(completions, (now + duration, next(counter), i))
 
         def drain_waiters(resource: int, queue: List[Tuple[float, int, int]]
@@ -392,8 +351,6 @@ class Simulator:
                 if queue2 is None:
                     queue2 = waiting[blocked] = []
                 heappush(queue2, entry)
-                if tel is not None:
-                    parked_on[i] = blocked
 
         # kick off sources in priority order
         initial = sorted(
@@ -443,8 +400,6 @@ class Simulator:
                     size = out_bytes[i]
                     if size > 0:
                         mem_cur[run_dev_of[ki]] -= size
-            if tel is not None:
-                kind_counter_of[i].inc()
 
             begin = started[i]
             resources = res_of[i]
@@ -476,7 +431,10 @@ class Simulator:
                 if queue:
                     drain_waiters(r, queue)
 
-        if executed != n and not was_pruned:
+        if was_pruned:
+            # the op whose completion tripped the cut did not complete
+            completions.append((now, 0, i))
+        elif executed != n:
             stuck = [names[i] for i in range(n) if pending[i] > 0][:5]
             waiting_named = [names[i] for i in wait_order
                              if in_wait_queue[i]][:5]
@@ -514,26 +472,73 @@ class Simulator:
                 zip(map(started.__getitem__, start_order),
                     map(finished.__getitem__, start_order)),
             ))
-        if tel is not None:
-            self._observe_run(tel, executed, now, wall_start)
-        return result
+        return result, start_order, started, finished, completions
 
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _observe_run(tel: "telemetry.Telemetry", executed: int,
-                     makespan: float, wall_start: float) -> None:
-        wall = time.perf_counter() - wall_start
-        reg = tel.registry
-        reg.counter("sim_runs_total",
-                    help="simulator invocations").inc()
-        reg.counter("sim_events_total",
-                    help="completion events processed").inc(executed)
-        reg.histogram("sim_run_wall_seconds",
-                      help="wall-clock per simulator run").observe(wall)
-        reg.histogram("sim_makespan_seconds",
-                      help="simulated iteration makespans").observe(makespan)
-        if wall > 0:
-            reg.gauge(
-                "sim_events_per_second",
-                help="events simulated per wall-clock second (last run)",
-            ).set(executed / wall)
+
+def _observe_run(registry, kernel: SimKernel, result: SimulationResult,
+                 start_order: List[int], started: List[float],
+                 finished: List[float],
+                 in_flight: List[Tuple[float, int, int]]) -> None:
+    """Derive one run's metrics from its start and finish times, after
+    the event loop.
+
+    An op's queue wait is its start minus its latest predecessor's
+    finish (0 for a source).  A positive wait is charged to the op's
+    own resource whose previous holder finished last (on a tie, the
+    later one in the op's resource list).  Ops still running at a prune
+    cut (``in_flight``) did not complete.
+
+    The passes run over arrays.  Observations and per-resource sums go
+    in start order, so every total equals a per-op sum in start order,
+    bit for bit.
+    """
+    order = np.asarray(start_order, dtype=np.intp)
+    finish = np.asarray(finished)
+    ready = np.zeros(kernel.n)
+    np.maximum.at(ready, np.repeat(np.arange(kernel.n), kernel.pred_count),
+                  finish[np.fromiter(itertools.chain.from_iterable(
+                      kernel.pred), np.intp)])
+    waits = (np.asarray(started) - ready)[order]
+    queue_wait = registry.histogram(
+        "sim_queue_wait_seconds",
+        help="simulated time ops spend ready but blocked")
+    for wait in waits.tolist():
+        queue_wait.observe(wait)
+
+    # one row per (started op, resource it holds), in start order
+    held = [kernel.res_ids[i] for i in start_order]
+    row_op = np.repeat(np.arange(len(held)), list(map(len, held)))
+    row_res = np.fromiter(itertools.chain.from_iterable(held), np.intp)
+    # when each row's resource was released: its previous holder's finish
+    by_res = np.argsort(row_res, kind="stable")
+    follows = row_res[by_res[1:]] == row_res[by_res[:-1]]
+    released = np.full(len(row_res), -np.inf)
+    released[by_res[1:][follows]] = finish[order][row_op][by_res[:-1]][follows]
+    # each op's row that sorts last by release time; the sort is
+    # stable, so a tie goes to the later resource
+    by_op = np.lexsort((released, row_op))
+    last = by_op[np.flatnonzero(np.diff(row_op[by_op], append=len(held)))]
+    charged = last[(waits[row_op[last]] > 0) & (released[last] > -np.inf)]
+    totals = np.bincount(row_res[charged], weights=waits[row_op[charged]],
+                         minlength=len(kernel.resource_names))
+    for r in np.flatnonzero(totals):
+        registry.counter(
+            "sim_resource_wait_seconds_total",
+            labels={"resource": kernel.resource_names[r]},
+            help="simulated wait attributed to each resource",
+        ).inc(float(totals[r]))
+
+    kinds = kernel.kind_values
+    completed = (Counter(map(kinds.__getitem__, start_order))
+                 - Counter(kinds[entry[2]] for entry in in_flight))
+    for kind in set(kinds):
+        registry.counter("sim_ops_total", labels={"kind": kind},
+                         help="dist-ops completed, by kind",
+                         ).inc(completed[kind])
+    registry.counter("sim_runs_total", help="simulator invocations").inc()
+    registry.counter("sim_events_total",
+                     help="completion events processed",
+                     ).inc(len(start_order) - len(in_flight))
+    registry.histogram("sim_makespan_seconds",
+                       help="simulated iteration makespans",
+                       ).observe(result.makespan)

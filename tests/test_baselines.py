@@ -118,6 +118,30 @@ class TestSearchBaselines:
             if st.kind is ParallelKind.DP:
                 assert st.comm is CommMethod.ALLREDUCE
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_post_pruning_is_search_transparent(self, four_gpu, seed,
+                                                monkeypatch):
+        """PostSearch always prunes; the pruned search must find the same
+        strategy, time and evaluation count as the unpruned one."""
+        from repro.graph.models import build_model
+        graph = build_model("inception_v3", "tiny")
+        pruned_search = PostSearch(graph, four_gpu, max_groups=8, seed=seed)
+        pruned = pruned_search.search(rounds=2, samples_per_round=8)
+        assert pruned_search.builder.evals_pruned > 0  # pruning fired
+
+        search = PostSearch(graph, four_gpu, max_groups=8, seed=seed)
+        evaluate_many = search.builder.evaluate_many
+        monkeypatch.setattr(
+            search.builder, "evaluate_many",
+            lambda strategies, **_: evaluate_many(strategies, best=None,
+                                                  prune=False))
+        unpruned = search.search(rounds=2, samples_per_round=8)
+        assert search.builder.evals_pruned == 0
+        assert unpruned.time == pruned.time
+        assert unpruned.evaluations == pruned.evaluations
+        assert (search.builder.fingerprint(unpruned.strategy)
+                == pruned_search.builder.fingerprint(pruned.strategy))
+
     def test_search_deterministic_per_seed(self, four_gpu):
         g = make_mlp(name="det_mlp")
         r1 = PostSearch(g, four_gpu, max_groups=5, seed=3).search(rounds=2)

@@ -157,7 +157,16 @@ class TestCLITrace:
                       if e["ph"] == "X" and e["pid"] == 1}
         assert "pipeline.search" in span_names
         assert "pipeline.execute" in span_names
-        assert json.loads(open(metrics).read())["metrics"]
+        series = json.loads(open(metrics).read())["metrics"]
+        names = {m["name"] for m in series}
+        assert {"sim_queue_wait_seconds", "sim_resource_wait_seconds_total",
+                "sched_chosen_total", "agent_episode_reward"} <= names
+        # durations come from the session's spans, one series per span
+        span_series = {m["labels"]["span"]: m for m in series
+                       if m["name"] == "span_seconds"}
+        for span in ("simulate", "schedule.ranking", "schedule.placement",
+                     "agent.episode"):
+            assert span_series[span]["count"] > 0
 
     def test_trace_resolves_cluster_aliases(self, tmp_path):
         out = str(tmp_path / "t.json")

@@ -14,6 +14,7 @@ from repro.parallel.distgraph import DistGraph, DistOp, DistOpKind
 from repro.profiling import exact_profile
 from repro.scheduling import ListScheduler
 from repro.simulation import ProfileCostModel, Simulator
+from repro.simulation.kernel import lower
 from repro.simulation.metrics import SimulationResult
 from repro.telemetry import (
     IDLE_KEY,
@@ -325,9 +326,11 @@ class TestAmbientSession:
     def test_contended_results_identical_and_waits_accounted(self):
         """Data parallelism over four GPUs with ring all-reduce: ops
         queue on links and the NCCL token, so the wait-queue drain runs
-        with telemetry on.  Results must not move, and the queue-wait
-        histogram must hold each op's start minus its latest
-        predecessor's finish."""
+        with telemetry on.  Under FIFO, rank, strict rank and a rank run
+        pruned at 0.9x its makespan, results must not move, the
+        queue-wait histogram must hold each started op's start minus its
+        latest predecessor's finish, and each wait must be charged to
+        the op's own resource whose previous holder finished last."""
         cluster = cluster_4gpu()
         graph = make_mlp(name="tel_dp")
         profile = exact_profile(graph, cluster)
@@ -335,31 +338,59 @@ class TestAmbientSession:
             graph, dp_strategy("EV-AR", graph, cluster))
         cost = ProfileCostModel(cluster, profile)
         sim = Simulator(cost)
+        kernel = lower(dist)
+        resources_of = {
+            name: [kernel.resource_names[r] for r in kernel.res_ids[i]]
+            for i, name in enumerate(kernel.names)}
         rank = ListScheduler().schedule(dist, cost).priorities
-        for priorities in (None, rank):
-            baseline = sim.run(dist, priorities=priorities, trace=True)
+        cut = 0.9 * sim.run(dist, priorities=rank).makespan
+        cases = ({"priorities": None}, {"priorities": rank},
+                 {"priorities": rank, "strict": True},
+                 {"priorities": rank, "prune_above": cut})
+        for kw in cases:
+            baseline = sim.run(dist, trace=True, **kw)
             with telemetry.session() as tel:
-                traced = sim.run(dist, priorities=priorities, trace=True)
+                traced = sim.run(dist, trace=True, **kw)
             assert traced.makespan == baseline.makespan
             assert traced.schedule == baseline.schedule
             assert traced.device_busy == baseline.device_busy
             assert traced.link_busy == baseline.link_busy
             assert traced.peak_memory == baseline.peak_memory
+            assert traced.pruned == baseline.pruned == ("prune_above" in kw)
 
             schedule = traced.schedule
             expected = 0.0
-            for name, (start, _) in schedule.items():  # start order
+            charged = {}
+            released = {}  # resource -> finish of its latest holder
+            for name, (start, finish) in schedule.items():  # start order
                 ready = max((schedule[p][1]
                              for p in dist.predecessors(name)), default=0.0)
-                expected += start - ready
+                wait = start - ready
+                expected += wait
+                if wait > 0:
+                    held = [r for r in resources_of[name] if r in released]
+                    # on a tie, the later resource in the op's list
+                    last = max(reversed(held), key=released.__getitem__)
+                    if not kw.get("strict"):
+                        assert released[last] == start
+                    charged[last] = charged.get(last, 0.0) + wait
+                for r in resources_of[name]:
+                    released[r] = finish
             waits = tel.registry.histogram("sim_queue_wait_seconds")
-            assert waits.total == len(dist)
+            assert waits.total == len(schedule)
             assert waits.sum == expected
             assert expected > 0  # something really queued
-            per_resource = sum(
-                m.value for m in tel.registry.metrics()
-                if m.name == "sim_resource_wait_seconds_total")
-            assert per_resource == pytest.approx(expected)
+            per_resource = {
+                m.label_dict["resource"]: m.value
+                for m in tel.registry.metrics()
+                if m.name == "sim_resource_wait_seconds_total"}
+            assert per_resource == pytest.approx(charged)
+            assert sum(per_resource.values()) == pytest.approx(expected)
+            # ops still running at a prune cut did not complete
+            completed = sum(m.value for m in tel.registry.metrics()
+                            if m.name == "sim_ops_total")
+            assert completed == tel.registry.counter("sim_events_total").value
+            assert (completed < len(schedule)) == traced.pruned
 
     def test_engine_metrics_collected(self):
         cluster = cluster_4gpu()
