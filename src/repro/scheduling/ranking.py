@@ -14,15 +14,15 @@ chain and all gradient aggregations serialize in a tail after BP — the
 exact pathology Figs. 1-2 of the paper illustrate.
 
 The computation runs over the graph's :class:`SimKernel` array lowering:
-the topological order, per-op durations (for deterministic cost
-providers) and successor adjacency are shared with the simulator instead
-of being re-derived per call.
+the topological order, per-op durations and successor adjacency are
+shared with the simulator instead of being re-derived per call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
+from ..errors import DeviceLostError
 from ..parallel.distgraph import DistGraph
 from ..simulation.costs import CostProvider
 from ..simulation.kernel import SimKernel, lower
@@ -36,7 +36,7 @@ def kernel_ranks(kernel: SimKernel, cost: CostProvider,
     """Upward ranks indexed by kernel op index.
 
     Shares the kernel's cached duration array when the cost provider is
-    deterministic; stochastic providers are queried in reverse
+    deterministic; a stochastic provider's jitter is read in reverse
     topological order (the same draw order the dict implementation
     used).
     """
@@ -46,14 +46,13 @@ def kernel_ranks(kernel: SimKernel, cost: CostProvider,
         # raise the same CompileError the graph API raises for cycles
         kernel.graph.topological_order()
     durations = kernel.durations_for(cost)
+    if durations is None:
+        durations = _drawn_durations(kernel, cost)
     is_comm = kernel.is_comm
     succ = kernel.succ
     ranks = [0.0] * kernel.n
-    cost_duration = cost.duration
-    ops = kernel.ops
     for i in reversed(kernel.topo):
-        duration = durations[i] if durations is not None \
-            else cost_duration(ops[i])
+        duration = durations[i]
         if is_comm[i]:
             duration *= comm_weight
         succ_rank = 0.0
@@ -63,6 +62,24 @@ def kernel_ranks(kernel: SimKernel, cost: CostProvider,
                 succ_rank = rank
         ranks[i] = duration + succ_rank
     return ranks
+
+
+def _drawn_durations(kernel: SimKernel, cost: CostProvider) -> List[float]:
+    """One draw of a stochastic provider's durations, its jitter read in
+    reverse topological order; raises for the first op in that order
+    that touches a crashed device."""
+    base, lost, jitter = cost.draw(kernel)
+    if lost is not None:
+        pos = kernel.topo_positions()
+        i = max(lost, key=pos.__getitem__)
+        cost.settle(kernel.n - 1 - pos[i])
+        raise DeviceLostError(lost[i], kernel.names[i])
+    if jitter is None:
+        return base
+    durations = [0.0] * kernel.n
+    for k, i in enumerate(reversed(kernel.topo)):
+        durations[i] = base[i] * jitter[k]
+    return durations
 
 
 def compute_ranks(graph: DistGraph, cost: CostProvider,

@@ -13,7 +13,8 @@ Two implementations with deliberately different fidelity (see DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Tuple
+import math
+from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -36,6 +37,9 @@ from ..profiling.profiler import Profile
 # BERT-class models — the paper's Table 1 crossover.
 SENDRECV_OVERHEAD = 150e-6
 
+#: max distinct kernels whose base-duration arrays one truth model retains
+_PRICE_CACHE_SLOTS = 4
+
 
 class CostProvider(Protocol):
     """Interface the simulator uses to time dist-ops.
@@ -43,8 +47,11 @@ class CostProvider(Protocol):
     ``deterministic`` declares that ``duration`` is a pure function of
     the op: the simulation kernel then prices every op once per lowering
     and shares the array across ranking and repeated simulations.
-    Stochastic providers (per-execution jitter) must leave it False so
-    durations keep being drawn lazily in start order.
+    Stochastic providers (per-execution jitter) leave it False and
+    implement :meth:`TruthCostModel.draw` and
+    :meth:`TruthCostModel.settle` instead: the kernel consumers read
+    one iteration's prices and jitter from arrays and never call
+    ``duration`` op by op.
     """
 
     deterministic: bool = False
@@ -171,6 +178,10 @@ class TruthCostModel(_BaseCost):
     stragglers multiply compute durations, and degraded links divide
     bandwidth.  With no overlay installed every code path is byte-for-
     byte the pre-fault arithmetic, so fault-free runs stay bit-identical.
+
+    :meth:`duration` prices one op and draws its jitter.  The simulator
+    and the ranking pass use :meth:`draw` and :meth:`settle` instead,
+    which give the same numbers from per-kernel arrays.
     """
 
     def __init__(self, cluster: Cluster, jitter_sigma: float = 0.04,
@@ -187,12 +198,16 @@ class TruthCostModel(_BaseCost):
         self.interserver_discount = interserver_discount
         self._rng = rng if rng is not None else np.random.default_rng(seed)
         self._overlay = None
+        # id(kernel) -> (kernel, overlay, base durations, lost ops)
+        self._price_cache: Dict[int, tuple] = {}
+        # (generator state before the last batch draw, batch size)
+        self._drawn: Optional[tuple] = None
 
     @property
     def deterministic(self) -> bool:
-        # with jitter the RNG must be drawn in op start order, so the
-        # kernel may not pre-evaluate durations; an active fault overlay
-        # likewise varies durations between iterations
+        # jitter differs per execution, so the kernel may not share one
+        # duration array across runs; an active fault overlay likewise
+        # varies durations between iterations (see draw)
         return self.jitter_sigma <= 0 and self._overlay is None
 
     # ---------------------------------------------------------------- #
@@ -233,33 +248,86 @@ class TruthCostModel(_BaseCost):
         return bandwidth, link.latency
 
     def duration(self, op: DistOp) -> float:
+        device, base = self._price(op)
+        if device is not None:
+            raise DeviceLostError(device, op.name)
+        return base * self._jitter()
+
+    def draw(self, kernel) -> Tuple[List[float], Optional[Dict[int, str]],
+                                    Optional[List[float]]]:
+        """One execution's prices for ``kernel``: ``(base, lost, jitter)``.
+
+        ``base[i] * jitter[k]`` is, bit for bit, :meth:`duration` of op
+        ``i`` called as the ``k``-th op priced.  ``lost`` maps each op
+        :meth:`duration` would raise :class:`DeviceLostError` for to its
+        device (None when there is none); such an op's base is
+        ``-inf``, so its duration fails a non-negativity check.
+        ``jitter`` is ``kernel.n``
+        factors from one generator call, or None (and nothing drawn)
+        when ``jitter_sigma <= 0``.  A caller that uses fewer than
+        ``kernel.n`` factors must :meth:`settle` how many it used.
+        """
+        base, lost = self._prices(kernel)
+        if self.jitter_sigma <= 0:
+            return base, lost, None
+        self._drawn = (self._rng.bit_generator.state, kernel.n)
+        jitter = self._rng.lognormal(0.0, self.jitter_sigma, size=kernel.n)
+        return base, lost, jitter.tolist()
+
+    def settle(self, used: int) -> None:
+        """Keep only the first ``used`` factors of the last :meth:`draw`:
+        the generator ends where ``used`` :meth:`duration` calls would
+        leave it."""
+        drawn, self._drawn = self._drawn, None
+        if drawn is not None and used < drawn[1]:
+            self._rng.bit_generator.state = drawn[0]
+            self._rng.lognormal(0.0, self.jitter_sigma, size=used)
+
+    def _prices(self, kernel) -> Tuple[List[float], Optional[Dict[int, str]]]:
+        """:meth:`_price` of every op of ``kernel``, once per (kernel,
+        overlay) pair.  The cache lives on this provider, never on the
+        kernel, and keeps at most ``_PRICE_CACHE_SLOTS`` kernels.  The
+        overlay object is a valid key: the fault injector installs a
+        new one on every change."""
+        overlay = self._overlay
+        cache = self._price_cache
+        entry = cache.get(id(kernel))
+        if entry is not None and entry[0] is kernel and entry[1] is overlay:
+            return entry[2], entry[3]
+        base = [0.0] * kernel.n
+        lost = {}
+        for i, op in enumerate(kernel.ops):
+            device, base[i] = self._price(op)
+            if device is not None:
+                lost[i] = device
+        if id(kernel) not in cache and len(cache) >= _PRICE_CACHE_SLOTS:
+            cache.clear()
+        cache[id(kernel)] = (kernel, overlay, base, lost or None)
+        return base, lost or None
+
+    def _price(self, op: DistOp) -> Tuple[Optional[str], float]:
+        """``(None, base duration)`` of ``op`` under the overlay, or
+        ``(device, -inf)`` for the first crashed device it touches."""
         overlay = self._overlay
         if overlay is None:
-            return self._base_duration(op) * self._jitter()
-        if overlay.failed_devices:
-            self._check_lost(op, overlay.failed_devices)
+            return None, self._base_duration(op)
+        failed = overlay.failed_devices
+        if failed:
+            if op.is_compute:
+                touched = (op.device,)
+            elif op.kind is DistOpKind.TRANSFER:
+                touched = (op.src_device, op.dst_device)
+            else:
+                touched = op.devices
+            for device in touched:
+                if device in failed:
+                    return device, -math.inf
         base = self._base_duration(op)
         if op.is_compute:
             scale = overlay.compute_scale.get(op.device)
             if scale is not None:
                 base *= scale
-        return base * self._jitter()
-
-    @staticmethod
-    def _check_lost(op: DistOp, failed) -> None:
-        """Raise if ``op`` touches a crashed device (first use detects)."""
-        if op.is_compute:
-            if op.device in failed:
-                raise DeviceLostError(op.device, op.name)
-        elif op.kind is DistOpKind.TRANSFER:
-            if op.src_device in failed:
-                raise DeviceLostError(op.src_device, op.name)
-            if op.dst_device in failed:
-                raise DeviceLostError(op.dst_device, op.name)
-        else:
-            for device in op.devices:
-                if device in failed:
-                    raise DeviceLostError(device, op.name)
+        return None, base
 
     def _base_duration(self, op: DistOp) -> float:
         if op.kind in (DistOpKind.COMPUTE, DistOpKind.APPLY):

@@ -47,7 +47,9 @@ The event loop runs on a :class:`SimKernel` array lowering of the graph:
 integer op/resource ids, precomputed adjacency, resources, activation
 sizes and (for deterministic cost providers) durations.  One lowering
 is shared across ranking, both candidate-order simulations and every
-re-simulation of a plan.
+re-simulation of a plan.  A stochastic provider prices the kernel from
+arrays too (:meth:`TruthCostModel.draw`): base durations once per fault
+overlay, and one batch of jitter per run, read in start order.
 
 The loop is paired against the original string-keyed event loop, which
 lives only in the test suite (``tests/oracle``), on every observable
@@ -69,7 +71,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..errors import SimulationError
+from ..errors import DeviceLostError, SimulationError
 from ..parallel.distgraph import DistGraph
 from .costs import CostProvider
 from .kernel import PRUNE_GUARD, SimKernel, lower
@@ -117,10 +119,10 @@ class Simulator:
         (:meth:`SimKernel.tails_for`) pushes ``now + tail`` past it,
         which fires long before the clock does on a losing schedule —
         and returns a partial result with ``pruned=True`` whose
-        ``makespan`` is a lower bound on the true one.  Callers must
-        only pass it for deterministic cost providers — aborting early
-        under a stochastic provider would change the jitter RNG draw
-        sequence of later runs.
+        ``makespan`` is a lower bound on the true one.  Under a
+        stochastic provider only the clock check fires (there is no
+        tail array), and the provider keeps exactly the jitter draws of
+        the ops started before the cut.
 
         ``_prio_ids`` (internal): ``priorities`` already lowered to a
         per-op-index list that is a permutation of ``range(n)`` — the
@@ -173,7 +175,6 @@ class Simulator:
 
         n = kernel.n
         names = kernel.names
-        ops = kernel.ops
         res_of = kernel.res_ids
         nres = len(kernel.resource_names)
         is_compute = kernel.is_compute
@@ -201,8 +202,15 @@ class Simulator:
         early_stop = not strict and (use_fifo or prio_ids is not None
                                      or len(set(prio)) == n)
 
-        durations = kernel.durations_for(self.cost)
-        cost_duration = self.cost.duration
+        # durations[i] (times jitter[k] for the k-th op started) is op
+        # i's duration; a stochastic provider prices the ops that touch
+        # a crashed device at -inf and names the device in ``lost``, and
+        # must be told how many jitter factors the run used
+        cost = self.cost
+        durations = kernel.durations_for(cost)
+        lost = jitter = None
+        if durations is None:
+            durations, lost, jitter = cost.draw(kernel)
         # tail-based abort: once op i completes at t, the makespan is at
         # least t + tails[i] (its downstream chain must still run), so a
         # losing simulation is detected long before the clock itself
@@ -289,9 +297,12 @@ class Simulator:
                     head_index[r] += 1
             for r in res_of[i]:
                 resource_busy[r] = True
-            duration = durations[i] if durations is not None \
-                else cost_duration(ops[i])
+            duration = durations[i] if jitter is None \
+                else durations[i] * jitter[len(start_order)]
             if duration < 0:
+                if lost is not None and i in lost:
+                    cost.settle(len(start_order))
+                    raise DeviceLostError(lost[i], names[i])
                 raise SimulationError(
                     f"negative duration for {names[i]}: {duration}"
                 )
@@ -431,6 +442,9 @@ class Simulator:
                 if queue:
                     drain_waiters(r, queue)
 
+        if jitter is not None:
+            # a cut or a deadlock starts fewer ops than were drawn for
+            cost.settle(len(start_order))
         if was_pruned:
             # the op whose completion tripped the cut did not complete
             completions.append((now, 0, i))

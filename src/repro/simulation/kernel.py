@@ -24,12 +24,14 @@ ranking, both candidate-order simulations in
 :class:`~repro.scheduling.list_scheduler.ListScheduler`, and every later
 re-simulation of the plan.
 
-Durations are only pre-evaluated for *deterministic* cost providers
-(``cost.deterministic`` is True).  Stochastic providers — the truth
-model's per-execution jitter — are still queried lazily in start order,
-which keeps the jitter RNG draw sequence, and therefore the results,
+Durations are only cached on the kernel for *deterministic* cost
+providers (``cost.deterministic`` is True).  The stochastic truth model
+prices the same arrays per run instead (``TruthCostModel.draw``): its
+base durations are cached on the provider per fault overlay, and its
+jitter is one batch per run that the event loop reads in start order.
+That keeps the jitter draw sequence, and therefore the results,
 bit-identical to the dict-based loop of the test oracle
-(``tests/oracle``).
+(``tests/oracle``), which draws once per op.
 """
 
 from __future__ import annotations

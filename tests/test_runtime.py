@@ -1,5 +1,7 @@
 """Tests for the execution engine, runner, deployments, and API."""
 
+import weakref
+
 import pytest
 
 import repro
@@ -8,6 +10,7 @@ from repro.baselines import dp_strategy
 from repro.errors import OutOfMemoryError, ReproError
 from repro.graph.models import build_model
 from repro.parallel import single_device_strategy
+from repro.resilience import FaultOverlay
 from repro.runtime import (
     ConvergenceModel,
     DistributedRunner,
@@ -15,6 +18,10 @@ from repro.runtime import (
     end_to_end_minutes,
     build_deployment,
 )
+from repro.service import PlanningService, PlanRequest
+from repro.simulation import TruthCostModel
+from repro.simulation.costs import _PRICE_CACHE_SLOTS
+from repro.simulation.kernel import lower
 
 from tests.helpers import make_mlp
 
@@ -65,6 +72,71 @@ class TestExecutionEngine:
         assert truth != pytest.approx(sim_time, rel=1e-6)
         # but they agree to within a plausible modelling error
         assert truth == pytest.approx(sim_time, rel=0.5)
+
+
+class TestPriceCacheLifetime:
+    """The truth model's price arrays live on its engine's provider,
+    never on a kernel, so they die with the engine."""
+
+    def test_measured_plan_kernel_holds_no_jittered_provider(
+            self, mlp_graph, four_gpu):
+        request = PlanRequest(
+            graph=mlp_graph, cluster=four_gpu,
+            strategy=dp_strategy("EV-AR", mlp_graph, four_gpu),
+            measure_iterations=2)
+        with PlanningService(workers=0) as service:
+            assert service.plan(request).measured_time > 0
+            plans = list(service.context_for(request).builder
+                         .plan_cache._data.values())
+        assert plans
+        for plan in plans:
+            kernel = plan.kernel
+            for cache in (kernel._dur_cache, kernel._tail_cache,
+                          kernel._bound_cache):
+                for cost, _ in cache.values():
+                    assert not isinstance(cost, TruthCostModel)
+
+    def test_dropped_engine_dies_with_its_price_arrays(self, mlp_graph,
+                                                       four_gpu):
+        dep = build_deployment(mlp_graph, four_gpu,
+                               dp_strategy("EV-AR", mlp_graph, four_gpu))
+        engine = ExecutionEngine(four_gpu, seed=0)
+        engine.run_iteration(dep.dist, dep.schedule, dep.resident_bytes)
+        kernel = lower(dep.dist)
+        assert engine.cost._price_cache[id(kernel)][0] is kernel
+        engine_ref = weakref.ref(engine)
+        cost_ref = weakref.ref(engine.cost)
+        del engine
+        # no cycle keeps them: the engine, its provider and the provider's
+        # price arrays go at once, while the plan's kernel lives on
+        assert engine_ref() is None and cost_ref() is None
+        assert lower(dep.dist) is kernel
+
+    def test_long_lived_engine_keeps_at_most_the_slot_bound(
+            self, mlp_graph, four_gpu):
+        """A resilient trainer's engine runs a new kernel after every
+        replan and a new overlay after every fault."""
+        deps = [build_deployment(mlp_graph, four_gpu,
+                                 dp_strategy(name, mlp_graph, four_gpu))
+                for name in ("EV-AR", "CP-AR", "EV-PS", "CP-PS")]
+        deps += [build_deployment(mlp_graph, four_gpu,
+                                  single_device_strategy(mlp_graph, four_gpu,
+                                                         device))
+                 for device in four_gpu.device_ids[:2]]
+        assert len(deps) > _PRICE_CACHE_SLOTS
+        engine = ExecutionEngine(four_gpu, seed=0)
+        cache = engine.cost._price_cache
+        for step, dep in enumerate(deps):
+            if step == 2:
+                engine.cost.set_fault_overlay(
+                    FaultOverlay(compute_scale={"gpu3": 2.0}))
+            for _ in range(2):
+                engine.run_iteration(dep.dist, dep.schedule,
+                                     dep.resident_bytes)
+            assert len(cache) <= _PRICE_CACHE_SLOTS
+            kernel, overlay = cache[id(lower(dep.dist))][:2]
+            assert kernel is lower(dep.dist)
+            assert overlay is engine.cost.fault_overlay
 
 
 class TestRunner:

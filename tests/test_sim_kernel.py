@@ -5,7 +5,9 @@ event loop, which lives in the test oracle (``tests.oracle``).  These
 tests pair the two loops over compiled model graphs and crafted edge
 cases and compare every observable: the full schedule trace, makespan,
 busy/overlap metrics, peak memory, the OOM device set, the prune
-verdict, and — for deadlocks — the exact error message bytes.
+verdict, and — for deadlocks and lost devices — the exact error.  Under
+the truth model the jitter generator must also end each run in the
+oracle's state, so the next run draws the same stream.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from repro.parallel.strategy import (
 )
 from repro.plan import PlanBuilder
 from repro.profiling import Profiler
+from repro.resilience import FaultOverlay
+from repro.scheduling.ranking import DEFAULT_COMM_WEIGHT, kernel_ranks
 from repro.simulation import ProfileCostModel, Simulator, TruthCostModel
 from repro.simulation.costs import MappingCostModel
 from repro.simulation.kernel import lower
@@ -49,19 +53,70 @@ def assert_results_identical(a, b) -> None:
     assert a.pruned == b.pruned
 
 
-def run_pair(make_cost, dist, **kw):
-    """Run the simulator and the oracle on fresh cost providers; compare
-    outcome or error."""
+def _outcome(run):
     try:
-        a = Simulator(make_cost()).run(dist, **kw)
+        return run()
     except SimulationError as exc:
-        with pytest.raises(SimulationError) as err:
-            run_reference(make_cost(), dist, **kw)
-        assert str(err.value) == str(exc)
-        return None
-    b = run_reference(make_cost(), dist, **kw)
-    assert_results_identical(a, b)
-    return a
+        return exc
+
+
+def assert_same_rng_state(cost, ref_cost) -> None:
+    """A jittered provider must leave its generator where the oracle's
+    scalar draws leave the oracle provider's."""
+    rng = getattr(cost, "_rng", None)
+    if rng is not None:
+        assert rng.bit_generator.state == ref_cost._rng.bit_generator.state
+
+
+def run_pair(make_cost, dist, **kw):
+    """Run the simulator and the oracle, each on its own fresh cost
+    provider; compare outcome or error and the jitter generator's state.
+    A stochastic provider runs twice back to back.  Returns the first
+    run's result (None when it raised)."""
+    cost, ref_cost = make_cost(), make_cost()
+    first = None
+    for rerun in range(1 if getattr(cost, "deterministic", False) else 2):
+        a = _outcome(lambda: Simulator(cost).run(dist, **kw))
+        b = _outcome(lambda: run_reference(ref_cost, dist, **kw))
+        if isinstance(a, SimulationError) or isinstance(b, SimulationError):
+            # same type, text and fields (DeviceLostError's device, op)
+            assert type(a) is type(b)
+            assert str(a) == str(b)
+            assert vars(a) == vars(b)
+        else:
+            assert_results_identical(a, b)
+            if not rerun:
+                first = a
+        assert_same_rng_state(cost, ref_cost)
+    return first
+
+
+def reference_ranks(cost, kernel) -> list:
+    """Upward ranks from ``cost.duration`` op by op, in reverse
+    topological order (the draw order ranking has always used)."""
+    ranks = [0.0] * kernel.n
+    for i in reversed(kernel.topo):
+        duration = cost.duration(kernel.ops[i])
+        if kernel.is_comm[i]:
+            duration *= DEFAULT_COMM_WEIGHT
+        ranks[i] = duration + max((ranks[s] for s in kernel.succ[i]),
+                                  default=0.0)
+    return ranks
+
+
+def ranks_pair(make_cost, dist) -> None:
+    """``kernel_ranks`` against :func:`reference_ranks`, twice back to
+    back: same ranks or error, same generator state."""
+    kernel = lower(dist)
+    cost, ref_cost = make_cost(), make_cost()
+    for _ in range(2):
+        a = _outcome(lambda: kernel_ranks(kernel, cost))
+        b = _outcome(lambda: reference_ranks(ref_cost, kernel))
+        if isinstance(b, SimulationError):
+            assert type(a) is type(b) and vars(a) == vars(b)
+        else:
+            assert a == b
+        assert_same_rng_state(cost, ref_cost)
 
 
 # --------------------------------------------------------------------- #
@@ -87,12 +142,29 @@ def compiled(request):
     return cluster, profile, dist, dict(dist.resident_bytes), caps
 
 
+def _faulted(overlay_of):
+    """A jittered truth model under the overlay ``overlay_of(cluster)``."""
+    def make(cluster, profile):
+        cost = TruthCostModel(cluster, jitter_sigma=0.05, seed=7)
+        cost.set_fault_overlay(overlay_of(cluster))
+        return cost
+    return make
+
+
 COST_MAKERS = [
     ("profile", lambda cl, pr: ProfileCostModel(cl, pr)),
     ("truth-jitter", lambda cl, pr: TruthCostModel(cl, jitter_sigma=0.05,
                                                    seed=7)),
     ("truth-exact", lambda cl, pr: TruthCostModel(cl, jitter_sigma=0.0,
                                                   seed=7)),
+    # every random strategy of the fixture places ops on every GPU
+    ("truth-crash", _faulted(lambda cl: FaultOverlay(
+        failed_devices=frozenset({cl.device_ids[1]})))),
+    ("truth-straggler", _faulted(lambda cl: FaultOverlay(
+        compute_scale={cl.device_ids[2]: 2.0}))),
+    ("truth-degraded", _faulted(lambda cl: FaultOverlay(link_scale={
+        (cl.device_ids[0], cl.device_ids[-1]): 0.5,
+        (cl.device_ids[-1], cl.device_ids[0]): 0.5}))),
 ]
 
 
@@ -104,6 +176,7 @@ PRUNE_FRACTIONS = (0.3, 0.6, 0.9, 0.999)
                          ids=[c[0] for c in COST_MAKERS])
 def test_engines_identical_on_compiled_graphs(compiled, cost_name, make):
     cluster, profile, dist, resident, caps = compiled
+    ranks_pair(lambda: make(cluster, profile), dist)
     names = dist.op_names
     perm = list(range(len(names)))
     random.Random(99).shuffle(perm)
