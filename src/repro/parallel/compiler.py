@@ -22,15 +22,22 @@ cf. Table 2's observation that heavy layers and "the operations to compute
 their gradients" are placed together).
 
 The compiler runs once per candidate the Strategy Maker evaluates, so it
-compiles straight into the simulation kernel's arrays in one pass: every
-dist-op is lowered (:class:`~repro.simulation.kernel.Lowering`) the moment
-it is emitted, with its predecessors as integer ids, and the finished
-graph carries its :class:`~repro.simulation.kernel.SimKernel`, so
-``lower(dist)`` does no second walk.  What depends only on the training
-graph (topological order, predecessor tuples, strategy keys, group ids,
-activation sizes) is tabulated once per graph and reused by every
-compile; per-compile state (route cache, name counter, PS load, resident
-bytes) lives in a :class:`_Compilation` that ends with the call.
+compiles straight into the simulation kernel's arrays in one pass and
+creates no :class:`DistOp`: per emitted dist-op it records a name, a
+recipe tuple of plain values
+(:data:`~repro.parallel.distgraph.RECIPE_FIELDS`) and a tuple of
+predecessor ids, all lowered at once
+(:meth:`~repro.simulation.kernel.Lowering.append`).  Successors are
+derived from the predecessor tuples at the end, and the result is a
+:class:`DistGraph` view of its :class:`~repro.simulation.kernel.SimKernel`
+that builds ``DistOp`` objects only if something asks for them, so
+``lower(dist)`` is a lookup and a cached plan keeps a few dozen objects
+for the garbage collector to track instead of one per dist-op.  What
+depends only on the training graph (topological order, predecessor
+tuples, strategy keys, group ids, activation sizes) is tabulated once
+per graph and reused by every compile; per-compile state (route cache,
+name counter, PS load, resident bytes) lives in a :class:`_Compilation`
+that ends with the call.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from ..profiling.cost_model import op_memory_bytes, op_resident_bytes
 from ..profiling.profiler import Profile
 from ..simulation.kernel import Lowering, SimKernel
 from .aggregation import choose_allreduce, choose_ps_device
-from .distgraph import DistGraph, DistOp, DistOpKind
+from .distgraph import DistGraph
 from .strategy import CommMethod, OpStrategy, Strategy
 
 _SHARE_TOL = 1e-9
@@ -105,6 +112,8 @@ class _GraphTables:
                 info.applies = [by_name[s] for s in graph.successors(info.name)
                                 if by_name[s].op.phase is OpPhase.APPLY]
         self.ops = infos
+        # the training-op table every compile's recipes index into
+        self.source_ops = [info.op for info in infos]
         # APPLY ops are emitted by the aggregation lowering of their
         # parameter gradient, not on their own
         self.lowered = [info for info in infos
@@ -181,10 +190,11 @@ class _Compilation:
         self.compiler = compiler
         self.tables = tables
         self.strategy = strategy
-        dist = DistGraph(f"{tables.graph.name}:distributed")
-        self.dist = dist
-        self.ops = dist._ops
-        self.lowering = Lowering()
+        self.lowering = Lowering(tables.source_ops)
+        self.names = self.lowering.names
+        # dist-op name -> id, and each op's predecessor ids
+        self.id_of: Dict[str, int] = {}
+        self.preds: List[Tuple[int, ...]] = []
         self.counter = 0
         self.route_cache: Dict[tuple, int] = {}
         # producer index -> (gather device, id of its Split)
@@ -198,6 +208,8 @@ class _Compilation:
         # per training op (by table index): resolved strategy, instance ids
         self.strategies: List[Optional[OpStrategy]] = [None] * n
         self.instance_ids: List[Optional[List[int]]] = [None] * n
+        # (training-op index, device) -> id of its compute/apply instance
+        self.instance_at: Dict[Tuple[int, str], int] = {}
 
     def run(self) -> DistGraph:
         for info in self.tables.lowered:
@@ -206,9 +218,18 @@ class _Compilation:
                 self.lower_param_gradient(info, st)
             else:
                 self.lower_regular(info, st)
-        dist = self.dist
-        dist.resident_bytes = self.resident
-        dist._sim_kernel = SimKernel(dist, self.lowering)
+        preds = self.preds
+        succ: List[list] = [[] for _ in preds]
+        for i, ps in enumerate(preds):
+            for p in ps:
+                succ[p].append(i)
+        # each op and each distinct edge bumped the mutation stamp once
+        # when graphs were built op by op; keep the same stamp
+        version = len(preds) + sum(map(len, preds))
+        dist = DistGraph.view(f"{self.tables.graph.name}:distributed",
+                              self.id_of, version, self.resident)
+        dist._sim_kernel = SimKernel(dist, self.lowering, preds,
+                                     list(map(tuple, succ)))
         dist.validate()
         return dist
 
@@ -220,37 +241,53 @@ class _Compilation:
             st = self.strategies[info.index] = self.strategy.get(info.ref)
         return st
 
-    def emit(self, op: DistOp, preds: List[int],
+    def emit(self, name: str, recipe: tuple, preds: List[int],
              nbytes: Optional[float] = None) -> int:
-        """Add ``op`` to the graph and lower it; returns its id."""
-        i = self.dist._append(op, preds)
-        self.lowering.add(op, nbytes)
+        """Add the dist-op ``recipe`` describes after ``preds`` and lower
+        it; returns its id.  Repeated predecessors count once (first
+        occurrence kept)."""
+        id_of = self.id_of
+        if name in id_of:
+            raise CompileError(f"duplicate dist-op name {name!r}")
+        i = id_of[name] = len(self.preds)
+        if len(preds) > 1 and len(set(preds)) != len(preds):
+            preds = dict.fromkeys(preds)
+        self.preds.append(tuple(preds))
+        self.lowering.append(name, recipe, nbytes)
         return i
 
     def fresh(self, prefix: str) -> str:
         self.counter += 1
         return f"{prefix}#{self.counter}"
 
+    def instance(self, info: _OpInfo, device: str) -> int:
+        """Id of ``info``'s compute (or apply) instance on ``device``."""
+        i = self.instance_at.get((info.index, device))
+        if i is None:
+            raise KeyError(f"{info.name}@{device}")
+        return i
+
     # ------------------------------------------------------------------ #
     # instance creation and input routing
     # ------------------------------------------------------------------ #
     def lower_regular(self, info: _OpInfo, st: OpStrategy) -> List[int]:
         shares = st.batch_shares()
-        names: List[str] = []
         ids: List[int] = []
-        op = info.op
+        index = info.index
         group = info.group
         preds = info.preds
         tensor_at = self.tensor_at
+        instance_at = self.instance_at
         for device, fraction in shares.items():
-            inst = DistOp(f"{info.name}@{device}", DistOpKind.COMPUTE, op,
-                          device, batch_fraction=fraction, group=group)
-            deps = [tensor_at(pred, device, fraction, inst.name)
+            name = f"{info.name}@{device}"
+            deps = [tensor_at(pred, device, fraction, name)
                     for pred in preds]
-            ids.append(self.emit(inst, deps, info.activation_bytes(fraction)))
-            names.append(inst.name)
-        self.dist.instances[info.name] = names
-        self.instance_ids[info.index] = ids
+            i = self.emit(name, ("compute", index, device, None, None, (),
+                                 0.0, fraction, group, False, ()),
+                          deps, info.activation_bytes(fraction))
+            instance_at[(index, device)] = i
+            ids.append(i)
+        self.instance_ids[index] = ids
         if info.resident:
             resident = self.resident
             for device in shares:
@@ -289,21 +326,23 @@ class _Compilation:
                 )
             return self.materialize(pred_instances[0],
                                     next(iter(pred_shares)), device,
-                                    full_bytes, key=(pred.index, device, "bc"))
+                                    full_bytes, pred.group,
+                                    key=(pred.index, device, "bc"))
 
         # aligned allocations: direct replica-to-replica connection
         if device in pred_shares and abs(pred_shares[device] - fraction) < _SHARE_TOL:
-            local = f"{pred.name}@{device}"
-            provider = self.dist._id_of.get(local)
+            provider = self.instance_at.get((pred.index, device))
             if provider is None:
                 raise CompileError(
-                    f"edge references unknown dist-op: {local}->{consumer}")
+                    f"edge references unknown dist-op: "
+                    f"{pred.name}@{device}->{consumer}")
             return provider
 
         # mismatched allocations: concat on a gather device, split, ship
         gather_dev, split = self.gather_and_split(pred, pred_shares,
                                                   full_bytes)
         return self.materialize(split, gather_dev, device, full_bytes * fraction,
+                                pred.group,
                                 key=(pred.index, device, "slice",
                                      round(fraction, 12)))
 
@@ -320,7 +359,8 @@ class _Compilation:
 
         # gather on the producer device carrying the largest share
         gather_dev = max(pred_shares, key=lambda d: (pred_shares[d], d))
-        local = self.dist._id_of[f"{pred.name}@{gather_dev}"]
+        group = pred.group
+        local = self.instance(pred, gather_dev)
         if len(pred_shares) == 1:
             concat = local
         else:
@@ -329,22 +369,21 @@ class _Compilation:
                 if dev == gather_dev:
                     continue
                 deps.append(self.materialize(
-                    self.dist._id_of[f"{pred.name}@{dev}"], dev, gather_dev,
-                    full_bytes * share, key=(pred.index, dev, "gather")))
-            concat = self.emit(DistOp(
-                self.fresh(f"concat:{pred.name}"), DistOpKind.CONCAT,
-                device=gather_dev, size_bytes=full_bytes, group=pred.group,
-            ), deps)
+                    self.instance(pred, dev), dev, gather_dev,
+                    full_bytes * share, group, key=(pred.index, dev, "gather")))
+            concat = self.emit(self.fresh(f"concat:{pred.name}"), (
+                "concat", -1, gather_dev, None, None, (), full_bytes, 1.0,
+                group, False, ()), deps)
 
-        split = self.emit(DistOp(
-            self.fresh(f"split:{pred.name}"), DistOpKind.SPLIT,
-            device=gather_dev, size_bytes=full_bytes, group=pred.group,
-        ), [concat])
+        split = self.emit(self.fresh(f"split:{pred.name}"), (
+            "split", -1, gather_dev, None, None, (), full_bytes, 1.0, group,
+            False, ()), [concat])
         self.gathered[pred.index] = (gather_dev, split)
         return gather_dev, split
 
     def materialize(self, producer: int, src_dev: str, dst_dev: str,
-                    size_bytes: float, key: tuple) -> int:
+                    size_bytes: float, group: Optional[int],
+                    key: tuple) -> int:
         """Make ``producer``'s output available on ``dst_dev``; returns the
         dist-op to depend on (the producer itself if already local)."""
         if src_dev == dst_dev:
@@ -352,15 +391,17 @@ class _Compilation:
         cached = self.route_cache.get(key)
         if cached is not None:
             return cached
-        source = self.ops[producer]
-        transfer = self.emit(DistOp(
-            self.fresh(f"t:{source.name}->{dst_dev}"), DistOpKind.TRANSFER,
-            src_device=src_dev, dst_device=dst_dev, size_bytes=size_bytes,
-            group=source.group,
-            extra_resources=self.compiler._comm_resources(src_dev, dst_dev),
-        ), [producer])
+        transfer = self.emit(
+            self.fresh(f"t:{self.names[producer]}->{dst_dev}"),
+            self.transfer(src_dev, dst_dev, size_bytes, group), [producer])
         self.route_cache[key] = transfer
         return transfer
+
+    def transfer(self, src_dev: str, dst_dev: str, size_bytes: float,
+                 group: Optional[int]) -> tuple:
+        """Recipe of a transfer over the ``src_dev -> dst_dev`` link."""
+        return ("transfer", -1, None, src_dev, dst_dev, (), size_bytes, 1.0,
+                group, False, self.compiler._comm_resources(src_dev, dst_dev))
 
     # ------------------------------------------------------------------ #
     # gradient aggregation lowering
@@ -393,13 +434,14 @@ class _Compilation:
             self.lower_allreduce(info, apply, devices, instances)
 
     def add_apply(self, apply: _OpInfo, device: str, deps: List[int]) -> int:
-        inst = DistOp(f"{apply.name}@{device}", DistOpKind.APPLY, apply.op,
-                      device, group=apply.group)
-        i = self.emit(inst, deps, apply.activation_bytes(1.0))
-        self.dist.instances.setdefault(apply.name, []).append(inst.name)
-        ids = self.instance_ids[apply.index]
+        index = apply.index
+        i = self.emit(f"{apply.name}@{device}", (
+            "apply", index, device, None, None, (), 0.0, 1.0, apply.group,
+            False, ()), deps, apply.activation_bytes(1.0))
+        self.instance_at[(index, device)] = i
+        ids = self.instance_ids[index]
         if ids is None:
-            ids = self.instance_ids[apply.index] = []
+            ids = self.instance_ids[index] = []
         ids.append(i)
         return i
 
@@ -408,40 +450,34 @@ class _Compilation:
         """PS chain: push gradients -> aggregate -> apply -> pull params."""
         compiler = self.compiler
         grad_bytes = info.full_bytes
+        group = info.group
         ps_dev = choose_ps_device(devices, grad_bytes, compiler._link,
                                   load=self.ps_load)
 
         pushes: List[int] = []
         local: List[int] = []
-        for inst_id in instances:
-            inst_dev = self.ops[inst_id].device
+        # instances follow the strategy's device order
+        for inst_id, inst_dev in zip(instances, devices):
             if inst_dev == ps_dev:
                 local.append(inst_id)
                 continue
-            pushes.append(self.emit(DistOp(
+            pushes.append(self.emit(
                 self.fresh(f"push:{info.name}@{inst_dev}"),
-                DistOpKind.TRANSFER, src_device=inst_dev, dst_device=ps_dev,
-                size_bytes=grad_bytes, group=info.group,
-                extra_resources=compiler._comm_resources(inst_dev, ps_dev),
-            ), [inst_id]))
+                self.transfer(inst_dev, ps_dev, grad_bytes, group),
+                [inst_id]))
 
-        agg = self.emit(DistOp(
-            self.fresh(f"ga:{info.name}"), DistOpKind.AGGREGATE,
-            device=ps_dev, size_bytes=grad_bytes * len(devices),
-            group=info.group,
-        ), local + pushes)
+        agg = self.emit(self.fresh(f"ga:{info.name}"), (
+            "aggregate", -1, ps_dev, None, None, (),
+            grad_bytes * len(devices), 1.0, group, False, ()), local + pushes)
         apply_id = self.add_apply(apply, ps_dev, [agg])
 
         # parameter pull back to the other replica devices
         for dev in devices:
             if dev == ps_dev:
                 continue
-            self.emit(DistOp(
-                self.fresh(f"pull:{info.name}->{dev}"), DistOpKind.TRANSFER,
-                src_device=ps_dev, dst_device=dev,
-                size_bytes=info.param_bytes, group=info.group,
-                extra_resources=compiler._comm_resources(ps_dev, dev),
-            ), [apply_id])
+            self.emit(self.fresh(f"pull:{info.name}->{dev}"),
+                      self.transfer(ps_dev, dev, info.param_bytes, group),
+                      [apply_id])
 
     def lower_allreduce(self, info: _OpInfo, apply: _OpInfo,
                         devices: List[str], instances: List[int]) -> None:
@@ -449,11 +485,9 @@ class _Compilation:
         compiler = self.compiler
         hierarchical, _ = choose_allreduce(devices, info.full_bytes,
                                            compiler._link, compiler.cluster)
-        collective = self.emit(DistOp(
-            self.fresh(f"ar:{info.name}"), DistOpKind.ALLREDUCE,
-            devices=tuple(devices), size_bytes=info.full_bytes,
-            hierarchical=hierarchical, group=info.group,
-            extra_resources=compiler._ring_resources(devices),
-        ), instances)
+        collective = self.emit(self.fresh(f"ar:{info.name}"), (
+            "allreduce", -1, None, None, None, tuple(devices),
+            info.full_bytes, 1.0, info.group, hierarchical,
+            compiler._ring_resources(devices)), instances)
         for dev in devices:
             self.add_apply(apply, dev, [collective])

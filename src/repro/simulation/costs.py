@@ -46,12 +46,16 @@ class CostProvider(Protocol):
 
     ``deterministic`` declares that ``duration`` is a pure function of
     the op: the simulation kernel then prices every op once per lowering
-    and shares the array across ranking and repeated simulations.
-    Stochastic providers (per-execution jitter) leave it False and
-    implement :meth:`TruthCostModel.draw` and
-    :meth:`TruthCostModel.settle` instead: the kernel consumers read
-    one iteration's prices and jitter from arrays and never call
-    ``duration`` op by op.
+    and shares the array across ranking and repeated simulations.  A
+    provider that also has ``prices(kernel)`` (both built-in models do)
+    returns that array from the kernel's recipes, bit for bit
+    ``[duration(op) for op in kernel.ops]``, so a compiled graph never
+    builds its ``DistOp`` objects; any other deterministic provider is
+    asked for ``duration`` op by op.  Stochastic providers
+    (per-execution jitter) leave ``deterministic`` False and implement
+    :meth:`TruthCostModel.draw` and :meth:`TruthCostModel.settle`
+    instead: the kernel consumers read one iteration's prices and
+    jitter from arrays and never call ``duration`` op by op.
     """
 
     deterministic: bool = False
@@ -75,9 +79,10 @@ class _BaseCost:
     def _spec(self, device: str) -> GPUSpec:
         return self.cluster.device(device).spec
 
-    def _allreduce(self, op: DistOp) -> float:
-        return allreduce_time(op.devices, op.size_bytes, self.link_lookup,
-                              self.cluster, op.hierarchical)
+    def _allreduce(self, devices: Tuple[str, ...], size_bytes: float,
+                   hierarchical: bool) -> float:
+        return allreduce_time(devices, size_bytes, self.link_lookup,
+                              self.cluster, hierarchical)
 
     def link_lookup(self, src: str, dst: str) -> Tuple[float, float]:
         raise NotImplementedError
@@ -108,35 +113,46 @@ class ProfileCostModel(_BaseCost):
         return model.bandwidth, model.latency
 
     def duration(self, op: DistOp) -> float:
-        kind = op.kind
-        if kind is DistOpKind.COMPUTE or kind is DistOpKind.APPLY:
-            assert op.source_op is not None and op.device is not None
-            key = (op.source_op.name, op.device, op.batch_fraction)
+        return self._price(op.recipe(), op.source_op)
+
+    def prices(self, kernel) -> List[float]:
+        """:meth:`duration` of every op of ``kernel``, from its recipes."""
+        sources = kernel.source_ops
+        price = self._price
+        return [price(r, sources[r[1]] if r[1] >= 0 else None)
+                for r in kernel.recipes]
+
+    def _price(self, recipe: tuple, source_op) -> float:
+        """Duration of the op with this recipe and source op."""
+        (kind, _, device, src_device, dst_device, devices, size_bytes,
+         batch_fraction, _, hierarchical, _) = recipe
+        if kind == "compute" or kind == "apply":
+            assert source_op is not None and device is not None
+            key = (source_op.name, device, batch_fraction)
             cache = self._op_time_cache
             t = cache.get(key)
             if t is None:
                 t = cache[key] = self.profile.op_time(*key)
             return t
-        if kind is DistOpKind.TRANSFER:
-            key = (op.src_device, op.dst_device, op.size_bytes)
+        if kind == "transfer":
+            key = (src_device, dst_device, size_bytes)
             cache = self._transfer_cache
             t = cache.get(key)
             if t is None:
                 t = cache[key] = SENDRECV_OVERHEAD + \
                     self.profile.transfer_time(*key)
             return t
-        if kind is DistOpKind.ALLREDUCE:
-            key = (op.devices, op.size_bytes, op.hierarchical)
+        if kind == "allreduce":
+            key = (devices, size_bytes, hierarchical)
             cache = self._allreduce_cache
             t = cache.get(key)
             if t is None:
-                t = cache[key] = self._allreduce(op)
+                t = cache[key] = self._allreduce(*key)
             return t
-        if (kind is DistOpKind.SPLIT or kind is DistOpKind.CONCAT
-                or kind is DistOpKind.AGGREGATE):
-            assert op.device is not None
-            return _aux_compute_time(self._spec_of[op.device], op.size_bytes)
-        raise SimulationError(f"cannot cost op kind {op.kind}")
+        if kind == "split" or kind == "concat" or kind == "aggregate":
+            assert device is not None
+            return _aux_compute_time(self._spec_of[device], size_bytes)
+        raise SimulationError(f"cannot cost op kind {DistOpKind(kind)}")
 
 
 class MappingCostModel:
@@ -248,10 +264,15 @@ class TruthCostModel(_BaseCost):
         return bandwidth, link.latency
 
     def duration(self, op: DistOp) -> float:
-        device, base = self._price(op)
+        device, base = self._price(op.recipe(), op.source_op)
         if device is not None:
             raise DeviceLostError(device, op.name)
         return base * self._jitter()
+
+    def prices(self, kernel) -> List[float]:
+        """:meth:`duration` of every op of ``kernel`` while the model is
+        deterministic (no jitter, no fault overlay)."""
+        return self._prices(kernel)[0]
 
     def draw(self, kernel) -> Tuple[List[float], Optional[Dict[int, str]],
                                     Optional[List[float]]]:
@@ -284,20 +305,23 @@ class TruthCostModel(_BaseCost):
             self._rng.lognormal(0.0, self.jitter_sigma, size=used)
 
     def _prices(self, kernel) -> Tuple[List[float], Optional[Dict[int, str]]]:
-        """:meth:`_price` of every op of ``kernel``, once per (kernel,
-        overlay) pair.  The cache lives on this provider, never on the
-        kernel, and keeps at most ``_PRICE_CACHE_SLOTS`` kernels.  The
-        overlay object is a valid key: the fault injector installs a
-        new one on every change."""
+        """:meth:`_price` of every op of ``kernel``, read from its
+        recipes, once per (kernel, overlay) pair.  The cache lives on
+        this provider, never on the kernel, and keeps at most
+        ``_PRICE_CACHE_SLOTS`` kernels.  The overlay object is a valid
+        key: the fault injector installs a new one on every change."""
         overlay = self._overlay
         cache = self._price_cache
         entry = cache.get(id(kernel))
         if entry is not None and entry[0] is kernel and entry[1] is overlay:
             return entry[2], entry[3]
+        sources = kernel.source_ops
+        price = self._price
         base = [0.0] * kernel.n
         lost = {}
-        for i, op in enumerate(kernel.ops):
-            device, base[i] = self._price(op)
+        for i, recipe in enumerate(kernel.recipes):
+            device, base[i] = price(
+                recipe, sources[recipe[1]] if recipe[1] >= 0 else None)
             if device is not None:
                 lost[i] = device
         if id(kernel) not in cache and len(cache) >= _PRICE_CACHE_SLOTS:
@@ -305,42 +329,49 @@ class TruthCostModel(_BaseCost):
         cache[id(kernel)] = (kernel, overlay, base, lost or None)
         return base, lost or None
 
-    def _price(self, op: DistOp) -> Tuple[Optional[str], float]:
-        """``(None, base duration)`` of ``op`` under the overlay, or
-        ``(device, -inf)`` for the first crashed device it touches."""
+    def _price(self, recipe: tuple,
+               source_op) -> Tuple[Optional[str], float]:
+        """``(None, base duration)`` of the op with this recipe and
+        source op under the overlay, or ``(device, -inf)`` for the first
+        crashed device it touches."""
         overlay = self._overlay
         if overlay is None:
-            return None, self._base_duration(op)
+            return None, self._base_duration(recipe, source_op)
+        kind = recipe[0]
+        compute = kind != "transfer" and kind != "allreduce"
         failed = overlay.failed_devices
         if failed:
-            if op.is_compute:
-                touched = (op.device,)
-            elif op.kind is DistOpKind.TRANSFER:
-                touched = (op.src_device, op.dst_device)
+            if compute:
+                touched = (recipe[2],)
+            elif kind == "transfer":
+                touched = recipe[3:5]
             else:
-                touched = op.devices
+                touched = recipe[5]
             for device in touched:
                 if device in failed:
                     return device, -math.inf
-        base = self._base_duration(op)
-        if op.is_compute:
-            scale = overlay.compute_scale.get(op.device)
+        base = self._base_duration(recipe, source_op)
+        if compute:
+            scale = overlay.compute_scale.get(recipe[2])
             if scale is not None:
                 base *= scale
         return None, base
 
-    def _base_duration(self, op: DistOp) -> float:
-        if op.kind in (DistOpKind.COMPUTE, DistOpKind.APPLY):
-            assert op.source_op is not None and op.device is not None
-            return cost_model.op_time(op.source_op, self._spec(op.device),
-                                      op.batch_fraction)
-        if op.kind in (DistOpKind.SPLIT, DistOpKind.CONCAT,
-                       DistOpKind.AGGREGATE):
-            assert op.device is not None
-            return _aux_compute_time(self._spec(op.device), op.size_bytes)
-        if op.kind is DistOpKind.TRANSFER:
-            bandwidth, latency = self.link_lookup(op.src_device, op.dst_device)
-            return SENDRECV_OVERHEAD + latency + op.size_bytes / bandwidth
-        if op.kind is DistOpKind.ALLREDUCE:
-            return self._allreduce(op)
-        raise SimulationError(f"cannot cost op kind {op.kind}")
+    def _base_duration(self, recipe: tuple, source_op) -> float:
+        """Jitter- and overlay-free duration of the op with this recipe
+        and source op."""
+        (kind, _, device, src_device, dst_device, devices, size_bytes,
+         batch_fraction, _, hierarchical, _) = recipe
+        if kind == "compute" or kind == "apply":
+            assert source_op is not None and device is not None
+            return cost_model.op_time(source_op, self._spec(device),
+                                      batch_fraction)
+        if kind == "split" or kind == "concat" or kind == "aggregate":
+            assert device is not None
+            return _aux_compute_time(self._spec(device), size_bytes)
+        if kind == "transfer":
+            bandwidth, latency = self.link_lookup(src_device, dst_device)
+            return SENDRECV_OVERHEAD + latency + size_bytes / bandwidth
+        if kind == "allreduce":
+            return self._allreduce(devices, size_bytes, hierarchical)
+        raise SimulationError(f"cannot cost op kind {DistOpKind(kind)}")

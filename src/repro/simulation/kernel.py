@@ -8,16 +8,21 @@ sizes (``memory.output_bytes``) on every start/free.  All of that is a
 pure function of the graph, so it is computed **once** into a
 :class:`SimKernel` of flat integer-indexed arrays:
 
-- ops, durations-by-op-index, per-op resource-id tuples;
+- names and one recipe per op (the plain values its ``DistOp`` is
+  built from, :data:`~repro.parallel.distgraph.RECIPE_FIELDS`), per-op
+  resource-id tuples, durations-by-op-index;
 - CSR-style successor/predecessor adjacency;
 - memory lowering (charge-device index + output bytes per op);
 - a Kahn topological order shared with the ranking pass.
 
-:meth:`Lowering.add` is the one per-op lowering routine.  The graph
-compiler runs it on each dist-op as it emits it and attaches the
-finished kernel to the graph, so :func:`lower` on a compiled graph is a
-lookup; ``SimKernel(graph)`` runs it over a graph built by hand or
-transformed after compiling.  The kernel is cached on the graph itself
+:meth:`Lowering.append` is the one per-op lowering routine.  The graph
+compiler runs it on each dist-op as it emits it, from the op's name and
+recipe, and returns the finished kernel wrapped in a ``DistGraph``
+view, so a compiled graph *is* its kernel: :func:`lower` on it is a
+lookup, and its ``DistOp`` objects (:attr:`SimKernel.ops`) are built
+only if something asks for them.  ``SimKernel(graph)`` runs the same
+routine, through :meth:`Lowering.add`, over a graph built by hand or
+mutated after compiling.  The kernel is cached on the graph itself
 (invalidated by a mutation version stamp) and on the
 :class:`~repro.plan.plan.ExecutionPlan`, so one lowering serves
 ranking, both candidate-order simulations in
@@ -25,8 +30,9 @@ ranking, both candidate-order simulations in
 re-simulation of the plan.
 
 Durations are only cached on the kernel for *deterministic* cost
-providers (``cost.deterministic`` is True).  The stochastic truth model
-prices the same arrays per run instead (``TruthCostModel.draw``): its
+providers (``cost.deterministic`` is True), priced from the recipes by
+``cost.prices(kernel)`` where the provider has it.  The stochastic truth model
+prices the same recipes per run instead (``TruthCostModel.draw``): its
 base durations are cached on the provider per fault overlay, and its
 jitter is one batch per run that the event loop reads in start order.
 That keeps the jitter draw sequence, and therefore the results,
@@ -38,8 +44,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..parallel.distgraph import (NCCL_RESOURCE, DistGraph, DistOp,
-                                  DistOpKind)
+from ..graph.op import Operation
+from ..parallel.distgraph import NCCL_RESOURCE, DistGraph, DistOp
 from .costs import CostProvider
 from .memory import output_bytes
 
@@ -50,30 +56,37 @@ _DURATION_CACHE_SLOTS = 4
 class Lowering:
     """Per-op array lowering, built one op at a time in insertion order.
 
-    :meth:`add` is the one lowering routine: :class:`SimKernel` feeds it
-    every op of a finished graph, and the
-    :class:`~repro.parallel.compiler.GraphCompiler` feeds it each op the
-    moment it emits it.  Per op it records the kind flags, the
+    :meth:`append` is the one lowering routine.  It takes an op's name
+    and its recipe (:data:`~repro.parallel.distgraph.RECIPE_FIELDS`):
+    the :class:`~repro.parallel.compiler.GraphCompiler` calls it for
+    each dist-op the moment it emits it, and :meth:`add` adapts a
+    :class:`DistOp` of a graph built by hand or transformed after
+    compiling.  Per op it records the name, the recipe, the
     exclusive-resource ids (interned in first-use order) and the memory
-    lowering (charge-device index and output bytes).  Resources are
-    interned by *structure* (device, link endpoints plus extra ports),
-    so each distinct resource tuple is built once rather than once per
-    op; the name table comes out identical to interning
+    lowering (charge-device index and output bytes).  Resources
+    are interned by *structure* (device, link endpoints plus extra
+    ports), so each distinct resource tuple is built once rather than
+    once per op; the name table comes out identical to interning
     ``op.resources()`` strings op by op.
+
+    ``source_ops`` is the training-op table recipes index into: the
+    compiler passes its per-graph table, :meth:`add` fills a table of
+    its own (do not mix the two on one lowering).
     """
 
     __slots__ = (
-        "resource_names", "res_ids", "is_compute", "is_comm",
-        "kind_values", "mem_dev_names", "mem_dev_index", "charge_dev",
-        "out_bytes", "_resource_ids", "_placed",
+        "names", "recipes", "source_ops", "resource_names", "res_ids",
+        "mem_dev_names", "mem_dev_index", "charge_dev", "out_bytes",
+        "_resource_ids", "_placed", "_source_index",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, source_ops: Optional[List[Operation]] = None) -> None:
+        self.names: List[str] = []
+        self.recipes: List[tuple] = []
+        self.source_ops: List[Operation] = (
+            source_ops if source_ops is not None else [])
         self.resource_names: List[str] = []
         self.res_ids: List[Tuple[int, ...]] = []
-        self.is_compute: List[bool] = []
-        self.is_comm: List[bool] = []
-        self.kind_values: List[str] = []
         self.mem_dev_names: List[str] = []
         self.mem_dev_index: Dict[str, int] = {}
         self.charge_dev: List[int] = []
@@ -81,6 +94,8 @@ class Lowering:
         self._resource_ids: Dict[str, int] = {}
         # placement key -> (resource-id tuple, charge-device index)
         self._placed: Dict[tuple, Tuple[Tuple[int, ...], int]] = {}
+        # id(source op) -> its index in source_ops (add only)
+        self._source_index: Dict[int, int] = {}
 
     def _intern(self, resource: str) -> int:
         rid = self._resource_ids.get(resource)
@@ -98,50 +113,57 @@ class Lowering:
             self.mem_dev_names.append(device)
         return di
 
-    def add(self, op: DistOp, nbytes: Optional[float] = None) -> None:
-        """Lower ``op``; ``nbytes`` is its ``output_bytes`` when the caller
-        already knows it (computed here otherwise)."""
-        kind = op.kind
-        if kind is DistOpKind.TRANSFER:
-            key = (op.src_device, op.dst_device, op.extra_resources)
+    def append(self, name: str, recipe: tuple,
+               nbytes: Optional[float] = None) -> None:
+        """Lower the op ``recipe`` describes.  ``nbytes`` is its
+        ``output_bytes``; None stands for ``size_bytes`` (right for
+        every kind but compute and apply, whose callers pass it)."""
+        kind = recipe[0]
+        if kind == "transfer":
+            key = (recipe[3], recipe[4], recipe[10])
             placed = self._placed.get(key)
             if placed is None:
                 rids = (self._intern(f"link:{key[0]}->{key[1]}"),)
                 rids += tuple(map(self._intern, key[2]))
                 placed = self._placed[key] = (rids, self._mem_dev(key[1]))
-            self.is_compute.append(False)
-            self.is_comm.append(True)
-            if nbytes is None:
-                nbytes = float(op.size_bytes)
-        elif kind is DistOpKind.ALLREDUCE:
-            key = (op.devices, op.extra_resources)
+        elif kind == "allreduce":
+            key = (recipe[5], recipe[10])
             placed = self._placed.get(key)
             if placed is None:
-                devices = op.devices
+                devices = key[0]
                 m = len(devices)
                 rids = tuple(
                     self._intern(f"link:{devices[j]}->{devices[(j + 1) % m]}")
                     for j in range(m) if devices[j] != devices[(j + 1) % m])
-                rids += tuple(map(self._intern, op.extra_resources))
+                rids += tuple(map(self._intern, key[1]))
                 rids += (self._intern(NCCL_RESOURCE),)
                 # allreduce works in place on the gradient buffers
                 placed = self._placed[key] = (rids, -1)
-            self.is_compute.append(False)
-            self.is_comm.append(True)
             nbytes = 0.0
         else:  # every other kind computes on one device
-            placed = self._placed.get(op.device)
+            device = recipe[2]
+            placed = self._placed.get(device)
             if placed is None:
-                placed = self._placed[op.device] = (
-                    (self._intern(op.device),), self._mem_dev(op.device))
-            self.is_compute.append(True)
-            self.is_comm.append(False)
-            if nbytes is None:
-                nbytes = output_bytes(op)
-        self.kind_values.append(kind._value_)
+                placed = self._placed[device] = (
+                    (self._intern(device),), self._mem_dev(device))
+        if nbytes is None:
+            nbytes = float(recipe[6])
+        self.names.append(name)
+        self.recipes.append(recipe)
         self.res_ids.append(placed[0])
         self.charge_dev.append(placed[1])
         self.out_bytes.append(nbytes)
+
+    def add(self, op: DistOp) -> None:
+        """:meth:`append` for a :class:`DistOp`."""
+        source = -1
+        if op.source_op is not None:
+            source = self._source_index.get(id(op.source_op))
+            if source is None:
+                source = self._source_index[id(op.source_op)] = len(
+                    self.source_ops)
+                self.source_ops.append(op.source_op)
+        self.append(op.name, op.recipe(source), output_bytes(op))
 
 
 class SimKernel:
@@ -153,13 +175,15 @@ class SimKernel:
     (the graph's insertion order, matching ``graph.op_names``) or by
     *resource id* (first-use order over ops).
 
-    ``lowering`` is the per-op lowering of exactly ``graph``'s ops when
-    the caller built it while emitting them (the graph compiler does);
-    otherwise every op is lowered here.
+    ``lowering``, ``pred`` and ``succ`` are the arrays of exactly
+    ``graph``'s ops when the caller built them while emitting the ops
+    (the graph compiler does; the kernel is then the only copy of the
+    graph, which is a view of it).  Otherwise every op of ``graph`` is
+    lowered here.
     """
 
     __slots__ = (
-        "graph", "version", "n", "names", "index", "ops",
+        "graph", "version", "n", "names", "recipes", "source_ops",
         "succ", "pred", "pred_count", "succ_count", "sources",
         "resource_names", "res_ids", "is_link",
         "is_compute", "is_comm", "kind_values",
@@ -169,28 +193,31 @@ class SimKernel:
     )
 
     def __init__(self, graph: DistGraph,
-                 lowering: Optional[Lowering] = None):
+                 lowering: Optional[Lowering] = None,
+                 pred: Optional[List[Tuple[int, ...]]] = None,
+                 succ: Optional[List[Tuple[int, ...]]] = None):
         self.graph = graph
         self.version = graph.version
-        # lowering reads the graph's internal tables directly: the
-        # defensive copies of the public accessors are pure overhead here
-        ops = graph._ops
         if lowering is None:
+            # lowering reads the graph's internal tables directly: the
+            # defensive copies of the public accessors are pure overhead
             lowering = Lowering()
-            for op in ops:
+            for op in graph._materialize():
                 lowering.add(op)
-        self.ops: List[DistOp] = list(ops)
-        self.names: List[str] = list(graph._id_of)
-        self.index: Dict[str, int] = dict(graph._id_of)
-        n = len(ops)
+            pred = list(map(tuple, graph._pred_ids))
+            succ = list(map(tuple, graph._succ_ids))
+        self.names: List[str] = lowering.names
+        self.recipes = lowering.recipes
+        self.source_ops = lowering.source_ops
+        n = len(self.names)
         self.n = n
 
         # adjacency as int tuples, in the graph's edge order (the engine
         # relies on it for memory refcount release order)
-        self.succ: List[Tuple[int, ...]] = list(map(tuple, graph._succ_ids))
-        self.pred: List[Tuple[int, ...]] = list(map(tuple, graph._pred_ids))
-        self.pred_count: List[int] = list(map(len, self.pred))
-        self.succ_count: List[int] = list(map(len, self.succ))
+        self.succ: List[Tuple[int, ...]] = succ
+        self.pred: List[Tuple[int, ...]] = pred
+        self.pred_count: List[int] = list(map(len, pred))
+        self.succ_count: List[int] = list(map(len, succ))
         self.sources: List[int] = [
             i for i, c in enumerate(self.pred_count) if c == 0
         ]
@@ -200,9 +227,10 @@ class SimKernel:
         self.is_link: List[bool] = [
             r.startswith("link:") for r in self.resource_names
         ]
-        self.is_compute = lowering.is_compute
-        self.is_comm = lowering.is_comm
-        self.kind_values = lowering.kind_values
+        self.kind_values: List[str] = [r[0] for r in self.recipes]
+        self.is_comm: List[bool] = [
+            k == "transfer" or k == "allreduce" for k in self.kind_values]
+        self.is_compute: List[bool] = [not c for c in self.is_comm]
         self.mem_dev_names = lowering.mem_dev_names
         self.mem_dev_index = lowering.mem_dev_index
         self.charge_dev = lowering.charge_dev
@@ -215,7 +243,6 @@ class SimKernel:
         # the dict-based oracle loop does.
         indeg = list(self.pred_count)
         topo: List[int] = list(self.sources)
-        succ = self.succ
         head = 0
         while head < len(topo):
             node = topo[head]
@@ -237,6 +264,12 @@ class SimKernel:
         # cost provider -> per-op downstream-chain durations (tails)
         self._tail_cache: Dict[int, Tuple[CostProvider, List[float]]] = {}
 
+    @property
+    def ops(self) -> List[DistOp]:
+        """The graph's :class:`DistOp` objects, by op index (built on a
+        compiled graph's first request; the search loop never asks)."""
+        return self.graph._materialize()
+
     # ------------------------------------------------------------------ #
     def durations_for(self, cost: CostProvider) -> Optional[List[float]]:
         """Per-op durations under ``cost``, or None for stochastic costs.
@@ -244,6 +277,8 @@ class SimKernel:
         Deterministic providers (``cost.deterministic`` truthy) are
         evaluated once per (kernel, provider) and cached, so ranking and
         every simulation of the same lowering share one pricing pass.
+        A provider with ``prices(kernel)`` prices the recipes; any
+        other is asked for ``duration(op)`` op by op.
         """
         if not getattr(cost, "deterministic", False):
             return None
@@ -251,7 +286,11 @@ class SimKernel:
         entry = self._dur_cache.get(key)
         if entry is not None and entry[0] is cost:
             return entry[1]
-        durations = list(map(cost.duration, self.ops))
+        prices = getattr(cost, "prices", None)
+        if prices is not None:
+            durations = prices(self)
+        else:
+            durations = list(map(cost.duration, self.ops))
         if len(self._dur_cache) >= _DURATION_CACHE_SLOTS:
             self._dur_cache.clear()
         self._dur_cache[key] = (cost, durations)

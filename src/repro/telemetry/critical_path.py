@@ -18,7 +18,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..parallel.distgraph import DistGraph, DistOp, DistOpKind
+from ..parallel.distgraph import (NCCL_RESOURCE, DistGraph, DistOp,
+                                  DistOpKind)
+from ..simulation.kernel import lower
 from ..simulation.metrics import SimulationResult, union_length
 
 IDLE_KEY = "(idle)"
@@ -31,7 +33,7 @@ def blame_resource(op: DistOp) -> str:
         return op.device  # type: ignore[return-value]
     if op.kind is DistOpKind.TRANSFER:
         return f"link:{op.src_device}->{op.dst_device}"
-    return "nccl"
+    return NCCL_RESOURCE
 
 
 @dataclass(frozen=True)
@@ -109,17 +111,36 @@ class CriticalPathReport:
 
 def critical_path(dist: DistGraph,
                   result: SimulationResult) -> CriticalPathReport:
-    """Attribute the makespan of a traced run (``trace=True``)."""
+    """Attribute the makespan of a traced run (``trace=True``).
+
+    Reads the graph's kernel (names, resources, predecessors, kinds),
+    so a compiled graph never builds its ``DistOp`` objects here."""
     schedule = result.schedule
     if not schedule:
         raise ValueError("result has no trace; simulate with trace=True")
 
-    ops = {name: dist.op(name) for name in schedule}
+    kernel = lower(dist)
+    names = kernel.names
+    index = {name: i for i, name in enumerate(names)}
+    resource_names = kernel.resource_names
+    res_ids = kernel.res_ids
+    kinds = kernel.kind_values
+
+    def resources(name: str) -> List[str]:
+        return [resource_names[r] for r in res_ids[index[name]]]
+
+    def blamed(name: str) -> str:
+        """:func:`blame_resource` of the op called ``name``."""
+        i = index[name]
+        if kinds[i] == "allreduce":
+            return NCCL_RESOURCE
+        return resource_names[res_ids[i][0]]
+
     # resource -> ops that occupy it, sorted by finish time (for the
     # "who held my resource last" lookup)
     holders: Dict[str, List[Tuple[float, str]]] = {}
     for name, (start, end) in schedule.items():
-        for r in ops[name].resources():
+        for r in resources(name):
             holders.setdefault(r, []).append((end, name))
     for entries in holders.values():
         entries.sort()
@@ -146,12 +167,12 @@ def critical_path(dist: DistGraph,
         prior holder of one of its resources."""
         start = schedule[name][0]
         best: Optional[Tuple[float, str]] = None
-        for pred in dist.predecessors(name):
+        for pred in map(names.__getitem__, kernel.pred[index[name]]):
             if pred in schedule:
                 cand = (schedule[pred][1], pred)
                 if best is None or cand > best:
                     best = cand
-        for r in ops[name].resources():
+        for r in resources(name):
             cand = latest_holder(r, start, name)
             if cand is not None and (best is None or cand > best):
                 best = cand
@@ -170,8 +191,8 @@ def critical_path(dist: DistGraph,
         idle_before = start - blocker[0] if blocker is not None else start
         segments.append(PathSegment(
             op=current,
-            kind=ops[current].kind.value,
-            resource=blame_resource(ops[current]),
+            kind=kinds[index[current]],
+            resource=blamed(current),
             start=start,
             end=end,
             idle_before=max(0.0, idle_before),
@@ -199,7 +220,7 @@ def critical_path(dist: DistGraph,
     # whole-iteration idle-gap breakdown, per resource
     intervals: Dict[str, List[Tuple[float, float]]] = {}
     for name, (start, end) in schedule.items():
-        intervals.setdefault(blame_resource(ops[name]), []).append(
+        intervals.setdefault(blamed(name), []).append(
             (start, end))
     per_resource_idle: Dict[str, float] = {}
     idle_gaps: Dict[str, List[Tuple[float, float]]] = {}

@@ -6,8 +6,9 @@ compilers must produce the same distributed graph field for field: op
 insertion order and names (``#n`` suffixes included), every ``DistOp``
 field, per-op edge order, ``instances``, ``resident_bytes`` (order and
 values) and ``version``.  The kernel the compile attaches must equal an
-independent lowering of the finished graph, and every ``CompileError``
-must carry the same text.
+independent lowering of the finished graph, its recipe pricing
+(``ProfileCostModel.prices``) must equal ``duration`` op by op, and every
+``CompileError`` must carry the same text.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dp import all_dp_strategies
-from repro.cluster import cluster_4gpu, cluster_8gpu
+from repro.cluster import cluster_4gpu, cluster_8gpu, cluster_12gpu
 from repro.graph.dag import ComputationGraph
 from repro.graph.models import build_model, model_names
 from repro.graph.op import Operation, OpPhase, TensorSpec
@@ -36,6 +37,7 @@ from repro.parallel.strategy import (
     uniform_strategy,
 )
 from repro.profiling import Profiler
+from repro.simulation import ProfileCostModel
 from repro.simulation.kernel import lower
 from repro.simulation.memory import charge_device, output_bytes
 
@@ -160,7 +162,7 @@ def _compile_both(compiler, graph, cluster, profile, group_of, strategy):
     return results
 
 
-def _assert_same(new, ref):
+def _assert_same(new, ref, make_cost=None):
     (dist, resident), error = new
     (ref_dist, ref_resident), ref_error = ref
     assert error == ref_error
@@ -172,10 +174,16 @@ def _assert_same(new, ref):
     assert kernel.version == dist.version
     assert _kernel_fields(kernel) == _independent_lowering(ref_dist)
     ref_kernel = lower(ref_dist)
-    for field in ("names", "index", "succ", "pred", "pred_count",
+    for field in ("names", "succ", "pred", "pred_count",
                   "succ_count", "sources", "is_link", "is_compute",
                   "mem_dev_index", "topo", "has_cycle"):
         assert getattr(kernel, field) == getattr(ref_kernel, field), field
+    if make_cost is not None:
+        # recipe pricing against the per-op reference, bit for bit, each
+        # on its own provider so neither reads the other's caches
+        priced = [d.hex() for d in make_cost().prices(kernel)]
+        cost = make_cost()
+        assert priced == [cost.duration(op).hex() for op in kernel.ops]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,
@@ -195,7 +203,7 @@ def test_compiler_matches_reference(model, cluster_name, kind, grouped,
     if ref[1] is not None:
         assert new[1] == ref[1]
         return
-    _assert_same(new, ref)
+    _assert_same(new, ref, lambda: ProfileCostModel(cluster, profile))
 
 
 # --------------------------------------------------------------------- #
@@ -266,3 +274,43 @@ def test_failure_parity(make_graph, choice):
         _assert_same(new, ref)
     elif make_graph is _two_applies and choice != "missing":
         assert "must feed exactly one ApplyGradient" in ref[1][1]
+
+
+def test_prices_cover_every_kind():
+    """The recipe pricing pairing above, on draws that together hold all
+    seven kinds, PS push/pull, hierarchical and ring AllReduce, and
+    Concat/Split routing."""
+    kinds, hierarchical, prefixes = set(), set(), set()
+    cases = [_context(model, cluster_name, False)[:4] + (kind, seed)
+             for model, cluster_name, kind, seed in (
+                 ("inception_v3", "cluster_8gpu", "per_op", 1),
+                 ("transformer", "cluster_8gpu", "per_group", 2),
+                 ("vgg19", "cluster_4gpu", "dp", 0))]
+    # four NVLink V100s plus one remote GPU: hierarchical AllReduce wins
+    graph = build_model("vgg19", "tiny")
+    cluster = cluster_12gpu()
+    cases.append((graph, cluster, Profiler(seed=0).profile(graph, cluster),
+                  None, "uniform", 0))
+    for graph, cluster, profile, group_of, kind, seed in cases:
+        if kind == "uniform":
+            strategy = uniform_strategy(graph, cluster, OpStrategy(
+                ParallelKind.DP, replicas=dict.fromkeys(
+                    cluster.device_ids[:5], 1),
+                comm=CommMethod.ALLREDUCE,
+                allocation=ReplicaAllocation.EVEN))
+        else:
+            strategy = _draw_strategy(graph, cluster, kind, seed)
+        compiler = GraphCompiler(cluster, profile, group_of=group_of)
+        new, ref = _compile_both(compiler, graph, cluster, profile,
+                                 group_of, strategy)
+        _assert_same(new, ref, lambda: ProfileCostModel(cluster, profile))
+        dist = new[0][0]
+        kinds.update(op.kind.value for op in dist)
+        hierarchical.update(op.hierarchical for op in dist
+                            if op.kind.value == "allreduce")
+        prefixes.update(n.split(":", 1)[0] for n in dist.op_names
+                        if ":" in n)
+    assert kinds == {"compute", "split", "concat", "transfer", "allreduce",
+                     "aggregate", "apply"}
+    assert hierarchical == {False, True}
+    assert {"push", "pull", "t", "concat", "split"} <= prefixes

@@ -7,7 +7,6 @@ from repro.parallel import (
     CommMethod,
     DistOpKind,
     GraphCompiler,
-    ParallelKind,
     ReplicaAllocation,
     make_dp_strategy,
     make_mp_strategy,
@@ -197,3 +196,186 @@ class TestResources:
             four_gpu, ReplicaAllocation.PROPORTIONAL, CommMethod.PS))
         _, dist = compile_with(tiny_vgg, four_gpu, st, vgg_profile)
         dist.validate()
+
+
+# --------------------------------------------------------------------- #
+# the compiled graph is a view of its kernel
+# --------------------------------------------------------------------- #
+def _small_agent(seed: int = 0):
+    from repro.agent import AgentConfig
+    return AgentConfig(max_groups=8, gat_hidden=16, gat_layers=2,
+                       gat_heads=2, strategy_dim=16, strategy_heads=2,
+                       strategy_layers=1, seed=seed)
+
+
+def _fields(dist):
+    """Everything a materialised graph holds, comparable across copies."""
+    ops = [(op.name, op.kind, op.source_op.name if op.source_op else None,
+            op.device, op.src_device, op.dst_device, op.devices,
+            op.size_bytes, op.batch_fraction, op.group, op.hierarchical,
+            op.extra_resources) for op in dist]
+    return (dist.name, ops, dist._pred_ids, dist._succ_ids,
+            list(dist.instances.items()), dist.version,
+            list(dist.resident_bytes.items()))
+
+
+@pytest.fixture
+def materialised(monkeypatch):
+    """Names of the compiled graphs whose ``DistOp`` objects get built."""
+    from repro.parallel.distgraph import DistGraph
+    built = []
+    materialize = DistGraph._materialize
+
+    def spy(self):
+        if self._ops is None:
+            built.append(self.name)
+        return materialize(self)
+
+    monkeypatch.setattr(DistGraph, "_materialize", spy)
+    return built
+
+
+class TestCompiledView:
+    @pytest.fixture
+    def view(self, tiny_vgg, four_gpu, vgg_profile):
+        strategy = uniform_strategy(tiny_vgg, four_gpu, make_dp_strategy(
+            four_gpu, ReplicaAllocation.PROPORTIONAL, CommMethod.PS))
+        return GraphCompiler(four_gpu, vgg_profile).compile(tiny_vgg,
+                                                            strategy)
+
+    def test_cheap_accessors_do_not_materialise(self, view, materialised):
+        from repro.simulation.kernel import lower
+        names = view.op_names
+        assert len(view) == len(names) > 0
+        assert names[0] in view and "no such op" not in view
+        assert view.version == lower(view).version > len(view)
+        assert view.name.endswith(":distributed")
+        assert sum(view.resident_bytes.values()) > 0
+        view.validate()
+        assert materialised == []
+        ops = list(view)
+        assert materialised == [view.name]
+        assert view.op(names[-1]) is ops[-1] and list(view) == ops
+        kernel_ops = lower(view).ops
+        assert len(kernel_ops) == len(ops)
+        assert all(a is b for a, b in zip(kernel_ops, ops))
+        assert materialised == [view.name]
+
+    def test_mutation_materialises_then_relowers(self, view):
+        from repro.parallel.distgraph import DistOp
+        from repro.simulation.kernel import lower
+        kernel, version = lower(view), view.version
+        last = view.op_names[-1]
+        view.add(DistOp("extra", DistOpKind.SPLIT, device="gpu0"), [last])
+        assert view._ops is not None and view.version == version + 2
+        relowered = lower(view)
+        assert relowered is not kernel and relowered.n == kernel.n + 1
+        assert relowered.pred[-1] == (kernel.n - 1,)
+        assert view.successors(last) == ["extra"]
+
+    def test_search_loop_never_materialises(self, four_gpu, materialised):
+        """A pruning population search, a REINFORCE search and an
+        engine-measured build, all through the public entry points:
+        compile, bound, rank, simulate, truth pricing and the service's
+        critical-path blame all read the kernel."""
+        from repro.baselines import PostSearch
+        from repro.config import HeteroGConfig
+        from repro.graph.models import build_model
+        from repro.service import PlanningService, PlanRequest
+        graph = build_model("inception_v3", "tiny")
+        search = PostSearch(graph, four_gpu, max_groups=8, seed=0)
+        search.search(rounds=2, samples_per_round=8)
+        builder = search.builder
+        assert 0 < builder.evals_pruned < builder.evals_total
+        config = HeteroGConfig(seed=0, agent=_small_agent())
+        found = None
+        with PlanningService(workers=0, name="view") as service:
+            for request in (
+                    PlanRequest(graph=graph, cluster=four_gpu, episodes=2,
+                                config=config),
+                    PlanRequest(graph=graph, cluster=four_gpu,
+                                strategy=uniform_strategy(
+                                    graph, four_gpu, make_mp_strategy("gpu1")),
+                                measure_iterations=2, config=config)):
+                found = service.plan(request)
+                assert service.recorder.get(request.request_id).blame
+        assert found.measured_time is not None
+        assert materialised == []
+
+    def test_concurrent_first_access_builds_once(self, tiny_vgg, four_gpu,
+                                                 vgg_profile):
+        import os
+        import sys
+        import threading
+        compiler = GraphCompiler(four_gpu, vgg_profile)
+        strategy = uniform_strategy(tiny_vgg, four_gpu, make_dp_strategy(
+            four_gpu, ReplicaAllocation.EVEN, CommMethod.ALLREDUCE))
+        expected = _fields(compiler.compile(tiny_vgg, strategy))
+        workers = 4 * (os.cpu_count() or 1) + 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                view = compiler.compile(tiny_vgg, strategy)
+                barrier = threading.Barrier(workers, timeout=30)
+                seen = [None] * workers
+
+                def first_access(k):
+                    barrier.wait()
+                    seen[k] = (list(view), view.instances, view._pred_ids)
+
+                threads = [threading.Thread(target=first_access, args=(k,))
+                           for k in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                ops, instances, preds = seen[0]
+                for other in seen:
+                    assert all(a is b for a, b in zip(other[0], ops))
+                    assert other[1] is instances and other[2] is preds
+                assert _fields(view) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pickled_view_materialises_to_same_graph(self, view):
+        import pickle
+        from repro.simulation.kernel import lower
+        copy = pickle.loads(pickle.dumps(view))
+        assert copy._ops is None and len(copy) == len(view)
+        assert lower(copy).version == copy.version
+        assert _fields(copy) == _fields(view)
+        again = pickle.loads(pickle.dumps(view))  # now materialised
+        assert _fields(again) == _fields(view)
+
+    @pytest.mark.parametrize("model,preset", [("vgg19", "tiny"),
+                                              ("inception_v3", "bench")])
+    def test_cached_plan_retains_few_tracked_objects(self, four_gpu, model,
+                                                     preset):
+        """Objects the garbage collector tracks, kept per cached plan.
+        The bound holds on two graph sizes, so it cannot grow with the
+        dist-op count (one ``DistOp`` per dist-op kept thousands)."""
+        import gc
+        from repro.graph.models import build_model
+        from repro.parallel.strategy import Strategy
+        from repro.plan import PlanBuilder
+        from repro.profiling import Profiler
+        graph = build_model(model, preset)
+        builder = PlanBuilder(graph, four_gpu,
+                              Profiler(seed=0).profile(graph, four_gpu))
+        options = [make_dp_strategy(four_gpu, alloc, comm)
+                   for alloc in ReplicaAllocation for comm in CommMethod]
+        options += [make_mp_strategy(d) for d in four_gpu.device_ids]
+        names = graph.op_names
+        strategies = [Strategy(graph, four_gpu, {
+            n: options[(i * 4 // len(names) + k) % len(options)]
+            for i, n in enumerate(names)}) for k in range(6)]
+        builder.evaluate(strategies.pop())  # warm the per-graph tables
+        gc.collect()
+        before = len(gc.get_objects())
+        dist_ops = sum(builder.evaluate(s).dist_ops for s in strategies)
+        gc.collect()
+        per_plan = (len(gc.get_objects()) - before) / len(strategies)
+        assert dist_ops / len(strategies) > 700
+        assert per_plan < 64
