@@ -8,7 +8,9 @@ line in a fresh reader.  This smoke drives a mixed workload (fresh
 evaluations, a duplicate served from the result cache, a forced queue
 timeout, a forced admission rejection) through a ``workers=0`` service
 and re-validates the full stream, so a schema drift in any emitter
-fails CI instead of corrupting postmortems.
+fails CI instead of corrupting postmortems.  The flight records rebuilt
+from the saved file must equal the live recorder's on every sealed
+request: both are folds over the same events.
 """
 
 from __future__ import annotations
@@ -70,6 +72,14 @@ def test_journal_schema_smoke(quick, report, tmp_path):
     assert [json.dumps(e.to_dict()) for e in reloaded] \
         == [json.dumps(e.to_dict()) for e in events]
 
+    # ... and the records rebuilt from the file equal the live ones
+    rebuilt = FlightRecorder.from_events(reloaded)
+    sealed = [r for r in recorder.records() if r.done]
+    assert sealed, "the workload sealed no flight record"
+    for record in sealed:
+        assert rebuilt.get(record.request_id).to_dict() \
+            == record.to_dict()
+
     kinds = {e.event for e in events}
     assert {"request_accepted", "cache_hit", "search_started",
             "candidate_evaluated", "plan_built", "completed",
@@ -87,4 +97,5 @@ def test_journal_schema_smoke(quick, report, tmp_path):
            f"event types     : {', '.join(sorted(kinds))}\n"
            f"outcomes        : {by_status}\n"
            f"all {len(events)} events valid against schema v"
-           f"{SCHEMA_VERSION}")
+           f"{SCHEMA_VERSION}\n"
+           f"{len(sealed)} sealed records rebuilt identically from JSONL")

@@ -198,10 +198,9 @@ class ResilientTrainer:
         # fault_detected events, every replan's service request (linked
         # through parent_id) and the resume all land in one flight record
         self.episode_id = new_request_id("ep")
-        self.recorder.begin(self.episode_id, label="resilience",
-                            graph=self.deployment.graph.name)
         self.recorder.emit(self.episode_id, "episode_started",
                            policy=self.policy, steps=steps,
+                           label="resilience",
                            graph=self.deployment.graph.name)
         with request_scope(self.episode_id, self.recorder):
             with telemetry.span("resilience.run", steps=steps,
@@ -220,12 +219,10 @@ class ResilientTrainer:
             self.recorder.emit(self.episode_id, "failed",
                                error="stalled",
                                completed_steps=report.completed_steps)
-            self.recorder.finish(self.episode_id, "failed")
         else:
             self.recorder.emit(self.episode_id, "completed",
                                seconds=report.total_seconds,
                                completed_steps=report.completed_steps)
-            self.recorder.finish(self.episode_id, "completed")
         self._export(report)
         return report
 

@@ -527,7 +527,6 @@ class ProcessFleetBackend(ExecutionBackend):
         self.service.recorder.emit(
             rid, "worker_lost", worker=worker.id, reason=reason,
             alive=worker.process.is_alive(), served=worker.served)
-        self.service.recorder.finish(rid, "failed")
         job = worker.job
         worker.job = None
         if job is not None:
@@ -604,8 +603,8 @@ class ProcessFleetBackend(ExecutionBackend):
         self._fleet[wid] = worker
         self.stats.spawned += 1
         rid = self._worker_rid(worker)
-        self.service.recorder.begin(rid, label=f"fleet:{wid}")
         self.service.recorder.emit(rid, "worker_spawn", worker=wid,
+                                   label=f"fleet:{wid}",
                                    pid=process.pid or 0)
         telemetry.emit_gauge("service_fleet_worker_up", 1.0,
                              labels={"worker": wid},
@@ -701,7 +700,6 @@ class ProcessFleetBackend(ExecutionBackend):
             self.service.recorder.emit(rid, "worker_exit",
                                        worker=worker.id,
                                        served=worker.served)
-            self.service.recorder.finish(rid, "completed")
             telemetry.emit_gauge(
                 "service_fleet_worker_up", 0.0,
                 labels={"worker": worker.id},

@@ -227,15 +227,11 @@ class PlanningService:
                 raise ServiceClosedError(
                     f"planning service {self.name!r} is closed")
             self.stats.submitted += 1
-            self.recorder.begin(
-                rid, label=request.label, graph=request.graph.name,
-                fingerprint=fp, parent_id=request.parent_id,
-                priority=request.priority)
             self.recorder.emit(
                 rid, "request_accepted", graph=request.graph.name,
                 label=request.label, priority=request.priority,
                 queue_depth=len(self._queue),
-                parent_id=request.parent_id, fingerprint=fp[:12])
+                parent_id=request.parent_id, fingerprint=fp)
             cached = self._results.get(fp)
             if cached is not None:
                 self.stats.result_hits += 1
@@ -244,13 +240,11 @@ class PlanningService:
                     cached, from_cache=True, request_id=rid))
                 seconds = time.perf_counter() - submitted
                 self.recorder.emit(rid, "cache_hit")
-                self.recorder.emit(
+                self._emit_outcome(
                     rid, "completed", seconds=seconds,
                     slo_class=priority_class(request.priority),
-                    from_cache=True)
-                self.recorder.finish(rid, "completed", queue_seconds=0.0,
-                                     service_seconds=seconds)
-                self.slo.observe(priority_class(request.priority), seconds)
+                    from_cache=True, queue_seconds=0.0,
+                    service_seconds=seconds)
                 return ticket
             self.stats.result_misses += 1
             existing = self._tickets.get(fp)
@@ -258,9 +252,8 @@ class PlanningService:
                 existing.waiters += 1
                 self.stats.coalesced += 1
                 self._count("service_coalesced_total")
-                self.recorder.emit(rid, "coalesced",
+                self._emit_outcome(rid, "coalesced",
                                    primary=existing.request.request_id)
-                self.recorder.finish(rid, "coalesced")
                 return existing
             if self._backend.inline:
                 if len(self._tickets) >= self.max_queue:
@@ -292,9 +285,8 @@ class PlanningService:
         self.stats.rejected += 1
         self._count("service_rejected_total")
         rid = request.request_id
-        self.recorder.emit(rid, "rejected", queue_depth=depth,
+        self._emit_outcome(rid, "rejected", queue_depth=depth,
                            limit=self.max_queue)
-        self.recorder.finish(rid, "rejected")
         error = ServiceOverloadedError(depth, self.max_queue)
         error.request_id = rid
         raise error
@@ -311,11 +303,10 @@ class PlanningService:
                 self._count("service_timeouts_total", {"stage": "wait"})
                 rid = request.request_id
                 exc.request_id = rid
-                self.recorder.emit(
+                self._emit_outcome(
                     rid, "timeout", stage="wait",
                     seconds=time.perf_counter() - ticket.submitted_at,
                     slo_class=priority_class(request.priority))
-                self.recorder.finish(rid, "timeout")
             raise
 
     def close(self) -> None:
@@ -446,10 +437,9 @@ class PlanningService:
             request_id=request.request_id,
         )
 
-    def _finish(self, ticket: PlanTicket,
+    def _finish(self, ticket: PlanTicket, *, queue_seconds: float,
                 result: Optional[PlanResult] = None,
-                error: Optional[BaseException] = None,
-                queue_seconds: Optional[float] = None) -> None:
+                error: Optional[BaseException] = None) -> None:
         with self._lock:
             self._tickets.pop(ticket.fingerprint, None)
             if result is not None:
@@ -468,33 +458,32 @@ class PlanningService:
         rid = ticket.request.request_id
         slo_class = priority_class(ticket.request.priority)
         if result is not None:
-            self.recorder.emit(
+            blame = self._blame(result)
+            self._emit_outcome(
                 rid, "completed", seconds=seconds, slo_class=slo_class,
                 queue_seconds=result.queue_seconds,
                 service_seconds=result.service_seconds,
-                coalesced=result.coalesced)
-            self.recorder.finish(
-                rid, "completed", queue_seconds=result.queue_seconds,
-                service_seconds=result.service_seconds,
-                blame=self._blame(result))
-            self.slo.observe(slo_class, seconds, ok=True)
+                coalesced=result.coalesced,
+                **({"blame": blame} if blame else {}))
         else:
             if getattr(error, "request_id", None) is None:
                 error.request_id = rid
             if isinstance(error, ServiceTimeoutError):
-                self.recorder.emit(rid, "timeout", stage=error.stage,
-                                   seconds=seconds, slo_class=slo_class)
-                self.recorder.finish(rid, "timeout",
-                                     queue_seconds=queue_seconds)
+                self._emit_outcome(rid, "timeout", stage=error.stage,
+                                   seconds=seconds, slo_class=slo_class,
+                                   queue_seconds=queue_seconds)
             else:
-                self.recorder.emit(
+                self._emit_outcome(
                     rid, "failed", error=type(error).__name__,
                     message=str(error)[:200], seconds=seconds,
-                    slo_class=slo_class)
-                self.recorder.finish(rid, "failed",
-                                     queue_seconds=queue_seconds)
-            self.slo.observe(slo_class, seconds, ok=False)
+                    slo_class=slo_class, queue_seconds=queue_seconds)
         ticket._resolve(result, error)
+
+    def _emit_outcome(self, rid: str, event: str, **attrs: object) -> None:
+        """Journal one request outcome; the event that seals the
+        request's flight record is also its one SLO observation."""
+        if self.recorder.emit(rid, event, **attrs):
+            self.slo.account(event, attrs)
 
     @staticmethod
     def _blame(result: PlanResult) -> Optional[Dict[str, float]]:

@@ -52,6 +52,7 @@ from .journal import (
     EVENT_SCHEMAS,
     PHASE_OF,
     SCHEMA_VERSION,
+    TERMINAL_STATUS,
     Journal,
     JournalEvent,
     filter_events,
@@ -106,6 +107,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "EVENT_SCHEMAS",
     "PHASE_OF",
+    "TERMINAL_STATUS",
     "filter_events",
     "new_request_id",
     "validate_event",

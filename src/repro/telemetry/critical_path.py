@@ -67,10 +67,6 @@ class CriticalPathReport:
     idle_gaps: Dict[str, List[Tuple[float, float]]] = field(
         default_factory=dict)
 
-    @property
-    def idle_total(self) -> float:
-        return self.blame.get(IDLE_KEY, 0.0)
-
     def blame_fractions(self) -> Dict[str, float]:
         """Fraction of the makespan blamed on each resource; sums to ~1."""
         if self.makespan <= 0:
@@ -80,9 +76,6 @@ class CriticalPathReport:
     def device_blame(self) -> Dict[str, float]:
         return {k: v for k, v in self.blame.items()
                 if not k.startswith("link:") and k not in (IDLE_KEY, "nccl")}
-
-    def link_blame(self) -> Dict[str, float]:
-        return {k: v for k, v in self.blame.items() if k.startswith("link:")}
 
     def straggler(self) -> Optional[str]:
         """The device with the largest critical-path blame."""

@@ -9,6 +9,11 @@ out, or rejected request can be dumped post-hoc with ``repro
 postmortem <request_id>`` (or :func:`postmortem_report` in process)
 without tracing having been enabled beforehand.
 
+A record is a fold over its request's journal events: the live recorder
+(:meth:`FlightRecorder.emit`) and one rebuilt from a saved journal
+(:meth:`FlightRecorder.from_events`) apply every event through the same
+:meth:`FlightRecorder.fold`, so the two agree field for field.
+
 One process-wide default recorder (:func:`default_recorder`) is shared
 by every :class:`~repro.service.PlanningService` and
 :class:`~repro.resilience.ResilientTrainer` unless they are given their
@@ -22,15 +27,16 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from ..errors import ReproError
-from .journal import Journal, JournalEvent
+from .journal import TERMINAL_STATUS, Journal, JournalEvent
 
-TERMINAL_STATUSES = ("completed", "failed", "rejected", "timeout",
-                     "coalesced")
 DEFAULT_FLIGHT_CAPACITY = 256
 DEFAULT_MAX_EVENTS = 512
+
+#: record fields taken from the first event attribute of the same name.
+_HEADER_FIELDS = ("label", "graph", "fingerprint", "parent_id", "priority")
 
 
 @dataclass
@@ -51,11 +57,13 @@ class FlightRecord:
     events: List[JournalEvent] = field(default_factory=list)
     dropped_events: int = 0
     blame: Dict[str, float] = field(default_factory=dict)
+    _headers_seen: Set[str] = field(default_factory=set, init=False,
+                                    repr=False)
 
     # ------------------------------------------------------------------ #
     @property
     def done(self) -> bool:
-        return self.status in TERMINAL_STATUSES
+        return self.finished_ts is not None
 
     @property
     def age_seconds(self) -> float:
@@ -130,59 +138,52 @@ class FlightRecorder:
         self._records: "OrderedDict[str, FlightRecord]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
-    def begin(self, request_id: str, *, label: str = "", graph: str = "",
-              fingerprint: str = "", parent_id: str = "",
-              priority: int = 0) -> FlightRecord:
-        """Open a record for one request (idempotent per id)."""
-        with self._lock:
-            record = self._records.get(request_id)
-            if record is None:
-                record = FlightRecord(
-                    request_id=request_id, label=label, graph=graph,
-                    fingerprint=fingerprint, parent_id=parent_id,
-                    priority=priority, submitted_ts=time.time(),
-                )
-                self._records[request_id] = record
-                self._evict()
-            return record
+    def emit(self, request_id: str, event: str, **attrs: Any) -> bool:
+        """Record one event: append it to the journal, then fold it into
+        the request's record.  True when it sealed the record."""
+        return self.fold(self.journal.emit(event, request_id, **attrs))
 
-    def emit(self, request_id: str, event: str, **attrs: Any) -> None:
-        """Record one event: append to the request's timeline + journal."""
-        entry = self.journal.emit(event, request_id, **attrs)
+    def fold(self, entry: JournalEvent) -> bool:
+        """Apply one journal event to its request's record.
+
+        The one place a record changes, live (:meth:`emit`) and post hoc
+        (:meth:`from_events`) alike.  The first event opens the record;
+        each header field comes from the first event that carries it;
+        the first event in :data:`TERMINAL_STATUS` seals the record and
+        makes this return True.  Every terminal event, sealing or late
+        (a completion after a wait-stage timeout), updates the queue /
+        execute breakdown and blame it carries.
+        """
+        attrs = entry.attrs
         with self._lock:
-            record = self._records.get(request_id)
+            record = self._records.get(entry.request_id)
             if record is None:
-                # deep-layer event for a request we never saw begin()
-                # (or whose record was evicted): open a minimal record
-                record = FlightRecord(request_id=request_id,
+                record = FlightRecord(request_id=entry.request_id,
                                       submitted_ts=entry.ts)
-                self._records[request_id] = record
+                self._records[entry.request_id] = record
                 self._evict()
             if len(record.events) < self.max_events:
                 record.events.append(entry)
             else:
                 record.dropped_events += 1
-
-    def finish(self, request_id: str, status: str, *,
-               queue_seconds: Optional[float] = None,
-               service_seconds: Optional[float] = None,
-               blame: Optional[Dict[str, float]] = None) -> None:
-        """Seal a record.  The first terminal status wins; later events
-        still append (a wait-stage timeout followed by the computation's
-        eventual completion keeps ``timeout`` as the outcome)."""
-        with self._lock:
-            record = self._records.get(request_id)
-            if record is None:
-                return
-            if not record.done:
-                record.status = status
-                record.finished_ts = time.time()
-            if queue_seconds is not None:
-                record.queue_seconds = queue_seconds
-            if service_seconds is not None:
-                record.service_seconds = service_seconds
-            if blame:
-                record.blame = dict(blame)
+            for key in _HEADER_FIELDS:
+                if key in attrs and key not in record._headers_seen:
+                    record._headers_seen.add(key)
+                    setattr(record, key, attrs[key])
+            status = TERMINAL_STATUS.get(entry.event)
+            if status is None:
+                return False
+            if "queue_seconds" in attrs:
+                record.queue_seconds = attrs["queue_seconds"]
+            if "service_seconds" in attrs:
+                record.service_seconds = attrs["service_seconds"]
+            if "blame" in attrs:
+                record.blame = dict(attrs["blame"])
+            if record.done:
+                return False
+            record.status = status
+            record.finished_ts = entry.ts
+            return True
 
     def _evict(self) -> None:
         """Caller holds the lock: drop oldest (finished-first) records."""
@@ -230,31 +231,7 @@ class FlightRecorder:
         the path ``repro postmortem`` takes in a fresh process."""
         recorder = cls(capacity=capacity, journal=Journal(capacity=1))
         for entry in events:
-            with recorder._lock:
-                record = recorder._records.get(entry.request_id)
-                if record is None:
-                    record = FlightRecord(request_id=entry.request_id,
-                                          submitted_ts=entry.ts)
-                    recorder._records[entry.request_id] = record
-                record.events.append(entry)
-                attrs = entry.attrs
-                if entry.event in ("request_accepted", "episode_started"):
-                    record.label = str(attrs.get("label", record.label))
-                    record.graph = str(attrs.get("graph", record.graph))
-                    record.priority = int(attrs.get("priority", 0))
-                    record.parent_id = str(attrs.get("parent_id",
-                                                     record.parent_id))
-                    record.fingerprint = str(attrs.get(
-                        "fingerprint", record.fingerprint))
-                elif entry.event in ("completed", "failed", "timeout",
-                                     "rejected", "coalesced"):
-                    if not record.done:
-                        record.status = entry.event
-                        record.finished_ts = entry.ts
-                    if "queue_seconds" in attrs:
-                        record.queue_seconds = attrs["queue_seconds"]
-                    if "service_seconds" in attrs:
-                        record.service_seconds = attrs["service_seconds"]
+            recorder.fold(entry)
         return recorder
 
 

@@ -10,11 +10,11 @@ schema or fails loudly; the CI smoke step
 re-validates every line.
 
 The journal is the durable, grep-able stream (``repro journal`` tails
-and filters it); the :mod:`~repro.telemetry.flight` ring buffer indexes
-the same events per request for post-hoc timelines.  Unlike span
-tracing, journal emission is *not* gated on the ambient telemetry
-session — it is request-scoped, bounded, and cheap (a handful of events
-per request, never per simulated op), which is what keeps the
+and filters it); the :mod:`~repro.telemetry.flight` ring buffer folds
+the same events into per-request records for post-hoc timelines.
+Unlike span tracing, journal emission is *not* gated on the ambient
+telemetry session — it is request-scoped, bounded, and cheap (a handful
+of events per request, never per simulated op), which is what keeps the
 disabled-telemetry hot path bit-identical and within budget while still
 making every failed request reconstructable.
 """
@@ -110,6 +110,18 @@ PHASE_OF: Dict[str, str] = {
     "preempt_notice": "resilience",
     "scale_up_replan": "resilience",
     "scale_up_skipped": "resilience",
+}
+
+#: outcome status each terminal event type seals a flight record with;
+#: the first terminal event of a request wins.
+TERMINAL_STATUS: Dict[str, str] = {
+    "completed": "completed",
+    "failed": "failed",
+    "timeout": "timeout",
+    "rejected": "rejected",
+    "coalesced": "coalesced",
+    "worker_exit": "completed",
+    "worker_lost": "failed",
 }
 
 _BASE_FIELDS = ("schema_version", "event", "request_id", "ts")

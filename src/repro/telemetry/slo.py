@@ -8,10 +8,12 @@ fraction of requests the target allows to miss, and the *burn* is how
 much of that budget has been consumed — burn > 1.0 means the SLO is
 blown.  ``repro status`` renders the snapshot.
 
-The same accounting can be recovered from the service's existing
-latency histograms (:meth:`SLOTracker.compliance_from_histogram` walks
-the cumulative buckets), which is how a status snapshot derived from a
-metrics dump agrees with the live tracker.
+The tracker counts each request once, from the event that seals its
+flight record (:meth:`~repro.telemetry.flight.FlightRecorder.fold`):
+the live service accounts the outcomes its own emits sealed, and
+:func:`replay_tracker` runs a saved journal through the same fold, so
+the two snapshots agree.  A wait-stage timeout is one breach; the
+computation's late completion is not counted again.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping, Optional
 
 from ..errors import ReproError
+from .flight import FlightRecorder
+from .journal import JournalEvent
 
 #: priority >= CRITICAL_PRIORITY is "critical"; >= 1 "interactive".
 CRITICAL_PRIORITY = 10
@@ -100,6 +104,14 @@ class SLOTracker:
             else:
                 state.breaches += 1
 
+    def account(self, event: str, attrs: Mapping[str, Any]) -> None:
+        """Account one request's sealing outcome event, if it carries an
+        ``slo_class``: ``completed`` is ok, the latency its ``seconds``."""
+        slo_class = attrs.get("slo_class")
+        if slo_class is not None:
+            self.observe(slo_class, float(attrs.get("seconds", 0.0)),
+                         ok=event == "completed")
+
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """Per-class SLO state: compliance, budget, and burn."""
@@ -130,39 +142,15 @@ class SLOTracker:
             }
         return out
 
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def compliance_from_histogram(histogram,
-                                  objective_seconds: float) -> float:
-        """Fraction of a latency histogram's observations within the
-        objective, estimated from its cumulative buckets (the existing
-        ``service_latency_seconds`` / ``service_wait_seconds`` series).
-        """
-        total = histogram.total
-        if total == 0:
-            return 1.0
-        within = 0
-        for bound, cumulative in histogram.cumulative():
-            if bound <= objective_seconds:
-                within = cumulative
-            else:
-                break
-        return within / total
 
-
-def replay_tracker(events,
+def replay_tracker(events: Iterable[JournalEvent],
                    targets: Optional[Mapping[str, SLOTarget]] = None,
                    ) -> SLOTracker:
-    """Rebuild an :class:`SLOTracker` from journal outcome events —
-    what ``repro status --journal`` uses in a fresh process."""
+    """Rebuild an :class:`SLOTracker` from a journal stream — what
+    ``repro status --journal`` uses in a fresh process."""
     tracker = SLOTracker(targets)
+    recorder = FlightRecorder.from_events(())
     for entry in events:
-        if entry.event not in ("completed", "failed", "timeout"):
-            continue
-        attrs = entry.attrs
-        cls = attrs.get("slo_class")
-        if cls is None:
-            continue
-        latency = float(attrs.get("seconds", 0.0))
-        tracker.observe(cls, latency, ok=entry.event == "completed")
+        if recorder.fold(entry):
+            tracker.account(entry.event, entry.attrs)
     return tracker

@@ -171,21 +171,27 @@ class TestRequestIds:
 
 
 # --------------------------------------------------------------------- #
+def accept(rec: FlightRecorder, request_id: str) -> None:
+    """Open ``request_id``'s record the way the service does."""
+    rec.emit(request_id, "request_accepted", graph="g", label="",
+             priority=0, queue_depth=0)
+
+
 class TestFlightRecorder:
     def test_ring_evicts_oldest_finished_first(self):
         rec = FlightRecorder(capacity=2)
-        rec.begin("req-a")
-        rec.finish("req-a", "completed")
-        rec.begin("req-b")          # inflight
-        rec.begin("req-c")          # over capacity: evict finished req-a
+        accept(rec, "req-a")
+        rec.emit("req-a", "completed", seconds=0.1)
+        accept(rec, "req-b")        # inflight
+        accept(rec, "req-c")        # over capacity: evict finished req-a
         assert rec.get("req-a") is None
         assert rec.get("req-b") is not None
         assert rec.get("req-c") is not None
 
     def test_per_record_event_cap_counts_drops(self):
         rec = FlightRecorder(max_events=3)
-        rec.begin("req-a")
-        for _ in range(5):
+        accept(rec, "req-a")
+        for _ in range(4):
             rec.emit("req-a", "cache_hit")
         record = rec.get("req-a")
         assert len(record.events) == 3
@@ -193,15 +199,54 @@ class TestFlightRecorder:
 
     def test_first_terminal_status_wins(self):
         rec = FlightRecorder()
-        rec.begin("req-a")
-        rec.finish("req-a", "timeout")
-        rec.finish("req-a", "completed")  # late completion after timeout
-        assert rec.get("req-a").status == "timeout"
+        accept(rec, "req-a")
+        assert rec.emit("req-a", "timeout", stage="wait", seconds=1.0)
+        # late completion after the timeout: no second seal, but the
+        # breakdown and blame it carries still reach the record
+        assert not rec.emit("req-a", "completed", seconds=2.0,
+                            queue_seconds=0.5, service_seconds=1.5,
+                            blame={"gpu0": 1.0})
+        record = rec.get("req-a")
+        assert record.status == "timeout"
+        assert record.finished_ts == record.events[1].ts
+        assert record.queue_seconds == 0.5
+        assert record.service_seconds == 1.5
+        assert record.blame == {"gpu0": 1.0}
+
+    def test_header_fields_from_first_carrier(self):
+        rec = FlightRecorder()
+        rec.emit("ep-1", "episode_started", policy="replan", steps=4,
+                 label="resilience", graph="g")
+        rec.emit("ep-1", "request_accepted", graph="other", label="x",
+                 priority=3, queue_depth=0)
+        record = rec.get("ep-1")
+        assert record.label == "resilience" and record.graph == "g"
+        assert record.priority == 3         # first event to carry it
+        assert record.submitted_ts == record.events[0].ts
+
+    def test_sealing_event_past_cap_still_seals(self):
+        rec = FlightRecorder()
+        accept(rec, "req-long")
+        for i in range(rec.max_events):
+            rec.emit("req-long", "candidate_evaluated", feasible=True,
+                     time=float(i))
+        blame = {"gpu0": 0.75, "idle": 0.25}
+        assert rec.emit("req-long", "completed", seconds=3.0, blame=blame)
+        record = rec.get("req-long")
+        assert record.status == "completed" and record.blame == blame
+        assert len(record.events) == rec.max_events
+        assert record.dropped_events == 2
+        assert record.events[-1].event == "candidate_evaluated"
+        assert record.finished_ts == \
+            rec.journal.events(event="completed")[0].ts
+        # the rebuild applies the same cap
+        rebuilt = FlightRecorder.from_events(rec.journal.events())
+        assert rebuilt.get("req-long").to_dict() == record.to_dict()
 
     def test_get_by_unique_prefix(self):
         rec = FlightRecorder()
-        rec.begin("req-000123")
-        rec.begin("req-000456")
+        accept(rec, "req-000123")
+        accept(rec, "req-000456")
         assert rec.get("req-0001").request_id == "req-000123"
         assert rec.get("req-000") is None  # ambiguous
 
@@ -211,13 +256,12 @@ class TestFlightRecorder:
 
 
 # --------------------------------------------------------------------- #
-class GatedInline(PlanningService):
-    """workers=0 service whose ``_serve`` blocks until released, so a
-    concurrent inline submission deterministically hits admission
-    control."""
+class GatedService(PlanningService):
+    """Service whose ``_serve`` blocks until ``gate`` is set, so a test
+    can hold a computation in flight while it submits more work."""
 
     def __init__(self, **kwargs):
-        super().__init__(workers=0, **kwargs)
+        super().__init__(**kwargs)
         self.gate = threading.Event()
         self.entered = threading.Event()
 
@@ -225,6 +269,14 @@ class GatedInline(PlanningService):
         self.entered.set()
         assert self.gate.wait(30), "test never released the gate"
         return super()._serve(request, queue_seconds)
+
+
+class GatedInline(GatedService):
+    """workers=0 gated service: a concurrent inline submission
+    deterministically hits admission control."""
+
+    def __init__(self, **kwargs):
+        super().__init__(workers=0, **kwargs)
 
 
 class TestServiceObservability:
@@ -389,14 +441,6 @@ class TestSLO:
         with pytest.raises(ReproError):
             SLOTarget(objective_seconds=1.0, target=1.5)
 
-    def test_compliance_from_histogram(self):
-        registry = telemetry.MetricsRegistry()
-        hist = registry.histogram("h", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 5.0, 50.0):
-            hist.observe(v)
-        within = SLOTracker.compliance_from_histogram(hist, 1.0)
-        assert within == pytest.approx(0.5)
-
     def test_replay_from_journal_events(self):
         events = [
             JournalEvent("completed", "r1", 1.0,
@@ -405,6 +449,10 @@ class TestSLO:
                          {"stage": "queue", "seconds": 9.0,
                           "slo_class": "batch"}),
             JournalEvent("cache_hit", "r3", 3.0, {}),  # ignored
+            # the computation behind r2's timeout finishes late: r2 is
+            # already sealed, so it is not counted twice
+            JournalEvent("completed", "r2", 4.0,
+                         {"seconds": 11.0, "slo_class": "batch"}),
         ]
         state = replay_tracker(events).snapshot()["batch"]
         assert state["requests"] == 2
@@ -412,6 +460,40 @@ class TestSLO:
 
 
 # --------------------------------------------------------------------- #
+def run_resilient_episode(graph, cluster, rec, slo=None):
+    """Six training steps with gpu1 crashing at step 2 (one replan),
+    journaled into ``rec``; returns the trainer after the run."""
+    from repro.baselines import dp_strategy
+    from repro.profiling import Profiler
+    from repro.resilience import (
+        FaultInjector,
+        FaultSchedule,
+        Replanner,
+        ResilientTrainer,
+    )
+    from repro.runtime import ExecutionEngine
+    from repro.runtime.deployment import build_deployment
+
+    config = AgentConfig(seed=3, max_groups=8, gat_hidden=16,
+                         gat_layers=2, gat_heads=2, strategy_dim=16,
+                         strategy_heads=2, strategy_layers=1)
+    profile = Profiler(seed=0).profile(graph, cluster)
+    deployment = build_deployment(
+        graph, cluster, dp_strategy("CP-AR", graph, cluster),
+        profile=profile)
+    injector = FaultInjector(cluster, FaultSchedule.parse("crash:gpu1@2"))
+    engine = ExecutionEngine(cluster, seed=9, fault_injector=injector)
+    replanner = Replanner(
+        graph, cluster, agent_config=config, episodes=2, seed=3,
+        service=PlanningService(workers=0, name="replanner",
+                                recorder=rec, slo=slo))
+    trainer = ResilientTrainer(deployment, injector, engine=engine,
+                               replanner=replanner, recorder=rec)
+    report = trainer.run(6)
+    assert not report.stalled
+    return trainer
+
+
 class TestResilienceEpisodeTrace:
     def test_fault_detect_replan_resume_is_one_linked_trace(self, mlp,
                                                             four_gpu):
@@ -419,36 +501,8 @@ class TestResilienceEpisodeTrace:
         episode is one correlated trace — the episode record holds the
         detection and replan events, and the replan's service request is
         linked back through parent_id."""
-        from repro.baselines import dp_strategy
-        from repro.profiling import Profiler
-        from repro.resilience import (
-            FaultInjector,
-            FaultSchedule,
-            Replanner,
-            ResilientTrainer,
-        )
-        from repro.runtime import ExecutionEngine
-        from repro.runtime.deployment import build_deployment
-
         rec = FlightRecorder()
-        config = AgentConfig(seed=3, max_groups=8, gat_hidden=16,
-                             gat_layers=2, gat_heads=2, strategy_dim=16,
-                             strategy_heads=2, strategy_layers=1)
-        profile = Profiler(seed=0).profile(mlp, four_gpu)
-        deployment = build_deployment(
-            mlp, four_gpu, dp_strategy("CP-AR", mlp, four_gpu),
-            profile=profile)
-        injector = FaultInjector(four_gpu,
-                                 FaultSchedule.parse("crash:gpu1@2"))
-        engine = ExecutionEngine(four_gpu, seed=9, fault_injector=injector)
-        replanner = Replanner(
-            mlp, four_gpu, agent_config=config, episodes=2, seed=3,
-            service=PlanningService(workers=0, name="replanner",
-                                    recorder=rec))
-        trainer = ResilientTrainer(deployment, injector, engine=engine,
-                                   replanner=replanner, recorder=rec)
-        report = trainer.run(6)
-        assert not report.stalled
+        trainer = run_resilient_episode(mlp, four_gpu, rec)
 
         episode = rec.get(trainer.episode_id)
         assert episode is not None and episode.status == "completed"
@@ -474,6 +528,93 @@ class TestResilienceEpisodeTrace:
         # postmortem of the episode reads end-to-end
         text = postmortem_report(episode)
         assert "fault_detected" in text and "resumed" in text
+
+
+# --------------------------------------------------------------------- #
+class TestLiveReplayParity:
+    def test_records_and_slo_rebuild_identically(self, mlp, four_gpu,
+                                                 tmp_path):
+        """Every sealed record of a mixed workload, and the SLO state,
+        are identical live and rebuilt from the saved JSONL journal."""
+        from repro.errors import ReproError
+        from repro.parallel import single_device_strategy
+
+        rec = FlightRecorder()
+        slo = SLOTracker()
+
+        # fresh search with blame, then its result-cache hit; then a
+        # wait-stage timeout whose computation completes later, and a
+        # duplicate coalesced onto it, on a one-worker thread backend
+        threaded = GatedService(workers=1, recorder=rec, slo=slo)
+        threaded.gate.set()
+        fresh = threaded.plan(search_request(mlp, four_gpu, seed=7))
+        threaded.plan(search_request(mlp, four_gpu, seed=7))
+        threaded.gate.clear()
+        slow = search_request(mlp, four_gpu, seed=8, timeout=0.5)
+        with pytest.raises(ServiceTimeoutError) as excinfo:
+            threaded.plan(slow)
+        assert excinfo.value.stage == "wait"
+        duplicate = search_request(mlp, four_gpu, seed=8)
+        ticket = threaded.submit(duplicate)
+        threaded.gate.set()
+        ticket.result(30)
+        threaded.close()
+
+        # inline: an admission rejection, a queue timeout, a failure
+        inline = GatedInline(max_queue=1, recorder=rec, slo=slo)
+        blocked = threading.Thread(
+            target=lambda: inline.plan(search_request(mlp, four_gpu,
+                                                      seed=9)),
+            daemon=True)
+        blocked.start()
+        assert inline.entered.wait(30)
+        rejected = search_request(mlp, four_gpu, seed=10)
+        with pytest.raises(ServiceOverloadedError):
+            inline.submit(rejected)
+        inline.gate.set()
+        blocked.join(timeout=30)
+        queued = search_request(mlp, four_gpu, seed=11, timeout=1e-9)
+        with pytest.raises(ServiceTimeoutError):
+            inline.plan(queued)
+        doomed = PlanRequest(
+            graph=mlp, cluster=four_gpu, config=fast_config(),
+            strategy=single_device_strategy(
+                make_mlp(name="jrnl_other", layers=1), four_gpu))
+        with pytest.raises(ReproError):
+            inline.plan(doomed)
+        inline.close()
+
+        trainer = run_resilient_episode(mlp, four_gpu, rec, slo=slo)
+
+        path = tmp_path / "parity.jsonl"
+        rec.journal.save_jsonl(str(path))
+        loaded = Journal.load(str(path))
+        rebuilt = FlightRecorder.from_events(loaded)
+        sealed = [r for r in rec.records() if r.done]
+        for record in sealed:
+            twin = rebuilt.get(record.request_id)
+            assert twin.to_dict() == record.to_dict()
+            assert postmortem_report(twin) == postmortem_report(record)
+        assert threaded.snapshot()["slo"] == \
+            replay_tracker(loaded).snapshot()
+
+        # the workload covers what the parity has to hold for
+        status = {r.request_id: r.status for r in sealed}
+        assert rec.get(fresh.request_id).blame
+        assert status[slow.request_id] == "timeout"
+        assert "completed" in [e.event for e in
+                               rec.get(slow.request_id).events]
+        assert status[duplicate.request_id] == "coalesced"
+        assert status[rejected.request_id] == "rejected"
+        assert status[queued.request_id] == "timeout"
+        assert status[doomed.request_id] == "failed"
+        assert status[trainer.episode_id] == "completed"
+        assert len(loaded) < rec.journal.capacity
+        # the wait-stage timeout is one breach; its late completion is
+        # not counted again
+        batch = slo.snapshot()["batch"]
+        assert batch["breaches"] == 3
+        assert batch["requests"] == batch["good"] + 3
 
 
 # --------------------------------------------------------------------- #
