@@ -11,7 +11,8 @@ completed ``rank`` makespan).
 This benchmark runs the same 16-candidate cold search twice on fresh
 builders:
 
-- **unpruned** — ``prune=False``: the pre-pruning pipeline (no bound
+- **unpruned** — the test oracle's ``unpruned_outcome``
+  (``tests/oracle/unpruned.py``): the pre-pruning pipeline (no bound
   check, no mid-sim abort, no internal race pruning);
 - **pruned**   — a shared :class:`~repro.plan.BestSoFar` threaded
   through a serial sweep, exactly how the REINFORCE / CEM consumers
@@ -52,6 +53,8 @@ from repro.graph.grouping import group_operations
 from repro.graph.models import build_model
 from repro.plan import BestSoFar, PlanBuilder
 from repro.profiling import Profiler
+
+from tests.oracle.unpruned import unpruned_outcome
 
 #: measured speedup may drop to this fraction of the committed baseline
 #: before the benchmark fails (machine-relative, so portable)
@@ -123,7 +126,7 @@ def test_candidate_pruning_speedup(setup, report, results_dir):
 
     def unpruned():
         builder = PlanBuilder(graph, cluster, profile)
-        outcomes = [builder.evaluate(s, prune=False) for s in candidates]
+        outcomes = [unpruned_outcome(builder, s) for s in candidates]
         return [o.time if o.feasible else float("inf") for o in outcomes]
 
     def pruned():

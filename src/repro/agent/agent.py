@@ -30,8 +30,8 @@ class AgentConfig:
     Paper defaults: 12 GAT layers x 8 heads, 8 Transformer-XL layers,
     N = 2000 groups.  The defaults here are CPU-feasible reductions of the
     same architecture; pass ``paper_scale()`` for the faithful sizes.
-    ``learning_rate``, the entropy schedule, ``use_seeds``, ``prune``
-    and ``seed`` configure the
+    ``learning_rate``, the entropy schedule, ``use_seeds`` and ``seed``
+    configure the
     :class:`~repro.agent.reinforce.ReinforceTrainer` directly.
     """
 
@@ -48,8 +48,6 @@ class AgentConfig:
     use_seeds: bool = True
     use_order_scheduling: bool = True
     seed: int = 0
-    # winner-safe branch-and-bound pruning (results bit-identical)
-    prune: bool = True
 
     @staticmethod
     def paper_scale() -> "AgentConfig":

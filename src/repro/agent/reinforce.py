@@ -123,7 +123,7 @@ class ReinforceTrainer:
         # Phase 2: evaluate each rollout in context order.  No
         # best-so-far is threaded in: a pruned rollout would train on the
         # infeasible penalty instead of its reward.
-        outcomes = [ctx.builder.evaluate(strategy, prune=self.config.prune)
+        outcomes = [ctx.builder.evaluate(strategy)
                     for ctx, _, strategy in rollouts]
         # Phase 3: rewards, baselines and the policy-gradient loss.
         for (ctx, sample, strategy), outcome in zip(rollouts, outcomes):
@@ -182,8 +182,7 @@ class ReinforceTrainer:
         weights = None
         for _ in range(4):
             strategy = memory_ladder_strategy(ctx.graph, cluster, weights)
-            outcome = ctx.builder.evaluate(strategy,
-                                           prune=self.config.prune)
+            outcome = ctx.builder.evaluate(strategy)
             if outcome.feasible:
                 if outcome.time < ctx.best_raw_time:
                     ctx.best_raw_time = outcome.time

@@ -201,10 +201,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
           f"({args.episodes} episodes)...",
           file=sys.stderr)
     ctx = ExperimentContext(cluster, seed=args.seed)
-    config = bench_agent_config(args.seed)
-    config.prune = not args.no_prune
     measured = ctx.run_heterog(graph, episodes=args.episodes,
-                               agent_config=config)
+                               agent_config=bench_agent_config(args.seed))
     print(f"per-iteration time : {measured.display_time} s")
     print(f"search time        : {measured.extras['search_seconds']:.1f} s")
     print(describe_strategy(measured.strategy))
@@ -355,7 +353,6 @@ def cmd_churn(args: argparse.Namespace) -> int:
         schedule = churn.schedule(cluster)
     config = HeteroGConfig(episodes=episodes, seed=args.seed,
                            agent=bench_agent_config(args.seed))
-    config.agent.prune = not args.no_prune
     heterog = HeteroG(cluster, config)
     with telemetry.session() as tel:
         print(f"searching healthy deployment for {graph.name} on {cluster} "
@@ -385,18 +382,6 @@ def _backend_options(args: argparse.Namespace) -> Optional[dict]:
     if getattr(args, "redispatch_limit", None) is not None:
         options["redispatch_limit"] = args.redispatch_limit
     return options or None
-
-
-def _add_eval_args(p: argparse.ArgumentParser) -> None:
-    """The evaluation knob shared by every planning command
-    (``plan`` / ``serve`` / ``bench-service`` / ``churn``): same flag
-    name, same default everywhere.  It is a result-transparent
-    throughput switch, nevertheless fingerprinted by the planning
-    service so a pruned and an unpruned request never coalesce, keeping
-    A/B timings honest."""
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable branch-and-bound candidate pruning "
-                   "(slower; results are identical either way)")
 
 
 def _add_backend_args(p: argparse.ArgumentParser) -> None:
@@ -435,7 +420,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     cluster = _resolve_cluster(args.cluster)()
     graph = build_model(model_name, args.preset)
     config = HeteroGConfig(seed=args.seed)
-    config.agent.prune = not args.no_prune
     # each unique group gets its own episode budget, so groups have
     # distinct fingerprints while copies within a group are identical
     requests = [
@@ -478,7 +462,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_bench_service(args: argparse.Namespace) -> int:
     """``repro bench-service``: coalesced concurrent vs serial replanning."""
-    from .config import HeteroGConfig
     from .service.bench import bench_coalescing
 
     model_name = _resolve_model(args.model)
@@ -486,12 +469,9 @@ def cmd_bench_service(args: argparse.Namespace) -> int:
     graph = build_model(model_name, args.preset)
     print(f"benchmarking {args.duplicates} duplicate requests for "
           f"{graph.name} on {cluster}...", file=sys.stderr)
-    config = HeteroGConfig(seed=args.seed)
-    config.agent.prune = not args.no_prune
     numbers = bench_coalescing(
         graph, cluster, duplicates=args.duplicates,
-        episodes=args.episodes, workers=args.workers,
-        config=config,
+        episodes=args.episodes, workers=args.workers, seed=args.seed,
         backend=args.backend, backend_options=_backend_options(args))
     for key, value in numbers.items():
         print(f"  {key:26s} {value}")
@@ -667,7 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=24)
     p.add_argument("--save", metavar="PATH",
                    help="save the strategy as JSON")
-    _add_eval_args(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("baselines", help="measure the DP baselines")
@@ -757,7 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="episodes per replan search (default: 4)")
     p.add_argument("--quick", action="store_true",
                    help="CI smoke mode: trim episodes and steps")
-    _add_eval_args(p)
     p.add_argument("--preset", choices=["tiny", "bench", "paper"],
                    default="bench", help="model scale (default: bench)")
     p.add_argument("--seed", type=int, default=0)
@@ -781,7 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-request deadline in seconds")
     p.add_argument("--max-queue", type=int, default=64,
                    help="admission-control queue bound (default: 64)")
-    _add_eval_args(p)
     _add_backend_args(p)
     p.add_argument("--preset", choices=["tiny", "bench", "paper"],
                    default="bench", help="model scale (default: bench)")
@@ -803,7 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="service worker threads (default: 2)")
     p.add_argument("--episodes", type=int, default=4,
                    help="search episodes per request (default: 4)")
-    _add_eval_args(p)
     _add_backend_args(p)
     p.add_argument("--preset", choices=["tiny", "bench", "paper"],
                    default="tiny", help="model scale (default: tiny)")

@@ -24,8 +24,7 @@ class HeteroGConfig:
       ``agent.use_order_scheduling``.
     - ``checkpoint_path``: where to save trained variables (accepted for
       API fidelity; the simulated engine has no variables to persist).
-    - ``agent``: GNN policy and training hyper-parameters, including the
-      winner-safe ``prune`` switch (``--no-prune``).
+    - ``agent``: GNN policy and training hyper-parameters.
     - ``seed``: master seed for profiling/search determinism; overrides
       ``agent.seed``.
     """

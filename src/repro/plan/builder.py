@@ -102,21 +102,18 @@ class PlanBuilder:
         return dist, dist.resident_bytes
 
     def build(self, strategy: Strategy,
-              fingerprint: Optional[str] = None,
-              prune: bool = True) -> ExecutionPlan:
+              fingerprint: Optional[str] = None) -> ExecutionPlan:
         """Compile + schedule ``strategy`` into a cached ExecutionPlan.
 
         Raises :class:`CompileError` when the strategy cannot be
         compiled (``evaluate`` turns that into an infeasible outcome).
-        ``prune=False`` disables the scheduler's internal candidate-race
-        pruning (the built plan is bit-identical either way).
         """
         fp = fingerprint or self.fingerprint(strategy)
-        plan, _ = self._build_or_prune(strategy, fp, limit=None, prune=prune)
+        plan, _ = self._build_or_prune(strategy, fp, limit=None)
         return plan
 
     def _build_or_prune(self, strategy: Strategy, fp: str, *,
-                        limit: Optional[float], prune: bool
+                        limit: Optional[float]
                         ) -> "tuple[Optional[ExecutionPlan], Optional[EvalOutcome]]":
         """Build a plan, or stop early once it provably loses the race.
 
@@ -147,7 +144,7 @@ class PlanBuilder:
             schedule = self._scheduler.schedule(
                 dist, self.cost, kernel=kernel,
                 resident_bytes=resident, capacities=self.capacities,
-                prune_above=limit, prune=prune,
+                prune_above=limit,
             )
             sim = schedule.sim_result
             if sim is not None and sim.pruned:
@@ -206,7 +203,6 @@ class PlanBuilder:
     def evaluate(self, strategy: Strategy, *,
                  trace: bool = False,
                  best: Optional[BestSoFar] = None,
-                 prune: bool = True,
                  prune_above: Optional[float] = None) -> EvalOutcome:
         """Full evaluation with outcome memoization and pruning.
 
@@ -222,20 +218,17 @@ class PlanBuilder:
         abort inside it) and returned as a ``pruned`` outcome — the
         surviving winner is bit-identical to an unpruned search.  Exact
         feasible results are observed back into ``best`` so the
-        threshold tightens as the search progresses.  ``prune=False``
-        disables every pruning layer (the ``--no-prune`` escape hatch).
+        threshold tightens as the search progresses.
         """
         fp = self.fingerprint(strategy)
-        limit = self._prune_limit(best, prune_above) if prune else None
-        if trace:
-            limit = None
+        limit = None if trace else self._prune_limit(best, prune_above)
         if not trace:
             cached = self.cached_outcome(fp, limit=limit, best=best)
             if cached is not None:
                 return cached
         self.evals_total += 1
         outcome = self._evaluate_fresh(strategy, fp, trace=trace,
-                                       limit=limit, prune=prune)
+                                       limit=limit)
         if not trace and (not outcome.pruned
                           or outcome.prune_stage == "bound"):
             # mid-sim-pruned outcomes are threshold-dependent (the
@@ -254,7 +247,6 @@ class PlanBuilder:
 
     def evaluate_many(self, strategies: Sequence[Strategy], *,
                       best: Optional[BestSoFar] = None,
-                      prune: bool = True,
                       prune_above: Optional[float] = None
                       ) -> List[EvalOutcome]:
         """Evaluate a population of candidates, in input order.
@@ -272,7 +264,7 @@ class PlanBuilder:
         done: Dict[str, EvalOutcome] = {}
         for strategy, fp in zip(strategies, fps):
             if fp not in done:
-                done[fp] = self.evaluate(strategy, best=best, prune=prune,
+                done[fp] = self.evaluate(strategy, best=best,
                                          prune_above=prune_above)
         return [done[fp] for fp in fps]
 
@@ -322,11 +314,10 @@ class PlanBuilder:
             help="fraction of candidate evaluations pruned (this builder)")
 
     def _evaluate_fresh(self, strategy: Strategy, fp: str, *,
-                        trace: bool, limit: Optional[float] = None,
-                        prune: bool = True) -> EvalOutcome:
+                        trace: bool, limit: Optional[float] = None
+                        ) -> EvalOutcome:
         try:
-            plan, pruned = self._build_or_prune(strategy, fp, limit=limit,
-                                                prune=prune)
+            plan, pruned = self._build_or_prune(strategy, fp, limit=limit)
         except CompileError:
             return EvalOutcome(time=float("inf"), oom=False, result=None,
                                dist_ops=0, infeasible=True)

@@ -24,14 +24,14 @@ from ..parallel.distgraph import DistGraph
 from ..simulation.costs import CostProvider
 from ..simulation.kernel import SimKernel, lower
 from ..simulation.metrics import SimulationResult
-from .ranking import DEFAULT_COMM_WEIGHT, kernel_ranks
+from .ranking import kernel_ranks
 
 
 @dataclass(frozen=True)
 class Schedule:
     """An execution-order decision: per-op priority (smaller runs first)."""
 
-    priorities: Optional[Dict[str, int]]  # None = engine-native FIFO
+    priorities: Dict[str, int]
     ranks: Optional[Dict[str, float]] = None
     estimated_makespan: Optional[float] = None
     chosen: Optional[str] = None  # which candidate order won
@@ -39,10 +39,6 @@ class Schedule:
     # already ran it under the caller's resident_bytes/capacities —
     # PlanBuilder reuses this instead of re-simulating the plan
     sim_result: Optional[SimulationResult] = None
-
-    @property
-    def is_fifo(self) -> bool:
-        return self.priorities is None
 
 
 class ListScheduler:
@@ -52,8 +48,8 @@ class ListScheduler:
     and the better one is enforced:
 
     - ``rank``: upward-rank priorities with communication inflated by
-      ``comm_weight`` — dominant when independent links (PS pushes/pulls)
-      carry the traffic and the critical path matters;
+      ``DEFAULT_COMM_WEIGHT`` — dominant when independent links (PS
+      pushes/pulls) carry the traffic and the critical path matters;
     - ``earliest``: the emergent ready-arrival order, captured from a
       simulation trace into a static order — dominant when a single
       serialized resource (NCCL) is the bottleneck and collectives must
@@ -67,13 +63,10 @@ class ListScheduler:
     the scheduler).
     """
 
-    def __init__(self, comm_weight: float = DEFAULT_COMM_WEIGHT):
-        self.comm_weight = comm_weight
-
     def _rank_priorities(
         self, kernel: SimKernel, cost: CostProvider
     ) -> Tuple[Dict[str, int], Dict[str, float], "list[int]"]:
-        ranks = kernel_ranks(kernel, cost, comm_weight=self.comm_weight)
+        ranks = kernel_ranks(kernel, cost)
         # higher rank -> runs earlier; ties broken by topological position
         # for determinism (matching the engine's stable heap ordering)
         topo_pos = kernel.topo_positions()
@@ -98,8 +91,7 @@ class ListScheduler:
                  kernel: Optional[SimKernel] = None,
                  resident_bytes: Optional[Dict[str, int]] = None,
                  capacities: Optional[Dict[str, int]] = None,
-                 prune_above: Optional[float] = None,
-                 prune: bool = True) -> Schedule:
+                 prune_above: Optional[float] = None) -> Schedule:
         """Choose the better of the two candidate orders.
 
         ``kernel`` reuses an existing lowering (otherwise taken from the
@@ -118,12 +110,12 @@ class ListScheduler:
         ``<=`` tie-break, so aborting there returns the identical
         winner.  Both prunings apply only under deterministic cost
         providers (a stochastic provider's RNG draw sequence must not
-        depend on pruning) and ``prune=False`` disables them outright.
+        depend on pruning).
         """
         from ..simulation.engine import Simulator  # local: avoid cycle
         kernel = kernel if kernel is not None else lower(graph)
         simulator = Simulator(cost)
-        can_prune = prune and getattr(cost, "deterministic", False)
+        can_prune = getattr(cost, "deterministic", False)
         limit = prune_above if can_prune else None
         with telemetry.span("schedule.ranking", graph=graph.name):
             rank_priorities, ranks, prio_arr = self._rank_priorities(
@@ -187,16 +179,14 @@ class FifoScheduler:
 
     TensorFlow's executor drains its ready queue with a thread pool, so
     the order among simultaneously-ready ops is effectively arbitrary
-    and varies run to run.  We model it with seeded random priorities
-    (``randomize=True``, the default): among ready ops, an arbitrary one
-    starts first.  ``randomize=False`` gives strict ready-arrival order —
-    an idealized FIFO that is often unrealistically good, because the
-    compiler happens to enqueue gradient producers right before their
-    consumers.
+    and varies run to run.  We model it with seeded random priorities:
+    among ready ops, an arbitrary one starts first.  (Strict
+    ready-arrival order is an idealized FIFO that is often
+    unrealistically good, because the compiler happens to enqueue
+    gradient producers right before their consumers.)
     """
 
-    def __init__(self, randomize: bool = True, seed: int = 0):
-        self.randomize = randomize
+    def __init__(self, seed: int = 0):
         self.seed = seed
 
     def schedule(self, graph: DistGraph,
@@ -204,13 +194,9 @@ class FifoScheduler:
                  kernel: Optional[SimKernel] = None,
                  resident_bytes: Optional[Dict[str, int]] = None,
                  capacities: Optional[Dict[str, int]] = None,
-                 prune_above: Optional[float] = None,
-                 prune: bool = True) -> Schedule:
-        # prune_above/prune are accepted for scheduler
-        # interchangeability but moot here: FIFO ordering runs no
-        # candidate simulations
-        if not self.randomize:
-            return Schedule(priorities=None)
+                 prune_above: Optional[float] = None) -> Schedule:
+        # prune_above is accepted for scheduler interchangeability but
+        # moot here: FIFO ordering runs no candidate simulations
         rng = np.random.default_rng(self.seed)
         names = graph.op_names
         order = rng.permutation(len(names))

@@ -4,7 +4,7 @@
 the length of the longest remaining path to the sink, counting both
 computation and communication durations.  HEFT-style upward rank.
 
-``comm_weight`` implements the "maximal computation-communication
+``DEFAULT_COMM_WEIGHT`` implements the "maximal computation-communication
 overlap" goal: communication durations are inflated when computing ranks
 (not when simulating!), so a cheap compute op that unblocks a large
 tensor transfer or collective outranks equally-cheap compute that only
@@ -27,12 +27,11 @@ from ..parallel.distgraph import DistGraph
 from ..simulation.costs import CostProvider
 from ..simulation.kernel import SimKernel, lower
 
-#: default inflation of communication time in rank computation
+#: inflation of communication time in rank computation
 DEFAULT_COMM_WEIGHT = 4.0
 
 
-def kernel_ranks(kernel: SimKernel, cost: CostProvider,
-                 comm_weight: float = DEFAULT_COMM_WEIGHT) -> "list[float]":
+def kernel_ranks(kernel: SimKernel, cost: CostProvider) -> "list[float]":
     """Upward ranks indexed by kernel op index.
 
     Shares the kernel's cached duration array when the cost provider is
@@ -40,8 +39,6 @@ def kernel_ranks(kernel: SimKernel, cost: CostProvider,
     topological order (the same draw order the dict implementation
     used).
     """
-    if comm_weight <= 0:
-        raise ValueError(f"comm_weight must be positive, got {comm_weight}")
     if kernel.has_cycle:
         # raise the same CompileError the graph API raises for cycles
         kernel.graph.topological_order()
@@ -54,7 +51,7 @@ def kernel_ranks(kernel: SimKernel, cost: CostProvider,
     for i in reversed(kernel.topo):
         duration = durations[i]
         if is_comm[i]:
-            duration *= comm_weight
+            duration *= DEFAULT_COMM_WEIGHT
         succ_rank = 0.0
         for s in succ[i]:
             rank = ranks[s]
@@ -82,13 +79,12 @@ def _drawn_durations(kernel: SimKernel, cost: CostProvider) -> List[float]:
     return durations
 
 
-def compute_ranks(graph: DistGraph, cost: CostProvider,
-                  comm_weight: float = DEFAULT_COMM_WEIGHT, *,
+def compute_ranks(graph: DistGraph, cost: CostProvider, *,
                   kernel: Optional[SimKernel] = None
                   ) -> Dict[str, float]:
     """Upward rank of every dist-op under the given cost model."""
     kernel = kernel if kernel is not None else lower(graph)
-    ranks = kernel_ranks(kernel, cost, comm_weight)
+    ranks = kernel_ranks(kernel, cost)
     names = kernel.names
     # keyed in reverse topological order, matching the historical
     # insertion order of the dict implementation

@@ -175,7 +175,6 @@ def bench_coalescing(graph: ComputationGraph, cluster, *,
         "episodes": episodes,
         "workers": workers,
         "backend": backend,
-        "prune": config.agent.prune,
         "serial_seconds": round(serial_s, 3),
         "concurrent_seconds": round(concurrent_s, 3),
         "speedup": round(serial_s / concurrent_s, 2)

@@ -138,8 +138,7 @@ class PlanContext:
                 strategy = agent.trainer.best_strategy(self.graph.name)
                 if strategy is None:
                     continue
-                outcome = builder.evaluate(strategy,
-                                           prune=self.config.agent.prune)
+                outcome = builder.evaluate(strategy)
                 if outcome.feasible:
                     break
         if outcome is None or not outcome.feasible:
@@ -164,8 +163,7 @@ class PlanContext:
     def _build(self, request: PlanRequest) -> Served:
         """Build (and optionally engine-measure) an explicit strategy."""
         builder = self.builder
-        outcome = builder.evaluate(request.strategy,
-                                   prune=self.config.agent.prune)
+        outcome = builder.evaluate(request.strategy)
         deployment: Optional[Deployment] = None
         if not outcome.infeasible:
             with telemetry.span("pipeline.schedule", graph=self.graph.name):

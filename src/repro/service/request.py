@@ -3,8 +3,8 @@
 A :class:`PlanRequest` names *everything* that determines a planning
 outcome — the computation graph, the cluster (or client ``device_info``
 description), the search budget or the explicit strategy to build, and
-the :class:`~repro.config.HeteroGConfig` (scheduler and prune flags,
-seeds, agent) — and derives two content fingerprints from it:
+the :class:`~repro.config.HeteroGConfig` (scheduler flag, seeds,
+agent) — and derives two content fingerprints from it:
 
 - ``context_key`` identifies the warm :class:`~repro.service.context.
   PlanContext` (graph + cluster + profile + config) the request is
@@ -48,10 +48,7 @@ def _config_payload(config: HeteroGConfig) -> Any:
     the config's own (see :class:`~repro.service.context.PlanContext`),
     so neither splits contexts; ``checkpoint_path`` never affects a
     result, and ``episodes`` enters the fingerprint as the search
-    budget.  Every other agent field stays in the payload — the
-    winner-safe ``prune`` flag included, so pruned and unpruned
-    requests are served on separate warm contexts and never coalesce,
-    keeping ``--no-prune`` timings honest.
+    budget.  Every other agent field stays in the payload.
     """
     agent = dataclasses.asdict(config.agent)
     agent.pop("seed", None)
@@ -72,8 +69,8 @@ class PlanRequest:
     batches of ``episodes`` RL episodes until a feasible strategy is
     found); an explicit ``strategy`` asks the service to *build* (and
     optionally engine-measure) that strategy's deployment.  Search
-    settings — order scheduling, pruning, the agent — come from
-    ``config`` alone.
+    settings — order scheduling, the agent — come from ``config``
+    alone.
     """
 
     graph: ComputationGraph

@@ -330,9 +330,12 @@ class PlanningService:
             self._gauge("service_queue_depth", 0)
             self._not_empty.notify_all()
         for ticket in pending:
-            ticket._resolve(None, ServiceClosedError(
+            # through _finish, like every other terminal path: the
+            # request seals as failed in the journal, stats and SLO
+            self._finish(ticket, error=ServiceClosedError(
                 f"planning service {self.name!r} closed before serving "
-                f"request {ticket.fingerprint[:12]}"))
+                f"request {ticket.fingerprint[:12]}"),
+                queue_seconds=time.perf_counter() - ticket.submitted_at)
         self._backend.close()
 
     # ------------------------------------------------------------------ #

@@ -149,7 +149,7 @@ def dp_answers() -> Dict[str, dict]:
             tight = {d: 2 * resident.get(d, 0) for d in builder.capacities}
             sched = ListScheduler().schedule(
                 dist, builder.cost, kernel=kernel, resident_bytes=resident,
-                capacities=tight, prune=False)
+                capacities=tight)
             kw = dict(resident_bytes=dict(resident), capacities=tight,
                       trace=True, kernel=kernel)
             rank_prios = ListScheduler()._rank_priorities(

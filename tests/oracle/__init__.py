@@ -9,7 +9,8 @@ deadlock error text.  :func:`reference_simulator` swaps it in for
 The original string-keyed graph compiler lives next to it, as
 ``ReferenceCompiler`` in :mod:`tests.oracle.compiler`, and the original
 dense masked-attention GAT layer as ``DenseGATLayer`` in
-:mod:`tests.oracle.gat`.
+:mod:`tests.oracle.gat`, and candidate evaluation with every pruning
+layer off as ``unpruned_outcome`` in :mod:`tests.oracle.unpruned`.
 """
 
 from __future__ import annotations

@@ -1,19 +1,19 @@
 """Tests for the REINFORCE trainer, agent facade, and seed candidates."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.agent import AgentConfig, HeteroGAgent, seed_action_vectors
+from repro.agent.policy import actions_to_strategy, num_actions
 from repro.errors import StrategyError
 from repro.graph.grouping import group_operations
+from repro.graph.models import build_model
 from repro.parallel import single_device_strategy
 from repro.plan import PlanBuilder
 from repro.profiling import Profiler
-from repro.scheduling import ListScheduler
 
 from tests.helpers import make_mlp
+from tests.oracle.unpruned import unpruned_outcome
 
 SMALL = AgentConfig(max_groups=10, gat_hidden=16, gat_layers=2, gat_heads=2,
                     strategy_dim=16, strategy_heads=2, strategy_layers=1,
@@ -54,6 +54,43 @@ class TestEvaluator:
         without = PlanBuilder(g, four_gpu, profile,
                               use_order_scheduling=False)
         assert with_order.evaluate(st).time <= without.evaluate(st).time * 1.05
+
+    @pytest.mark.parametrize("family", ["inception_v3", "transformer"])
+    def test_evaluate_matches_unpruned_oracle(self, four_gpu, family):
+        """Paired fuzz of the rollout path: ``evaluate`` without a
+        best-so-far (the race of the two candidate orders is its only
+        pruning) equals the oracle's unpruned pipeline bit for bit in
+        time, OOM set and chosen order.  Each device's capacity sits
+        between the two orders' peaks, so the OOM verdict depends on
+        which order wins."""
+        graph = build_model(family, "tiny")
+        profile = Profiler(seed=0).profile(graph, four_gpu)
+        grouping = group_operations(
+            graph, {op: 1.0 for op in graph.op_names}, 8)
+        rng = np.random.default_rng(7)
+        order_dependent = 0
+        for _ in range(8):
+            strategy = actions_to_strategy(
+                graph, four_gpu, grouping,
+                rng.integers(0, num_actions(four_gpu), grouping.num_groups))
+            roomy = unpruned_outcome(PlanBuilder(graph, four_gpu, profile),
+                                     strategy)
+            rank, earliest = (roomy.runs["rank"].peak_memory,
+                              roomy.runs["earliest"].peak_memory)
+            builder = PlanBuilder(graph, four_gpu, profile)
+            builder.capacities = {
+                d: (rank.get(d, 0) + earliest.get(d, 0)) // 2
+                for d in builder.capacities}
+            got = builder.evaluate(strategy)
+            want = unpruned_outcome(builder, strategy)
+            assert got.time == want.time
+            assert got.result.oom_devices == want.result.oom_devices
+            schedule = builder.build(strategy).schedule
+            assert schedule.chosen == want.chosen
+            assert schedule.priorities == want.priorities
+            order_dependent += (want.runs["rank"].oom_devices
+                                != want.runs["earliest"].oom_devices)
+        assert order_dependent >= 4
 
 
 class TestSeeds:
@@ -149,23 +186,3 @@ class TestTrainer:
         agent.train(6)
         assert agent.best_time("g1") < float("inf")
         assert agent.best_time("g2") < float("inf")
-
-    def test_no_prune_reaches_every_schedule_call(self, four_gpu,
-                                                  monkeypatch):
-        """prune=False (--no-prune) disables the scheduler's
-        candidate-race abort for the memory-ladder raw seeds too, not
-        only for the policy's rollouts."""
-        calls = []
-        schedule = ListScheduler.schedule
-
-        def spy(self, *args, **kwargs):
-            calls.append(kwargs.get("prune", True))
-            return schedule(self, *args, **kwargs)
-
-        monkeypatch.setattr(ListScheduler, "schedule", spy)
-        agent = HeteroGAgent(four_gpu, dataclasses.replace(SMALL,
-                                                           prune=False))
-        agent.add_graph(make_mlp(name="no_prune_mlp"))
-        agent.train(2)
-        assert agent.trainer._raw_seeds_pending == {}
-        assert calls and not any(calls)

@@ -29,6 +29,7 @@ from repro.plan import BestSoFar, PlanBuilder
 from repro.profiling import exact_profile
 
 from tests.oracle import reference_simulator
+from tests.oracle.unpruned import unpruned_outcome
 
 CLUSTER = cluster_4gpu()
 
@@ -61,9 +62,9 @@ def candidate_strategies(graph, rng: np.random.Generator, n: int,
 
 
 def serial_truth(graph, profile, pool, **builder_kwargs):
-    """Unpruned serial ground truth on a fresh builder."""
+    """Unpruned serial ground truth, from the oracle's pipeline."""
     builder = PlanBuilder(graph, CLUSTER, profile, **builder_kwargs)
-    return [builder.evaluate(s, prune=False) for s in pool]
+    return [unpruned_outcome(builder, s) for s in pool]
 
 
 def assert_paired(outcomes, truth):
@@ -171,7 +172,7 @@ class TestPairedIdentity:
         pool = candidate_strategies(graph, np.random.default_rng(2), 5)
         truth = serial_truth(graph, profile, pool)
         builder = PlanBuilder(graph, CLUSTER, profile)
-        outcomes = builder.evaluate_many(pool, prune=False)
+        outcomes = builder.evaluate_many(pool)
         for got, want in zip(outcomes, truth):
             assert not got.pruned
             assert got.time == want.time

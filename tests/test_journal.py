@@ -12,6 +12,7 @@ from repro.cluster import cluster_4gpu
 from repro.config import HeteroGConfig
 from repro.errors import (
     JournalSchemaError,
+    ServiceClosedError,
     ServiceOverloadedError,
     ServiceTimeoutError,
 )
@@ -615,6 +616,49 @@ class TestLiveReplayParity:
         batch = slo.snapshot()["batch"]
         assert batch["breaches"] == 3
         assert batch["requests"] == batch["good"] + 3
+
+    def test_close_seals_queued_requests_as_failed(self, mlp, four_gpu,
+                                                   tmp_path):
+        """Requests still queued at close() get a terminal ``failed``
+        event: sealed records, one ``stats.failed`` and one SLO breach
+        each, and the same records and SLO state rebuilt from JSONL."""
+        rec = FlightRecorder()
+        service = GatedService(workers=1, recorder=rec, slo=SLOTracker())
+        running = service.submit(search_request(mlp, four_gpu, seed=12))
+        assert service.entered.wait(30)
+        queued = [search_request(mlp, four_gpu, seed=seed)
+                  for seed in range(13, 17)]
+        tickets = [service.submit(request) for request in queued]
+        closer = threading.Thread(target=service.close, daemon=True)
+        closer.start()
+        for ticket in tickets:
+            with pytest.raises(ServiceClosedError):
+                ticket.result(30)
+        # the queued tickets fail before the in-flight one is released
+        service.gate.set()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        running.result(30)
+
+        for request in queued:
+            record = rec.get(request.request_id)
+            assert record.status == "failed"
+            assert record.events[-1].attrs["error"] == "ServiceClosedError"
+        stats = service.stats
+        assert (stats.completed, stats.failed) == (1, len(queued))
+        batch = service.slo.snapshot()["batch"]
+        assert batch["requests"] == 1 + len(queued)
+        assert batch["breaches"] == len(queued)
+
+        path = tmp_path / "closed.jsonl"
+        rec.journal.save_jsonl(str(path))
+        loaded = Journal.load(str(path))
+        rebuilt = FlightRecorder.from_events(loaded)
+        for record in rec.records():
+            assert record.done
+            assert rebuilt.get(record.request_id).to_dict() == \
+                record.to_dict()
+        assert replay_tracker(loaded).snapshot() == service.slo.snapshot()
 
 
 # --------------------------------------------------------------------- #

@@ -39,6 +39,8 @@ from repro.simulation import ProfileCostModel, Simulator
 from repro.simulation.costs import TruthCostModel
 from repro.simulation.kernel import kernel_lower_bound, lower
 
+from tests.oracle.unpruned import unpruned_outcome
+
 CLUSTER = cluster_4gpu()
 
 
@@ -69,12 +71,19 @@ def candidate_strategies(graph, rng: np.random.Generator, n: int,
     ]
 
 
-def serial_winner(builder: PlanBuilder, candidates, *, best=None,
-                  prune=True):
+def serial_winner(builder: PlanBuilder, candidates, *, best=None):
     """argmin over a serial sweep: first index wins ties, like the
     strict-< update every search consumer uses."""
-    outcomes = [builder.evaluate(s, best=best, prune=prune)
-                for s in candidates]
+    outcomes = [builder.evaluate(s, best=best) for s in candidates]
+    return _argmin(outcomes)
+
+
+def unpruned_winner(builder: PlanBuilder, candidates):
+    """The serial sweep's argmin on the oracle's unpruned pipeline."""
+    return _argmin([unpruned_outcome(builder, s) for s in candidates])
+
+
+def _argmin(outcomes):
     times = [o.time if o.feasible else float("inf") for o in outcomes]
     idx = min(range(len(times)), key=times.__getitem__)
     return idx, times[idx], outcomes
@@ -211,7 +220,7 @@ class TestWinnerIdentity:
         graph, pool = payload
         profile = exact_profile(graph, CLUSTER)
         ref = PlanBuilder(graph, CLUSTER, profile)
-        idx0, t0, _ = serial_winner(ref, pool, prune=False)
+        idx0, t0, _ = unpruned_winner(ref, pool)
         pruned = PlanBuilder(graph, CLUSTER, profile)
         idx1, t1, outcomes = serial_winner(pruned, pool, best=BestSoFar())
         assert idx1 == idx0
@@ -228,7 +237,7 @@ class TestWinnerIdentity:
         profile = exact_profile(graph, CLUSTER)
         ref = PlanBuilder(graph, CLUSTER, profile,
                           use_order_scheduling=False)
-        idx0, t0, _ = serial_winner(ref, pool, prune=False)
+        idx0, t0, _ = unpruned_winner(ref, pool)
         pruned = PlanBuilder(graph, CLUSTER, profile,
                              use_order_scheduling=False)
         idx1, t1, _ = serial_winner(pruned, pool, best=BestSoFar())

@@ -53,7 +53,6 @@ class TestSchedulers:
         g = diamond()
         cost = MappingCostModel({"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
         schedule = ListScheduler().schedule(g, cost)
-        assert not schedule.is_fifo
         assert schedule.estimated_makespan is not None
         if schedule.chosen == "rank":
             # higher rank -> smaller priority number
@@ -65,11 +64,6 @@ class TestSchedulers:
         schedule = FifoScheduler(seed=1).schedule(diamond())
         assert schedule.priorities is not None
         assert set(schedule.priorities) == set(diamond().op_names)
-
-    def test_fifo_scheduler_arrival_mode(self):
-        schedule = FifoScheduler(randomize=False).schedule(diamond())
-        assert schedule.is_fifo
-        assert schedule.priorities is None
 
     def test_list_beats_bad_order_on_contention(self):
         """Classic trap: a long chain's head must run before a filler op."""
