@@ -70,12 +70,20 @@ class HeteroGAgent:
     # ------------------------------------------------------------------ #
     def add_graph(self, graph: ComputationGraph,
                   profile: Optional[Profile] = None,
-                  name: Optional[str] = None) -> GraphContext:
-        """Register a DNN graph; profiles it if no profile is supplied."""
+                  name: Optional[str] = None, *,
+                  builder: Optional[PlanBuilder] = None) -> GraphContext:
+        """Register a DNN graph; profiles it if no profile is supplied.
+
+        ``builder`` is the :class:`PlanBuilder` the search evaluates
+        candidates with, so a caller that owns one for this graph shares
+        its plan and outcome caches with the search; it then supplies
+        the profile too.  Without it the agent makes its own."""
         name = name or graph.name
         if any(ctx.name == name for ctx in self._contexts):
             raise StrategyError(f"graph {name!r} already registered")
-        if profile is None:
+        if builder is not None:
+            profile = builder.profile
+        elif profile is None:
             profile = Profiler(seed=self.config.seed).profile(graph,
                                                               self.cluster)
         self._profiles[name] = profile
@@ -87,11 +95,11 @@ class HeteroGAgent:
         )
         index = {n: i for i, n in enumerate(graph.op_names)}
         assignment = grouping.assignment_matrix(index)
-        builder = PlanBuilder(
-            graph, self.cluster, profile,
-            use_order_scheduling=self.config.use_order_scheduling,
-            group_of=grouping.group_of,
-        )
+        if builder is None:
+            builder = PlanBuilder(
+                graph, self.cluster, profile,
+                use_order_scheduling=self.config.use_order_scheduling,
+            )
         ctx = GraphContext(
             name=name, graph=graph, grouping=grouping, features=features,
             neighbourhood=neighbourhood, assignment=assignment,
@@ -149,13 +157,6 @@ class HeteroGAgent:
             if ctx.name == name:
                 return ctx
         raise StrategyError(f"unknown graph {name!r}")
-
-    def try_context(self, name: str) -> Optional[GraphContext]:
-        """Like :meth:`context`, but returns None for unknown graphs."""
-        for ctx in self._contexts:
-            if ctx.name == name:
-                return ctx
-        return None
 
     def profile(self, name: str) -> Profile:
         return self._profiles[name]

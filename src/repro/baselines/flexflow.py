@@ -53,7 +53,6 @@ class FlexFlowSearch:
         self.builder = PlanBuilder(
             graph, cluster, self.profile,
             use_order_scheduling=False,  # FlexFlow keeps default order
-            group_of=self.grouping.group_of,
         )
         self.rng = np.random.default_rng(seed)
         m = cluster.num_devices

@@ -118,7 +118,7 @@ def strip_gradient_sync(dist):
             device=op.device, src_device=op.src_device,
             dst_device=op.dst_device, devices=op.devices,
             size_bytes=op.size_bytes, batch_fraction=op.batch_fraction,
-            group=op.group, hierarchical=op.hierarchical,
+            hierarchical=op.hierarchical,
             extra_resources=op.extra_resources,
         ), deps)
     stripped.validate()

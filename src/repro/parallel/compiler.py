@@ -34,7 +34,7 @@ that builds ``DistOp`` objects only if something asks for them, so
 ``lower(dist)`` is a lookup and a cached plan keeps a few dozen objects
 for the garbage collector to track instead of one per dist-op.  What
 depends only on the training graph (topological order, predecessor
-tuples, strategy keys, group ids, activation sizes) is tabulated once
+tuples, strategy keys, activation sizes) is tabulated once
 per graph and reused by every compile; per-compile state (route cache,
 name counter, PS load, resident bytes) lives in a :class:`_Compilation`
 that ends with the call.
@@ -42,7 +42,7 @@ that ends with the call.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster.topology import Cluster
 from ..errors import CompileError
@@ -62,10 +62,10 @@ class _OpInfo:
     """What the compiler needs of one training-graph op, per graph."""
 
     __slots__ = ("index", "op", "name", "preds", "ref", "pgrad", "applies",
-                 "group", "resident", "full_bytes", "batched", "param_bytes",
+                 "resident", "full_bytes", "batched", "param_bytes",
                  "act_bytes")
 
-    def __init__(self, index: int, op: Operation, group: Optional[int]):
+    def __init__(self, index: int, op: Operation):
         self.index = index
         self.op = op
         self.name = op.name
@@ -76,7 +76,6 @@ class _OpInfo:
         self.ref = (op.forward_ref if op.forward_ref is not None and (
             self.pgrad or op.phase is OpPhase.APPLY) else op.name)
         self.applies: List["_OpInfo"] = []
-        self.group = group
         # parameters (and optimizer state) are resident wherever a
         # forward/loss op holding them is placed
         self.resident = (op_resident_bytes(op) if op.param_bytes > 0 and
@@ -99,12 +98,10 @@ class _OpInfo:
 class _GraphTables:
     """Per-graph tables shared by every compile of one training graph."""
 
-    def __init__(self, graph: ComputationGraph,
-                 group_of: Mapping[str, int]):
+    def __init__(self, graph: ComputationGraph):
         self.graph = graph
         order = graph.topological_order()
-        infos = [_OpInfo(i, graph.op(name), group_of.get(name))
-                 for i, name in enumerate(order)]
+        infos = [_OpInfo(i, graph.op(name)) for i, name in enumerate(order)]
         by_name = {info.name: info for info in infos}
         for info in infos:
             info.preds = tuple(by_name[p] for p in graph.predecessors(info.name))
@@ -128,11 +125,9 @@ class GraphCompiler:
     device pair), never state of one call.
     """
 
-    def __init__(self, cluster: Cluster, profile: Optional[Profile] = None,
-                 group_of: Optional[Mapping[str, int]] = None):
+    def __init__(self, cluster: Cluster, profile: Optional[Profile] = None):
         self.cluster = cluster
         self.profile = profile
-        self.group_of = dict(group_of or {})
         self._nic_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         self._tables: Optional[_GraphTables] = None
 
@@ -153,7 +148,7 @@ class GraphCompiler:
         ``resident_bytes``."""
         tables = self._tables
         if tables is None or tables.graph is not graph:
-            tables = self._tables = _GraphTables(graph, self.group_of)
+            tables = self._tables = _GraphTables(graph)
         return _Compilation(self, tables, strategy).run()
 
     def _comm_resources(self, src: str, dst: str) -> Tuple[str, ...]:
@@ -274,7 +269,6 @@ class _Compilation:
         shares = st.batch_shares()
         ids: List[int] = []
         index = info.index
-        group = info.group
         preds = info.preds
         tensor_at = self.tensor_at
         instance_at = self.instance_at
@@ -283,7 +277,7 @@ class _Compilation:
             deps = [tensor_at(pred, device, fraction, name)
                     for pred in preds]
             i = self.emit(name, ("compute", index, device, None, None, (),
-                                 0.0, fraction, group, False, ()),
+                                 0.0, fraction, False, ()),
                           deps, info.activation_bytes(fraction))
             instance_at[(index, device)] = i
             ids.append(i)
@@ -326,8 +320,7 @@ class _Compilation:
                 )
             return self.materialize(pred_instances[0],
                                     next(iter(pred_shares)), device,
-                                    full_bytes, pred.group,
-                                    key=(pred.index, device, "bc"))
+                                    full_bytes, key=(pred.index, device, "bc"))
 
         # aligned allocations: direct replica-to-replica connection
         if device in pred_shares and abs(pred_shares[device] - fraction) < _SHARE_TOL:
@@ -342,7 +335,6 @@ class _Compilation:
         gather_dev, split = self.gather_and_split(pred, pred_shares,
                                                   full_bytes)
         return self.materialize(split, gather_dev, device, full_bytes * fraction,
-                                pred.group,
                                 key=(pred.index, device, "slice",
                                      round(fraction, 12)))
 
@@ -359,7 +351,6 @@ class _Compilation:
 
         # gather on the producer device carrying the largest share
         gather_dev = max(pred_shares, key=lambda d: (pred_shares[d], d))
-        group = pred.group
         local = self.instance(pred, gather_dev)
         if len(pred_shares) == 1:
             concat = local
@@ -370,20 +361,19 @@ class _Compilation:
                     continue
                 deps.append(self.materialize(
                     self.instance(pred, dev), dev, gather_dev,
-                    full_bytes * share, group, key=(pred.index, dev, "gather")))
+                    full_bytes * share, key=(pred.index, dev, "gather")))
             concat = self.emit(self.fresh(f"concat:{pred.name}"), (
                 "concat", -1, gather_dev, None, None, (), full_bytes, 1.0,
-                group, False, ()), deps)
+                False, ()), deps)
 
         split = self.emit(self.fresh(f"split:{pred.name}"), (
-            "split", -1, gather_dev, None, None, (), full_bytes, 1.0, group,
-            False, ()), [concat])
+            "split", -1, gather_dev, None, None, (), full_bytes, 1.0, False,
+            ()), [concat])
         self.gathered[pred.index] = (gather_dev, split)
         return gather_dev, split
 
     def materialize(self, producer: int, src_dev: str, dst_dev: str,
-                    size_bytes: float, group: Optional[int],
-                    key: tuple) -> int:
+                    size_bytes: float, key: tuple) -> int:
         """Make ``producer``'s output available on ``dst_dev``; returns the
         dist-op to depend on (the producer itself if already local)."""
         if src_dev == dst_dev:
@@ -393,15 +383,15 @@ class _Compilation:
             return cached
         transfer = self.emit(
             self.fresh(f"t:{self.names[producer]}->{dst_dev}"),
-            self.transfer(src_dev, dst_dev, size_bytes, group), [producer])
+            self.transfer(src_dev, dst_dev, size_bytes), [producer])
         self.route_cache[key] = transfer
         return transfer
 
-    def transfer(self, src_dev: str, dst_dev: str, size_bytes: float,
-                 group: Optional[int]) -> tuple:
+    def transfer(self, src_dev: str, dst_dev: str,
+                 size_bytes: float) -> tuple:
         """Recipe of a transfer over the ``src_dev -> dst_dev`` link."""
         return ("transfer", -1, None, src_dev, dst_dev, (), size_bytes, 1.0,
-                group, False, self.compiler._comm_resources(src_dev, dst_dev))
+                False, self.compiler._comm_resources(src_dev, dst_dev))
 
     # ------------------------------------------------------------------ #
     # gradient aggregation lowering
@@ -436,8 +426,8 @@ class _Compilation:
     def add_apply(self, apply: _OpInfo, device: str, deps: List[int]) -> int:
         index = apply.index
         i = self.emit(f"{apply.name}@{device}", (
-            "apply", index, device, None, None, (), 0.0, 1.0, apply.group,
-            False, ()), deps, apply.activation_bytes(1.0))
+            "apply", index, device, None, None, (), 0.0, 1.0, False, ()),
+            deps, apply.activation_bytes(1.0))
         self.instance_at[(index, device)] = i
         ids = self.instance_ids[index]
         if ids is None:
@@ -450,7 +440,6 @@ class _Compilation:
         """PS chain: push gradients -> aggregate -> apply -> pull params."""
         compiler = self.compiler
         grad_bytes = info.full_bytes
-        group = info.group
         ps_dev = choose_ps_device(devices, grad_bytes, compiler._link,
                                   load=self.ps_load)
 
@@ -463,12 +452,12 @@ class _Compilation:
                 continue
             pushes.append(self.emit(
                 self.fresh(f"push:{info.name}@{inst_dev}"),
-                self.transfer(inst_dev, ps_dev, grad_bytes, group),
+                self.transfer(inst_dev, ps_dev, grad_bytes),
                 [inst_id]))
 
         agg = self.emit(self.fresh(f"ga:{info.name}"), (
             "aggregate", -1, ps_dev, None, None, (),
-            grad_bytes * len(devices), 1.0, group, False, ()), local + pushes)
+            grad_bytes * len(devices), 1.0, False, ()), local + pushes)
         apply_id = self.add_apply(apply, ps_dev, [agg])
 
         # parameter pull back to the other replica devices
@@ -476,7 +465,7 @@ class _Compilation:
             if dev == ps_dev:
                 continue
             self.emit(self.fresh(f"pull:{info.name}->{dev}"),
-                      self.transfer(ps_dev, dev, info.param_bytes, group),
+                      self.transfer(ps_dev, dev, info.param_bytes),
                       [apply_id])
 
     def lower_allreduce(self, info: _OpInfo, apply: _OpInfo,
@@ -487,7 +476,7 @@ class _Compilation:
                                            compiler._link, compiler.cluster)
         collective = self.emit(self.fresh(f"ar:{info.name}"), (
             "allreduce", -1, None, None, None, tuple(devices),
-            info.full_bytes, 1.0, info.group, hierarchical,
+            info.full_bytes, 1.0, hierarchical,
             compiler._ring_resources(devices)), instances)
         for dev in devices:
             self.add_apply(apply, dev, [collective])

@@ -55,8 +55,8 @@ _COMPUTE_KINDS = frozenset({
 #: recipe holds only strings, numbers and tuples of strings, which the
 #: garbage collector stops tracking.
 RECIPE_FIELDS = ("kind", "source", "device", "src_device", "dst_device",
-                 "devices", "size_bytes", "batch_fraction", "group",
-                 "hierarchical", "extra_resources")
+                 "devices", "size_bytes", "batch_fraction", "hierarchical",
+                 "extra_resources")
 
 # guards the one-time publication of a view's materialised tables
 _MATERIALIZE_LOCK = threading.Lock()
@@ -90,7 +90,6 @@ class DistOp:
     devices: Tuple[str, ...] = ()          # allreduce participants
     size_bytes: float = 0.0                # comm payload / aux-op traffic
     batch_fraction: float = 1.0            # compute share of the mini-batch
-    group: Optional[int] = None            # strategy group of the source op
     hierarchical: bool = False             # allreduce structure
     # additional exclusive resources (NIC send/recv ports for inter-server
     # paths), filled in by the compiler which knows the topology
@@ -132,7 +131,7 @@ class DistOp:
         index of its source op in whatever table the caller keeps."""
         return (self.kind._value_, source, self.device, self.src_device,
                 self.dst_device, self.devices, self.size_bytes,
-                self.batch_fraction, self.group, self.hierarchical,
+                self.batch_fraction, self.hierarchical,
                 self.extra_resources)
 
     def resources(self) -> Tuple[str, ...]:

@@ -77,7 +77,6 @@ def fuse_allreduces(dist: DistGraph, bucket_bytes: int = DEFAULT_BUCKET_BYTES
             devices=rep.devices,
             size_bytes=sum(dist.op(m).size_bytes for m in members),
             hierarchical=rep.hierarchical,
-            group=rep.group,
             extra_resources=rep.extra_resources,
         )
         out.add(fused)
@@ -91,7 +90,7 @@ def fuse_allreduces(dist: DistGraph, bucket_bytes: int = DEFAULT_BUCKET_BYTES
             device=op.device, src_device=op.src_device,
             dst_device=op.dst_device, devices=op.devices,
             size_bytes=op.size_bytes, batch_fraction=op.batch_fraction,
-            group=op.group, hierarchical=op.hierarchical,
+            hierarchical=op.hierarchical,
             extra_resources=op.extra_resources,
         ))
 

@@ -87,7 +87,6 @@ def pipeline_graph(dist: DistGraph, num_microbatches: int) -> DistGraph:
             devices=op.devices,
             size_bytes=op.size_bytes * size_scale,
             batch_fraction=op.batch_fraction * fraction_scale,
-            group=op.group,
             hierarchical=op.hierarchical,
             extra_resources=op.extra_resources,
         )
@@ -120,7 +119,6 @@ def pipeline_graph(dist: DistGraph, num_microbatches: int) -> DistGraph:
                     kind=DistOpKind.AGGREGATE,
                     device=op.device,
                     size_bytes=grad_bytes * k,
-                    group=op.group,
                 )
                 out.add(microsum, names)
                 microsum_of[name] = microsum.name

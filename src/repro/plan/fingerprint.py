@@ -2,8 +2,8 @@
 
 A fingerprint names *everything* that determines the outcome of the
 compile -> schedule -> simulate chain: the computation graph, the cluster
-topology, the fitted profile, the scheduler flags, the op grouping, and
-the candidate strategy.  Two evaluations with equal fingerprints are
+topology, the fitted profile, the scheduler flag and the candidate
+strategy.  Two evaluations with equal fingerprints are
 guaranteed to produce bit-identical plans and simulation results, which
 is what makes :class:`~repro.plan.cache.PlanCache` sound.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping, Optional
+from typing import Any
 
 from ..cluster.topology import Cluster
 from ..graph.dag import ComputationGraph
@@ -89,15 +89,13 @@ def fingerprint_cluster(cluster: Cluster) -> str:
 
 
 def fingerprint_context(graph: ComputationGraph, cluster: Cluster,
-                        profile: Profile, *, use_order_scheduling: bool,
-                        group_of: Optional[Mapping[str, int]] = None) -> str:
+                        profile: Profile, *, use_order_scheduling: bool) -> str:
     """Digest of one (graph, cluster, profile, flags) evaluation context."""
     return _digest({
         "graph": _graph_payload(graph),
         "cluster": _cluster_payload(cluster),
         "profile": _profile_payload(profile),
         "use_order_scheduling": bool(use_order_scheduling),
-        "group_of": dict(group_of or {}),
     })
 
 

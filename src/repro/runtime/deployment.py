@@ -48,7 +48,6 @@ def build_deployment(source: Union[ExecutionPlan, ComputationGraph],
                      strategy: Optional[Strategy] = None, *,
                      profile: Optional[Profile] = None,
                      use_order_scheduling: bool = True,
-                     group_of: Optional[Dict[str, int]] = None,
                      builder: Optional[PlanBuilder] = None) -> Deployment:
     """The canonical Deployment constructor.
 
@@ -84,7 +83,6 @@ def build_deployment(source: Union[ExecutionPlan, ComputationGraph],
             builder = PlanBuilder(
                 source, cluster, profile,
                 use_order_scheduling=use_order_scheduling,
-                group_of=group_of,
             )
         plan = builder.build(strategy)
     return Deployment(

@@ -2,11 +2,13 @@
 
 A :class:`PlanContext` is the unit of reuse inside the planning
 service: it owns the fitted :class:`~repro.profiling.profiler.Profile`,
-a standalone :class:`~repro.plan.PlanBuilder` for build requests, and a
-lazily created :class:`~repro.agent.HeteroGAgent` (with its own grouped
-builder) for search requests.  Repeated requests on the same context
-hit the plan layer's fingerprint caches instead of recompiling, which
-is where the service's amortization comes from.
+one :class:`~repro.plan.PlanBuilder`, and a lazily created
+:class:`~repro.agent.HeteroGAgent` for search requests, which evaluates
+its candidates on that same builder.  Repeated requests on the same
+context hit the plan layer's fingerprint caches instead of recompiling,
+which is where the service's amortization comes from: a build or
+measure request for a strategy a search already evaluated compiles and
+simulates nothing.
 
 Contexts are internally locked: the service may serve many contexts
 concurrently, but requests on one context run serialized, keeping every
@@ -77,12 +79,10 @@ class PlanContext:
 
     @property
     def builder(self) -> PlanBuilder:
-        """Standalone builder used by build (explicit-strategy) requests.
-
-        Search requests use the agent's own grouped builder;
-        keeping the two separate makes a build request's deployment
-        independent of whether a search happened first.
-        """
+        """The context's one builder: build requests evaluate on it, and
+        the agent's search evaluates its candidates on it.  A plan does
+        not depend on which request compiled it first, so sharing the
+        caches changes no answer."""
         if self._builder is None:
             self._builder = PlanBuilder(
                 self.graph, self.cluster, self.profile,
@@ -99,17 +99,10 @@ class PlanContext:
                 seed=self.config.seed,
             )
             self._agent = HeteroGAgent(self.cluster, agent_config)
+            builder = self.builder
             with telemetry.span("pipeline.group", graph=self.graph.name):
-                self._agent.add_graph(self.graph, self.profile)
+                self._agent.add_graph(self.graph, builder=builder)
         return self._agent
-
-    @property
-    def search_builder(self) -> Optional[PlanBuilder]:
-        """The agent's grouped builder, if a search ever ran here."""
-        if self._agent is None:
-            return None
-        ctx = self._agent.try_context(self.graph.name)
-        return ctx.builder if ctx is not None else None
 
     # ------------------------------------------------------------------ #
     def handle(self, request: PlanRequest) -> Served:
@@ -122,7 +115,7 @@ class PlanContext:
     def _search(self, request: PlanRequest) -> Served:
         """Train the RL agent until a feasible strategy emerges."""
         agent = self.agent
-        builder = self.search_builder
+        builder = self.builder
         budget = request.budget
         outcome: Optional[EvalOutcome] = None
         strategy: Optional[Strategy] = None

@@ -125,7 +125,7 @@ class ProfileCostModel(_BaseCost):
     def _price(self, recipe: tuple, source_op) -> float:
         """Duration of the op with this recipe and source op."""
         (kind, _, device, src_device, dst_device, devices, size_bytes,
-         batch_fraction, _, hierarchical, _) = recipe
+         batch_fraction, hierarchical, _) = recipe
         if kind == "compute" or kind == "apply":
             assert source_op is not None and device is not None
             key = (source_op.name, device, batch_fraction)
@@ -361,7 +361,7 @@ class TruthCostModel(_BaseCost):
         """Jitter- and overlay-free duration of the op with this recipe
         and source op."""
         (kind, _, device, src_device, dst_device, devices, size_bytes,
-         batch_fraction, _, hierarchical, _) = recipe
+         batch_fraction, hierarchical, _) = recipe
         if kind == "compute" or kind == "apply":
             assert source_op is not None and device is not None
             return cost_model.op_time(source_op, self._spec(device),

@@ -120,14 +120,14 @@ class Lowering:
         every kind but compute and apply, whose callers pass it)."""
         kind = recipe[0]
         if kind == "transfer":
-            key = (recipe[3], recipe[4], recipe[10])
+            key = (recipe[3], recipe[4], recipe[9])
             placed = self._placed.get(key)
             if placed is None:
                 rids = (self._intern(f"link:{key[0]}->{key[1]}"),)
                 rids += tuple(map(self._intern, key[2]))
                 placed = self._placed[key] = (rids, self._mem_dev(key[1]))
         elif kind == "allreduce":
-            key = (recipe[5], recipe[10])
+            key = (recipe[5], recipe[9])
             placed = self._placed.get(key)
             if placed is None:
                 devices = key[0]

@@ -1,7 +1,7 @@
 """Paired fuzz: the one-pass ``GraphCompiler`` against the reference
 compiler kept in ``tests/oracle``.
 
-For every drawn (model family, cluster, strategy, grouping) both
+For every drawn (model family, cluster, strategy) both
 compilers must produce the same distributed graph field for field: op
 insertion order and names (``#n`` suffixes included), every ``DistOp``
 field, per-op edge order, ``instances``, ``resident_bytes`` (order and
@@ -47,18 +47,13 @@ CLUSTERS = {"cluster_4gpu": cluster_4gpu, "cluster_8gpu": cluster_8gpu}
 
 
 @functools.lru_cache(maxsize=None)
-def _context(model: str, cluster_name: str, grouped: bool):
-    """Graph, cluster, profile, group_of and one shared new compiler (so
-    its per-graph tables are reused across drawn strategies)."""
+def _context(model: str, cluster_name: str):
+    """Graph, cluster, profile and one shared new compiler (so its
+    per-graph tables are reused across drawn strategies)."""
     graph = build_model(model, "tiny")
     cluster = CLUSTERS[cluster_name]()
     profile = Profiler(seed=0).profile(graph, cluster)
-    group_of = None
-    if grouped:
-        names = graph.op_names
-        group_of = {n: i * 6 // len(names) for i, n in enumerate(names)}
-    compiler = GraphCompiler(cluster, profile, group_of=group_of)
-    return graph, cluster, profile, group_of, compiler
+    return graph, cluster, profile, GraphCompiler(cluster, profile)
 
 
 def _options(cluster, rng: random.Random):
@@ -99,8 +94,8 @@ def _graph_fields(dist):
         ops.append((op.name, op.kind, id(op.source_op), op.device,
                     op.src_device, op.dst_device, tuple(op.devices),
                     float(op.size_bytes).hex(),
-                    float(op.batch_fraction).hex(), op.group,
-                    op.hierarchical, tuple(op.extra_resources)))
+                    float(op.batch_fraction).hex(), op.hierarchical,
+                    tuple(op.extra_resources)))
     names = dist.op_names
     return {
         "name": dist.name,
@@ -144,12 +139,11 @@ def _kernel_fields(kernel):
             "is_comm": kernel.is_comm}
 
 
-def _compile_both(compiler, graph, cluster, profile, group_of, strategy):
+def _compile_both(compiler, graph, cluster, profile, strategy):
     """(result, error) of the new and the reference compiler."""
     results = []
     for make in (lambda: compiler,
-                 lambda: ReferenceCompiler(cluster, profile,
-                                           group_of=group_of)):
+                 lambda: ReferenceCompiler(cluster, profile)):
         comp = make()
         try:
             dist = comp.compile(graph, strategy)
@@ -191,15 +185,11 @@ def _assert_same(new, ref, make_cost=None):
 @given(model=st.sampled_from(model_names()),
        cluster_name=st.sampled_from(sorted(CLUSTERS)),
        kind=st.sampled_from(("dp", "per_op", "per_group")),
-       grouped=st.booleans(),
        seed=st.integers(0, 2 ** 16))
-def test_compiler_matches_reference(model, cluster_name, kind, grouped,
-                                    seed):
-    graph, cluster, profile, group_of, compiler = _context(
-        model, cluster_name, grouped)
+def test_compiler_matches_reference(model, cluster_name, kind, seed):
+    graph, cluster, profile, compiler = _context(model, cluster_name)
     strategy = _draw_strategy(graph, cluster, kind, seed)
-    new, ref = _compile_both(compiler, graph, cluster, profile, group_of,
-                             strategy)
+    new, ref = _compile_both(compiler, graph, cluster, profile, strategy)
     if ref[1] is not None:
         assert new[1] == ref[1]
         return
@@ -268,7 +258,7 @@ def test_failure_parity(make_graph, choice):
         strategy = Strategy(graph, cluster, {
             n: op_strategy for n in graph.op_names[:-1]})
     new, ref = _compile_both(GraphCompiler(cluster), graph, cluster, None,
-                             None, strategy)
+                             strategy)
     assert new[1] == ref[1]
     if ref[1] is None:
         _assert_same(new, ref)
@@ -281,7 +271,7 @@ def test_prices_cover_every_kind():
     seven kinds, PS push/pull, hierarchical and ring AllReduce, and
     Concat/Split routing."""
     kinds, hierarchical, prefixes = set(), set(), set()
-    cases = [_context(model, cluster_name, False)[:4] + (kind, seed)
+    cases = [_context(model, cluster_name)[:3] + (kind, seed)
              for model, cluster_name, kind, seed in (
                  ("inception_v3", "cluster_8gpu", "per_op", 1),
                  ("transformer", "cluster_8gpu", "per_group", 2),
@@ -290,8 +280,8 @@ def test_prices_cover_every_kind():
     graph = build_model("vgg19", "tiny")
     cluster = cluster_12gpu()
     cases.append((graph, cluster, Profiler(seed=0).profile(graph, cluster),
-                  None, "uniform", 0))
-    for graph, cluster, profile, group_of, kind, seed in cases:
+                  "uniform", 0))
+    for graph, cluster, profile, kind, seed in cases:
         if kind == "uniform":
             strategy = uniform_strategy(graph, cluster, OpStrategy(
                 ParallelKind.DP, replicas=dict.fromkeys(
@@ -300,9 +290,8 @@ def test_prices_cover_every_kind():
                 allocation=ReplicaAllocation.EVEN))
         else:
             strategy = _draw_strategy(graph, cluster, kind, seed)
-        compiler = GraphCompiler(cluster, profile, group_of=group_of)
-        new, ref = _compile_both(compiler, graph, cluster, profile,
-                                 group_of, strategy)
+        new, ref = _compile_both(GraphCompiler(cluster, profile), graph,
+                                 cluster, profile, strategy)
         _assert_same(new, ref, lambda: ProfileCostModel(cluster, profile))
         dist = new[0][0]
         kinds.update(op.kind.value for op in dist)

@@ -212,7 +212,7 @@ def _fields(dist):
     """Everything a materialised graph holds, comparable across copies."""
     ops = [(op.name, op.kind, op.source_op.name if op.source_op else None,
             op.device, op.src_device, op.dst_device, op.devices,
-            op.size_bytes, op.batch_fraction, op.group, op.hierarchical,
+            op.size_bytes, op.batch_fraction, op.hierarchical,
             op.extra_resources) for op in dist]
     return (dist.name, ops, dist._pred_ids, dist._succ_ids,
             list(dist.instances.items()), dist.version,
