@@ -47,7 +47,7 @@ from repro.simulation import ProfileCostModel
 from repro.simulation.kernel import lower
 
 from test_evaluator_throughput import candidate_pool
-from tests.oracle import run_reference
+from tests.oracle import run_reference, trace_order
 
 #: measured ratio may drop to this fraction of the committed baseline
 #: ratio before the benchmark fails (machine-relative, so portable)
@@ -82,7 +82,7 @@ def _legacy_evaluate(graph, cluster, profile, candidates):
         dist = compiler.compile(graph, strategy)
         resident = dist.resident_bytes
         kernel = lower(dist)
-        prios, _, _ = sched._rank_priorities(kernel, cost)
+        prios, _ = sched._rank_priorities(kernel, cost)
         rank_run = run_reference(cost, dist, priorities=prios,
                                  resident_bytes=dict(resident),
                                  capacities=caps, trace=True)
@@ -92,7 +92,7 @@ def _legacy_evaluate(graph, cluster, profile, candidates):
         if rank_run.makespan <= earliest_run.makespan:
             winner = prios
         else:
-            winner = ListScheduler._trace_order(earliest_run.schedule)
+            winner = trace_order(earliest_run.schedule)
         final = run_reference(cost, dist, priorities=winner,
                               resident_bytes=dict(resident),
                               capacities=caps)

@@ -15,7 +15,7 @@ the chosen order a third time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class Schedule:
     """An execution-order decision: per-op priority (smaller runs first)."""
 
     priorities: Dict[str, int]
-    ranks: Optional[Dict[str, float]] = None
     estimated_makespan: Optional[float] = None
     chosen: Optional[str] = None  # which candidate order won
     # the winning candidate's simulation (traced), when the scheduler
@@ -59,13 +58,13 @@ class ListScheduler:
     candidates is exactly what its Simulator component is for (Sec. 3.3).
 
     The scheduler carries no per-call state, so one instance is safe to
-    share across threads (ranks travel on the returned Schedule, not on
-    the scheduler).
+    share across threads.
     """
 
     def _rank_priorities(
         self, kernel: SimKernel, cost: CostProvider
-    ) -> Tuple[Dict[str, int], Dict[str, float], "list[int]"]:
+    ) -> Tuple[Dict[str, int], List[int]]:
+        """The ``rank`` order, by name and as a per-op-index list."""
         ranks = kernel_ranks(kernel, cost)
         # higher rank -> runs earlier; ties broken by topological position
         # for determinism (matching the engine's stable heap ordering)
@@ -77,15 +76,7 @@ class ListScheduler:
         prio_arr = [0] * kernel.n
         for pos, i in enumerate(ordered):
             prio_arr[i] = pos
-        names = kernel.names
-        priorities = dict(zip(names, prio_arr))
-        rank_map = {names[i]: ranks[i] for i in reversed(kernel.topo)}
-        return priorities, rank_map, prio_arr
-
-    @staticmethod
-    def _trace_order(schedule_trace: Dict[str, tuple]) -> Dict[str, int]:
-        ordered = sorted(schedule_trace, key=lambda n: schedule_trace[n])
-        return {name: i for i, name in enumerate(ordered)}
+        return dict(zip(kernel.names, prio_arr)), prio_arr
 
     def schedule(self, graph: DistGraph, cost: CostProvider, *,
                  kernel: Optional[SimKernel] = None,
@@ -118,8 +109,7 @@ class ListScheduler:
         can_prune = getattr(cost, "deterministic", False)
         limit = prune_above if can_prune else None
         with telemetry.span("schedule.ranking", graph=graph.name):
-            rank_priorities, ranks, prio_arr = self._rank_priorities(
-                kernel, cost)
+            rank_priorities, prio_arr = self._rank_priorities(kernel, cost)
         with telemetry.span("schedule.placement", graph=graph.name):
             rank_run = simulator.run(graph, priorities=rank_priorities,
                                      resident_bytes=resident_bytes,
@@ -147,7 +137,7 @@ class ListScheduler:
             pruned_result = (rank_run
                              if rank_run.makespan <= earliest_run.makespan
                              else earliest_run)
-            return Schedule(priorities=rank_priorities, ranks=ranks,
+            return Schedule(priorities=rank_priorities,
                             estimated_makespan=None, chosen=None,
                             sim_result=pruned_result)
         if rank_run.pruned:
@@ -161,13 +151,11 @@ class ListScheduler:
                              help="which candidate execution order won")
         if chosen == "rank":
             return Schedule(priorities=rank_priorities,
-                            ranks=ranks,
                             estimated_makespan=rank_run.makespan,
                             chosen="rank",
                             sim_result=rank_run)
         return Schedule(
-            priorities=self._trace_order(earliest_run.schedule),
-            ranks=ranks,
+            priorities=earliest_run.start_priorities(),
             estimated_makespan=earliest_run.makespan,
             chosen="earliest",
             sim_result=earliest_run,

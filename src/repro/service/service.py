@@ -492,8 +492,7 @@ class PlanningService:
     def _blame(result: PlanResult) -> Optional[Dict[str, float]]:
         """Critical-path blame fractions when a sim trace exists."""
         outcome = result.outcome
-        if result.deployment is None or outcome.result is None \
-                or not getattr(outcome.result, "schedule", None):
+        if result.deployment is None or outcome.result is None:
             return None
         try:
             report = critical_path(result.deployment.dist, outcome.result)

@@ -251,6 +251,13 @@ def run_reference(
     return result
 
 
+def trace_order(schedule: Dict[str, Tuple[float, float]]) -> Dict[str, int]:
+    """Priorities that replay a traced run: its ops sorted by (start,
+    finish), ties kept in the trace's start order."""
+    ordered = sorted(schedule, key=schedule.__getitem__)
+    return {name: i for i, name in enumerate(ordered)}
+
+
 @contextlib.contextmanager
 def reference_simulator() -> Iterator[None]:
     """Route every ``Simulator.run`` call to :func:`run_reference`,

@@ -21,6 +21,8 @@ from repro.plan import EvalOutcome, PlanBuilder
 from repro.scheduling import FifoScheduler, ListScheduler
 from repro.simulation import SimulationResult, Simulator, lower
 
+from tests.oracle import trace_order
+
 
 @dataclass
 class UnprunedOutcome(EvalOutcome):
@@ -50,7 +52,7 @@ def unpruned_outcome(builder: PlanBuilder,
                              kernel=kernel, **kw)
 
     if builder.use_order_scheduling:
-        rank_priorities, _, prio_ids = ListScheduler()._rank_priorities(
+        rank_priorities, prio_ids = ListScheduler()._rank_priorities(
             kernel, builder.cost)
         runs = {"rank": run(rank_priorities, _prio_ids=prio_ids),
                 "earliest": run(None)}
@@ -58,8 +60,7 @@ def unpruned_outcome(builder: PlanBuilder,
             chosen, priorities = "rank", rank_priorities
         else:
             chosen = "earliest"
-            priorities = ListScheduler._trace_order(
-                runs["earliest"].schedule)
+            priorities = trace_order(runs["earliest"].schedule)
         result = runs[chosen]
     else:
         chosen = None

@@ -1,5 +1,6 @@
 """Tests for DP baselines and the related-work schemes."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -13,6 +14,7 @@ from repro.baselines import (
     horovod_strategy,
     virtual_workers,
 )
+from repro.baselines.post import sample_placements
 from repro.parallel import CommMethod, ParallelKind
 
 from tests.helpers import make_mlp
@@ -56,7 +58,7 @@ class TestHorovod:
         """Horovod keeps the framework's (nondeterministic) order, not
         HeteroG's rank order."""
         dep = horovod_deployment(mlp_graph, four_gpu)
-        assert dep.schedule.ranks is None
+        assert dep.schedule.chosen is None
 
 
 class TestHetPipe:
@@ -104,7 +106,6 @@ class TestSearchBaselines:
     def test_flexflow_improves_over_start(self, four_gpu):
         g = make_mlp(name="ff_mlp")
         search = FlexFlowSearch(g, four_gpu, max_groups=6, seed=0)
-        import numpy as np
         m = four_gpu.num_devices
         start = search._evaluate(np.full(search.grouping.num_groups, m + 1))
         result = search.search(iterations=25)
@@ -141,6 +142,24 @@ class TestSearchBaselines:
         assert unpruned.evaluations == pruned.evaluations
         assert (search.builder.fingerprint(unpruned.strategy)
                 == pruned_search.builder.fingerprint(pruned.strategy))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_sampler_matches_per_draw_choice(self, seed):
+        """One uniform batch per round draws exactly what one
+        ``rng.choice(m, p=probs[g])`` per sample and group drew, and
+        leaves the generator in the same state, zero columns included."""
+        shape = np.random.default_rng(seed).random((12, 6))
+        if seed % 2:
+            shape[:, 2] = 0.0       # a device no group ever draws
+            shape[3, :-1] = 0.0     # a group with one possible device
+        probs = shape / shape.sum(axis=1, keepdims=True)
+        old_rng = np.random.default_rng(seed + 10)
+        new_rng = np.random.default_rng(seed + 10)
+        old = np.array([[old_rng.choice(6, p=probs[g]) for g in range(12)]
+                        for _ in range(20)])
+        assert (sample_placements(new_rng, probs, 20) == old).all()
+        assert (new_rng.bit_generator.state
+                == old_rng.bit_generator.state)
 
     def test_search_deterministic_per_seed(self, four_gpu):
         g = make_mlp(name="det_mlp")

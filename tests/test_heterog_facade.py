@@ -57,8 +57,8 @@ class TestFacade:
             episodes=4, use_order_scheduling=False, agent=FAST))
         graph = make_mlp(name="facade_e")
         deployment = module.deploy(graph)
-        # FIFO scheduler: no ranks attached
-        assert deployment.schedule.ranks is None
+        # FIFO scheduler: no candidate order was chosen
+        assert deployment.schedule.chosen is None
 
     def test_config_seed_propagates(self, four_gpu):
         a = HeteroG(four_gpu, HeteroGConfig(episodes=5, seed=3, agent=FAST))

@@ -18,6 +18,7 @@ from repro.errors import (
     ServiceOverloadedError,
     ServiceTimeoutError,
 )
+from repro.parallel.compiler import GraphCompiler
 from repro.service import PlanRequest, PlanningService
 
 from tests.helpers import make_mlp
@@ -212,6 +213,30 @@ class TestInlineService:
         assert built.reused_context
         assert built.deployment is not None
         assert built.outcome.feasible
+
+    def test_measure_after_search_compiles_nothing(self, mlp, four_gpu,
+                                                   monkeypatch):
+        """One builder per context: the agent searches on the context's
+        builder, so building and measuring the winner afterwards is a
+        plan-cache hit."""
+        compiles = []
+        compile_ = GraphCompiler.compile
+        monkeypatch.setattr(
+            GraphCompiler, "compile",
+            lambda self, *args: compiles.append(args) or compile_(self, *args))
+        request = search_request(mlp, four_gpu)
+        with PlanningService(workers=0) as service:
+            searched = service.plan(request)
+            context = service.context_for(request)
+            assert context.builder is context.agent.context(mlp.name).builder
+            searched_compiles = len(compiles)
+            measured = service.plan(PlanRequest(
+                graph=mlp, cluster=four_gpu, strategy=searched.strategy,
+                measure_iterations=2, config=fast_config()))
+        assert searched_compiles > 0
+        assert len(compiles) == searched_compiles
+        assert measured.outcome.time == searched.outcome.time
+        assert measured.measured_time is not None
 
     def test_config_order_flag_is_honoured(self, mlp, four_gpu):
         """``HeteroGConfig.use_order_scheduling=False`` builds with the

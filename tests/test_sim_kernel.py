@@ -12,12 +12,15 @@ oracle's state, so the next run draws the same stream.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
 from repro import telemetry
+from repro.agent import AgentConfig
 from repro.cluster import cluster_4gpu, cluster_8gpu
+from repro.config import HeteroGConfig
 from repro.errors import SimulationError
 from repro.graph.models import build_model
 from repro.parallel.compiler import GraphCompiler
@@ -31,26 +34,40 @@ from repro.parallel.strategy import (
 )
 from repro.plan import PlanBuilder
 from repro.profiling import Profiler
-from repro.resilience import FaultOverlay
+from repro.resilience import (
+    FaultInjector,
+    FaultOverlay,
+    FaultSchedule,
+    ResilientTrainer,
+)
+from repro.runtime import ExecutionEngine
 from repro.scheduling.ranking import DEFAULT_COMM_WEIGHT, kernel_ranks
 from repro.simulation import ProfileCostModel, Simulator, TruthCostModel
 from repro.simulation.costs import MappingCostModel
+from repro.service import PlanningService, PlanRequest
 from repro.simulation.kernel import lower
+from repro.simulation.metrics import RunTimes
 
-from tests.oracle import run_reference
+from tests.helpers import make_mlp
+from tests.oracle import run_reference, trace_order
 
 
 def assert_results_identical(a, b) -> None:
-    """Every observable of two SimulationResults must match exactly."""
+    """Every observable of two SimulationResults must match exactly,
+    dicts in the same insertion order (the failure detector scans
+    ``device_busy`` and ``link_busy`` in that order)."""
     assert a.makespan == b.makespan
-    assert a.device_busy == b.device_busy
-    assert a.link_busy == b.link_busy
+    assert list(a.device_busy.items()) == list(b.device_busy.items())
+    assert list(a.link_busy.items()) == list(b.link_busy.items())
     assert a.communication_time == b.communication_time
     assert a.computation_wall == b.computation_wall
     assert a.peak_memory == b.peak_memory
     assert a.oom_devices == b.oom_devices
-    assert a.schedule == b.schedule
+    assert list(a.schedule.items()) == list(b.schedule.items())
     assert a.pruned == b.pruned
+    if b.schedule:
+        # the scheduler's ``earliest`` order, read from the run's arrays
+        assert a.start_priorities() == trace_order(b.schedule)
 
 
 def _outcome(run):
@@ -384,3 +401,51 @@ def test_plan_reuses_one_lowering_for_schedule_and_resimulation():
     assert plan.kernel is lower(plan.dist)
     resim = builder.simulate(plan)
     assert resim.makespan == plan.sim_result.makespan
+
+
+# --------------------------------------------------------------------- #
+# breakdowns derived on read
+# --------------------------------------------------------------------- #
+def test_pickled_result_derives_the_same_fields(compiled):
+    """The process fleet ships outcomes between processes: a result
+    pickled before any breakdown was read derives the same fields, in
+    the same order, whether complete or cut by a prune."""
+    cluster, profile, dist, resident, caps = compiled
+    simulator = Simulator(ProfileCostModel(cluster, profile))
+    kw = dict(resident_bytes=dict(resident), capacities=caps, trace=True)
+    full = simulator.run(dist, **kw)
+    cut = simulator.run(dist, prune_above=0.6 * full.makespan, **kw)
+    assert cut.pruned
+    for result in (full, cut):
+        copy = pickle.loads(pickle.dumps(result))
+        assert "device_busy" not in vars(copy)
+        assert_results_identical(copy, result)
+
+
+def test_planning_derives_no_breakdown_but_the_detector_does(monkeypatch):
+    """A REINFORCE search and an engine-measured build through the
+    planning service read makespans, memory verdicts and orders (and
+    the winner's trace, for blame), so no run derives its busy
+    breakdown.  The failure detector reads it on every iteration."""
+    derived = []
+    busy = RunTimes.busy
+    monkeypatch.setattr(RunTimes, "busy",
+                        lambda self: derived.append(self) or busy(self))
+    graph = make_mlp(name="lazy_mlp")
+    cluster = cluster_4gpu()
+    config = HeteroGConfig(seed=0, agent=AgentConfig(
+        max_groups=8, gat_hidden=16, gat_layers=2, gat_heads=2,
+        strategy_dim=16, strategy_heads=2, strategy_layers=1))
+    with PlanningService(workers=0, name="lazy") as service:
+        found = service.plan(PlanRequest(graph=graph, cluster=cluster,
+                                         episodes=3, config=config))
+        measured = service.plan(PlanRequest(
+            graph=graph, cluster=cluster, strategy=found.strategy,
+            measure_iterations=2, config=config))
+    assert measured.measured_time is not None
+    assert derived == []
+    trainer = ResilientTrainer(
+        found.deployment, FaultInjector(cluster, FaultSchedule.empty()),
+        engine=ExecutionEngine(cluster, seed=3))
+    trainer.run(3)
+    assert len(derived) == 3
