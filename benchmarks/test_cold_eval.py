@@ -85,10 +85,10 @@ def _legacy_evaluate(graph, cluster, profile, candidates):
         prios, _ = sched._rank_priorities(kernel, cost)
         rank_run = run_reference(cost, dist, priorities=prios,
                                  resident_bytes=dict(resident),
-                                 capacities=caps, trace=True)
+                                 capacities=caps)
         earliest_run = run_reference(cost, dist, priorities=None,
                                      resident_bytes=dict(resident),
-                                     capacities=caps, trace=True)
+                                     capacities=caps)
         if rank_run.makespan <= earliest_run.makespan:
             winner = prios
         else:

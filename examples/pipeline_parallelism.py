@@ -44,13 +44,12 @@ def main():
 
     def run(graph_):
         schedule = ListScheduler().schedule(graph_, cost)
-        return Simulator(cost).run(graph_, priorities=schedule.priorities,
-                                   trace=True)
+        return Simulator(cost).run(graph_, priorities=schedule.priorities)
 
     base = run(dist)
     print(f"4-stage MP ladder, no pipelining: "
           f"{base.makespan * 1e3:.2f} ms/iteration")
-    print(f"per-GPU busy: " + "  ".join(
+    print("per-GPU busy: " + "  ".join(
         f"{d}={t * 1e3:.1f}ms" for d, t in sorted(base.device_busy.items())))
 
     best = None

@@ -252,7 +252,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         with telemetry.span("pipeline.execute", graph=graph.name):
             result = engine.run_iteration(
                 deployment.dist, deployment.schedule,
-                deployment.resident_bytes, check_memory=False, trace=True)
+                deployment.resident_bytes, check_memory=False)
         save_chrome_trace(deployment.dist, result, args.out,
                           tracer=tel.tracer,
                           resident_bytes=deployment.resident_bytes)

@@ -95,9 +95,7 @@ class ElasticPolicy:
         """Replan-or-ride for an arrival that grew the fleet to
         ``new_cluster`` while ``deployment`` is still running."""
         kernel = deployment.plan.kernel if deployment.plan is not None \
-            else None
-        if kernel is None:
-            kernel = lower(deployment.dist)
+            else lower(deployment.dist)
         cost = ProfileCostModel(deployment.cluster, deployment.profile)
         bound_before = kernel_lower_bound(kernel, cost)
         if bound_before is None:  # pragma: no cover - profile cost is

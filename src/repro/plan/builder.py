@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..cluster.topology import Cluster
-from ..errors import CompileError, SimulationError
+from ..errors import CompileError
 from ..telemetry.context import record_event
 from ..graph.dag import ComputationGraph
 from ..parallel.compiler import GraphCompiler
@@ -26,7 +26,6 @@ from ..scheduling.list_scheduler import FifoScheduler, ListScheduler
 from ..simulation.costs import ProfileCostModel
 from ..simulation.engine import Simulator
 from ..simulation.kernel import PRUNE_GUARD, kernel_lower_bound, lower
-from ..simulation.metrics import SimulationResult
 from .cache import PlanCache
 from .fingerprint import fingerprint_context, fingerprint_strategy
 from .plan import EvalOutcome, ExecutionPlan
@@ -117,18 +116,18 @@ class PlanBuilder:
         Returns ``(plan, None)`` on a full build and ``(None, outcome)``
         when the candidate was pruned — either by the static
         :func:`kernel_lower_bound` before any simulation, or because
-        both candidate-order simulations exceeded ``limit``.  Pruned
-        builds are never installed in the plan cache (their schedule is
-        partial); a cached plan is always served as-is.
+        the chosen order's simulation exceeded ``limit`` (both
+        candidate orders', under order scheduling).  Pruned builds are
+        never installed in the plan cache (their run is partial); a
+        cached plan is always served as-is.
         """
         cached = self._plans.get(fp)
         if cached is not None:
             return cached, None
         with telemetry.span("plan.build", graph=self.graph.name):
             dist, resident = self.compile(strategy)
-            # the compile's array lowering serves ranking, both
-            # candidate-order simulations, and every later simulation of
-            # the cached plan
+            # the compile's array lowering serves ranking, the order's
+            # simulations, and every later simulation of the cached plan
             kernel = lower(dist)
             if limit is not None:
                 bound = kernel_lower_bound(kernel, self.cost)
@@ -144,7 +143,13 @@ class PlanBuilder:
                 prune_above=limit,
             )
             sim = schedule.sim_result
-            if sim is not None and sim.pruned:
+            if sim is None:
+                # the FIFO order races no candidates: simulate it once
+                sim = self._simulator.run(
+                    dist, priorities=schedule.priorities,
+                    resident_bytes=resident, capacities=self.capacities,
+                    kernel=kernel, prune_above=limit)
+            if sim.pruned:
                 return None, self._pruned_outcome(
                     stage="midsim", bound=sim.makespan, threshold=limit,
                     dist_ops=len(dist))
@@ -152,8 +157,7 @@ class PlanBuilder:
                 graph=self.graph, cluster=self.cluster, strategy=strategy,
                 dist=dist, schedule=schedule, resident_bytes=resident,
                 capacities=self.capacities, profile=self.profile,
-                fingerprint=fp, kernel=kernel,
-                sim_result=schedule.sim_result,
+                fingerprint=fp, kernel=kernel, sim_result=sim,
             )
         self._plans.put(fp, plan)
         return plan, None
@@ -171,43 +175,14 @@ class PlanBuilder:
                            prune_stage=stage)
 
     # ------------------------------------------------------------------ #
-    def simulate(self, plan: ExecutionPlan, *,
-                 trace: bool = False,
-                 prune_above: Optional[float] = None) -> SimulationResult:
-        """Run the Strategy Maker's simulator over a plan.
-
-        Plans built by this builder already carry the chosen order's
-        simulation (``plan.sim_result``); call this only to re-simulate,
-        e.g. after mutating the dist graph.  ``prune_above`` aborts the
-        run once the simulated clock exceeds it (deterministic cost
-        providers only) and returns a partial, ``pruned`` result.
-        """
-        kernel = plan.kernel
-        if kernel is not None and kernel.version != plan.dist.version:
-            kernel = None  # dist mutated since build: re-lower
-        if not getattr(self.cost, "deterministic", False):
-            prune_above = None
-        return self._simulator.run(
-            plan.dist,
-            priorities=plan.schedule.priorities,
-            resident_bytes=dict(plan.resident_bytes),
-            capacities=dict(plan.capacities),
-            trace=trace,
-            kernel=kernel,
-            prune_above=prune_above,
-        )
-
     def evaluate(self, strategy: Strategy, *,
-                 trace: bool = False,
                  best: Optional[BestSoFar] = None,
                  prune_above: Optional[float] = None) -> EvalOutcome:
         """Full evaluation with outcome memoization and pruning.
 
         Infeasible and OOM outcomes are cached like feasible ones: a
         strategy that failed to compile or overflowed memory is never
-        rebuilt or re-simulated.  ``trace=True`` bypasses the outcome
-        cache (the traced schedule is not retained in cached outcomes)
-        but still reuses the plan cache.
+        rebuilt or re-simulated.
 
         ``best`` / ``prune_above`` supply the branch-and-bound
         threshold: a candidate whose makespan provably exceeds it is cut
@@ -218,23 +193,19 @@ class PlanBuilder:
         threshold tightens as the search progresses.
         """
         return self._evaluate(strategy, self.fingerprint(strategy),
-                              trace=trace, best=best,
-                              prune_above=prune_above)
+                              best=best, prune_above=prune_above)
 
-    def _evaluate(self, strategy: Strategy, fp: str, *, trace: bool,
+    def _evaluate(self, strategy: Strategy, fp: str, *,
                   best: Optional[BestSoFar],
                   prune_above: Optional[float]) -> EvalOutcome:
         """:meth:`evaluate` of ``strategy``, whose fingerprint is ``fp``."""
-        limit = None if trace else self._prune_limit(best, prune_above)
-        if not trace:
-            cached = self.cached_outcome(fp, limit=limit, best=best)
-            if cached is not None:
-                return cached
+        limit = self._prune_limit(best, prune_above)
+        cached = self.cached_outcome(fp, limit=limit, best=best)
+        if cached is not None:
+            return cached
         self.evals_total += 1
-        outcome = self._evaluate_fresh(strategy, fp, trace=trace,
-                                       limit=limit)
-        if not trace and (not outcome.pruned
-                          or outcome.prune_stage == "bound"):
+        outcome = self._evaluate_fresh(strategy, fp, limit=limit)
+        if not outcome.pruned or outcome.prune_stage == "bound":
             # mid-sim-pruned outcomes are threshold-dependent (the
             # partial clock depends on where the abort landed) and are
             # never cached; the static bound is a property of the
@@ -268,8 +239,8 @@ class PlanBuilder:
         done: Dict[str, EvalOutcome] = {}
         for strategy, fp in zip(strategies, fps):
             if fp not in done:
-                done[fp] = self._evaluate(strategy, fp, trace=False,
-                                          best=best, prune_above=prune_above)
+                done[fp] = self._evaluate(strategy, fp, best=best,
+                                          prune_above=prune_above)
         return [done[fp] for fp in fps]
 
     def cached_outcome(self, fp: str, *,
@@ -318,8 +289,7 @@ class PlanBuilder:
             help="fraction of candidate evaluations pruned (this builder)")
 
     def _evaluate_fresh(self, strategy: Strategy, fp: str, *,
-                        trace: bool, limit: Optional[float] = None
-                        ) -> EvalOutcome:
+                        limit: Optional[float]) -> EvalOutcome:
         try:
             plan, pruned = self._build_or_prune(strategy, fp, limit=limit)
         except CompileError:
@@ -327,21 +297,9 @@ class PlanBuilder:
                                dist_ops=0, infeasible=True)
         if pruned is not None:
             return pruned
-        # single-pass scheduling: the winner of the scheduler's candidate
-        # race was already simulated (traced, under this plan's resident
-        # bytes and capacities) — reuse it instead of a third simulation
+        # the plan already carries its order's simulation, under its
+        # resident bytes and capacities
         result = plan.sim_result
-        if result is None:
-            try:
-                result = self.simulate(plan, trace=trace, prune_above=limit)
-            except SimulationError:
-                return EvalOutcome(time=float("inf"), oom=False, result=None,
-                                   dist_ops=plan.num_dist_ops,
-                                   infeasible=True)
-            if result.pruned:
-                return self._pruned_outcome(
-                    stage="midsim", bound=result.makespan, threshold=limit,
-                    dist_ops=plan.num_dist_ops)
         return EvalOutcome(
             time=result.makespan,
             oom=result.oom,

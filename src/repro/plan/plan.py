@@ -32,10 +32,10 @@ class ExecutionPlan:
 
     ``kernel`` is the array lowering of ``dist`` shared by every
     simulation of this plan (ranking and both candidate orders already
-    used it during scheduling).  ``sim_result`` is the winning candidate
-    order's traced simulation under this plan's resident bytes and
-    capacities — evaluating the plan reuses it instead of running the
-    simulator again.
+    used it during scheduling).  ``sim_result`` is the chosen order's
+    simulation under this plan's resident bytes and capacities — the
+    winning candidate's, or the FIFO order's — and evaluating the plan
+    reuses it instead of running the simulator again.
     """
 
     graph: ComputationGraph
@@ -47,8 +47,8 @@ class ExecutionPlan:
     capacities: Mapping[str, int]
     profile: Profile
     fingerprint: str
-    kernel: Optional[SimKernel] = None
-    sim_result: Optional[SimulationResult] = None
+    kernel: SimKernel
+    sim_result: SimulationResult
 
     @property
     def num_dist_ops(self) -> int:

@@ -29,9 +29,9 @@ def _resource_of(dist: DistGraph, name: str) -> str:
 def text_gantt(dist: DistGraph, result: SimulationResult, *,
                width: int = 80, max_rows: int = 40,
                only_devices: bool = True) -> str:
-    """ASCII Gantt chart of a traced simulation (run with ``trace=True``)."""
+    """ASCII Gantt chart of a simulated iteration's per-op schedule."""
     if not result.schedule:
-        raise ValueError("result has no trace; simulate with trace=True")
+        raise ValueError("result has no per-op schedule")
     makespan = result.makespan or 1.0
     rows: Dict[str, List[Tuple[float, float]]] = {}
     for name, (start, end) in result.schedule.items():
@@ -75,7 +75,7 @@ def _memory_counters(dist: DistGraph,
                      schedule: Dict[str, Tuple[float, float]],
                      resident_bytes: Optional[Dict[str, int]]) -> List[dict]:
     """Per-device memory counter tracks, replaying the refcounted
-    tracker over the traced start/finish times."""
+    tracker over the run's start/finish times."""
     memory = MemoryTracker(dist, resident_bytes or {})
     # finishes sort before starts at equal timestamps, matching the
     # engine's release-then-start event ordering
@@ -140,7 +140,7 @@ def chrome_trace(dist: DistGraph, result: SimulationResult, *,
       when ``tracer`` is given.
     """
     if not result.schedule:
-        raise ValueError("result has no trace; simulate with trace=True")
+        raise ValueError("result has no per-op schedule")
     schedule = result.schedule
     tid_of = _resource_rows(dist, schedule)
 
@@ -209,7 +209,7 @@ def save_chrome_trace(dist: DistGraph, result: SimulationResult,
                       path: str, *, tracer: Optional[Tracer] = None,
                       resident_bytes: Optional[Dict[str, int]] = None
                       ) -> None:
-    """Write a chrome://tracing JSON file for a traced simulation."""
+    """Write a chrome://tracing JSON file for a simulated iteration."""
     events = chrome_trace(dist, result, tracer=tracer,
                           resident_bytes=resident_bytes)
     with open(path, "w") as fh:

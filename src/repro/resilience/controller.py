@@ -421,7 +421,7 @@ class ResilientTrainer:
 
     def _predicted_makespan(self) -> float:
         plan = self.deployment.plan
-        if plan is not None and plan.sim_result is not None:
+        if plan is not None:
             return plan.sim_result.makespan
         return float("nan")
 
@@ -452,7 +452,7 @@ class ResilientTrainer:
         except ReproError:
             return None
         result = plan.sim_result
-        if result is None or result.oom_devices:
+        if result.oom_devices:
             return None
         return build_deployment(plan), result.makespan
 

@@ -78,8 +78,7 @@ class ExecutionEngine:
 
     def run_iteration(self, dist: DistGraph, schedule: Schedule,
                       resident_bytes: Dict[str, int], *,
-                      check_memory: bool = True,
-                      trace: bool = False) -> SimulationResult:
+                      check_memory: bool = True) -> SimulationResult:
         """Execute one iteration; raises :class:`OutOfMemoryError` if a
         device's peak usage exceeds its capacity (as the real run would)."""
         with telemetry.span("engine.iteration", graph=dist.name):
@@ -88,7 +87,6 @@ class ExecutionEngine:
                 priorities=schedule.priorities,
                 resident_bytes=resident_bytes,
                 capacities=self.capacities,
-                trace=trace,
             )
         telemetry.emit_observe(
             "engine_iteration_seconds", result.makespan,

@@ -34,9 +34,9 @@ class Schedule:
     priorities: Dict[str, int]
     estimated_makespan: Optional[float] = None
     chosen: Optional[str] = None  # which candidate order won
-    # the winning candidate's simulation (traced), when the scheduler
-    # already ran it under the caller's resident_bytes/capacities —
-    # PlanBuilder reuses this instead of re-simulating the plan
+    # the winning candidate's simulation, when the scheduler already
+    # ran it under the caller's resident_bytes/capacities — PlanBuilder
+    # reuses this instead of re-simulating the plan
     sim_result: Optional[SimulationResult] = None
 
 
@@ -50,7 +50,7 @@ class ListScheduler:
       ``DEFAULT_COMM_WEIGHT`` — dominant when independent links (PS
       pushes/pulls) carry the traffic and the critical path matters;
     - ``earliest``: the emergent ready-arrival order, captured from a
-      simulation trace into a static order — dominant when a single
+      simulation's start order into a static order — dominant when a single
       serialized resource (NCCL) is the bottleneck and collectives must
       start as early as possible.
 
@@ -113,8 +113,8 @@ class ListScheduler:
         with telemetry.span("schedule.placement", graph=graph.name):
             rank_run = simulator.run(graph, priorities=rank_priorities,
                                      resident_bytes=resident_bytes,
-                                     capacities=capacities, trace=True,
-                                     kernel=kernel, prune_above=limit,
+                                     capacities=capacities, kernel=kernel,
+                                     prune_above=limit,
                                      _prio_ids=prio_arr)
             # a completed rank run's makespan is itself a prune
             # threshold for the earliest candidate: rank wins ties, so
@@ -127,7 +127,7 @@ class ListScheduler:
                 earliest_limit = None
             earliest_run = simulator.run(graph, priorities=None,
                                          resident_bytes=resident_bytes,
-                                         capacities=capacities, trace=True,
+                                         capacities=capacities,
                                          kernel=kernel,
                                          prune_above=earliest_limit)
         if rank_run.pruned and earliest_run.pruned:

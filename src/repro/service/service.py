@@ -490,7 +490,7 @@ class PlanningService:
 
     @staticmethod
     def _blame(result: PlanResult) -> Optional[Dict[str, float]]:
-        """Critical-path blame fractions when a sim trace exists."""
+        """Critical-path blame fractions of the winner's simulated run."""
         outcome = result.outcome
         if result.deployment is None or outcome.result is None:
             return None

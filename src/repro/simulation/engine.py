@@ -91,7 +91,6 @@ class Simulator:
         priorities: Optional[Mapping[str, int]] = None,
         resident_bytes: Optional[Dict[str, int]] = None,
         capacities: Optional[Dict[str, int]] = None,
-        trace: bool = False,
         strict: bool = False,
         kernel: Optional[SimKernel] = None,
         prune_above: Optional[float] = None,
@@ -136,8 +135,7 @@ class Simulator:
             result = self._run_kernel(
                 kernel, priorities=priorities,
                 resident_bytes=resident_bytes, capacities=capacities,
-                trace=trace, strict=strict,
-                prune_above=prune_above, prio_ids=_prio_ids)
+                strict=strict, prune_above=prune_above, prio_ids=_prio_ids)
         tel = telemetry.active()
         if tel is not None:
             _observe_run(tel.registry, kernel, result)
@@ -153,7 +151,6 @@ class Simulator:
         priorities: Optional[Mapping[str, int]],
         resident_bytes: Optional[Dict[str, int]],
         capacities: Optional[Dict[str, int]],
-        trace: bool,
         strict: bool,
         prune_above: Optional[float] = None,
         prio_ids: Optional[List[int]] = None,
@@ -436,7 +433,7 @@ class Simulator:
         # cached outcomes keep these arrays: int32 ids keep them small
         times = RunTimes(kernel, np.array(start_order, dtype=np.int32),
                          np.array(started), np.array(finished),
-                         [entry[2] for entry in completions], trace)
+                         [entry[2] for entry in completions])
         return SimulationResult.of_run(
             times, makespan=now,
             peak_memory={run_dev_names[ri]: mem_peak[ri]

@@ -36,18 +36,15 @@ class RunTimes:
     lowering alive.
     """
 
-    __slots__ = ("order", "start", "finish", "in_flight", "traced",
-                 "names", "res_ids", "is_compute", "is_link",
-                 "resource_names")
+    __slots__ = ("order", "start", "finish", "in_flight", "names",
+                 "res_ids", "is_compute", "is_link", "resource_names")
 
     def __init__(self, kernel, order: np.ndarray, start: np.ndarray,
-                 finish: np.ndarray, in_flight: Sequence[int],
-                 traced: bool):
+                 finish: np.ndarray, in_flight: Sequence[int]):
         self.order = order
         self.start = start
         self.finish = finish
         self.in_flight = tuple(in_flight)
-        self.traced = traced
         self.names: List[str] = kernel.names
         self.res_ids: List[Tuple[int, ...]] = kernel.res_ids
         self.is_compute: List[bool] = kernel.is_compute
@@ -100,10 +97,7 @@ class RunTimes:
                 union_length(comm), union_length(compute))
 
     def schedule(self) -> Dict[str, Tuple[float, float]]:
-        """Op name -> (start, finish), in start order; empty unless the
-        run was traced."""
-        if not self.traced:
-            return {}
+        """Op name -> (start, finish), in start order."""
         order = self.order
         return dict(zip(map(self.names.__getitem__, order.tolist()),
                         zip(self.start[order].tolist(),
@@ -149,7 +143,7 @@ class SimulationResult:
         self.computation_wall = computation_wall
         self.peak_memory = {} if peak_memory is None else peak_memory
         self.oom_devices = [] if oom_devices is None else oom_devices
-        # op name -> (start, end); retained only when tracing is requested
+        # op name -> (start, end), in start order
         self._schedule = {} if schedule is None else schedule
         # the run aborted cooperatively after ``makespan`` exceeded the
         # caller's ``prune_above`` threshold; every other field is partial
@@ -189,16 +183,12 @@ class SimulationResult:
 
     @property
     def schedule(self) -> Dict[str, Tuple[float, float]]:
-        """Op name -> (start, end) of a traced run, in start order.  A
-        simulator run's is built on every read and not kept, so a cached
-        result whose trace was read once holds no dict of it."""
+        """Op name -> (start, end), in start order.  A simulator run's
+        is built on every read and not kept, so a cached result whose
+        schedule was read once holds no dict of it."""
         if self._schedule is None:
             return self._times.schedule()
         return self._schedule
-
-    @schedule.setter
-    def schedule(self, schedule: Dict[str, Tuple[float, float]]) -> None:
-        self._schedule = schedule
 
     @property
     def oom(self) -> bool:

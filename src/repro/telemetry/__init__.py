@@ -16,7 +16,7 @@ Typical use::
     from repro import telemetry
 
     with telemetry.session() as tel:
-        result = engine.run_iteration(dist, schedule, resident, trace=True)
+        result = engine.run_iteration(dist, schedule, resident)
         print(tel.registry.to_prometheus())
         tel.tracer.save_jsonl("spans.jsonl")
         report = telemetry.critical_path(dist, result)

@@ -1,9 +1,9 @@
-"""Critical-path attribution over a traced simulation.
+"""Critical-path attribution over a simulated iteration.
 
-Walks a traced :class:`SimulationResult` backwards from the op that
-finishes last, following whatever actually delayed each op's start:
-either a DAG predecessor (dependency wait) or another op that held one
-of its exclusive resources (contention wait).  The result blames every
+Walks a :class:`SimulationResult`'s per-op schedule backwards from the
+op that finishes last, following whatever actually delayed each op's
+start: either a DAG predecessor (dependency wait) or another op that
+held one of its exclusive resources (contention wait).  The result blames every
 instant of the makespan on a device, a link, NCCL, or idle gaps —
 "where did the iteration time go", the question behind Fig. 8.
 
@@ -104,13 +104,13 @@ class CriticalPathReport:
 
 def critical_path(dist: DistGraph,
                   result: SimulationResult) -> CriticalPathReport:
-    """Attribute the makespan of a traced run (``trace=True``).
+    """Attribute the makespan of a run from its per-op schedule.
 
     Reads the graph's kernel (names, resources, predecessors, kinds),
     so a compiled graph never builds its ``DistOp`` objects here."""
     schedule = result.schedule
     if not schedule:
-        raise ValueError("result has no trace; simulate with trace=True")
+        raise ValueError("result has no per-op schedule")
 
     kernel = lower(dist)
     names = kernel.names

@@ -3,7 +3,7 @@
 The recorder keeps one :class:`FlightRecord` per request — every
 journal event the request produced, its disposition (cold/warm context,
 coalesced, cache hit), its queue-wait vs execute breakdown and, when a
-traced simulation existed, a compact critical-path blame summary.
+simulated run existed, a compact critical-path blame summary.
 Records live in a bounded ring buffer, so any *recent* failed, timed
 out, or rejected request can be dumped post-hoc with ``repro
 postmortem <request_id>`` (or :func:`postmortem_report` in process)

@@ -37,7 +37,6 @@ def run_reference(
     priorities: Optional[Mapping[str, int]] = None,
     resident_bytes: Optional[Dict[str, int]] = None,
     capacities: Optional[Dict[str, int]] = None,
-    trace: bool = False,
     strict: bool = False,
     prune_above: Optional[float] = None,
 ) -> SimulationResult:
@@ -232,7 +231,7 @@ def run_reference(
         )
 
     capacities = capacities or {}
-    result = SimulationResult(
+    return SimulationResult(
         makespan=now,
         device_busy=device_busy,
         link_busy={
@@ -242,18 +241,14 @@ def run_reference(
         computation_wall=union_length(compute_intervals),
         peak_memory=dict(memory.peak),
         oom_devices=memory.oom_devices(capacities),
+        schedule={n: (started[n], finished.get(n, 0.0)) for n in started},
         pruned=was_pruned,
     )
-    if trace:
-        result.schedule = {
-            n: (started[n], finished.get(n, 0.0)) for n in started
-        }
-    return result
 
 
 def trace_order(schedule: Dict[str, Tuple[float, float]]) -> Dict[str, int]:
-    """Priorities that replay a traced run: its ops sorted by (start,
-    finish), ties kept in the trace's start order."""
+    """Priorities that replay a run: its ops sorted by (start, finish),
+    ties kept in the schedule's start order."""
     ordered = sorted(schedule, key=schedule.__getitem__)
     return {name: i for i, name in enumerate(ordered)}
 

@@ -48,7 +48,7 @@ def unpruned_outcome(builder: PlanBuilder,
     def run(priorities, **kw) -> SimulationResult:
         return simulator.run(dist, priorities=priorities,
                              resident_bytes=resident,
-                             capacities=builder.capacities, trace=True,
+                             capacities=builder.capacities,
                              kernel=kernel, **kw)
 
     if builder.use_order_scheduling:

@@ -132,15 +132,6 @@ class TestEvaluationCaching:
         assert plan2 is plan1
         assert plan1.fingerprint == builder.fingerprint(s)
 
-    def test_trace_bypasses_outcome_cache(self, mlp_graph, four_gpu,
-                                          builder):
-        s = dp_strategy("EV-PS", mlp_graph, four_gpu)
-        cached = builder.evaluate(s)
-        traced = builder.evaluate(s, trace=True)
-        assert traced is not cached
-        assert traced.time == cached.time
-        assert traced.result.device_busy  # traced run keeps the schedule
-
     def test_infeasible_not_recompiled(self, mlp_graph, four_gpu,
                                        mlp_profile, monkeypatch):
         from repro.plan import builder as builder_mod

@@ -284,13 +284,18 @@ class TestWinnerIdentity:
 
 # --------------------------------------------------------------------- #
 class TestCacheSoundness:
-    def _pickable(self):
+    def _pickable(self, use_order_scheduling=True):
         """A (builder-factory, strategy, exact-time, bound) quadruple
         where the static bound is strictly below the true makespan, so a
         limit can be aimed between them to force a mid-sim prune."""
         graph = build_model("vgg19", "tiny")
         profile = exact_profile(graph, CLUSTER)
-        scout = PlanBuilder(graph, CLUSTER, profile)
+
+        def make():
+            return PlanBuilder(graph, CLUSTER, profile,
+                               use_order_scheduling=use_order_scheduling)
+
+        scout = make()
         for strategy in candidate_strategies(
                 graph, np.random.default_rng(9), 8):
             outcome = scout.evaluate(strategy)
@@ -299,16 +304,20 @@ class TestCacheSoundness:
             bound = kernel_lower_bound(scout.build(strategy).kernel,
                                        scout.cost)
             if bound is not None and bound < outcome.time * 0.95:
-                return (lambda: PlanBuilder(graph, CLUSTER, profile),
-                        strategy, outcome.time, bound)
+                return make, strategy, outcome.time, bound
         pytest.skip("no candidate with bound strictly below makespan")
 
-    def test_midsim_pruned_outcome_not_served_without_threshold(self):
-        make, strategy, exact, bound = self._pickable()
+    @pytest.mark.parametrize("use_order_scheduling", [True, False],
+                             ids=["order", "fifo"])
+    def test_midsim_pruned_outcome_not_served_without_threshold(
+            self, use_order_scheduling):
+        make, strategy, exact, bound = self._pickable(use_order_scheduling)
         builder = make()
         limit = (bound + exact) / 2.0
         first = builder.evaluate(strategy, prune_above=limit)
         assert first.pruned and first.prune_stage == "midsim"
+        # its run is partial: no plan of it is cached either
+        assert builder.plan_cache.get(builder.fingerprint(strategy)) is None
         # same candidate with no threshold: must re-evaluate exactly,
         # never serve the threshold-dependent pruned entry
         second = builder.evaluate(strategy)
@@ -358,14 +367,6 @@ class TestCacheSoundness:
         assert outcomes == [first]
         assert (builder.evals_pruned, builder.evals_total) == (2, 2)
         assert fraction == 1.0
-
-    def test_trace_bypasses_pruning(self):
-        make, strategy, exact, bound = self._pickable()
-        builder = make()
-        outcome = builder.evaluate(strategy, trace=True,
-                                   prune_above=bound / 2.0)
-        assert not outcome.pruned
-        assert outcome.time == exact
 
 
 # --------------------------------------------------------------------- #

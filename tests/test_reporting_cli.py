@@ -15,7 +15,7 @@ from repro.reporting import (
     strategy_diff,
     text_gantt,
 )
-from repro.simulation import ProfileCostModel, Simulator
+from repro.simulation import ProfileCostModel, SimulationResult, Simulator
 
 from tests.helpers import make_mlp
 
@@ -29,8 +29,7 @@ def traced():
     strategy = single_device_strategy(graph, cluster)
     strategy.set(graph.op_names[2], make_mp_strategy("gpu2"))
     dist = compiler.compile(graph, strategy)
-    result = Simulator(ProfileCostModel(cluster, profile)).run(
-        dist, trace=True)
+    result = Simulator(ProfileCostModel(cluster, profile)).run(dist)
     return graph, cluster, strategy, dist, result
 
 
@@ -42,15 +41,11 @@ class TestReporting:
         assert "#" in chart
 
     def test_gantt_requires_trace(self, traced):
-        _, cluster, _, dist, _ = traced
-        from repro.profiling import exact_profile
-        graph = make_mlp(name="report_mlp2")
-        profile = exact_profile(graph, cluster)
-        compiler = GraphCompiler(cluster, profile)
-        d = compiler.compile(graph, single_device_strategy(graph, cluster))
-        res = Simulator(ProfileCostModel(cluster, profile)).run(d)
-        with pytest.raises(ValueError):
-            text_gantt(d, res)
+        """A result built from its fields has no per-op schedule to
+        draw."""
+        _, _, _, dist, result = traced
+        with pytest.raises(ValueError, match="no per-op schedule"):
+            text_gantt(dist, SimulationResult(makespan=result.makespan))
 
     def test_chrome_trace_events(self, traced):
         _, _, _, dist, result = traced

@@ -240,7 +240,8 @@ class TestInlineService:
 
     def test_config_order_flag_is_honoured(self, mlp, four_gpu):
         """``HeteroGConfig.use_order_scheduling=False`` builds with the
-        default FIFO order instead of being served the ordered plan."""
+        default FIFO order instead of being served the ordered plan, and
+        its plan carries the FIFO run the flight record's blame reads."""
         strategy = dp_strategy("CP-AR", mlp, four_gpu)
         fifo_config = dataclasses.replace(fast_config(),
                                           use_order_scheduling=False)
@@ -255,6 +256,7 @@ class TestInlineService:
         assert first.deployment.schedule.chosen is not None
         assert not second.from_cache
         assert second.deployment.schedule.chosen is None
+        assert service.recorder.get(fifo.request_id).blame
 
     def test_failure_not_cached(self, mlp, four_gpu):
         """A failed request must not poison the result cache."""

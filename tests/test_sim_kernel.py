@@ -206,7 +206,7 @@ def test_engines_identical_on_compiled_graphs(compiled, cost_name, make):
     for prios in prio_sets:
         for strict in (False, True) if prios is not None else (False,):
             kw = dict(priorities=prios, resident_bytes=dict(resident),
-                      capacities=caps, trace=True, strict=strict)
+                      capacities=caps, strict=strict)
             full = run_pair(lambda: make(cluster, profile), dist, **kw)
             # mid-simulation pruning: the prune verdict and the partial
             # makespan must match too, from early cuts to near-misses
@@ -222,8 +222,7 @@ def test_memory_pressure_oom_sets_identical(compiled):
     tight = {d: max(1, int(c * 1e-4)) for d, c in caps.items()}
     result = run_pair(
         lambda: ProfileCostModel(cluster, profile), dist,
-        resident_bytes=dict(resident), capacities=tight, trace=True,
-    )
+        resident_bytes=dict(resident), capacities=tight)
     assert result is not None and result.oom
 
 
@@ -288,8 +287,7 @@ def test_engines_identical_under_heavy_contention():
         caps = {"gpu0": rng.choice((300, 2000)), "gpu1": 2000}
         for prios in prio_sets:
             for strict in (False, True) if prios is not None else (False,):
-                kw = dict(priorities=prios, capacities=caps, trace=True,
-                          strict=strict)
+                kw = dict(priorities=prios, capacities=caps, strict=strict)
                 cost = MappingCostModel(durations)
                 full = run_pair(lambda: cost, dist, **kw)
                 for frac in PRUNE_FRACTIONS if full is not None else ():
@@ -399,7 +397,10 @@ def test_plan_reuses_one_lowering_for_schedule_and_resimulation():
     builder = PlanBuilder(graph, cluster, profile)
     plan = builder.build(strategy)
     assert plan.kernel is lower(plan.dist)
-    resim = builder.simulate(plan)
+    resim = Simulator(builder.cost).run(
+        plan.dist, priorities=plan.schedule.priorities,
+        resident_bytes=dict(plan.resident_bytes),
+        capacities=dict(plan.capacities), kernel=plan.kernel)
     assert resim.makespan == plan.sim_result.makespan
 
 
@@ -412,7 +413,7 @@ def test_pickled_result_derives_the_same_fields(compiled):
     the same order, whether complete or cut by a prune."""
     cluster, profile, dist, resident, caps = compiled
     simulator = Simulator(ProfileCostModel(cluster, profile))
-    kw = dict(resident_bytes=dict(resident), capacities=caps, trace=True)
+    kw = dict(resident_bytes=dict(resident), capacities=caps)
     full = simulator.run(dist, **kw)
     cut = simulator.run(dist, prune_above=0.6 * full.makespan, **kw)
     assert cut.pruned

@@ -164,7 +164,7 @@ class TestMetrics:
         g.add(compute("a", "d0"))
         g.add(compute("b", "d0"), ["a"])
         sim = Simulator(MappingCostModel({"a": 1.0, "b": 1.0}))
-        res = sim.run(g, trace=True)
+        res = sim.run(g)
         assert res.schedule["a"] == (0.0, 1.0)
         assert res.schedule["b"] == (1.0, 2.0)
 

@@ -276,8 +276,7 @@ class TestCriticalPath:
         profile = exact_profile(graph, cluster)
         dist = GraphCompiler(cluster, profile).compile(
             graph, single_device_strategy(graph, cluster))
-        result = Simulator(ProfileCostModel(cluster, profile)).run(
-            dist, trace=True)
+        result = Simulator(ProfileCostModel(cluster, profile)).run(dist)
         report = critical_path(dist, result)
         assert sum(report.blame_fractions().values()) == pytest.approx(1.0)
         assert report.segments[0].start == pytest.approx(0.0)
@@ -310,10 +309,10 @@ class TestAmbientSession:
             graph, single_device_strategy(graph, cluster))
         sim = Simulator(ProfileCostModel(cluster, profile))
 
-        baseline = sim.run(dist, trace=True)
+        baseline = sim.run(dist)
         with telemetry.session():
-            instrumented = sim.run(dist, trace=True)
-        repeat = sim.run(dist, trace=True)
+            instrumented = sim.run(dist)
+        repeat = sim.run(dist)
 
         for other in (instrumented, repeat):
             assert other.makespan == baseline.makespan
@@ -348,9 +347,9 @@ class TestAmbientSession:
                  {"priorities": rank, "strict": True},
                  {"priorities": rank, "prune_above": cut})
         for kw in cases:
-            baseline = sim.run(dist, trace=True, **kw)
+            baseline = sim.run(dist, **kw)
             with telemetry.session() as tel:
-                traced = sim.run(dist, trace=True, **kw)
+                traced = sim.run(dist, **kw)
             assert traced.makespan == baseline.makespan
             assert traced.schedule == baseline.schedule
             assert traced.device_busy == baseline.device_busy
