@@ -14,7 +14,7 @@ import numpy as np
 from ..cluster.topology import Cluster
 from ..errors import StrategyError
 from ..graph.dag import ComputationGraph
-from ..graph.grouping import Grouping, group_operations
+from ..graph.grouping import group_operations
 from ..parallel.strategy import Strategy
 from ..plan import PlanBuilder
 from ..profiling.profiler import Profile, Profiler
@@ -46,7 +46,6 @@ class AgentConfig:
     entropy_weight: float = 5e-3
     entropy_decay: float = 0.995
     use_seeds: bool = True
-    use_order_scheduling: bool = True
     seed: int = 0
 
     @staticmethod
@@ -77,7 +76,8 @@ class HeteroGAgent:
         ``builder`` is the :class:`PlanBuilder` the search evaluates
         candidates with, so a caller that owns one for this graph shares
         its plan and outcome caches with the search; it then supplies
-        the profile too.  Without it the agent makes its own."""
+        the profile too.  Without it the agent makes its own, with
+        HeteroG's order scheduling; a FIFO search passes a FIFO builder."""
         name = name or graph.name
         if any(ctx.name == name for ctx in self._contexts):
             raise StrategyError(f"graph {name!r} already registered")
@@ -96,10 +96,7 @@ class HeteroGAgent:
         index = {n: i for i, n in enumerate(graph.op_names)}
         assignment = grouping.assignment_matrix(index)
         if builder is None:
-            builder = PlanBuilder(
-                graph, self.cluster, profile,
-                use_order_scheduling=self.config.use_order_scheduling,
-            )
+            builder = PlanBuilder(graph, self.cluster, profile)
         ctx = GraphContext(
             name=name, graph=graph, grouping=grouping, features=features,
             neighbourhood=neighbourhood, assignment=assignment,

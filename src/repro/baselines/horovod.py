@@ -13,8 +13,8 @@ from typing import Optional
 from ..cluster.topology import Cluster
 from ..graph.dag import ComputationGraph
 from ..parallel.strategy import Strategy
+from ..plan import ExecutionPlan, PlanBuilder
 from ..profiling.profiler import Profile
-from ..runtime.deployment import Deployment, build_deployment
 from .dp import dp_strategy
 
 
@@ -24,8 +24,8 @@ def horovod_strategy(graph: ComputationGraph, cluster: Cluster) -> Strategy:
 
 
 def horovod_deployment(graph: ComputationGraph, cluster: Cluster,
-                       profile: Optional[Profile] = None) -> Deployment:
+                       profile: Optional[Profile] = None) -> ExecutionPlan:
     """Compile Horovod's strategy under the framework-default order."""
     strategy = horovod_strategy(graph, cluster)
-    return build_deployment(graph, cluster, strategy, profile=profile,
-                            use_order_scheduling=False)
+    return PlanBuilder(graph, cluster, profile,
+                       use_order_scheduling=False).build(strategy)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import PlacementError
 from .device import Device, GPUSpec
-from .link import LOOPBACK, NVLINK, PCIE3, Link, LinkSpec
+from .link import LOOPBACK, PCIE3, Link, LinkSpec
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,8 @@ class Cluster:
             raise PlacementError(f"unknown link {src!r} -> {dst!r}") from None
 
     def links(self) -> List[Link]:
-        return [l for l in self._links.values() if l.src != l.dst]
+        return [link for link in self._links.values()
+                if link.src != link.dst]
 
     def same_server(self, a: str, b: str) -> bool:
         return self.device(a).server == self.device(b).server

@@ -20,8 +20,7 @@ class HeteroGConfig:
     - ``episodes``: RL episodes for the strategy search.
     - ``use_order_scheduling``: HeteroG's rank-based execution order vs the
       framework's default FIFO ("whether to use default execution order or
-      our order scheduling algorithm"); overrides
-      ``agent.use_order_scheduling``.
+      our order scheduling algorithm").
     - ``checkpoint_path``: where to save trained variables (accepted for
       API fidelity; the simulated engine has no variables to persist).
     - ``agent``: GNN policy and training hyper-parameters.

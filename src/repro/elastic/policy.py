@@ -31,9 +31,9 @@ from typing import Optional
 
 from ..cluster.topology import Cluster
 from ..errors import ReproError
-from ..runtime.deployment import Deployment
+from ..plan import ExecutionPlan
 from ..simulation.costs import ProfileCostModel
-from ..simulation.kernel import kernel_lower_bound, lower
+from ..simulation.kernel import kernel_lower_bound
 
 
 @dataclass(frozen=True)
@@ -89,15 +89,13 @@ class ElasticPolicy:
         self._searches += 1
 
     # ---------------------------------------------------------------- #
-    def decide(self, deployment: Deployment, new_cluster: Cluster, *,
+    def decide(self, deployment: ExecutionPlan, new_cluster: Cluster, *,
                healthy_mean: Optional[float],
                remaining_steps: int) -> ScaleDecision:
         """Replan-or-ride for an arrival that grew the fleet to
         ``new_cluster`` while ``deployment`` is still running."""
-        kernel = deployment.plan.kernel if deployment.plan is not None \
-            else lower(deployment.dist)
         cost = ProfileCostModel(deployment.cluster, deployment.profile)
-        bound_before = kernel_lower_bound(kernel, cost)
+        bound_before = kernel_lower_bound(deployment.kernel, cost)
         if bound_before is None:  # pragma: no cover - profile cost is
             # deterministic; be optimistic and let the post-search
             # adoption guard protect the trainer

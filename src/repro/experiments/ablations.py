@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..agent import HeteroGAgent
 from ..agent.policy import actions_to_strategy
 from ..cluster.topology import Cluster
-from ..graph.dag import ComputationGraph
 from ..graph.models import build_model
 from .common import (
     ExperimentContext,
@@ -121,14 +118,12 @@ def jitter_sensitivity(cluster: Cluster, model: str = "vgg19", *,
                        seed: int = 0) -> Dict[float, float]:
     """Coefficient of variation of per-iteration time vs kernel jitter."""
     from ..baselines import dp_strategy
-    from ..runtime.deployment import build_deployment
     from ..runtime.execution_engine import ExecutionEngine
     preset = preset or env_preset()
     graph = build_model(model, preset)
     ctx = ExperimentContext(cluster, seed=seed)
     strategy = dp_strategy("CP-AR", graph, cluster)
-    deployment = build_deployment(graph, cluster, strategy,
-                                  builder=ctx.builder(graph))
+    deployment = ctx.builder(graph).build(strategy)
     out: Dict[float, float] = {}
     for sigma in sigmas or [0.0, 0.02, 0.05, 0.1]:
         engine = ExecutionEngine(cluster, jitter_sigma=sigma, seed=seed)

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..agent import AgentConfig
 from ..cluster.presets import cluster_2gpu
 from ..cluster.topology import Cluster
+from ..config import HeteroGConfig
 from ..elastic import ChurnSchedule
 from ..graph.models import build_model
 from ..graph.models.registry import ALL_MODELS
@@ -41,7 +42,6 @@ from ..resilience import (
     ResilienceReport,
     ResilientTrainer,
 )
-from ..runtime.deployment import build_deployment
 from ..runtime.execution_engine import ExecutionEngine
 from .common import (
     ExperimentContext,
@@ -164,10 +164,10 @@ def churn_sweep(cluster: Optional[Cluster] = None, *,
         searched = ctx.run_heterog(
             graph, episodes=episodes if episodes is not None
             else env_episodes(8), agent_config=config)
-        deployment = build_deployment(graph, cluster, searched.strategy,
-                                      builder=ctx.builder(graph))
-        replanner = Replanner(graph, cluster, agent_config=config,
-                              episodes=replan_episodes, seed=seed)
+        deployment = ctx.builder(graph).build(searched.strategy)
+        replanner = Replanner(graph, cluster,
+                              config=HeteroGConfig(seed=seed, agent=config),
+                              episodes=replan_episodes)
         for name, schedule in scenarios:
             kind = _scenario_kind(name)
             for policy in (policies if policies is not None

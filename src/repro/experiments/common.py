@@ -22,7 +22,6 @@ from ..graph.models import build_model
 from ..parallel.strategy import Strategy
 from ..plan import PlanBuilder
 from ..profiling.profiler import Profile, Profiler
-from ..runtime.deployment import build_deployment
 from ..runtime.execution_engine import ExecutionEngine
 
 
@@ -138,12 +137,9 @@ class ExperimentContext:
                 label: str, *, use_order_scheduling: bool = True,
                 iterations: Optional[int] = None) -> MeasuredStrategy:
         """Deploy + run a strategy on the engine; OOM becomes a row value."""
-        deployment = build_deployment(
-            graph, self.cluster, strategy,
-            builder=self.builder(
-                graph, use_order_scheduling=use_order_scheduling
-            ),
-        )
+        deployment = self.builder(
+            graph, use_order_scheduling=use_order_scheduling
+        ).build(strategy)
         engine = ExecutionEngine(self.cluster, seed=self.seed + 1)
         try:
             stats = engine.measure(
@@ -170,22 +166,18 @@ class ExperimentContext:
     def run_heterog(self, graph: ComputationGraph, *,
                     episodes: Optional[int] = None,
                     agent_config: Optional[AgentConfig] = None,
-                    use_order_scheduling: bool = True,
                     iterations: Optional[int] = None) -> MeasuredStrategy:
         """Full HeteroG pipeline: search on the simulator, measure on the
         engine."""
         config = agent_config or bench_agent_config(self.seed)
         agent = HeteroGAgent(self.cluster, config)
-        agent.add_graph(graph, self.profile(graph))
+        agent.add_graph(graph, builder=self.builder(graph))
         start = time.time()
         agent.train(episodes if episodes is not None else env_episodes())
         search_seconds = time.time() - start
         strategy = agent.best_strategy(graph.name)
-        measured = self.measure(
-            graph, strategy, "HeteroG",
-            use_order_scheduling=use_order_scheduling,
-            iterations=iterations,
-        )
+        measured = self.measure(graph, strategy, "HeteroG",
+                                iterations=iterations)
         measured.extras["search_seconds"] = search_seconds
         measured.extras["simulated_time"] = agent.best_time(graph.name)
         return measured

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -16,8 +16,6 @@ from ..baselines import (
 )
 from ..cluster.device import GTX_1080TI, TESLA_V100
 from ..cluster.presets import cluster_4gpu, cluster_12gpu
-from ..cluster.topology import Cluster
-from ..graph.builder import GraphBuilder
 from ..graph.models import build_model
 from ..graph.op import Operation, TensorSpec
 from ..profiling import cost_model

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..agent import AgentConfig, HeteroGAgent
 from ..cluster.topology import Cluster

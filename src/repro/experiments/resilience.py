@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..agent import AgentConfig
 from ..cluster.topology import Cluster
+from ..config import HeteroGConfig
 from ..graph.dag import ComputationGraph
 from ..graph.models import build_model
 from ..resilience import (
@@ -29,7 +30,6 @@ from ..resilience import (
     ResilienceReport,
     ResilientTrainer,
 )
-from ..runtime.deployment import build_deployment
 from ..runtime.execution_engine import ExecutionEngine
 from .common import (
     ExperimentContext,
@@ -109,10 +109,10 @@ def fault_sweep(cluster: Cluster, *,
     searched = ctx.run_heterog(
         graph, episodes=episodes if episodes is not None
         else env_episodes(8), agent_config=config)
-    deployment = build_deployment(graph, cluster, searched.strategy,
-                                  builder=ctx.builder(graph))
-    replanner = Replanner(graph, cluster, agent_config=config,
-                          episodes=replan_episodes, seed=seed)
+    deployment = ctx.builder(graph).build(searched.strategy)
+    replanner = Replanner(graph, cluster,
+                          config=HeteroGConfig(seed=seed, agent=config),
+                          episodes=replan_episodes)
     rows: List[FaultSweepRow] = []
     for name, schedule in (scenarios if scenarios is not None
                            else default_scenarios(cluster)):

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..baselines.dp import dp_strategy
-from ..cluster.device import GTX_1080TI, TESLA_V100, GPUSpec
+from ..cluster.device import TESLA_V100, GPUSpec
 from ..cluster.link import GBPS, NVLINK, PCIE3, LinkSpec
 from ..cluster.topology import Cluster, ServerSpec
-from ..graph.dag import ComputationGraph
 from .common import ExperimentContext, env_episodes
 
 

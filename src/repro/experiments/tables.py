@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..baselines.dp import DP_BASELINES, dp_strategy
 from ..cluster.presets import cluster_8gpu, cluster_12gpu
 from ..cluster.topology import Cluster
-from ..graph.dag import ComputationGraph
 from ..graph.models import CNN_MODELS, build_model
 from ..graph.models.registry import ALL_MODELS
 from ..runtime.trainer_loop import end_to_end_minutes

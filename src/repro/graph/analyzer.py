@@ -10,7 +10,7 @@ the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..errors import GraphError
 from .dag import ComputationGraph

@@ -320,7 +320,6 @@ def build_training_graph(builder: GraphBuilder) -> ComputationGraph:
         raise GraphError(
             f"training graph needs exactly one loss op, found {len(loss_ops)}"
         )
-    loss = loss_ops[0]
 
     order = graph.topological_order()
     grad_of: Dict[str, str] = {}  # forward op name -> its grad-input op name

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..builder import GraphBuilder, build_training_graph
 from ..dag import ComputationGraph
 

@@ -13,7 +13,6 @@ of re-driving the pipeline.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from . import telemetry
@@ -22,6 +21,7 @@ from .config import HeteroGConfig
 from .graph.analyzer import GraphAnalysis, GraphAnalyzer
 from .graph.dag import ComputationGraph
 from .parallel.strategy import Strategy
+from .plan import ExecutionPlan
 from .profiling.profiler import Profile
 from .resilience import (
     FaultInjector,
@@ -29,7 +29,6 @@ from .resilience import (
     Replanner,
     ResilientTrainer,
 )
-from .runtime.deployment import Deployment
 from .runtime.execution_engine import ExecutionEngine
 from .runtime.runner import DistributedRunner
 from .service import PlanningService, PlanRequest, PlanResult
@@ -93,13 +92,13 @@ class HeteroG:
 
     def deploy(self, graph: ComputationGraph,
                strategy: Optional[Strategy] = None,
-               profile: Optional[Profile] = None) -> Deployment:
+               profile: Optional[Profile] = None) -> ExecutionPlan:
         """Compile + schedule a strategy (searching one if not given)."""
         result = self.plan_result(graph, strategy=strategy, profile=profile)
         assert result.deployment is not None  # searches raise when infeasible
         return result.deployment
 
-    def runner(self, deployment: Deployment) -> DistributedRunner:
+    def runner(self, deployment: ExecutionPlan) -> DistributedRunner:
         engine = ExecutionEngine(
             self.cluster,
             jitter_sigma=self.config.engine_jitter_sigma,
@@ -107,7 +106,7 @@ class HeteroG:
         )
         return DistributedRunner(deployment, engine)
 
-    def resilient_runner(self, deployment: Deployment,
+    def resilient_runner(self, deployment: ExecutionPlan,
                          schedule: FaultSchedule, *,
                          policy: str = "replan",
                          episodes: int = 6) -> ResilientTrainer:
@@ -131,16 +130,9 @@ class HeteroG:
         )
         replanner = None
         if policy in ("replan", "elastic"):
-            agent_config = dataclasses.replace(
-                self.config.agent,
-                use_order_scheduling=self.config.use_order_scheduling,
-                seed=self.config.seed,
-            )
             replanner = Replanner(
-                deployment.graph, self.cluster,
-                agent_config=agent_config, episodes=episodes,
-                seed=self.config.seed,
-                service=self.service,
+                deployment.graph, self.cluster, config=self.config,
+                episodes=episodes, service=self.service,
             )
         return ResilientTrainer(deployment, injector, engine=engine,
                                 replanner=replanner, policy=policy)

@@ -284,7 +284,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
     inv = 1.0 / np.sqrt(var + eps)
     norm = (a.data - mu) * inv
     data = norm * gain.data + bias.data
-    dim = a.shape[-1]
 
     def backward(grad: np.ndarray) -> None:
         if gain.requires_grad:

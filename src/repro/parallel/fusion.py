@@ -14,7 +14,7 @@ fusion ablation benchmark sweeps the bucket size.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..errors import CompileError
 from .distgraph import DistGraph, DistOp, DistOpKind

@@ -11,9 +11,8 @@ Per operation (group), HeteroG's action space is ``M + 4``-way:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from ..cluster.topology import Cluster
 from ..errors import StrategyError

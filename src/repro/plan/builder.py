@@ -229,10 +229,11 @@ class PlanBuilder:
         The single population entry point: every consumer that
         evaluates a population of candidates (CEM rounds, the FlexFlow
         seeding sweep) routes through here.  Duplicate strategies are
-        evaluated once and fanned out; every distinct candidate is one
-        :meth:`evaluate` call in input order, so outcome caching,
-        pruning and best-so-far observation behave exactly as in a
-        serial loop.  ``prune_above`` is one hard cap for the whole
+        evaluated once and fanned out; every distinct candidate goes
+        through the same path as :meth:`evaluate`, in input order and
+        with its fingerprint computed once, so outcome caching, pruning
+        and best-so-far observation behave exactly as in a serial loop
+        of :meth:`evaluate` calls.  ``prune_above`` is one hard cap for the whole
         population.
         """
         fps = [self.fingerprint(s) for s in strategies]

@@ -13,15 +13,13 @@ per (bandwidth, latency) class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..cluster.topology import Cluster
 from ..errors import ProfilingError
 from ..graph.dag import ComputationGraph
-from ..graph.op import Operation
-from . import cost_model
 from .measurements import (
     DEFAULT_FRACTIONS,
     DEFAULT_SIZES,

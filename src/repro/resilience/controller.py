@@ -51,7 +51,7 @@ import numpy as np
 
 from .. import telemetry
 from ..errors import DeviceLostError, OutOfMemoryError, ReproError
-from ..runtime.deployment import Deployment
+from ..plan import ExecutionPlan
 from ..runtime.execution_engine import ExecutionEngine
 from ..runtime.trainer_loop import DetectionEvent, FailureDetector
 from ..telemetry.context import request_scope
@@ -157,7 +157,7 @@ class ResilienceReport:
 class ResilientTrainer:
     """Runs training iterations that survive a changing cluster."""
 
-    def __init__(self, deployment: Deployment, injector: FaultInjector, *,
+    def __init__(self, deployment: ExecutionPlan, injector: FaultInjector, *,
                  engine: Optional[ExecutionEngine] = None,
                  replanner: Optional[Replanner] = None,
                  detector: Optional[FailureDetector] = None,
@@ -383,7 +383,7 @@ class ResilientTrainer:
             fast_path = self._fast_path_candidate(cluster)
             if fast_path is not None and fast_path[1] < adopted_time:
                 adopted, adopted_time = fast_path
-        predicted = self._predicted_makespan()
+        predicted = self.deployment.sim_result.makespan
         if self.policy == "elastic" and not self.elastic_policy.\
                 should_adopt(predicted, adopted_time):
             self.recorder.emit(
@@ -419,12 +419,6 @@ class ResilientTrainer:
             "elastic_scale_up_replans_total",
             help="arrivals adopted via a priced replan")
 
-    def _predicted_makespan(self) -> float:
-        plan = self.deployment.plan
-        if plan is not None:
-            return plan.sim_result.makespan
-        return float("nan")
-
     def _fast_path_candidate(self, cluster):
         """The no-search arrival plan: all ops on the fastest new device.
 
@@ -436,7 +430,6 @@ class ResilientTrainer:
         """
         from ..parallel.strategy import single_device_strategy
         from ..plan import PlanBuilder
-        from ..runtime.deployment import build_deployment
 
         new_ids = set(cluster.device_ids) \
             - set(self.deployment.cluster.device_ids)
@@ -454,7 +447,7 @@ class ResilientTrainer:
         result = plan.sim_result
         if result.oom_devices:
             return None
-        return build_deployment(plan), result.makespan
+        return plan, result.makespan
 
     def _maybe_rebuild_engine(self) -> None:
         """Grow the engine when the adopted plan uses devices it lacks.

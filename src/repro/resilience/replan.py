@@ -23,13 +23,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .. import telemetry
-from ..agent.agent import AgentConfig
 from ..cluster.topology import Cluster
 from ..config import HeteroGConfig
 from ..errors import ReproError
 from ..graph.dag import ComputationGraph
-from ..plan import EvalOutcome
-from ..runtime.deployment import Deployment
+from ..plan import EvalOutcome, ExecutionPlan
 from ..service import PlanningService, PlanRequest
 
 
@@ -37,7 +35,7 @@ from ..service import PlanningService, PlanRequest
 class RecoveryPlan:
     """Outcome of one replan: a runnable deployment on the survivors."""
 
-    deployment: Deployment
+    deployment: ExecutionPlan
     cluster: Cluster
     outcome: EvalOutcome         # simulated (profile-predicted) outcome
     search_seconds: float        # wall-clock spent searching
@@ -53,25 +51,26 @@ class RecoveryPlan:
 
 
 class Replanner:
-    """Searches replacement deployments when the cluster degrades."""
+    """Searches replacement deployments when the cluster degrades.
+
+    ``config`` is the planning configuration every replan request
+    carries (seed, agent, order flag and noise settings); the facade
+    passes its own, so a replan searches exactly as a fresh plan would.
+    """
 
     def __init__(self, graph: ComputationGraph, base_cluster: Cluster, *,
-                 agent_config: Optional[AgentConfig] = None,
-                 episodes: int = 6, max_rounds: int = 3, seed: int = 0,
+                 config: Optional[HeteroGConfig] = None,
+                 episodes: int = 6, max_rounds: int = 3,
                  service: Optional[PlanningService] = None):
         if episodes < 1:
             raise ReproError(f"episodes must be >= 1, got {episodes}")
         self.graph = graph
         self.base_cluster = base_cluster
-        self.agent_config = agent_config or AgentConfig(seed=seed)
+        self.config = config if config is not None else HeteroGConfig()
         self.episodes = episodes
         self.max_rounds = max_rounds
-        self.seed = seed
         self.service = service if service is not None \
             else PlanningService(workers=0, name="replanner")
-        self._config = HeteroGConfig(
-            seed=seed, agent=self.agent_config,
-            use_order_scheduling=self.agent_config.use_order_scheduling)
 
     # ---------------------------------------------------------------- #
     def _request(self, cluster: Cluster,
@@ -81,7 +80,7 @@ class Replanner:
             cluster=cluster,
             episodes=episodes if episodes is not None else self.episodes,
             max_rounds=self.max_rounds,
-            config=self._config,
+            config=self.config,
             label="replan",
         )
 

@@ -1,6 +1,5 @@
-"""Runtime: execution engine (testbed stand-in), deployments, runner."""
+"""Runtime: execution engine (testbed stand-in) and runner."""
 
-from .deployment import Deployment, build_deployment
 from .execution_engine import ExecutionEngine, IterationStats
 from .runner import DistributedRunner, TrainingReport
 from .trainer_loop import (
@@ -12,8 +11,6 @@ from .trainer_loop import (
 )
 
 __all__ = [
-    "Deployment",
-    "build_deployment",
     "ExecutionEngine",
     "IterationStats",
     "DistributedRunner",

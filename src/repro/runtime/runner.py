@@ -10,7 +10,7 @@ import numpy as np
 from .. import telemetry
 from ..errors import ReproError
 from ..graph.op import OpPhase
-from .deployment import Deployment
+from ..plan import ExecutionPlan
 from .execution_engine import ExecutionEngine
 
 
@@ -49,7 +49,7 @@ class DistributedRunner:
     Enforcement") and the per-device memory limits.
     """
 
-    def __init__(self, deployment: Deployment,
+    def __init__(self, deployment: ExecutionPlan,
                  engine: Optional[ExecutionEngine] = None):
         self.deployment = deployment
         self.engine = engine or ExecutionEngine(deployment.cluster)
@@ -79,7 +79,7 @@ class DistributedRunner:
         return report
 
 
-def _infer_global_batch(deployment: Deployment) -> int:
+def _infer_global_batch(deployment: ExecutionPlan) -> int:
     for op in deployment.graph:
         if op.phase is OpPhase.INPUT and op.output.batch_size:
             return int(op.output.batch_size)

@@ -27,10 +27,9 @@ from ..telemetry.context import record_event
 from ..agent.agent import HeteroGAgent
 from ..errors import OutOfMemoryError, StrategyError
 from ..parallel.strategy import Strategy
-from ..plan import EvalOutcome, PlanBuilder
+from ..plan import EvalOutcome, ExecutionPlan, PlanBuilder
 from ..profiling.measurements import MeasurementNoise
 from ..profiling.profiler import Profile, Profiler
-from ..runtime.deployment import Deployment, build_deployment
 from ..runtime.execution_engine import ExecutionEngine
 from .request import PlanRequest
 
@@ -41,7 +40,7 @@ class Served:
 
     strategy: Strategy
     outcome: EvalOutcome
-    deployment: Optional[Deployment]
+    deployment: Optional[ExecutionPlan]
     profile: Profile
     episodes: int = 0
     plan_cache_hits: int = 0
@@ -94,10 +93,7 @@ class PlanContext:
     def agent(self) -> HeteroGAgent:
         if self._agent is None:
             agent_config = dataclasses.replace(
-                self.config.agent,
-                use_order_scheduling=self.config.use_order_scheduling,
-                seed=self.config.seed,
-            )
+                self.config.agent, seed=self.config.seed)
             self._agent = HeteroGAgent(self.cluster, agent_config)
             builder = self.builder
             with telemetry.span("pipeline.group", graph=self.graph.name):
@@ -143,7 +139,7 @@ class PlanContext:
         with telemetry.span("pipeline.schedule", graph=self.graph.name):
             # plan-cache hit: the winning strategy was built during its
             # evaluation above
-            deployment = build_deployment(builder.build(strategy))
+            deployment = builder.build(strategy)
         record_event("plan_built", dist_ops=deployment.num_dist_ops,
                      makespan=outcome.time, episodes=ran)
         return Served(
@@ -157,11 +153,10 @@ class PlanContext:
         """Build (and optionally engine-measure) an explicit strategy."""
         builder = self.builder
         outcome = builder.evaluate(request.strategy)
-        deployment: Optional[Deployment] = None
+        deployment: Optional[ExecutionPlan] = None
         if not outcome.infeasible:
             with telemetry.span("pipeline.schedule", graph=self.graph.name):
-                deployment = build_deployment(
-                    builder.build(request.strategy))
+                deployment = builder.build(request.strategy)
             record_event("plan_built", dist_ops=deployment.num_dist_ops,
                          makespan=outcome.time)
         measured_time: Optional[float] = None
@@ -177,7 +172,7 @@ class PlanContext:
             measured_time=measured_time, measured_oom=measured_oom,
         )
 
-    def _measure(self, deployment: Deployment,
+    def _measure(self, deployment: ExecutionPlan,
                  iterations: int) -> "tuple[float, bool]":
         """Run the deployment on the execution engine (testbed stand-in)."""
         engine = ExecutionEngine(

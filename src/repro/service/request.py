@@ -29,7 +29,7 @@ from ..config import HeteroGConfig
 from ..errors import ReproError
 from ..graph.dag import ComputationGraph
 from ..parallel.strategy import Strategy
-from ..plan import EvalOutcome
+from ..plan import EvalOutcome, ExecutionPlan
 from ..plan.fingerprint import (
     _cluster_payload,
     _digest,
@@ -38,21 +38,19 @@ from ..plan.fingerprint import (
     _profile_payload,
 )
 from ..profiling.profiler import Profile
-from ..runtime.deployment import Deployment
 
 
 def _config_payload(config: HeteroGConfig) -> Any:
     """The configuration fields that influence planning results.
 
-    The agent's ``seed`` and ``use_order_scheduling`` are overridden by
-    the config's own (see :class:`~repro.service.context.PlanContext`),
-    so neither splits contexts; ``checkpoint_path`` never affects a
-    result, and ``episodes`` enters the fingerprint as the search
-    budget.  Every other agent field stays in the payload.
+    The agent's ``seed`` is overridden by the config's own (see
+    :class:`~repro.service.context.PlanContext`), so it does not split
+    contexts; ``checkpoint_path`` never affects a result, and
+    ``episodes`` enters the fingerprint as the search budget.  Every
+    other agent field stays in the payload.
     """
     agent = dataclasses.asdict(config.agent)
     agent.pop("seed", None)
-    agent.pop("use_order_scheduling", None)
     return {
         "seed": config.seed,
         "profile_noise_sigma": config.profile_noise_sigma,
@@ -200,7 +198,7 @@ class PlanResult:
     fingerprint: str
     strategy: Strategy
     outcome: EvalOutcome
-    deployment: Optional[Deployment]
+    deployment: Optional[ExecutionPlan]
     profile: Profile
     episodes: int = 0                # RL episodes actually trained
     reused_context: bool = False     # served on a pre-warmed context

@@ -85,9 +85,10 @@ class TestHetPipe:
         assert devices_used == set(four_gpu.device_ids)
 
     def test_runs_end_to_end(self, mlp_graph, four_gpu):
-        from repro.runtime import ExecutionEngine, build_deployment
+        from repro.plan import PlanBuilder
+        from repro.runtime import ExecutionEngine
         st = hetpipe_strategy(mlp_graph, four_gpu)
-        dep = build_deployment(mlp_graph, four_gpu, st)
+        dep = PlanBuilder(mlp_graph, four_gpu).build(st)
         stats = ExecutionEngine(four_gpu).measure(
             dep.dist, dep.schedule, dep.resident_bytes, iterations=2)
         assert stats.mean > 0

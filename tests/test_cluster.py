@@ -4,13 +4,8 @@ import pytest
 
 from repro.cluster import (
     GTX_1080TI,
-    NIC_50G,
-    NIC_100G,
-    PCIE3,
-    TESLA_P100,
     TESLA_V100,
     Cluster,
-    ServerSpec,
     cluster_4gpu,
     cluster_8gpu,
     cluster_12gpu,

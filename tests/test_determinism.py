@@ -74,6 +74,8 @@ def test_faulted_run_reproducible(four_gpu):
     """Same seed + same fault schedule -> identical simulated timeline,
     including detection iterations and the post-replan deployment."""
     from repro.agent import AgentConfig
+    from repro.config import HeteroGConfig
+    from repro.plan import PlanBuilder
     from repro.profiling import Profiler
     from repro.resilience import (
         FaultInjector,
@@ -82,7 +84,6 @@ def test_faulted_run_reproducible(four_gpu):
         ResilientTrainer,
     )
     from repro.runtime import ExecutionEngine
-    from repro.runtime.deployment import build_deployment
 
     cfg = AgentConfig(max_groups=8, gat_hidden=16, gat_layers=2,
                       gat_heads=2, strategy_dim=16, strategy_heads=2,
@@ -91,16 +92,16 @@ def test_faulted_run_reproducible(four_gpu):
     def run():
         g = make_mlp(name="det_faults")
         profile = Profiler(seed=0).profile(g, four_gpu)
-        deployment = build_deployment(
-            g, four_gpu, dp_strategy("CP-AR", g, four_gpu),
-            profile=profile)
+        deployment = PlanBuilder(g, four_gpu, profile).build(
+            dp_strategy("CP-AR", g, four_gpu))
         injector = FaultInjector(
             four_gpu,
             FaultSchedule.parse("straggler:gpu3@1x2.0, crash:gpu1@3"))
         engine = ExecutionEngine(four_gpu, seed=21,
                                  fault_injector=injector)
-        replanner = Replanner(g, four_gpu, agent_config=cfg,
-                              episodes=2, seed=5)
+        replanner = Replanner(g, four_gpu,
+                              config=HeteroGConfig(seed=5, agent=cfg),
+                              episodes=2)
         trainer = ResilientTrainer(deployment, injector, engine=engine,
                                    replanner=replanner)
         report = trainer.run(6)
@@ -116,15 +117,15 @@ def test_faulted_run_reproducible(four_gpu):
 def test_empty_fault_schedule_is_inert(four_gpu):
     """An injector with no faults leaves the engine's RNG stream and
     timeline bit-identical to a run without any injector."""
+    from repro.plan import PlanBuilder
     from repro.profiling import Profiler
     from repro.resilience import FaultInjector, FaultSchedule
     from repro.runtime import ExecutionEngine
-    from repro.runtime.deployment import build_deployment
 
     g = make_mlp(name="det_inert")
     profile = Profiler(seed=0).profile(g, four_gpu)
-    deployment = build_deployment(
-        g, four_gpu, dp_strategy("CP-AR", g, four_gpu), profile=profile)
+    deployment = PlanBuilder(g, four_gpu, profile).build(
+        dp_strategy("CP-AR", g, four_gpu))
 
     def run(injector):
         engine = ExecutionEngine(four_gpu, seed=13,

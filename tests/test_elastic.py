@@ -8,9 +8,10 @@ from repro import telemetry
 from repro.agent import AgentConfig
 from repro.baselines import dp_strategy
 from repro.cluster import cluster_2gpu, cluster_4gpu
+from repro.config import HeteroGConfig
 from repro.elastic import ChurnSchedule, ElasticPolicy
 from repro.errors import ReproError
-from repro.plan import fingerprint_cluster
+from repro.plan import PlanBuilder, fingerprint_cluster
 from repro.profiling import Profiler
 from repro.resilience import (
     CAPACITY_KINDS,
@@ -21,7 +22,6 @@ from repro.resilience import (
     ResilientTrainer,
 )
 from repro.runtime import ExecutionEngine
-from repro.runtime.deployment import build_deployment
 
 from tests.helpers import make_mlp
 from tests.test_resilience import TINY_AGENT, touched_devices
@@ -46,7 +46,7 @@ def mlp():
 def deployment(two_gpu, mlp):
     profile = Profiler(seed=0).profile(mlp, two_gpu)
     strategy = dp_strategy("CP-AR", mlp, two_gpu)
-    return build_deployment(mlp, two_gpu, strategy, profile=profile)
+    return PlanBuilder(mlp, two_gpu, profile).build(strategy)
 
 
 # --------------------------------------------------------------------- #
@@ -270,8 +270,9 @@ class TestElasticTrainer:
     @pytest.fixture(scope="class")
     def replanner(self, two_gpu, mlp):
         config = AgentConfig(seed=3, **TINY_AGENT)
-        return Replanner(mlp, two_gpu, agent_config=config,
-                         episodes=2, seed=3)
+        return Replanner(mlp, two_gpu,
+                         config=HeteroGConfig(seed=3, agent=config),
+                         episodes=2)
 
     def test_arrival_scale_up_is_warm_and_beats_ride(
             self, two_gpu, deployment, replanner):

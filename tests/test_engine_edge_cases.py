@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import GBPS, NVLINK, TESLA_V100, Cluster, LinkSpec, ServerSpec, cluster_4gpu
+from repro.cluster import GBPS, NVLINK, TESLA_V100, Cluster, LinkSpec, ServerSpec
 from repro.errors import SimulationError
 from repro.parallel.distgraph import DistGraph, DistOp, DistOpKind
 from repro.profiling import Profiler

@@ -1,7 +1,6 @@
 """Property-based tests for grouping and the seed generators."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster import cluster_4gpu, cluster_8gpu

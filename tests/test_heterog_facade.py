@@ -2,11 +2,13 @@
 
 import pytest
 
-import repro
 from repro.agent import AgentConfig
 from repro.cluster import cluster_4gpu
 from repro.config import HeteroGConfig
 from repro.heterog import HeteroG
+from repro.parallel import single_device_strategy
+from repro.plan import ExecutionPlan
+from repro.resilience import FaultSchedule
 
 from tests.helpers import make_mlp
 
@@ -47,6 +49,7 @@ class TestFacade:
     def test_deploy_and_run(self, module):
         graph = make_mlp(name="facade_d")
         deployment = module.deploy(graph)
+        assert isinstance(deployment, ExecutionPlan)
         assert deployment.num_dist_ops >= len(graph)
         runner = module.runner(deployment)
         report = runner.run(2)
@@ -59,6 +62,21 @@ class TestFacade:
         deployment = module.deploy(graph)
         # FIFO scheduler: no candidate order was chosen
         assert deployment.schedule.chosen is None
+
+    def test_replanner_carries_facade_config(self, four_gpu):
+        """A replan searches under the facade's own configuration, noise
+        settings included, not under the defaults."""
+        config = HeteroGConfig(episodes=4, agent=FAST,
+                               profile_noise_sigma=0.0,
+                               engine_jitter_sigma=0.0)
+        module = HeteroG(four_gpu, config)
+        graph = make_mlp(name="facade_h")
+        deployment = module.deploy(
+            graph, strategy=single_device_strategy(graph, four_gpu))
+        trainer = module.resilient_runner(
+            deployment, FaultSchedule.parse("crash:gpu1@2"))
+        assert trainer.replanner.config.profile_noise_sigma == 0.0
+        assert trainer.replanner.config.engine_jitter_sigma == 0.0
 
     def test_config_seed_propagates(self, four_gpu):
         a = HeteroG(four_gpu, HeteroGConfig(episodes=5, seed=3, agent=FAST))

@@ -472,20 +472,20 @@ def run_resilient_episode(graph, cluster, rec, slo=None):
         Replanner,
         ResilientTrainer,
     )
+    from repro.plan import PlanBuilder
     from repro.runtime import ExecutionEngine
-    from repro.runtime.deployment import build_deployment
 
     config = AgentConfig(seed=3, max_groups=8, gat_hidden=16,
                          gat_layers=2, gat_heads=2, strategy_dim=16,
                          strategy_heads=2, strategy_layers=1)
     profile = Profiler(seed=0).profile(graph, cluster)
-    deployment = build_deployment(
-        graph, cluster, dp_strategy("CP-AR", graph, cluster),
-        profile=profile)
+    deployment = PlanBuilder(graph, cluster, profile).build(
+        dp_strategy("CP-AR", graph, cluster))
     injector = FaultInjector(cluster, FaultSchedule.parse("crash:gpu1@2"))
     engine = ExecutionEngine(cluster, seed=9, fault_injector=injector)
     replanner = Replanner(
-        graph, cluster, agent_config=config, episodes=2, seed=3,
+        graph, cluster, config=HeteroGConfig(seed=3, agent=config),
+        episodes=2,
         service=PlanningService(workers=0, name="replanner",
                                 recorder=rec, slo=slo))
     trainer = ResilientTrainer(deployment, injector, engine=engine,

@@ -1,7 +1,5 @@
 """Tests for refcounted memory tracking and OOM detection."""
 
-import pytest
-
 from repro.cluster import cluster_4gpu
 from repro.graph.op import Operation, TensorSpec
 from repro.parallel import (
@@ -14,7 +12,7 @@ from repro.parallel import (
 )
 from repro.parallel.distgraph import DistGraph, DistOp, DistOpKind
 from repro.simulation import MemoryTracker, Simulator
-from repro.simulation.costs import MappingCostModel, ProfileCostModel
+from repro.simulation.costs import ProfileCostModel
 from repro.profiling import Profiler
 
 

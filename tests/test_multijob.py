@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import cluster_8gpu
 from repro.errors import ReproError
-from repro.multijob import Allocation, Job, MultiJobAllocator, Objective
+from repro.multijob import Job, MultiJobAllocator, Objective
 
 from tests.helpers import make_mlp
 

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.cluster import cluster_4gpu
 from repro.errors import CompileError
-from repro.parallel import GraphCompiler, DistOpKind, single_device_strategy
+from repro.parallel import GraphCompiler, DistOpKind
 from repro.parallel.pipeline import pipeline_graph, pipeline_speedup_estimate
-from repro.parallel.strategy import Strategy, make_mp_strategy
-from repro.profiling import Profiler, exact_profile
+from repro.profiling import exact_profile
 from repro.scheduling import ListScheduler
 from repro.simulation import ProfileCostModel, Simulator
 

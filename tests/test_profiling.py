@@ -1,10 +1,9 @@
 """Tests for the cost model, measurements, regressions, and Profiler."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import GTX_1080TI, TESLA_V100, cluster_4gpu
+from repro.cluster import GTX_1080TI, TESLA_V100
 from repro.errors import ProfilingError
 from repro.graph.op import Operation, TensorSpec
 from repro.profiling import (

@@ -37,7 +37,7 @@ from repro.service.messages import (
 )
 from repro.simulation import ProfileCostModel, Simulator
 from repro.simulation.costs import TruthCostModel
-from repro.simulation.kernel import kernel_lower_bound, lower
+from repro.simulation.kernel import kernel_lower_bound
 
 from tests.oracle.unpruned import unpruned_outcome
 

@@ -10,8 +10,10 @@ from repro import telemetry
 from repro.agent import AgentConfig
 from repro.baselines import dp_strategy
 from repro.cluster import cluster_4gpu
+from repro.config import HeteroGConfig
 from repro.errors import DeviceLostError, PlacementError, ReproError
 from repro.parallel.distgraph import DistGraph, DistOpKind
+from repro.plan import PlanBuilder
 from repro.profiling import Profiler
 from repro.resilience import (
     FailureDetector,
@@ -22,7 +24,6 @@ from repro.resilience import (
     ResilientTrainer,
 )
 from repro.runtime import ExecutionEngine
-from repro.runtime.deployment import build_deployment
 from repro.simulation.metrics import SimulationResult
 
 from tests.helpers import make_mlp
@@ -45,7 +46,7 @@ def mlp():
 def deployment(four_gpu, mlp):
     profile = Profiler(seed=0).profile(mlp, four_gpu)
     strategy = dp_strategy("CP-AR", mlp, four_gpu)
-    return build_deployment(mlp, four_gpu, strategy, profile=profile)
+    return PlanBuilder(mlp, four_gpu, profile).build(strategy)
 
 
 def touched_devices(dist: DistGraph):
@@ -265,13 +266,13 @@ class TestCrashRecovery:
         config = AgentConfig(seed=3, **TINY_AGENT)
         profile = Profiler(seed=0).profile(mlp, four_gpu)
         strategy = dp_strategy("CP-AR", mlp, four_gpu)
-        deployment = build_deployment(mlp, four_gpu, strategy,
-                                     profile=profile)
+        deployment = PlanBuilder(mlp, four_gpu, profile).build(strategy)
         injector = FaultInjector(four_gpu,
                                  FaultSchedule.parse("crash:gpu1@2"))
         engine = ExecutionEngine(four_gpu, seed=9, fault_injector=injector)
-        replanner = Replanner(mlp, four_gpu, agent_config=config,
-                              episodes=2, seed=3)
+        replanner = Replanner(mlp, four_gpu,
+                              config=HeteroGConfig(seed=3, agent=config),
+                              episodes=2)
         with telemetry.session() as session:
             trainer = ResilientTrainer(deployment, injector, engine=engine,
                                        replanner=replanner)
@@ -344,5 +345,6 @@ class TestReplanProperty:
     @pytest.fixture(scope="class")
     def replan_env(self, four_gpu, mlp):
         config = AgentConfig(seed=5, **TINY_AGENT)
-        return four_gpu, Replanner(mlp, four_gpu, agent_config=config,
-                                   episodes=2, seed=5)
+        return four_gpu, Replanner(
+            mlp, four_gpu, config=HeteroGConfig(seed=5, agent=config),
+            episodes=2)

@@ -8,15 +8,14 @@ import repro
 from repro.agent import AgentConfig
 from repro.baselines import dp_strategy
 from repro.errors import OutOfMemoryError, ReproError
-from repro.graph.models import build_model
 from repro.parallel import single_device_strategy
+from repro.plan import PlanBuilder
 from repro.resilience import FaultOverlay
 from repro.runtime import (
     ConvergenceModel,
     DistributedRunner,
     ExecutionEngine,
     end_to_end_minutes,
-    build_deployment,
 )
 from repro.service import PlanningService, PlanRequest
 from repro.simulation import TruthCostModel
@@ -28,8 +27,8 @@ from tests.helpers import make_mlp
 
 class TestExecutionEngine:
     def test_jitter_varies_iterations(self, mlp_graph, four_gpu):
-        dep = build_deployment(mlp_graph, four_gpu,
-                              single_device_strategy(mlp_graph, four_gpu))
+        dep = PlanBuilder(mlp_graph, four_gpu).build(
+            single_device_strategy(mlp_graph, four_gpu))
         engine = ExecutionEngine(four_gpu, jitter_sigma=0.1, seed=0)
         stats = engine.measure(dep.dist, dep.schedule, dep.resident_bytes,
                                iterations=5)
@@ -37,8 +36,8 @@ class TestExecutionEngine:
         assert stats.std > 0
 
     def test_zero_jitter_is_deterministic(self, mlp_graph, four_gpu):
-        dep = build_deployment(mlp_graph, four_gpu,
-                              single_device_strategy(mlp_graph, four_gpu))
+        dep = PlanBuilder(mlp_graph, four_gpu).build(
+            single_device_strategy(mlp_graph, four_gpu))
         engine = ExecutionEngine(four_gpu, jitter_sigma=0.0)
         stats = engine.measure(dep.dist, dep.schedule, dep.resident_bytes,
                                iterations=3)
@@ -48,24 +47,23 @@ class TestExecutionEngine:
         """A graph whose parameters exceed one GPU must OOM on MP."""
         g = make_mlp(name="big_mlp", layers=2, width=4096)
         # inflate resident memory beyond the 11GB card by pinning to gpu2
-        dep = build_deployment(g, four_gpu,
-                              single_device_strategy(g, four_gpu, "gpu2"))
-        dep.resident_bytes["gpu2"] = 12 * 1024 ** 3
+        dep = PlanBuilder(g, four_gpu).build(
+            single_device_strategy(g, four_gpu, "gpu2"))
+        resident = {**dep.resident_bytes, "gpu2": 12 * 1024 ** 3}
         engine = ExecutionEngine(four_gpu)
         with pytest.raises(OutOfMemoryError):
-            engine.run_iteration(dep.dist, dep.schedule, dep.resident_bytes)
+            engine.run_iteration(dep.dist, dep.schedule, resident)
 
     def test_truth_differs_from_simulator_prediction(self, mlp_graph,
                                                      four_gpu):
         """The testbed and the Strategy Maker's simulator are different
         cost models (no circular evaluation)."""
-        from repro.plan import PlanBuilder
         from repro.profiling import Profiler
         profile = Profiler(seed=0).profile(mlp_graph, four_gpu)
         st = dp_strategy("EV-AR", mlp_graph, four_gpu)
         sim_time = PlanBuilder(mlp_graph, four_gpu,
                                profile).evaluate(st).time
-        dep = build_deployment(mlp_graph, four_gpu, st, profile=profile)
+        dep = PlanBuilder(mlp_graph, four_gpu, profile).build(st)
         engine = ExecutionEngine(four_gpu, seed=3)
         truth = engine.measure(dep.dist, dep.schedule, dep.resident_bytes,
                                iterations=3).mean
@@ -98,8 +96,8 @@ class TestPriceCacheLifetime:
 
     def test_dropped_engine_dies_with_its_price_arrays(self, mlp_graph,
                                                        four_gpu):
-        dep = build_deployment(mlp_graph, four_gpu,
-                               dp_strategy("EV-AR", mlp_graph, four_gpu))
+        dep = PlanBuilder(mlp_graph, four_gpu).build(
+            dp_strategy("EV-AR", mlp_graph, four_gpu))
         engine = ExecutionEngine(four_gpu, seed=0)
         engine.run_iteration(dep.dist, dep.schedule, dep.resident_bytes)
         kernel = lower(dep.dist)
@@ -116,12 +114,11 @@ class TestPriceCacheLifetime:
             self, mlp_graph, four_gpu):
         """A resilient trainer's engine runs a new kernel after every
         replan and a new overlay after every fault."""
-        deps = [build_deployment(mlp_graph, four_gpu,
-                                 dp_strategy(name, mlp_graph, four_gpu))
+        builder = PlanBuilder(mlp_graph, four_gpu)
+        deps = [builder.build(dp_strategy(name, mlp_graph, four_gpu))
                 for name in ("EV-AR", "CP-AR", "EV-PS", "CP-PS")]
-        deps += [build_deployment(mlp_graph, four_gpu,
-                                  single_device_strategy(mlp_graph, four_gpu,
-                                                         device))
+        deps += [builder.build(
+            single_device_strategy(mlp_graph, four_gpu, device))
                  for device in four_gpu.device_ids[:2]]
         assert len(deps) > _PRICE_CACHE_SLOTS
         engine = ExecutionEngine(four_gpu, seed=0)
@@ -141,16 +138,16 @@ class TestPriceCacheLifetime:
 
 class TestRunner:
     def test_run_collects_iterations(self, mlp_graph, four_gpu):
-        dep = build_deployment(mlp_graph, four_gpu,
-                              single_device_strategy(mlp_graph, four_gpu))
+        dep = PlanBuilder(mlp_graph, four_gpu).build(
+            single_device_strategy(mlp_graph, four_gpu))
         runner = DistributedRunner(dep)
         report = runner.run(4)
         assert len(report.iteration_times) == 4
         assert report.total_seconds > 0
 
     def test_throughput_uses_global_batch(self, mlp_graph, four_gpu):
-        dep = build_deployment(mlp_graph, four_gpu,
-                              single_device_strategy(mlp_graph, four_gpu))
+        dep = PlanBuilder(mlp_graph, four_gpu).build(
+            single_device_strategy(mlp_graph, four_gpu))
         runner = DistributedRunner(dep)
         assert runner.global_batch == 8
         report = runner.run(2)
@@ -158,8 +155,8 @@ class TestRunner:
             8 / report.mean_iteration_time)
 
     def test_invalid_steps(self, mlp_graph, four_gpu):
-        dep = build_deployment(mlp_graph, four_gpu,
-                              single_device_strategy(mlp_graph, four_gpu))
+        dep = PlanBuilder(mlp_graph, four_gpu).build(
+            single_device_strategy(mlp_graph, four_gpu))
         with pytest.raises(ReproError):
             DistributedRunner(dep).run(0)
 

@@ -5,13 +5,12 @@ import pytest
 from repro.cluster import cluster_4gpu
 from repro.parallel import single_device_strategy
 from repro.parallel.serialize import load_strategy, save_strategy
+from repro.plan import PlanBuilder
 from repro.profiling import Profiler
-from repro.errors import ReproError
 from repro.runtime import (
     SAMPLES_TO_TARGET,
     ConvergenceModel,
     DistributedRunner,
-    build_deployment,
 )
 
 from tests.helpers import make_mlp
@@ -23,19 +22,20 @@ def four_gpu():
 
 
 class TestDeployment:
-    def test_build_deployment_defaults_profile(self, four_gpu):
+    """A deployment is the plan ``PlanBuilder.build`` returns."""
+
+    def test_build_defaults_profile(self, four_gpu):
         g = make_mlp(name="dep_mlp")
-        dep = build_deployment(g, four_gpu,
-                              single_device_strategy(g, four_gpu))
+        dep = PlanBuilder(g, four_gpu).build(
+            single_device_strategy(g, four_gpu))
         assert dep.profile is not None
         assert dep.num_dist_ops == len(g)
 
     def test_deployment_reuses_given_profile(self, four_gpu):
         g = make_mlp(name="dep_mlp2")
         profile = Profiler(seed=0).profile(g, four_gpu)
-        dep = build_deployment(g, four_gpu,
-                              single_device_strategy(g, four_gpu),
-                              profile=profile)
+        dep = PlanBuilder(g, four_gpu, profile).build(
+            single_device_strategy(g, four_gpu))
         assert dep.profile is profile
 
     def test_saved_strategy_redeploys_identically(self, four_gpu, tmp_path):
@@ -45,8 +45,8 @@ class TestDeployment:
         path = str(tmp_path / "st.json")
         save_strategy(strategy, path)
         loaded = load_strategy(path, g, four_gpu)
-        d1 = build_deployment(g, four_gpu, strategy)
-        d2 = build_deployment(g, four_gpu, loaded)
+        d1 = PlanBuilder(g, four_gpu).build(strategy)
+        d2 = PlanBuilder(g, four_gpu).build(loaded)
         assert d1.dist.op_names == d2.dist.op_names
         r1 = DistributedRunner(d1).run(2)
         r2 = DistributedRunner(d2).run(2)
@@ -55,32 +55,14 @@ class TestDeployment:
 
 
 class TestDeploymentConstructorShapes:
-    """build_deployment is the one constructor; the pre-service
-    aliases (make_deployment / deployment_from_plan) are gone."""
+    """A deployment is an ``ExecutionPlan``: the runtime exports no
+    deployment type or constructor of its own."""
 
     def test_deprecated_aliases_removed(self):
         import repro.runtime as runtime
-        assert not hasattr(runtime, "make_deployment")
-        assert not hasattr(runtime, "deployment_from_plan")
-
-    def test_build_deployment_from_plan_shape(self, four_gpu):
-        from repro.plan import PlanBuilder
-        g = make_mlp(name="dep_shape")
-        strategy = single_device_strategy(g, four_gpu)
-        plan = PlanBuilder(g, four_gpu).build(strategy)
-        dep = build_deployment(plan)
-        assert dep.plan is plan and dep.strategy is plan.strategy
-        # the plan shape takes no extra compile arguments
-        with pytest.raises(ReproError):
-            build_deployment(plan, four_gpu, strategy)
-
-    def test_build_deployment_validates_inputs(self, four_gpu):
-        g = make_mlp(name="dep_validate")
-        with pytest.raises(ReproError):
-            build_deployment(g, four_gpu)          # strategy missing
-        with pytest.raises(ReproError):
-            build_deployment("not a graph", four_gpu,
-                             single_device_strategy(g, four_gpu))
+        for name in ("make_deployment", "deployment_from_plan",
+                     "Deployment", "build_deployment"):
+            assert not hasattr(runtime, name), name
 
 
 class TestConvergenceModel:

@@ -133,7 +133,6 @@ def _changed(value):
 _NOT_FINGERPRINTED = {
     "checkpoint_path",            # never read while planning
     "agent.seed",                 # overridden by the config's seed
-    "agent.use_order_scheduling",  # overridden by the config's flag
 }
 
 
@@ -218,7 +217,8 @@ class TestInlineService:
                                                    monkeypatch):
         """One builder per context: the agent searches on the context's
         builder, so building and measuring the winner afterwards is a
-        plan-cache hit."""
+        plan-cache hit, and every answer's deployment is the cached
+        plan itself."""
         compiles = []
         compile_ = GraphCompiler.compile
         monkeypatch.setattr(
@@ -230,11 +230,14 @@ class TestInlineService:
             context = service.context_for(request)
             assert context.builder is context.agent.context(mlp.name).builder
             searched_compiles = len(compiles)
+            assert searched.deployment is context.builder.build(
+                searched.strategy)
             measured = service.plan(PlanRequest(
                 graph=mlp, cluster=four_gpu, strategy=searched.strategy,
                 measure_iterations=2, config=fast_config()))
         assert searched_compiles > 0
         assert len(compiles) == searched_compiles
+        assert measured.deployment is searched.deployment
         assert measured.outcome.time == searched.outcome.time
         assert measured.measured_time is not None
 
