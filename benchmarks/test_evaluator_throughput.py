@@ -75,8 +75,7 @@ def test_evaluator_throughput(setup, report, results_dir):
     candidates = candidate_pool(graph, cluster, n)
 
     # cold: everything compiled + scheduled + simulated from scratch
-    cold_builder = PlanBuilder(graph, cluster, profile,
-                               outcome_cache_size=4 * n)
+    cold_builder = PlanBuilder(graph, cluster, profile)
     start = time.perf_counter()
     cold = [cold_builder.evaluate(s) for s in candidates]
     cold_s = time.perf_counter() - start

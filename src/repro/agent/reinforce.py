@@ -188,10 +188,9 @@ class ReinforceTrainer:
                     ctx.best_raw_time = outcome.time
                     ctx.best_raw_strategy = strategy
                 return
-            if outcome.result is None or not outcome.result.peak_memory:
+            if not outcome.peak_memory:
                 return
-            weights = rebalance_weights(cluster,
-                                        outcome.result.peak_memory)
+            weights = rebalance_weights(cluster, outcome.peak_memory)
 
     def _maybe_repair_ladder(self, ctx: GraphContext, actions: np.ndarray,
                              outcome: EvalOutcome) -> None:
@@ -203,7 +202,7 @@ class ReinforceTrainer:
             return
         if ctx.best_actions is not None or not outcome.oom:
             return
-        if outcome.result is None or not outcome.result.peak_memory:
+        if not outcome.peak_memory:
             return
         m = ctx.builder.cluster.num_devices
         if (actions < m).mean() < 0.5:
@@ -215,7 +214,7 @@ class ReinforceTrainer:
         from .seeds import rebalanced_ladder
         repaired = rebalanced_ladder(
             ctx.graph, ctx.builder.cluster, ctx.grouping,
-            outcome.result.peak_memory,
+            outcome.peak_memory,
         )
         self._seed_queues.setdefault(ctx.name, []).insert(0, repaired)
 

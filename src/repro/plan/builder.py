@@ -7,6 +7,12 @@ now asks a PlanBuilder instead.  The builder is bound to one
 (graph, cluster, profile) context, memoizes plans and evaluation
 outcomes by content fingerprint, and guarantees cached results are
 bit-identical to fresh ones (the whole chain is deterministic).
+
+It keeps the plans it serves and its best one: every plan
+:meth:`PlanBuilder.build` returns, plus each evaluated plan that is
+feasible and strictly faster than every plan evaluated before it, so a
+search's winner is a plan-cache hit for the build that deploys it.  Every
+other evaluated plan is dropped once its scalar outcome is taken.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from .fingerprint import fingerprint_context, fingerprint_strategy
 from .plan import EvalOutcome, ExecutionPlan
 from .pruning import BestSoFar
 
-DEFAULT_PLAN_CACHE = 64
-DEFAULT_OUTCOME_CACHE = 4096
+PLAN_CACHE_SIZE = 64
+OUTCOME_CACHE_SIZE = 4096
 
 
 class PlanBuilder:
@@ -40,9 +46,7 @@ class PlanBuilder:
 
     def __init__(self, graph: ComputationGraph, cluster: Cluster,
                  profile: Optional[Profile] = None, *,
-                 use_order_scheduling: bool = True,
-                 plan_cache_size: int = DEFAULT_PLAN_CACHE,
-                 outcome_cache_size: int = DEFAULT_OUTCOME_CACHE):
+                 use_order_scheduling: bool = True):
         self.graph = graph
         self.cluster = cluster
         self.profile = profile if profile is not None else Profiler().profile(
@@ -63,8 +67,11 @@ class PlanBuilder:
             graph, cluster, self.profile,
             use_order_scheduling=use_order_scheduling,
         )
-        self._plans = PlanCache(plan_cache_size, kind="plan")
-        self._outcomes = PlanCache(outcome_cache_size, kind="outcome")
+        self._plans = PlanCache(PLAN_CACHE_SIZE, kind="plan")
+        self._outcomes = PlanCache(OUTCOME_CACHE_SIZE, kind="outcome")
+        # fastest feasible makespan evaluated so far: an evaluated plan
+        # is kept only when it beats this
+        self._best_time = float("inf")
         # pruning observability: outcomes served (fresh or cached, each
         # counted once) vs the pruned ones among them
         self.evals_total = 0
@@ -102,10 +109,17 @@ class PlanBuilder:
         """Compile + schedule ``strategy`` into a cached ExecutionPlan.
 
         Raises :class:`CompileError` when the strategy cannot be
-        compiled (``evaluate`` turns that into an infeasible outcome).
+        compiled, after caching the infeasible outcome ``evaluate``
+        serves for it, so evaluating it next compiles nothing.
         """
         fp = fingerprint or self.fingerprint(strategy)
-        plan, _ = self._build_or_prune(strategy, fp, limit=None)
+        try:
+            plan, _ = self._build_or_prune(strategy, fp, limit=None)
+        except CompileError:
+            self._outcomes.put(fp, EvalOutcome(
+                time=float("inf"), dist_ops=0, infeasible=True))
+            raise
+        self._plans.put(fp, plan)
         return plan
 
     def _build_or_prune(self, strategy: Strategy, fp: str, *,
@@ -117,9 +131,8 @@ class PlanBuilder:
         when the candidate was pruned — either by the static
         :func:`kernel_lower_bound` before any simulation, or because
         the chosen order's simulation exceeded ``limit`` (both
-        candidate orders', under order scheduling).  Pruned builds are
-        never installed in the plan cache (their run is partial); a
-        cached plan is always served as-is.
+        candidate orders', under order scheduling).  A cached plan is
+        served as-is; a fresh one is left for the caller to cache.
         """
         cached = self._plans.get(fp)
         if cached is not None:
@@ -159,7 +172,6 @@ class PlanBuilder:
                 capacities=self.capacities, profile=self.profile,
                 fingerprint=fp, kernel=kernel, sim_result=sim,
             )
-        self._plans.put(fp, plan)
         return plan, None
 
     def _pruned_outcome(self, *, stage: str, bound: float,
@@ -170,9 +182,8 @@ class PlanBuilder:
             help="candidates pruned against the best-so-far, by stage")
         record_event("candidate_pruned", stage=stage, bound=bound,
                      threshold=threshold)
-        return EvalOutcome(time=float("inf"), oom=False, result=None,
-                           dist_ops=dist_ops, pruned=True, bound=bound,
-                           prune_stage=stage)
+        return EvalOutcome(time=float("inf"), dist_ops=dist_ops,
+                           pruned=True, bound=bound, prune_stage=stage)
 
     # ------------------------------------------------------------------ #
     def evaluate(self, strategy: Strategy, *,
@@ -294,16 +305,19 @@ class PlanBuilder:
         try:
             plan, pruned = self._build_or_prune(strategy, fp, limit=limit)
         except CompileError:
-            return EvalOutcome(time=float("inf"), oom=False, result=None,
-                               dist_ops=0, infeasible=True)
+            return EvalOutcome(time=float("inf"), dist_ops=0,
+                               infeasible=True)
         if pruned is not None:
             return pruned
         # the plan already carries its order's simulation, under its
-        # resident bytes and capacities
+        # resident bytes and capacities; the outcome keeps its scalars
         result = plan.sim_result
-        return EvalOutcome(
-            time=result.makespan,
-            oom=result.oom,
-            result=result,
-            dist_ops=plan.num_dist_ops,
-        )
+        outcome = EvalOutcome(
+            time=result.makespan, dist_ops=plan.num_dist_ops,
+            peak_memory=result.peak_memory, oom_devices=result.oom_devices)
+        # the same strict < as every search's best-so-far: a winner stays
+        # a plan-cache hit, and every losing plan is dropped here
+        if outcome.feasible and outcome.time < self._best_time:
+            self._best_time = outcome.time
+            self._plans.put(fp, plan)
+        return outcome

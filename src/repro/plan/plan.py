@@ -9,8 +9,8 @@ nothing downstream mutates it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import dataclass, field
+from typing import List, Mapping, Optional
 
 from ..cluster.topology import Cluster
 from ..graph.dag import ComputationGraph
@@ -59,6 +59,11 @@ class ExecutionPlan:
 class EvalOutcome:
     """Result of evaluating one strategy in the simulator.
 
+    An outcome keeps scalars and the per-device memory verdict, never
+    the run: ``peak_memory`` and ``oom_devices`` are the chosen order's
+    (empty for an infeasible or pruned outcome).  The run itself lives
+    on the plan, ``builder.build(strategy).sim_result``.
+
     A *pruned* outcome means evaluation was cut short because the
     candidate provably cannot beat the caller's best-so-far threshold:
     ``bound`` is an admissible lower bound on its true makespan (the
@@ -69,13 +74,17 @@ class EvalOutcome:
     """
 
     time: float                  # simulated per-iteration seconds
-    oom: bool
-    result: Optional[SimulationResult]
     dist_ops: int
+    peak_memory: Mapping[str, float] = field(default_factory=dict)
+    oom_devices: List[str] = field(default_factory=list)
     infeasible: bool = False    # compile/simulate failed outright
     pruned: bool = False        # evaluation aborted against best-so-far
     bound: Optional[float] = None   # lower bound on the true makespan
     prune_stage: Optional[str] = None  # "bound" | "midsim"
+
+    @property
+    def oom(self) -> bool:
+        return bool(self.oom_devices)
 
     @property
     def feasible(self) -> bool:

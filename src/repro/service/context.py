@@ -7,8 +7,8 @@ one :class:`~repro.plan.PlanBuilder`, and a lazily created
 its candidates on that same builder.  Repeated requests on the same
 context hit the plan layer's fingerprint caches instead of recompiling,
 which is where the service's amortization comes from: a build or
-measure request for a strategy a search already evaluated compiles and
-simulates nothing.
+measure request for a strategy a search found compiles and simulates
+nothing, and neither does one for a strategy an earlier request built.
 
 Contexts are internally locked: the service may serve many contexts
 concurrently, but requests on one context run serialized, keeping every
@@ -25,7 +25,7 @@ from typing import Optional
 from .. import telemetry
 from ..telemetry.context import record_event
 from ..agent.agent import HeteroGAgent
-from ..errors import OutOfMemoryError, StrategyError
+from ..errors import CompileError, OutOfMemoryError, StrategyError
 from ..parallel.strategy import Strategy
 from ..plan import EvalOutcome, ExecutionPlan, PlanBuilder
 from ..profiling.measurements import MeasurementNoise
@@ -137,8 +137,8 @@ class PlanContext:
                 f"too small for the model"
             )
         with telemetry.span("pipeline.schedule", graph=self.graph.name):
-            # plan-cache hit: the winning strategy was built during its
-            # evaluation above
+            # plan-cache hit: the builder kept the winner's plan as the
+            # fastest it had evaluated
             deployment = builder.build(strategy)
         record_event("plan_built", dist_ops=deployment.num_dist_ops,
                      makespan=outcome.time, episodes=ran)
@@ -152,11 +152,16 @@ class PlanContext:
     def _build(self, request: PlanRequest) -> Served:
         """Build (and optionally engine-measure) an explicit strategy."""
         builder = self.builder
-        outcome = builder.evaluate(request.strategy)
         deployment: Optional[ExecutionPlan] = None
-        if not outcome.infeasible:
+        # build before evaluating: evaluate keeps only the plans that beat
+        # the builder's best, build keeps every plan it serves
+        try:
             with telemetry.span("pipeline.schedule", graph=self.graph.name):
                 deployment = builder.build(request.strategy)
+        except CompileError:
+            pass    # evaluate serves the infeasible outcome build cached
+        outcome = builder.evaluate(request.strategy)
+        if deployment is not None:
             record_event("plan_built", dist_ops=deployment.num_dist_ops,
                          makespan=outcome.time)
         measured_time: Optional[float] = None

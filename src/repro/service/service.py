@@ -491,11 +491,11 @@ class PlanningService:
     @staticmethod
     def _blame(result: PlanResult) -> Optional[Dict[str, float]]:
         """Critical-path blame fractions of the winner's simulated run."""
-        outcome = result.outcome
-        if result.deployment is None or outcome.result is None:
+        deployment = result.deployment
+        if deployment is None:
             return None
         try:
-            report = critical_path(result.deployment.dist, outcome.result)
+            report = critical_path(deployment.dist, deployment.sim_result)
         except (ValueError, KeyError):
             return None
         return report.blame_fractions()

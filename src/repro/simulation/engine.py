@@ -430,7 +430,7 @@ class Simulator:
             )
 
         capacities = capacities or {}
-        # cached outcomes keep these arrays: int32 ids keep them small
+        # cached plans keep these arrays: int32 ids keep them small
         times = RunTimes(kernel, np.array(start_order, dtype=np.int32),
                          np.array(started), np.array(finished),
                          [entry[2] for entry in completions])

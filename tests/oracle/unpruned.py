@@ -40,8 +40,8 @@ def unpruned_outcome(builder: PlanBuilder,
     try:
         dist, resident = builder.compile(strategy)
     except CompileError:
-        return UnprunedOutcome(time=float("inf"), oom=False, result=None,
-                               dist_ops=0, infeasible=True)
+        return UnprunedOutcome(time=float("inf"), dist_ops=0,
+                               infeasible=True)
     kernel = lower(dist)
     simulator = Simulator(builder.cost)
 
@@ -67,6 +67,7 @@ def unpruned_outcome(builder: PlanBuilder,
         priorities = FifoScheduler().schedule(dist).priorities
         result = run(priorities)
         runs = {"fifo": result}
-    return UnprunedOutcome(time=result.makespan, oom=result.oom,
-                           result=result, dist_ops=len(dist), chosen=chosen,
+    return UnprunedOutcome(time=result.makespan, dist_ops=len(dist),
+                           peak_memory=result.peak_memory,
+                           oom_devices=result.oom_devices, chosen=chosen,
                            priorities=priorities, runs=runs)

@@ -84,7 +84,7 @@ class TestEvaluator:
             got = builder.evaluate(strategy)
             want = unpruned_outcome(builder, strategy)
             assert got.time == want.time
-            assert got.result.oom_devices == want.result.oom_devices
+            assert got.oom_devices == want.oom_devices
             schedule = builder.build(strategy).schedule
             assert schedule.chosen == want.chosen
             assert schedule.priorities == want.priorities

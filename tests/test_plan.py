@@ -22,9 +22,12 @@ from repro.parallel.strategy import (
     make_mp_strategy,
     single_device_strategy,
 )
-from repro.plan import PlanBuilder, PlanCache
+from repro.parallel import GraphCompiler
+from repro.parallel.distgraph import DistGraph
+from repro.plan import ExecutionPlan, PlanBuilder, PlanCache
 from repro.profiling import MeasurementNoise, Profiler
 from repro.simulation.kernel import SimKernel
+from repro.simulation.metrics import RunTimes, SimulationResult
 
 
 @pytest.fixture()
@@ -165,10 +168,12 @@ class TestEvaluationCaching:
         assert b.outcome_cache.hits == 1
 
 
-#: tracemalloc bytes a cached traced outcome retained per dist-op in
-#: the test below (Python 3.11) while every scheduler run kept its
-#: schedule dict; results that keep per-op arrays instead retain 157
-SCHEDULE_DICT_BYTES_PER_DIST_OP = 214
+#: tracemalloc bytes per dist-op the builder below still holds after its
+#: evaluations: 60.4 on Python 3.11, where outcomes keep scalars and the
+#: 3 plans that improved on the builder's best stay cached.  Keeping
+#: every evaluated plan and each outcome's run held 635 here, and keeping
+#: each outcome's run with a one-plan cache 153.
+RETAINED_BYTES_PER_DIST_OP = 90
 
 
 def _reachable(root):
@@ -186,13 +191,13 @@ def _reachable(root):
 
 
 def test_cached_outcomes_keep_no_kernel():
-    """A cached outcome outlives its plan (the outcome cache holds far
-    more entries than the plan cache), so its result must hold only the
-    per-op arrays it derives from, never the lowered kernel."""
+    """Outcomes hold scalars and the builder keeps only the plans that
+    beat its best: nothing the outcome cache reaches is a run, a kernel
+    or a plan, and what stays allocated is bounded per dist-op."""
     cluster = cluster_4gpu()
     graph = build_model("inception_v3", "tiny")
     builder = PlanBuilder(graph, cluster, Profiler(seed=0).profile(
-        graph, cluster), plan_cache_size=1)
+        graph, cluster))
     rng = random.Random(0)
     options = [make_mp_strategy(d) for d in cluster.device_ids] + [
         make_dp_strategy(cluster, alloc, comm)
@@ -200,7 +205,7 @@ def test_cached_outcomes_keep_no_kernel():
     strategies = [Strategy(graph, cluster, {
         n: rng.choice(options) for n in graph.op_names}) for _ in range(25)]
     # the first compile builds the per-graph tables every later one shares
-    builder.evaluate(strategies[0])
+    warm = builder.evaluate(strategies[0])
     gc.collect()
     tracemalloc.start()
     try:
@@ -210,12 +215,48 @@ def test_cached_outcomes_keep_no_kernel():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(builder.outcome_cache) == 25 > len(builder.plan_cache)
-    assert all(o.result is not None for o in outcomes)
-    assert not any(isinstance(obj, SimKernel)
+    assert len(builder.outcome_cache) == 25
+    kept = (SimKernel, RunTimes, SimulationResult, DistGraph, ExecutionPlan)
+    assert not any(isinstance(obj, kept)
                    for obj in _reachable(builder.outcome_cache))
+    best, improvements = float("inf"), 0
+    for outcome in [warm] + outcomes:
+        if outcome.feasible and outcome.time < best:
+            best, improvements = outcome.time, improvements + 1
+    assert 0 < improvements < 25
+    assert len(builder.plan_cache) == improvements
     dist_ops = sum(o.dist_ops for o in outcomes)
-    assert retained / dist_ops < SCHEDULE_DICT_BYTES_PER_DIST_OP
+    assert retained / dist_ops < RETAINED_BYTES_PER_DIST_OP
+
+
+def test_losing_candidate_plan_dropped_and_rebuilt(mlp_graph, four_gpu,
+                                                   mlp_profile, monkeypatch):
+    """An evaluated plan slower than the builder's best is not kept; a
+    later build compiles it once and reproduces the cached outcome."""
+    compiles = []
+    compile_ = GraphCompiler.compile
+    monkeypatch.setattr(
+        GraphCompiler, "compile",
+        lambda self, *args: compiles.append(args) or compile_(self, *args))
+    b = fresh_builder(mlp_graph, four_gpu, mlp_profile)
+    best, loser = float("inf"), None
+    for name in DP_BASELINES:
+        strategy = dp_strategy(name, mlp_graph, four_gpu)
+        outcome = b.evaluate(strategy)
+        if outcome.feasible:
+            if outcome.time >= best:
+                loser = outcome
+                break
+            best = outcome.time
+    assert loser is not None
+    assert b.fingerprint(strategy) not in b.plan_cache
+    compiled = len(compiles)
+    plan = b.build(strategy)
+    assert len(compiles) == compiled + 1
+    assert plan.sim_result.makespan == loser.time
+    assert b.evaluate(strategy) is loser
+    assert b.build(strategy) is plan
+    assert len(compiles) == compiled + 1
 
 
 # --------------------------------------------------------------------- #

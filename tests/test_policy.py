@@ -186,7 +186,8 @@ class TestGATMemory:
 
 class TestReward:
     def _outcome(self, time, oom=False, infeasible=False):
-        return EvalOutcome(time=time, oom=oom, result=None, dist_ops=1,
+        return EvalOutcome(time=time, dist_ops=1,
+                           oom_devices=["gpu0"] if oom else [],
                            infeasible=infeasible)
 
     def test_feasible_reward(self):

@@ -13,6 +13,7 @@ from repro.baselines import dp_strategy
 from repro.cluster import cluster_4gpu
 from repro.config import HeteroGConfig
 from repro.errors import (
+    CompileError,
     ReproError,
     ServiceClosedError,
     ServiceOverloadedError,
@@ -240,6 +241,40 @@ class TestInlineService:
         assert measured.deployment is searched.deployment
         assert measured.outcome.time == searched.outcome.time
         assert measured.measured_time is not None
+
+    def test_build_request_compiles_once(self, mlp, four_gpu, monkeypatch):
+        """A build request builds before it evaluates: a fresh strategy
+        compiles once and its plan stays cached, and a strategy that
+        fails to compile also compiles once, its infeasible outcome
+        cached."""
+        compiles = []
+        compile_ = GraphCompiler.compile
+        monkeypatch.setattr(
+            GraphCompiler, "compile",
+            lambda self, *args: compiles.append(args) or compile_(self, *args))
+        good = dp_strategy("EV-AR", mlp, four_gpu)
+        request = PlanRequest(graph=mlp, cluster=four_gpu, strategy=good,
+                              config=fast_config())
+        with PlanningService(workers=0) as service:
+            built = service.plan(request)
+            assert len(compiles) == 1
+            assert built.outcome.feasible
+            builder = service.context_for(request).builder
+            assert built.deployment is builder.build(good)
+
+            def failing(self, *args):
+                compiles.append(args)
+                raise CompileError("forced failure")
+
+            monkeypatch.setattr(GraphCompiler, "compile", failing)
+            bad = dp_strategy("CP-AR", mlp, four_gpu)
+            failed = service.plan(PlanRequest(
+                graph=mlp, cluster=four_gpu, strategy=bad,
+                config=fast_config()))
+            assert len(compiles) == 2
+            assert failed.outcome.infeasible and failed.deployment is None
+            assert builder.evaluate(bad) is failed.outcome
+        assert len(compiles) == 2
 
     def test_config_order_flag_is_honoured(self, mlp, four_gpu):
         """``HeteroGConfig.use_order_scheduling=False`` builds with the

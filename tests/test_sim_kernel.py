@@ -381,8 +381,9 @@ def test_cold_evaluate_runs_exactly_two_simulations():
     finally:
         telemetry.disable()
     plan = builder.build(strategy)
-    assert outcome.result is plan.sim_result
     assert outcome.time == plan.sim_result.makespan
+    assert outcome.peak_memory == plan.sim_result.peak_memory
+    assert outcome.oom_devices == plan.sim_result.oom_devices
 
 
 def test_plan_reuses_one_lowering_for_schedule_and_resimulation():
