@@ -82,7 +82,7 @@ def _legacy_evaluate(graph, cluster, profile, candidates):
         dist = compiler.compile(graph, strategy)
         resident = dist.resident_bytes
         kernel = lower(dist)
-        prios, _ = sched._rank_priorities(kernel, cost)
+        prios = dict(zip(kernel.names, sched._rank_priorities(kernel, cost)))
         rank_run = run_reference(cost, dist, priorities=prios,
                                  resident_bytes=dict(resident),
                                  capacities=caps)

@@ -187,8 +187,7 @@ class _Compilation:
         self.strategy = strategy
         self.lowering = Lowering(tables.source_ops)
         self.names = self.lowering.names
-        # dist-op name -> id, and each op's predecessor ids
-        self.id_of: Dict[str, int] = {}
+        # each dist-op's predecessor ids
         self.preds: List[Tuple[int, ...]] = []
         self.counter = 0
         self.route_cache: Dict[tuple, int] = {}
@@ -221,8 +220,16 @@ class _Compilation:
         # each op and each distinct edge bumped the mutation stamp once
         # when graphs were built op by op; keep the same stamp
         version = len(preds) + sum(map(len, preds))
+        names = self.names
+        id_of = dict(zip(names, range(len(names))))
+        if len(id_of) != len(names):
+            seen = set()
+            for name in names:
+                if name in seen:
+                    raise CompileError(f"duplicate dist-op name {name!r}")
+                seen.add(name)
         dist = DistGraph.view(f"{self.tables.graph.name}:distributed",
-                              self.id_of, version, self.resident)
+                              id_of, version, self.resident)
         dist._sim_kernel = SimKernel(dist, self.lowering, preds,
                                      list(map(tuple, succ)))
         dist.validate()
@@ -240,11 +247,9 @@ class _Compilation:
              nbytes: Optional[float] = None) -> int:
         """Add the dist-op ``recipe`` describes after ``preds`` and lower
         it; returns its id.  Repeated predecessors count once (first
-        occurrence kept)."""
-        id_of = self.id_of
-        if name in id_of:
-            raise CompileError(f"duplicate dist-op name {name!r}")
-        i = id_of[name] = len(self.preds)
+        occurrence kept).  Names are checked for duplicates once the
+        compile finishes."""
+        i = len(self.preds)
         if len(preds) > 1 and len(set(preds)) != len(preds):
             preds = dict.fromkeys(preds)
         self.preds.append(tuple(preds))

@@ -159,7 +159,7 @@ class PlanBuilder:
             if sim is None:
                 # the FIFO order races no candidates: simulate it once
                 sim = self._simulator.run(
-                    dist, priorities=schedule.priorities,
+                    dist, order=schedule.order,
                     resident_bytes=resident, capacities=self.capacities,
                     kernel=kernel, prune_above=limit)
             if sim.pruned:

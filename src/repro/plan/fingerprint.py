@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import Any, Dict
 
 from ..cluster.topology import Cluster
 from ..graph.dag import ComputationGraph
@@ -112,5 +112,13 @@ def _op_strategy_payload(st: OpStrategy) -> Any:
 
 def fingerprint_strategy(context_fingerprint: str, strategy: Strategy) -> str:
     """Digest of a candidate strategy within one evaluation context."""
-    per_op = {name: _op_strategy_payload(st) for name, st in strategy.items()}
+    # groups share one OpStrategy object: build each payload once, keyed
+    # by identity (the strategy keeps every object alive for the call)
+    payloads: Dict[int, Any] = {}
+    per_op = {}
+    for name, st in strategy.items():
+        payload = payloads.get(id(st))
+        if payload is None:
+            payload = payloads[id(st)] = _op_strategy_payload(st)
+        per_op[name] = payload
     return _digest({"context": context_fingerprint, "per_op": per_op})

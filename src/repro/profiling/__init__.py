@@ -12,8 +12,6 @@ from .measurements import (
     DEFAULT_FRACTIONS,
     DEFAULT_SIZES,
     MeasurementNoise,
-    measure_op_times,
-    measure_transfer_times,
 )
 from .profiler import Profile, Profiler, exact_profile
 from .regression import OpTimeRegression, TransferTimeRegression
@@ -27,8 +25,6 @@ __all__ = [
     "MeasurementNoise",
     "DEFAULT_FRACTIONS",
     "DEFAULT_SIZES",
-    "measure_op_times",
-    "measure_transfer_times",
     "op_time",
     "op_class",
     "transfer_time",

@@ -1,22 +1,16 @@
-"""Synthetic measurement generation.
+"""Synthetic measurement settings.
 
-Stands in for running the model under TensorFlow's FULL_TRACE profiler:
-samples the analytic cost model at representative batch fractions /
-transfer sizes, with multiplicative log-normal noise mimicking kernel-time
-variance on real hardware.
+Stand in for running the model under TensorFlow's FULL_TRACE profiler:
+the Profiler samples the analytic cost model at representative batch
+fractions / transfer sizes, with multiplicative log-normal noise
+mimicking kernel-time variance on real hardware.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
 
 import numpy as np
-
-from ..cluster.device import GPUSpec
-from ..cluster.link import Link
-from ..graph.op import Operation
-from . import cost_model
 
 # Batch fractions the profiler samples per op/device ("different
 # representative batch sizes", Sec. 3.3).
@@ -31,32 +25,11 @@ class MeasurementNoise:
 
     sigma: float = 0.03
 
-    def apply(self, value: float, rng: np.random.Generator) -> float:
+    def apply(self, values: np.ndarray, rng: np.random.Generator
+              ) -> np.ndarray:
+        """``values`` times one log-normal factor each, drawn in C
+        order (the draws one scalar call per value would make)."""
         if self.sigma <= 0:
-            return value
-        return value * float(rng.lognormal(mean=0.0, sigma=self.sigma))
-
-
-def measure_op_times(
-    op: Operation,
-    spec: GPUSpec,
-    fractions: Sequence[float],
-    rng: np.random.Generator,
-    noise: MeasurementNoise = MeasurementNoise(),
-) -> List[float]:
-    """Measured execution times of ``op`` at each batch fraction."""
-    return [
-        noise.apply(cost_model.op_time(op, spec, f), rng) for f in fractions
-    ]
-
-
-def measure_transfer_times(
-    link: Link,
-    sizes: Sequence[float],
-    rng: np.random.Generator,
-    noise: MeasurementNoise = MeasurementNoise(),
-) -> List[float]:
-    """Measured transfer times on ``link`` at each tensor size."""
-    return [
-        noise.apply(cost_model.transfer_time(link, s), rng) for s in sizes
-    ]
+            return values
+        return values * rng.lognormal(mean=0.0, sigma=self.sigma,
+                                      size=values.shape)

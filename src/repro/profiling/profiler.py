@@ -20,13 +20,8 @@ import numpy as np
 from ..cluster.topology import Cluster
 from ..errors import ProfilingError
 from ..graph.dag import ComputationGraph
-from .measurements import (
-    DEFAULT_FRACTIONS,
-    DEFAULT_SIZES,
-    MeasurementNoise,
-    measure_op_times,
-    measure_transfer_times,
-)
+from .cost_model import op_time, transfer_time
+from .measurements import DEFAULT_FRACTIONS, DEFAULT_SIZES, MeasurementNoise
 from .regression import OpTimeRegression, TransferTimeRegression
 
 
@@ -94,25 +89,32 @@ class Profiler:
             d.device_id: d.spec.model for d in cluster.devices
         }
 
-        # One regression per (op, GPU model).
+        # One regression per (op, GPU model): the noise-free time table,
+        # one noise factor per sample, every row fitted in one call.
         specs = {d.spec.model: d.spec for d in cluster.devices}
-        for op in graph:
-            for model_name, spec in specs.items():
-                times = measure_op_times(op, spec, self.fractions, rng,
-                                         self.noise)
-                profile.op_models[(op.name, model_name)] = OpTimeRegression.fit(
-                    self.fractions, times
-                )
+        table = np.fromiter(
+            (op_time(op, spec, f) for op in graph for spec in specs.values()
+             for f in self.fractions), float).reshape(-1, len(self.fractions))
+        fits = OpTimeRegression.fit_many(self.fractions,
+                                         self.noise.apply(table, rng))
+        profile.op_models = dict(zip(
+            [(op.name, model) for op in graph for model in specs], fits))
 
         # One regression per directed link; identical (bw, latency) classes
         # share a fit, mirroring "transfer data ... between each pair".
-        class_fit: Dict[Tuple[float, float], TransferTimeRegression] = {}
-        for link in cluster.links():
-            key = (link.bandwidth, link.latency)
-            if key not in class_fit:
-                times = measure_transfer_times(link, self.sizes, rng, self.noise)
-                class_fit[key] = TransferTimeRegression.fit(self.sizes, times)
-            profile.link_models[(link.src, link.dst)] = class_fit[key]
+        links = cluster.links()
+        classes = {}
+        for link in links:
+            classes.setdefault((link.bandwidth, link.latency), link)
+        table = np.fromiter(
+            (transfer_time(link, s) for link in classes.values()
+             for s in self.sizes), float).reshape(-1, len(self.sizes))
+        class_fit = dict(zip(classes, TransferTimeRegression.fit_many(
+            self.sizes, self.noise.apply(table, rng))))
+        profile.link_models = {
+            (link.src, link.dst): class_fit[(link.bandwidth, link.latency)]
+            for link in links
+        }
         return profile
 
 

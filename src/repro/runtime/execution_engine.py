@@ -84,7 +84,7 @@ class ExecutionEngine:
         with telemetry.span("engine.iteration", graph=dist.name):
             result = self._simulator.run(
                 dist,
-                priorities=schedule.priorities,
+                order=schedule.order,
                 resident_bytes=resident_bytes,
                 capacities=self.capacities,
             )

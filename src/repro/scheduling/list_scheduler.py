@@ -15,7 +15,7 @@ the chosen order a third time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,17 +27,25 @@ from ..simulation.metrics import SimulationResult
 from .ranking import kernel_ranks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """An execution-order decision: per-op priority (smaller runs first)."""
+    """An execution-order decision: ``order[i]`` is the priority of the
+    kernel's op ``i`` (smaller runs first), an int32 permutation, and
+    ``names`` is the kernel's op-name table, held by reference."""
 
-    priorities: Dict[str, int]
+    order: np.ndarray
+    names: Sequence[str]
     estimated_makespan: Optional[float] = None
     chosen: Optional[str] = None  # which candidate order won
     # the winning candidate's simulation, when the scheduler already
     # ran it under the caller's resident_bytes/capacities — PlanBuilder
     # reuses this instead of re-simulating the plan
     sim_result: Optional[SimulationResult] = None
+
+    @property
+    def priorities(self) -> Dict[str, int]:
+        """Op name -> priority, derived from ``order`` on every read."""
+        return dict(zip(self.names, self.order.tolist()))
 
 
 class ListScheduler:
@@ -61,10 +69,9 @@ class ListScheduler:
     share across threads.
     """
 
-    def _rank_priorities(
-        self, kernel: SimKernel, cost: CostProvider
-    ) -> Tuple[Dict[str, int], List[int]]:
-        """The ``rank`` order, by name and as a per-op-index list."""
+    def _rank_priorities(self, kernel: SimKernel,
+                         cost: CostProvider) -> List[int]:
+        """The ``rank`` order: each op's priority, by op index."""
         ranks = kernel_ranks(kernel, cost)
         # higher rank -> runs earlier; ties broken by topological position
         # for determinism (matching the engine's stable heap ordering)
@@ -76,7 +83,7 @@ class ListScheduler:
         prio_arr = [0] * kernel.n
         for pos, i in enumerate(ordered):
             prio_arr[i] = pos
-        return dict(zip(kernel.names, prio_arr)), prio_arr
+        return prio_arr
 
     def schedule(self, graph: DistGraph, cost: CostProvider, *,
                  kernel: Optional[SimKernel] = None,
@@ -109,13 +116,12 @@ class ListScheduler:
         can_prune = getattr(cost, "deterministic", False)
         limit = prune_above if can_prune else None
         with telemetry.span("schedule.ranking", graph=graph.name):
-            rank_priorities, prio_arr = self._rank_priorities(kernel, cost)
+            rank_order = self._rank_priorities(kernel, cost)
         with telemetry.span("schedule.placement", graph=graph.name):
-            rank_run = simulator.run(graph, priorities=rank_priorities,
+            rank_run = simulator.run(graph, order=rank_order,
                                      resident_bytes=resident_bytes,
                                      capacities=capacities, kernel=kernel,
-                                     prune_above=limit,
-                                     _prio_ids=prio_arr)
+                                     prune_above=limit)
             # a completed rank run's makespan is itself a prune
             # threshold for the earliest candidate: rank wins ties, so
             # any earliest run that exceeds it has already lost
@@ -137,9 +143,8 @@ class ListScheduler:
             pruned_result = (rank_run
                              if rank_run.makespan <= earliest_run.makespan
                              else earliest_run)
-            return Schedule(priorities=rank_priorities,
-                            estimated_makespan=None, chosen=None,
-                            sim_result=pruned_result)
+            return Schedule(order=np.array(rank_order, dtype=np.int32),
+                            names=kernel.names, sim_result=pruned_result)
         if rank_run.pruned:
             chosen = "earliest"
         elif earliest_run.pruned:
@@ -150,12 +155,13 @@ class ListScheduler:
         telemetry.emit_count("sched_chosen_total", labels={"order": chosen},
                              help="which candidate execution order won")
         if chosen == "rank":
-            return Schedule(priorities=rank_priorities,
+            return Schedule(order=np.array(rank_order, dtype=np.int32),
+                            names=kernel.names,
                             estimated_makespan=rank_run.makespan,
                             chosen="rank",
                             sim_result=rank_run)
         return Schedule(
-            priorities=earliest_run.start_priorities(),
+            order=earliest_run.start_order(), names=kernel.names,
             estimated_makespan=earliest_run.makespan,
             chosen="earliest",
             sim_result=earliest_run,
@@ -185,8 +191,6 @@ class FifoScheduler:
                  prune_above: Optional[float] = None) -> Schedule:
         # prune_above is accepted for scheduler interchangeability but
         # moot here: FIFO ordering runs no candidate simulations
-        rng = np.random.default_rng(self.seed)
-        names = graph.op_names
-        order = rng.permutation(len(names))
-        return Schedule(priorities={n: int(order[i])
-                                    for i, n in enumerate(names)})
+        kernel = kernel if kernel is not None else lower(graph)
+        order = np.random.default_rng(self.seed).permutation(kernel.n)
+        return Schedule(order=order.astype(np.int32), names=kernel.names)

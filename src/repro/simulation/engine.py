@@ -66,7 +66,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,17 +94,21 @@ class Simulator:
         strict: bool = False,
         kernel: Optional[SimKernel] = None,
         prune_above: Optional[float] = None,
-        _prio_ids: Optional[List[int]] = None,
+        order: Optional[Sequence[int]] = None,
     ) -> SimulationResult:
         """Simulate one iteration.
 
-        ``priorities``: smaller number = runs earlier on a contended
-        resource.  When omitted, FIFO (ready-arrival order) is used.
+        ``priorities``: op name -> priority; smaller number = runs
+        earlier on a contended resource (an op it does not name gets
+        0).  ``order``: the same, as one priority per op index of the
+        kernel (a :class:`~repro.scheduling.Schedule`'s ``order``); it
+        must have one entry per op.  Pass at most one of the two; with
+        neither, FIFO (ready-arrival order) is used.
 
         ``strict``: enforce the priority order *per resource* even when the
         next-in-order op is not ready yet (non-work-conserving — the exact
-        discipline analyzed by the paper's appendix).  Requires
-        ``priorities`` to be a linear extension of the DAG order (upward
+        discipline analyzed by the paper's appendix).  Requires the
+        priorities to be a linear extension of the DAG order (upward
         ranks are); the default work-conserving mode skips blocked ops.
 
         ``kernel``: a pre-lowered :class:`SimKernel` for ``graph`` (e.g.
@@ -122,20 +126,25 @@ class Simulator:
         stochastic provider only the clock check fires (there is no
         tail array), and the provider keeps exactly the jitter draws of
         the ops started before the cut.
-
-        ``_prio_ids`` (internal): ``priorities`` already lowered to a
-        per-op-index list that is a permutation of ``range(n)`` — the
-        scheduler passes its freshly computed order this way so the
-        event loop skips re-mapping the dict through the name table.
-        Must agree with ``priorities``; the event loop trusts it.
         """
         if kernel is None:
             kernel = lower(graph)
+        if order is None:
+            if priorities is not None:
+                get_prio = priorities.get
+                order = [get_prio(name, 0) for name in kernel.names]
+        elif priorities is not None:
+            raise SimulationError("pass priorities or order, not both")
+        elif len(order) != kernel.n:
+            raise SimulationError(
+                f"order has {len(order)} entries for {kernel.n} ops")
+        elif isinstance(order, np.ndarray):
+            order = order.tolist()
         with telemetry.span("simulate", graph=graph.name, ops=len(graph)):
             result = self._run_kernel(
-                kernel, priorities=priorities,
-                resident_bytes=resident_bytes, capacities=capacities,
-                strict=strict, prune_above=prune_above, prio_ids=_prio_ids)
+                kernel, order=order, resident_bytes=resident_bytes,
+                capacities=capacities, strict=strict,
+                prune_above=prune_above)
         tel = telemetry.active()
         if tel is not None:
             _observe_run(tel.registry, kernel, result)
@@ -148,17 +157,17 @@ class Simulator:
         self,
         kernel: SimKernel,
         *,
-        priorities: Optional[Mapping[str, int]],
+        order: Optional[Sequence[int]],
         resident_bytes: Optional[Dict[str, int]],
         capacities: Optional[Dict[str, int]],
         strict: bool,
         prune_above: Optional[float] = None,
-        prio_ids: Optional[List[int]] = None,
     ) -> SimulationResult:
-        """Run the event loop.  The result keeps the op ids in start
-        order, the start and finish times per op id and the ops still
-        running at a prune cut; its breakdowns derive from those."""
-        if strict and priorities is None:
+        """Run the event loop under per-op-index priorities ``order``
+        (FIFO when None).  The result keeps the op ids in start order,
+        the start and finish times per op id and the ops still running
+        at a prune cut; its breakdowns derive from those."""
+        if strict and order is None:
             raise SimulationError("strict mode requires explicit priorities")
         prune_limit = float("inf") if prune_above is None else prune_above
         # the tail bound's fp rounding differs from the event loop's own
@@ -176,24 +185,17 @@ class Simulator:
         pred_of = kernel.pred
         pending = list(kernel.pred_count)
 
-        use_fifo = priorities is None
-        if use_fifo:
-            prio: List[float] = []
-        elif prio_ids is not None:
-            prio = prio_ids
-        else:
-            get_prio = priorities.get
-            prio = [get_prio(name, 0) for name in names]
+        use_fifo = order is None
+        prio: Sequence[float] = [] if use_fifo else order
         counter = itertools.count()
         heappush = heapq.heappush
         heappop = heapq.heappop
         # Distinct priorities (always true for FIFO, whose priorities are
-        # fresh counter draws, for every scheduler-built order, and for a
-        # prio_ids permutation) never tie, so the waiter heaps never
-        # compare their tie-break counters; outside strict mode that lets
-        # drain_waiters stop early (see the module docstring).
-        early_stop = not strict and (use_fifo or prio_ids is not None
-                                     or len(set(prio)) == n)
+        # fresh counter draws, and for every scheduler-built order) never
+        # tie, so the waiter heaps never compare their tie-break
+        # counters; outside strict mode that lets drain_waiters stop
+        # early (see the module docstring).
+        early_stop = not strict and (use_fifo or len(set(prio)) == n)
 
         # durations[i] (times jitter[k] for the k-th op started) is op
         # i's duration; a stochastic provider prices the ops that touch

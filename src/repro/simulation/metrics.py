@@ -51,39 +51,37 @@ class RunTimes:
         self.is_link: List[bool] = kernel.is_link
         self.resource_names: List[str] = kernel.resource_names
 
-    def busy(self) -> Tuple[Dict[str, float], Dict[str, float], float,
-                            float]:
-        """``device_busy``, ``link_busy``, ``communication_time`` and
-        ``computation_wall``, as the event loop used to accumulate them
-        completion by completion.
+    def _completed(self) -> np.ndarray:
+        """Completed op ids in completion order.
 
         Ops complete in (finish, start order) order: the completion
         heap pops by (time, counter), and an op's counter is drawn when
-        it starts.  Sums accumulate sequentially in that order and the
-        dicts keep first-completion order, bit for bit."""
+        it starts."""
         order = self.order
-        finish = self.finish
         if self.in_flight:
             order = order[~np.isin(order, self.in_flight)]
-        completed = order[np.argsort(finish[order], kind="stable")]
+        return order[np.argsort(self.finish[order], kind="stable")]
+
+    def resource_busy(self) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """``device_busy`` and ``link_busy``, as the event loop used to
+        accumulate them completion by completion: sums accumulate
+        sequentially in completion order and the dicts keep
+        first-completion order, bit for bit."""
+        completed = self._completed()
         res_ids, is_compute, is_link = (self.res_ids, self.is_compute,
                                         self.is_link)
         device_busy: Dict[int, float] = {}
         link_intervals: Dict[int, List[Tuple[float, float]]] = {}
-        comm: List[Tuple[float, float]] = []
-        compute: List[Tuple[float, float]] = []
         for i, begin, end in zip(completed.tolist(),
                                  self.start[completed].tolist(),
-                                 finish[completed].tolist()):
+                                 self.finish[completed].tolist()):
             resources = res_ids[i]
             if is_compute[i]:
                 device = resources[0]
                 busy = device_busy.get(device)
                 device_busy[device] = (end - begin) if busy is None \
                     else busy + (end - begin)
-                compute.append((begin, end))
             else:
-                comm.append((begin, end))
                 for r in resources:
                     if is_link[r]:
                         intervals = link_intervals.get(r)
@@ -93,8 +91,20 @@ class RunTimes:
         names = self.resource_names
         return ({names[r]: busy for r, busy in device_busy.items()},
                 {names[r]: union_length(intervals)
-                 for r, intervals in link_intervals.items()},
-                union_length(comm), union_length(compute))
+                 for r, intervals in link_intervals.items()})
+
+    def walls(self) -> Tuple[float, float]:
+        """``communication_time`` and ``computation_wall``: the union
+        lengths of the completed communication and compute intervals."""
+        completed = self._completed()
+        is_compute = self.is_compute
+        comm: List[Tuple[float, float]] = []
+        compute: List[Tuple[float, float]] = []
+        for i, interval in zip(completed.tolist(),
+                               zip(self.start[completed].tolist(),
+                                   self.finish[completed].tolist())):
+            (compute if is_compute[i] else comm).append(interval)
+        return union_length(comm), union_length(compute)
 
     def schedule(self) -> Dict[str, Tuple[float, float]]:
         """Op name -> (start, finish), in start order."""
@@ -103,13 +113,17 @@ class RunTimes:
                         zip(self.start[order].tolist(),
                             self.finish[order].tolist())))
 
-    def start_priorities(self) -> Dict[str, int]:
-        """Priorities that replay the run: ops ranked by start, then
-        finish, ties kept in start order."""
+    def start_order(self) -> np.ndarray:
+        """Per-op priorities (int32, by op id) that replay the run: ops
+        ranked by start, then finish, ties kept in start order."""
         order = self.order
+        n = len(self.names)
+        if len(order) != n:
+            raise ValueError("start_order needs a run that started every op")
         ranked = order[np.lexsort((self.finish[order], self.start[order]))]
-        return dict(zip(map(self.names.__getitem__, ranked.tolist()),
-                        range(len(ranked))))
+        prio = np.empty(n, dtype=np.int32)
+        prio[ranked] = np.arange(n, dtype=np.int32)
+        return prio
 
 
 class SimulationResult:
@@ -166,20 +180,25 @@ class SimulationResult:
         result._schedule = None
         return result
 
-    def start_priorities(self) -> Dict[str, int]:
-        """Priorities that replay this simulator run: ops ranked by
-        start, then finish, ties kept in start order."""
+    def start_order(self) -> np.ndarray:
+        """Per-op priorities (int32, by op id) that replay this
+        simulator run: ops ranked by start, then finish, ties kept in
+        start order."""
         if self._times is None:
-            raise ValueError("start_priorities needs a simulator run")
-        return self._times.start_priorities()
+            raise ValueError("start_order needs a simulator run")
+        return self._times.start_order()
 
     # __init__ sets these on the instance, which then shadows the
-    # descriptors; a simulator run's result derives them on first read
-    _busy = cached_property(lambda self: self._times.busy())
-    device_busy = cached_property(lambda self: self._busy[0])
-    link_busy = cached_property(lambda self: self._busy[1])
-    communication_time = cached_property(lambda self: self._busy[2])
-    computation_wall = cached_property(lambda self: self._busy[3])
+    # descriptors; a simulator run's result derives each pair on first
+    # read (a failure detector reads the busy dicts every step and
+    # never the walls)
+    _resource_busy = cached_property(
+        lambda self: self._times.resource_busy())
+    _walls = cached_property(lambda self: self._times.walls())
+    device_busy = cached_property(lambda self: self._resource_busy[0])
+    link_busy = cached_property(lambda self: self._resource_busy[1])
+    communication_time = cached_property(lambda self: self._walls[0])
+    computation_wall = cached_property(lambda self: self._walls[1])
 
     @property
     def schedule(self) -> Dict[str, Tuple[float, float]]:

@@ -10,7 +10,10 @@ The original string-keyed graph compiler lives next to it, as
 ``ReferenceCompiler`` in :mod:`tests.oracle.compiler`, and the original
 dense masked-attention GAT layer as ``DenseGATLayer`` in
 :mod:`tests.oracle.gat`, and candidate evaluation with every pruning
-layer off as ``unpruned_outcome`` in :mod:`tests.oracle.unpruned`.
+layer off as ``unpruned_outcome`` in :mod:`tests.oracle.unpruned`, and
+the per-fit profiling loop as ``reference_profile`` in
+:mod:`tests.oracle.profile`.  :func:`reference_busy` is the one-pass
+derivation of a run's busy dicts and walls.
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ import itertools
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 from unittest import mock
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.parallel.distgraph import DistGraph, DistOp
 from repro.simulation.costs import CostProvider
 from repro.simulation.engine import Simulator
 from repro.simulation.kernel import PRUNE_GUARD
 from repro.simulation.memory import MemoryTracker
-from repro.simulation.metrics import SimulationResult, union_length
+from repro.simulation.metrics import RunTimes, SimulationResult, union_length
 
 
 def run_reference(
@@ -246,6 +251,48 @@ def run_reference(
     )
 
 
+def reference_busy(times: RunTimes) -> Tuple[Dict[str, float],
+                                              Dict[str, float], float, float]:
+    """``device_busy``, ``link_busy``, ``communication_time`` and
+    ``computation_wall`` of a run, derived in one pass over its
+    completions, as ``RunTimes.busy`` did before the busy dicts and the
+    two walls were split apart."""
+    order = times.order
+    finish = times.finish
+    if times.in_flight:
+        order = order[~np.isin(order, times.in_flight)]
+    completed = order[np.argsort(finish[order], kind="stable")]
+    res_ids, is_compute, is_link = (times.res_ids, times.is_compute,
+                                    times.is_link)
+    device_busy: Dict[int, float] = {}
+    link_intervals: Dict[int, List[Tuple[float, float]]] = {}
+    comm: List[Tuple[float, float]] = []
+    compute: List[Tuple[float, float]] = []
+    for i, begin, end in zip(completed.tolist(),
+                             times.start[completed].tolist(),
+                             finish[completed].tolist()):
+        resources = res_ids[i]
+        if is_compute[i]:
+            device = resources[0]
+            busy = device_busy.get(device)
+            device_busy[device] = (end - begin) if busy is None \
+                else busy + (end - begin)
+            compute.append((begin, end))
+        else:
+            comm.append((begin, end))
+            for r in resources:
+                if is_link[r]:
+                    intervals = link_intervals.get(r)
+                    if intervals is None:
+                        intervals = link_intervals[r] = []
+                    intervals.append((begin, end))
+    names = times.resource_names
+    return ({names[r]: busy for r, busy in device_busy.items()},
+            {names[r]: union_length(intervals)
+             for r, intervals in link_intervals.items()},
+            union_length(comm), union_length(compute))
+
+
 def trace_order(schedule: Dict[str, Tuple[float, float]]) -> Dict[str, int]:
     """Priorities that replay a run: its ops sorted by (start, finish),
     ties kept in the schedule's start order."""
@@ -256,8 +303,12 @@ def trace_order(schedule: Dict[str, Tuple[float, float]]) -> Dict[str, int]:
 @contextlib.contextmanager
 def reference_simulator() -> Iterator[None]:
     """Route every ``Simulator.run`` call to :func:`run_reference`,
-    ignoring the kernel-only ``kernel`` and ``_prio_ids`` arguments."""
-    def run(self, graph, *, kernel=None, _prio_ids=None, **kw):
+    ignoring the kernel-only ``kernel`` argument; an ``order`` goes
+    in as the priorities it names."""
+    def run(self, graph, *, kernel=None, order=None, **kw):
+        if order is not None:
+            kw["priorities"] = dict(zip(graph.op_names,
+                                        np.asarray(order).tolist()))
         return run_reference(self.cost, graph, **kw)
 
     with mock.patch.object(Simulator, "run", run):

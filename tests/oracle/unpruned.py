@@ -52,10 +52,10 @@ def unpruned_outcome(builder: PlanBuilder,
                              kernel=kernel, **kw)
 
     if builder.use_order_scheduling:
-        rank_priorities, prio_ids = ListScheduler()._rank_priorities(
-            kernel, builder.cost)
-        runs = {"rank": run(rank_priorities, _prio_ids=prio_ids),
-                "earliest": run(None)}
+        rank_priorities = dict(zip(kernel.names,
+                                   ListScheduler()._rank_priorities(
+                                       kernel, builder.cost)))
+        runs = {"rank": run(rank_priorities), "earliest": run(None)}
         if runs["rank"].makespan <= runs["earliest"].makespan:
             chosen, priorities = "rank", rank_priorities
         else:

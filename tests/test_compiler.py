@@ -162,6 +162,16 @@ class TestMixedStrategies:
 
 
 class TestResources:
+    def test_duplicate_dist_op_name_rejected(self, mlp_graph, four_gpu,
+                                             monkeypatch):
+        from repro.errors import CompileError
+        from repro.parallel.compiler import _Compilation
+        monkeypatch.setattr(_Compilation, "fresh", lambda self, prefix: "x")
+        st = uniform_strategy(mlp_graph, four_gpu, make_dp_strategy(
+            four_gpu, ReplicaAllocation.EVEN, CommMethod.ALLREDUCE))
+        with pytest.raises(CompileError, match="duplicate dist-op name 'x'"):
+            compile_with(mlp_graph, four_gpu, st)
+
     def test_transfer_seizes_nics_across_servers(self, mlp_graph, four_gpu):
         st = uniform_strategy(mlp_graph, four_gpu, make_dp_strategy(
             four_gpu, ReplicaAllocation.EVEN, CommMethod.PS))

@@ -1,8 +1,12 @@
 """Tests for ranks, list scheduling, FIFO, and the appendix theorems."""
 
+import numpy as np
 import pytest
 
+from repro.baselines.dp import dp_strategy
+from repro.parallel import GraphCompiler
 from repro.parallel.distgraph import DistGraph, DistOp, DistOpKind
+from repro.plan import PlanBuilder
 from repro.scheduling import (
     FifoScheduler,
     ListScheduler,
@@ -12,8 +16,11 @@ from repro.scheduling import (
     total_work,
     worst_case_instance,
 )
-from repro.simulation import Simulator
+from repro.scheduling.ranking import kernel_ranks
+from repro.simulation import Simulator, lower
 from repro.simulation.costs import MappingCostModel
+
+from tests.oracle import trace_order
 
 
 def compute(name, device):
@@ -147,3 +154,58 @@ class TestBounds:
             worst_case_instance(h=2)
         with pytest.raises(ValueError):
             worst_case_instance(h=4, k=1)
+
+
+def _contention_graph():
+    """A long chain's head and a filler op on one device: the ``rank``
+    order wins."""
+    g = DistGraph("g")
+    g.add(compute("filler", "d0"))
+    g.add(compute("head", "d0"))
+    g.add(compute("tail1", "d1"), ["head"])
+    g.add(compute("tail2", "d1"), ["tail1"])
+    cost = MappingCostModel(
+        {"filler": 3.0, "head": 1.0, "tail1": 3.0, "tail2": 3.0})
+    return g, cost
+
+
+def _assert_int32_permutation(schedule, kernel):
+    assert schedule.order.dtype == np.int32
+    assert sorted(schedule.order.tolist()) == list(range(kernel.n))
+    assert schedule.names is kernel.names
+
+
+class TestScheduleOrder:
+    """``Schedule.order`` is an int32 permutation by op index, and
+    ``priorities`` is the name-keyed dict each scheduler used to build."""
+
+    def test_rank_order(self):
+        g, cost = _contention_graph()
+        kernel = lower(g)
+        schedule = ListScheduler().schedule(g, cost)
+        assert schedule.chosen == "rank"
+        _assert_int32_permutation(schedule, kernel)
+        ranks = kernel_ranks(kernel, cost)
+        topo = kernel.topo_positions()
+        ordered = sorted(range(kernel.n), key=lambda i: (-ranks[i], topo[i]))
+        assert schedule.priorities == {kernel.names[i]: pos
+                                       for pos, i in enumerate(ordered)}
+
+    def test_earliest_order(self, tiny_vgg, four_gpu, vgg_profile):
+        builder = PlanBuilder(tiny_vgg, four_gpu, vgg_profile)
+        plan = builder.build(dp_strategy("EV-AR", tiny_vgg, four_gpu))
+        schedule = plan.schedule
+        assert schedule.chosen == "earliest"
+        _assert_int32_permutation(schedule, plan.kernel)
+        assert schedule.priorities == trace_order(
+            schedule.sim_result.schedule)
+
+    def test_fifo_order(self, tiny_vgg, four_gpu):
+        dist = GraphCompiler(four_gpu).compile(
+            tiny_vgg, dp_strategy("CP-PS", tiny_vgg, four_gpu))
+        for g in (dist, _contention_graph()[0]):
+            schedule = FifoScheduler(seed=3).schedule(g)
+            _assert_int32_permutation(schedule, lower(g))
+            perm = np.random.default_rng(3).permutation(len(g.op_names))
+            assert schedule.priorities == {
+                name: int(perm[i]) for i, name in enumerate(g.op_names)}

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro import telemetry
@@ -41,6 +42,7 @@ from repro.resilience import (
     ResilientTrainer,
 )
 from repro.runtime import ExecutionEngine
+from repro.scheduling import FifoScheduler, ListScheduler
 from repro.scheduling.ranking import DEFAULT_COMM_WEIGHT, kernel_ranks
 from repro.simulation import ProfileCostModel, Simulator, TruthCostModel
 from repro.simulation.costs import MappingCostModel
@@ -49,7 +51,7 @@ from repro.simulation.kernel import lower
 from repro.simulation.metrics import RunTimes
 
 from tests.helpers import make_mlp
-from tests.oracle import run_reference, trace_order
+from tests.oracle import reference_busy, run_reference, trace_order
 
 
 def assert_results_identical(a, b) -> None:
@@ -65,9 +67,11 @@ def assert_results_identical(a, b) -> None:
     assert a.oom_devices == b.oom_devices
     assert list(a.schedule.items()) == list(b.schedule.items())
     assert a.pruned == b.pruned
-    if b.schedule:
+    names = a._times.names
+    if len(b.schedule) == len(names):
         # the scheduler's ``earliest`` order, read from the run's arrays
-        assert a.start_priorities() == trace_order(b.schedule)
+        assert dict(zip(names, a.start_order().tolist())) \
+            == trace_order(b.schedule)
 
 
 def _outcome(run):
@@ -213,6 +217,99 @@ def test_engines_identical_on_compiled_graphs(compiled, cost_name, make):
             for frac in PRUNE_FRACTIONS if full is not None else ():
                 run_pair(lambda: make(cluster, profile), dist,
                          prune_above=frac * full.makespan, **kw)
+
+
+@pytest.mark.parametrize("cost_name,make", COST_MAKERS,
+                         ids=[c[0] for c in COST_MAKERS])
+def test_order_runs_match_priority_runs(compiled, cost_name, make):
+    """``run(order=)`` against ``run(priorities=)`` with the dict that
+    order names: distinct and tied priorities, strict on and off, pruned
+    and not, twice back to back under jitter."""
+    cluster, profile, dist, resident, caps = compiled
+    names = lower(dist).names
+    perm = list(range(len(names)))
+    random.Random(5).shuffle(perm)
+    for order in (perm, [p % 7 for p in perm]):
+        prios = dict(zip(names, order))
+        for strict in (False, True):
+            for frac in (None, 0.6):
+                cost, ref_cost = make(cluster, profile), make(cluster, profile)
+                kw = dict(resident_bytes=dict(resident), capacities=caps,
+                          strict=strict)
+                for _ in range(2):
+                    a = _outcome(lambda: Simulator(cost).run(
+                        dist, order=np.array(order, dtype=np.int32), **kw))
+                    b = _outcome(lambda: Simulator(ref_cost).run(
+                        dist, priorities=prios, **kw))
+                    if isinstance(b, SimulationError):
+                        assert type(a) is type(b) and str(a) == str(b)
+                        continue
+                    assert_results_identical(a, b)
+                    if frac is not None:
+                        kw["prune_above"] = frac * b.makespan
+                assert_same_rng_state(cost, ref_cost)
+
+
+def test_engine_order_iterations_match_priority_runs(compiled):
+    """Jittered engine iterations under a fault overlay run a plan's
+    ``order``; each equals a run of the ``priorities`` dict on a twin
+    engine, for the scheduler's order and a FIFO one."""
+    cluster, profile, dist, resident, caps = compiled
+    overlay = FaultOverlay(
+        compute_scale={cluster.device_ids[2]: 2.0},
+        link_scale={(cluster.device_ids[0], cluster.device_ids[-1]): 0.5})
+    for schedule in (
+            ListScheduler().schedule(dist, ProfileCostModel(cluster, profile)),
+            FifoScheduler(seed=3).schedule(dist)):
+        engine, twin = (ExecutionEngine(cluster, seed=11) for _ in range(2))
+        engine.cost.set_fault_overlay(overlay)
+        twin.cost.set_fault_overlay(overlay)
+        for _ in range(3):
+            a = engine.run_iteration(dist, schedule, resident,
+                                     check_memory=False)
+            b = Simulator(twin.cost).run(
+                dist, priorities=schedule.priorities,
+                resident_bytes=resident, capacities=twin.capacities)
+            assert_results_identical(a, b)
+        assert engine.rng.bit_generator.state \
+            == twin.rng.bit_generator.state
+
+
+#: the providers under which a run completes (a crash raises)
+COMPLETING = [c for c in COST_MAKERS if c[0] != "truth-crash"]
+
+
+@pytest.mark.parametrize("cost_name,make", COMPLETING,
+                         ids=[c[0] for c in COMPLETING])
+def test_split_busy_matches_one_pass_derivation(compiled, cost_name, make):
+    """The busy dicts and the two walls, derived apart, equal the
+    one-pass derivation bit for bit, dicts in the same order; for a
+    full and a pruned run."""
+    cluster, profile, dist, resident, caps = compiled
+    sim = Simulator(make(cluster, profile))
+    full = sim.run(dist, resident_bytes=dict(resident), capacities=caps)
+    cut = sim.run(dist, resident_bytes=dict(resident), capacities=caps,
+                  prune_above=0.6 * full.makespan)
+    assert cut.pruned
+    for result in (full, cut):
+        device, link, comm, wall = reference_busy(result._times)
+        assert list(result.device_busy.items()) == list(device.items())
+        assert list(result.link_busy.items()) == list(link.items())
+        assert result.communication_time == comm
+        assert result.computation_wall == wall
+
+
+def test_order_of_wrong_length_raises(compiled):
+    cluster, profile, dist, resident, caps = compiled
+    sim = Simulator(ProfileCostModel(cluster, profile))
+    n = len(dist)
+    with pytest.raises(SimulationError, match="order has"):
+        sim.run(dist, order=np.arange(n - 1, dtype=np.int32))
+    with pytest.raises(SimulationError, match="order has"):
+        sim.run(dist, order=list(range(n + 1)))
+    with pytest.raises(SimulationError, match="not both"):
+        sim.run(dist, order=list(range(n)),
+                priorities=dict.fromkeys(dist.op_names, 0))
 
 
 def test_memory_pressure_oom_sets_identical(compiled):
@@ -428,11 +525,16 @@ def test_planning_derives_no_breakdown_but_the_detector_does(monkeypatch):
     """A REINFORCE search and an engine-measured build through the
     planning service read makespans, memory verdicts and orders (and
     the winner's trace, for blame), so no run derives its busy
-    breakdown.  The failure detector reads it on every iteration."""
+    breakdown.  The failure detector reads the busy dicts on every
+    iteration, and never the two walls."""
     derived = []
-    busy = RunTimes.busy
-    monkeypatch.setattr(RunTimes, "busy",
+    walls = []
+    busy = RunTimes.resource_busy
+    wall = RunTimes.walls
+    monkeypatch.setattr(RunTimes, "resource_busy",
                         lambda self: derived.append(self) or busy(self))
+    monkeypatch.setattr(RunTimes, "walls",
+                        lambda self: walls.append(self) or wall(self))
     graph = make_mlp(name="lazy_mlp")
     cluster = cluster_4gpu()
     config = HeteroGConfig(seed=0, agent=AgentConfig(
@@ -451,3 +553,4 @@ def test_planning_derives_no_breakdown_but_the_detector_does(monkeypatch):
         engine=ExecutionEngine(cluster, seed=3))
     trainer.run(3)
     assert len(derived) == 3
+    assert walls == []
