@@ -18,7 +18,7 @@ from repro.simulation import Simulator
 
 def _run_instance(h, k):
     inst = worst_case_instance(h=h, k=k, p=1.0, e=1e-6)
-    res = Simulator(inst.cost).run(inst.graph, priorities=inst.priorities,
+    res = Simulator(inst.cost).run(inst.graph, order=inst.order,
                                    strict=True)
     return inst, res
 

@@ -82,18 +82,18 @@ def _legacy_evaluate(graph, cluster, profile, candidates):
         dist = compiler.compile(graph, strategy)
         resident = dist.resident_bytes
         kernel = lower(dist)
-        prios = dict(zip(kernel.names, sched._rank_priorities(kernel, cost)))
-        rank_run = run_reference(cost, dist, priorities=prios,
+        rank_order = sched._rank_priorities(kernel, cost)
+        rank_run = run_reference(cost, dist, order=rank_order,
                                  resident_bytes=dict(resident),
                                  capacities=caps)
-        earliest_run = run_reference(cost, dist, priorities=None,
+        earliest_run = run_reference(cost, dist,
                                      resident_bytes=dict(resident),
                                      capacities=caps)
         if rank_run.makespan <= earliest_run.makespan:
-            winner = prios
+            winner = rank_order
         else:
-            winner = trace_order(earliest_run.schedule)
-        final = run_reference(cost, dist, priorities=winner,
+            winner = trace_order(kernel.names, earliest_run.schedule)
+        final = run_reference(cost, dist, order=winner,
                               resident_bytes=dict(resident),
                               capacities=caps)
         makespans.append(final.makespan)

@@ -44,7 +44,7 @@ def main():
 
     def run(graph_):
         schedule = ListScheduler().schedule(graph_, cost)
-        return Simulator(cost).run(graph_, priorities=schedule.priorities)
+        return Simulator(cost).run(graph_, order=schedule.order)
 
     base = run(dist)
     print(f"4-stage MP ladder, no pipelining: "

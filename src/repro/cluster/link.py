@@ -43,10 +43,6 @@ class Link:
     latency: float
     intra_server: bool
 
-    @property
-    def link_id(self) -> str:
-        return f"link:{self.src}->{self.dst}"
-
     def transfer_time(self, size_bytes: float) -> float:
         if self.src == self.dst:
             return 0.0

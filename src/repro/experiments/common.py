@@ -18,7 +18,6 @@ from ..agent import AgentConfig, HeteroGAgent
 from ..cluster.topology import Cluster
 from ..errors import OutOfMemoryError
 from ..graph.dag import ComputationGraph
-from ..graph.models import build_model
 from ..parallel.strategy import Strategy
 from ..plan import PlanBuilder
 from ..profiling.profiler import Profile, Profiler
@@ -181,12 +180,6 @@ class ExperimentContext:
         measured.extras["search_seconds"] = search_seconds
         measured.extras["simulated_time"] = agent.best_time(graph.name)
         return measured
-
-
-def build_row_model(model: str, preset: str, overrides: Dict[str, object]
-                    ) -> ComputationGraph:
-    """Build a registry model with per-row overrides."""
-    return build_model(model, preset, **overrides)
 
 
 def format_table(headers: List[str], rows: List[List[str]]) -> str:

@@ -31,12 +31,6 @@ class GraphAnalysis:
     def num_ops(self) -> int:
         return len(self.topo_order)
 
-    def edge_bytes(self, src: str, dst: str) -> int:
-        """Size of the tensor carried on edge src -> dst."""
-        if dst not in self.graph.successors(src):
-            raise GraphError(f"no edge {src!r} -> {dst!r}")
-        return self.graph.op(src).output_bytes
-
     def param_ops(self) -> List[Operation]:
         """Forward ops owning trainable parameters."""
         return [

@@ -333,9 +333,6 @@ class DistGraph:
     def communication_ops(self) -> List[DistOp]:
         return [o for o in self._materialize() if o.is_communication]
 
-    def compute_ops(self) -> List[DistOp]:
-        return [o for o in self._materialize() if o.is_compute]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kinds = {k.value: v for k, v in self.counts_by_kind().items()}
         return f"DistGraph({self.name!r}, {len(self)} ops, {kinds})"

@@ -157,11 +157,6 @@ def _micro_deps(dist: DistGraph, out: DistGraph,
     return deps
 
 
-def _consumes_microsum(dist: DistGraph, name: str) -> bool:
-    op = dist.op(name)
-    return op.kind in (DistOpKind.AGGREGATE, DistOpKind.ALLREDUCE)
-
-
 def pipeline_ladder_strategy(graph, cluster, stages: Optional[int] = None):
     """A model-parallel pipeline ladder: forward ops are partitioned into
     contiguous FLOP-balanced stages across devices; each backward/apply op

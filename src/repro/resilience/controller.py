@@ -424,12 +424,16 @@ class ResilientTrainer:
 
         A latency-bound graph often beats any multi-device plan by
         simply moving whole onto the fastest arriving GPU — a candidate
-        the episodic search rarely samples.  Costs one plan build (one
-        simulation), deterministic; returns ``(deployment, predicted)``
-        or None when the candidate is infeasible or no device is new.
+        the episodic search rarely samples.  It is one build request to
+        the replanner's service under the replanner's config, so it is
+        priced on the warm context (and profile) the replan just used,
+        like the searched plan it is compared with.  Costs one plan
+        build (one simulation), deterministic; returns ``(deployment,
+        predicted)`` or None when the candidate is infeasible or no
+        device is new.
         """
         from ..parallel.strategy import single_device_strategy
-        from ..plan import PlanBuilder
+        from ..service import PlanRequest
 
         new_ids = set(cluster.device_ids) \
             - set(self.deployment.cluster.device_ids)
@@ -437,17 +441,18 @@ class ResilientTrainer:
             return None
         fastest = max((cluster.device(d) for d in sorted(new_ids)),
                       key=lambda d: d.compute_power)
+        replanner = self.replanner
         try:
-            builder = PlanBuilder(self.deployment.graph, cluster)
-            plan = builder.build(single_device_strategy(
-                self.deployment.graph, cluster,
-                device=fastest.device_id))
+            plan = replanner.service.plan(PlanRequest(
+                graph=replanner.graph, cluster=cluster,
+                strategy=single_device_strategy(
+                    replanner.graph, cluster, device=fastest.device_id),
+                config=replanner.config, label="fast_path")).deployment
         except ReproError:
             return None
-        result = plan.sim_result
-        if result.oom_devices:
+        if plan is None or plan.sim_result.oom_devices:
             return None
-        return plan, result.makespan
+        return plan, plan.sim_result.makespan
 
     def _maybe_rebuild_engine(self) -> None:
         """Grow the engine when the adopted plan uses devices it lacks.

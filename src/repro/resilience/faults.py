@@ -362,14 +362,6 @@ class FaultInjector:
 
     # ---------------------------------------------------------------- #
     @property
-    def active_events(self) -> List[FaultEvent]:
-        return list(self.schedule.events[:self._next])
-
-    @property
-    def pending_events(self) -> List[FaultEvent]:
-        return list(self.schedule.events[self._next:])
-
-    @property
     def any_active(self) -> bool:
         return self._next > 0
 

@@ -8,13 +8,11 @@ from .bounds import (
     worst_case_instance,
 )
 from .list_scheduler import FifoScheduler, ListScheduler, Schedule
-from .ranking import compute_ranks
 
 __all__ = [
     "ListScheduler",
     "FifoScheduler",
     "Schedule",
-    "compute_ranks",
     "worst_case_instance",
     "WorstCaseInstance",
     "total_work",

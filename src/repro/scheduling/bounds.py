@@ -15,24 +15,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
+
 from ..parallel.distgraph import DistGraph, DistOp, DistOpKind
 from ..simulation.costs import MappingCostModel
+from ..simulation.kernel import lower
 
 
 def total_work(graph: DistGraph, cost) -> float:
-    """Sum of all op durations (Theorem 1's sum p_i)."""
-    return sum(cost.duration(graph.op(n)) for n in graph.op_names)
+    """Sum of all op durations (Theorem 1's sum p_i), under a
+    deterministic cost provider."""
+    return sum(lower(graph).durations_for(cost))
 
 
 def critical_path(graph: DistGraph, cost) -> float:
-    """Longest-path duration through the DAG."""
-    best: Dict[str, float] = {}
-    for name in reversed(graph.topological_order()):
-        d = cost.duration(graph.op(name))
-        best[name] = d + max(
-            (best[s] for s in graph.successors(name)), default=0.0
-        )
-    return max(best.values(), default=0.0)
+    """Longest-path duration through the DAG, under a deterministic
+    cost provider: each op's duration plus its exclusive tail."""
+    kernel = lower(graph)
+    return max((d + tail for d, tail in zip(kernel.durations_for(cost),
+                                             kernel.tails_for(cost))),
+               default=0.0)
 
 
 def optimal_lower_bound(graph: DistGraph, cost, num_resources: int) -> float:
@@ -56,7 +58,8 @@ class WorstCaseInstance:
     """The crafted Theorem 2 instance plus its closed-form times."""
     graph: DistGraph
     cost: MappingCostModel
-    priorities: Dict[str, int]
+    #: adversarial per-op priorities, by op index
+    order: np.ndarray
     num_devices: int
     t_ls_formula: float
     t_opt_formula: float
@@ -99,15 +102,15 @@ def worst_case_instance(h: int = 4, k: int = 20, p: float = 1.0,
 
     # H-1 chains, each k*H ops; position j (0-based) runs on device j mod H.
     # The op starting each batch (position j % H == 0) costs p, others e.
-    chain_ops: Dict[Tuple[int, int], str] = {}
+    chain_ops: Dict[Tuple[int, int], int] = {}  # -> op index
     for c in range(h - 1):
         prev = None
         for j in range(k * h):
             dev = j % h
             dur = p if dev == 0 else e
             name = f"chain{c}_op{j}"
+            chain_ops[(c, j)] = len(graph)
             add(name, dev, dur, deps=[prev] if prev else ())
-            chain_ops[(c, j)] = name
             prev = name
 
     for i in range(k):
@@ -117,28 +120,27 @@ def worst_case_instance(h: int = 4, k: int = 20, p: float = 1.0,
     # ranks, device 0 executes chains in reverse order (H-2 .. 0) while the
     # later devices execute them in forward order (0 .. H-2), maximally
     # staggering the chains.  Independent ops are last (lowest rank).
-    priorities: Dict[str, int] = {}
+    order = np.empty(len(graph), dtype=np.int32)
     counter = 0
     for batch in range(k):
         # device 0 ops of this batch, chains in reverse
         for c in reversed(range(h - 1)):
-            priorities[chain_ops[(c, batch * h)]] = counter
+            order[chain_ops[(c, batch * h)]] = counter
             counter += 1
         # remaining ops of the batch in forward chain order
         for j in range(batch * h + 1, (batch + 1) * h):
             for c in range(h - 1):
-                priorities[chain_ops[(c, j)]] = counter
+                order[chain_ops[(c, j)]] = counter
                 counter += 1
-    for i in range(k):
-        priorities[f"indep{i}"] = counter
-        counter += 1
+    # the independent ops, added last, run last
+    order[counter:] = np.arange(counter, len(graph))
 
     t_ls = ((k - 1) * h + 1) * p + ((k - 1) * (2 * h - 3) + h - 1) * e
     t_opt = k * (p + (h - 1) * e) + (h - 2) * e
     return WorstCaseInstance(
         graph=graph,
         cost=MappingCostModel(durations),
-        priorities=priorities,
+        order=order,
         num_devices=h,
         t_ls_formula=t_ls,
         t_opt_formula=t_opt,

@@ -15,7 +15,7 @@ the chosen order a third time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -30,22 +30,15 @@ from .ranking import kernel_ranks
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """An execution-order decision: ``order[i]`` is the priority of the
-    kernel's op ``i`` (smaller runs first), an int32 permutation, and
-    ``names`` is the kernel's op-name table, held by reference."""
+    kernel's op ``i`` (smaller runs first), an int32 permutation."""
 
     order: np.ndarray
-    names: Sequence[str]
     estimated_makespan: Optional[float] = None
     chosen: Optional[str] = None  # which candidate order won
     # the winning candidate's simulation, when the scheduler already
     # ran it under the caller's resident_bytes/capacities — PlanBuilder
     # reuses this instead of re-simulating the plan
     sim_result: Optional[SimulationResult] = None
-
-    @property
-    def priorities(self) -> Dict[str, int]:
-        """Op name -> priority, derived from ``order`` on every read."""
-        return dict(zip(self.names, self.order.tolist()))
 
 
 class ListScheduler:
@@ -113,7 +106,7 @@ class ListScheduler:
         from ..simulation.engine import Simulator  # local: avoid cycle
         kernel = kernel if kernel is not None else lower(graph)
         simulator = Simulator(cost)
-        can_prune = getattr(cost, "deterministic", False)
+        can_prune = cost.deterministic
         limit = prune_above if can_prune else None
         with telemetry.span("schedule.ranking", graph=graph.name):
             rank_order = self._rank_priorities(kernel, cost)
@@ -131,7 +124,7 @@ class ListScheduler:
                 earliest_limit = rank_run.makespan
             else:
                 earliest_limit = None
-            earliest_run = simulator.run(graph, priorities=None,
+            earliest_run = simulator.run(graph,
                                          resident_bytes=resident_bytes,
                                          capacities=capacities,
                                          kernel=kernel,
@@ -144,7 +137,7 @@ class ListScheduler:
                              if rank_run.makespan <= earliest_run.makespan
                              else earliest_run)
             return Schedule(order=np.array(rank_order, dtype=np.int32),
-                            names=kernel.names, sim_result=pruned_result)
+                            sim_result=pruned_result)
         if rank_run.pruned:
             chosen = "earliest"
         elif earliest_run.pruned:
@@ -156,12 +149,11 @@ class ListScheduler:
                              help="which candidate execution order won")
         if chosen == "rank":
             return Schedule(order=np.array(rank_order, dtype=np.int32),
-                            names=kernel.names,
                             estimated_makespan=rank_run.makespan,
                             chosen="rank",
                             sim_result=rank_run)
         return Schedule(
-            order=earliest_run.start_order(), names=kernel.names,
+            order=earliest_run.start_order(),
             estimated_makespan=earliest_run.makespan,
             chosen="earliest",
             sim_result=earliest_run,
@@ -193,4 +185,4 @@ class FifoScheduler:
         # moot here: FIFO ordering runs no candidate simulations
         kernel = kernel if kernel is not None else lower(graph)
         order = np.random.default_rng(self.seed).permutation(kernel.n)
-        return Schedule(order=order.astype(np.int32), names=kernel.names)
+        return Schedule(order=order.astype(np.int32))

@@ -20,12 +20,11 @@ shared with the simulator instead of being re-derived per call.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from ..errors import DeviceLostError
-from ..parallel.distgraph import DistGraph
 from ..simulation.costs import CostProvider
-from ..simulation.kernel import SimKernel, lower
+from ..simulation.kernel import SimKernel
 
 #: inflation of communication time in rank computation
 DEFAULT_COMM_WEIGHT = 4.0
@@ -78,14 +77,3 @@ def _drawn_durations(kernel: SimKernel, cost: CostProvider) -> List[float]:
         durations[i] = base[i] * jitter[k]
     return durations
 
-
-def compute_ranks(graph: DistGraph, cost: CostProvider, *,
-                  kernel: Optional[SimKernel] = None
-                  ) -> Dict[str, float]:
-    """Upward rank of every dist-op under the given cost model."""
-    kernel = kernel if kernel is not None else lower(graph)
-    ranks = kernel_ranks(kernel, cost)
-    names = kernel.names
-    # keyed in reverse topological order, matching the historical
-    # insertion order of the dict implementation
-    return {names[i]: ranks[i] for i in reversed(kernel.topo)}

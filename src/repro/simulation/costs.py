@@ -1,4 +1,4 @@
-"""Cost providers: map a :class:`DistOp` to an execution duration.
+"""Cost providers: price every dist-op of a simulation kernel.
 
 Two implementations with deliberately different fidelity (see DESIGN.md):
 
@@ -20,9 +20,9 @@ import numpy as np
 
 from ..cluster.device import GPUSpec
 from ..cluster.topology import Cluster
-from ..errors import DeviceLostError, SimulationError
+from ..errors import SimulationError
 from ..parallel.aggregation import allreduce_time
-from ..parallel.distgraph import DistOp, DistOpKind
+from ..parallel.distgraph import DistOpKind
 from ..profiling import cost_model
 from ..profiling.profiler import Profile
 
@@ -44,23 +44,21 @@ _PRICE_CACHE_SLOTS = 4
 class CostProvider(Protocol):
     """Interface the simulator uses to time dist-ops.
 
-    ``deterministic`` declares that ``duration`` is a pure function of
-    the op: the simulation kernel then prices every op once per lowering
-    and shares the array across ranking and repeated simulations.  A
-    provider that also has ``prices(kernel)`` (both built-in models do)
-    returns that array from the kernel's recipes, bit for bit
-    ``[duration(op) for op in kernel.ops]``, so a compiled graph never
-    builds its ``DistOp`` objects; any other deterministic provider is
-    asked for ``duration`` op by op.  Stochastic providers
-    (per-execution jitter) leave ``deterministic`` False and implement
+    A provider prices whole kernels, never single ops.
+    ``deterministic`` declares that ``prices(kernel)`` is a pure
+    function of the kernel: the simulation kernel then prices every op
+    once per lowering, from its recipes (so a compiled graph never
+    builds its ``DistOp`` objects), and shares the array across ranking
+    and repeated simulations.  Stochastic providers (per-execution
+    jitter) leave ``deterministic`` False and implement
     :meth:`TruthCostModel.draw` and :meth:`TruthCostModel.settle`
     instead: the kernel consumers read one iteration's prices and
-    jitter from arrays and never call ``duration`` op by op.
+    jitter from arrays.
     """
 
     deterministic: bool = False
 
-    def duration(self, op: DistOp) -> float: ...
+    def prices(self, kernel) -> List[float]: ...
 
     def link_lookup(self, src: str, dst: str) -> Tuple[float, float]: ...
 
@@ -112,11 +110,9 @@ class ProfileCostModel(_BaseCost):
             return link.bandwidth, link.latency
         return model.bandwidth, model.latency
 
-    def duration(self, op: DistOp) -> float:
-        return self._price(op.recipe(), op.source_op)
-
     def prices(self, kernel) -> List[float]:
-        """:meth:`duration` of every op of ``kernel``, from its recipes."""
+        """The predicted duration of every op of ``kernel``, from its
+        recipes."""
         sources = kernel.source_ops
         price = self._price
         return [price(r, sources[r[1]] if r[1] >= 0 else None)
@@ -165,12 +161,18 @@ class MappingCostModel:
         self.durations = dict(durations)
         self.default = default
 
-    def duration(self, op: DistOp) -> float:
-        if op.name in self.durations:
-            return float(self.durations[op.name])
-        if self.default is not None:
-            return float(self.default)
-        raise SimulationError(f"no duration registered for {op.name!r}")
+    def prices(self, kernel) -> List[float]:
+        """The registered duration of every op of ``kernel``, by name
+        (``default`` for an unregistered one, when given)."""
+        durations, default = self.durations, self.default
+        prices = []
+        for name in kernel.names:
+            duration = durations.get(name, default)
+            if duration is None:
+                raise SimulationError(
+                    f"no duration registered for {name!r}")
+            prices.append(float(duration))
+        return prices
 
     def link_lookup(self, src: str, dst: str) -> Tuple[float, float]:
         return float("inf"), 0.0
@@ -195,9 +197,9 @@ class TruthCostModel(_BaseCost):
     bandwidth.  With no overlay installed every code path is byte-for-
     byte the pre-fault arithmetic, so fault-free runs stay bit-identical.
 
-    :meth:`duration` prices one op and draws its jitter.  The simulator
-    and the ranking pass use :meth:`draw` and :meth:`settle` instead,
-    which give the same numbers from per-kernel arrays.
+    The simulator and the ranking pass price a kernel per execution
+    with :meth:`draw` and :meth:`settle`: base durations from arrays,
+    and one batch of jitter factors per run.
     """
 
     def __init__(self, cluster: Cluster, jitter_sigma: float = 0.04,
@@ -246,11 +248,6 @@ class TruthCostModel(_BaseCost):
     def fault_overlay(self):
         return self._overlay
 
-    def _jitter(self) -> float:
-        if self.jitter_sigma <= 0:
-            return 1.0
-        return float(self._rng.lognormal(0.0, self.jitter_sigma))
-
     def link_lookup(self, src: str, dst: str) -> Tuple[float, float]:
         link = self.cluster.link(src, dst)
         bandwidth = link.bandwidth
@@ -263,14 +260,8 @@ class TruthCostModel(_BaseCost):
                 bandwidth *= scale
         return bandwidth, link.latency
 
-    def duration(self, op: DistOp) -> float:
-        device, base = self._price(op.recipe(), op.source_op)
-        if device is not None:
-            raise DeviceLostError(device, op.name)
-        return base * self._jitter()
-
     def prices(self, kernel) -> List[float]:
-        """:meth:`duration` of every op of ``kernel`` while the model is
+        """The duration of every op of ``kernel`` while the model is
         deterministic (no jitter, no fault overlay)."""
         return self._prices(kernel)[0]
 
@@ -278,14 +269,15 @@ class TruthCostModel(_BaseCost):
                                     Optional[List[float]]]:
         """One execution's prices for ``kernel``: ``(base, lost, jitter)``.
 
-        ``base[i] * jitter[k]`` is, bit for bit, :meth:`duration` of op
-        ``i`` called as the ``k``-th op priced.  ``lost`` maps each op
-        :meth:`duration` would raise :class:`DeviceLostError` for to its
-        device (None when there is none); such an op's base is
-        ``-inf``, so its duration fails a non-negativity check.
-        ``jitter`` is ``kernel.n``
-        factors from one generator call, or None (and nothing drawn)
-        when ``jitter_sigma <= 0``.  A caller that uses fewer than
+        ``base[i] * jitter[k]`` is op ``i``'s duration when it is the
+        ``k``-th op priced, bit for bit what one scalar log-normal draw
+        per op, in pricing order, gives.  ``lost`` maps each op that
+        touches a crashed device to that device (None when there is
+        none); such an op's base is ``-inf``, so its duration fails a
+        non-negativity check and the caller raises
+        :class:`DeviceLostError`.  ``jitter`` is ``kernel.n`` factors
+        from one generator call, or None (and nothing drawn) when
+        ``jitter_sigma <= 0``.  A caller that uses fewer than
         ``kernel.n`` factors must :meth:`settle` how many it used.
         """
         base, lost = self._prices(kernel)
@@ -297,8 +289,7 @@ class TruthCostModel(_BaseCost):
 
     def settle(self, used: int) -> None:
         """Keep only the first ``used`` factors of the last :meth:`draw`:
-        the generator ends where ``used`` :meth:`duration` calls would
-        leave it."""
+        the generator ends where ``used`` scalar draws would leave it."""
         drawn, self._drawn = self._drawn, None
         if drawn is not None and used < drawn[1]:
             self._rng.bit_generator.state = drawn[0]

@@ -66,7 +66,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,28 +88,25 @@ class Simulator:
         self,
         graph: DistGraph,
         *,
-        priorities: Optional[Mapping[str, int]] = None,
+        order: Optional[Sequence[int]] = None,
         resident_bytes: Optional[Dict[str, int]] = None,
         capacities: Optional[Dict[str, int]] = None,
         strict: bool = False,
         kernel: Optional[SimKernel] = None,
         prune_above: Optional[float] = None,
-        order: Optional[Sequence[int]] = None,
     ) -> SimulationResult:
         """Simulate one iteration.
 
-        ``priorities``: op name -> priority; smaller number = runs
-        earlier on a contended resource (an op it does not name gets
-        0).  ``order``: the same, as one priority per op index of the
-        kernel (a :class:`~repro.scheduling.Schedule`'s ``order``); it
-        must have one entry per op.  Pass at most one of the two; with
-        neither, FIFO (ready-arrival order) is used.
+        ``order``: one priority per op index of the kernel (a
+        :class:`~repro.scheduling.Schedule`'s ``order``); smaller number
+        = runs earlier on a contended resource.  It must have one entry
+        per op.  With None, FIFO (ready-arrival order) is used.
 
         ``strict``: enforce the priority order *per resource* even when the
         next-in-order op is not ready yet (non-work-conserving — the exact
         discipline analyzed by the paper's appendix).  Requires the
-        priorities to be a linear extension of the DAG order (upward
-        ranks are); the default work-conserving mode skips blocked ops.
+        order to be a linear extension of the DAG order (upward ranks
+        are); the default work-conserving mode skips blocked ops.
 
         ``kernel``: a pre-lowered :class:`SimKernel` for ``graph`` (e.g.
         the one cached on an ExecutionPlan).  When omitted, the kernel is
@@ -129,17 +126,12 @@ class Simulator:
         """
         if kernel is None:
             kernel = lower(graph)
-        if order is None:
-            if priorities is not None:
-                get_prio = priorities.get
-                order = [get_prio(name, 0) for name in kernel.names]
-        elif priorities is not None:
-            raise SimulationError("pass priorities or order, not both")
-        elif len(order) != kernel.n:
-            raise SimulationError(
-                f"order has {len(order)} entries for {kernel.n} ops")
-        elif isinstance(order, np.ndarray):
-            order = order.tolist()
+        if order is not None:
+            if len(order) != kernel.n:
+                raise SimulationError(
+                    f"order has {len(order)} entries for {kernel.n} ops")
+            if isinstance(order, np.ndarray):
+                order = order.tolist()
         with telemetry.span("simulate", graph=graph.name, ops=len(graph)):
             result = self._run_kernel(
                 kernel, order=order, resident_bytes=resident_bytes,
@@ -168,7 +160,7 @@ class Simulator:
         the start and finish times per op id and the ops still running
         at a prune cut; its breakdowns derive from those."""
         if strict and order is None:
-            raise SimulationError("strict mode requires explicit priorities")
+            raise SimulationError("strict mode requires an order")
         prune_limit = float("inf") if prune_above is None else prune_above
         # the tail bound's fp rounding differs from the event loop's own
         # accumulation; require violation beyond the guard margin so a
@@ -436,7 +428,7 @@ class Simulator:
         times = RunTimes(kernel, np.array(start_order, dtype=np.int32),
                          np.array(started), np.array(finished),
                          [entry[2] for entry in completions])
-        return SimulationResult.of_run(
+        return SimulationResult(
             times, makespan=now,
             peak_memory={run_dev_names[ri]: mem_peak[ri]
                          for ri in range(len(run_dev_names))},

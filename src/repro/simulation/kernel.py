@@ -31,13 +31,13 @@ re-simulation of the plan.
 
 Durations are only cached on the kernel for *deterministic* cost
 providers (``cost.deterministic`` is True), priced from the recipes by
-``cost.prices(kernel)`` where the provider has it.  The stochastic truth model
-prices the same recipes per run instead (``TruthCostModel.draw``): its
-base durations are cached on the provider per fault overlay, and its
-jitter is one batch per run that the event loop reads in start order.
-That keeps the jitter draw sequence, and therefore the results,
-bit-identical to the dict-based loop of the test oracle
-(``tests/oracle``), which draws once per op.
+``cost.prices(kernel)``.  The stochastic truth model prices the same
+recipes per run instead (``TruthCostModel.draw``): its base durations
+are cached on the provider per fault overlay, and its jitter is one
+batch per run that the event loop reads in start order.  That keeps
+the jitter draw sequence, and therefore the results, bit-identical to
+the dict-based loop of the test oracle (``tests/oracle``), which
+prices one op at a time and draws once per op.
 """
 
 from __future__ import annotations
@@ -274,23 +274,17 @@ class SimKernel:
     def durations_for(self, cost: CostProvider) -> Optional[List[float]]:
         """Per-op durations under ``cost``, or None for stochastic costs.
 
-        Deterministic providers (``cost.deterministic`` truthy) are
-        evaluated once per (kernel, provider) and cached, so ranking and
+        Deterministic providers (``cost.deterministic`` truthy) price
+        the recipes once per (kernel, provider), cached, so ranking and
         every simulation of the same lowering share one pricing pass.
-        A provider with ``prices(kernel)`` prices the recipes; any
-        other is asked for ``duration(op)`` op by op.
         """
-        if not getattr(cost, "deterministic", False):
+        if not cost.deterministic:
             return None
         key = id(cost)
         entry = self._dur_cache.get(key)
         if entry is not None and entry[0] is cost:
             return entry[1]
-        prices = getattr(cost, "prices", None)
-        if prices is not None:
-            durations = prices(self)
-        else:
-            durations = list(map(cost.duration, self.ops))
+        durations = cost.prices(self)
         if len(self._dur_cache) >= _DURATION_CACHE_SLOTS:
             self._dur_cache.clear()
         self._dur_cache[key] = (cost, durations)

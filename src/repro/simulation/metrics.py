@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -129,85 +129,52 @@ class RunTimes:
 class SimulationResult:
     """Outcome of executing one distributed training iteration.
 
-    Built by the simulator, a result holds the run's start order and
-    per-op start and finish times (:class:`RunTimes`).  It derives
-    ``device_busy``, ``link_busy``, ``communication_time`` and
-    ``computation_wall`` from them the first time one of them is read,
-    and ``schedule`` on every read; the search reads none of them.  A
-    result built directly from the fields holds them as given.
+    Built by the simulator from the run's start order and per-op start
+    and finish times (:class:`RunTimes`).  It derives ``device_busy``,
+    ``link_busy``, ``communication_time`` and ``computation_wall`` from
+    them the first time one of them is read, and ``schedule`` on every
+    read; the search reads none of them.
+
+    ``pruned``: the run aborted cooperatively after ``makespan``
+    exceeded the caller's ``prune_above`` threshold; every other field
+    is partial and ``makespan`` is a *lower bound* on the true
+    iteration time.
     """
 
-    def __init__(self, makespan: float,
-                 device_busy: Optional[Dict[str, float]] = None,
-                 link_busy: Optional[Dict[str, float]] = None,
-                 communication_time: float = 0.0,
-                 computation_wall: float = 0.0,
-                 peak_memory: Optional[Dict[str, float]] = None,
-                 oom_devices: Optional[List[str]] = None,
-                 schedule: Optional[Dict[str, Tuple[float, float]]] = None,
-                 pruned: bool = False):
+    def __init__(self, times: RunTimes, *, makespan: float,
+                 peak_memory: Dict[str, float], oom_devices: List[str],
+                 pruned: bool):
         self.makespan = makespan
-        # per-GPU total busy compute seconds
-        self.device_busy = {} if device_busy is None else device_busy
-        # per-resource busy seconds for links
-        self.link_busy = {} if link_busy is None else link_busy
-        # wall-clock during which >=1 communication op was in flight
-        self.communication_time = communication_time
-        # wall-clock during which >=1 GPU was computing
-        self.computation_wall = computation_wall
-        self.peak_memory = {} if peak_memory is None else peak_memory
-        self.oom_devices = [] if oom_devices is None else oom_devices
-        # op name -> (start, end), in start order
-        self._schedule = {} if schedule is None else schedule
-        # the run aborted cooperatively after ``makespan`` exceeded the
-        # caller's ``prune_above`` threshold; every other field is partial
-        # and ``makespan`` is a *lower bound* on the true iteration time
+        self.peak_memory = peak_memory
+        self.oom_devices = oom_devices
         self.pruned = pruned
-        self._times: Optional[RunTimes] = None
-
-    @classmethod
-    def of_run(cls, times: RunTimes, *, makespan: float,
-               peak_memory: Dict[str, float], oom_devices: List[str],
-               pruned: bool) -> "SimulationResult":
-        """A simulator run's result; its breakdowns are derived from
-        ``times`` on first read."""
-        result = cls.__new__(cls)
-        result.makespan = makespan
-        result.peak_memory = peak_memory
-        result.oom_devices = oom_devices
-        result.pruned = pruned
-        result._times = times
-        result._schedule = None
-        return result
+        self._times = times
 
     def start_order(self) -> np.ndarray:
-        """Per-op priorities (int32, by op id) that replay this
-        simulator run: ops ranked by start, then finish, ties kept in
-        start order."""
-        if self._times is None:
-            raise ValueError("start_order needs a simulator run")
+        """Per-op priorities (int32, by op id) that replay this run:
+        ops ranked by start, then finish, ties kept in start order."""
         return self._times.start_order()
 
-    # __init__ sets these on the instance, which then shadows the
-    # descriptors; a simulator run's result derives each pair on first
-    # read (a failure detector reads the busy dicts every step and
-    # never the walls)
+    # derived pairwise on first read (a failure detector reads the busy
+    # dicts every step and never the walls)
     _resource_busy = cached_property(
         lambda self: self._times.resource_busy())
     _walls = cached_property(lambda self: self._times.walls())
+    #: per-GPU total busy compute seconds
     device_busy = cached_property(lambda self: self._resource_busy[0])
+    #: per-link busy seconds (union of its transfer intervals)
     link_busy = cached_property(lambda self: self._resource_busy[1])
+    #: wall-clock during which >=1 communication op was in flight
     communication_time = cached_property(lambda self: self._walls[0])
+    #: wall-clock during which >=1 GPU was computing
     computation_wall = cached_property(lambda self: self._walls[1])
 
     @property
     def schedule(self) -> Dict[str, Tuple[float, float]]:
-        """Op name -> (start, end), in start order.  A simulator run's
-        is built on every read and not kept, so a cached result whose
-        schedule was read once holds no dict of it."""
-        if self._schedule is None:
-            return self._times.schedule()
-        return self._schedule
+        """Op name -> (start, end), in start order; built on every read
+        and not kept, so a cached result whose schedule was read once
+        holds no dict of it."""
+        return self._times.schedule()
 
     @property
     def oom(self) -> bool:

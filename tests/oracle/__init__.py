@@ -5,6 +5,9 @@ observable: makespan, per-op start/finish, busy/overlap metrics, peak
 memory, the OOM set, the prune verdict and partial makespan, and
 deadlock error text.  :func:`reference_simulator` swaps it in for
 ``Simulator.run`` so whole pipelines can be paired against it too.
+The loop prices one op at a time with :func:`op_duration`, drawing one
+scalar jitter factor per op, and returns a plain
+:class:`ReferenceResult`.
 
 The original string-keyed graph compiler lives next to it, as
 ``ReferenceCompiler`` in :mod:`tests.oracle.compiler`, and the original
@@ -21,34 +24,80 @@ from __future__ import annotations
 import contextlib
 import heapq
 import itertools
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import DeviceLostError, SimulationError
 from repro.parallel.distgraph import DistGraph, DistOp
-from repro.simulation.costs import CostProvider
+from repro.simulation.costs import (
+    CostProvider,
+    MappingCostModel,
+    ProfileCostModel,
+)
 from repro.simulation.engine import Simulator
 from repro.simulation.kernel import PRUNE_GUARD
 from repro.simulation.memory import MemoryTracker
-from repro.simulation.metrics import RunTimes, SimulationResult, union_length
+from repro.simulation.metrics import RunTimes, union_length
+
+
+def op_duration(cost: CostProvider, op: DistOp) -> float:
+    """One op's duration under ``cost``, priced on its own: what
+    ``cost.prices`` gives for it, and under a jittered truth model one
+    scalar log-normal draw per call, the factor ``cost.draw`` batches.
+    Raises :class:`DeviceLostError` for an op on a crashed device."""
+    if isinstance(cost, MappingCostModel):
+        if op.name in cost.durations:
+            return float(cost.durations[op.name])
+        if cost.default is not None:
+            return float(cost.default)
+        raise SimulationError(f"no duration registered for {op.name!r}")
+    if isinstance(cost, ProfileCostModel):
+        return cost._price(op.recipe(), op.source_op)
+    device, base = cost._price(op.recipe(), op.source_op)
+    if device is not None:
+        raise DeviceLostError(device, op.name)
+    if cost.jitter_sigma <= 0:
+        return base
+    return base * float(cost._rng.lognormal(0.0, cost.jitter_sigma))
+
+
+@dataclass
+class ReferenceResult:
+    """The observables of one :func:`run_reference` iteration, each
+    meaning what it means on a :class:`SimulationResult`."""
+
+    makespan: float
+    device_busy: Dict[str, float]
+    link_busy: Dict[str, float]
+    communication_time: float
+    computation_wall: float
+    peak_memory: Dict[str, float]
+    oom_devices: List[str]
+    schedule: Dict[str, Tuple[float, float]]
+    pruned: bool
 
 
 def run_reference(
     cost: CostProvider,
     graph: DistGraph,
     *,
-    priorities: Optional[Mapping[str, int]] = None,
+    order: Optional[Sequence[int]] = None,
     resident_bytes: Optional[Dict[str, int]] = None,
     capacities: Optional[Dict[str, int]] = None,
     strict: bool = False,
     prune_above: Optional[float] = None,
-) -> SimulationResult:
+) -> ReferenceResult:
     """Simulate one iteration of ``graph`` under ``cost``; the arguments
-    mean what they mean for :meth:`Simulator.run`."""
-    if strict and priorities is None:
-        raise SimulationError("strict mode requires explicit priorities")
+    mean what they mean for :meth:`Simulator.run`.  The loop keys
+    everything by op name, ``order`` too."""
+    if strict and order is None:
+        raise SimulationError("strict mode requires an order")
+    priorities: Optional[Dict[str, int]] = None
+    if order is not None:
+        priorities = dict(zip(graph.op_names, np.asarray(order).tolist()))
     prune_limit = float("inf") if prune_above is None else prune_above
     # see the kernel engine: tail cuts must violate by more than the
     # fp guard margin; the clock check stays exact
@@ -98,16 +147,15 @@ def run_reference(
     if (prune_above is not None
             and getattr(cost, "deterministic", False)):
         try:
-            order = graph.topological_order()
+            topo = graph.topological_order()
         except Exception:
-            order = None  # cyclic: deadlock detection handles it
-        if order is not None:
+            topo = None  # cyclic: deadlock detection handles it
+        if topo is not None:
             tails = {}
-            duration_of = cost.duration
-            for name in reversed(order):
+            for name in reversed(topo):
                 tail = 0.0
                 for s in graph.successors(name):
-                    t = duration_of(ops[s]) + tails[s]
+                    t = op_duration(cost, ops[s]) + tails[s]
                     if t > tail:
                         tail = t
                 tails[name] = tail
@@ -159,7 +207,7 @@ def run_reference(
         advance_heads(name)
         for r in resources_of[name]:
             resource_busy[r] = True
-        duration = cost.duration(op)
+        duration = op_duration(cost, op)
         if duration < 0:
             raise SimulationError(
                 f"negative duration for {name}: {duration}"
@@ -236,7 +284,7 @@ def run_reference(
         )
 
     capacities = capacities or {}
-    return SimulationResult(
+    return ReferenceResult(
         makespan=now,
         device_busy=device_busy,
         link_busy={
@@ -293,22 +341,21 @@ def reference_busy(times: RunTimes) -> Tuple[Dict[str, float],
             union_length(comm), union_length(compute))
 
 
-def trace_order(schedule: Dict[str, Tuple[float, float]]) -> Dict[str, int]:
-    """Priorities that replay a run: its ops sorted by (start, finish),
-    ties kept in the schedule's start order."""
+def trace_order(names: Sequence[str],
+                schedule: Dict[str, Tuple[float, float]]) -> List[int]:
+    """Per-op priorities, by the op index of ``names``, that replay a
+    run: its ops sorted by (start, finish), ties kept in the schedule's
+    start order."""
     ordered = sorted(schedule, key=schedule.__getitem__)
-    return {name: i for i, name in enumerate(ordered)}
+    position = {name: i for i, name in enumerate(ordered)}
+    return [position[name] for name in names]
 
 
 @contextlib.contextmanager
 def reference_simulator() -> Iterator[None]:
     """Route every ``Simulator.run`` call to :func:`run_reference`,
-    ignoring the kernel-only ``kernel`` argument; an ``order`` goes
-    in as the priorities it names."""
-    def run(self, graph, *, kernel=None, order=None, **kw):
-        if order is not None:
-            kw["priorities"] = dict(zip(graph.op_names,
-                                        np.asarray(order).tolist()))
+    ignoring the kernel-only ``kernel`` argument."""
+    def run(self, graph, *, kernel=None, **kw):
         return run_reference(self.cost, graph, **kw)
 
     with mock.patch.object(Simulator, "run", run):

@@ -13,13 +13,13 @@ the faster one (``rank`` wins ties).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import CompileError
 from repro.parallel.strategy import Strategy
 from repro.plan import EvalOutcome, PlanBuilder
 from repro.scheduling import FifoScheduler, ListScheduler
-from repro.simulation import SimulationResult, Simulator, lower
+from repro.simulation import Simulator, lower
 
 from tests.oracle import trace_order
 
@@ -29,9 +29,9 @@ class UnprunedOutcome(EvalOutcome):
     """An :class:`EvalOutcome` plus the order decision behind it."""
 
     chosen: Optional[str] = None   # "rank" | "earliest"; None under FIFO
-    priorities: Optional[Dict[str, int]] = None
+    order: Optional[List[int]] = None   # the chosen priorities, by op index
     #: every candidate order's complete simulation, by name
-    runs: Dict[str, SimulationResult] = field(default_factory=dict)
+    runs: Dict[str, object] = field(default_factory=dict)
 
 
 def unpruned_outcome(builder: PlanBuilder,
@@ -45,29 +45,25 @@ def unpruned_outcome(builder: PlanBuilder,
     kernel = lower(dist)
     simulator = Simulator(builder.cost)
 
-    def run(priorities, **kw) -> SimulationResult:
-        return simulator.run(dist, priorities=priorities,
-                             resident_bytes=resident,
-                             capacities=builder.capacities,
-                             kernel=kernel, **kw)
+    def run(order):
+        return simulator.run(dist, order=order, resident_bytes=resident,
+                             capacities=builder.capacities, kernel=kernel)
 
     if builder.use_order_scheduling:
-        rank_priorities = dict(zip(kernel.names,
-                                   ListScheduler()._rank_priorities(
-                                       kernel, builder.cost)))
-        runs = {"rank": run(rank_priorities), "earliest": run(None)}
+        rank_order = ListScheduler()._rank_priorities(kernel, builder.cost)
+        runs = {"rank": run(rank_order), "earliest": run(None)}
         if runs["rank"].makespan <= runs["earliest"].makespan:
-            chosen, priorities = "rank", rank_priorities
+            chosen, order = "rank", rank_order
         else:
             chosen = "earliest"
-            priorities = trace_order(runs["earliest"].schedule)
+            order = trace_order(kernel.names, runs["earliest"].schedule)
         result = runs[chosen]
     else:
         chosen = None
-        priorities = FifoScheduler().schedule(dist).priorities
-        result = run(priorities)
+        order = FifoScheduler().schedule(dist).order.tolist()
+        result = run(order)
         runs = {"fifo": result}
     return UnprunedOutcome(time=result.makespan, dist_ops=len(dist),
                            peak_memory=result.peak_memory,
                            oom_devices=result.oom_devices, chosen=chosen,
-                           priorities=priorities, runs=runs)
+                           order=order, runs=runs)

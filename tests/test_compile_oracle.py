@@ -41,6 +41,7 @@ from repro.simulation import ProfileCostModel
 from repro.simulation.kernel import lower
 from repro.simulation.memory import charge_device, output_bytes
 
+from tests.oracle import op_duration
 from tests.oracle.compiler import ReferenceCompiler
 
 CLUSTERS = {"cluster_4gpu": cluster_4gpu, "cluster_8gpu": cluster_8gpu}
@@ -177,7 +178,7 @@ def _assert_same(new, ref, make_cost=None):
         # on its own provider so neither reads the other's caches
         priced = [d.hex() for d in make_cost().prices(kernel)]
         cost = make_cost()
-        assert priced == [cost.duration(op).hex() for op in kernel.ops]
+        assert priced == [op_duration(cost, op).hex() for op in kernel.ops]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,

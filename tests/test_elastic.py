@@ -11,8 +11,9 @@ from repro.cluster import cluster_2gpu, cluster_4gpu
 from repro.config import HeteroGConfig
 from repro.elastic import ChurnSchedule, ElasticPolicy
 from repro.errors import ReproError
+from repro.parallel.strategy import single_device_strategy
 from repro.plan import PlanBuilder, fingerprint_cluster
-from repro.profiling import Profiler
+from repro.profiling import MeasurementNoise, Profiler
 from repro.resilience import (
     CAPACITY_KINDS,
     FaultInjector,
@@ -351,6 +352,41 @@ class TestElasticTrainer:
         assert not report.stalled
         assert report.recoveries == []
         assert trainer.deployment is deployment     # old plan kept
+
+    def test_fast_path_is_priced_under_the_replanner_config(
+            self, two_gpu, four_gpu, mlp, deployment, monkeypatch):
+        """The all-on-the-fastest-arrival candidate is built by the
+        replanner's service under its config (a non-default seed and
+        profiling noise here), on the warm context its replan used: it
+        is priced on the same profile as the searched plan it races,
+        and the grown cluster is not profiled again."""
+        config = HeteroGConfig(seed=3, profile_noise_sigma=0.05,
+                               agent=AgentConfig(seed=3, **TINY_AGENT))
+        replanner = Replanner(mlp, two_gpu, config=config, episodes=2)
+        trainer = ResilientTrainer(
+            deployment, FaultInjector(two_gpu, FaultSchedule.empty()),
+            replanner=replanner, policy="elastic")
+        replanner.replan(four_gpu)
+        profiled = []
+        profile = Profiler.profile
+        monkeypatch.setattr(
+            Profiler, "profile",
+            lambda self, *a: profiled.append(a) or profile(self, *a))
+        plan, predicted = trainer._fast_path_candidate(four_gpu)
+        assert profiled == []
+        monkeypatch.undo()
+
+        fastest = max((four_gpu.device(d) for d in ("gpu2", "gpu3")),
+                      key=lambda d: d.compute_power).device_id
+        strategy = single_device_strategy(mlp, four_gpu, device=fastest)
+        assert touched_devices(plan.dist) == {fastest}
+        own = Profiler(noise=MeasurementNoise(0.05), seed=3).profile(
+            mlp, four_gpu)
+        want = PlanBuilder(mlp, four_gpu, own).build(strategy)
+        assert predicted == want.sim_result.makespan
+        # the profiler's defaults would have priced it differently
+        assert predicted != PlanBuilder(mlp, four_gpu).build(
+            strategy).sim_result.makespan
 
     def test_rejects_unknown_policy(self, two_gpu, deployment):
         injector = FaultInjector(two_gpu, FaultSchedule.empty())

@@ -7,10 +7,17 @@ from repro.cluster import GBPS, NVLINK, TESLA_V100, Cluster, LinkSpec, ServerSpe
 from repro.errors import SimulationError
 from repro.parallel.distgraph import DistGraph, DistOp, DistOpKind
 from repro.profiling import Profiler
-from repro.simulation import Simulator, TruthCostModel
+from repro.simulation import Simulator, TruthCostModel, lower
 from repro.simulation.costs import MappingCostModel, ProfileCostModel
 
 from tests.helpers import make_mlp
+
+
+def price(cost, op):
+    """``op``'s duration under ``cost``, priced as a one-op kernel."""
+    g = DistGraph(op.name)
+    g.add(op)
+    return cost.prices(lower(g))[0]
 
 
 def compute(name, device):
@@ -50,9 +57,9 @@ class TestEngineEdgeCases:
         g.add(compute("after_high", "d1"), ["high"])
         durations = {"first": 1.0, "low": 5.0, "high": 1.0,
                      "after_high": 5.0}
-        priorities = {"first": 0, "high": 1, "low": 2, "after_high": 3}
+        # by op index: first 0, low 2, high 1, after_high 3
         res = Simulator(MappingCostModel(durations)).run(
-            g, priorities=priorities)
+            g, order=[0, 2, 1, 3])
         # high (priority 1) runs before low -> after_high finishes at 7
         assert res.makespan == pytest.approx(7.0)
 
@@ -64,11 +71,11 @@ class TestEngineEdgeCases:
         g.add(compute("b", "d0"), ["a"])   # priority 1, ready at t=1
         g.add(compute("c", "d0"))          # priority 2, ready at t=0
         durations = {"a": 1.0, "b": 1.0, "c": 1.0}
-        priorities = {"a": 0, "b": 1, "c": 2}
+        order = [0, 1, 2]
         relaxed = Simulator(MappingCostModel(durations)).run(
-            g, priorities=priorities)
+            g, order=order)
         strict = Simulator(MappingCostModel(durations)).run(
-            g, priorities=priorities, strict=True)
+            g, order=order, strict=True)
         assert relaxed.makespan == pytest.approx(2.0)  # c fills the idle d0
         assert strict.makespan == pytest.approx(3.0)   # d0 waits for b
 
@@ -107,7 +114,7 @@ class TestCostProviders:
                               interserver_discount=0.5)
         t = DistOp(name="t", kind=DistOpKind.TRANSFER, src_device="gpu0",
                    dst_device="gpu2", size_bytes=100e6)
-        assert slow.duration(t) > fast.duration(t)
+        assert price(slow, t) > price(fast, t)
 
     def test_invalid_discount_rejected(self, four_gpu):
         with pytest.raises(SimulationError):
@@ -116,14 +123,14 @@ class TestCostProviders:
     def test_mapping_cost_requires_registration(self):
         cost = MappingCostModel({})
         with pytest.raises(SimulationError):
-            cost.duration(compute("x", "d0"))
+            price(cost, compute("x", "d0"))
 
     def test_profile_cost_unknown_kind(self, mlp_graph, four_gpu):
         profile = Profiler(seed=0).profile(mlp_graph, four_gpu)
         cost = ProfileCostModel(four_gpu, profile)
         op = DistOp(name="t", kind=DistOpKind.TRANSFER, src_device="gpu0",
                     dst_device="gpu1", size_bytes=1024)
-        assert cost.duration(op) > 0
+        assert price(cost, op) > 0
 
 
 class TestBandwidthAdaptation:

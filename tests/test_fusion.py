@@ -79,7 +79,7 @@ class TestFusion:
         fused = fuse_allreduces(dist, bucket_bytes=1 << 22)
         cost = ProfileCostModel(cluster, profile)
         schedule = ListScheduler().schedule(fused, cost)
-        result = Simulator(cost).run(fused, priorities=schedule.priorities)
+        result = Simulator(cost).run(fused, order=schedule.order)
         assert result.makespan > 0
 
     def test_moderate_fusion_helps_many_small_gradients(self):
@@ -94,8 +94,7 @@ class TestFusion:
 
         def run(g):
             schedule = ListScheduler().schedule(g, cost)
-            return Simulator(cost).run(g,
-                                       priorities=schedule.priorities).makespan
+            return Simulator(cost).run(g, order=schedule.order).makespan
 
         base = run(dist)
         fused = run(fuse_allreduces(dist, bucket_bytes=1 << 20))

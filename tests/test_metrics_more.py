@@ -3,7 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simulation.metrics import SimulationResult, union_length
+from repro.parallel.distgraph import DistGraph, DistOp, DistOpKind
+from repro.simulation import Simulator
+from repro.simulation.costs import MappingCostModel
+from repro.simulation.metrics import union_length
+
+
+def run(graph, durations, capacities=None):
+    return Simulator(MappingCostModel(durations)).run(
+        graph, capacities=capacities)
 
 
 class TestUnionLength:
@@ -28,31 +36,42 @@ class TestUnionLength:
 
 
 class TestSimulationResult:
-    def _result(self, **kw):
-        defaults = dict(makespan=2.0,
-                        device_busy={"gpu0": 1.5, "gpu1": 1.0},
-                        communication_time=0.8)
-        defaults.update(kw)
-        return SimulationResult(**defaults)
+    def _result(self, scale=1.0, capacities=None):
+        """a: gpu0 0..1.5; t: link gpu0->gpu1 0..0.8 (8 bytes charged to
+        gpu1); b: gpu1 0.8..2.0 after t."""
+        g = DistGraph("g")
+        g.add(DistOp("a", DistOpKind.COMPUTE, device="gpu0"))
+        g.add(DistOp("t", DistOpKind.TRANSFER, src_device="gpu0",
+                     dst_device="gpu1", size_bytes=8.0))
+        g.add(DistOp("b", DistOpKind.COMPUTE, device="gpu1"), ["t"])
+        durations = {"a": 1.5, "t": 0.8, "b": 1.2}
+        return run(g, {n: d * scale for n, d in durations.items()},
+                   capacities)
 
     def test_computation_time_is_max_busy(self):
-        assert self._result().computation_time == pytest.approx(1.5)
+        r = self._result()
+        assert r.device_busy == pytest.approx({"gpu0": 1.5, "gpu1": 1.2})
+        assert r.computation_time == pytest.approx(1.5)
 
     def test_overlap_ratio(self):
-        assert self._result().overlap_ratio == pytest.approx((1.5 + 0.8) / 2)
+        r = self._result()
+        assert (r.makespan, r.communication_time) \
+            == pytest.approx((2.0, 0.8))
+        assert r.overlap_ratio == pytest.approx((1.5 + 0.8) / 2)
 
     def test_zero_makespan(self):
-        r = self._result(makespan=0.0)
+        r = self._result(scale=0.0)
+        assert r.makespan == 0.0
         assert r.overlap_ratio == 0.0
 
     def test_utilization_values(self):
         util = self._result().utilization()
         assert util["gpu0"] == pytest.approx(0.75)
-        assert util["gpu1"] == pytest.approx(0.5)
+        assert util["gpu1"] == pytest.approx(0.6)
 
     def test_oom_property(self):
         assert not self._result().oom
-        assert self._result(oom_devices=["gpu0"]).oom
+        assert self._result(capacities={"gpu1": 4}).oom
 
     def test_summary_keys(self):
         summary = self._result().summary()
@@ -60,6 +79,6 @@ class TestSimulationResult:
                 "overlap_ratio", "oom"} == set(summary)
 
     def test_empty_result(self):
-        r = SimulationResult(makespan=0.0)
+        r = run(DistGraph("empty"), {})
         assert r.computation_time == 0.0
         assert r.utilization() == {}

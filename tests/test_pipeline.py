@@ -93,12 +93,12 @@ class TestTransformation:
         cost = ProfileCostModel(homogeneous_cluster(4, gpus_per_server=4),
                                 profile)
         base = Simulator(cost).run(
-            dist, priorities=ListScheduler().schedule(dist, cost).priorities
+            dist, order=ListScheduler().schedule(dist, cost).order
         ).makespan
         piped = pipeline_graph(dist, 8)
         t = Simulator(cost).run(
             piped,
-            priorities=ListScheduler().schedule(piped, cost).priorities,
+            order=ListScheduler().schedule(piped, cost).order,
         ).makespan
         # measurable gain; full 1F1B efficiency would need memory-aware
         # micro-batch interleaving beyond this extension's scope

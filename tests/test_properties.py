@@ -65,7 +65,7 @@ def test_random_strategy_compiles_and_simulates(payload):
 
     cost = ProfileCostModel(CLUSTER, profile)
     schedule = ListScheduler().schedule(dist, cost)
-    result = Simulator(cost).run(dist, priorities=schedule.priorities,
+    result = Simulator(cost).run(dist, order=schedule.order,
                                  resident_bytes=dist.resident_bytes)
 
     # fundamental scheduling bounds
@@ -95,7 +95,7 @@ def test_priority_order_never_beats_critical_path(payload):
     dist = compiler.compile(graph, strategy)
     cost = ProfileCostModel(CLUSTER, profile)
     schedule = ListScheduler().schedule(dist, cost)
-    again = Simulator(cost).run(dist, priorities=schedule.priorities)
+    again = Simulator(cost).run(dist, order=schedule.order)
     assert again.makespan == pytest.approx(schedule.estimated_makespan,
                                            rel=1e-9)
 

@@ -254,13 +254,13 @@ class TestWinnerIdentity:
         dist = compiler.compile(graph, strategy)
         cost = ProfileCostModel(CLUSTER, profile)
         sim = Simulator(cost)
-        prios = ListScheduler().schedule(dist, cost).priorities
-        full = sim.run(dist, priorities=prios, strict=True)
-        loose = sim.run(dist, priorities=prios, strict=True,
+        order = ListScheduler().schedule(dist, cost).order
+        full = sim.run(dist, order=order, strict=True)
+        loose = sim.run(dist, order=order, strict=True,
                         prune_above=full.makespan * 2)
         assert not loose.pruned
         assert loose.makespan == full.makespan
-        cut = sim.run(dist, priorities=prios, strict=True,
+        cut = sim.run(dist, order=order, strict=True,
                       prune_above=full.makespan / 2)
         assert cut.pruned
         assert cut.makespan <= full.makespan + 1e-12

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.cluster import cluster_4gpu
 from repro.parallel import GraphCompiler, make_mp_strategy, single_device_strategy
+from repro.parallel.distgraph import DistGraph
 from repro.profiling import exact_profile
 from repro.reporting import (
     chrome_trace,
@@ -15,7 +16,8 @@ from repro.reporting import (
     strategy_diff,
     text_gantt,
 )
-from repro.simulation import ProfileCostModel, SimulationResult, Simulator
+from repro.simulation import ProfileCostModel, Simulator
+from repro.simulation.costs import MappingCostModel
 
 from tests.helpers import make_mlp
 
@@ -41,11 +43,11 @@ class TestReporting:
         assert "#" in chart
 
     def test_gantt_requires_trace(self, traced):
-        """A result built from its fields has no per-op schedule to
-        draw."""
-        _, _, _, dist, result = traced
+        """The run of an empty graph has no per-op schedule to draw."""
+        _, _, _, dist, _ = traced
+        empty = Simulator(MappingCostModel({})).run(DistGraph("empty"))
         with pytest.raises(ValueError, match="no per-op schedule"):
-            text_gantt(dist, SimulationResult(makespan=result.makespan))
+            text_gantt(dist, empty)
 
     def test_chrome_trace_events(self, traced):
         _, _, _, dist, result = traced

@@ -1,6 +1,7 @@
 """Resilience subsystem: fault injection, detection, elastic replanning."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +25,6 @@ from repro.resilience import (
     ResilientTrainer,
 )
 from repro.runtime import ExecutionEngine
-from repro.simulation.metrics import SimulationResult
 
 from tests.helpers import make_mlp
 
@@ -233,7 +233,8 @@ class TestDetector:
         detector = FailureDetector(blowup_threshold=1.4, warmup=2)
 
         def result(gpu0_busy):
-            return SimulationResult(
+            # what the detector reads of a result
+            return SimpleNamespace(
                 makespan=gpu0_busy,
                 device_busy={"gpu0": gpu0_busy, "gpu1": 1.0},
                 link_busy={"link:gpu0->gpu1": 0.2},

@@ -10,7 +10,6 @@ from repro.plan import PlanBuilder
 from repro.scheduling import (
     FifoScheduler,
     ListScheduler,
-    compute_ranks,
     critical_path,
     optimal_lower_bound,
     total_work,
@@ -36,11 +35,16 @@ def diamond():
     return g
 
 
+def named_ranks(g, cost):
+    kernel = lower(g)
+    return dict(zip(kernel.names, kernel_ranks(kernel, cost)))
+
+
 class TestRanks:
     def test_rank_definition(self):
         g = diamond()
         cost = MappingCostModel({"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
-        ranks = compute_ranks(g, cost)
+        ranks = named_ranks(g, cost)
         assert ranks["d"] == pytest.approx(4.0)
         assert ranks["b"] == pytest.approx(6.0)
         assert ranks["c"] == pytest.approx(7.0)
@@ -49,7 +53,7 @@ class TestRanks:
     def test_rank_is_monotone_along_edges(self):
         g = diamond()
         cost = MappingCostModel({}, default=1.0)
-        ranks = compute_ranks(g, cost)
+        ranks = named_ranks(g, cost)
         for name in g.op_names:
             for succ in g.successors(name):
                 assert ranks[name] > ranks[succ]
@@ -63,14 +67,13 @@ class TestSchedulers:
         assert schedule.estimated_makespan is not None
         if schedule.chosen == "rank":
             # higher rank -> smaller priority number
-            assert schedule.priorities["a"] < schedule.priorities["c"]
-            assert schedule.priorities["c"] < schedule.priorities["b"]
+            prio = dict(zip(g.op_names, schedule.order.tolist()))
+            assert prio["a"] < prio["c"] < prio["b"]
 
     def test_fifo_scheduler_randomized_default(self):
         """The default models TF's nondeterministic executor order."""
         schedule = FifoScheduler(seed=1).schedule(diamond())
-        assert schedule.priorities is not None
-        assert set(schedule.priorities) == set(diamond().op_names)
+        assert sorted(schedule.order.tolist()) == list(range(4))
 
     def test_list_beats_bad_order_on_contention(self):
         """Classic trap: a long chain's head must run before a filler op."""
@@ -84,8 +87,8 @@ class TestSchedulers:
         )
         schedule = ListScheduler().schedule(g, cost)
         sim = Simulator(cost)
-        ls = sim.run(g, priorities=schedule.priorities)
-        fifo = sim.run(g, priorities=None)  # insertion order: filler first
+        ls = sim.run(g, order=schedule.order)
+        fifo = sim.run(g)  # insertion order: filler first
         assert ls.makespan == pytest.approx(7.0)
         assert fifo.makespan == pytest.approx(10.0)
         assert ls.makespan < fifo.makespan
@@ -108,7 +111,7 @@ class TestBounds:
         """TLS <= sum p_i (first inequality of the Theorem 1 proof)."""
         inst = worst_case_instance(h=4, k=8)
         schedule_time = Simulator(inst.cost).run(
-            inst.graph, priorities=inst.priorities
+            inst.graph, order=inst.order
         ).makespan
         assert schedule_time <= total_work(inst.graph, inst.cost) + 1e-9
 
@@ -119,8 +122,7 @@ class TestBounds:
         h, k = 4, 30
         inst = worst_case_instance(h=h, k=k, p=1.0, e=1e-6)
         res = Simulator(inst.cost).run(inst.graph,
-                                       priorities=inst.priorities,
-                                       strict=True)
+                                       order=inst.order, strict=True)
         assert res.makespan == pytest.approx(inst.t_ls_formula, rel=0.05)
         ratio = res.makespan / inst.t_opt_formula
         # ratio -> H as k grows and e -> 0
@@ -130,8 +132,7 @@ class TestBounds:
         """Work-conserving execution of the same instance stays near T*:
         the pathology needs both the adversarial ties and strict order."""
         inst = worst_case_instance(h=4, k=30, p=1.0, e=1e-6)
-        res = Simulator(inst.cost).run(inst.graph,
-                                       priorities=inst.priorities)
+        res = Simulator(inst.cost).run(inst.graph, order=inst.order)
         assert res.makespan < 0.9 * inst.t_ls_formula
 
     def test_strict_requires_priorities(self):
@@ -172,12 +173,11 @@ def _contention_graph():
 def _assert_int32_permutation(schedule, kernel):
     assert schedule.order.dtype == np.int32
     assert sorted(schedule.order.tolist()) == list(range(kernel.n))
-    assert schedule.names is kernel.names
 
 
 class TestScheduleOrder:
-    """``Schedule.order`` is an int32 permutation by op index, and
-    ``priorities`` is the name-keyed dict each scheduler used to build."""
+    """``Schedule.order`` is an int32 permutation by op index: the
+    priorities each scheduler decides."""
 
     def test_rank_order(self):
         g, cost = _contention_graph()
@@ -188,8 +188,8 @@ class TestScheduleOrder:
         ranks = kernel_ranks(kernel, cost)
         topo = kernel.topo_positions()
         ordered = sorted(range(kernel.n), key=lambda i: (-ranks[i], topo[i]))
-        assert schedule.priorities == {kernel.names[i]: pos
-                                       for pos, i in enumerate(ordered)}
+        assert [ordered.index(i) for i in range(kernel.n)] \
+            == schedule.order.tolist()
 
     def test_earliest_order(self, tiny_vgg, four_gpu, vgg_profile):
         builder = PlanBuilder(tiny_vgg, four_gpu, vgg_profile)
@@ -197,8 +197,8 @@ class TestScheduleOrder:
         schedule = plan.schedule
         assert schedule.chosen == "earliest"
         _assert_int32_permutation(schedule, plan.kernel)
-        assert schedule.priorities == trace_order(
-            schedule.sim_result.schedule)
+        assert schedule.order.tolist() == trace_order(
+            plan.kernel.names, schedule.sim_result.schedule)
 
     def test_fifo_order(self, tiny_vgg, four_gpu):
         dist = GraphCompiler(four_gpu).compile(
@@ -207,5 +207,4 @@ class TestScheduleOrder:
             schedule = FifoScheduler(seed=3).schedule(g)
             _assert_int32_permutation(schedule, lower(g))
             perm = np.random.default_rng(3).permutation(len(g.op_names))
-            assert schedule.priorities == {
-                name: int(perm[i]) for i, name in enumerate(g.op_names)}
+            assert schedule.order.tolist() == perm.tolist()

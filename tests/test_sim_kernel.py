@@ -51,13 +51,19 @@ from repro.simulation.kernel import lower
 from repro.simulation.metrics import RunTimes
 
 from tests.helpers import make_mlp
-from tests.oracle import reference_busy, run_reference, trace_order
+from tests.oracle import (
+    op_duration,
+    reference_busy,
+    run_reference,
+    trace_order,
+)
 
 
 def assert_results_identical(a, b) -> None:
-    """Every observable of two SimulationResults must match exactly,
-    dicts in the same insertion order (the failure detector scans
-    ``device_busy`` and ``link_busy`` in that order)."""
+    """Every observable of a SimulationResult and another run's result
+    (the oracle's record, or another SimulationResult) must match
+    exactly, dicts in the same insertion order (the failure detector
+    scans ``device_busy`` and ``link_busy`` in that order)."""
     assert a.makespan == b.makespan
     assert list(a.device_busy.items()) == list(b.device_busy.items())
     assert list(a.link_busy.items()) == list(b.link_busy.items())
@@ -70,8 +76,7 @@ def assert_results_identical(a, b) -> None:
     names = a._times.names
     if len(b.schedule) == len(names):
         # the scheduler's ``earliest`` order, read from the run's arrays
-        assert dict(zip(names, a.start_order().tolist())) \
-            == trace_order(b.schedule)
+        assert a.start_order().tolist() == trace_order(names, b.schedule)
 
 
 def _outcome(run):
@@ -113,11 +118,11 @@ def run_pair(make_cost, dist, **kw):
 
 
 def reference_ranks(cost, kernel) -> list:
-    """Upward ranks from ``cost.duration`` op by op, in reverse
+    """Upward ranks from :func:`op_duration` op by op, in reverse
     topological order (the draw order ranking has always used)."""
     ranks = [0.0] * kernel.n
     for i in reversed(kernel.topo):
-        duration = cost.duration(kernel.ops[i])
+        duration = op_duration(cost, kernel.ops[i])
         if kernel.is_comm[i]:
             duration *= DEFAULT_COMM_WEIGHT
         ranks[i] = duration + max((ranks[s] for s in kernel.succ[i]),
@@ -198,18 +203,18 @@ PRUNE_FRACTIONS = (0.3, 0.6, 0.9, 0.999)
 def test_engines_identical_on_compiled_graphs(compiled, cost_name, make):
     cluster, profile, dist, resident, caps = compiled
     ranks_pair(lambda: make(cluster, profile), dist)
-    names = dist.op_names
-    perm = list(range(len(names)))
+    n = len(dist)
+    perm = list(range(n))
     random.Random(99).shuffle(perm)
-    prio_sets = [
+    orders = [
         None,                                          # FIFO (tie counter)
-        {n: i for i, n in enumerate(names)},           # distinct priorities
-        {n: perm[i] for i, n in enumerate(names)},     # shuffled distinct
-        {n: perm[i] % 7 for i, n in enumerate(names)},  # heavy ties
+        list(range(n)),                                # distinct priorities
+        perm,                                          # shuffled distinct
+        [p % 7 for p in perm],                         # heavy ties
     ]
-    for prios in prio_sets:
-        for strict in (False, True) if prios is not None else (False,):
-            kw = dict(priorities=prios, resident_bytes=dict(resident),
+    for order in orders:
+        for strict in (False, True) if order is not None else (False,):
+            kw = dict(order=order, resident_bytes=dict(resident),
                       capacities=caps, strict=strict)
             full = run_pair(lambda: make(cluster, profile), dist, **kw)
             # mid-simulation pruning: the prune verdict and the partial
@@ -222,15 +227,14 @@ def test_engines_identical_on_compiled_graphs(compiled, cost_name, make):
 @pytest.mark.parametrize("cost_name,make", COST_MAKERS,
                          ids=[c[0] for c in COST_MAKERS])
 def test_order_runs_match_priority_runs(compiled, cost_name, make):
-    """``run(order=)`` against ``run(priorities=)`` with the dict that
-    order names: distinct and tied priorities, strict on and off, pruned
-    and not, twice back to back under jitter."""
+    """``run(order=)`` with an int32 array against the oracle's run of
+    the name-keyed priorities that order names: distinct and tied
+    priorities, strict on and off, and back to back under jitter, a
+    full run and then one pruned at a fraction of its makespan."""
     cluster, profile, dist, resident, caps = compiled
-    names = lower(dist).names
-    perm = list(range(len(names)))
+    perm = list(range(len(dist)))
     random.Random(5).shuffle(perm)
     for order in (perm, [p % 7 for p in perm]):
-        prios = dict(zip(names, order))
         for strict in (False, True):
             for frac in (None, 0.6):
                 cost, ref_cost = make(cluster, profile), make(cluster, profile)
@@ -239,8 +243,8 @@ def test_order_runs_match_priority_runs(compiled, cost_name, make):
                 for _ in range(2):
                     a = _outcome(lambda: Simulator(cost).run(
                         dist, order=np.array(order, dtype=np.int32), **kw))
-                    b = _outcome(lambda: Simulator(ref_cost).run(
-                        dist, priorities=prios, **kw))
+                    b = _outcome(lambda: run_reference(
+                        ref_cost, dist, order=order, **kw))
                     if isinstance(b, SimulationError):
                         assert type(a) is type(b) and str(a) == str(b)
                         continue
@@ -252,8 +256,9 @@ def test_order_runs_match_priority_runs(compiled, cost_name, make):
 
 def test_engine_order_iterations_match_priority_runs(compiled):
     """Jittered engine iterations under a fault overlay run a plan's
-    ``order``; each equals a run of the ``priorities`` dict on a twin
-    engine, for the scheduler's order and a FIFO one."""
+    ``order``; each equals the oracle's run of the priorities that
+    order names on a twin engine's provider, for the scheduler's order
+    and a FIFO one."""
     cluster, profile, dist, resident, caps = compiled
     overlay = FaultOverlay(
         compute_scale={cluster.device_ids[2]: 2.0},
@@ -267,8 +272,8 @@ def test_engine_order_iterations_match_priority_runs(compiled):
         for _ in range(3):
             a = engine.run_iteration(dist, schedule, resident,
                                      check_memory=False)
-            b = Simulator(twin.cost).run(
-                dist, priorities=schedule.priorities,
+            b = run_reference(
+                twin.cost, dist, order=schedule.order,
                 resident_bytes=resident, capacities=twin.capacities)
             assert_results_identical(a, b)
         assert engine.rng.bit_generator.state \
@@ -307,9 +312,6 @@ def test_order_of_wrong_length_raises(compiled):
         sim.run(dist, order=np.arange(n - 1, dtype=np.int32))
     with pytest.raises(SimulationError, match="order has"):
         sim.run(dist, order=list(range(n + 1)))
-    with pytest.raises(SimulationError, match="not both"):
-        sim.run(dist, order=list(range(n)),
-                priorities=dict.fromkeys(dist.op_names, 0))
 
 
 def test_memory_pressure_oom_sets_identical(compiled):
@@ -372,19 +374,14 @@ def test_engines_identical_under_heavy_contention():
     rng = random.Random(2024)
     for index in range(200):
         dist, durations = _contended_graph(rng, index)
-        names = dist.op_names
-        perm = list(range(len(names)))
+        n = len(dist)
+        perm = list(range(n))
         rng.shuffle(perm)
-        prio_sets = [
-            None,
-            {n: i for i, n in enumerate(names)},
-            {n: perm[i] for i, n in enumerate(names)},
-            {n: perm[i] % 3 for i, n in enumerate(names)},
-        ]
+        orders = [None, list(range(n)), perm, [p % 3 for p in perm]]
         caps = {"gpu0": rng.choice((300, 2000)), "gpu1": 2000}
-        for prios in prio_sets:
-            for strict in (False, True) if prios is not None else (False,):
-                kw = dict(priorities=prios, capacities=caps, strict=strict)
+        for order in orders:
+            for strict in (False, True) if order is not None else (False,):
+                kw = dict(order=order, capacities=caps, strict=strict)
                 cost = MappingCostModel(durations)
                 full = run_pair(lambda: cost, dist, **kw)
                 for frac in PRUNE_FRACTIONS if full is not None else ():
@@ -417,9 +414,9 @@ def test_strict_priority_inversion_deadlock():
     """Strict mode with priorities that invert the DAG order deadlocks;
     the error text must match the oracle byte for byte."""
     g = _chain_graph()
-    inverted = {f"op{i}": 10 - i for i in range(4)}
+    inverted = [10 - i for i in range(4)]
     cost = MappingCostModel({}, default=1.0)
-    run_pair(lambda: cost, g, priorities=inverted, strict=True)
+    run_pair(lambda: cost, g, order=inverted, strict=True)
 
 
 # --------------------------------------------------------------------- #
@@ -496,7 +493,7 @@ def test_plan_reuses_one_lowering_for_schedule_and_resimulation():
     plan = builder.build(strategy)
     assert plan.kernel is lower(plan.dist)
     resim = Simulator(builder.cost).run(
-        plan.dist, priorities=plan.schedule.priorities,
+        plan.dist, order=plan.schedule.order,
         resident_bytes=dict(plan.resident_bytes),
         capacities=dict(plan.capacities), kernel=plan.kernel)
     assert resim.makespan == plan.sim_result.makespan

@@ -18,9 +18,9 @@ def transfer(name, src, dst, size=0.0):
                   dst_device=dst, size_bytes=size)
 
 
-def run(graph, durations, priorities=None, default=None):
+def run(graph, durations, order=None, default=None):
     sim = Simulator(MappingCostModel(durations, default=default))
-    return sim.run(graph, priorities=priorities)
+    return sim.run(graph, order=order)
 
 
 class TestBasicExecution:
@@ -123,17 +123,16 @@ class TestPriorities:
     def test_priority_orders_contention(self):
         g = self._contention_graph()
         durations = {"slow_chain_head": 2.0, "filler": 2.0, "tail": 3.0}
-        good = run(g, durations,
-                   priorities={"slow_chain_head": 0, "filler": 1, "tail": 2})
-        bad = run(g, durations,
-                  priorities={"slow_chain_head": 1, "filler": 0, "tail": 2})
+        # op index order: slow_chain_head, filler, tail
+        good = run(g, durations, order=[0, 1, 2])
+        bad = run(g, durations, order=[1, 0, 2])
         assert good.makespan == pytest.approx(5.0)
         assert bad.makespan == pytest.approx(7.0)
 
     def test_fifo_is_insertion_order_at_t0(self):
         g = self._contention_graph()
         durations = {"slow_chain_head": 2.0, "filler": 2.0, "tail": 3.0}
-        res = run(g, durations, priorities=None)
+        res = run(g, durations)
         # FIFO starts slow_chain_head first (inserted first)
         assert res.makespan == pytest.approx(5.0)
 

@@ -3,6 +3,7 @@ the no-op guarantees when telemetry is disabled."""
 
 import json
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro.profiling import exact_profile
 from repro.scheduling import ListScheduler
 from repro.simulation import ProfileCostModel, Simulator
 from repro.simulation.kernel import lower
-from repro.simulation.metrics import SimulationResult
+from repro.simulation.costs import MappingCostModel
 from repro.telemetry import (
     IDLE_KEY,
     MetricsRegistry,
@@ -203,13 +204,16 @@ def _three_op_chain() -> DistGraph:
     return g
 
 
+def _traced(makespan, schedule):
+    """A duck-typed result: what :func:`critical_path` reads of one."""
+    return SimpleNamespace(makespan=makespan, schedule=schedule)
+
+
 class TestCriticalPath:
     def test_blame_on_hand_built_dag(self):
         dist = _three_op_chain()
-        result = SimulationResult(
-            makespan=6.0,
-            schedule={"a": (0.0, 1.0), "t": (1.0, 3.0), "b": (4.0, 6.0)},
-        )
+        result = _traced(
+            6.0, {"a": (0.0, 1.0), "t": (1.0, 3.0), "b": (4.0, 6.0)})
         report = critical_path(dist, result)
         assert [s.op for s in report.segments] == ["a", "t", "b"]
         assert report.blame["gpu0"] == pytest.approx(1.0)
@@ -228,10 +232,7 @@ class TestCriticalPath:
         g = DistGraph("contend")
         g.add(DistOp("x", DistOpKind.COMPUTE, device="gpu0"))
         g.add(DistOp("y", DistOpKind.COMPUTE, device="gpu0"))
-        result = SimulationResult(
-            makespan=5.0,
-            schedule={"x": (0.0, 2.0), "y": (2.0, 5.0)},
-        )
+        result = _traced(5.0, {"x": (0.0, 2.0), "y": (2.0, 5.0)})
         report = critical_path(g, result)
         assert [s.op for s in report.segments] == ["x", "y"]
         assert report.segments[1].blocked_by == "x"
@@ -240,10 +241,8 @@ class TestCriticalPath:
 
     def test_idle_gap_breakdown(self):
         dist = _three_op_chain()
-        result = SimulationResult(
-            makespan=6.0,
-            schedule={"a": (0.0, 1.0), "t": (1.0, 3.0), "b": (4.0, 6.0)},
-        )
+        result = _traced(
+            6.0, {"a": (0.0, 1.0), "t": (1.0, 3.0), "b": (4.0, 6.0)})
         report = critical_path(dist, result)
         assert report.per_resource_idle["gpu0"] == pytest.approx(5.0)
         assert report.per_resource_idle["gpu1"] == pytest.approx(4.0)
@@ -252,8 +251,10 @@ class TestCriticalPath:
 
     def test_requires_trace(self):
         dist = _three_op_chain()
+        # the run of an empty graph has an empty schedule
+        empty = Simulator(MappingCostModel({})).run(DistGraph("empty"))
         with pytest.raises(ValueError):
-            critical_path(dist, SimulationResult(makespan=1.0))
+            critical_path(dist, empty)
 
     def test_truncated_trace_blames_tail_on_idle(self):
         """A device lost mid-trace leaves the makespan tail uncovered;
@@ -261,10 +262,7 @@ class TestCriticalPath:
         dist = _three_op_chain()
         # gpu1 died before running "b": the trace stops at t's finish
         # (3.0) but the iteration is still accounted at makespan 6.0
-        result = SimulationResult(
-            makespan=6.0,
-            schedule={"a": (0.0, 1.0), "t": (1.0, 3.0)},
-        )
+        result = _traced(6.0, {"a": (0.0, 1.0), "t": (1.0, 3.0)})
         report = critical_path(dist, result)
         assert [s.op for s in report.segments] == ["a", "t"]
         assert report.blame[IDLE_KEY] == pytest.approx(3.0)
@@ -341,11 +339,11 @@ class TestAmbientSession:
         resources_of = {
             name: [kernel.resource_names[r] for r in kernel.res_ids[i]]
             for i, name in enumerate(kernel.names)}
-        rank = ListScheduler().schedule(dist, cost).priorities
-        cut = 0.9 * sim.run(dist, priorities=rank).makespan
-        cases = ({"priorities": None}, {"priorities": rank},
-                 {"priorities": rank, "strict": True},
-                 {"priorities": rank, "prune_above": cut})
+        rank = ListScheduler().schedule(dist, cost).order
+        cut = 0.9 * sim.run(dist, order=rank).makespan
+        cases = ({"order": None}, {"order": rank},
+                 {"order": rank, "strict": True},
+                 {"order": rank, "prune_above": cut})
         for kw in cases:
             baseline = sim.run(dist, **kw)
             with telemetry.session() as tel:
