@@ -59,7 +59,7 @@ import time
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ... import telemetry
 from ...errors import (
@@ -80,6 +80,7 @@ from ..messages import (
     message_from_wire,
     rebuild_error,
 )
+from ...telemetry.tally import EventTally, Fact
 from .base import ExecutionBackend
 
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
@@ -96,41 +97,18 @@ def _worker_serve(contexts: "OrderedDict[str, Any]", request,
                   max_contexts: int):
     """Serve one plan request on this worker's warm context LRU.
 
-    The same context -> handle -> PlanResult chain as
-    ``PlanningService._serve``, minus the manager-side accounting
-    (stats, journal, SLO) which stays with the service.
+    The same context -> handle chain as ``PlanningService._serve``,
+    minus the manager-side accounting (stats, journal, SLO) which stays
+    with the service.
     """
-    from ..context import PlanContext
-    from ..request import PlanResult
+    from ..context import lru_context
 
-    key = request.context_key
-    ctx = contexts.get(key)
-    if ctx is None:
-        ctx = PlanContext(request)
-        contexts[key] = ctx
-        while len(contexts) > max_contexts:
-            contexts.popitem(last=False)
-    else:
-        contexts.move_to_end(key)
+    ctx, _ = lru_context(contexts, request, max_contexts)
     start = time.perf_counter()
     with ctx.lock:
-        reused = ctx.served > 0
-        served = ctx.handle(request)
-    return PlanResult(
-        fingerprint=request.fingerprint,
-        strategy=served.strategy,
-        outcome=served.outcome,
-        deployment=served.deployment,
-        profile=served.profile,
-        episodes=served.episodes,
-        reused_context=reused,
-        plan_cache_hits=served.plan_cache_hits,
-        outcome_cache_hits=served.outcome_cache_hits,
-        service_seconds=time.perf_counter() - start,
-        measured_time=served.measured_time,
-        measured_oom=served.measured_oom,
-        request_id=request.request_id,
-    )
+        result = ctx.handle(request)
+    result.service_seconds = time.perf_counter() - start
+    return result
 
 
 def _fleet_worker_main(worker_id: str, inbox, outbox,
@@ -233,24 +211,35 @@ class _WorkerHandle:
         return self.job is None and not self.condemned
 
 
-@dataclass
-class FleetStats:
-    """Always-on fleet accounting (mirrored into telemetry gauges)."""
+class FleetStats(EventTally):
+    """Always-on fleet accounting: a fold over the fleet's journal
+    events, except ``heartbeats``, which are deliberately not
+    journaled and are counted as they arrive."""
 
-    spawned: int = 0
-    exited: int = 0
-    lost: int = 0
-    heartbeats: int = 0
-    heartbeat_misses: int = 0
-    dispatched: int = 0
-    redispatched: int = 0
-    discarded: int = 0
-    plan_completed: int = 0
-    plan_failed: int = 0
+    FIELDS = ("spawned", "exited", "lost", "heartbeat_misses",
+              "dispatched", "redispatched", "discarded")
+    KEYS = ("spawned", "exited", "lost", "heartbeats", "heartbeat_misses",
+            "dispatched", "redispatched", "discarded")
+    HELP = "planning-fleet accounting"
+    _FACTS = {
+        "worker_spawn": (("spawned", None, None),),
+        "worker_exit": (("exited", None, None),),
+        "worker_lost": (("lost", "service_fleet_workers_lost_total", None),),
+        "worker_heartbeat_missed": (("heartbeat_misses", None, None),),
+        "dispatched": (("dispatched", None, None),),
+        "request_redispatched": ((
+            "redispatched", "service_fleet_redispatched_total", None),),
+        "worker_result_discarded": ((
+            "discarded", "service_fleet_results_discarded_total", None),),
+    }
 
-    def snapshot(self) -> Dict[str, int]:
-        import dataclasses
-        return dataclasses.asdict(self)
+    def __init__(self) -> None:
+        super().__init__()
+        self.heartbeats = 0
+
+    @staticmethod
+    def facts(event: str, attrs: Mapping[str, Any]) -> Sequence[Fact]:
+        return FleetStats._FACTS.get(event, ())
 
 
 class ProcessFleetBackend(ExecutionBackend):
@@ -468,10 +457,7 @@ class ProcessFleetBackend(ExecutionBackend):
         if job is None or job.worker != worker_id:
             # the job was re-dispatched (or already resolved) after this
             # worker was declared lost: discard the late result
-            self.stats.discarded += 1
-            telemetry.emit_count("service_fleet_results_discarded_total",
-                                 help="late fleet results discarded")
-            self.service.recorder.emit(
+            self._journal(
                 job.request_id if job is not None else key,
                 "worker_result_discarded", worker=worker_id)
             return
@@ -484,7 +470,6 @@ class ProcessFleetBackend(ExecutionBackend):
         if error is not None:
             self._resolve_error(job, error)
         else:
-            self.stats.plan_completed += 1
             result.queue_seconds = job.queue_seconds
             self.service._finish(job.ticket, result=result,
                                  queue_seconds=job.queue_seconds)
@@ -492,7 +477,6 @@ class ProcessFleetBackend(ExecutionBackend):
 
     def _resolve_error(self, job: _Job, error: BaseException) -> None:
         self._jobs.pop(job.key, None)
-        self.stats.plan_failed += 1
         self.service._finish(job.ticket, error=error,
                              queue_seconds=job.queue_seconds)
 
@@ -511,8 +495,7 @@ class ProcessFleetBackend(ExecutionBackend):
             misses = int(age / self.heartbeat_interval) - 1
             if misses > worker.reported_misses and misses >= 1:
                 worker.reported_misses = misses
-                self.stats.heartbeat_misses += 1
-                self.service.recorder.emit(
+                self._journal(
                     self._worker_rid(worker), "worker_heartbeat_missed",
                     worker=worker.id, misses=misses)
             if age > self.heartbeat_timeout:
@@ -520,13 +503,10 @@ class ProcessFleetBackend(ExecutionBackend):
 
     def _on_worker_lost(self, worker: _WorkerHandle, reason: str) -> None:
         worker.condemned = True
-        self.stats.lost += 1
-        telemetry.emit_count("service_fleet_workers_lost_total",
-                             help="fleet workers declared lost")
-        rid = self._worker_rid(worker)
-        self.service.recorder.emit(
-            rid, "worker_lost", worker=worker.id, reason=reason,
-            alive=worker.process.is_alive(), served=worker.served)
+        self._journal(
+            self._worker_rid(worker), "worker_lost", worker=worker.id,
+            reason=reason, alive=worker.process.is_alive(),
+            served=worker.served)
         job = worker.job
         worker.job = None
         if job is not None:
@@ -541,11 +521,7 @@ class ProcessFleetBackend(ExecutionBackend):
                     f"redispatch_limit={self.redispatch_limit}",
                     attempts=job.attempts, workers=job.lost_on))
             else:
-                self.stats.redispatched += 1
-                telemetry.emit_count(
-                    "service_fleet_redispatched_total",
-                    help="in-flight requests re-dispatched")
-                self.service.recorder.emit(
+                self._journal(
                     job.request_id, "request_redispatched",
                     worker=worker.id, attempt=job.attempts)
                 self._ready.appendleft(job)
@@ -576,7 +552,8 @@ class ProcessFleetBackend(ExecutionBackend):
         self._fleet.pop(worker.id, None)
         worker.process.join(timeout=0.1)
         self._release_reader(worker)
-        self.stats.exited += 1
+        self._journal(self._worker_rid(worker), "worker_exit",
+                      worker=worker.id, served=worker.served)
         telemetry.emit_gauge("service_fleet_worker_up", 0.0,
                              labels={"worker": worker.id},
                              help="1 while a fleet worker is dispatchable")
@@ -601,11 +578,9 @@ class ProcessFleetBackend(ExecutionBackend):
                                spawned_at=now, last_beat=now,
                                outbox=outbox, reader=reader)
         self._fleet[wid] = worker
-        self.stats.spawned += 1
-        rid = self._worker_rid(worker)
-        self.service.recorder.emit(rid, "worker_spawn", worker=wid,
-                                   label=f"fleet:{wid}",
-                                   pid=process.pid or 0)
+        self._journal(self._worker_rid(worker), "worker_spawn",
+                      worker=wid, label=f"fleet:{wid}",
+                      pid=process.pid or 0)
         telemetry.emit_gauge("service_fleet_worker_up", 1.0,
                              labels={"worker": wid},
                              help="1 while a fleet worker is dispatchable")
@@ -613,6 +588,12 @@ class ProcessFleetBackend(ExecutionBackend):
 
     def _worker_rid(self, worker: _WorkerHandle) -> str:
         return f"{self.service.name}-fleet-{worker.id}"
+
+    def _journal(self, rid: str, event: str, **attrs: object) -> None:
+        """Journal one fleet event; the fleet stats and their session
+        counters are a fold over it."""
+        self.service.recorder.emit(rid, event, **attrs)
+        self.stats.account(event, attrs)
 
     # ------------------------------------------------------------------ #
     def _assign_work(self) -> None:
@@ -635,23 +616,22 @@ class ProcessFleetBackend(ExecutionBackend):
             return job
         if self._closing.is_set():
             return None
+        service = self.service
         while True:
-            ticket = self.service._next_ticket()
+            with service._lock:
+                ticket = service._pop_ticket()
             if ticket is None:
                 return None
-            queue_seconds = time.perf_counter() - ticket.submitted_at
-            self.service._observe("service_wait_seconds", queue_seconds)
-            if self.service._fail_expired(ticket, queue_seconds):
-                continue  # deadline lapsed while queued: never dispatch
-            return _Job(key=ticket.fingerprint, ticket=ticket,
-                        queue_seconds=queue_seconds)
+            queue_seconds = service._start_ticket(ticket)
+            if queue_seconds is not None:  # else expired: never dispatch
+                return _Job(key=ticket.fingerprint, ticket=ticket,
+                            queue_seconds=queue_seconds)
 
     def _dispatch(self, job: _Job, worker: _WorkerHandle) -> None:
         job.attempts += 1
         job.worker = worker.id
         worker.job = job
         self._jobs[job.key] = job
-        self.stats.dispatched += 1
         request = job.ticket.request
         if job.attempts == 1:
             # the worker-side evaluation is this service's
@@ -661,9 +641,8 @@ class ProcessFleetBackend(ExecutionBackend):
         stall = next(
             (s for prefix, s in self.stall_labels.items()
              if request.label.startswith(prefix)), 0.0)
-        self.service.recorder.emit(
-            request.request_id, "dispatched", worker=worker.id,
-            attempt=job.attempts)
+        self._journal(request.request_id, "dispatched", worker=worker.id,
+                      attempt=job.attempts)
         msg = PlanRequestMessage(
             ticket=job.key, request=request,
             queue_seconds=job.queue_seconds, stall_seconds=stall)
@@ -677,10 +656,8 @@ class ProcessFleetBackend(ExecutionBackend):
     def _fail_undispatched(self, error: BaseException) -> None:
         while self._ready:
             job = self._ready.popleft()
-            if job.ticket.done:
-                continue
-            self._jobs.pop(job.key, None)
-            self._resolve_error(job, error)
+            if not job.ticket.done:
+                self._resolve_error(job, error)
 
     # ------------------------------------------------------------------ #
     def _shutdown_workers(self) -> None:
@@ -696,17 +673,7 @@ class ProcessFleetBackend(ExecutionBackend):
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=2.0)
-            rid = self._worker_rid(worker)
-            self.service.recorder.emit(rid, "worker_exit",
-                                       worker=worker.id,
-                                       served=worker.served)
-            telemetry.emit_gauge(
-                "service_fleet_worker_up", 0.0,
-                labels={"worker": worker.id},
-                help="1 while a fleet worker is dispatchable")
-            self.stats.exited += 1
-            self._release_reader(worker)
-        self._fleet.clear()
+            self._reap(worker)
         # fail any job the drain loop left in flight
         closed = ServiceClosedError("fleet backend closed")
         self._fail_undispatched(closed)

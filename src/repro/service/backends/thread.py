@@ -15,7 +15,6 @@ second ``close()`` is a no-op.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import warnings
 from typing import List
@@ -61,9 +60,7 @@ class ThreadBackend(ExecutionBackend):
                     service._not_empty.wait()
                 if service._closed and not service._queue:
                     return
-                _, _, fp = heapq.heappop(service._queue)
-                service._gauge("service_queue_depth", len(service._queue))
-                ticket = service._tickets.get(fp)
+                ticket = service._pop_ticket()
             if ticket is not None:
                 service._run_ticket(ticket)
 

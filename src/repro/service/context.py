@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from dataclasses import dataclass
-from typing import Optional
+from collections import OrderedDict
+from typing import Any, Dict, Optional, Tuple
 
 from .. import telemetry
 from ..telemetry.context import record_event
@@ -31,22 +31,24 @@ from ..plan import EvalOutcome, ExecutionPlan, PlanBuilder
 from ..profiling.measurements import MeasurementNoise
 from ..profiling.profiler import Profile, Profiler
 from ..runtime.execution_engine import ExecutionEngine
-from .request import PlanRequest
+from .request import PlanRequest, PlanResult
 
 
-@dataclass
-class Served:
-    """Raw outcome of one context dispatch (service shapes the result)."""
-
-    strategy: Strategy
-    outcome: EvalOutcome
-    deployment: Optional[ExecutionPlan]
-    profile: Profile
-    episodes: int = 0
-    plan_cache_hits: int = 0
-    outcome_cache_hits: int = 0
-    measured_time: Optional[float] = None
-    measured_oom: bool = False
+def lru_context(contexts: "OrderedDict[str, PlanContext]",
+                request: PlanRequest,
+                max_contexts: int) -> Tuple["PlanContext", bool]:
+    """Get or create the request's context in an LRU of warm contexts,
+    evicting the least recently used beyond ``max_contexts``.  Returns
+    the context and whether it was already warm."""
+    key = request.context_key
+    warm = key in contexts
+    if warm:
+        contexts.move_to_end(key)
+    else:
+        contexts[key] = PlanContext(request)
+        while len(contexts) > max_contexts:
+            contexts.popitem(last=False)
+    return contexts[key], warm
 
 
 class PlanContext:
@@ -59,7 +61,6 @@ class PlanContext:
         self.config = request.config
         self.lock = threading.RLock()
         self.served = 0
-        self.episodes_trained = 0
         self._profile: Optional[Profile] = request.profile
         self._agent: Optional[HeteroGAgent] = None
         self._builder: Optional[PlanBuilder] = None
@@ -101,14 +102,22 @@ class PlanContext:
         return self._agent
 
     # ------------------------------------------------------------------ #
-    def handle(self, request: PlanRequest) -> Served:
-        """Serve one request (caller holds ``self.lock``)."""
+    def handle(self, request: PlanRequest) -> PlanResult:
+        """Serve one request (caller holds ``self.lock``); the caller
+        stamps the result's ``queue_seconds`` and ``service_seconds``."""
+        reused = self.served > 0
         self.served += 1
-        if request.is_search:
-            return self._search(request)
-        return self._build(request)
+        work = (self._search(request) if request.is_search
+                else self._build(request))
+        builder = self.builder
+        return PlanResult(
+            fingerprint=request.fingerprint, profile=self.profile,
+            reused_context=reused,
+            plan_cache_hits=builder.plan_cache.hits,
+            outcome_cache_hits=builder.outcome_cache.hits,
+            request_id=request.request_id, **work)
 
-    def _search(self, request: PlanRequest) -> Served:
+    def _search(self, request: PlanRequest) -> Dict[str, Any]:
         """Train the RL agent until a feasible strategy emerges."""
         agent = self.agent
         builder = self.builder
@@ -123,7 +132,6 @@ class PlanContext:
             for _ in range(request.max_rounds):
                 agent.train(budget)
                 ran += budget
-                self.episodes_trained += budget
                 strategy = agent.trainer.best_strategy(self.graph.name)
                 if strategy is None:
                     continue
@@ -142,14 +150,10 @@ class PlanContext:
             deployment = builder.build(strategy)
         record_event("plan_built", dist_ops=deployment.num_dist_ops,
                      makespan=outcome.time, episodes=ran)
-        return Served(
-            strategy=strategy, outcome=outcome, deployment=deployment,
-            profile=self.profile, episodes=ran,
-            plan_cache_hits=builder.plan_cache.hits,
-            outcome_cache_hits=builder.outcome_cache.hits,
-        )
+        return dict(strategy=strategy, outcome=outcome,
+                    deployment=deployment, episodes=ran)
 
-    def _build(self, request: PlanRequest) -> Served:
+    def _build(self, request: PlanRequest) -> Dict[str, Any]:
         """Build (and optionally engine-measure) an explicit strategy."""
         builder = self.builder
         deployment: Optional[ExecutionPlan] = None
@@ -169,13 +173,9 @@ class PlanContext:
         if request.measure_iterations and deployment is not None:
             measured_time, measured_oom = self._measure(
                 deployment, request.measure_iterations)
-        return Served(
-            strategy=request.strategy, outcome=outcome,
-            deployment=deployment, profile=self.profile,
-            plan_cache_hits=builder.plan_cache.hits,
-            outcome_cache_hits=builder.outcome_cache.hits,
-            measured_time=measured_time, measured_oom=measured_oom,
-        )
+        return dict(strategy=request.strategy, outcome=outcome,
+                    deployment=deployment, measured_time=measured_time,
+                    measured_oom=measured_oom)
 
     def _measure(self, deployment: ExecutionPlan,
                  iterations: int) -> "tuple[float, bool]":

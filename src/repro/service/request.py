@@ -22,7 +22,7 @@ Everything client-facing validates in ``__post_init__`` and raises
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..config import HeteroGConfig
@@ -211,7 +211,6 @@ class PlanResult:
     measured_time: Optional[float] = None  # engine-measured s/iteration
     measured_oom: bool = False
     request_id: str = ""             # correlation id of the serving request
-    extras: dict = field(default_factory=dict)
 
     @property
     def feasible(self) -> bool:

@@ -23,11 +23,11 @@ objects, and:
   (:class:`~repro.service.backends.fleet.ProcessFleetBackend`).
 
 Telemetry (when a session is active): ``service_queue_depth`` gauge,
-``service_wait_seconds`` / ``service_latency_seconds`` histograms, and
+``service_wait_seconds`` / ``service_latency_seconds`` histograms, the
 ``service_requests_total`` / ``service_coalesced_total`` /
-``service_rejected_total`` / ``service_timeouts_total`` counters, plus
-the shared ``plan_cache_{hits,misses}_total{kind="service"}`` counters
-from the result cache.
+``service_rejected_total`` / ``service_timeouts_total`` counters, which
+like :class:`ServiceStats` are a fold over the journal events, and the
+``plan_cache_{hits,misses}_total{kind="service"}`` result-cache counters.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import heapq
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..errors import (
@@ -52,8 +52,9 @@ from ..telemetry.context import request_scope
 from ..telemetry.critical_path import critical_path
 from ..telemetry.flight import FlightRecorder, default_recorder
 from ..telemetry.slo import SLOTracker, priority_class
+from ..telemetry.tally import EventTally, Fact
 from .backends.base import ExecutionBackend, make_backend
-from .context import PlanContext
+from .context import PlanContext, lru_context
 from .request import PlanRequest, PlanResult
 
 DEFAULT_WORKERS = 2
@@ -104,23 +105,56 @@ class PlanTicket:
         return self._result
 
 
-@dataclasses.dataclass
-class ServiceStats:
-    """Plain counters mirrored into telemetry (always available)."""
+class ServiceStats(EventTally):
+    """Always-on service accounting: the ``FIELDS`` fold over the
+    service's journal events, ``executed`` counts the requests actually
+    evaluated, and the result-cache and warm-context figures are read
+    from the cache and the context LRU."""
 
-    submitted: int = 0
-    executed: int = 0        # requests actually evaluated
-    coalesced: int = 0       # folded onto an in-flight duplicate
-    result_hits: int = 0     # served from the completed-result cache
-    result_misses: int = 0   # submissions that missed the result cache
-    rejected: int = 0        # refused by admission control
-    timeouts: int = 0        # queue-expired or caller stopped waiting
-    completed: int = 0
-    failed: int = 0
-    contexts_warm: int = 0   # current warm PlanContext LRU occupancy
+    FIELDS = ("submitted", "coalesced", "rejected", "timeouts",
+              "completed", "failed")
+    KEYS = ("submitted", "executed", "coalesced", "result_hits",
+            "result_misses", "rejected", "timeouts", "completed",
+            "failed", "contexts_warm")
+    HELP = "planning-service request accounting"
 
-    def snapshot(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
+    def __init__(self, results: PlanCache,
+                 contexts: "OrderedDict[str, PlanContext]"):
+        super().__init__()
+        self.executed = 0
+        self._results = results
+        self._contexts = contexts
+
+    @staticmethod
+    def facts(event: str, attrs: Mapping[str, Any]) -> Sequence[Fact]:
+        if event == "request_accepted":
+            return (("submitted", None, None),)
+        if event == "coalesced":
+            return (("coalesced", "service_coalesced_total", None),)
+        if event == "rejected":
+            return (("rejected", "service_rejected_total", None),)
+        if event == "timeout":
+            timeout = ("timeouts", "service_timeouts_total",
+                       {"stage": attrs["stage"]})
+            if attrs["stage"] == "wait":   # the request itself runs on
+                return (timeout,)
+            return (timeout, ("failed", "service_requests_total",
+                              {"status": "failed"}))
+        if event in ("completed", "failed") and not attrs.get("from_cache"):
+            return ((event, "service_requests_total", {"status": event}),)
+        return ()
+
+    @property
+    def result_hits(self) -> int:
+        return self._results.hits
+
+    @property
+    def result_misses(self) -> int:
+        return self._results.misses
+
+    @property
+    def contexts_warm(self) -> int:
+        return len(self._contexts)
 
 
 class PlanningService:
@@ -145,7 +179,6 @@ class PlanningService:
         self.max_queue = max_queue
         self.max_contexts = max_contexts
         self.name = name
-        self.stats = ServiceStats()
         self.recorder = recorder if recorder is not None \
             else default_recorder()
         self.slo = slo if slo is not None else SLOTracker()
@@ -155,6 +188,7 @@ class PlanningService:
         self._tickets: Dict[str, PlanTicket] = {}     # in-flight by fp
         self._results = PlanCache(result_cache_size, kind="service")
         self._contexts: "OrderedDict[str, PlanContext]" = OrderedDict()
+        self.stats = ServiceStats(self._results, self._contexts)
         self._seq = 0
         self._closed = False
         self._backend: ExecutionBackend = make_backend(
@@ -189,14 +223,14 @@ class PlanningService:
                 "age_seconds": now - t.submitted_at,
             } for t in self._tickets.values()]
             depth = len(self._queue)
-            warm = len(self._contexts)
         return {
             "service": self.name,
             "stats": self.stats.snapshot(),
             "backend": self._backend.snapshot(),
             "queue": {"depth": depth, "capacity": self.max_queue},
             "inflight": inflight,
-            "contexts": {"warm": warm, "capacity": self.max_contexts},
+            "contexts": {"warm": self.stats.contexts_warm,
+                         "capacity": self.max_contexts},
             "result_cache": {
                 "hits": self._results.hits,
                 "misses": self._results.misses,
@@ -226,34 +260,29 @@ class PlanningService:
             if self._closed:
                 raise ServiceClosedError(
                     f"planning service {self.name!r} is closed")
-            self.stats.submitted += 1
-            self.recorder.emit(
+            self._journal(
                 rid, "request_accepted", graph=request.graph.name,
                 label=request.label, priority=request.priority,
                 queue_depth=len(self._queue),
                 parent_id=request.parent_id, fingerprint=fp)
             cached = self._results.get(fp)
             if cached is not None:
-                self.stats.result_hits += 1
                 ticket = PlanTicket(request, fp)
                 ticket._resolve(dataclasses.replace(
                     cached, from_cache=True, request_id=rid))
                 seconds = time.perf_counter() - submitted
-                self.recorder.emit(rid, "cache_hit")
-                self._emit_outcome(
+                self._journal(rid, "cache_hit")
+                self._journal(
                     rid, "completed", seconds=seconds,
                     slo_class=priority_class(request.priority),
                     from_cache=True, queue_seconds=0.0,
                     service_seconds=seconds)
                 return ticket
-            self.stats.result_misses += 1
             existing = self._tickets.get(fp)
             if existing is not None:
                 existing.waiters += 1
-                self.stats.coalesced += 1
-                self._count("service_coalesced_total")
-                self._emit_outcome(rid, "coalesced",
-                                   primary=existing.request.request_id)
+                self._journal(rid, "coalesced",
+                              primary=existing.request.request_id)
                 return existing
             if self._backend.inline:
                 if len(self._tickets) >= self.max_queue:
@@ -281,12 +310,10 @@ class PlanningService:
         return inline
 
     def _reject(self, request: PlanRequest, depth: int) -> None:
-        """Caller holds the lock: account + journal one rejection."""
-        self.stats.rejected += 1
-        self._count("service_rejected_total")
+        """Caller holds the lock: journal one rejection and raise it."""
         rid = request.request_id
-        self._emit_outcome(rid, "rejected", queue_depth=depth,
-                           limit=self.max_queue)
+        self._journal(rid, "rejected", queue_depth=depth,
+                      limit=self.max_queue)
         error = ServiceOverloadedError(depth, self.max_queue)
         error.request_id = rid
         raise error
@@ -298,12 +325,9 @@ class PlanningService:
             return ticket.result(request.timeout)
         except ServiceTimeoutError as exc:
             if exc.stage == "wait":
-                with self._lock:
-                    self.stats.timeouts += 1
-                self._count("service_timeouts_total", {"stage": "wait"})
                 rid = request.request_id
                 exc.request_id = rid
-                self._emit_outcome(
+                self._journal(
                     rid, "timeout", stage="wait",
                     seconds=time.perf_counter() - ticket.submitted_at,
                     slo_class=priority_class(request.priority))
@@ -340,61 +364,42 @@ class PlanningService:
 
     # ------------------------------------------------------------------ #
     def context_for(self, request: PlanRequest) -> PlanContext:
-        """The (possibly warmed) context a request would be served on."""
-        key = request.context_key
+        """The (possibly warmed) context a request would be served on;
+        a silent lookup that journals nothing."""
         with self._lock:
-            ctx = self._contexts.get(key)
-            warm = ctx is not None
-            if ctx is None:
-                ctx = PlanContext(request)
-                self._contexts[key] = ctx
-                if len(self._contexts) > self.max_contexts:
-                    self._contexts.popitem(last=False)
-            else:
-                self._contexts.move_to_end(key)
-            self.stats.contexts_warm = len(self._contexts)
-        self.recorder.emit(
-            request.request_id,
-            "context_warm" if warm else "context_cold",
-            context=key[:12])
-        return ctx
+            return lru_context(self._contexts, request,
+                               self.max_contexts)[0]
 
     # ------------------------------------------------------------------ #
-    def _next_ticket(self) -> Optional[PlanTicket]:
-        """Pop the highest-priority queued ticket without blocking.
+    def _pop_ticket(self) -> Optional[PlanTicket]:
+        """Pop the highest-priority queued ticket, None when the queue
+        is empty (caller holds the lock): every backend's dequeue."""
+        if not self._queue:
+            return None
+        _, _, fp = heapq.heappop(self._queue)
+        self._gauge("service_queue_depth", len(self._queue))
+        return self._tickets.get(fp)
 
-        The fleet manager's dispatch path; thread workers block on the
-        condition variable instead (see ``ThreadBackend._worker``).
-        """
-        with self._lock:
-            if not self._queue:
-                return None
-            _, _, fp = heapq.heappop(self._queue)
-            self._gauge("service_queue_depth", len(self._queue))
-            return self._tickets.get(fp)
-
-    def _fail_expired(self, ticket: PlanTicket,
-                      queue_seconds: float) -> bool:
-        """Fail a ticket whose deadline lapsed while queued (no eval)."""
+    def _start_ticket(self, ticket: PlanTicket) -> Optional[float]:
+        """Start serving a dequeued ticket: observe its queue wait and
+        return it, or fail the ticket without evaluating it (and return
+        None) when its deadline lapsed while it was queued."""
+        queue_seconds = time.perf_counter() - ticket.submitted_at
+        self._observe("service_wait_seconds", queue_seconds)
         if ticket.deadline is None \
                 or time.perf_counter() <= ticket.deadline:
-            return False
-        with self._lock:
-            self.stats.timeouts += 1
-        self._count("service_timeouts_total", {"stage": "queue"})
+            return queue_seconds
         self._finish(ticket, error=ServiceTimeoutError(
             ticket.request.timeout or 0.0, stage="queue",
             fingerprint=ticket.fingerprint),
             queue_seconds=queue_seconds)
-        return True
+        return None
 
     def _run_ticket(self, ticket: PlanTicket) -> None:
-        queue_seconds = time.perf_counter() - ticket.submitted_at
-        self._observe("service_wait_seconds", queue_seconds)
+        queue_seconds = self._start_ticket(ticket)
+        if queue_seconds is None:
+            return
         with request_scope(ticket.request.request_id, self.recorder):
-            if self._fail_expired(ticket, queue_seconds):
-                # deadline missed while queued: fail fast, never evaluate
-                return
             try:
                 result = self._serve(ticket.request, queue_seconds)
             except ReproError as exc:
@@ -414,31 +419,22 @@ class PlanningService:
     def _serve(self, request: PlanRequest,
                queue_seconds: float) -> PlanResult:
         start = time.perf_counter()
-        ctx = self.context_for(request)
+        with self._lock:
+            ctx, warm = lru_context(self._contexts, request,
+                                    self.max_contexts)
+        self._journal(request.request_id,
+                      "context_warm" if warm else "context_cold",
+                      context=request.context_key[:12])
         with telemetry.span("service.request", graph=request.graph.name,
                             kind="search" if request.is_search else "build",
                             label=request.label):
             with ctx.lock:
-                reused = ctx.served > 0
                 with self._lock:
                     self.stats.executed += 1
-                served = ctx.handle(request)
-        return PlanResult(
-            fingerprint=request.fingerprint,
-            strategy=served.strategy,
-            outcome=served.outcome,
-            deployment=served.deployment,
-            profile=served.profile,
-            episodes=served.episodes,
-            reused_context=reused,
-            plan_cache_hits=served.plan_cache_hits,
-            outcome_cache_hits=served.outcome_cache_hits,
-            queue_seconds=queue_seconds,
-            service_seconds=time.perf_counter() - start,
-            measured_time=served.measured_time,
-            measured_oom=served.measured_oom,
-            request_id=request.request_id,
-        )
+                result = ctx.handle(request)
+        result.queue_seconds = queue_seconds
+        result.service_seconds = time.perf_counter() - start
+        return result
 
     def _finish(self, ticket: PlanTicket, *, queue_seconds: float,
                 result: Optional[PlanResult] = None,
@@ -450,19 +446,13 @@ class PlanningService:
                 # only successes are cached: a timeout or failure never
                 # poisons the result cache
                 self._results.put(ticket.fingerprint, result)
-                self.stats.completed += 1
-                status = "completed"
-            else:
-                self.stats.failed += 1
-                status = "failed"
-        self._count("service_requests_total", {"status": status})
         seconds = time.perf_counter() - ticket.submitted_at
         self._observe("service_latency_seconds", seconds)
         rid = ticket.request.request_id
         slo_class = priority_class(ticket.request.priority)
         if result is not None:
             blame = self._blame(result)
-            self._emit_outcome(
+            self._journal(
                 rid, "completed", seconds=seconds, slo_class=slo_class,
                 queue_seconds=result.queue_seconds,
                 service_seconds=result.service_seconds,
@@ -472,20 +462,26 @@ class PlanningService:
             if getattr(error, "request_id", None) is None:
                 error.request_id = rid
             if isinstance(error, ServiceTimeoutError):
-                self._emit_outcome(rid, "timeout", stage=error.stage,
-                                   seconds=seconds, slo_class=slo_class,
-                                   queue_seconds=queue_seconds)
+                self._journal(rid, "timeout", stage=error.stage,
+                              seconds=seconds, slo_class=slo_class,
+                              queue_seconds=queue_seconds)
             else:
-                self._emit_outcome(
+                self._journal(
                     rid, "failed", error=type(error).__name__,
                     message=str(error)[:200], seconds=seconds,
                     slo_class=slo_class, queue_seconds=queue_seconds)
         ticket._resolve(result, error)
 
-    def _emit_outcome(self, rid: str, event: str, **attrs: object) -> None:
-        """Journal one request outcome; the event that seals the
-        request's flight record is also its one SLO observation."""
-        if self.recorder.emit(rid, event, **attrs):
+    def _journal(self, rid: str, event: str, **attrs: object) -> None:
+        """Journal one service event: the one record of a service fact.
+
+        The stats and their session counters fold over every event;
+        the event that seals the request's flight record is also its
+        one SLO observation.
+        """
+        sealed = self.recorder.emit(rid, event, **attrs)
+        self.stats.account(event, attrs)
+        if sealed:
             self.slo.account(event, attrs)
 
     @staticmethod
@@ -502,13 +498,6 @@ class PlanningService:
 
     # ------------------------------------------------------------------ #
     # thin delegates to the shared ambient-session helpers
-    # (kept as methods: backends and tests go through the service)
-    def _count(self, metric: str,
-               labels: Optional[Dict[str, str]] = None) -> None:
-        telemetry.emit_count(
-            metric, labels=labels,
-            help="planning-service request accounting")
-
     def _gauge(self, metric: str, value: float) -> None:
         telemetry.emit_gauge(
             metric, value, help="planning-service queue depth")

@@ -33,84 +33,70 @@ from ..errors import JournalSchemaError
 
 SCHEMA_VERSION = 1
 
-#: required attribute fields per event type (beyond the base fields);
-#: extra attributes are always allowed, unknown event types never are.
-EVENT_SCHEMAS: Dict[str, frozenset] = {
-    # admission
-    "request_accepted": frozenset({"graph", "label", "priority",
-                                   "queue_depth"}),
-    "coalesced": frozenset({"primary"}),
-    "cache_hit": frozenset(),
-    "rejected": frozenset({"queue_depth", "limit"}),
-    # serving
-    "context_warm": frozenset({"context"}),
-    "context_cold": frozenset({"context"}),
-    "search_started": frozenset({"episodes", "max_rounds"}),
-    "candidate_evaluated": frozenset({"feasible", "time"}),
-    "candidate_pruned": frozenset({"stage", "bound", "threshold"}),
-    "plan_built": frozenset({"dist_ops"}),
-    # outcomes
-    "completed": frozenset({"seconds"}),
-    "failed": frozenset({"error"}),
-    "timeout": frozenset({"stage"}),
+#: every event type by lifecycle phase (the ``--phase`` filter), with
+#: the attribute fields it requires beyond the base fields; extra
+#: attributes are always allowed, unknown event types never are.
+_EVENTS_BY_PHASE: Dict[str, Dict[str, frozenset]] = {
+    "admission": {
+        "request_accepted": frozenset({"graph", "label", "priority",
+                                       "queue_depth"}),
+        "coalesced": frozenset({"primary"}),
+        "cache_hit": frozenset(),
+        "rejected": frozenset({"queue_depth", "limit"}),
+    },
+    "context": {
+        "context_warm": frozenset({"context"}),
+        "context_cold": frozenset({"context"}),
+    },
+    "search": {
+        "search_started": frozenset({"episodes", "max_rounds"}),
+        "candidate_evaluated": frozenset({"feasible", "time"}),
+        "candidate_pruned": frozenset({"stage", "bound", "threshold"}),
+    },
+    "build": {
+        "plan_built": frozenset({"dist_ops"}),
+    },
+    "outcome": {
+        "completed": frozenset({"seconds"}),
+        "failed": frozenset({"error"}),
+        "timeout": frozenset({"stage"}),
+    },
     # fleet backend: worker lifecycle + dispatch attribution
-    "worker_spawn": frozenset({"worker"}),
-    "worker_exit": frozenset({"worker"}),
-    "worker_heartbeat_missed": frozenset({"worker", "misses"}),
-    "worker_lost": frozenset({"worker"}),
-    "worker_result_discarded": frozenset({"worker"}),
-    "worker_join_timeout": frozenset({"worker"}),
-    "dispatched": frozenset({"worker"}),
-    "request_redispatched": frozenset({"worker", "attempt"}),
-    # resilience episodes
-    "episode_started": frozenset({"policy", "steps"}),
-    "fault_detected": frozenset({"kind", "resource"}),
-    "replan_started": frozenset({"devices"}),
-    "replan_completed": frozenset({"seconds", "feasible"}),
-    "resumed": frozenset({"iteration"}),
-    # elastic fleet: capacity events + scale-up economics
-    "device_joined": frozenset({"target", "devices"}),
-    "device_reclaimed": frozenset({"target", "devices"}),
-    "preempt_notice": frozenset({"target", "deadline"}),
-    "scale_up_replan": frozenset({"devices", "expected_savings",
-                                  "replan_cost"}),
-    "scale_up_skipped": frozenset({"expected_savings", "replan_cost"}),
+    "fleet": {
+        "worker_spawn": frozenset({"worker"}),
+        "worker_exit": frozenset({"worker"}),
+        "worker_heartbeat_missed": frozenset({"worker", "misses"}),
+        "worker_lost": frozenset({"worker"}),
+        "worker_result_discarded": frozenset({"worker"}),
+        "worker_join_timeout": frozenset({"worker"}),
+        "dispatched": frozenset({"worker"}),
+        "request_redispatched": frozenset({"worker", "attempt"}),
+    },
+    # resilience episodes, elastic capacity events + scale-up economics
+    "resilience": {
+        "episode_started": frozenset({"policy", "steps"}),
+        "fault_detected": frozenset({"kind", "resource"}),
+        "replan_started": frozenset({"devices"}),
+        "replan_completed": frozenset({"seconds", "feasible"}),
+        "resumed": frozenset({"iteration"}),
+        "device_joined": frozenset({"target", "devices"}),
+        "device_reclaimed": frozenset({"target", "devices"}),
+        "preempt_notice": frozenset({"target", "deadline"}),
+        "scale_up_replan": frozenset({"devices", "expected_savings",
+                                      "replan_cost"}),
+        "scale_up_skipped": frozenset({"expected_savings", "replan_cost"}),
+    },
 }
 
-#: coarse lifecycle phase per event type (the ``--phase`` filter).
+#: required attribute fields per event type.
+EVENT_SCHEMAS: Dict[str, frozenset] = {
+    event: fields for events in _EVENTS_BY_PHASE.values()
+    for event, fields in events.items()}
+
+#: lifecycle phase per event type.
 PHASE_OF: Dict[str, str] = {
-    "request_accepted": "admission",
-    "coalesced": "admission",
-    "cache_hit": "admission",
-    "rejected": "admission",
-    "context_warm": "context",
-    "context_cold": "context",
-    "search_started": "search",
-    "candidate_evaluated": "search",
-    "candidate_pruned": "search",
-    "plan_built": "build",
-    "completed": "outcome",
-    "failed": "outcome",
-    "timeout": "outcome",
-    "worker_spawn": "fleet",
-    "worker_exit": "fleet",
-    "worker_heartbeat_missed": "fleet",
-    "worker_lost": "fleet",
-    "worker_result_discarded": "fleet",
-    "worker_join_timeout": "fleet",
-    "dispatched": "fleet",
-    "request_redispatched": "fleet",
-    "episode_started": "resilience",
-    "fault_detected": "resilience",
-    "replan_started": "resilience",
-    "replan_completed": "resilience",
-    "resumed": "resilience",
-    "device_joined": "resilience",
-    "device_reclaimed": "resilience",
-    "preempt_notice": "resilience",
-    "scale_up_replan": "resilience",
-    "scale_up_skipped": "resilience",
-}
+    event: phase for phase, events in _EVENTS_BY_PHASE.items()
+    for event in events}
 
 #: outcome status each terminal event type seals a flight record with;
 #: the first terminal event of a request wins.

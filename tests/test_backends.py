@@ -240,7 +240,7 @@ class TestFleetBackend:
             again = svc.plan(search_request(mlp, four_gpu))
         assert first.outcome.time == again.outcome.time
         assert again.from_cache
-        assert backend.stats.plan_completed == 1
+        assert svc.stats.completed == 1
 
     def test_matches_inline_results(self, mlp, four_gpu):
         with PlanningService(workers=0, name="ref") as ref:
@@ -338,7 +338,7 @@ class TestFleetBackend:
         discards = journal_events(svc, event="worker_result_discarded")
         assert len(discards) == 1
         assert discards[0].attrs["worker"] == wid
-        assert backend.stats.plan_completed == 1  # resolved exactly once
+        assert svc.stats.completed == 1  # resolved exactly once
 
     def test_redispatch_budget_exhausted(self, mlp, four_gpu):
         svc, backend = self.fleet_service(

@@ -2,6 +2,9 @@
 SLO accounting, correlation ids, and telemetry session re-entrancy."""
 
 import json
+import os
+import signal
+import sys
 import threading
 
 import pytest
@@ -16,7 +19,14 @@ from repro.errors import (
     ServiceOverloadedError,
     ServiceTimeoutError,
 )
-from repro.service import PlanRequest, PlanningService
+from repro.plan import PlanCache
+from repro.service import (
+    PlanRequest,
+    PlanningService,
+    ProcessFleetBackend,
+    ServiceStats,
+)
+from repro.service.backends.fleet import FleetStats
 from repro.telemetry import (
     SCHEMA_VERSION,
     FlightRecorder,
@@ -306,6 +316,25 @@ class TestServiceObservability:
         report = postmortem_report(record)
         assert result.request_id in report
         assert "queue wait" in report and "timeline:" in report
+
+    def test_context_lookup_journals_nothing(self, mlp, four_gpu):
+        """The facade's profile step looks a context up without serving
+        a request: it opens no flight record (such a record would never
+        seal), and the first served request journals the warm context."""
+        from repro.heterog import HeteroG
+
+        rec = FlightRecorder()
+        with PlanningService(workers=0, recorder=rec) as service:
+            facade = HeteroG(four_gpu, config=fast_config(),
+                             service=service)
+            for _ in range(3):
+                facade.profile(mlp)
+            assert rec.records() == [] and len(rec.journal) == 0
+            result = facade.plan_result(mlp)
+        record = rec.get(result.request_id)
+        assert record.status == "completed"
+        assert [e.event for e in record.events
+                if e.phase == "context"] == ["context_warm"]
 
     def test_cache_hit_and_coalesced_dispositions(self, mlp, four_gpu):
         rec = FlightRecorder()
@@ -659,6 +688,200 @@ class TestLiveReplayParity:
             assert rebuilt.get(record.request_id).to_dict() == \
                 record.to_dict()
         assert replay_tracker(loaded).snapshot() == service.slo.snapshot()
+
+
+# --------------------------------------------------------------------- #
+def _drive_inline(rec, mlp, four_gpu):
+    """Inline: coalesced + wait timeout onto a held request, a
+    rejection, a cache hit, a queue timeout and a failure."""
+    from repro.errors import ReproError
+    from repro.parallel import single_device_strategy
+
+    service = GatedInline(max_queue=1, recorder=rec)
+    held = threading.Thread(
+        target=lambda: service.plan(search_request(mlp, four_gpu,
+                                                   seed=21)),
+        daemon=True)
+    held.start()
+    assert service.entered.wait(30)
+    with pytest.raises(ServiceTimeoutError, match="wait"):
+        service.plan(search_request(mlp, four_gpu, seed=21, timeout=0.05))
+    with pytest.raises(ServiceOverloadedError):
+        service.submit(search_request(mlp, four_gpu, seed=22))
+    service.gate.set()
+    held.join(timeout=30)
+    assert service.plan(search_request(mlp, four_gpu, seed=21)).from_cache
+    with pytest.raises(ServiceTimeoutError, match="queue"):
+        service.plan(search_request(mlp, four_gpu, seed=23, timeout=1e-9))
+    with pytest.raises(ReproError):
+        service.plan(PlanRequest(
+            graph=mlp, cluster=four_gpu, config=fast_config(),
+            strategy=single_device_strategy(
+                make_mlp(name="fold_other", layers=1), four_gpu)))
+    service.close()
+    return service
+
+
+def _drive_thread(rec, mlp, four_gpu):
+    """One thread worker: coalesced + wait timeout onto a held request,
+    a queue timeout and a fresh request queued behind it, a rejection,
+    a cache hit, then a request still queued at close()."""
+    service = GatedService(workers=1, max_queue=2, recorder=rec)
+    first = service.submit(search_request(mlp, four_gpu, seed=31))
+    assert service.entered.wait(30)
+    with pytest.raises(ServiceTimeoutError, match="wait"):
+        service.plan(search_request(mlp, four_gpu, seed=31, timeout=0.05))
+    expired = service.submit(search_request(mlp, four_gpu, seed=32,
+                                            timeout=1e-3))
+    queued = service.submit(search_request(mlp, four_gpu, seed=33))
+    with pytest.raises(ServiceOverloadedError):
+        service.submit(search_request(mlp, four_gpu, seed=34))
+    service.gate.set()
+    first.result(30)
+    queued.result(30)
+    with pytest.raises(ServiceTimeoutError, match="queue"):
+        expired.result(30)
+    assert service.plan(search_request(mlp, four_gpu, seed=31)).from_cache
+    service.gate.clear()
+    service.entered.clear()
+    held = service.submit(search_request(mlp, four_gpu, seed=35))
+    assert service.entered.wait(30)
+    stranded = service.submit(search_request(mlp, four_gpu, seed=36))
+    closer = threading.Thread(target=service.close, daemon=True)
+    closer.start()
+    with pytest.raises(ServiceClosedError):
+        stranded.result(30)
+    service.gate.set()
+    closer.join(timeout=30)
+    held.result(30)
+    return service
+
+
+def _drive_fleet(rec, mlp, four_gpu):
+    """The thread workload on a one-worker fleet whose worker is killed
+    mid-request (re-dispatched to its replacement)."""
+    backend = ProcessFleetBackend(
+        1, heartbeat_interval=0.1, heartbeat_timeout=1.0,
+        stall_labels={"slow": 1.0})
+    service = PlanningService(workers=1, backend=backend, max_queue=2,
+                              recorder=rec)
+    first = service.submit(search_request(mlp, four_gpu, seed=41,
+                                          label="slow-1"))
+    victim = backend.wait_serving(first.fingerprint, timeout=20)
+    assert victim is not None
+    with pytest.raises(ServiceTimeoutError, match="wait"):
+        service.plan(search_request(mlp, four_gpu, seed=41, timeout=0.05))
+    expired = service.submit(search_request(mlp, four_gpu, seed=42,
+                                            timeout=1e-3))
+    queued = service.submit(search_request(mlp, four_gpu, seed=43))
+    with pytest.raises(ServiceOverloadedError):
+        service.submit(search_request(mlp, four_gpu, seed=44))
+    os.kill(backend.worker_pids()[victim], signal.SIGKILL)
+    first.result(60)
+    queued.result(60)
+    with pytest.raises(ServiceTimeoutError, match="queue"):
+        expired.result(60)
+    assert service.plan(search_request(mlp, four_gpu, seed=41)).from_cache
+    held = service.submit(search_request(mlp, four_gpu, seed=45,
+                                         label="slow-2"))
+    assert backend.wait_serving(held.fingerprint, timeout=20) is not None
+    stranded = service.submit(search_request(mlp, four_gpu, seed=46))
+    service.close()
+    with pytest.raises(ServiceClosedError):
+        stranded.result(30)
+    held.result(30)
+    return service
+
+
+class TestStatsAreJournalFolds:
+    def test_concurrent_folds_lose_no_update(self):
+        """Emitters fold with or without their own locks held; the
+        tally's lock alone keeps every count."""
+        stats, threads, rounds = FleetStats(), 8, 2000
+
+        def fold():
+            for _ in range(rounds):
+                stats.fold("dispatched", {})
+                stats.fold("worker_spawn", {})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=fold, daemon=True)
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert stats.dispatched == stats.spawned == threads * rounds
+
+    @pytest.mark.parametrize("drive", [
+        _drive_inline,
+        _drive_thread,
+        pytest.param(_drive_fleet, marks=pytest.mark.slow),
+    ], ids=["inline", "thread", "fleet"])
+    def test_stats_and_counters_fold_from_saved_journal(
+            self, drive, mlp, four_gpu, tmp_path):
+        """The service and fleet stats of a mixed workload, and their
+        session counters, equal the same fold over the saved JSONL
+        journal, replayed in a fresh tally."""
+        rec = FlightRecorder()
+        registry = telemetry.MetricsRegistry()
+        with telemetry.session(registry=registry):
+            service = drive(rec, mlp, four_gpu)
+        snapshot = service.snapshot()
+        path = tmp_path / "fold.jsonl"
+        rec.journal.save_jsonl(str(path))
+        loaded = Journal.load(str(path))
+        replayed, replayed_fleet = ServiceStats(PlanCache(1), {}), \
+            FleetStats()
+        for entry in loaded:
+            replayed.fold(entry.event, entry.attrs)
+            replayed_fleet.fold(entry.event, entry.attrs)
+
+        stats = snapshot["stats"]
+        folded = {k: getattr(replayed, k) for k in ServiceStats.FIELDS}
+        assert folded == {k: stats[k] for k in ServiceStats.FIELDS}
+        assert all(folded.values()), folded   # every fact was exercised
+        # the keys that are not folds are read from their owners
+        assert set(stats) - set(ServiceStats.FIELDS) == {
+            "executed", "result_hits", "result_misses", "contexts_warm"}
+        hits = sum(e.event == "cache_hit" for e in loaded)
+        assert stats["result_hits"] == hits == 1
+        assert stats["result_misses"] == stats["submitted"] - hits
+        assert stats["contexts_warm"] == snapshot["contexts"]["warm"]
+
+        fleet = {k: getattr(replayed_fleet, k) for k in FleetStats.FIELDS}
+        live_fleet = snapshot["backend"].get("stats")
+        if live_fleet is None:
+            assert not any(fleet.values())
+        else:
+            assert set(live_fleet) - set(fleet) == {"heartbeats"}
+            assert fleet == {k: live_fleet[k] for k in FleetStats.FIELDS}
+            assert (fleet["spawned"], fleet["exited"], fleet["lost"],
+                    fleet["redispatched"]) == (2, 2, 1, 1)
+
+        def counter(name, **labels):
+            metric = registry.get(name, labels)
+            return metric.value if metric is not None else 0
+
+        assert counter("service_requests_total", status="completed") \
+            == stats["completed"]
+        assert counter("service_requests_total", status="failed") \
+            == stats["failed"]
+        assert counter("service_coalesced_total") == stats["coalesced"]
+        assert counter("service_rejected_total") == stats["rejected"]
+        assert counter("service_timeouts_total", stage="wait") \
+            + counter("service_timeouts_total", stage="queue") \
+            == stats["timeouts"]
+        assert counter("service_fleet_workers_lost_total") == fleet["lost"]
+        assert counter("service_fleet_redispatched_total") \
+            == fleet["redispatched"]
+        assert counter("service_fleet_results_discarded_total") \
+            == fleet["discarded"]
 
 
 # --------------------------------------------------------------------- #
