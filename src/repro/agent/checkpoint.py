@@ -1,8 +1,8 @@
-"""Policy checkpointing (.npz) — the ``checkpoint_path`` of the config.
+"""Policy checkpointing (.npz).
 
-The paper's config object accepts "a file path to save trained
-variables"; here that persists the GAT + strategy-network weights, so a
-policy pretrained on one set of graphs can be fine-tuned on unseen ones
+Persists the GAT + strategy-network weights ("a file path to save
+trained variables" in the paper's config object), so a policy
+pretrained on one set of graphs can be fine-tuned on unseen ones
 (Sec. 6.5) across processes.
 """
 

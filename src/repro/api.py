@@ -203,7 +203,7 @@ def get_runner(
         raise
     except (ValueError, KeyError, TypeError) as exc:
         raise ReproError(f"input_func failed: {exc}") from exc
-    batch = _graph_batch(graph)
+    batch = graph.batch_size()
     if batch and dataset.batch_size != batch:
         raise ReproError(
             f"input_func batch_size {dataset.batch_size} != model batch "
@@ -213,11 +213,3 @@ def get_runner(
     module = HeteroG(cluster, heterog_config)
     deployment = module.deploy(graph)
     return module.runner(deployment)
-
-
-def _graph_batch(graph: ComputationGraph) -> int:
-    from .graph.op import OpPhase
-    for op in graph:
-        if op.phase is OpPhase.INPUT and op.output.batch_size:
-            return int(op.output.batch_size)
-    return 0

@@ -4,7 +4,6 @@ client API, Sec. 3.5)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .agent.agent import AgentConfig
 
@@ -21,8 +20,6 @@ class HeteroGConfig:
     - ``use_order_scheduling``: HeteroG's rank-based execution order vs the
       framework's default FIFO ("whether to use default execution order or
       our order scheduling algorithm").
-    - ``checkpoint_path``: where to save trained variables (accepted for
-      API fidelity; the simulated engine has no variables to persist).
     - ``agent``: GNN policy and training hyper-parameters.
     - ``seed``: master seed for profiling/search determinism; overrides
       ``agent.seed``.
@@ -30,7 +27,6 @@ class HeteroGConfig:
 
     episodes: int = 40
     use_order_scheduling: bool = True
-    checkpoint_path: Optional[str] = None
     agent: AgentConfig = field(default_factory=AgentConfig)
     seed: int = 0
     profile_noise_sigma: float = 0.03

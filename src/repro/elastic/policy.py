@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster.topology import Cluster
-from ..errors import ReproError
 from ..plan import ExecutionPlan
 from ..simulation.costs import ProfileCostModel
 from ..simulation.kernel import kernel_lower_bound
@@ -48,28 +47,15 @@ class ScaleDecision:
     reason: str
 
 
+#: weight of the newest search in the search-cost moving average
+SEARCH_COST_SMOOTHING = 0.5
+
+
 class ElasticPolicy:
-    """Decides whether new capacity pays for a replan.
+    """Decides whether new capacity pays for a replan."""
 
-    ``min_predicted_gain`` is the post-search adoption margin: the found
-    plan must predict at least this *fraction* faster than the current
-    plan to be adopted (0 = any strict improvement).
-    """
-
-    def __init__(self, *, restart_overhead: float = 0.0,
-                 search_cost_smoothing: float = 0.5,
-                 min_predicted_gain: float = 0.0):
-        if not 0.0 < search_cost_smoothing <= 1.0:
-            raise ReproError(
-                f"search_cost_smoothing must be in (0, 1], got "
-                f"{search_cost_smoothing}")
-        if not 0.0 <= min_predicted_gain < 1.0:
-            raise ReproError(
-                f"min_predicted_gain must be in [0, 1), got "
-                f"{min_predicted_gain}")
+    def __init__(self, *, restart_overhead: float = 0.0):
         self.restart_overhead = restart_overhead
-        self.min_predicted_gain = min_predicted_gain
-        self._smoothing = search_cost_smoothing
         self._search_cost = 0.0      # EMA of observed search wall-clock
         self._searches = 0
 
@@ -84,8 +70,9 @@ class ElasticPolicy:
         if self._searches == 0:
             self._search_cost = seconds
         else:
-            self._search_cost = ((1 - self._smoothing) * self._search_cost
-                                 + self._smoothing * seconds)
+            self._search_cost = (
+                (1 - SEARCH_COST_SMOOTHING) * self._search_cost
+                + SEARCH_COST_SMOOTHING * seconds)
         self._searches += 1
 
     # ---------------------------------------------------------------- #
@@ -133,4 +120,4 @@ class ElasticPolicy:
         """Post-search guard: adopt only a strictly better predicted plan."""
         if current_time != current_time:   # NaN: nothing to compare against
             return True
-        return candidate_time < current_time * (1.0 - self.min_predicted_gain)
+        return candidate_time < current_time

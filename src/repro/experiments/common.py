@@ -105,26 +105,29 @@ class MeasuredStrategy:
 
 
 class ExperimentContext:
-    """Caches profiles/plan-builders per (graph, cluster) across
-    measurements, so sweeps that revisit a strategy reuse its plan."""
+    """Caches profiles/plan-builders per graph object on one cluster
+    across measurements, so sweeps that revisit a strategy reuse its
+    plan.  Keys are the graphs themselves, not their names: two builds
+    of a model at different batch sizes share a name, not a profile."""
 
     def __init__(self, cluster: Cluster, seed: int = 0):
         self.cluster = cluster
         self.seed = seed
-        self._profiles: Dict[str, Profile] = {}
-        self._builders: Dict[Tuple[str, bool], PlanBuilder] = {}
+        self._profiles: Dict[ComputationGraph, Profile] = {}
+        self._builders: Dict[Tuple[ComputationGraph, bool],
+                             PlanBuilder] = {}
 
     def profile(self, graph: ComputationGraph) -> Profile:
-        if graph.name not in self._profiles:
-            self._profiles[graph.name] = Profiler(seed=self.seed).profile(
+        if graph not in self._profiles:
+            self._profiles[graph] = Profiler(seed=self.seed).profile(
                 graph, self.cluster
             )
-        return self._profiles[graph.name]
+        return self._profiles[graph]
 
     def builder(self, graph: ComputationGraph, *,
                 use_order_scheduling: bool = True) -> PlanBuilder:
         """Shared PlanBuilder for (graph, order flag) on this cluster."""
-        key = (graph.name, use_order_scheduling)
+        key = (graph, use_order_scheduling)
         if key not in self._builders:
             self._builders[key] = PlanBuilder(
                 graph, self.cluster, self.profile(graph),

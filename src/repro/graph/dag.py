@@ -170,6 +170,13 @@ class ComputationGraph:
     # ------------------------------------------------------------------ #
     # summary statistics
     # ------------------------------------------------------------------ #
+    def batch_size(self) -> int:
+        """The global batch: the first batched INPUT op's (0 if none)."""
+        for op in self:
+            if op.phase is OpPhase.INPUT and op.output.batch_size:
+                return int(op.output.batch_size)
+        return 0
+
     def total_flops(self) -> float:
         return sum(op.flops for op in self._ops.values())
 

@@ -59,12 +59,15 @@ from ..telemetry.flight import FlightRecorder, default_recorder
 from ..telemetry.journal import new_request_id
 from ..elastic.policy import ElasticPolicy
 from .faults import FaultEvent, FaultInjector, FaultKind
-from .replan import Replanner
+from .replan import RecoveryPlan, Replanner
 
 POLICIES = ("replan", "ride", "elastic")
 
 _ARRIVAL_KINDS = (FaultKind.DEVICE_JOIN, FaultKind.SERVER_JOIN,
                   FaultKind.RECLAIM)
+
+#: hard failures one iteration may recover from before the run gives up
+MAX_RECOVERIES = 8
 
 
 @dataclass
@@ -155,20 +158,25 @@ class ResilienceReport:
 
 
 class ResilientTrainer:
-    """Runs training iterations that survive a changing cluster."""
+    """Runs training iterations that survive a changing cluster.
+
+    A replan after a detected failure, on a preempt notice or onto
+    arrived capacity takes one path: :meth:`_replan` searches and
+    :meth:`_adopt` switches, so every adopted replan's episode journals
+    ``replan_started -> replan_completed -> resumed``.
+    """
 
     def __init__(self, deployment: ExecutionPlan, injector: FaultInjector, *,
                  engine: Optional[ExecutionEngine] = None,
                  replanner: Optional[Replanner] = None,
-                 detector: Optional[FailureDetector] = None,
                  policy: str = "replan",
                  restart_overhead: float = 0.0,
-                 max_recoveries: int = 8,
-                 recorder: Optional[FlightRecorder] = None,
-                 elastic_policy: Optional[ElasticPolicy] = None):
+                 recorder: Optional[FlightRecorder] = None):
         if policy not in POLICIES:
             raise ReproError(
                 f"unknown policy {policy!r}; expected one of {POLICIES}")
+        if policy != "ride" and replanner is None:
+            raise ReproError(f"policy {policy!r} needs a replanner")
         self.deployment = deployment
         self.injector = injector
         self.engine = engine if engine is not None else ExecutionEngine(
@@ -177,15 +185,13 @@ class ResilientTrainer:
             self.engine.fault_injector = injector
             injector.bind(self.engine)
         self.replanner = replanner
-        self.detector = detector if detector is not None \
-            else FailureDetector()
+        self.detector = FailureDetector()
         self.policy = policy
         self.restart_overhead = restart_overhead
-        self.max_recoveries = max_recoveries
         self.recorder = recorder if recorder is not None \
             else default_recorder()
-        self.elastic_policy = elastic_policy if elastic_policy is not None \
-            else ElasticPolicy(restart_overhead=restart_overhead)
+        self.elastic_policy = ElasticPolicy(
+            restart_overhead=restart_overhead)
         self.episode_id = ""         # assigned per run()
         self._healthy_mean: Optional[float] = None
 
@@ -239,9 +245,9 @@ class ResilientTrainer:
                 attempts += 1
                 event = self.detector.observe_error(i, exc)
                 report.detections.append(event)
-                if attempts > self.max_recoveries:
+                if attempts > MAX_RECOVERIES:
                     raise ReproError(
-                        f"gave up after {self.max_recoveries} recovery "
+                        f"gave up after {MAX_RECOVERIES} recovery "
                         f"attempts at iteration {i}: {exc}") from exc
                 if not self._recover(i, event, report):
                     return False
@@ -290,7 +296,7 @@ class ResilientTrainer:
         telemetry.emit_gauge(
             "elastic_fleet_devices", fleet.num_devices,
             help="physical fleet size after the latest capacity event")
-        if self.policy == "ride" or self.replanner is None:
+        if self.policy == "ride":
             return
         notices = [e for e in events if e.kind is FaultKind.PREEMPT]
         arrivals = [e for e in events if e.kind in _ARRIVAL_KINDS]
@@ -320,33 +326,13 @@ class ResilientTrainer:
         targets = sorted(e.target for e in notices)
         if not (set(targets) & set(self.deployment.cluster.device_ids)):
             return                # nothing running on the dying devices
-        cluster = self._usable_cluster()
         cause = "preempt_notice:" + "+".join(targets)
-        self.recorder.emit(self.episode_id, "replan_started",
-                           devices=cluster.num_devices, cause=cause,
-                           iteration=i)
-        with telemetry.span("resilience.drain", iteration=i, cause=cause):
-            recovery = self.replanner.replan(cluster)
-        self.recorder.emit(self.episode_id, "replan_completed",
-                           seconds=recovery.search_seconds,
-                           feasible=recovery.feasible,
-                           request_id_of_replan=recovery.request_id)
-        self.elastic_policy.observe_search(recovery.search_seconds)
+        recovery = self._replan(i, self._usable_cluster(), cause)
         # the search ran inside the notice window, concurrent with
         # training: only the restart is paid, and nothing is lost
-        self.deployment = recovery.deployment
-        self.detector.reset()
-        self._maybe_rebuild_engine()
-        report.recoveries.append(RecoveryRecord(
-            iteration=i, cause=cause, action="replan",
-            trigger="preempt_notice",
-            downtime_seconds=self.restart_overhead,
-            search_seconds=recovery.search_seconds,
-            plan_cache_hits=recovery.plan_cache_hits,
-            devices_after=recovery.cluster.num_devices,
-        ))
-        self.recorder.emit(self.episode_id, "resumed", iteration=i,
-                           devices=recovery.cluster.num_devices)
+        self._adopt(i, report, recovery, cause=cause, action="replan",
+                    trigger="preempt_notice",
+                    downtime_seconds=self.restart_overhead)
 
     def _scale_up(self, i: int, arrivals: List[FaultEvent], steps: int,
                   report: ResilienceReport) -> None:
@@ -362,52 +348,24 @@ class ResilientTrainer:
                 healthy_mean=self._healthy_mean,
                 remaining_steps=steps - i)
             if not decision.replan:
-                self.recorder.emit(
-                    self.episode_id, "scale_up_skipped",
-                    expected_savings=decision.expected_savings,
-                    replan_cost=decision.replan_cost,
-                    reason=decision.reason)
-                telemetry.emit_count(
-                    "elastic_scale_ups_skipped_total",
-                    help="arrivals where replanning did not pay")
+                self._skip_scale_up(decision.expected_savings,
+                                    decision.replan_cost, decision.reason)
                 return
         else:
             decision = None       # replan policy adopts unconditionally
-        with telemetry.span("resilience.scale_up", iteration=i,
-                            cause=cause):
-            recovery = self.replanner.replan(cluster)
-        self.elastic_policy.observe_search(recovery.search_seconds)
+        recovery = self._replan(i, cluster, cause)
         adopted = recovery.deployment
-        adopted_time = recovery.outcome.time
         if self.policy == "elastic":
+            adopted_time = recovery.outcome.time
             fast_path = self._fast_path_candidate(cluster)
             if fast_path is not None and fast_path[1] < adopted_time:
                 adopted, adopted_time = fast_path
-        predicted = self.deployment.sim_result.makespan
-        if self.policy == "elastic" and not self.elastic_policy.\
-                should_adopt(predicted, adopted_time):
-            self.recorder.emit(
-                self.episode_id, "scale_up_skipped",
-                expected_savings=0.0,
-                replan_cost=recovery.search_seconds,
-                reason="searched plan not faster than incumbent")
-            telemetry.emit_count(
-                "elastic_scale_ups_skipped_total",
-                help="arrivals where replanning did not pay")
-            return
-        # the search ran concurrently with training on the old plan:
-        # adoption costs one restart, no work is thrown away
-        self.deployment = adopted
-        self.detector.reset()
-        self._maybe_rebuild_engine()
-        report.recoveries.append(RecoveryRecord(
-            iteration=i, cause=cause, action="scale_up",
-            trigger="arrival",
-            downtime_seconds=self.restart_overhead,
-            search_seconds=recovery.search_seconds,
-            plan_cache_hits=recovery.plan_cache_hits,
-            devices_after=recovery.cluster.num_devices,
-        ))
+            if not self.elastic_policy.should_adopt(
+                    self.deployment.sim_result.makespan, adopted_time):
+                self._skip_scale_up(
+                    0.0, recovery.search_seconds,
+                    "searched plan not faster than incumbent")
+                return
         self.recorder.emit(
             self.episode_id, "scale_up_replan",
             devices=recovery.cluster.num_devices,
@@ -418,6 +376,20 @@ class ResilientTrainer:
         telemetry.emit_count(
             "elastic_scale_up_replans_total",
             help="arrivals adopted via a priced replan")
+        # the search ran concurrently with training on the old plan:
+        # adoption costs one restart, no work is thrown away
+        self._adopt(i, report, recovery, plan=adopted, cause=cause,
+                    action="scale_up", trigger="arrival",
+                    downtime_seconds=self.restart_overhead)
+
+    def _skip_scale_up(self, expected_savings: float, replan_cost: float,
+                       reason: str) -> None:
+        self.recorder.emit(self.episode_id, "scale_up_skipped",
+                           expected_savings=expected_savings,
+                           replan_cost=replan_cost, reason=reason)
+        telemetry.emit_count(
+            "elastic_scale_ups_skipped_total",
+            help="arrivals where replanning did not pay")
 
     def _fast_path_candidate(self, cluster):
         """The no-search arrival plan: all ops on the fastest new device.
@@ -479,7 +451,7 @@ class ResilientTrainer:
                  report: ResilienceReport) -> bool:
         """Handle one detection; False means the run cannot continue."""
         cause = f"{event.kind}:{event.resource}"
-        if self.policy == "ride" or self.replanner is None:
+        if self.policy == "ride":
             if event.is_hard:
                 # a dead device cannot be ridden out
                 report.recoveries.append(RecoveryRecord(
@@ -493,35 +465,46 @@ class ResilientTrainer:
             ))
             return True
 
-    # replan / elastic policy: re-search on what is usable right now
+        # replan / elastic policy: re-search on what is usable right now
         detection_lag = self._healthy_mean or 0.0
-        degraded = self._usable_cluster()
+        recovery = self._replan(i, self._usable_cluster(), cause)
+        self._adopt(i, report, recovery, cause=cause, action="replan",
+                    downtime_seconds=detection_lag
+                    + recovery.search_seconds + self.restart_overhead,
+                    lost_work_seconds=detection_lag if event.is_hard
+                    else 0.0)
+        return True
+
+    # ---------------------------------------------------------------- #
+    def _replan(self, i: int, cluster, cause: str) -> RecoveryPlan:
+        """Search a deployment on ``cluster``; journal it and feed its
+        wall-clock into the elastic search-cost estimate."""
         self.recorder.emit(self.episode_id, "replan_started",
-                           devices=degraded.num_devices, cause=cause,
+                           devices=cluster.num_devices, cause=cause,
                            iteration=i)
         with telemetry.span("resilience.recover", iteration=i, cause=cause):
-            recovery = self.replanner.replan(degraded)
+            recovery = self.replanner.replan(cluster)
         self.recorder.emit(self.episode_id, "replan_completed",
                            seconds=recovery.search_seconds,
                            feasible=recovery.feasible,
                            request_id_of_replan=recovery.request_id)
         self.elastic_policy.observe_search(recovery.search_seconds)
-        self.deployment = recovery.deployment
+        return recovery
+
+    def _adopt(self, i: int, report: ResilienceReport,
+               recovery: RecoveryPlan, *,
+               plan: Optional[ExecutionPlan] = None, **record) -> None:
+        """Switch to ``plan`` (default: the searched one), book the
+        recovery and journal the resume."""
+        self.deployment = plan if plan is not None else recovery.deployment
         self.detector.reset()
         self._maybe_rebuild_engine()
-        lost = detection_lag if event.is_hard else 0.0
-        downtime = detection_lag + recovery.search_seconds \
-            + self.restart_overhead
         report.recoveries.append(RecoveryRecord(
-            iteration=i, cause=cause, action="replan",
-            downtime_seconds=downtime, lost_work_seconds=lost,
-            search_seconds=recovery.search_seconds,
+            iteration=i, search_seconds=recovery.search_seconds,
             plan_cache_hits=recovery.plan_cache_hits,
-            devices_after=recovery.cluster.num_devices,
-        ))
+            devices_after=recovery.cluster.num_devices, **record))
         self.recorder.emit(self.episode_id, "resumed", iteration=i,
                            devices=recovery.cluster.num_devices)
-        return True
 
     # ---------------------------------------------------------------- #
     @staticmethod

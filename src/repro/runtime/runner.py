@@ -9,7 +9,6 @@ import numpy as np
 
 from .. import telemetry
 from ..errors import ReproError
-from ..graph.op import OpPhase
 from ..plan import ExecutionPlan
 from .execution_engine import ExecutionEngine
 
@@ -53,7 +52,7 @@ class DistributedRunner:
                  engine: Optional[ExecutionEngine] = None):
         self.deployment = deployment
         self.engine = engine or ExecutionEngine(deployment.cluster)
-        self._global_batch = _infer_global_batch(deployment)
+        self._global_batch = deployment.graph.batch_size()
 
     @property
     def global_batch(self) -> int:
@@ -77,10 +76,3 @@ class DistributedRunner:
             labels={"graph": self.deployment.graph.name},
             help="training throughput of the last run() call")
         return report
-
-
-def _infer_global_batch(deployment: ExecutionPlan) -> int:
-    for op in deployment.graph:
-        if op.phase is OpPhase.INPUT and op.output.batch_size:
-            return int(op.output.batch_size)
-    return 0

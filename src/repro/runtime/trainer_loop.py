@@ -110,34 +110,33 @@ class DetectionEvent:
         return self.kind in ("device_lost", "oom")
 
 
+#: a device's busy time, or a link's transfer time, above this multiple
+#: of its baseline is a soft failure; well above the engine's run-to-run
+#: jitter (sigma ~= 0.04), so healthy noise never trips it
+BLOWUP_THRESHOLD = 1.4
+#: healthy iterations that seed the baselines before any check
+WARMUP_ITERATIONS = 2
+#: weight of the newest sample in the baselines' moving average
+BASELINE_EMA = 0.5
+
+
 class FailureDetector:
     """Notices failed/degraded resources from iteration results.
 
     Hard failures arrive as exceptions (:meth:`observe_error`); soft
     degradations are inferred from :class:`SimulationResult` busy-time
-    tables (:meth:`observe`): after ``warmup`` healthy iterations seed
-    an exponential-moving-average baseline, any device whose busy time
-    exceeds ``blowup_threshold`` x its baseline is flagged a straggler,
-    and any link whose busy time exceeds ``link_threshold`` x baseline
-    is flagged degraded.  The thresholds sit well above the engine's
-    run-to-run jitter (sigma ~= 0.04) so healthy noise never trips them.
+    tables (:meth:`observe`): after ``WARMUP_ITERATIONS`` healthy
+    iterations seed an exponential-moving-average baseline, any device
+    whose busy time exceeds ``BLOWUP_THRESHOLD`` x its baseline is
+    flagged a straggler, and any link whose busy time does is flagged
+    degraded.
 
     Each resource is flagged at most once; after the controller replans
     (the execution profile legitimately changes), call :meth:`reset` to
     re-warm the baselines against the new deployment.
     """
 
-    def __init__(self, *, blowup_threshold: float = 1.4,
-                 link_threshold: float = 1.4, warmup: int = 2,
-                 ema: float = 0.5):
-        if blowup_threshold <= 1.0 or link_threshold <= 1.0:
-            raise ReproError("detection thresholds must be > 1.0")
-        if not 0 < ema <= 1:
-            raise ReproError(f"ema weight must be in (0, 1], got {ema}")
-        self.blowup_threshold = blowup_threshold
-        self.link_threshold = link_threshold
-        self.warmup = warmup
-        self.ema = ema
+    def __init__(self) -> None:
         self._device_baseline: Dict[str, float] = {}
         self._link_baseline: Dict[str, float] = {}
         self._healthy = 0
@@ -170,16 +169,16 @@ class FailureDetector:
         """Update baselines with one healthy-looking iteration; return
         any soft degradations it reveals."""
         events: List[DetectionEvent] = []
-        if self._healthy < self.warmup:
+        if self._healthy < WARMUP_ITERATIONS:
             self._absorb(result)
             self._healthy += 1
             return events
         events.extend(self._scan(
             iteration, result.device_busy, self._device_baseline,
-            self.blowup_threshold, "straggler"))
+            "straggler"))
         events.extend(self._scan(
             iteration, result.link_busy, self._link_baseline,
-            self.link_threshold, "link_degraded"))
+            "link_degraded"))
         for event in events:
             self._count(event)
         return events
@@ -192,11 +191,10 @@ class FailureDetector:
             for resource, busy in table.items():
                 prev = baseline.get(resource)
                 baseline[resource] = busy if prev is None \
-                    else (1 - self.ema) * prev + self.ema * busy
+                    else (1 - BASELINE_EMA) * prev + BASELINE_EMA * busy
 
     def _scan(self, iteration: int, table: Dict[str, float],
-              baseline: Dict[str, float], threshold: float,
-              kind: str) -> List[DetectionEvent]:
+              baseline: Dict[str, float], kind: str) -> List[DetectionEvent]:
         events: List[DetectionEvent] = []
         for resource, busy in table.items():
             if resource in self._flagged:
@@ -206,13 +204,14 @@ class FailureDetector:
                 baseline[resource] = busy
                 continue
             ratio = busy / prev
-            if ratio > threshold:
+            if ratio > BLOWUP_THRESHOLD:
                 self._flagged.add(resource)
                 events.append(DetectionEvent(iteration, kind, resource,
                                              severity=ratio))
             else:
                 # healthy sample: keep tracking drift
-                baseline[resource] = (1 - self.ema) * prev + self.ema * busy
+                baseline[resource] = ((1 - BASELINE_EMA) * prev
+                                      + BASELINE_EMA * busy)
         return events
 
     @staticmethod

@@ -45,9 +45,8 @@ def _config_payload(config: HeteroGConfig) -> Any:
 
     The agent's ``seed`` is overridden by the config's own (see
     :class:`~repro.service.context.PlanContext`), so it does not split
-    contexts; ``checkpoint_path`` never affects a result, and
-    ``episodes`` enters the fingerprint as the search budget.  Every
-    other agent field stays in the payload.
+    contexts, and ``episodes`` enters the fingerprint as the search
+    budget.  Every other agent field stays in the payload.
     """
     agent = dataclasses.asdict(config.agent)
     agent.pop("seed", None)

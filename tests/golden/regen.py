@@ -314,6 +314,42 @@ def faults_answer() -> dict:
             "chosen": plan.schedule.chosen}
 
 
+#: the pinned capacity schedule: a server arrives before any replan
+#: (so the elastic policy prices it with a zero search-cost estimate,
+#: never a measured wall-clock), then a preempt notice and a crash
+ELASTIC_SCHEDULE = "server_join:v100@1x2,preempt:gpu1@3x2,crash:gpu3@6"
+
+
+def elastic_answer(model: str) -> dict:
+    """The capacity schedule under the ``replan`` and ``elastic``
+    policies: an arrival, a drain (elastic) or the preempted device's
+    crash (replan), and a crash.  Wall-clock fields (search seconds,
+    downtime) are left out."""
+    cluster = cluster_4gpu()
+    graph = build_model(model, "tiny")
+    profile = Profiler(seed=0).profile(graph, cluster)
+    deployment = PlanBuilder(graph, cluster, profile).build(
+        all_dp_strategies(graph, cluster)["CP-AR"])
+    out: Dict[str, dict] = {}
+    for policy in ("replan", "elastic"):
+        injector = FaultInjector(cluster,
+                                 FaultSchedule.parse(ELASTIC_SCHEDULE))
+        engine = ExecutionEngine(cluster, seed=21, fault_injector=injector)
+        replanner = Replanner(
+            graph, cluster,
+            config=HeteroGConfig(seed=5, agent=_small_agent(5)), episodes=2)
+        trainer = ResilientTrainer(deployment, injector, engine=engine,
+                                   replanner=replanner, policy=policy)
+        report = trainer.run(9)
+        plan = trainer.deployment
+        out[policy] = {
+            "iterations": [_hex(t) for t in report.iteration_times],
+            "recoveries": [f"{r.iteration} {r.action} {r.trigger} "
+                           f"{r.devices_after}" for r in report.recoveries],
+            "winner": plan.fingerprint[:16]}
+    return out
+
+
 def blame_answer() -> dict:
     """One build request through the planning service whose critical
     path crosses devices, links and NCCL: the blame fractions its
@@ -352,6 +388,7 @@ def compute_answers() -> dict:
     answers["reinforce/multi_graph"] = multi_graph_answer()
     answers["replan/transformer"] = replan_answer()
     answers["faults/transformer"] = faults_answer()
+    answers["elastic/transformer"] = elastic_answer("transformer")
     answers["service/blame"] = blame_answer()
     return json.loads(json.dumps(answers))
 

@@ -23,6 +23,7 @@ from repro.resilience import (
     ResilientTrainer,
 )
 from repro.runtime import ExecutionEngine
+from repro.telemetry.flight import FlightRecorder
 
 from tests.helpers import make_mlp
 from tests.test_resilience import TINY_AGENT, touched_devices
@@ -257,8 +258,10 @@ class TestEmptyChurnPaired:
             injector = FaultInjector(two_gpu, schedule)
             engine = ExecutionEngine(two_gpu, seed=17,
                                      fault_injector=injector)
-            trainer = ResilientTrainer(deployment, injector, engine=engine,
-                                       policy=policy)
+            trainer = ResilientTrainer(
+                deployment, injector, engine=engine,
+                replanner=Replanner(deployment.graph, two_gpu),
+                policy=policy)
             report = trainer.run(5)
             return report.iteration_times, report.total_seconds
 
@@ -393,11 +396,41 @@ class TestElasticTrainer:
         with pytest.raises(ReproError):
             ResilientTrainer(deployment, injector, policy="magic")
 
+    @pytest.mark.parametrize("policy", ["replan", "elastic"])
+    def test_replanning_policy_needs_a_replanner(self, two_gpu, deployment,
+                                                 policy):
+        """Without a replanner a replanning policy would silently ride
+        out every fault; it is refused up front instead."""
+        injector = FaultInjector(two_gpu, FaultSchedule.empty())
+        with pytest.raises(ReproError, match="needs a replanner"):
+            ResilientTrainer(deployment, injector, policy=policy)
+
+    @pytest.mark.parametrize("policy", ["replan", "elastic"])
+    def test_scale_up_journals_the_replan(self, two_gpu, deployment,
+                                          replanner, policy):
+        """An adopted scale-up journals the same replan events as a
+        crash recovery or a drain, in order, on the episode record."""
+        rec = FlightRecorder()
+        injector = FaultInjector(
+            two_gpu, FaultSchedule.parse("server_join:v100@2x2"))
+        trainer = ResilientTrainer(
+            deployment, injector,
+            engine=ExecutionEngine(two_gpu, seed=21,
+                                   fault_injector=injector),
+            replanner=replanner, policy=policy, recorder=rec)
+        report = trainer.run(6)
+        assert [r.action for r in report.recoveries] == ["scale_up"]
+        names = [e.event for e in rec.get(trainer.episode_id).events]
+        replan = [n for n in names
+                  if n in ("replan_started", "replan_completed", "resumed")]
+        assert replan == ["replan_started", "replan_completed", "resumed"]
+        assert names.index("scale_up_replan") < names.index("resumed")
+
 
 # --------------------------------------------------------------------- #
 class TestElasticPolicy:
     def test_search_cost_ema(self):
-        policy = ElasticPolicy(search_cost_smoothing=0.5)
+        policy = ElasticPolicy()
         assert policy.search_cost_estimate == 0.0
         policy.observe_search(2.0)
         assert policy.search_cost_estimate == 2.0
@@ -431,12 +464,3 @@ class TestElasticPolicy:
         assert policy.should_adopt(1.0, 0.99)
         assert not policy.should_adopt(1.0, 1.0)
         assert policy.should_adopt(float("nan"), 5.0)  # nothing to compare
-        margin = ElasticPolicy(min_predicted_gain=0.1)
-        assert not margin.should_adopt(1.0, 0.95)
-        assert margin.should_adopt(1.0, 0.85)
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            ElasticPolicy(search_cost_smoothing=0.0)
-        with pytest.raises(ReproError):
-            ElasticPolicy(min_predicted_gain=1.0)

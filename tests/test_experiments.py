@@ -35,6 +35,24 @@ class TestCommon:
         ctx = ExperimentContext(four_gpu, seed=0)
         assert ctx.profile(g) is ctx.profile(g)
 
+    def test_same_named_graphs_are_measured_apart(self, four_gpu):
+        """Two builds of one model at different batch sizes share a
+        name; each is measured on its own profile and plan builder."""
+        from repro.baselines import dp_strategy
+
+        def measure(ctx, graph):
+            return ctx.measure(graph, dp_strategy("CP-AR", graph, four_gpu),
+                               "CP-AR", iterations=1).time
+
+        small = build_model("vgg19", "tiny", batch_size=16)
+        large = build_model("vgg19", "tiny", batch_size=64)
+        assert small.name == large.name
+        shared = ExperimentContext(four_gpu, seed=0)
+        measure(shared, small)
+        assert measure(shared, large) == measure(
+            ExperimentContext(four_gpu, seed=0), large)
+        assert shared.profile(small) is not shared.profile(large)
+
     def test_run_heterog_records_search_stats(self, four_gpu):
         ctx = ExperimentContext(four_gpu, seed=0)
         g = build_model("transformer", "tiny")

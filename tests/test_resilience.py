@@ -230,7 +230,7 @@ class TestDetector:
             detector.observe_error(4, RuntimeError("unrelated"))
 
     def test_flags_straggler_blowup_once(self):
-        detector = FailureDetector(blowup_threshold=1.4, warmup=2)
+        detector = FailureDetector()
 
         def result(gpu0_busy):
             # what the detector reads of a result
@@ -251,12 +251,6 @@ class TestDetector:
         assert detector.observe(4, result(2.1)) == []
         detector.reset()
         assert detector.observe(5, result(2.1)) == []   # re-warming
-
-    def test_rejects_bad_thresholds(self):
-        with pytest.raises(ReproError):
-            FailureDetector(blowup_threshold=0.9)
-        with pytest.raises(ReproError):
-            FailureDetector(ema=0.0)
 
 
 # --------------------------------------------------------------------- #

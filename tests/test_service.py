@@ -132,7 +132,6 @@ def _changed(value):
 # config fields that cannot change a result or are overridden, so they
 # stay out of the fingerprint on purpose
 _NOT_FINGERPRINTED = {
-    "checkpoint_path",            # never read while planning
     "agent.seed",                 # overridden by the config's seed
 }
 
@@ -157,8 +156,7 @@ class TestFingerprintCoverage:
             *owner, name = path.split(".")
             target = config.agent if owner else config
             value = getattr(target, name)
-            setattr(target, name, "elsewhere.ckpt"
-                    if path == "checkpoint_path" else _changed(value))
+            setattr(target, name, _changed(value))
             same = fingerprint(config) == reference
             if same and path not in _NOT_FINGERPRINTED:
                 missed.append(path)

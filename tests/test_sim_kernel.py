@@ -547,7 +547,7 @@ def test_planning_derives_no_breakdown_but_the_detector_does(monkeypatch):
     assert derived == []
     trainer = ResilientTrainer(
         found.deployment, FaultInjector(cluster, FaultSchedule.empty()),
-        engine=ExecutionEngine(cluster, seed=3))
+        engine=ExecutionEngine(cluster, seed=3), policy="ride")
     trainer.run(3)
     assert len(derived) == 3
     assert walls == []
