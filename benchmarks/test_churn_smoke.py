@@ -27,9 +27,14 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.experiments import churn_sweep, render_churn_sweep
-from repro.experiments.churn import _scenario_kind, elastic_base_cluster
+from repro.cluster import cluster_2gpu
+from repro.experiments import (
+    churn_scenarios,
+    render_resilience_sweep,
+    resilience_sweep,
+)
 from repro.experiments.common import bench_agent_config, env_episodes
+from repro.graph.models import build_model
 from repro.graph.models.registry import ALL_MODELS
 
 #: the arrival advantage may drop to this fraction of the committed
@@ -48,13 +53,15 @@ def _geomean(values):
 
 @pytest.mark.benchmark
 def test_elastic_churn(quick, report, results_dir):
-    cluster = elastic_base_cluster()
+    cluster = cluster_2gpu()
     models = ["vgg19"] if quick else list(ALL_MODELS)
+    arrival, preempt = scenarios = churn_scenarios(cluster)
     with telemetry.session() as session:
-        rows = churn_sweep(
+        rows = resilience_sweep(
             cluster,
-            models=models,
-            preset="tiny",
+            {m: build_model(m, "tiny") for m in models},
+            scenarios,
+            ("elastic", "replan", "ride"),
             steps=6 if quick else 8,
             episodes=2 if quick else env_episodes(8),
             replan_episodes=2 if quick else 4,
@@ -64,7 +71,8 @@ def test_elastic_churn(quick, report, results_dir):
         cache_hits = session.registry.get("plan_cache_hits_total",
                                           labels={"kind": "plan"})
     mode = "quick" if quick else "full"
-    by = {(r.model, _scenario_kind(r.scenario), r.policy): r for r in rows}
+    kind = {arrival[0]: "arrival", preempt[0]: "preempt"}
+    by = {(r.model, kind[r.scenario], r.policy): r for r in rows}
     advantages = {}
     mttr_gaps = {}
     for model in models:
@@ -128,4 +136,4 @@ def test_elastic_churn(quick, report, results_dir):
     report(f"elastic churn ({mode}): elastic vs replan vs ride "
            f"({len(models)} models, base {cluster.num_devices} GPUs) — "
            f"geomean arrival advantage {advantage:.2f}x",
-           render_churn_sweep(rows) + "\n" + gates)
+           render_resilience_sweep(rows) + "\n" + gates)

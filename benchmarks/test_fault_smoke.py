@@ -19,7 +19,11 @@ import pytest
 
 from repro import telemetry
 from repro.cluster import cluster_4gpu, cluster_8gpu
-from repro.experiments import fault_sweep, render_fault_sweep
+from repro.experiments import (
+    fault_scenarios,
+    render_resilience_sweep,
+    resilience_sweep,
+)
 from repro.experiments.common import bench_agent_config, env_episodes
 from repro.graph.models import build_model
 
@@ -29,9 +33,11 @@ def test_fault_sweep(quick, report):
     cluster = cluster_4gpu() if quick else cluster_8gpu()
     graph = build_model("vgg19", "tiny" if quick else "bench")
     with telemetry.session() as session:
-        rows = fault_sweep(
+        rows = resilience_sweep(
             cluster,
-            graph=graph,
+            {"vgg19": graph},
+            fault_scenarios(cluster),
+            ("replan", "ride"),
             steps=6 if quick else 10,
             episodes=2 if quick else env_episodes(8),
             replan_episodes=2 if quick else 4,
@@ -41,7 +47,7 @@ def test_fault_sweep(quick, report):
         cache_hits = session.registry.get("plan_cache_hits_total",
                                           labels={"kind": "plan"})
     report("fault sweep: replan vs ride-it-out "
-           f"({cluster.num_devices} GPUs)", render_fault_sweep(rows))
+           f"({cluster.num_devices} GPUs)", render_resilience_sweep(rows))
 
     by_key = {(r.scenario, r.policy): r for r in rows}
     crash_scenario = next(r.scenario for r in rows

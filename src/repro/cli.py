@@ -10,12 +10,14 @@ trace       run the full pipeline under telemetry, write a Chrome trace
             and print the critical-path blame
 faults      train under a fault-injection schedule (crash / degrade /
             straggler) and recover by elastic replanning
+churn       train through spot arrivals and preemptions (a concrete
+            schedule or seeded Poisson rates)
 serve       drive the planning service with a concurrent workload and
             report coalescing / admission-control behaviour
 bench-service  benchmark coalesced concurrent serving against naive
             serial replanning
 experiment  run one paper experiment (table1, table4, table7, fig3a,
-            fig3b, fig8, fig9, faults)
+            fig3b, fig8, fig9, faults, churn)
 journal     tail / filter a JSONL request journal (--request-id,
             --phase, --format jsonl|table)
 postmortem  reconstruct one request's full timeline from the journal
@@ -39,6 +41,7 @@ from .cluster import (
 )
 from .errors import ReproError
 from .graph.models import ALL_MODELS, build_model, model_names
+from .telemetry.journal import PHASE_OF
 
 CLUSTERS = {
     "2gpu": cluster_2gpu,
@@ -167,6 +170,35 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _add_resilience_args(parser: argparse.ArgumentParser, *, cluster: str,
+                         cluster_help: str, schedule_help: str,
+                         policy: str) -> None:
+    """The options ``faults`` and ``churn`` share; each command adds
+    only its own schedule generator's flags."""
+    parser.add_argument("model", help="model name or unique prefix "
+                        "(e.g. resnet, vgg19)")
+    parser.add_argument("cluster", nargs="?", default=cluster,
+                        help=cluster_help)
+    parser.add_argument("--schedule", metavar="SPEC", help=schedule_help)
+    parser.add_argument("--policy", choices=["replan", "ride", "elastic"],
+                        default=policy,
+                        help=f"recovery policy (default: {policy}); "
+                        "elastic also reacts to joins and preempt notices")
+    parser.add_argument("--steps", type=int, default=12,
+                        help="training iterations to run (default: 12)")
+    parser.add_argument("--episodes", type=int, default=8,
+                        help="initial strategy-search episodes (default: 8)")
+    parser.add_argument("--replan-episodes", type=int, default=4,
+                        help="episodes per replan search (default: 4)")
+    parser.add_argument("--quick", action="store_true",
+                        help="CI smoke mode: trim episodes and steps")
+    parser.add_argument("--preset", choices=["tiny", "bench", "paper"],
+                        default="bench", help="model scale (default: bench)")
+    parser.add_argument("--seed", type=int, default=0)
+    _add_output_args(parser, journal=True)
+    parser.set_defaults(func=cmd_resilience)
+
+
 def cmd_models(args: argparse.Namespace) -> int:
     """``repro models``: list the model zoo with sizes."""
     print(f"{'model':16s} {'ops':>6s} {'params':>10s} {'GFLOPs':>9s}")
@@ -268,67 +300,40 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_faults(args: argparse.Namespace) -> int:
-    """``repro faults``: train under fault injection and recover.
-
-    Returns exit code 1 when the run stalled (a crash under the ``ride``
-    policy), so scripts and the CI smoke can assert recovery happened.
-    """
-    from . import telemetry
-    from .config import HeteroGConfig
-    from .experiments.common import bench_agent_config
-    from .heterog import HeteroG
-    from .resilience import FaultSchedule
-
-    model_name = _resolve_model(args.model)
-    cluster = _resolve_cluster(args.cluster)()
-    episodes, steps = args.episodes, args.steps
-    replan_episodes = args.replan_episodes
-    if args.quick:
-        episodes = min(episodes, 2)
-        steps = min(steps, 6)
-        replan_episodes = min(replan_episodes, 2)
-    graph = build_model(model_name, args.preset)
-    if args.schedule:
-        schedule = FaultSchedule.parse(args.schedule)
-    else:
-        schedule = FaultSchedule.random(cluster, seed=args.seed,
-                                        events=args.random_faults,
-                                        horizon=max(2, steps // 2))
-    config = HeteroGConfig(episodes=episodes, seed=args.seed,
-                           agent=bench_agent_config(args.seed))
-    heterog = HeteroG(cluster, config)
-    with telemetry.session() as tel:
-        print(f"searching healthy deployment for {graph.name} on {cluster} "
-              f"({episodes} episodes)...", file=sys.stderr)
-        deployment = heterog.deploy(graph)
-        print("injecting: "
-              + (", ".join(e.label for e in schedule) or "(none)"),
-              file=sys.stderr)
-        trainer = heterog.resilient_runner(deployment, schedule,
-                                           policy=args.policy,
-                                           episodes=replan_episodes)
-        report = trainer.run(steps)
-        print(report.summary())
-        _save_outputs(args, tel)
-    return 1 if report.stalled else 0
-
-
-def cmd_churn(args: argparse.Namespace) -> int:
-    """``repro churn``: train through spot arrivals and preemptions.
-
-    Either a concrete ``--schedule`` of capacity events or a seeded
-    Poisson timeline from ``--arrival-rate`` / ``--preempt-rate``
-    (the :class:`~repro.elastic.ChurnSchedule` generator).  Returns
-    exit code 1 when the run stalled, so scripts can assert the
-    elastic policy kept the job alive.
-    """
-    from . import telemetry
-    from .config import HeteroGConfig
+def _event_schedule(args: argparse.Namespace, cluster, steps: int):
+    """The run's schedule: ``--schedule`` if given, else the command's
+    seeded generator (random faults, or Poisson churn from the rates)."""
     from .elastic import ChurnSchedule
+    from .resilience import FaultSchedule
+
+    if args.schedule:
+        return FaultSchedule.parse(args.schedule)
+    if args.command == "faults":
+        return FaultSchedule.random(cluster, seed=args.seed,
+                                    events=args.random_faults,
+                                    horizon=max(2, steps // 2))
+    return ChurnSchedule(
+        arrival_rate=args.arrival_rate,
+        preempt_rate=args.preempt_rate,
+        notice=args.notice,
+        reclaim_probability=args.reclaim_probability,
+        seed=args.seed,
+        horizon=max(2, steps),
+    ).schedule(cluster)
+
+
+def cmd_resilience(args: argparse.Namespace) -> int:
+    """``repro faults`` / ``repro churn``: train under an event schedule
+    (faults, or spot arrivals and preemptions) and recover.
+
+    Returns exit code 1 when the run stalled (e.g. a crash under the
+    ``ride`` policy), so scripts and the CI smoke can assert recovery
+    happened.
+    """
+    from . import telemetry
+    from .config import HeteroGConfig
     from .experiments.common import bench_agent_config
     from .heterog import HeteroG
-    from .resilience import FaultSchedule
 
     model_name = _resolve_model(args.model)
     cluster = _resolve_cluster(args.cluster)()
@@ -339,18 +344,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
         steps = min(steps, 6)
         replan_episodes = min(replan_episodes, 2)
     graph = build_model(model_name, args.preset)
-    if args.schedule:
-        schedule = FaultSchedule.parse(args.schedule)
-    else:
-        churn = ChurnSchedule(
-            arrival_rate=args.arrival_rate,
-            preempt_rate=args.preempt_rate,
-            notice=args.notice,
-            reclaim_probability=args.reclaim_probability,
-            seed=args.seed,
-            horizon=max(2, steps),
-        )
-        schedule = churn.schedule(cluster)
+    schedule = _event_schedule(args, cluster, steps)
     config = HeteroGConfig(episodes=episodes, seed=args.seed,
                            agent=bench_agent_config(args.seed))
     heterog = HeteroG(cluster, config)
@@ -358,9 +352,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
         print(f"searching healthy deployment for {graph.name} on {cluster} "
               f"({episodes} episodes)...", file=sys.stderr)
         deployment = heterog.deploy(graph)
-        print("churn events: "
-              + (", ".join(e.label for e in schedule) or "(none)"),
-              file=sys.stderr)
+        print(f"injecting: {schedule or '(none)'}", file=sys.stderr)
         trainer = heterog.resilient_runner(deployment, schedule,
                                            policy=args.policy,
                                            episodes=replan_episodes)
@@ -613,12 +605,19 @@ def _run_experiment(args: argparse.Namespace) -> int:
     elif name == "fig9":
         print(ex.render_fig9(ex.fig9_existing_schemes()))
     elif name == "faults":
-        if getattr(args, "churn", False):
-            print(ex.render_churn_sweep(ex.churn_sweep()))
-        else:
-            print(ex.render_fault_sweep(ex.fault_sweep(cluster_4gpu())))
+        cluster = cluster_4gpu()
+        rows = ex.resilience_sweep(
+            cluster, {"vgg19": build_model("vgg19", ex.env_preset())},
+            ex.fault_scenarios(cluster), ("replan", "ride"))
+        print(ex.render_resilience_sweep(rows))
     elif name == "churn":
-        print(ex.render_churn_sweep(ex.churn_sweep()))
+        # tiny by default: bench-scale NLP models do not fit the small
+        # starting fleet
+        cluster, preset = cluster_2gpu(), ex.env_preset("tiny")
+        rows = ex.resilience_sweep(
+            cluster, {m: build_model(m, preset) for m in ALL_MODELS},
+            ex.churn_scenarios(cluster), ("elastic", "replan", "ride"))
+        print(ex.render_resilience_sweep(rows))
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown experiment {name}")
     return 0
@@ -674,73 +673,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("faults",
                        help="train under fault injection and recover")
-    p.add_argument("model", help="model name or unique prefix "
-                   "(e.g. resnet, vgg19)")
-    p.add_argument("cluster", nargs="?", default="8gpu",
-                   help="cluster preset (8gpu, cluster8, 12gpu, ...)")
-    p.add_argument("--schedule", metavar="SPEC",
-                   help="comma-separated faults, kind:target@iter[xF] "
-                   "(e.g. 'crash:gpu3@5,degrade:server1@8x0.5'); "
-                   "default: a seeded random schedule")
-    p.add_argument("--policy", choices=["replan", "ride", "elastic"],
-                   default="replan",
-                   help="recovery policy (default: replan); elastic "
-                   "additionally reacts to joins and preempt notices")
-    p.add_argument("--steps", type=int, default=12,
-                   help="training iterations to run (default: 12)")
-    p.add_argument("--episodes", type=int, default=8,
-                   help="initial strategy-search episodes (default: 8)")
-    p.add_argument("--replan-episodes", type=int, default=4,
-                   help="episodes per replan search (default: 4)")
+    _add_resilience_args(
+        p, cluster="8gpu",
+        cluster_help="cluster preset (8gpu, cluster8, 12gpu, ...)",
+        schedule_help="comma-separated faults, kind:target@iter[xF] "
+        "(e.g. 'crash:gpu3@5,degrade:server1@8x0.5'); default: a seeded "
+        "random schedule", policy="replan")
     p.add_argument("--random-faults", type=int, default=2,
                    help="events in the random schedule (default: 2)")
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke mode: trim episodes and steps")
-    p.add_argument("--preset", choices=["tiny", "bench", "paper"],
-                   default="bench", help="model scale (default: bench)")
-    p.add_argument("--seed", type=int, default=0)
-    _add_output_args(p, journal=True)
-    p.set_defaults(func=cmd_faults)
 
     p = sub.add_parser("churn",
                        help="train through spot arrivals and preemptions")
-    p.add_argument("model", help="model name or unique prefix "
-                   "(e.g. resnet, vgg19)")
-    p.add_argument("cluster", nargs="?", default="2gpu",
-                   help="starting cluster preset (default: 2gpu — small "
-                   "on purpose, so arriving capacity matters)")
-    p.add_argument("--schedule", metavar="SPEC",
-                   help="comma-separated capacity events, "
-                   "kind:target@iter[xF] (e.g. 'server_join:v100@2x2,"
-                   "preempt:gpu1@4x2'); default: a seeded Poisson "
-                   "timeline from the rates below")
+    _add_resilience_args(
+        p, cluster="2gpu",
+        cluster_help="starting cluster preset (default: 2gpu — small on "
+        "purpose, so arriving capacity matters)",
+        schedule_help="comma-separated capacity events, "
+        "kind:target@iter[xF] (e.g. 'server_join:v100@2x2,"
+        "preempt:gpu1@4x2'); default: a seeded Poisson timeline from the "
+        "rates below", policy="elastic")
     p.add_argument("--arrival-rate", type=float, default=0.3,
                    help="expected arrivals per iteration (default: 0.3)")
     p.add_argument("--preempt-rate", type=float, default=0.1,
-                   help="expected preemptions per iteration "
-                   "(default: 0.1)")
+                   help="expected preemptions per iteration (default: "
+                   "0.1); preemptions need a cluster of 3 or more "
+                   "devices, since at least two are always kept")
     p.add_argument("--notice", type=int, default=2,
                    help="spot advance-notice window in iterations "
                    "(default: 2)")
     p.add_argument("--reclaim-probability", type=float, default=0.25,
                    help="chance a preempted device comes back "
                    "(default: 0.25)")
-    p.add_argument("--policy", choices=["elastic", "replan", "ride"],
-                   default="elastic",
-                   help="capacity policy (default: elastic)")
-    p.add_argument("--steps", type=int, default=12,
-                   help="training iterations to run (default: 12)")
-    p.add_argument("--episodes", type=int, default=8,
-                   help="initial strategy-search episodes (default: 8)")
-    p.add_argument("--replan-episodes", type=int, default=4,
-                   help="episodes per replan search (default: 4)")
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke mode: trim episodes and steps")
-    p.add_argument("--preset", choices=["tiny", "bench", "paper"],
-                   default="bench", help="model scale (default: bench)")
-    p.add_argument("--seed", type=int, default=0)
-    _add_output_args(p, journal=True)
-    p.set_defaults(func=cmd_churn)
 
     p = sub.add_parser("serve",
                        help="drive the planning service with a workload")
@@ -794,9 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "faults", "churn"])
     p.add_argument("--large", action="store_true",
                    help="include the large-model OOM rows (slow)")
-    p.add_argument("--churn", action="store_true",
-                   help="with 'faults': sweep capacity churn (arrivals, "
-                   "spot preemptions) instead of degradation faults")
     _add_output_args(p, journal=True)
     p.set_defaults(func=cmd_experiment)
 
@@ -809,8 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--event", metavar="TYPE",
                    help="only this event type (e.g. completed)")
     p.add_argument("--phase",
-                   choices=["admission", "context", "search", "build",
-                            "outcome", "fleet", "resilience"],
+                   choices=list(dict.fromkeys(PHASE_OF.values())),
                    help="only events in this lifecycle phase")
     p.add_argument("--tail", type=int, metavar="N",
                    help="only the last N matching events")

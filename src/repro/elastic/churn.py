@@ -3,7 +3,8 @@
 A :class:`ChurnSchedule` turns per-iteration arrival/preemption *rates*
 into a concrete, fully deterministic :class:`~repro.resilience.faults.
 FaultSchedule` of capacity events over a given cluster — the
-rate-driven counterpart of :meth:`FaultSchedule.random`.  Arrivals are
+capacity counterpart of :meth:`FaultSchedule.random`, which draws only
+degradation faults.  Arrivals are
 ``join`` / ``server_join`` events (a spot market granting capacity),
 preemptions are ``preempt`` notices with a fixed advance window, and a
 preempted device may later ``reclaim`` (the market giving it back).
@@ -22,10 +23,16 @@ from typing import List, Set, Tuple
 
 import numpy as np
 
-from ..cluster.device import GPU_ALIASES
 from ..cluster.topology import Cluster
 from ..errors import ReproError
 from ..resilience.faults import FaultEvent, FaultKind, FaultSchedule
+
+#: share of arrivals that bring a whole new server rather than extra
+#: GPUs on an existing one
+SERVER_FRACTION = 0.5
+
+#: GPU model of an arriving server
+ARRIVAL_GPU = "v100"
 
 
 @dataclass(frozen=True)
@@ -35,17 +42,15 @@ class ChurnSchedule:
     ``arrival_rate`` and ``preempt_rate`` are expected events per
     training iteration (Poisson); ``notice`` is the spot advance-notice
     window in iterations; ``reclaim_probability`` is the chance a
-    preempted device comes back later; ``server_fraction`` is the share
-    of arrivals that bring a whole new server (of ``gpu_model`` GPUs)
-    rather than extra GPUs on an existing server.
+    preempted device comes back later.  A share :data:`SERVER_FRACTION`
+    of arrivals bring a whole new server of :data:`ARRIVAL_GPU` GPUs,
+    the rest extra GPUs on an existing server.
     """
 
     arrival_rate: float = 0.0
     preempt_rate: float = 0.0
     notice: int = 2
     reclaim_probability: float = 0.0
-    server_fraction: float = 0.5
-    gpu_model: str = "v100"
     horizon: int = 16
     seed: int = 0
 
@@ -61,14 +66,6 @@ class ChurnSchedule:
             raise ReproError(
                 f"reclaim_probability must be in [0, 1], got "
                 f"{self.reclaim_probability}")
-        if not 0.0 <= self.server_fraction <= 1.0:
-            raise ReproError(
-                f"server_fraction must be in [0, 1], got "
-                f"{self.server_fraction}")
-        if self.gpu_model.lower() not in GPU_ALIASES:
-            raise ReproError(
-                f"unknown gpu_model {self.gpu_model!r} "
-                f"(known: {', '.join(sorted(GPU_ALIASES))})")
         if self.horizon < 2:
             raise ReproError(f"horizon must be >= 2, got {self.horizon}")
 
@@ -101,8 +98,8 @@ class ChurnSchedule:
 
         for it in range(1, self.horizon):
             for _ in range(int(rng.poisson(self.arrival_rate))):
-                if float(rng.random()) < self.server_fraction:
-                    emit(it, FaultKind.SERVER_JOIN, self.gpu_model.lower(),
+                if float(rng.random()) < SERVER_FRACTION:
+                    emit(it, FaultKind.SERVER_JOIN, ARRIVAL_GPU,
                          float(rng.integers(1, 3)))
                 else:
                     target = servers[int(rng.integers(len(servers)))]

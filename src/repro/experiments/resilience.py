@@ -1,28 +1,35 @@
-"""Fault-sweep experiment: elastic replanning vs riding faults out.
+"""Resilience sweep: recovery policies under faults and capacity churn.
 
-For each fault scenario the same deployment (searched once on the
-healthy cluster) is trained twice with the identical seeded engine and
-fault schedule — once under the ``replan`` policy (detect, re-search on
-the survivors, resume) and once under ``ride`` (keep the original plan;
-a crash stalls the run).  The table reports completed steps, mean
-iteration time, downtime/lost work and the resulting total makespan, so
-the value of elastic replanning is read off a single column.  A
-no-faults row pins the healthy baseline, and — because an empty
-schedule installs no overlay at all — it is bit-identical to running
-without the resilience subsystem.
+Per model the deployment is searched once on the healthy cluster and
+trained under every (scenario, policy) pair with an identically seeded
+engine and a fresh injector, so pre-event iterations are pairwise
+identical and the table reads the value of each policy off one column.
+Two scenario families share the sweep:
+
+- **faults** (:func:`fault_scenarios`) — *degradation*: a crash, a slow
+  NIC, a straggler, compared under ``replan`` (detect, re-search on the
+  survivors, resume) and ``ride`` (keep the plan; a crash stalls).  A
+  no-faults row pins the healthy baseline; an empty schedule installs
+  no overlay at all, so it is bit-identical to running without the
+  resilience subsystem.
+- **churn** (:func:`churn_scenarios`) — *capacity*: a V100 server
+  arrives (``elastic`` prices the replan against the enlarged fleet's
+  makespan lower bound; ``ride`` keeps the old plan) and a device gets a
+  spot notice (``elastic`` drains inside the window with zero lost work;
+  ``replan`` waits for the crash; ``ride`` stalls).  The churn sweep
+  starts on the small, slow :func:`~repro.cluster.cluster_2gpu` fleet,
+  so arriving capacity is worth replanning onto.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..agent import AgentConfig
 from ..cluster.topology import Cluster
 from ..config import HeteroGConfig
 from ..graph.dag import ComputationGraph
-from ..graph.models import build_model
 from ..resilience import (
     FaultInjector,
     FaultSchedule,
@@ -35,19 +42,18 @@ from .common import (
     ExperimentContext,
     bench_agent_config,
     env_episodes,
-    env_preset,
     format_table,
 )
 
 
 @dataclass
-class FaultSweepRow:
-    """One (scenario, policy) cell of the fault sweep."""
+class ResilienceRow:
+    """One (model, scenario, policy) run of the resilience sweep."""
 
+    model: str
     scenario: str
     policy: str
     report: ResilienceReport
-    wall_seconds: float
 
     @property
     def stalled(self) -> bool:
@@ -57,21 +63,25 @@ class FaultSweepRow:
     def total_seconds(self) -> float:
         return self.report.total_seconds
 
+    def _actions(self, action: str) -> int:
+        return sum(1 for r in self.report.recoveries if r.action == action)
+
     @property
     def replans(self) -> int:
-        return sum(1 for r in self.report.recoveries
-                   if r.action == "replan")
+        return self._actions("replan")
 
     @property
-    def display_total(self) -> str:
-        if self.stalled:
-            return "stalled"
-        return f"{self.total_seconds:.3f}"
+    def scale_ups(self) -> int:
+        return self._actions("scale_up")
+
+    @property
+    def plan_cache_hits(self) -> int:
+        return sum(r.plan_cache_hits for r in self.report.recoveries)
 
 
-def default_scenarios(cluster: Cluster, *, at: int = 3,
-                      ) -> List[Tuple[str, FaultSchedule]]:
-    """The three canonical single-fault scenarios on ``cluster``."""
+def fault_scenarios(cluster: Cluster, *, at: int = 3,
+                    ) -> List[Tuple[str, FaultSchedule]]:
+    """The no-faults baseline and three single-fault scenarios."""
     victim = cluster.device_ids[-1]       # crash the last-added GPU
     straggler = cluster.device_ids[0]
     server = cluster.server_names()[-1]   # degrade the last server's NIC
@@ -86,62 +96,70 @@ def default_scenarios(cluster: Cluster, *, at: int = 3,
     ]
 
 
-def fault_sweep(cluster: Cluster, *,
-                graph: Optional[ComputationGraph] = None,
-                model: str = "vgg19", preset: Optional[str] = None,
-                steps: int = 8, episodes: Optional[int] = None,
-                replan_episodes: int = 4, seed: int = 0,
-                agent_config: Optional[AgentConfig] = None,
-                scenarios: Optional[Sequence[Tuple[str, FaultSchedule]]]
-                = None) -> List[FaultSweepRow]:
-    """Run the replan-vs-ride comparison over the fault scenarios.
+def churn_scenarios(cluster: Cluster, *, at: int = 2, notice: int = 2,
+                    ) -> List[Tuple[str, FaultSchedule]]:
+    """The two canonical capacity-event scenarios on ``cluster``."""
+    victim = cluster.device_ids[-1]
+    return [
+        ("arrival +2xV100",
+         FaultSchedule.parse(f"server_join:v100@{at}x2")),
+        (f"preempt {victim} (notice {notice})",
+         FaultSchedule.parse(f"preempt:{victim}@{at + 1}x{notice}")),
+    ]
 
-    The healthy deployment is searched once and shared by every run;
-    each (scenario, policy) pair gets a fresh engine with the same seed
-    so the pre-fault iterations are pairwise identical.  One
-    :class:`Replanner` serves all replan runs, so scenarios that reach
-    the same degraded cluster reuse its warmed search session.
+
+def resilience_sweep(cluster: Cluster,
+                     graphs: Mapping[str, ComputationGraph],
+                     scenarios: Sequence[Tuple[str, FaultSchedule]],
+                     policies: Sequence[str], *,
+                     steps: int = 8, episodes: Optional[int] = None,
+                     replan_episodes: int = 4, seed: int = 0,
+                     agent_config: Optional[AgentConfig] = None,
+                     ) -> List[ResilienceRow]:
+    """Train every model of ``graphs`` (label -> graph) under every
+    (scenario, policy) pair; an empty schedule runs once, under
+    ``ride``, with the policy label ``-``.
+
+    One :class:`Replanner` per model serves all its runs, in order, so
+    replans and scale-ups that reach the same fleet reuse its warmed
+    search session (the benchmarks assert the plan-cache hits).
     """
-    if graph is None:
-        graph = build_model(model, preset or env_preset())
     config = agent_config or bench_agent_config(seed)
     ctx = ExperimentContext(cluster, seed=seed)
-    searched = ctx.run_heterog(
-        graph, episodes=episodes if episodes is not None
-        else env_episodes(8), agent_config=config)
-    deployment = ctx.builder(graph).build(searched.strategy)
-    replanner = Replanner(graph, cluster,
-                          config=HeteroGConfig(seed=seed, agent=config),
-                          episodes=replan_episodes)
-    rows: List[FaultSweepRow] = []
-    for name, schedule in (scenarios if scenarios is not None
-                           else default_scenarios(cluster)):
-        policies = ("replan", "ride") if not schedule.is_empty else ("-",)
-        for policy in policies:
-            injector = FaultInjector(cluster, schedule)
-            engine = ExecutionEngine(cluster, seed=seed + 1,
-                                     fault_injector=injector)
-            trainer = ResilientTrainer(
-                deployment, injector, engine=engine,
-                replanner=replanner if policy == "replan" else None,
-                policy=policy if policy != "-" else "ride",
-            )
-            start = time.time()
-            report = trainer.run(steps)
-            rows.append(FaultSweepRow(
-                scenario=name, policy=policy, report=report,
-                wall_seconds=time.time() - start,
-            ))
+    rows: List[ResilienceRow] = []
+    for model, graph in graphs.items():
+        searched = ctx.run_heterog(
+            graph, episodes=episodes if episodes is not None
+            else env_episodes(8), agent_config=config)
+        deployment = ctx.builder(graph).build(searched.strategy)
+        replanner = Replanner(graph, cluster,
+                              config=HeteroGConfig(seed=seed, agent=config),
+                              episodes=replan_episodes)
+        for name, schedule in scenarios:
+            for policy in policies if not schedule.is_empty else ("-",):
+                run_policy = "ride" if policy == "-" else policy
+                injector = FaultInjector(cluster, schedule)
+                engine = ExecutionEngine(cluster, seed=seed + 1,
+                                         fault_injector=injector)
+                trainer = ResilientTrainer(
+                    deployment, injector, engine=engine,
+                    replanner=None if run_policy == "ride" else replanner,
+                    policy=run_policy,
+                )
+                rows.append(ResilienceRow(model=model, scenario=name,
+                                          policy=policy,
+                                          report=trainer.run(steps)))
     return rows
 
 
-def render_fault_sweep(rows: List[FaultSweepRow]) -> str:
-    """Plain-text replan-vs-ride comparison table."""
+def render_resilience_sweep(rows: List[ResilienceRow]) -> str:
+    """Plain-text policy comparison table."""
     table: List[List[str]] = []
     for row in rows:
         report = row.report
         mttr = report.mttr
         table.append([
+            row.model,
             row.scenario,
             row.policy,
             f"{report.completed_steps}/{report.steps}",
@@ -149,10 +167,11 @@ def render_fault_sweep(rows: List[FaultSweepRow]) -> str:
             "-" if mttr != mttr else f"{mttr:.3f}",
             f"{report.lost_work:.3f}",
             str(row.replans),
-            row.display_total,
+            str(row.scale_ups),
+            "stalled" if row.stalled else f"{row.total_seconds:.3f}",
         ])
     return format_table(
-        ["Scenario", "Policy", "Steps", "Iter (s)", "MTTR (s)",
-         "Lost (s)", "Replans", "Total (s)"],
+        ["Model", "Scenario", "Policy", "Steps", "Iter (s)", "MTTR (s)",
+         "Lost (s)", "Replans", "ScaleUps", "Total (s)"],
         table,
     )

@@ -35,7 +35,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..cluster.device import GPU_ALIASES, resolve_gpu
+from ..cluster.device import resolve_gpu
 from ..cluster.link import NIC_50G, PCIE3
 from ..cluster.topology import Cluster, ServerSpec
 from ..errors import ReproError
@@ -53,9 +53,8 @@ class FaultKind(enum.Enum):
     RECLAIM = "reclaim"             # a downed device comes back
 
 
-#: the original degradation kinds — the default pool for
-#: :meth:`FaultSchedule.random` (kept at three so seeded schedules from
-#: before the capacity vocabulary are byte-identical)
+#: the degradation kinds — the pool :meth:`FaultSchedule.random` draws
+#: from (capacity events come from :class:`~repro.elastic.ChurnSchedule`)
 FAULT_KINDS = (FaultKind.DEVICE_CRASH, FaultKind.LINK_DEGRADE,
                FaultKind.STRAGGLER)
 
@@ -112,10 +111,15 @@ class FaultEvent:
 
     @property
     def label(self) -> str:
+        """The spec form :meth:`FaultSchedule.parse` reads back exactly:
+        the factor as ``:g`` when that is exact (``x0.5``, ``x2``), else
+        its shortest round-tripping repr."""
+        head = f"{self.kind.value}:{self.target}@{self.iteration}"
         if self.kind in (FaultKind.DEVICE_CRASH, FaultKind.RECLAIM):
-            return f"{self.kind.value}:{self.target}@{self.iteration}"
-        return (f"{self.kind.value}:{self.target}@{self.iteration}"
-                f"x{self.factor:g}")
+            return head
+        short = f"{self.factor:g}"
+        factor = short if float(short) == self.factor else repr(self.factor)
+        return f"{head}x{factor}"
 
 
 @dataclass(frozen=True)
@@ -196,24 +200,18 @@ class FaultSchedule:
 
     @staticmethod
     def random(cluster: Cluster, *, seed: int, events: int = 2,
-               horizon: int = 16,
-               kinds: Optional[List[FaultKind]] = None) -> "FaultSchedule":
-        """A deterministic seeded schedule over ``cluster``'s resources.
+               horizon: int = 16) -> "FaultSchedule":
+        """A deterministic seeded schedule of degradation faults
+        (:data:`FAULT_KINDS`) over ``cluster``'s resources.
 
-        Never crashes/preempts more than ``num_devices - 1`` GPUs, so a
-        replan on the survivors is always possible.  ``kinds`` defaults
-        to the three degradation kinds (:data:`FAULT_KINDS`) — pass
-        capacity kinds explicitly (or use
-        :class:`~repro.elastic.ChurnSchedule` for rate-driven churn) to
-        generate arrivals and preemptions.
+        Never crashes more than ``num_devices - 1`` GPUs, so a replan on
+        the survivors is always possible.  Capacity events (arrivals,
+        preemptions) come from :class:`~repro.elastic.ChurnSchedule`.
         """
         rng = np.random.default_rng(seed)
-        kinds = list(kinds) if kinds else list(FAULT_KINDS)
         device_ids = cluster.device_ids
         servers = cluster.server_names()
-        crashes_left = len(device_ids) - 1
         crashed: List[str] = []
-        down_at: Dict[str, int] = {}  # device -> iteration it goes dark
         taken: set = set()            # (target, iteration) pairs used
         out: List[FaultEvent] = []
 
@@ -226,46 +224,23 @@ class FaultSchedule:
             return True
 
         for _ in range(events):
-            kind = kinds[int(rng.integers(len(kinds)))]
+            kind = FAULT_KINDS[int(rng.integers(len(FAULT_KINDS)))]
             iteration = int(rng.integers(1, max(2, horizon)))
-            if kind is FaultKind.RECLAIM and not crashed:
-                kind = FaultKind.DEVICE_JOIN \
-                    if FaultKind.DEVICE_JOIN in kinds else FaultKind.STRAGGLER
-            if kind in (FaultKind.DEVICE_CRASH, FaultKind.PREEMPT):
+            if kind is FaultKind.DEVICE_CRASH:
                 alive = [d for d in device_ids if d not in crashed]
-                if crashes_left <= 0 or len(alive) <= 1:
+                if len(alive) <= 1:
                     kind = FaultKind.STRAGGLER
                 else:
                     target = alive[int(rng.integers(len(alive)))]
-                    notice = (float(rng.integers(1, 4))
-                              if kind is FaultKind.PREEMPT else 1.0)
-                    if emit(iteration, kind, target, notice):
+                    if emit(iteration, kind, target):
                         crashed.append(target)
-                        crashes_left -= 1
-                        down_at[target] = iteration + (
-                            int(notice) if kind is FaultKind.PREEMPT else 0)
                     continue
             if kind is FaultKind.LINK_DEGRADE:
                 target = servers[int(rng.integers(len(servers)))]
-                factor = float(rng.uniform(0.3, 0.7))
-                emit(iteration, kind, target, factor)
-            elif kind is FaultKind.DEVICE_JOIN:
-                target = servers[int(rng.integers(len(servers)))]
-                emit(iteration, kind, target, float(rng.integers(1, 3)))
-            elif kind is FaultKind.SERVER_JOIN:
-                aliases = sorted(GPU_ALIASES)
-                target = aliases[int(rng.integers(len(aliases)))]
-                emit(iteration, kind, target, float(rng.integers(1, 3)))
-            elif kind is FaultKind.RECLAIM:
-                target = crashed[int(rng.integers(len(crashed)))]
-                # a device can only come back after it actually went dark
-                if emit(max(iteration, down_at[target] + 1), kind, target):
-                    crashed.remove(target)
-                    crashes_left += 1
+                emit(iteration, kind, target, float(rng.uniform(0.3, 0.7)))
             else:  # straggler
                 target = device_ids[int(rng.integers(len(device_ids)))]
-                factor = float(rng.uniform(1.5, 3.0))
-                emit(iteration, kind, target, factor)
+                emit(iteration, kind, target, float(rng.uniform(1.5, 3.0)))
         return FaultSchedule(tuple(out))
 
 

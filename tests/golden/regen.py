@@ -29,8 +29,13 @@ from repro import telemetry
 from repro.agent import AgentConfig, HeteroGAgent
 from repro.baselines import PostSearch
 from repro.baselines.dp import all_dp_strategies
-from repro.cluster import cluster_4gpu
+from repro.cluster import cluster_2gpu, cluster_4gpu
 from repro.config import HeteroGConfig
+from repro.experiments import (
+    churn_scenarios,
+    fault_scenarios,
+    resilience_sweep,
+)
 from repro.graph.models import build_model, model_names
 from repro.parallel.strategy import (
     CommMethod,
@@ -350,6 +355,50 @@ def elastic_answer(model: str) -> dict:
     return out
 
 
+def _sweep_rows(rows) -> Dict[str, dict]:
+    """Each sweep row in run order, without its wall-clock fields
+    (MTTR, downtime and total include the replans' search seconds)."""
+    return {f"{i:02d}": {
+        "scenario": row.scenario,
+        "policy": row.policy,
+        "completed": row.report.completed_steps,
+        "stalled": row.stalled,
+        "iterations": [_hex(t) for t in row.report.iteration_times],
+        "lost_work": _hex(row.report.lost_work),
+        "recoveries": [f"{r.iteration} {r.action} {r.trigger} "
+                       f"{r.devices_after} {r.plan_cache_hits}"
+                       for r in row.report.recoveries]}
+        for i, row in enumerate(rows)}
+
+
+#: the pinned sweep scale: the benchmarks' ``--quick`` settings
+SWEEP = dict(steps=6, episodes=2, replan_episodes=2, seed=0)
+
+
+def sweep_answers() -> Dict[str, dict]:
+    """The fault sweep (four GPUs) and the churn sweep (two GPUs) over
+    their canonical scenarios, for tiny vgg19."""
+    graphs = {"vgg19": build_model("vgg19", "tiny")}
+    faults, churn = cluster_4gpu(), cluster_2gpu()
+    return {
+        "sweep/faults": _sweep_rows(resilience_sweep(
+            faults, graphs, fault_scenarios(faults), ("replan", "ride"),
+            **SWEEP)),
+        "sweep/churn": _sweep_rows(resilience_sweep(
+            churn, graphs, churn_scenarios(churn),
+            ("elastic", "replan", "ride"), **SWEEP)),
+    }
+
+
+def random_faults_answer() -> Dict[str, list]:
+    """Seeded random fault schedules on four GPUs, one per seed, as
+    ``(iteration, kind, target, factor)`` tuples."""
+    return {str(seed): [
+        (e.iteration, e.kind.value, e.target, _hex(e.factor))
+        for e in FaultSchedule.random(cluster_4gpu(), seed=seed, events=6)]
+        for seed in range(10)}
+
+
 def blame_answer() -> dict:
     """One build request through the planning service whose critical
     path crosses devices, links and NCCL: the blame fractions its
@@ -389,6 +438,8 @@ def compute_answers() -> dict:
     answers["replan/transformer"] = replan_answer()
     answers["faults/transformer"] = faults_answer()
     answers["elastic/transformer"] = elastic_answer("transformer")
+    answers.update(sweep_answers())
+    answers["random/faults"] = random_faults_answer()
     answers["service/blame"] = blame_answer()
     return json.loads(json.dumps(answers))
 

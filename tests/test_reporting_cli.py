@@ -222,3 +222,22 @@ class TestCLIPlan:
     def test_experiment_rejects_unknown(self):
         with pytest.raises(SystemExit):
             main(["experiment", "table99"])
+
+
+class TestCLIResilience:
+    """``repro faults`` / ``repro churn``: the recovery each prints and
+    the exit code scripts assert on (1 when the run stalled)."""
+
+    QUICK = ["--preset", "tiny", "--quick"]
+
+    @pytest.mark.parametrize("command, code, expected", [
+        (["faults", "vgg19", "4gpu", "--schedule", "crash:gpu3@2"],
+         0, "-> replan"),
+        (["faults", "vgg19", "4gpu", "--schedule", "crash:gpu3@2",
+          "--policy", "ride"], 1, "[STALLED]"),
+        (["churn", "vgg19", "--schedule", "server_join:v100@2x2"],
+         0, "-> scale_up"),
+    ])
+    def test_recovers_or_stalls(self, capsys, command, code, expected):
+        assert main(command + self.QUICK) == code
+        assert expected in capsys.readouterr().out

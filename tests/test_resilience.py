@@ -71,6 +71,9 @@ class TestSchedule:
         assert len(sched) == 3
         # iteration-sorted regardless of spec order
         assert [e.iteration for e in sched] == [3, 5, 8]
+        # and printed back in that order; exact factors print short
+        assert str(sched) == \
+            "straggler:gpu2@3x1.7,crash:gpu3@5,degrade:server1@8x0.5"
         kinds = {e.kind for e in sched}
         assert kinds == {FaultKind.DEVICE_CRASH, FaultKind.LINK_DEGRADE,
                          FaultKind.STRAGGLER}
@@ -92,6 +95,13 @@ class TestSchedule:
         assert [e.label for e in a] == [e.label for e in b]
         crashes = [e for e in a if e.kind is FaultKind.DEVICE_CRASH]
         assert len(crashes) <= four_gpu.num_devices - 1
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_printed_random_schedule_replays(self, four_gpu, seed):
+        """The printed spec parses back to the same schedule, so a run's
+        schedule line can be replayed through ``--schedule``."""
+        sched = FaultSchedule.random(four_gpu, seed=seed, events=6)
+        assert FaultSchedule.parse(str(sched)) == sched
 
 
 # --------------------------------------------------------------------- #
