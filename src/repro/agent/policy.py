@@ -9,7 +9,7 @@ parallelism; the last four are the data-parallel combinations
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -113,15 +113,12 @@ class PolicyNetwork(Module):
 
     def sample(self, features: np.ndarray, neighbourhood: Neighbourhood,
                assignment: np.ndarray, rng: np.random.Generator,
-               greedy: bool = False,
-               forced_actions: Optional[Sequence[int]] = None) -> PolicySample:
+               greedy: bool = False) -> PolicySample:
         logits = self.logits(features, neighbourhood, assignment)
         logp = F.log_softmax(logits, axis=-1)          # (N, A)
         probs = np.exp(logp.data)
         n = probs.shape[0]
-        if forced_actions is not None:
-            actions = np.asarray(forced_actions, dtype=np.int64)
-        elif greedy:
+        if greedy:
             actions = probs.argmax(axis=-1)
         else:
             cumulative = probs.cumsum(axis=-1)

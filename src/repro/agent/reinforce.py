@@ -5,10 +5,17 @@ update:   theta <- theta + alpha (1/|G|) sum_g grad log pi(a_g) (r_g - R_g)
                     + lambda grad H(pi)
 with R_g a moving average of rewards (the baseline), and H an entropy
 regularizer for exploration.
+
+The exploration seeds (``agent/seeds.py``) are a sweep, not samples:
+each takes one episode of the budget but no policy pass and no gradient,
+and races the incumbent under the builder's admissible pruning.  The
+sweep's best is the incumbent the baseline starts from at the first
+sampled episode.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -102,72 +109,84 @@ class ReinforceTrainer:
         tel = telemetry.active()
         losses: List[Tensor] = []
         rewards: Dict[str, float] = {}
-        # Phase 1: sample one candidate per graph (policy RNG is touched
-        # only here, so the evaluations below cannot perturb it).
+        # Phase 1: each graph's next exploration seed, or else one
+        # candidate sampled from the policy (policy RNG is touched only
+        # here, so the evaluations below cannot perturb it).  A seed
+        # takes no policy pass: it is swept, not trained on.
         rollouts = []
         for ctx in self.contexts:
             if self._raw_seeds_pending.pop(ctx.name, False):
                 self._evaluate_raw_seeds(ctx)
-            forced = None
             queue = self._seed_queues.get(ctx.name)
             if queue:
-                forced = queue.pop(0)
-            sample = self.policy.sample(
-                ctx.features, ctx.neighbourhood, ctx.assignment, self.rng,
-                forced_actions=forced,
-            )
+                actions, sample = queue.pop(0), None
+            else:
+                # the first sample's advantage is measured against the
+                # incumbent, the best the seed sweep found
+                incumbent = min(ctx.best_time, ctx.best_raw_time)
+                if incumbent != float("inf"):
+                    ctx.baseline.start(-math.sqrt(incumbent))
+                sample = self.policy.sample(
+                    ctx.features, ctx.neighbourhood, ctx.assignment, self.rng)
+                actions = sample.actions
             strategy = actions_to_strategy(
-                ctx.graph, ctx.builder.cluster, ctx.grouping, sample.actions
-            )
-            rollouts.append((ctx, sample, strategy))
-        # Phase 2: evaluate each rollout in context order.  No
-        # best-so-far is threaded in: a pruned rollout would train on the
+                ctx.graph, ctx.builder.cluster, ctx.grouping, actions)
+            rollouts.append((ctx, actions, sample, strategy))
+        # Phase 2: evaluate each rollout in context order.  A seed races
+        # the incumbent: it is pruned only when it provably loses, so
+        # the best found is bit-identical to an unpruned sweep.  Until a
+        # group-action candidate is feasible, seeds run to completion,
+        # because the ladder repair reads an exact OOM outcome.  A
+        # sample gets no best-so-far: a pruned sample would train on the
         # infeasible penalty instead of its reward.
-        outcomes = [ctx.builder.evaluate(strategy)
-                    for ctx, _, strategy in rollouts]
-        # Phase 3: rewards, baselines and the policy-gradient loss.
-        for (ctx, sample, strategy), outcome in zip(rollouts, outcomes):
-            self._maybe_repair_ladder(ctx, sample.actions, outcome)
+        for ctx, actions, sample, strategy in rollouts:
+            limit = None
+            if sample is None and ctx.best_actions is not None:
+                limit = min(ctx.best_time, ctx.best_raw_time)
+            outcome = ctx.builder.evaluate(strategy, prune_above=limit)
+            self._maybe_repair_ladder(ctx, actions, outcome)
             reward = compute_reward(outcome)
-            ctx.record(sample.actions, outcome)
+            ctx.record(actions, outcome)
             ctx.history.append(reward)
             ctx.time_history.append(
                 outcome.time if outcome.feasible else float("inf")
             )
-            baseline = ctx.baseline.update(reward)
-            advantage = reward - baseline
-            # maximize logprob*advantage + lambda*entropy
-            loss = F.add(
-                F.scale(sample.log_prob, -advantage),
-                F.scale(sample.entropy, -self._entropy_weight),
-            )
-            losses.append(loss)
             rewards[ctx.name] = reward
-            if tel is not None:
-                labels = {"graph": ctx.name}
-                reg = tel.registry
-                reg.histogram("agent_episode_reward", labels=labels,
-                              help="REINFORCE reward per episode",
-                              buckets=_REWARD_BUCKETS).observe(reward)
+            if sample is not None:
+                advantage = reward - ctx.baseline.update(reward)
+                # maximize logprob*advantage + lambda*entropy
+                losses.append(F.add(
+                    F.scale(sample.log_prob, -advantage),
+                    F.scale(sample.entropy, -self._entropy_weight),
+                ))
+            if tel is None or outcome.pruned:
+                continue  # a pruned seed has no reward to report
+            labels = {"graph": ctx.name}
+            reg = tel.registry
+            reg.histogram("agent_episode_reward", labels=labels,
+                          help="REINFORCE reward per episode",
+                          buckets=_REWARD_BUCKETS).observe(reward)
+            if sample is not None:
                 reg.histogram("agent_episode_advantage", labels=labels,
                               help="reward minus moving-average baseline",
                               buckets=_REWARD_BUCKETS).observe(advantage)
                 reg.gauge("agent_policy_entropy", labels=labels,
                           help="entropy of the sampled strategy",
                           ).set(float(sample.entropy.data))
-                best = min(ctx.best_time, ctx.best_raw_time)
-                if best != float("inf"):
-                    reg.gauge("agent_best_time_seconds", labels=labels,
-                              help="best feasible simulated time so far",
-                              ).set(best)
+            best = min(ctx.best_time, ctx.best_raw_time)
+            if best != float("inf"):
+                reg.gauge("agent_best_time_seconds", labels=labels,
+                          help="best feasible simulated time so far",
+                          ).set(best)
 
-        total = losses[0]
-        for loss in losses[1:]:
-            total = F.add(total, loss)
-        total = F.scale(total, 1.0 / len(losses))
-        self.optimizer.zero_grad()
-        total.backward()
-        self.optimizer.step()
+        if losses:
+            total = losses[0]
+            for loss in losses[1:]:
+                total = F.add(total, loss)
+            total = F.scale(total, 1.0 / len(losses))
+            self.optimizer.zero_grad()
+            total.backward()
+            self.optimizer.step()
         self.episode += 1
         self._entropy_weight *= self.config.entropy_decay
         telemetry.emit_count("agent_episodes_total",

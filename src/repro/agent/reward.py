@@ -23,8 +23,9 @@ def compute_reward(outcome: EvalOutcome) -> float:
     A pruned outcome (evaluation aborted because the candidate provably
     exceeds a best-so-far) carries ``time=inf`` and takes the same fixed
     penalty — the true time is unknown but certainly worse than anything
-    already found.  The trainer never produces one: it evaluates its
-    rollouts without a best-so-far.
+    already found.  Only the trainer's seed sweep produces one, and it
+    trains on no seed: its sampled rollouts are evaluated without a
+    best-so-far.
     """
     if outcome.infeasible or outcome.pruned:
         return -OOM_PENALTY_FACTOR * math.sqrt(INFEASIBLE_TIME)
@@ -42,6 +43,11 @@ class MovingAverageBaseline:
             raise ValueError(f"decay must be in [0, 1), got {decay}")
         self.decay = decay
         self._value: float | None = None
+
+    def start(self, reward: float) -> None:
+        """Start the average at ``reward`` unless it has started."""
+        if self._value is None:
+            self._value = reward
 
     def update(self, reward: float) -> float:
         """Fold in a reward; returns the baseline *before* this reward."""

@@ -4,9 +4,10 @@ The paper's agent explores for hours on GPUs; our CPU budget is far
 smaller, so the trainer's first episodes evaluate a set of canonical
 candidate action vectors (the four uniform DP schemes, parameter-heavy-
 group MP hybrids, and memory-balanced MP ladders for large models).
-They enter the search exactly like sampled actions — scored by the
-simulator, folded into the reward baseline and the best-found tracker —
-and the policy then refines around them.
+They are a sweep, not samples: each seed takes one episode but no
+policy pass and no gradient, races the incumbent under admissible
+pruning, and feeds only the best-found tracker.  The sweep's best is
+the incumbent the reward baseline starts from once the policy samples.
 """
 
 from __future__ import annotations

@@ -183,21 +183,23 @@ def dp_answers() -> Dict[str, dict]:
     return out
 
 
-#: the pinned REINFORCE searches: vgg19 runs only the trainer's forced
-#: exploration seeds; every other family runs without seeds, so every
-#: episode's actions are drawn from the policy
+#: the pinned three-episode REINFORCE searches: vgg19 runs only the
+#: trainer's sweep of exploration seeds; every other family runs without
+#: seeds, so every episode's actions are drawn from the policy
 REINFORCE_SEARCHES = (("vgg19", True), ("inception_v3", False),
                       ("mobilenet_v2", False), ("resnet200", False),
                       ("nasnet", False), ("transformer", False),
                       ("bert_large", False), ("xlnet_large", False))
 
 
-def reinforce_answer(model: str, use_seeds: bool) -> dict:
-    """One tiny-preset REINFORCE search through the planning service,
-    with the simulated time of every episode's candidate."""
+def reinforce_search(model: str, use_seeds: bool, episodes: int = 3):
+    """One tiny-preset REINFORCE search through the planning service:
+    its answer, with the simulated time of every episode's candidate,
+    and the searched graph's context."""
     graph = build_model(model, "tiny")
     agent = dataclasses.replace(_small_agent(0), use_seeds=use_seeds)
-    request = PlanRequest(graph=graph, cluster=cluster_4gpu(), episodes=3,
+    request = PlanRequest(graph=graph, cluster=cluster_4gpu(),
+                          episodes=episodes,
                           config=HeteroGConfig(seed=0, agent=agent))
     with telemetry.session() as tel, \
             PlanningService(workers=0, name="golden") as service:
@@ -213,7 +215,20 @@ def reinforce_answer(model: str, use_seeds: bool) -> dict:
             "oom": list(found.outcome.oom_devices),
             "episodes": found.episodes,
             "episode_times": [_hex(t) for t in ctx.time_history],
-            "pruned": pruned}
+            "pruned": pruned}, ctx
+
+
+#: the pinned search past the seed queue: tiny vgg19's 15 exploration
+#: seeds on four GPUs, then three episodes sampled from the policy
+PAST_SEEDS_EPISODES = 18
+
+
+def past_seeds_answer() -> dict:
+    """The seeded vgg19 search run past its seeds: the sampled episodes
+    and the reward baseline, which starts at the incumbent's reward."""
+    answer, ctx = reinforce_search("vgg19", True, PAST_SEEDS_EPISODES)
+    answer["baseline"] = _hex(ctx.baseline.value)
+    return answer
 
 
 #: the pinned multi-graph REINFORCE training: one policy, two graphs
@@ -433,7 +448,8 @@ def compute_answers() -> dict:
     answers.update(dp_answers())
     answers.update(cem_answers())
     for model, use_seeds in REINFORCE_SEARCHES:
-        answers[f"reinforce/{model}"] = reinforce_answer(model, use_seeds)
+        answers[f"reinforce/{model}"] = reinforce_search(model, use_seeds)[0]
+    answers["reinforce/vgg19_past_seeds"] = past_seeds_answer()
     answers["reinforce/multi_graph"] = multi_graph_answer()
     answers["replan/transformer"] = replan_answer()
     answers["faults/transformer"] = faults_answer()

@@ -67,3 +67,11 @@ def unpruned_outcome(builder: PlanBuilder,
                            peak_memory=result.peak_memory,
                            oom_devices=result.oom_devices, chosen=chosen,
                            order=order, runs=runs)
+
+
+def unpruned_evaluate(builder: PlanBuilder) -> PlanBuilder:
+    """Make ``builder.evaluate`` the unpruned pipeline: every candidate
+    runs to completion, whatever best-so-far the caller passes."""
+    builder.evaluate = (
+        lambda strategy, **_: unpruned_outcome(builder, strategy))
+    return builder

@@ -1,10 +1,16 @@
 """Tests for the REINFORCE trainer, agent facade, and seed candidates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.agent import AgentConfig, HeteroGAgent, seed_action_vectors
 from repro.agent.policy import actions_to_strategy, num_actions
+from repro.cluster.device import CUDA_RESERVED_BYTES, GTX_1080TI, TESLA_V100
+from repro.cluster.link import NIC_50G, NIC_100G, NVLINK, PCIE3
+from repro.cluster.presets import SWITCH_BANDWIDTH
+from repro.cluster.topology import Cluster, ServerSpec
 from repro.errors import StrategyError
 from repro.graph.grouping import group_operations
 from repro.graph.models import build_model
@@ -13,7 +19,7 @@ from repro.plan import PlanBuilder
 from repro.profiling import Profiler
 
 from tests.helpers import make_mlp
-from tests.oracle.unpruned import unpruned_outcome
+from tests.oracle.unpruned import unpruned_evaluate, unpruned_outcome
 
 SMALL = AgentConfig(max_groups=10, gat_hidden=16, gat_layers=2, gat_heads=2,
                     strategy_dim=16, strategy_heads=2, strategy_layers=1,
@@ -119,6 +125,72 @@ class TestSeeds:
         seeds = seed_action_vectors(g, four_gpu, grouping)
         ladder = seeds[4]  # memory-balanced MP ladder (after 4 DP seeds)
         assert set(ladder.tolist()) == set(range(four_gpu.num_devices))
+
+
+def _tight_cluster() -> Cluster:
+    """``cluster_4gpu`` with 3.1 MiB of usable memory per GPU: tiny
+    transformer's DP seeds and its first MP ladder overflow, so the
+    trainer repairs the ladder from the measured peaks, and the repaired
+    ladder fits."""
+    memory = CUDA_RESERVED_BYTES + int(3.1 * 2**20)
+    return Cluster([
+        ServerSpec("server0",
+                   dataclasses.replace(TESLA_V100, memory_bytes=memory), 2,
+                   NIC_100G, intra_link=NVLINK),
+        ServerSpec("server1",
+                   dataclasses.replace(GTX_1080TI, memory_bytes=memory), 2,
+                   NIC_50G, intra_link=PCIE3),
+    ], switch_bandwidth=SWITCH_BANDWIDTH)
+
+
+def _swept(cluster, model: str, *, pruned: bool) -> HeteroGAgent:
+    """An agent trained on tiny ``model`` for as many episodes as it has
+    exploration seeds, so every episode evaluates a seed; ``pruned=False``
+    evaluates each one to completion (the unpruned oracle)."""
+    graph = build_model(model, "tiny")
+    agent = HeteroGAgent(cluster, dataclasses.replace(SMALL, max_groups=8))
+    ctx = agent.add_graph(graph, name=model)
+    if not pruned:
+        unpruned_evaluate(ctx.builder)
+    agent.train(len(seed_action_vectors(graph, cluster, ctx.grouping)))
+    return agent
+
+
+class TestSeedSweep:
+    """The seeds are swept against the incumbent: no policy pass, no
+    gradient, and a losing seed is pruned without moving the winner."""
+
+    @pytest.mark.parametrize("model,cluster", [
+        ("vgg19", "4gpu"), ("transformer", "4gpu"), ("bert_large", "4gpu"),
+        ("transformer", "tight")])
+    def test_sweep_matches_unpruned_oracle(self, four_gpu, model, cluster):
+        cluster = four_gpu if cluster == "4gpu" else _tight_cluster()
+        got = _swept(cluster, model, pruned=True)
+        want = _swept(cluster, model, pruned=False)
+        ctx = got.context(model)
+        best = want.best_time(model)
+        assert got.best_time(model).hex() == best.hex()
+        assert (ctx.builder.fingerprint(got.best_strategy(model))
+                == ctx.builder.fingerprint(want.best_strategy(model)))
+        assert (got.trainer.episodes_to_reach(model, best)
+                == want.trainer.episodes_to_reach(model, best))
+        assert ctx.builder.evals_pruned > 0
+        if cluster is not four_gpu:
+            assert got.trainer._repair_attempts == {model: 1}
+            assert want.trainer._repair_attempts == {model: 1}
+
+    def test_seeds_take_no_gradient(self, four_gpu):
+        graph = build_model("vgg19", "tiny")
+        agent = HeteroGAgent(four_gpu, SMALL)
+        ctx = agent.add_graph(graph)
+        before = agent.policy_state()
+        seeds = len(seed_action_vectors(graph, four_gpu, ctx.grouping))
+        agent.train(seeds)
+        after = agent.policy_state()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+        agent.train(1)  # the first sampled episode trains the policy
+        assert not all(np.array_equal(before[k], v)
+                       for k, v in agent.policy_state().items())
 
 
 class TestTrainer:

@@ -118,14 +118,6 @@ class TestPolicyNetwork:
         sample = policy.sample(f, a, s, np.random.default_rng(1), greedy=True)
         assert (sample.actions == sample.probs.argmax(axis=-1)).all()
 
-    def test_forced_actions(self):
-        policy = self._policy()
-        f, a, s = self._inputs()
-        forced = np.asarray([1, 2, 3, 0])
-        sample = policy.sample(f, a, s, np.random.default_rng(1),
-                               forced_actions=forced)
-        assert (sample.actions == forced).all()
-
     def test_log_prob_matches_probs(self):
         policy = self._policy()
         f, a, s = self._inputs()
@@ -208,6 +200,13 @@ class TestReward:
         assert b.update(10.0) == 10.0    # first reward is its own baseline
         assert b.update(20.0) == 10.0    # returns value before folding
         assert b.value == pytest.approx(15.0)
+
+    def test_baseline_starts_at_incumbent(self):
+        b = MovingAverageBaseline(0.5)
+        b.start(-4.0)                    # the incumbent's reward
+        b.start(-9.0)                    # no-op once started
+        assert b.update(-2.0) == -4.0    # first sample's baseline
+        assert b.value == pytest.approx(-3.0)
 
     def test_baseline_invalid_decay(self):
         with pytest.raises(ValueError):
