@@ -6,15 +6,19 @@ update:   theta <- theta + alpha (1/|G|) sum_g grad log pi(a_g) (r_g - R_g)
 with R_g a moving average of rewards (the baseline), and H an entropy
 regularizer for exploration.
 
-The exploration seeds (``agent/seeds.py``) are a sweep, not samples:
-each takes one episode of the budget but no policy pass and no gradient,
-and races the incumbent under the builder's admissible pruning.  The
-sweep's best is the incumbent the baseline starts from at the first
-sampled episode.
+Each episode, every graph context takes one of two steps.  While it
+has exploration seeds (``agent/seeds.py``) left, ``_sweep`` evaluates
+the next one: a seed takes one episode of the budget but no policy pass
+and no gradient, and races the incumbent under the builder's admissible
+pruning.  Afterwards ``_sample`` draws a candidate from the policy,
+evaluates it in full and returns its loss term; the first sample's
+baseline starts from the sweep's incumbent.  Both fold their outcome in
+through ``_record``, so a ladder repair can follow a sampled OOM too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
@@ -28,10 +32,16 @@ from ..nn import functional as F
 from ..nn.functional import Neighbourhood
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor
+from ..parallel.strategy import Strategy
 from ..plan import EvalOutcome, PlanBuilder
 from .policy import PolicyNetwork, actions_to_strategy
 from .reward import MovingAverageBaseline, compute_reward
-from .seeds import seed_action_vectors
+from .seeds import (
+    memory_ladder_strategy,
+    rebalance_weights,
+    rebalanced_ladder,
+    seed_action_vectors,
+)
 
 if TYPE_CHECKING:
     from .agent import AgentConfig
@@ -62,13 +72,20 @@ class GraphContext:
     best_actions: Optional[np.ndarray] = None
     # best raw Strategy seed (per-op expressiveness the group action
     # space cannot emit, e.g. the per-op memory ladder)
-    best_raw_strategy = None
+    best_raw_strategy: Optional[Strategy] = None
     best_raw_time: float = float("inf")
-    history: List[float] = field(default_factory=list)  # reward per episode
-    # feasible simulated time per episode (inf when OOM/infeasible)
+    # simulated time per episode (inf unless feasible: OOM, pruned, ...)
     time_history: List[float] = field(default_factory=list)
 
+    @property
+    def incumbent(self) -> float:
+        """Best feasible simulated time found so far, raw seeds
+        included (inf before any)."""
+        return min(self.best_time, self.best_raw_time)
+
     def record(self, actions: np.ndarray, outcome: EvalOutcome) -> None:
+        self.time_history.append(
+            outcome.time if outcome.feasible else float("inf"))
         if outcome.feasible and outcome.time < self.best_time:
             self.best_time = outcome.time
             self.best_actions = actions.copy()
@@ -89,114 +106,119 @@ class ReinforceTrainer:
         self.rng = np.random.default_rng(config.seed)
         self.episode = 0
         self._entropy_weight = config.entropy_weight
+        # per context, the seeds left to sweep; built on its first sweep
         self._seed_queues: Dict[str, List[np.ndarray]] = {}
         self._repair_attempts: Dict[str, int] = {}
-        self._raw_seeds_pending: Dict[str, bool] = {}
-        if config.use_seeds:
-            for ctx in self.contexts:
-                self._seed_queues[ctx.name] = seed_action_vectors(
-                    ctx.graph, ctx.builder.cluster, ctx.grouping
-                )
-                self._raw_seeds_pending[ctx.name] = True
 
     # ------------------------------------------------------------------ #
-    def train_episode(self) -> Dict[str, float]:
-        """One policy-gradient step over all graphs; returns rewards."""
+    def train_episode(self) -> None:
+        """One episode: each context sweeps its next seed or samples a
+        candidate, and the samples take one policy-gradient step."""
         with telemetry.span("agent.episode", episode=self.episode):
-            return self._train_episode()
+            # the policy RNG is touched only by samples, in context
+            # order, so a sweeping context cannot perturb other samples
+            losses = [self._sample(ctx) for ctx in self.contexts
+                      if not self._sweep(ctx)]
+            if losses:
+                total = F.scale(functools.reduce(F.add, losses),
+                                1.0 / len(losses))
+                self.optimizer.zero_grad()
+                total.backward()
+                self.optimizer.step()
+            self.episode += 1
+            self._entropy_weight *= self.config.entropy_decay
+            telemetry.emit_count("agent_episodes_total",
+                                 help="REINFORCE episodes trained")
 
-    def _train_episode(self) -> Dict[str, float]:
+    def _sweep(self, ctx: GraphContext) -> bool:
+        """Evaluate ``ctx``'s next seed; False when seeds are off or none
+        is left.  The first call builds the queue and evaluates the raw
+        memory ladder.  A seed is pruned only when it provably loses to
+        the incumbent, so the best found matches an unpruned sweep; until
+        a group-action seed is feasible, seeds run to completion, because
+        the ladder repair reads an exact OOM outcome."""
+        if not self.config.use_seeds:
+            return False
+        queue = self._seed_queues.get(ctx.name)
+        if queue is None:
+            queue = self._seed_queues[ctx.name] = seed_action_vectors(
+                ctx.graph, ctx.builder.cluster, ctx.grouping)
+            self._evaluate_raw_seeds(ctx)
+        if not queue:
+            return False
+        actions = queue.pop(0)
+        limit = ctx.incumbent if ctx.best_actions is not None else None
+        strategy = actions_to_strategy(
+            ctx.graph, ctx.builder.cluster, ctx.grouping, actions)
+        self._record(ctx, actions,
+                     ctx.builder.evaluate(strategy, prune_above=limit))
+        return True
+
+    def _sample(self, ctx: GraphContext) -> Tensor:
+        """Sample one candidate from the policy, evaluate it, and return
+        its loss term.  A sample gets no best-so-far: a pruned sample
+        would train on the infeasible penalty instead of its reward."""
+        # the first sample's advantage is measured against the
+        # incumbent, the best the seed sweep found
+        if ctx.incumbent != float("inf"):
+            ctx.baseline.start(-math.sqrt(ctx.incumbent))
+        sample = self.policy.sample(
+            ctx.features, ctx.neighbourhood, ctx.assignment, self.rng)
+        strategy = actions_to_strategy(
+            ctx.graph, ctx.builder.cluster, ctx.grouping, sample.actions)
+        reward = self._record(ctx, sample.actions,
+                              ctx.builder.evaluate(strategy))
+        advantage = reward - ctx.baseline.update(reward)
         tel = telemetry.active()
-        losses: List[Tensor] = []
-        rewards: Dict[str, float] = {}
-        # Phase 1: each graph's next exploration seed, or else one
-        # candidate sampled from the policy (policy RNG is touched only
-        # here, so the evaluations below cannot perturb it).  A seed
-        # takes no policy pass: it is swept, not trained on.
-        rollouts = []
-        for ctx in self.contexts:
-            if self._raw_seeds_pending.pop(ctx.name, False):
-                self._evaluate_raw_seeds(ctx)
-            queue = self._seed_queues.get(ctx.name)
-            if queue:
-                actions, sample = queue.pop(0), None
-            else:
-                # the first sample's advantage is measured against the
-                # incumbent, the best the seed sweep found
-                incumbent = min(ctx.best_time, ctx.best_raw_time)
-                if incumbent != float("inf"):
-                    ctx.baseline.start(-math.sqrt(incumbent))
-                sample = self.policy.sample(
-                    ctx.features, ctx.neighbourhood, ctx.assignment, self.rng)
-                actions = sample.actions
-            strategy = actions_to_strategy(
-                ctx.graph, ctx.builder.cluster, ctx.grouping, actions)
-            rollouts.append((ctx, actions, sample, strategy))
-        # Phase 2: evaluate each rollout in context order.  A seed races
-        # the incumbent: it is pruned only when it provably loses, so
-        # the best found is bit-identical to an unpruned sweep.  Until a
-        # group-action candidate is feasible, seeds run to completion,
-        # because the ladder repair reads an exact OOM outcome.  A
-        # sample gets no best-so-far: a pruned sample would train on the
-        # infeasible penalty instead of its reward.
-        for ctx, actions, sample, strategy in rollouts:
-            limit = None
-            if sample is None and ctx.best_actions is not None:
-                limit = min(ctx.best_time, ctx.best_raw_time)
-            outcome = ctx.builder.evaluate(strategy, prune_above=limit)
-            self._maybe_repair_ladder(ctx, actions, outcome)
-            reward = compute_reward(outcome)
-            ctx.record(actions, outcome)
-            ctx.history.append(reward)
-            ctx.time_history.append(
-                outcome.time if outcome.feasible else float("inf")
-            )
-            rewards[ctx.name] = reward
-            if sample is not None:
-                advantage = reward - ctx.baseline.update(reward)
-                # maximize logprob*advantage + lambda*entropy
-                losses.append(F.add(
-                    F.scale(sample.log_prob, -advantage),
-                    F.scale(sample.entropy, -self._entropy_weight),
-                ))
-            if tel is None or outcome.pruned:
-                continue  # a pruned seed has no reward to report
+        if tel is not None:
             labels = {"graph": ctx.name}
-            reg = tel.registry
-            reg.histogram("agent_episode_reward", labels=labels,
-                          help="REINFORCE reward per episode",
-                          buckets=_REWARD_BUCKETS).observe(reward)
-            if sample is not None:
-                reg.histogram("agent_episode_advantage", labels=labels,
-                              help="reward minus moving-average baseline",
-                              buckets=_REWARD_BUCKETS).observe(advantage)
-                reg.gauge("agent_policy_entropy", labels=labels,
-                          help="entropy of the sampled strategy",
-                          ).set(float(sample.entropy.data))
-            best = min(ctx.best_time, ctx.best_raw_time)
-            if best != float("inf"):
-                reg.gauge("agent_best_time_seconds", labels=labels,
-                          help="best feasible simulated time so far",
-                          ).set(best)
+            tel.registry.histogram(
+                "agent_episode_advantage", labels=labels,
+                help="reward minus moving-average baseline",
+                buckets=_REWARD_BUCKETS).observe(advantage)
+            tel.registry.gauge(
+                "agent_policy_entropy", labels=labels,
+                help="entropy of the sampled strategy",
+            ).set(float(sample.entropy.data))
+        # maximize logprob*advantage + lambda*entropy
+        return F.add(F.scale(sample.log_prob, -advantage),
+                     F.scale(sample.entropy, -self._entropy_weight))
 
-        if losses:
-            total = losses[0]
-            for loss in losses[1:]:
-                total = F.add(total, loss)
-            total = F.scale(total, 1.0 / len(losses))
-            self.optimizer.zero_grad()
-            total.backward()
-            self.optimizer.step()
-        self.episode += 1
-        self._entropy_weight *= self.config.entropy_decay
-        telemetry.emit_count("agent_episodes_total",
-                             help="REINFORCE episodes trained")
-        return rewards
+    def _record(self, ctx: GraphContext, actions: np.ndarray,
+                outcome: EvalOutcome) -> float:
+        """Fold one evaluated candidate into ``ctx``; returns its reward.
+
+        When a mostly-MP candidate OOMs before any group-action one is
+        feasible, a ladder rebuilt from the *measured* per-device peaks
+        goes to the head of the seed queue (the feasibility repair for
+        the large-model rows, where the cluster runs at ~90% occupancy).
+        """
+        attempts = self._repair_attempts.get(ctx.name, 0)
+        if (self.config.use_seeds and ctx.best_actions is None
+                and outcome.oom and outcome.peak_memory and attempts < 4
+                and (actions < ctx.builder.cluster.num_devices).mean() >= 0.5):
+            self._repair_attempts[ctx.name] = attempts + 1
+            self._seed_queues[ctx.name].insert(0, rebalanced_ladder(
+                ctx.graph, ctx.builder.cluster, ctx.grouping,
+                outcome.peak_memory))
+        reward = compute_reward(outcome)
+        ctx.record(actions, outcome)
+        tel = telemetry.active()
+        if tel is None or outcome.pruned:
+            return reward  # a pruned seed has no reward to report
+        labels = {"graph": ctx.name}
+        tel.registry.histogram("agent_episode_reward", labels=labels,
+                               help="REINFORCE reward per episode",
+                               buckets=_REWARD_BUCKETS).observe(reward)
+        if ctx.incumbent != float("inf"):
+            tel.registry.gauge("agent_best_time_seconds", labels=labels,
+                               help="best feasible simulated time so far",
+                               ).set(ctx.incumbent)
+        return reward
 
     def _evaluate_raw_seeds(self, ctx: GraphContext) -> None:
         """Evaluate the per-op memory-ladder strategy with a bounded
         rebalance loop (feasibility fallback for the large-model rows)."""
-        from .seeds import memory_ladder_strategy, rebalance_weights
         cluster = ctx.builder.cluster
         weights = None
         for _ in range(4):
@@ -211,32 +233,6 @@ class ReinforceTrainer:
                 return
             weights = rebalance_weights(cluster, outcome.peak_memory)
 
-    def _maybe_repair_ladder(self, ctx: GraphContext, actions: np.ndarray,
-                             outcome: EvalOutcome) -> None:
-        """When a mostly-MP candidate OOMs and nothing feasible has been
-        found yet, enqueue a memory-rebalanced ladder built from the
-        *measured* per-device peaks (feasibility repair for the
-        large-model rows, where the cluster runs at ~90% occupancy)."""
-        if not self.config.use_seeds:
-            return
-        if ctx.best_actions is not None or not outcome.oom:
-            return
-        if not outcome.peak_memory:
-            return
-        m = ctx.builder.cluster.num_devices
-        if (actions < m).mean() < 0.5:
-            return  # only repair MP-ladder-like candidates
-        attempts = self._repair_attempts.get(ctx.name, 0)
-        if attempts >= 4:
-            return
-        self._repair_attempts[ctx.name] = attempts + 1
-        from .seeds import rebalanced_ladder
-        repaired = rebalanced_ladder(
-            ctx.graph, ctx.builder.cluster, ctx.grouping,
-            outcome.peak_memory,
-        )
-        self._seed_queues.setdefault(ctx.name, []).insert(0, repaired)
-
     def train(self, episodes: int) -> None:
         for _ in range(episodes):
             self.train_episode()
@@ -244,9 +240,7 @@ class ReinforceTrainer:
     # ------------------------------------------------------------------ #
     def best_strategy(self, name: str):
         ctx = self._ctx(name)
-        if ctx.best_raw_strategy is not None and (
-            ctx.best_raw_time < ctx.best_time
-        ):
+        if ctx.best_raw_time < ctx.best_time:
             return ctx.best_raw_strategy
         if ctx.best_actions is None:
             return None
@@ -254,8 +248,7 @@ class ReinforceTrainer:
                                    ctx.grouping, ctx.best_actions)
 
     def best_time(self, name: str) -> float:
-        ctx = self._ctx(name)
-        return min(ctx.best_time, ctx.best_raw_time)
+        return self._ctx(name).incumbent
 
     def episodes_to_reach(self, name: str, target_time: float) -> Optional[int]:
         """First episode whose best-so-far simulated time <= target

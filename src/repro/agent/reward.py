@@ -23,9 +23,9 @@ def compute_reward(outcome: EvalOutcome) -> float:
     A pruned outcome (evaluation aborted because the candidate provably
     exceeds a best-so-far) carries ``time=inf`` and takes the same fixed
     penalty — the true time is unknown but certainly worse than anything
-    already found.  Only the trainer's seed sweep produces one, and it
-    trains on no seed: its sampled rollouts are evaluated without a
-    best-so-far.
+    already found.  Only the trainer's seed sweep produces one, and a
+    seed takes no gradient; the sampled candidates that do are evaluated
+    without a best-so-far, so no loss term carries this penalty.
     """
     if outcome.infeasible or outcome.pruned:
         return -OOM_PENALTY_FACTOR * math.sqrt(INFEASIBLE_TIME)

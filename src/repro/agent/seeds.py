@@ -1,26 +1,60 @@
 """Deterministic exploration seeds for the strategy search.
 
 The paper's agent explores for hours on GPUs; our CPU budget is far
-smaller, so the trainer's first episodes evaluate a set of canonical
-candidate action vectors (the four uniform DP schemes, parameter-heavy-
-group MP hybrids, and memory-balanced MP ladders for large models).
-They are a sweep, not samples: each seed takes one episode but no
-policy pass and no gradient, races the incumbent under admissible
-pruning, and feeds only the best-found tracker.  The sweep's best is
-the incumbent the reward baseline starts from once the policy samples.
+smaller, so the trainer's ``_sweep`` evaluates canonical candidates
+before its policy samples: the four uniform DP schemes, parameter-heavy-
+group MP hybrids, PS/AllReduce mixes and memory-balanced MP ladders,
+plus a per-op memory ladder as a raw strategy for the large models.
+Every ladder is one ``_staircase``: items in topological order fill the
+devices in turn, each up to its weighted share of the pinned bytes; the
+rebalancing functions reweight the shares from measured peaks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..cluster.topology import Cluster
 from ..graph.dag import ComputationGraph
 from ..graph.grouping import Grouping
-from ..graph.op import OpPhase
+from ..graph.op import Operation, OpPhase
+from ..parallel.strategy import Strategy, make_mp_strategy
+from ..profiling.cost_model import op_memory_bytes, op_resident_bytes
 from .policy import DP_ACTIONS, uniform_action_vector
+
+#: phases whose ops pin memory until their backward runs
+_PINNED_PHASES = (OpPhase.INPUT, OpPhase.FORWARD, OpPhase.LOSS)
+
+
+def _pinned_bytes(op: Operation) -> float:
+    """Activation + resident bytes ``op`` pins during an iteration."""
+    return op_memory_bytes(op, 1.0) + op_resident_bytes(op)
+
+
+def _usable_memory(cluster: Cluster) -> np.ndarray:
+    return np.asarray([d.usable_memory_bytes for d in cluster.devices],
+                      dtype=np.float64)
+
+
+def _staircase(sizes: Sequence[float], total: float, weights: np.ndarray,
+               m: int) -> np.ndarray:
+    """Device of each item of ``sizes``, in order: fill the ``m``
+    devices in turn, each up to its ``weights`` share of ``total`` (the
+    caller's sum of the *unordered* sizes, so targets match bit for
+    bit)."""
+    weights = np.asarray(weights, dtype=np.float64)
+    targets = np.cumsum(weights / weights.sum()) * total
+    stages = np.zeros(len(sizes), dtype=np.int64)
+    dev = 0
+    cumulative = 0.0
+    for i, size in enumerate(sizes):
+        cumulative += size
+        stages[i] = dev
+        while dev < m - 1 and cumulative >= targets[dev]:
+            dev += 1
+    return stages
 
 
 def _group_param_bytes(graph: ComputationGraph, grouping: Grouping
@@ -51,11 +85,11 @@ def seed_action_vectors(graph: ComputationGraph, cluster: Cluster,
             uniform_action_vector(cluster, grouping, allocation, comm)
         ))
 
-    # 2) hybrids: parameter-heaviest groups go MP on the fastest GPU,
-    #    the rest stay data-parallel (Table 2's dominant pattern)
     params = _group_param_bytes(graph, grouping)
     if params.sum() > 0:
         order = np.argsort(-params)
+        # 2) hybrids: parameter-heaviest groups go MP on the fastest GPU,
+        #    the rest stay data-parallel (Table 2's dominant pattern)
         for top_k in (1, max(1, grouping.num_groups // 20)):
             heavy = set(order[:top_k].tolist())
             for dp_offset in (1, 3):  # EV-AR and CP-AR backbones
@@ -66,12 +100,11 @@ def seed_action_vectors(graph: ComputationGraph, cluster: Cluster,
                         vec[g] = 0  # MP on gpu0 (fastest)
                 candidates.append(vec)
 
-    # 3) hybrid communication: AllReduce for the few largest gradients,
-    #    PS for the long tail of small ones.  NCCL serializes collectives,
-    #    so draining the tail through PS links overlaps with the big
-    #    AllReduces (the Table 2 "mixture of PS and AllReduce" pattern).
-    if params.sum() > 0:
-        order = np.argsort(-params)
+        # 3) hybrid communication: AllReduce for the few largest
+        #    gradients, PS for the long tail of small ones.  NCCL
+        #    serializes collectives, so draining the tail through PS
+        #    links overlaps with the big AllReduces (the Table 2
+        #    "mixture of PS and AllReduce" pattern).
         for top_k in (max(1, grouping.num_groups // 8),
                       max(1, grouping.num_groups // 3)):
             heavy = set(order[:top_k].tolist())
@@ -90,33 +123,13 @@ def seed_action_vectors(graph: ComputationGraph, cluster: Cluster,
                 vec[g] = 0  # heaviest group MP on the fastest GPU
         candidates.append(vec)
 
-    # 4) memory-balanced MP ladders: contiguous group blocks (in topo order
-    #    of their anchors) across devices — the feasible fallback for
-    #    models where DP OOMs.  Blocks are balanced by the *activation
-    #    bytes* each group pins (forward outputs live until their backward
-    #    runs), proportional to each device's usable memory.
-    from ..profiling.cost_model import op_memory_bytes, op_resident_bytes
-    group_mem = np.zeros(grouping.num_groups)
-    for name, g in grouping.group_of.items():
-        op = graph.op(name)
-        if op.phase in (OpPhase.INPUT, OpPhase.FORWARD, OpPhase.LOSS):
-            group_mem[g] += op_memory_bytes(op, 1.0) + op_resident_bytes(op)
-    positions = _anchor_topo_positions(graph, grouping)
-    topo_order = np.argsort(positions)
-    memories = np.asarray([d.usable_memory_bytes for d in cluster.devices],
-                          dtype=np.float64)
-    mem_targets = np.cumsum(memories / memories.sum()) * group_mem.sum()
-    ladder = np.zeros(grouping.num_groups, dtype=np.int64)
-    dev = 0
-    cumulative = 0.0
-    for g in topo_order:
-        cumulative += group_mem[g]
-        ladder[g] = dev
-        while dev < m - 1 and cumulative >= mem_targets[dev]:
-            dev += 1
-    # the ladders go right after the four uniform DP candidates: for the
-    # large models every DP scheme OOMs, and the search budget may be
-    # small, so the feasible fallbacks must be tried early
+    # 4) memory-balanced MP ladder over each device's usable memory —
+    #    the feasible fallback for models where DP OOMs.  The ladders go
+    #    right after the four uniform DP candidates: for the large
+    #    models every DP scheme OOMs, and the search budget may be
+    #    small, so the feasible fallbacks must be tried early
+    ladder = ladder_from_targets(graph, cluster, grouping,
+                                 _usable_memory(cluster))
     candidates.insert(4, ladder)
 
     # 5) ladder with the most compute-heavy half data-parallel (CP-AR)
@@ -133,35 +146,26 @@ def seed_action_vectors(graph: ComputationGraph, cluster: Cluster,
 def group_memory_bytes(graph: ComputationGraph, grouping: Grouping
                        ) -> np.ndarray:
     """Activation + resident bytes each group pins during an iteration."""
-    from ..profiling.cost_model import op_memory_bytes, op_resident_bytes
     out = np.zeros(grouping.num_groups)
     for name, g in grouping.group_of.items():
         op = graph.op(name)
-        if op.phase in (OpPhase.INPUT, OpPhase.FORWARD, OpPhase.LOSS):
-            out[g] += op_memory_bytes(op, 1.0) + op_resident_bytes(op)
+        if op.phase in _PINNED_PHASES:
+            out[g] += _pinned_bytes(op)
     return out
 
 
 def ladder_from_targets(graph: ComputationGraph, cluster: Cluster,
                         grouping: Grouping,
                         capacity_weights: np.ndarray) -> np.ndarray:
-    """Contiguous MP ladder with stage boundaries set so each device's
-    estimated pinned memory is proportional to ``capacity_weights``."""
-    m = cluster.num_devices
+    """Contiguous MP ladder of group blocks (in topo order of their
+    anchors), with stage boundaries set so each device's estimated
+    pinned memory is proportional to ``capacity_weights``: forward
+    outputs live until their backward runs."""
     group_mem = group_memory_bytes(graph, grouping)
-    positions = _anchor_topo_positions(graph, grouping)
-    topo_order = np.argsort(positions)
-    shares = np.asarray(capacity_weights, dtype=np.float64)
-    shares = shares / shares.sum()
-    targets = np.cumsum(shares) * group_mem.sum()
+    topo_order = np.argsort(_anchor_topo_positions(graph, grouping))
     ladder = np.zeros(grouping.num_groups, dtype=np.int64)
-    dev = 0
-    cumulative = 0.0
-    for g in topo_order:
-        cumulative += group_mem[g]
-        ladder[g] = dev
-        while dev < m - 1 and cumulative >= targets[dev]:
-            dev += 1
+    ladder[topo_order] = _staircase(group_mem[topo_order], group_mem.sum(),
+                                    capacity_weights, cluster.num_devices)
     return ladder
 
 
@@ -191,7 +195,8 @@ def rebalanced_ladder(graph: ComputationGraph, cluster: Cluster,
 
 
 def memory_ladder_strategy(graph: ComputationGraph, cluster: Cluster,
-                           capacity_weights: "np.ndarray" = None):
+                           capacity_weights: Optional[np.ndarray] = None
+                           ) -> Strategy:
     """Per-op model-parallel ladder balanced by pinned activation bytes.
 
     Unlike the group-granular ladder above, this places every *operation*
@@ -202,31 +207,15 @@ def memory_ladder_strategy(graph: ComputationGraph, cluster: Cluster,
     GNN's group action space cannot emit it — used as a raw strategy seed
     for the large models where the cluster runs near full occupancy.
     """
-    from ..profiling.cost_model import op_memory_bytes, op_resident_bytes
-    from ..parallel.strategy import Strategy, make_mp_strategy
-
     m = cluster.num_devices
     forward = [n for n in graph.topological_order()
-               if graph.op(n).phase in (OpPhase.INPUT, OpPhase.FORWARD,
-                                        OpPhase.LOSS)]
-    mem = np.asarray([
-        op_memory_bytes(graph.op(n), 1.0) + op_resident_bytes(graph.op(n))
-        for n in forward
-    ], dtype=np.float64)
+               if graph.op(n).phase in _PINNED_PHASES]
+    mem = np.asarray([_pinned_bytes(graph.op(n)) for n in forward],
+                     dtype=np.float64)
     if capacity_weights is None:
-        capacity_weights = np.asarray(
-            [d.usable_memory_bytes for d in cluster.devices], dtype=np.float64
-        )
-    shares = capacity_weights / capacity_weights.sum()
-    targets = np.cumsum(shares) * mem.sum()
-    stage: Dict[str, int] = {}
-    dev = 0
-    cumulative = 0.0
-    for name, bytes_ in zip(forward, mem):
-        cumulative += bytes_
-        stage[name] = dev
-        while dev < m - 1 and cumulative >= targets[dev]:
-            dev += 1
+        capacity_weights = _usable_memory(cluster)
+    stage = dict(zip(forward, _staircase(mem, mem.sum(), capacity_weights,
+                                         m).tolist()))
     per = {}
     for name in graph.op_names:
         op = graph.op(name)

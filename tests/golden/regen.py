@@ -26,7 +26,12 @@ from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
-from repro.agent import AgentConfig, HeteroGAgent
+from repro.agent import AgentConfig, HeteroGAgent, seed_action_vectors
+from repro.agent.seeds import (
+    memory_ladder_strategy,
+    rebalance_weights,
+    rebalanced_ladder,
+)
 from repro.baselines import PostSearch
 from repro.baselines.dp import all_dp_strategies
 from repro.cluster import cluster_2gpu, cluster_4gpu
@@ -180,6 +185,39 @@ def dp_answers() -> Dict[str, dict]:
                 "prune": {"pruned": cut.pruned,
                           "makespan": _hex(cut.makespan)},
             }
+    return out
+
+
+#: fixed synthetic per-device peaks, as fractions of each device's
+#: usable memory, for the pinned ladder rebalances: one overflowing
+#: device, one unused, one half full and one just over
+SYNTHETIC_PEAKS = (1.3, 0.0, 0.5, 1.05)
+
+
+def seeds_answer() -> dict:
+    """Every family's exploration seeds (tiny preset, four GPUs, the
+    grouping the agent builds): a digest of each seed action vector,
+    the per-op memory ladder's fingerprint as built and as rebalanced,
+    and the group ladder rebalanced from fixed synthetic peaks."""
+    cluster = cluster_4gpu()
+    peaks = {d.device_id: f * d.usable_memory_bytes
+             for d, f in zip(cluster.devices, SYNTHETIC_PEAKS)}
+    out: Dict[str, dict] = {}
+    for model in model_names():
+        graph = build_model(model, "tiny")
+        ctx = HeteroGAgent(cluster, _small_agent(0)).add_graph(graph)
+        seeds = seed_action_vectors(graph, cluster, ctx.grouping)
+        ladder = memory_ladder_strategy(graph, cluster)
+        rebalanced = memory_ladder_strategy(
+            graph, cluster, rebalance_weights(cluster, peaks))
+        out[model] = {
+            "seeds": [_sha([str(v.tolist())]) for v in seeds],
+            "memory_ladder": ctx.builder.fingerprint(ladder)[:16],
+            "memory_ladder_rebalanced":
+                ctx.builder.fingerprint(rebalanced)[:16],
+            "rebalanced_ladder": rebalanced_ladder(
+                graph, cluster, ctx.grouping, peaks).tolist(),
+        }
     return out
 
 
@@ -447,6 +485,7 @@ def compute_answers() -> dict:
     answers = {"_note": NOTE}
     answers.update(dp_answers())
     answers.update(cem_answers())
+    answers["seeds/tiny"] = seeds_answer()
     for model, use_seeds in REINFORCE_SEARCHES:
         answers[f"reinforce/{model}"] = reinforce_search(model, use_seeds)[0]
     answers["reinforce/vgg19_past_seeds"] = past_seeds_answer()
