@@ -14,9 +14,9 @@ builders:
 - **unpruned** — the test oracle's ``unpruned_outcome``
   (``tests/oracle/unpruned.py``): the pre-pruning pipeline (no bound
   check, no mid-sim abort, no internal race pruning);
-- **pruned**   — a shared :class:`~repro.plan.BestSoFar` threaded
-  through a serial sweep, exactly how the REINFORCE / CEM consumers
-  drive it.
+- **pruned**   — a serial sweep that threads the best exact makespan so
+  far through ``evaluate(prune_above=)``, the one float prune limit
+  every search consumer passes.
 
 The candidate pool is sampled from the search's own action space —
 random per-*group* actions (MP placements and the four DP schemes) over
@@ -51,9 +51,10 @@ from repro.agent.policy import actions_to_strategy, num_actions
 from repro.cluster import cluster_4gpu, cluster_8gpu
 from repro.graph.grouping import group_operations
 from repro.graph.models import build_model
-from repro.plan import BestSoFar, PlanBuilder
+from repro.plan import PlanBuilder
 from repro.profiling import Profiler
 
+from tests.helpers import pruned_sweep
 from tests.oracle.unpruned import unpruned_outcome
 
 #: measured speedup may drop to this fraction of the committed baseline
@@ -131,8 +132,7 @@ def test_candidate_pruning_speedup(setup, report, results_dir):
 
     def pruned():
         builder = PlanBuilder(graph, cluster, profile)
-        best = BestSoFar()
-        outcomes = [builder.evaluate(s, best=best) for s in candidates]
+        outcomes = pruned_sweep(builder, candidates)
         stats = (builder.evals_pruned, builder.evals_total)
         stages = {}
         for o in outcomes:

@@ -26,20 +26,129 @@ Correctness gates (also exercised by the CI ``--quick`` smoke step):
 from __future__ import annotations
 
 import json
+import time
+from typing import Dict, List, Optional, Sequence
 
 import pytest
 
+from repro import telemetry
 from repro.agent import AgentConfig
+from repro.cli import run_workload
 from repro.cluster import cluster_4gpu, cluster_8gpu
 from repro.config import HeteroGConfig
+from repro.errors import ReproError
+from repro.graph.dag import ComputationGraph
 from repro.graph.models import build_model
-from repro.service.bench import bench_coalescing
+from repro.service import PlanningService, PlanRequest, PlanResult
 
 #: measured speedup may drop to this fraction of the committed baseline
 #: speedup before the benchmark fails (machine-relative, so portable)
 REGRESSION_TOLERANCE = 0.75
 
 RESULT_NAME = "BENCH_service_throughput.json"
+
+
+def _strategy_key(result: PlanResult) -> Dict[str, str]:
+    return {name: st.label() for name, st in result.strategy.items()}
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (q in [0, 100]) of a non-empty sample."""
+    if not values:
+        raise ReproError("percentile of an empty sample")
+    ranked = sorted(values)
+    rank = max(0, min(len(ranked) - 1,
+                      int(round(q / 100.0 * (len(ranked) - 1)))))
+    return ranked[rank]
+
+
+def bench_coalescing(graph: ComputationGraph, cluster, *,
+                     duplicates: int = 6, episodes: int = 4,
+                     workers: int = 2, seed: int = 0,
+                     config: Optional[HeteroGConfig] = None,
+                     backend: str = "auto",
+                     backend_options: Optional[Dict] = None) -> Dict:
+    """Coalesced concurrent serving vs naive serial replanning.
+
+    Serial baseline: each duplicate request re-plans from scratch on a
+    fresh service (what the three pre-service call paths effectively
+    did).  Concurrent: all duplicates hit one service at once and
+    coalesce onto a single evaluation.  Returns the numbers dict the
+    benchmark asserts on, including
+    the sustained-throughput numbers (requests/sec, p50/p99 latency)
+    the committed regression baseline
+    (``benchmarks/results/BENCH_service_throughput.json``) gates on.
+
+    ``backend`` selects the execution backend for the concurrent
+    service (``auto``/``inline``/``thread``/``fleet``); the serial
+    baseline always runs inline.
+    """
+    config = config or HeteroGConfig(seed=seed)
+
+    def request() -> PlanRequest:
+        return PlanRequest(graph=graph, cluster=cluster, episodes=episodes,
+                           config=config, label="bench")
+
+    # naive serial replanning: a cold service (cold contexts, cold
+    # caches) per request
+    serial_results: List[PlanResult] = []
+    start = time.perf_counter()
+    for _ in range(duplicates):
+        with PlanningService(workers=0, name="serial") as cold:
+            serial_results.append(cold.plan(request()))
+    serial_s = time.perf_counter() - start
+
+    # coalesced concurrent serving: one warm service, all at once
+    registry = telemetry.MetricsRegistry()
+    with telemetry.session(registry=registry):
+        with PlanningService(workers=workers, name="bench",
+                             backend=backend,
+                             backend_options=backend_options) as service:
+            report = run_workload(service,
+                                  [request() for _ in range(duplicates)])
+    coalesced_metric = registry.get("service_coalesced_total")
+
+    concurrent_results = [o.result for o in report.outcomes
+                          if o.result is not None]
+    if len(concurrent_results) != duplicates:
+        raise ReproError(
+            f"bench workload lost requests: {len(concurrent_results)} of "
+            f"{duplicates} completed")
+    baseline = _strategy_key(serial_results[0])
+    divergent = sum(
+        1 for r in serial_results + concurrent_results
+        if _strategy_key(r) != baseline
+    )
+    makespans = {round(r.outcome.time, 12)
+                 for r in serial_results + concurrent_results}
+
+    concurrent_s = report.wall_seconds
+    latencies = [o.seconds for o in report.outcomes]
+    return {
+        "model": graph.name,
+        "cluster": str(cluster),
+        "duplicates": duplicates,
+        "episodes": episodes,
+        "workers": workers,
+        "backend": backend,
+        "serial_seconds": round(serial_s, 3),
+        "concurrent_seconds": round(concurrent_s, 3),
+        "speedup": round(serial_s / concurrent_s, 2)
+        if concurrent_s > 0 else float("inf"),
+        "serial_requests_per_sec": round(duplicates / serial_s, 3)
+        if serial_s > 0 else float("inf"),
+        "concurrent_requests_per_sec": round(duplicates / concurrent_s, 3)
+        if concurrent_s > 0 else float("inf"),
+        "latency_p50_ms": round(percentile(latencies, 50) * 1e3, 3),
+        "latency_p99_ms": round(percentile(latencies, 99) * 1e3, 3),
+        "evaluations_executed": report.stats["executed"],
+        "coalesced": report.stats["coalesced"],
+        "result_cache_hits": report.stats["result_hits"],
+        "coalesced_metric": coalesced_metric.value
+        if coalesced_metric is not None else 0.0,
+        "divergent_results": divergent,
+        "distinct_makespans": len(makespans),
+    }
 
 
 @pytest.fixture(scope="module")

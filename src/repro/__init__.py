@@ -12,8 +12,10 @@ Public surface:
 - ``repro.scheduling`` — execution-order scheduling.
 - ``repro.agent`` — GNN policy and REINFORCE strategy search.
 - ``repro.baselines`` — DP baselines and related-work schemes.
-- ``repro.plan`` — cached ExecutionPlan layer (PlanBuilder, PlanCache,
-  BestSoFar) shared by search, baselines and deployment.
+- ``repro.plan`` — cached ExecutionPlan layer (PlanBuilder, PlanCache)
+  shared by search, baselines and deployment; a candidate is pruned
+  against one float limit (``evaluate(prune_above=)``, or the k-th best
+  of its population under ``evaluate_many(keep=k)``).
 - ``repro.runtime`` — execution engine (testbed stand-in) and runner.
 - ``repro.service`` — the long-lived planning service (typed
   :class:`PlanRequest`/:class:`PlanResult` surface, request coalescing,

@@ -23,7 +23,7 @@ from ..cluster.topology import Cluster
 from ..graph.dag import ComputationGraph
 from ..graph.grouping import Grouping, group_operations
 from ..parallel.strategy import Strategy
-from ..plan import BestSoFar, PlanBuilder
+from ..plan import PlanBuilder
 from ..profiling.profiler import Profile, Profiler
 
 
@@ -78,13 +78,13 @@ class PostSearch:
         return outcome.time if outcome.feasible else float("inf")
 
     def _evaluate_round(self, batch: List[np.ndarray],
-                        best: BestSoFar) -> List[float]:
+                        keep: int) -> List[float]:
         strategies = [
             actions_to_strategy(self.graph, self.cluster, self.grouping,
                                 draws)
             for draws in batch
         ]
-        outcomes = self.builder.evaluate_many(strategies, best=best)
+        outcomes = self.builder.evaluate_many(strategies, keep=keep)
         # pruned outcomes score inf, same as infeasible ones: they are
         # provably outside the elite cut, so their exact time is moot
         return [o.time if o.feasible else float("inf") for o in outcomes]
@@ -99,18 +99,15 @@ class PostSearch:
         best_time = float("inf")
         evaluations = 0
         num_elite = max(1, int(samples_per_round * elite_fraction))
-        # branch-and-bound pruning is search-transparent for CEM: the
-        # global best-so-far spans rounds; each round layers a
-        # keep=num_elite tracker on top so only candidates that can
-        # neither win overall nor make the round's elite set are pruned.
-        # The elite set, the refit distribution and the final best are
-        # bit-identical to the unpruned search.
-        global_best = BestSoFar()
         for _ in range(rounds):
             batch = list(sample_placements(self.rng, probs,
                                            samples_per_round))
-            round_best = BestSoFar(keep=num_elite, floor=global_best)
-            scores = self._evaluate_round(batch, best=round_best)
+            # branch-and-bound pruning is search-transparent for CEM: a
+            # candidate is cut only once it provably misses the round's
+            # elite set, which holds the round's best, so the elite
+            # set, the refit distribution and the final best are
+            # bit-identical to the unpruned search
+            scores = self._evaluate_round(batch, keep=num_elite)
             evaluations += len(batch)
             for draws, time in zip(batch, scores):
                 if time < best_time:

@@ -14,8 +14,6 @@ churn       train through spot arrivals and preemptions (a concrete
             schedule or seeded Poisson rates)
 serve       drive the planning service with a concurrent workload and
             report coalescing / admission-control behaviour
-bench-service  benchmark coalesced concurrent serving against naive
-            serial replanning
 experiment  run one paper experiment (table1, table4, table7, fig3a,
             fig3b, fig8, fig9, faults, churn)
 journal     tail / filter a JSONL request journal (--request-id,
@@ -30,7 +28,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+import threading
+import time
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from . import __version__
 from .cluster import (
@@ -42,6 +43,9 @@ from .cluster import (
 from .errors import ReproError
 from .graph.models import ALL_MODELS, build_model, model_names
 from .telemetry.journal import PHASE_OF
+
+if TYPE_CHECKING:
+    from .service import PlanningService, PlanRequest, PlanResult
 
 CLUSTERS = {
     "2gpu": cluster_2gpu,
@@ -395,6 +399,74 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
                    "with WorkerLostError (default: 2)")
 
 
+@dataclass
+class WorkloadOutcome:
+    """One request's fate in a served workload."""
+
+    label: str
+    status: str                      # "ok" | error class name
+    seconds: float
+    detail: str = ""
+    result: Optional["PlanResult"] = None
+
+
+@dataclass
+class WorkloadReport:
+    """What ``run_workload`` hands back to ``repro serve``."""
+
+    outcomes: List[WorkloadOutcome] = field(default_factory=list)
+    wall_seconds: float = 0.0
+    stats: Dict[str, int] = field(default_factory=dict)
+    snapshot: Dict = field(default_factory=dict)  # full service.snapshot()
+
+    @property
+    def completed(self) -> int:
+        return sum(1 for o in self.outcomes if o.status == "ok")
+
+
+def run_workload(service: "PlanningService",
+                 requests: Sequence["PlanRequest"]) -> WorkloadReport:
+    """Serve a batch of requests concurrently and collect per-request
+    outcomes (structured errors included — overload and timeouts are
+    outcomes here, not crashes)."""
+    report = WorkloadReport()
+    outcomes: List[Optional[WorkloadOutcome]] = [None] * len(requests)
+    lock = threading.Lock()
+
+    def client(i: int, request: "PlanRequest") -> None:
+        label = request.label or f"req{i}"
+        start = time.perf_counter()
+        try:
+            result = service.plan(request)
+            outcome = WorkloadOutcome(
+                label=label, status="ok",
+                seconds=time.perf_counter() - start,
+                detail=f"{result.time:.4f} s/iter"
+                + (" (cached)" if result.from_cache else ""),
+                result=result,
+            )
+        except ReproError as exc:
+            outcome = WorkloadOutcome(
+                label=label, status=type(exc).__name__,
+                seconds=time.perf_counter() - start, detail=str(exc),
+            )
+        with lock:
+            outcomes[i] = outcome
+
+    start = time.perf_counter()
+    threads = [threading.Thread(target=client, args=(i, r), daemon=True)
+               for i, r in enumerate(requests)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    report.wall_seconds = time.perf_counter() - start
+    report.outcomes = [o for o in outcomes if o is not None]
+    report.stats = service.stats.snapshot()
+    report.snapshot = service.snapshot()
+    return report
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: drive the planning service with a demo workload.
 
@@ -406,7 +478,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from . import telemetry
     from .config import HeteroGConfig
     from .service import PlanRequest, PlanningService
-    from .service.bench import run_workload
 
     model_name = _resolve_model(args.model)
     cluster = _resolve_cluster(args.cluster)()
@@ -449,33 +520,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(f"status snapshot written to {args.status_out}",
                   file=sys.stderr)
         _save_outputs(args, tel)
-    return 0
-
-
-def cmd_bench_service(args: argparse.Namespace) -> int:
-    """``repro bench-service``: coalesced concurrent vs serial replanning."""
-    from .service.bench import bench_coalescing
-
-    model_name = _resolve_model(args.model)
-    cluster = _resolve_cluster(args.cluster)()
-    graph = build_model(model_name, args.preset)
-    print(f"benchmarking {args.duplicates} duplicate requests for "
-          f"{graph.name} on {cluster}...", file=sys.stderr)
-    numbers = bench_coalescing(
-        graph, cluster, duplicates=args.duplicates,
-        episodes=args.episodes, workers=args.workers, seed=args.seed,
-        backend=args.backend, backend_options=_backend_options(args))
-    for key, value in numbers.items():
-        print(f"  {key:26s} {value}")
-    if numbers["divergent_results"]:
-        print("error: concurrent serving diverged from serial replanning",
-              file=sys.stderr)
-        return 1
-    if args.out:
-        import json
-        with open(args.out, "w") as fh:
-            json.dump(numbers, fh, indent=2)
-        print(f"results written to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -731,25 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(readable by 'repro status')")
     _add_output_args(p, journal=True)
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("bench-service",
-                       help="benchmark coalesced vs serial planning")
-    p.add_argument("model", help="model name or unique prefix")
-    p.add_argument("cluster", nargs="?", default="4gpu",
-                   help="cluster preset (default: 4gpu)")
-    p.add_argument("--duplicates", type=int, default=6,
-                   help="duplicate requests to serve (default: 6)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="service worker threads (default: 2)")
-    p.add_argument("--episodes", type=int, default=4,
-                   help="search episodes per request (default: 4)")
-    _add_backend_args(p)
-    p.add_argument("--preset", choices=["tiny", "bench", "paper"],
-                   default="tiny", help="model scale (default: tiny)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", metavar="PATH",
-                   help="write the numbers as JSON")
-    p.set_defaults(func=cmd_bench_service)
 
     p = sub.add_parser("experiment", help="run one paper experiment")
     p.add_argument("name", choices=["table1", "table4", "table5", "table7",

@@ -116,9 +116,6 @@ class Cluster:
         return [link for link in self._links.values()
                 if link.src != link.dst]
 
-    def same_server(self, a: str, b: str) -> bool:
-        return self.device(a).server == self.device(b).server
-
     def devices_on_server(self, server: str) -> List[Device]:
         return [d for d in self._devices if d.server == server]
 
@@ -134,16 +131,6 @@ class Cluster:
         powers = self.compute_powers()
         weakest = min(powers.values())
         return {k: v / weakest for k, v in powers.items()}
-
-    def proportional_shares(self, device_ids: Optional[Iterable[str]] = None
-                            ) -> Dict[str, float]:
-        """Fractions of a batch per device, proportional to compute power."""
-        ids = list(device_ids) if device_ids is not None else self.device_ids
-        total = sum(self.device(d).compute_power for d in ids)
-        return {d: self.device(d).compute_power / total for d in ids}
-
-    def min_memory(self) -> int:
-        return min(d.memory_bytes for d in self._devices)
 
     def subcluster(self, device_ids: Sequence[str]) -> "Cluster":
         """A cluster view restricted to ``device_ids`` (keeps servers/links).

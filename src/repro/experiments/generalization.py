@@ -38,13 +38,6 @@ class GeneralizationRow:
             return float("nan")
         return self.finetune_episodes / self.scratch_episodes
 
-    @property
-    def time_ratio(self) -> float:
-        if self.scratch_seconds == 0:
-            return float("nan")
-        return self.finetune_seconds / self.scratch_seconds
-
-
 def _agent_config(seed: int) -> AgentConfig:
     return AgentConfig(
         max_groups=24, gat_hidden=32, gat_layers=2, gat_heads=2,

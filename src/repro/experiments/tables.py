@@ -31,15 +31,6 @@ class PerIterationRow:
     heterog: MeasuredStrategy
     baselines: Dict[str, MeasuredStrategy] = field(default_factory=dict)
 
-    def speedups(self) -> Dict[str, Optional[float]]:
-        return {
-            name: self.heterog.speedup_over(m)
-            for name, m in self.baselines.items()
-        }
-
-    def all_baselines_oom(self) -> bool:
-        return all(m.oom for m in self.baselines.values())
-
 
 def _batch_for(model: str, num_gpus: int) -> Dict[str, object]:
     """Strong scaling: Table 4 (12 GPUs) uses 1.5x the Table 1 batches."""

@@ -27,10 +27,6 @@ class GraphAnalysis:
     phases: Dict[OpPhase, List[str]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
-    @property
-    def num_ops(self) -> int:
-        return len(self.topo_order)
-
     def param_ops(self) -> List[Operation]:
         """Forward ops owning trainable parameters."""
         return [

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import GraphError
 from .op import Operation, OpPhase
 
@@ -159,14 +157,6 @@ class ComputationGraph:
             frontier = nxt
         return dist
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense adjacency (directed), indexed by insertion order."""
-        index = {n: i for i, n in enumerate(self._ops)}
-        mat = np.zeros((len(self._ops), len(self._ops)), dtype=np.float32)
-        for src, dst in self.edges():
-            mat[index[src], index[dst]] = 1.0
-        return mat
-
     # ------------------------------------------------------------------ #
     # summary statistics
     # ------------------------------------------------------------------ #
@@ -201,11 +191,3 @@ class ComputationGraph:
             f"ComputationGraph({self.name!r}, ops={len(self._ops)}, "
             f"edges={self.num_edges()})"
         )
-
-
-def subgraph_phases(graph: ComputationGraph) -> Dict[OpPhase, List[str]]:
-    """Partition op names by training phase."""
-    out: Dict[OpPhase, List[str]] = {phase: [] for phase in OpPhase}
-    for op in graph:
-        out[op.phase].append(op.name)
-    return out

@@ -78,21 +78,6 @@ class TensorSpec:
             return None
         return self.shape[self.batch_dim]
 
-    def with_batch(self, batch: int) -> "TensorSpec":
-        """Return a copy whose batch dimension is resized to ``batch``."""
-        if self.batch_dim is None:
-            return self
-        shape = list(self.shape)
-        shape[self.batch_dim] = batch
-        return TensorSpec(tuple(shape), self.batch_dim)
-
-    def per_sample_bytes(self) -> int:
-        """Bytes per batch element (full size for unbatched tensors)."""
-        if self.batch_dim is None or self.shape[self.batch_dim] == 0:
-            return self.size_bytes
-        return self.size_bytes // self.shape[self.batch_dim]
-
-
 @dataclass
 class Operation:
     """A node of the single-GPU computation DAG.

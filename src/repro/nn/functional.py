@@ -75,18 +75,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return make_op(data, (a, b), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    """max(x, 0)."""
-    mask = a.data > 0
-    data = a.data * mask
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * mask)
-
-    return make_op(data, (a,), backward)
-
-
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
     """x if x > 0 else alpha * x (the GAT attention nonlinearity)."""
     mask = a.data > 0

@@ -32,9 +32,6 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(int(np.prod(p.shape)) for p in self.parameters())
-
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {str(i): p.data.copy() for i, p in enumerate(self.parameters())}
 

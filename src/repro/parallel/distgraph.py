@@ -330,9 +330,6 @@ class DistGraph:
             out[op.kind] = out.get(op.kind, 0) + 1
         return out
 
-    def communication_ops(self) -> List[DistOp]:
-        return [o for o in self._materialize() if o.is_communication]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kinds = {k.value: v for k, v in self.counts_by_kind().items()}
         return f"DistGraph({self.name!r}, {len(self)} ops, {kinds})"

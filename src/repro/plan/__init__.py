@@ -10,9 +10,11 @@ simulation and deployment:
   fingerprint-keyed LRUs (:class:`PlanCache`), so repeated strategies in
   REINFORCE episodes, MCMC walks and seed re-evaluations are free;
 - :meth:`PlanBuilder.evaluate` and :meth:`PlanBuilder.evaluate_many`
-  are the only ways to evaluate candidates: ``evaluate_many`` evaluates
-  duplicates once and runs the distinct candidates serially, in input
-  order, against the shared best-so-far.
+  are the only ways to evaluate candidates, each under one float prune
+  limit: ``evaluate(prune_above=)`` takes it from the caller, and
+  ``evaluate_many(keep=k)`` evaluates duplicates once and runs the
+  distinct candidates serially, in input order, each cut at the k-th
+  best exact makespan seen so far in the call.
 
 Cache behaviour is observable through the ``plan_cache_hits_total`` and
 ``plan_cache_misses_total`` telemetry counters.
@@ -26,10 +28,8 @@ from .fingerprint import (
     fingerprint_strategy,
 )
 from .plan import EvalOutcome, ExecutionPlan
-from .pruning import BestSoFar
 
 __all__ = [
-    "BestSoFar",
     "EvalOutcome",
     "ExecutionPlan",
     "PlanBuilder",

@@ -17,6 +17,7 @@ other evaluated plan is dropped once its scalar outcome is taken.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
@@ -35,10 +36,16 @@ from ..simulation.kernel import PRUNE_GUARD, kernel_lower_bound, lower
 from .cache import PlanCache
 from .fingerprint import fingerprint_context, fingerprint_strategy
 from .plan import EvalOutcome, ExecutionPlan
-from .pruning import BestSoFar
 
 PLAN_CACHE_SIZE = 64
 OUTCOME_CACHE_SIZE = 4096
+
+
+def _exceeds(bound: float, limit: float) -> bool:
+    """``bound`` proves a loss against ``limit``: it violates it beyond
+    the fp guard margin, since a bound's rounding may differ from the
+    event loop's by ulps."""
+    return bound > limit * (1.0 + PRUNE_GUARD)
 
 
 class PlanBuilder:
@@ -104,15 +111,14 @@ class PlanBuilder:
         dist = self._compiler.compile(self.graph, strategy)
         return dist, dist.resident_bytes
 
-    def build(self, strategy: Strategy,
-              fingerprint: Optional[str] = None) -> ExecutionPlan:
+    def build(self, strategy: Strategy) -> ExecutionPlan:
         """Compile + schedule ``strategy`` into a cached ExecutionPlan.
 
         Raises :class:`CompileError` when the strategy cannot be
         compiled, after caching the infeasible outcome ``evaluate``
         serves for it, so evaluating it next compiles nothing.
         """
-        fp = fingerprint or self.fingerprint(strategy)
+        fp = self.fingerprint(strategy)
         try:
             plan, _ = self._build_or_prune(strategy, fp, limit=None)
         except CompileError:
@@ -144,9 +150,7 @@ class PlanBuilder:
             kernel = lower(dist)
             if limit is not None:
                 bound = kernel_lower_bound(kernel, self.cost)
-                # violation beyond the fp guard margin only — a bound's
-                # rounding may differ from the event loop's by ulps
-                if bound is not None and bound > limit * (1.0 + PRUNE_GUARD):
+                if bound is not None and _exceeds(bound, limit):
                     return None, self._pruned_outcome(
                         stage="bound", bound=bound, threshold=limit,
                         dist_ops=len(dist))
@@ -187,7 +191,6 @@ class PlanBuilder:
 
     # ------------------------------------------------------------------ #
     def evaluate(self, strategy: Strategy, *,
-                 best: Optional[BestSoFar] = None,
                  prune_above: Optional[float] = None) -> EvalOutcome:
         """Full evaluation with outcome memoization and pruning.
 
@@ -195,23 +198,21 @@ class PlanBuilder:
         strategy that failed to compile or overflowed memory is never
         rebuilt or re-simulated.
 
-        ``best`` / ``prune_above`` supply the branch-and-bound
-        threshold: a candidate whose makespan provably exceeds it is cut
-        short (static lower bound before any simulation, cooperative
-        abort inside it) and returned as a ``pruned`` outcome — the
-        surviving winner is bit-identical to an unpruned search.  Exact
-        feasible results are observed back into ``best`` so the
-        threshold tightens as the search progresses.
+        ``prune_above`` is the branch-and-bound threshold: a candidate
+        whose makespan provably exceeds it is cut short (static lower
+        bound before any simulation, cooperative abort inside it) and
+        returned as a ``pruned`` outcome; one that does not is
+        bit-identical to an unpruned evaluation.
         """
         return self._evaluate(strategy, self.fingerprint(strategy),
-                              best=best, prune_above=prune_above)
+                              prune_above)
 
-    def _evaluate(self, strategy: Strategy, fp: str, *,
-                  best: Optional[BestSoFar],
-                  prune_above: Optional[float]) -> EvalOutcome:
+    def _evaluate(self, strategy: Strategy, fp: str,
+                  limit: Optional[float]) -> EvalOutcome:
         """:meth:`evaluate` of ``strategy``, whose fingerprint is ``fp``."""
-        limit = self._prune_limit(best, prune_above)
-        cached = self.cached_outcome(fp, limit=limit, best=best)
+        if limit == float("inf"):
+            limit = None
+        cached = self._cached_outcome(fp, limit)
         if cached is not None:
             return cached
         self.evals_total += 1
@@ -225,16 +226,12 @@ class PlanBuilder:
         if outcome.pruned:
             self.evals_pruned += 1
             self._observe_pruned_fraction()
-        elif best is not None and outcome.feasible:
-            best.observe(outcome.time)
         record_event("candidate_evaluated", feasible=outcome.feasible,
                      time=outcome.time, cached=False)
         return outcome
 
     def evaluate_many(self, strategies: Sequence[Strategy], *,
-                      best: Optional[BestSoFar] = None,
-                      prune_above: Optional[float] = None
-                      ) -> List[EvalOutcome]:
+                      keep: Optional[int] = None) -> List[EvalOutcome]:
         """Evaluate a population of candidates, in input order.
 
         The single population entry point: every consumer that
@@ -242,23 +239,36 @@ class PlanBuilder:
         seeding sweep) routes through here.  Duplicate strategies are
         evaluated once and fanned out; every distinct candidate goes
         through the same path as :meth:`evaluate`, in input order and
-        with its fingerprint computed once, so outcome caching, pruning
-        and best-so-far observation behave exactly as in a serial loop
-        of :meth:`evaluate` calls.  ``prune_above`` is one hard cap for the whole
-        population.
+        with its fingerprint computed once.
+
+        ``keep=k`` prunes each distinct candidate at the k-th best exact
+        feasible makespan seen so far in this call (no limit until k
+        have been seen): a candidate cut there can enter neither the k
+        best nor take the lead.  Pruning compares strictly, so ties
+        survive, and the k best are bit-identical to an unpruned sweep.
         """
+        if keep is not None and keep < 1:
+            raise ValueError(f"keep must be >= 1, got {keep}")
         fps = [self.fingerprint(s) for s in strategies]
         done: Dict[str, EvalOutcome] = {}
+        # max-heap (negated) of the ``keep`` best exact times so far
+        kept: List[float] = []
         for strategy, fp in zip(strategies, fps):
-            if fp not in done:
-                done[fp] = self._evaluate(strategy, fp, best=best,
-                                          prune_above=prune_above)
+            if fp in done:
+                continue
+            full = keep is not None and len(kept) == keep
+            outcome = done[fp] = self._evaluate(
+                strategy, fp, -kept[0] if full else None)
+            if keep is None or not outcome.feasible:
+                continue
+            if full:
+                heapq.heappushpop(kept, -outcome.time)
+            else:
+                heapq.heappush(kept, -outcome.time)
         return [done[fp] for fp in fps]
 
-    def cached_outcome(self, fp: str, *,
-                       limit: Optional[float] = None,
-                       best: Optional[BestSoFar] = None
-                       ) -> Optional[EvalOutcome]:
+    def _cached_outcome(self, fp: str,
+                        limit: Optional[float]) -> Optional[EvalOutcome]:
         """Prune-aware outcome-cache lookup.
 
         Exact cached outcomes are always served.  A cached *pruned*
@@ -271,28 +281,16 @@ class PlanBuilder:
         cached = self._outcomes.get(fp)
         if cached is None:
             return None
-        if cached.pruned and (
-                limit is None or cached.bound is None
-                or not cached.bound > limit * (1.0 + PRUNE_GUARD)):
+        if cached.pruned and (limit is None or cached.bound is None
+                              or not _exceeds(cached.bound, limit)):
             return None
         self.evals_total += 1
         if cached.pruned:
             self.evals_pruned += 1
             self._observe_pruned_fraction()
-        elif best is not None and cached.feasible:
-            best.observe(cached.time)
         record_event("candidate_evaluated", feasible=cached.feasible,
                      time=cached.time, cached=True)
         return cached
-
-    def _prune_limit(self, best: Optional[BestSoFar],
-                     prune_above: Optional[float]) -> Optional[float]:
-        limit = float("inf") if prune_above is None else prune_above
-        if best is not None:
-            threshold = best.threshold()
-            if threshold < limit:
-                limit = threshold
-        return None if limit == float("inf") else limit
 
     def _observe_pruned_fraction(self) -> None:
         telemetry.emit_gauge(

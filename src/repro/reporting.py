@@ -216,18 +216,6 @@ def save_chrome_trace(dist: DistGraph, result: SimulationResult,
         json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, fh)
 
 
-def strategy_diff(a: Strategy, b: Strategy) -> Dict[str, Tuple[str, str]]:
-    """Ops whose strategy label differs between two strategies."""
-    if a.graph is not b.graph and a.graph.name != b.graph.name:
-        raise ValueError("strategies cover different graphs")
-    out: Dict[str, Tuple[str, str]] = {}
-    for name in a.graph.op_names:
-        la, lb = a.get(name).label(), b.get(name).label()
-        if la != lb:
-            out[name] = (la, lb)
-    return out
-
-
 def describe_strategy(strategy: Strategy, top: int = 10) -> str:
     """Human-readable strategy summary: mix + the heaviest MP placements."""
     mix = strategy.strategy_mix()

@@ -121,14 +121,20 @@ class TestSearchBaselines:
             if st.kind is ParallelKind.DP:
                 assert st.comm is CommMethod.ALLREDUCE
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_post_pruning_is_search_transparent(self, four_gpu, seed,
+    @pytest.mark.parametrize("model, seed", [
+        pytest.param("inception_v3", 0, id="0"),
+        pytest.param("inception_v3", 1, id="1"),
+        pytest.param("transformer", 0, id="transformer-0"),
+        pytest.param("transformer", 1, id="transformer-1"),
+    ])
+    def test_post_pruning_is_search_transparent(self, four_gpu, model, seed,
                                                 monkeypatch):
         """PostSearch always prunes; the pruned search must find the same
         strategy, time and evaluation count as the same search on the
-        oracle's unpruned pipeline."""
+        oracle's unpruned pipeline.  The models are the two ``cem/``
+        golden entries."""
         from repro.graph.models import build_model
-        graph = build_model("inception_v3", "tiny")
+        graph = build_model(model, "tiny")
         pruned_search = PostSearch(graph, four_gpu, max_groups=8, seed=seed)
         pruned = pruned_search.search(rounds=2, samples_per_round=8)
         assert pruned_search.builder.evals_pruned > 0  # pruning fired

@@ -3,9 +3,9 @@
 ``PlanBuilder.evaluate_many`` is the canonical population entry point;
 its contract, hammered here across cost regimes:
 
-- it is exactly the serial best-so-far sweep: on a fresh builder every
-  outcome equals a loop of ``evaluate`` calls over the same pool, field
-  for field;
+- under ``keep=1`` it is exactly the serial sweep that threads the
+  running best through ``prune_above``: on a fresh builder every
+  outcome equals that loop of ``evaluate`` calls, field for field;
 - every *surviving* candidate's outcome is bit-identical to an unpruned
   serial ``evaluate`` of the same strategy (work-conserving and FIFO
   scheduling, the simulator and the test oracle's reference loop);
@@ -25,9 +25,10 @@ from repro.agent.policy import actions_to_strategy, num_actions
 from repro.cluster import cluster_4gpu
 from repro.graph import GraphBuilder, build_training_graph
 from repro.graph.grouping import group_operations
-from repro.plan import BestSoFar, PlanBuilder
+from repro.plan import PlanBuilder
 from repro.profiling import exact_profile
 
+from tests.helpers import pruned_sweep
 from tests.oracle import reference_simulator
 from tests.oracle.unpruned import unpruned_outcome
 
@@ -118,7 +119,7 @@ class TestPairedIdentity:
         profile = exact_profile(graph, CLUSTER)
         truth = serial_truth(graph, profile, pool)
         builder = PlanBuilder(graph, CLUSTER, profile)
-        outcomes = builder.evaluate_many(pool, best=BestSoFar())
+        outcomes = builder.evaluate_many(pool, keep=1)
         assert_paired(outcomes, truth)
 
     @settings(max_examples=8, deadline=None,
@@ -131,7 +132,7 @@ class TestPairedIdentity:
                              use_order_scheduling=False)
         builder = PlanBuilder(graph, CLUSTER, profile,
                               use_order_scheduling=False)
-        outcomes = builder.evaluate_many(pool, best=BestSoFar())
+        outcomes = builder.evaluate_many(pool, keep=1)
         assert_paired(outcomes, truth)
 
     @settings(max_examples=6, deadline=None,
@@ -145,23 +146,23 @@ class TestPairedIdentity:
         with reference_simulator():
             truth = serial_truth(graph, profile, pool)
         builder = PlanBuilder(graph, CLUSTER, profile)
-        outcomes = builder.evaluate_many(pool, best=BestSoFar())
+        outcomes = builder.evaluate_many(pool, keep=1)
         assert_paired(outcomes, truth)
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(graph_and_pool())
     def test_evaluate_many_equals_serial_sweep(self, payload):
-        """On a fresh builder, evaluate_many over distinct candidates is
-        the serial best-so-far sweep in input order, field for field."""
+        """On a fresh builder, evaluate_many(keep=1) over distinct
+        candidates is the serial sweep pruned at the running best, in
+        input order, field for field."""
         graph, pool = payload
         profile = exact_profile(graph, CLUSTER)
         ref = PlanBuilder(graph, CLUSTER, profile)
         pool = list({ref.fingerprint(s): s for s in pool}.values())
-        shared = BestSoFar()
-        want = [ref.evaluate(s, best=shared) for s in pool]
+        want = pruned_sweep(ref, pool)
         got = PlanBuilder(graph, CLUSTER, profile).evaluate_many(
-            pool, best=BestSoFar())
+            pool, keep=1)
         fields = ("time", "feasible", "oom", "pruned", "prune_stage", "bound")
         assert ([[getattr(o, f) for f in fields] for o in got]
                 == [[getattr(o, f) for f in fields] for o in want])
@@ -184,7 +185,7 @@ class TestPairedIdentity:
         pool = candidate_strategies(graph, np.random.default_rng(4), 2)
         builder = PlanBuilder(graph, CLUSTER, profile)
         outcomes = builder.evaluate_many(
-            [pool[0], pool[1], pool[0]], best=BestSoFar())
+            [pool[0], pool[1], pool[0]], keep=1)
         assert outcomes[2] is outcomes[0]
         before = builder.evals_total
         builder.evaluate_many([pool[0], pool[0], pool[0]])
@@ -209,7 +210,7 @@ class TestPruneAboveLanes:
             return  # nothing to prune against
         limit = min(times) * 1.0000001  # only the winner survives it
         builder = PlanBuilder(graph, CLUSTER, profile)
-        outcomes = builder.evaluate_many(pool, prune_above=limit)
+        outcomes = [builder.evaluate(s, prune_above=limit) for s in pool]
         assert_paired(outcomes, truth)
         for got, want in zip(outcomes, truth):
             if want.feasible and want.time > limit:

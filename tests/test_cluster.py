@@ -12,6 +12,15 @@ from repro.cluster import (
     homogeneous_cluster,
 )
 from repro.errors import PlacementError
+from repro.parallel import (
+    CommMethod,
+    GraphCompiler,
+    ReplicaAllocation,
+    make_dp_strategy,
+    uniform_strategy,
+)
+
+from tests.helpers import make_mlp
 
 
 class TestPresets:
@@ -52,8 +61,9 @@ class TestTopology:
 
     def test_same_server(self):
         c = cluster_4gpu()
-        assert c.same_server("gpu0", "gpu1")
-        assert not c.same_server("gpu0", "gpu2")
+        server = c.device("gpu0").server
+        assert c.device("gpu1").server == server
+        assert c.device("gpu2").server != server
 
     def test_intra_server_link_uses_nvlink_on_v100_box(self):
         c = cluster_4gpu()
@@ -93,18 +103,30 @@ class TestComputePower:
         rel = cluster_8gpu().relative_powers()
         assert min(rel.values()) == 1.0
 
+    @staticmethod
+    def proportional_shares(cluster):
+        """Batch fraction per device of one proportionally replicated
+        op, as the compiler splits it."""
+        graph = make_mlp(name="shares_mlp")
+        strategy = uniform_strategy(graph, cluster, make_dp_strategy(
+            cluster, ReplicaAllocation.PROPORTIONAL, CommMethod.ALLREDUCE))
+        dist = GraphCompiler(cluster).compile(graph, strategy)
+        replicas = [dist.op(n) for n in dist.instances[graph.op_names[1]]]
+        return {op.device: op.batch_fraction for op in replicas}
+
     def test_proportional_shares_sum_to_one(self):
-        shares = cluster_8gpu().proportional_shares()
+        shares = self.proportional_shares(cluster_8gpu())
         assert sum(shares.values()) == pytest.approx(1.0)
 
     def test_proportional_shares_subset(self):
-        c = cluster_8gpu()
-        shares = c.proportional_shares(["gpu0", "gpu2"])
-        assert set(shares) == {"gpu0", "gpu2"}
-        assert shares["gpu0"] > shares["gpu2"]  # V100 > 1080Ti
+        c = cluster_8gpu().subcluster(["gpu0", "gpu2"])  # V100, 1080Ti
+        shares = self.proportional_shares(c)
+        assert set(shares) == {"gpu0", "gpu1"}
+        assert shares["gpu0"] > shares["gpu1"]  # V100 > 1080Ti
 
     def test_min_memory(self):
-        assert cluster_8gpu().min_memory() == GTX_1080TI.memory_bytes
+        assert (min(d.memory_bytes for d in cluster_8gpu().devices)
+                == GTX_1080TI.memory_bytes)
 
 
 class TestSubcluster:

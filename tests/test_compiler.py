@@ -24,7 +24,7 @@ class TestSingleDevice:
     def test_no_communication(self, mlp_graph, four_gpu):
         _, dist = compile_with(mlp_graph, four_gpu,
                                single_device_strategy(mlp_graph, four_gpu))
-        assert not dist.communication_ops()
+        assert not any(o.is_communication for o in dist)
 
     def test_one_instance_per_op(self, mlp_graph, four_gpu):
         _, dist = compile_with(mlp_graph, four_gpu,
@@ -177,7 +177,8 @@ class TestResources:
             four_gpu, ReplicaAllocation.EVEN, CommMethod.PS))
         _, dist = compile_with(mlp_graph, four_gpu, st)
         cross = [o for o in dist if o.kind is DistOpKind.TRANSFER
-                 and not four_gpu.same_server(o.src_device, o.dst_device)]
+                 and four_gpu.device(o.src_device).server
+                 != four_gpu.device(o.dst_device).server]
         assert cross
         for op in cross:
             resources = op.resources()
@@ -189,7 +190,8 @@ class TestResources:
             four_gpu, ReplicaAllocation.EVEN, CommMethod.PS))
         _, dist = compile_with(mlp_graph, four_gpu, st)
         intra = [o for o in dist if o.kind is DistOpKind.TRANSFER
-                 and four_gpu.same_server(o.src_device, o.dst_device)]
+                 and four_gpu.device(o.src_device).server
+                 == four_gpu.device(o.dst_device).server]
         for op in intra:
             assert not any("nic" in r for r in op.resources())
 

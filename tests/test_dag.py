@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.dag import ComputationGraph, subgraph_phases
+from repro.graph.analyzer import GraphAnalyzer
+from repro.graph.dag import ComputationGraph
 from repro.graph.op import Operation, OpPhase, TensorSpec
 
 
@@ -75,7 +76,7 @@ class TestQueries:
         g = ComputationGraph("g")
         g.add_op(_op("f", phase=OpPhase.FORWARD))
         g.add_op(_op("b", phase=OpPhase.BACKWARD), ["f"])
-        phases = subgraph_phases(g)
+        phases = GraphAnalyzer().analyze(g).phases
         assert phases[OpPhase.FORWARD] == ["f"]
         assert phases[OpPhase.BACKWARD] == ["b"]
 
@@ -103,13 +104,6 @@ class TestTopology:
 
     def test_validate_ok(self):
         chain(5).validate()
-
-    def test_adjacency_matrix(self):
-        g = chain(3)
-        mat = g.adjacency_matrix()
-        assert mat.shape == (3, 3)
-        assert mat[0, 1] == 1.0 and mat[1, 2] == 1.0
-        assert mat.sum() == 2.0
 
 
 class TestBFS:

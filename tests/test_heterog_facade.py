@@ -30,7 +30,7 @@ class TestFacade:
     def test_analyze_returns_analysis(self, module):
         graph = make_mlp(name="facade_a")
         analysis = module.analyze(graph)
-        assert analysis.num_ops == len(graph)
+        assert len(analysis.topo_order) == len(graph)
         assert analysis.param_ops()
         assert analysis.gradient_ops()
         assert analysis.longest_path_flops() > 0

@@ -26,29 +26,6 @@ class TestTensorSpec:
         with pytest.raises(ValueError):
             TensorSpec((4,), batch_dim=2)
 
-    def test_with_batch_resizes(self):
-        spec = TensorSpec((16, 3, 3))
-        assert spec.with_batch(4).shape == (4, 3, 3)
-
-    def test_with_batch_noop_for_unbatched(self):
-        spec = TensorSpec((16, 3), batch_dim=None)
-        assert spec.with_batch(4) is spec
-
-    def test_per_sample_bytes(self):
-        spec = TensorSpec((8, 10))
-        assert spec.per_sample_bytes() == 10 * DTYPE_BYTES
-
-    def test_per_sample_bytes_unbatched(self):
-        spec = TensorSpec((100,), batch_dim=None)
-        assert spec.per_sample_bytes() == spec.size_bytes
-
-    @given(st.integers(1, 64), st.integers(1, 32))
-    def test_with_batch_preserves_per_sample(self, batch, features):
-        spec = TensorSpec((batch, features))
-        resized = spec.with_batch(batch * 2)
-        assert resized.per_sample_bytes() == spec.per_sample_bytes()
-        assert resized.size_bytes == 2 * spec.size_bytes
-
 
 class TestOperation:
     def _op(self, **kw):

@@ -1,5 +1,6 @@
 """Branch-and-bound candidate pruning: admissibility, winner identity,
-best-so-far semantics, cache soundness and wire-protocol versioning.
+the ``evaluate_many(keep=k)`` threshold, cache soundness and
+wire-protocol versioning.
 
 The load-bearing guarantee under test: a pruned search returns the SAME
 winning strategy with a byte-equal winning makespan as the unpruned
@@ -26,8 +27,9 @@ from repro.parallel.strategy import (
     Strategy,
     make_dp_strategy,
     make_mp_strategy,
+    single_device_strategy,
 )
-from repro.plan import BestSoFar, PlanBuilder
+from repro.plan import EvalOutcome, PlanBuilder
 from repro.profiling import Profiler, exact_profile
 from repro.scheduling import ListScheduler
 from repro.service.messages import (
@@ -39,6 +41,7 @@ from repro.simulation import ProfileCostModel, Simulator
 from repro.simulation.costs import TruthCostModel
 from repro.simulation.kernel import kernel_lower_bound
 
+from tests.helpers import make_mlp, pruned_sweep
 from tests.oracle.unpruned import unpruned_outcome
 
 CLUSTER = cluster_4gpu()
@@ -71,11 +74,11 @@ def candidate_strategies(graph, rng: np.random.Generator, n: int,
     ]
 
 
-def serial_winner(builder: PlanBuilder, candidates, *, best=None):
-    """argmin over a serial sweep: first index wins ties, like the
-    strict-< update every search consumer uses."""
-    outcomes = [builder.evaluate(s, best=best) for s in candidates]
-    return _argmin(outcomes)
+def serial_winner(builder: PlanBuilder, candidates):
+    """argmin over a serial sweep pruned at the running best: first
+    index wins ties, like the strict-< update every search consumer
+    uses."""
+    return _argmin(pruned_sweep(builder, candidates))
 
 
 def unpruned_winner(builder: PlanBuilder, candidates):
@@ -90,64 +93,74 @@ def _argmin(outcomes):
 
 
 # --------------------------------------------------------------------- #
-class TestBestSoFar:
-    def test_starts_unbounded(self):
-        best = BestSoFar()
-        assert best.threshold() == float("inf")
-        assert best.best == float("inf")
+class TestKeepThreshold:
+    """``evaluate_many(keep=k)`` cuts each distinct candidate at the k-th
+    best exact feasible makespan seen so far in the call."""
 
-    def test_threshold_is_min_observed(self):
-        best = BestSoFar()
-        best.observe(5.0)
-        best.observe(3.0)
-        best.observe(7.0)
-        assert best.threshold() == 3.0
-        assert best.best == 3.0
+    @staticmethod
+    def limits(outcomes, keep, monkeypatch):
+        """The prune limit each candidate was evaluated under, when the
+        i-th distinct candidate evaluates to ``outcomes[i]``."""
+        builder = PlanBuilder(make_mlp(name="keep_mlp"), CLUSTER)
+        seen = []
 
-    def test_hard_limit_caps_threshold(self):
-        best = BestSoFar(limit=2.0)
-        assert best.threshold() == 2.0
-        best.observe(5.0)
-        assert best.threshold() == 2.0
-        best.observe(1.0)
-        assert best.threshold() == 1.0
+        def evaluate(strategy, fp, limit):
+            seen.append(limit)
+            return outcomes[strategy]
 
-    def test_keep_k_waits_for_k_observations(self):
-        best = BestSoFar(keep=3)
-        best.observe(1.0)
-        best.observe(2.0)
-        # fewer than keep observations: pruning must not start
-        assert best.threshold() == float("inf")
-        best.observe(3.0)
-        assert best.threshold() == 3.0  # kth smallest
-        best.observe(0.5)
-        assert best.threshold() == 2.0  # {0.5, 1.0, 2.0}
+        monkeypatch.setattr(builder, "fingerprint", lambda s: f"c{s}")
+        monkeypatch.setattr(builder, "_evaluate", evaluate)
+        got = builder.evaluate_many(list(range(len(outcomes))), keep=keep)
+        assert got == list(outcomes)
+        return seen
 
-    def test_floor_requires_both_trackers(self):
-        glob = BestSoFar()
-        glob.observe(1.0)
-        round_ = BestSoFar(keep=2, floor=glob)
-        # round tracker not yet populated: threshold stays inf even
-        # though the floor is tight (a candidate could still be elite)
-        assert round_.threshold() == float("inf")
-        round_.observe(4.0)
-        round_.observe(6.0)
-        # prune only above BOTH the round elite cut and the global best
-        assert round_.threshold() == max(6.0, 1.0)
+    @staticmethod
+    def exact(*times):
+        return [EvalOutcome(time=t, dist_ops=1) for t in times]
 
-    def test_observe_forwards_to_floor(self):
-        glob = BestSoFar()
-        round_ = BestSoFar(floor=glob)
-        round_.observe(2.5)
-        assert glob.best == 2.5
+    def test_starts_unbounded(self, monkeypatch):
+        assert self.limits(self.exact(4.0), 1, monkeypatch) == [None]
+        # fewer than keep exact times: a candidate could still be among
+        # the k best, so nothing is cut
+        assert self.limits(self.exact(4.0, 6.0), 3,
+                           monkeypatch) == [None, None]
 
-    def test_ignores_nan_and_inf(self):
-        best = BestSoFar()
-        best.observe(float("inf"))
-        best.observe(float("nan"))
-        assert best.threshold() == float("inf")
-        best.observe(1.0)
-        assert best.threshold() == 1.0
+    def test_threshold_is_min_observed(self, monkeypatch):
+        assert self.limits(self.exact(5.0, 3.0, 7.0, 1.0), 1,
+                           monkeypatch) == [None, 5.0, 3.0, 3.0]
+
+    def test_keep_k_waits_for_k_observations(self, monkeypatch):
+        # the cut is the k-th best exact time: {1, 2, 3}, then {0.5, 1, 2}
+        assert self.limits(self.exact(1.0, 2.0, 3.0, 0.5, 2.5), 3,
+                           monkeypatch) == [None, None, None, 3.0, 2.0]
+
+    def test_only_exact_feasible_times_count(self, monkeypatch):
+        """Infeasible, OOM and pruned outcomes never tighten the cut."""
+        outcomes = [
+            EvalOutcome(time=float("inf"), dist_ops=0, infeasible=True),
+            EvalOutcome(time=1.0, dist_ops=1, oom_devices=["gpu0"]),
+            EvalOutcome(time=float("inf"), dist_ops=1, pruned=True,
+                        bound=0.5, prune_stage="bound"),
+            *self.exact(2.0, 3.0),
+        ]
+        assert self.limits(outcomes, 1, monkeypatch) == [
+            None, None, None, None, 2.0]
+
+    def test_ties_survive_the_cut(self):
+        """Two placements on identical GPUs tie exactly; under keep=1
+        the second is evaluated at the first's time and survives."""
+        graph = random_graph(2, 16, 8, True)
+        builder = PlanBuilder(graph, CLUSTER, exact_profile(graph, CLUSTER))
+        pair = [single_device_strategy(graph, CLUSTER, d)
+                for d in ("gpu0", "gpu1")]
+        first, second = builder.evaluate_many(pair, keep=1)
+        assert first.feasible and second.feasible
+        assert second.time == first.time
+
+    def test_keep_must_be_positive(self):
+        builder = PlanBuilder(make_mlp(name="keep0_mlp"), CLUSTER)
+        with pytest.raises(ValueError):
+            builder.evaluate_many([], keep=0)
 
 
 # --------------------------------------------------------------------- #
@@ -222,7 +235,7 @@ class TestWinnerIdentity:
         ref = PlanBuilder(graph, CLUSTER, profile)
         idx0, t0, _ = unpruned_winner(ref, pool)
         pruned = PlanBuilder(graph, CLUSTER, profile)
-        idx1, t1, outcomes = serial_winner(pruned, pool, best=BestSoFar())
+        idx1, t1, outcomes = serial_winner(pruned, pool)
         assert idx1 == idx0
         assert t1 == t0  # byte-equal, not approx
         # the winner itself is never a pruned outcome
@@ -240,7 +253,7 @@ class TestWinnerIdentity:
         idx0, t0, _ = unpruned_winner(ref, pool)
         pruned = PlanBuilder(graph, CLUSTER, profile,
                              use_order_scheduling=False)
-        idx1, t1, _ = serial_winner(pruned, pool, best=BestSoFar())
+        idx1, t1, _ = serial_winner(pruned, pool)
         assert (idx1, t1) == (idx0, t0)
 
     def test_strict_mode_midsim_prune_admissible(self):
@@ -352,21 +365,27 @@ class TestCacheSoundness:
         assert builder.evals_total == 1
 
     def test_cached_bound_outcome_served_by_evaluate_many(self):
-        """A cached "bound" outcome served by evaluate_many under a
-        shared best-so-far counts as one served evaluation, so the
-        pruned fraction stays defined and never above 1."""
+        """A cached "bound" outcome served by evaluate_many under
+        ``keep`` counts as one served evaluation, so the pruned fraction
+        stays defined and never above 1."""
         make, strategy, exact, bound = self._pickable()
         builder = make()
         first = builder.evaluate(strategy, prune_above=bound / 2.0)
         assert first.pruned and first.prune_stage == "bound"
-        best = BestSoFar()
-        best.observe(bound / 2.0)
+        # a faster candidate ahead of it sets a keep=1 cut below its bound
+        scout = make()
+        winner = next(
+            s for s in candidate_strategies(
+                scout.graph, np.random.default_rng(9), 32)
+            if unpruned_outcome(scout, s).time < bound / 2.0)
+        hits_before = builder.outcome_cache.hits
         with telemetry.session() as tel:
-            outcomes = builder.evaluate_many([strategy], best=best)
+            outcomes = builder.evaluate_many([winner, strategy], keep=1)
             fraction = tel.registry.get("plan_pruned_fraction").value
-        assert outcomes == [first]
-        assert (builder.evals_pruned, builder.evals_total) == (2, 2)
-        assert fraction == 1.0
+        assert outcomes[1] == first
+        assert builder.outcome_cache.hits == hits_before + 1
+        assert (builder.evals_pruned, builder.evals_total) == (2, 3)
+        assert fraction == 2 / 3
 
 
 # --------------------------------------------------------------------- #

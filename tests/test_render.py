@@ -44,9 +44,9 @@ def sample_row():
 class TestPerIterationRendering:
     def test_speedups(self):
         row = sample_row()
-        speedups = row.speedups()
-        assert speedups["EV-PS"] == pytest.approx(1.0)
-        assert speedups["CP-AR"] == pytest.approx(0.2)
+        speedup = row.heterog.speedup_over
+        assert speedup(row.baselines["EV-PS"]) == pytest.approx(1.0)
+        assert speedup(row.baselines["CP-AR"]) == pytest.approx(0.2)
 
     def test_render_includes_speedup_percent(self):
         text = render_per_iteration([sample_row()])
@@ -57,14 +57,13 @@ class TestPerIterationRendering:
         row = sample_row()
         row.baselines["EV-PS"] = measured("EV-PS", float("inf"), oom=True)
         text = render_per_iteration([row])
-        assert "OOM/-" in text
-        assert not row.all_baselines_oom()
+        assert text.count("OOM/-") == 1
 
     def test_all_oom(self):
         row = sample_row()
         for k in row.baselines:
             row.baselines[k] = measured(k, float("inf"), oom=True)
-        assert row.all_baselines_oom()
+        assert render_per_iteration([row]).count("OOM/-") == len(row.baselines)
 
     def test_strategy_mix_table(self, four_gpu):
         row = sample_row()
@@ -115,7 +114,7 @@ class TestOtherRenderers:
                                 finetune_episodes=10, scratch_seconds=100.0,
                                 finetune_seconds=20.0, target_time=0.5)
         assert row.episode_ratio == pytest.approx(0.25)
-        assert row.time_ratio == pytest.approx(0.2)
+        assert "20.0" in render_generalization([row])
         assert "25.0%" in render_generalization([row])
 
     def test_ablation(self):

@@ -13,7 +13,6 @@ from repro.reporting import (
     chrome_trace,
     describe_strategy,
     save_chrome_trace,
-    strategy_diff,
     text_gantt,
 )
 from repro.simulation import ProfileCostModel, Simulator
@@ -87,14 +86,6 @@ class TestReporting:
         save_chrome_trace(dist, result, str(path))
         data = json.loads(path.read_text())
         assert "traceEvents" in data
-
-    def test_strategy_diff(self, traced):
-        graph, cluster, strategy, _, _ = traced
-        other = single_device_strategy(graph, cluster)
-        diff = strategy_diff(strategy, other)
-        assert len(diff) == 1
-        (name, (a, b)), = diff.items()
-        assert a == "MP:gpu2" and b == "MP:gpu0"
 
     def test_describe_strategy(self, traced):
         _, _, strategy, _, _ = traced

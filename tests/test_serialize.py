@@ -1,20 +1,10 @@
-"""Tests for graph/strategy serialization and policy checkpoints."""
+"""Tests for strategy serialization: what ``repro plan --save`` writes
+and ``load_strategy`` reads back."""
 
-import numpy as np
 import pytest
 
-from repro.agent.checkpoint import load_policy, save_policy
 from repro.baselines import dp_strategy
-from repro.errors import GraphError, StrategyError
-from repro.graph.models import build_model
-from repro.graph.serialize import (
-    graph_from_dict,
-    graph_to_dict,
-    graph_to_dot,
-    load_graph,
-    save_graph,
-)
-from repro.nn import StrategyNetwork, Tensor
+from repro.errors import StrategyError
 from repro.parallel import make_mp_strategy, single_device_strategy
 from repro.parallel.serialize import (
     load_strategy,
@@ -24,50 +14,6 @@ from repro.parallel.serialize import (
 )
 
 from tests.helpers import make_mlp
-
-
-class TestGraphSerialization:
-    def test_roundtrip_preserves_structure(self, tmp_path):
-        graph = build_model("transformer", "tiny")
-        path = tmp_path / "graph.json"
-        save_graph(graph, str(path))
-        loaded = load_graph(str(path))
-        assert loaded.name == graph.name
-        assert loaded.op_names == graph.op_names
-        assert sorted(loaded.edges()) == sorted(graph.edges())
-
-    def test_roundtrip_preserves_op_fields(self):
-        graph = make_mlp(name="ser_mlp")
-        loaded = graph_from_dict(graph_to_dict(graph))
-        for name in graph.op_names:
-            a, b = graph.op(name), loaded.op(name)
-            assert a.op_type == b.op_type
-            assert a.output.shape == b.output.shape
-            assert a.flops == b.flops
-            assert a.param_bytes == b.param_bytes
-            assert a.phase == b.phase
-            assert a.batch_scaled == b.batch_scaled
-
-    def test_unknown_version_rejected(self):
-        data = graph_to_dict(make_mlp(name="v_mlp"))
-        data["format_version"] = 99
-        with pytest.raises(GraphError):
-            graph_from_dict(data)
-
-    def test_missing_field_rejected(self):
-        data = graph_to_dict(make_mlp(name="m_mlp"))
-        del data["nodes"][0]["op_type"]
-        with pytest.raises(GraphError):
-            graph_from_dict(data)
-
-    def test_dot_export(self):
-        dot = graph_to_dot(make_mlp(name="dot_mlp"))
-        assert dot.startswith("digraph")
-        assert "->" in dot
-
-    def test_dot_truncates(self):
-        dot = graph_to_dot(make_mlp(name="dot2_mlp", layers=6), max_nodes=5)
-        assert "more)" in dot
 
 
 class TestStrategySerialization:
@@ -101,31 +47,3 @@ class TestStrategySerialization:
         data["per_op"][first]["kind"] = "quantum"
         with pytest.raises(StrategyError):
             strategy_from_dict(data, g, four_gpu)
-
-
-class TestPolicyCheckpoint:
-    def _net(self, seed=0, dim=8):
-        return StrategyNetwork(4, 6, dim=dim, heads=2, layers=1, seed=seed)
-
-    def test_roundtrip(self, tmp_path):
-        net = self._net(seed=1)
-        path = str(tmp_path / "policy.npz")
-        save_policy(net, path)
-        other = self._net(seed=7)
-        load_policy(other, path)
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-        assert np.allclose(net(x).data, other(x).data)
-
-    def test_architecture_mismatch_rejected(self, tmp_path):
-        net = self._net()
-        path = str(tmp_path / "policy.npz")
-        save_policy(net, path)
-        wrong = self._net(dim=16)
-        with pytest.raises(StrategyError):
-            load_policy(wrong, path)
-
-    def test_not_a_checkpoint_rejected(self, tmp_path):
-        path = str(tmp_path / "junk.npz")
-        np.savez(path, a=np.zeros(3))
-        with pytest.raises(StrategyError):
-            load_policy(self._net(), path)
