@@ -25,6 +25,7 @@ from repro.cluster import cluster_4gpu
 from repro.config import HeteroGConfig
 from repro.graph.models import build_model
 from repro.service import PlanRequest, PlanningService, ProcessFleetBackend
+from repro.service.backends import fleet
 from repro.telemetry import FlightRecorder, Journal, validate_event
 
 
@@ -36,15 +37,16 @@ def _request(graph, cluster, *, seed=0, **kw) -> PlanRequest:
                        config=config, **kw)
 
 
-def test_fleet_survives_worker_kill(quick, report, tmp_path):
+def test_fleet_survives_worker_kill(quick, report, tmp_path, monkeypatch):
     size = "tiny" if quick else "bench"
     cluster = cluster_4gpu()
     graph = build_model("vgg19", size)
     recorder = FlightRecorder()
 
-    backend = ProcessFleetBackend(
-        2, heartbeat_interval=0.1, heartbeat_timeout=1.0,
-        stall_labels={"victim": 1.5})
+    # a fast failure detector: beats every 0.1 s, lost after 1 s
+    monkeypatch.setattr(fleet, "HEARTBEAT_INTERVAL", 0.1)
+    monkeypatch.setattr(fleet, "HEARTBEAT_TIMEOUT", 1.0)
+    backend = ProcessFleetBackend(2, stall_labels={"victim": 1.5})
     with PlanningService(workers=2, backend=backend, name="smoke",
                          recorder=recorder) as service:
         ticket = service.submit(_request(graph, cluster,

@@ -65,9 +65,7 @@ def percentile(values: Sequence[float], q: float) -> float:
 def bench_coalescing(graph: ComputationGraph, cluster, *,
                      duplicates: int = 6, episodes: int = 4,
                      workers: int = 2, seed: int = 0,
-                     config: Optional[HeteroGConfig] = None,
-                     backend: str = "auto",
-                     backend_options: Optional[Dict] = None) -> Dict:
+                     config: Optional[HeteroGConfig] = None) -> Dict:
     """Coalesced concurrent serving vs naive serial replanning.
 
     Serial baseline: each duplicate request re-plans from scratch on a
@@ -78,10 +76,8 @@ def bench_coalescing(graph: ComputationGraph, cluster, *,
     the sustained-throughput numbers (requests/sec, p50/p99 latency)
     the committed regression baseline
     (``benchmarks/results/BENCH_service_throughput.json``) gates on.
-
-    ``backend`` selects the execution backend for the concurrent
-    service (``auto``/``inline``/``thread``/``fleet``); the serial
-    baseline always runs inline.
+    The concurrent service takes ``workers`` as ``PlanningService``
+    does; the serial baseline runs inline.
     """
     config = config or HeteroGConfig(seed=seed)
 
@@ -101,9 +97,7 @@ def bench_coalescing(graph: ComputationGraph, cluster, *,
     # coalesced concurrent serving: one warm service, all at once
     registry = telemetry.MetricsRegistry()
     with telemetry.session(registry=registry):
-        with PlanningService(workers=workers, name="bench",
-                             backend=backend,
-                             backend_options=backend_options) as service:
+        with PlanningService(workers=workers, name="bench") as service:
             report = run_workload(service,
                                   [request() for _ in range(duplicates)])
     coalesced_metric = registry.get("service_coalesced_total")
@@ -130,7 +124,7 @@ def bench_coalescing(graph: ComputationGraph, cluster, *,
         "duplicates": duplicates,
         "episodes": episodes,
         "workers": workers,
-        "backend": backend,
+        "backend": report.snapshot["backend"]["name"],
         "serial_seconds": round(serial_s, 3),
         "concurrent_seconds": round(concurrent_s, 3),
         "speedup": round(serial_s / concurrent_s, 2)

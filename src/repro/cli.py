@@ -227,24 +227,36 @@ def cmd_clusters(args: argparse.Namespace) -> int:  # noqa: ARG001
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    """``repro plan``: run the strategy search for one model."""
-    from .experiments import ExperimentContext
-    from .experiments.common import bench_agent_config
+    """``repro plan``: search a strategy for one model, then measure it
+    on the execution engine — a search request, then a build request,
+    on one inline planning service."""
+    from .config import HeteroGConfig
+    from .experiments.common import bench_agent_config, env_iterations
     from .reporting import describe_strategy
+    from .service import PlanRequest, PlanningService
     cluster = CLUSTERS[args.cluster]()
     graph = build_model(args.model, args.preset)
     print(f"searching strategy for {graph.name} on {cluster} "
           f"({args.episodes} episodes)...",
           file=sys.stderr)
-    ctx = ExperimentContext(cluster, seed=args.seed)
-    measured = ctx.run_heterog(graph, episodes=args.episodes,
-                               agent_config=bench_agent_config(args.seed))
-    print(f"per-iteration time : {measured.display_time} s")
-    print(f"search time        : {measured.extras['search_seconds']:.1f} s")
-    print(describe_strategy(measured.strategy))
+    config = HeteroGConfig(seed=args.seed,
+                           agent=bench_agent_config(args.seed))
+    with PlanningService(workers=0, name="plan") as service:
+        found = service.plan(PlanRequest(
+            graph=graph, cluster=cluster, episodes=args.episodes,
+            config=config, label="search"))
+        measured = service.plan(PlanRequest(
+            graph=graph, cluster=cluster, strategy=found.strategy,
+            measure_iterations=env_iterations(), config=config,
+            label="measure"))
+    shown = "OOM" if measured.measured_oom \
+        else f"{measured.measured_time:.3f}"
+    print(f"per-iteration time : {shown} s")
+    print(f"search time        : {found.service_seconds:.1f} s")
+    print(describe_strategy(found.strategy))
     if args.save:
         from .parallel.serialize import save_strategy
-        save_strategy(measured.strategy, args.save)
+        save_strategy(found.strategy, args.save)
         print(f"strategy saved to {args.save}")
     return 0
 
@@ -366,39 +378,6 @@ def cmd_resilience(args: argparse.Namespace) -> int:
     return 1 if report.stalled else 0
 
 
-def _backend_options(args: argparse.Namespace) -> Optional[dict]:
-    """Collect the fleet knobs into ``PlanningService(backend_options=)``."""
-    if getattr(args, "backend", "auto") != "fleet":
-        return None
-    options = {}
-    if getattr(args, "heartbeat_interval", None) is not None:
-        options["heartbeat_interval"] = args.heartbeat_interval
-    if getattr(args, "heartbeat_timeout", None) is not None:
-        options["heartbeat_timeout"] = args.heartbeat_timeout
-    if getattr(args, "redispatch_limit", None) is not None:
-        options["redispatch_limit"] = args.redispatch_limit
-    return options or None
-
-
-def _add_backend_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend",
-                   choices=["auto", "inline", "thread", "fleet"],
-                   default="auto",
-                   help="execution backend: auto (workers=0 -> inline, "
-                   "else thread), or fleet for persistent worker "
-                   "processes with heartbeats and re-dispatch")
-    p.add_argument("--heartbeat-interval", type=float, default=None,
-                   metavar="S", help="fleet worker heartbeat period")
-    p.add_argument("--heartbeat-timeout", type=float, default=None,
-                   metavar="S",
-                   help="silence after which a fleet worker is declared "
-                   "lost and its request re-dispatched")
-    p.add_argument("--redispatch-limit", type=int, default=None,
-                   metavar="N",
-                   help="workers one request may lose before it fails "
-                   "with WorkerLostError (default: 2)")
-
-
 @dataclass
 class WorkloadOutcome:
     """One request's fate in a served workload."""
@@ -477,8 +456,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     from . import telemetry
     from .config import HeteroGConfig
-    from .service import PlanRequest, PlanningService
+    from .service import (
+        InlineBackend,
+        PlanRequest,
+        PlanningService,
+        ProcessFleetBackend,
+        ThreadBackend,
+    )
 
+    backend = {
+        "auto": lambda workers: None,
+        "inline": lambda workers: InlineBackend(),
+        "thread": ThreadBackend,
+        "fleet": ProcessFleetBackend,
+    }[args.backend](args.workers)
     model_name = _resolve_model(args.model)
     cluster = _resolve_cluster(args.cluster)()
     graph = build_model(model_name, args.preset)
@@ -499,9 +490,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     with telemetry.session() as tel:
         with PlanningService(workers=args.workers,
                              max_queue=args.max_queue,
-                             backend=args.backend,
-                             backend_options=_backend_options(args)
-                             ) as service:
+                             backend=backend) as service:
             report = run_workload(service, requests)
         for outcome in report.outcomes:
             print(f"  {outcome.label:12s} {outcome.status:10s} "
@@ -759,14 +748,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duplicates", type=int, default=3,
                    help="identical copies per request (default: 3)")
     p.add_argument("--workers", type=int, default=2,
-                   help="service worker threads (default: 2)")
+                   help="worker threads, or fleet processes with "
+                   "--backend fleet (default: 2)")
     p.add_argument("--episodes", type=int, default=4,
                    help="search episodes per request (default: 4)")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-request deadline in seconds")
     p.add_argument("--max-queue", type=int, default=64,
                    help="admission-control queue bound (default: 64)")
-    _add_backend_args(p)
+    p.add_argument("--backend",
+                   choices=["auto", "inline", "thread", "fleet"],
+                   default="auto",
+                   help="execution backend: auto (workers=0 -> inline, "
+                   "else thread), or fleet for persistent worker "
+                   "processes with heartbeats and re-dispatch")
     p.add_argument("--preset", choices=["tiny", "bench", "paper"],
                    default="bench", help="model scale (default: bench)")
     p.add_argument("--seed", type=int, default=0)

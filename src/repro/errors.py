@@ -112,22 +112,12 @@ class ServiceClosedError(ServiceError):
     """Raised when submitting to (or waiting on) a closed service."""
 
 
-class FleetProtocolError(ServiceError):
-    """Raised when a fleet wire message fails to encode or decode.
-
-    The manager/worker channel only carries versioned typed messages
-    (``repro.service.messages``); any frame that is not one — wrong
-    version, unknown type tag, missing fields — poisons the channel
-    and surfaces as this error instead of a silent mis-dispatch.
-    """
-
-
 class WorkerLostError(ServiceError):
     """Raised when a request exhausts its re-dispatch budget.
 
     The fleet backend re-dispatches an in-flight request when its
-    worker dies or stops heartbeating; after ``redispatch_limit``
-    attempts the request is failed with this error so a poisonous
+    worker dies or stops heartbeating; after ``REDISPATCH_LIMIT``
+    re-dispatches the request is failed with this error so a poisonous
     request cannot take the whole fleet down worker by worker.
     ``attempts`` counts dispatches tried, ``workers`` the ids that
     served (and lost) it.

@@ -18,11 +18,13 @@ divergent call paths:
   rejects fast with :class:`~repro.errors.ServiceOverloadedError`,
   expired deadlines fail fast with
   :class:`~repro.errors.ServiceTimeoutError`;
-- *where* admitted requests execute is an
-  :class:`~repro.service.backends.ExecutionBackend` —
-  ``inline`` (caller's thread), ``thread`` (in-process pool) or
-  ``fleet`` (persistent worker processes with heartbeats and
-  re-dispatch, :mod:`repro.service.backends.fleet`).
+- *where* admitted requests execute is the
+  :class:`~repro.service.backends.ExecutionBackend` instance passed as
+  ``backend=`` — :class:`InlineBackend` (caller's thread),
+  :class:`ThreadBackend` (in-process pool) or
+  :class:`ProcessFleetBackend` (persistent worker processes with
+  heartbeats and re-dispatch, :mod:`repro.service.backends.fleet`);
+  ``backend=None`` is inline for ``workers=0``, else a thread pool.
 
 See ``docs/ARCHITECTURE.md`` ("Planning service" and "Execution
 backends") for the request lifecycle and determinism guarantees.
@@ -33,7 +35,6 @@ from .backends import (
     InlineBackend,
     ProcessFleetBackend,
     ThreadBackend,
-    make_backend,
 )
 from .context import PlanContext
 from .request import PlanRequest, PlanResult
@@ -50,5 +51,4 @@ __all__ = [
     "ProcessFleetBackend",
     "ServiceStats",
     "ThreadBackend",
-    "make_backend",
 ]

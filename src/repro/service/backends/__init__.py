@@ -8,11 +8,15 @@ result caching, accounting) from *where* admitted requests execute:
 - :class:`ThreadBackend` — in-process daemon threads (the default);
 - :class:`ProcessFleetBackend` — persistent worker processes with warm
   plan contexts, heartbeat failure detection and re-dispatch.
+
+A caller passes an instance as ``PlanningService(backend=...)``; with
+``backend=None`` the service picks inline for ``workers=0`` and a
+``ThreadBackend(workers)`` otherwise.
 """
 
 from __future__ import annotations
 
-from .base import ExecutionBackend, make_backend
+from .base import ExecutionBackend
 from .fleet import ProcessFleetBackend
 from .inline import InlineBackend
 from .thread import ThreadBackend
@@ -22,5 +26,4 @@ __all__ = [
     "InlineBackend",
     "ThreadBackend",
     "ProcessFleetBackend",
-    "make_backend",
 ]

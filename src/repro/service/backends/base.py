@@ -28,7 +28,7 @@ results and accounting identical across all three execution modes.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional
+from typing import Dict
 
 from ...errors import ReproError
 
@@ -36,7 +36,7 @@ from ...errors import ReproError
 class ExecutionBackend(abc.ABC):
     """Where the planning service's admitted requests execute."""
 
-    #: registry name (``--backend`` flag value)
+    #: snapshot name (matches the ``repro serve --backend`` value)
     name = "base"
     #: True when submissions run synchronously on the caller's thread
     inline = False
@@ -72,40 +72,3 @@ class ExecutionBackend(abc.ABC):
     def snapshot(self) -> Dict[str, object]:
         """Always-on live status merged into ``service.snapshot()``."""
         return {"name": self.name}
-
-
-def make_backend(backend, *, workers: int,
-                 options: Optional[dict] = None) -> ExecutionBackend:
-    """Resolve the ``PlanningService(backend=...)`` argument.
-
-    Accepts a ready :class:`ExecutionBackend` instance or one of the
-    registry names ``auto`` / ``inline`` / ``thread`` / ``fleet``;
-    ``auto`` (the default) preserves the historical mapping —
-    ``workers=0`` is inline, anything else is the thread pool.
-    ``options`` is forwarded to the backend constructor.
-    """
-    from .fleet import ProcessFleetBackend
-    from .inline import InlineBackend
-    from .thread import ThreadBackend
-
-    if isinstance(backend, ExecutionBackend):
-        if options:
-            raise ReproError(
-                "backend_options cannot be combined with a ready "
-                "ExecutionBackend instance")
-        return backend
-    options = dict(options or {})
-    if backend == "auto":
-        backend = "inline" if workers == 0 else "thread"
-    if backend == "inline":
-        return InlineBackend(**options)
-    if backend == "thread":
-        return ThreadBackend(workers=workers, **options)
-    if backend == "fleet":
-        if workers < 1:
-            raise ReproError(
-                f"the fleet backend needs workers >= 1, got {workers}")
-        return ProcessFleetBackend(workers=workers, **options)
-    raise ReproError(
-        f"unknown execution backend {backend!r}; expected one of "
-        f"auto, inline, thread, fleet (or an ExecutionBackend instance)")

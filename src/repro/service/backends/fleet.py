@@ -9,8 +9,8 @@ request — and no request ever shares the caller's GIL.
 
 The architecture mirrors optuna-distributed's manager/worker split:
 
-- **wire protocol** — every frame on the ``multiprocessing`` queues is
-  a versioned typed message (:mod:`repro.service.messages`);
+- **typed messages** — every frame on the ``multiprocessing`` queues
+  is one of the message dataclasses of :mod:`repro.service.messages`;
 - **per-worker channels** — each worker owns a private inbox *and* a
   private outbox queue.  A shared result queue would let a SIGKILLed
   worker die holding the queue's cross-process writer lock, silently
@@ -26,7 +26,7 @@ The architecture mirrors optuna-distributed's manager/worker split:
   admission control keeps its meaning), dispatches them, polls worker
   results, and watches health;
 - **failure detection** — workers heartbeat from a side thread; a dead
-  process or a silent worker (``heartbeat_timeout``) is declared lost
+  process or a silent worker (``HEARTBEAT_TIMEOUT``) is declared lost
   (``worker_lost`` journal event), its in-flight request re-dispatched
   to a surviving worker (``request_redispatched``), and a replacement
   spawned.  Results are accepted **only from the worker currently
@@ -34,9 +34,10 @@ The architecture mirrors optuna-distributed's manager/worker split:
   declared lost has its late result discarded
   (``worker_result_discarded``), never double-resolved, so coalesced
   waiters see exactly one result;
-- **re-dispatch budget** — a request that loses ``redispatch_limit``
-  workers is failed with :class:`~repro.errors.WorkerLostError`
-  instead of grinding the fleet down worker by worker.
+- **re-dispatch budget** — a request that loses more than
+  ``REDISPATCH_LIMIT`` workers is failed with
+  :class:`~repro.errors.WorkerLostError` instead of grinding the fleet
+  down worker by worker.
 
 The fleet fans out whole plan requests, never the candidates of one
 search: a search evaluates its candidates serially on the worker that
@@ -46,6 +47,12 @@ serves it.
 tests use: requests whose label starts with a key sleep that many
 seconds on the worker *after* announcing they started serving, which
 gives tests a guaranteed mid-request window to kill the worker in.
+
+The timing and budget values are module constants.  The manager reads
+each one in the parent process when it needs it, and passes the
+heartbeat period and the warm-context limit to a worker as spawn
+arguments, so a test can ``monkeypatch`` them (for a fast failure
+detector, say) under any start method.
 """
 
 from __future__ import annotations
@@ -63,7 +70,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ... import telemetry
 from ...errors import (
-    FleetProtocolError,
     ReproError,
     ServiceClosedError,
     WorkerLostError,
@@ -72,21 +78,20 @@ from ..messages import (
     CompletedMessage,
     FailedMessage,
     HeartbeatMessage,
-    Message,
     PlanRequestMessage,
     ProgressMessage,
     ShutdownMessage,
     WorkerReadyMessage,
-    message_from_wire,
     rebuild_error,
 )
 from ...telemetry.tally import EventTally, Fact
 from .base import ExecutionBackend
 
-DEFAULT_HEARTBEAT_INTERVAL = 0.25
-DEFAULT_HEARTBEAT_TIMEOUT = 3.0
-DEFAULT_REDISPATCH_LIMIT = 2
-DEFAULT_DRAIN_TIMEOUT = 30.0
+HEARTBEAT_INTERVAL = 0.25        # worker heartbeat period (seconds)
+HEARTBEAT_TIMEOUT = 3.0          # silence that declares a worker lost
+REDISPATCH_LIMIT = 2             # re-dispatches before WorkerLostError
+DRAIN_TIMEOUT = 30.0             # close() waits this long for in-flight work
+MP_CONTEXT = None                # multiprocessing start method (default)
 _TICK = 0.02                      # manager poll granularity (seconds)
 _READER_STOP = "__fleet-reader-stop__"   # sentinel frame for reader threads
 
@@ -122,51 +127,37 @@ def _fleet_worker_main(worker_id: str, inbox, outbox,
         telemetry.disable()
 
     contexts: "OrderedDict[str, Any]" = OrderedDict()
-    served = [0]
     stop = threading.Event()
 
     def _beat() -> None:
         while not stop.wait(heartbeat_interval):
             try:
-                outbox.put(HeartbeatMessage(
-                    worker=worker_id, ts=time.time(),
-                    served=served[0]).to_wire())
+                outbox.put(HeartbeatMessage(worker=worker_id))
             except (OSError, ValueError):  # queue gone: manager exited
                 return
 
     beater = threading.Thread(target=_beat, daemon=True,
                               name=f"{worker_id}-heartbeat")
     beater.start()
-    outbox.put(WorkerReadyMessage(worker=worker_id,
-                                  pid=os.getpid()).to_wire())
+    outbox.put(WorkerReadyMessage(worker=worker_id, pid=os.getpid()))
     try:
         while True:
-            msg = message_from_wire(inbox.get())
+            msg = inbox.get()
             if isinstance(msg, ShutdownMessage):
                 break
-            if isinstance(msg, PlanRequestMessage):
-                outbox.put(ProgressMessage(
-                    ticket=msg.ticket, worker=worker_id).to_wire())
-                if msg.stall_seconds > 0:
-                    time.sleep(msg.stall_seconds)
-                try:
-                    result = _worker_serve(contexts, msg.request,
-                                           max_contexts)
-                except (ReproError, ValueError, KeyError,
-                        TypeError) as exc:
-                    outbox.put(FailedMessage(
-                        ticket=msg.ticket, worker=worker_id,
-                        error_type=type(exc).__name__,
-                        message=str(exc)[:500]).to_wire())
-                else:
-                    served[0] += 1
-                    outbox.put(CompletedMessage(
-                        ticket=msg.ticket, worker=worker_id,
-                        result=result).to_wire())
+            outbox.put(ProgressMessage(ticket=msg.ticket, worker=worker_id))
+            if msg.stall_seconds > 0:
+                time.sleep(msg.stall_seconds)
+            try:
+                result = _worker_serve(contexts, msg.request, max_contexts)
+            except (ReproError, ValueError, KeyError, TypeError) as exc:
+                outbox.put(FailedMessage(
+                    ticket=msg.ticket, worker=worker_id,
+                    error_type=type(exc).__name__,
+                    message=str(exc)[:500]))
             else:
-                raise FleetProtocolError(
-                    f"worker {worker_id} cannot handle "
-                    f"{type(msg).__name__}")
+                outbox.put(CompletedMessage(
+                    ticket=msg.ticket, worker=worker_id, result=result))
     finally:
         stop.set()
 
@@ -248,32 +239,13 @@ class ProcessFleetBackend(ExecutionBackend):
     name = "fleet"
 
     def __init__(self, workers: int = 2, *,
-                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-                 heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
-                 redispatch_limit: int = DEFAULT_REDISPATCH_LIMIT,
-                 drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
-                 stall_labels: Optional[Dict[str, float]] = None,
-                 mp_context: Optional[str] = None):
+                 stall_labels: Optional[Dict[str, float]] = None):
         super().__init__()
         if workers < 1:
             raise ReproError(
                 f"fleet backend needs workers >= 1, got {workers}")
-        if heartbeat_interval <= 0 or heartbeat_timeout <= 0:
-            raise ReproError("heartbeat interval/timeout must be positive")
-        if heartbeat_timeout <= heartbeat_interval:
-            raise ReproError(
-                f"heartbeat_timeout ({heartbeat_timeout}) must exceed "
-                f"heartbeat_interval ({heartbeat_interval})")
-        if redispatch_limit < 0:
-            raise ReproError(
-                f"redispatch_limit must be >= 0, got {redispatch_limit}")
         self.workers = workers
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.redispatch_limit = redispatch_limit
-        self.drain_timeout = drain_timeout
         self.stall_labels = dict(stall_labels or {})
-        self.mp_context = mp_context
         self.stats = FleetStats()
         self._manager: Optional[threading.Thread] = None
         self._wake = threading.Event()
@@ -295,7 +267,7 @@ class ProcessFleetBackend(ExecutionBackend):
             return
         import multiprocessing
 
-        self._mp = multiprocessing.get_context(self.mp_context)
+        self._mp = multiprocessing.get_context(MP_CONTEXT)
         self._manager = threading.Thread(
             target=self._event_loop, daemon=True,
             name=f"{self.service.name}-fleet-manager")
@@ -311,14 +283,14 @@ class ProcessFleetBackend(ExecutionBackend):
         self._closing.set()
         self._wake.set()
         if self._manager is not None:
-            self._manager.join(self.drain_timeout + 10.0)
+            self._manager.join(DRAIN_TIMEOUT + 10.0)
             if self._manager.is_alive():
                 self.service.recorder.emit(
                     f"{self.service.name}-fleet", "worker_join_timeout",
-                    worker="manager", timeout=self.drain_timeout)
+                    worker="manager", timeout=DRAIN_TIMEOUT)
                 warnings.warn(
                     f"fleet manager of service {self.service.name!r} did "
-                    f"not drain within {self.drain_timeout:.1f}s of "
+                    f"not drain within {DRAIN_TIMEOUT:.1f}s of "
                     f"close(); worker processes may be leaked",
                     RuntimeWarning, stacklevel=3)
 
@@ -349,9 +321,6 @@ class ProcessFleetBackend(ExecutionBackend):
             "alive": sum(1 for w in fleet if w.process.is_alive()),
             "busy": sum(1 for w in fleet if w.job is not None),
             "condemned": sum(1 for w in fleet if w.condemned),
-            "heartbeat_interval": self.heartbeat_interval,
-            "heartbeat_timeout": self.heartbeat_timeout,
-            "redispatch_limit": self.redispatch_limit,
             "stats": self.stats.snapshot(),
             "closed": self._closed,
         }
@@ -370,8 +339,7 @@ class ProcessFleetBackend(ExecutionBackend):
                 self._assign_work()
                 if self._closing.is_set():
                     if drain_deadline is None:
-                        drain_deadline = time.monotonic() \
-                            + self.drain_timeout
+                        drain_deadline = time.monotonic() + DRAIN_TIMEOUT
                         self._fail_undispatched(ServiceClosedError(
                             f"planning service {service.name!r} closed "
                             f"before serving this request"))
@@ -415,14 +383,10 @@ class ProcessFleetBackend(ExecutionBackend):
                     frame = self._inproc.get_nowait()
             except queue_mod.Empty:
                 return
-            try:
-                self._handle_message(message_from_wire(frame))
-            except FleetProtocolError:
-                # a malformed frame is a bug, not a request failure;
-                # drop it rather than poison the loop
-                continue
+            self._handle_message(frame)
 
-    def _handle_message(self, msg: Message) -> None:
+    def _handle_message(self, msg: object) -> None:
+        """Act on one worker message; any other frame is dropped."""
         worker = self._fleet.get(getattr(msg, "worker", ""))
         if isinstance(msg, HeartbeatMessage):
             if worker is not None:
@@ -492,13 +456,13 @@ class ProcessFleetBackend(ExecutionBackend):
                 self._on_worker_lost(worker, reason="process_dead")
                 continue
             age = now - worker.last_beat
-            misses = int(age / self.heartbeat_interval) - 1
+            misses = int(age / HEARTBEAT_INTERVAL) - 1
             if misses > worker.reported_misses and misses >= 1:
                 worker.reported_misses = misses
                 self._journal(
                     self._worker_rid(worker), "worker_heartbeat_missed",
                     worker=worker.id, misses=misses)
-            if age > self.heartbeat_timeout:
+            if age > HEARTBEAT_TIMEOUT:
                 self._on_worker_lost(worker, reason="heartbeat_timeout")
 
     def _on_worker_lost(self, worker: _WorkerHandle, reason: str) -> None:
@@ -514,11 +478,11 @@ class ProcessFleetBackend(ExecutionBackend):
             job.worker = None
             with self._cond:
                 self._serving.pop(job.key, None)
-            if job.attempts > self.redispatch_limit:
+            if job.attempts > REDISPATCH_LIMIT:
                 self._resolve_error(job, WorkerLostError(
                     f"request lost {job.attempts} worker(s) "
                     f"({', '.join(job.lost_on)}); giving up after "
-                    f"redispatch_limit={self.redispatch_limit}",
+                    f"{REDISPATCH_LIMIT} re-dispatch(es)",
                     attempts=job.attempts, workers=job.lost_on))
             else:
                 self._journal(
@@ -560,13 +524,15 @@ class ProcessFleetBackend(ExecutionBackend):
         self._update_gauges()
 
     def _spawn_worker(self) -> None:
+        # imported here: the service module imports the backends
+        from ..service import MAX_CONTEXTS
+
         wid = f"w{next(self._worker_seq)}"
         inbox = self._mp.Queue()
         outbox = self._mp.Queue()
         process = self._mp.Process(
             target=_fleet_worker_main,
-            args=(wid, inbox, outbox, self.heartbeat_interval,
-                  self.service.max_contexts),
+            args=(wid, inbox, outbox, HEARTBEAT_INTERVAL, MAX_CONTEXTS),
             daemon=True, name=f"{self.service.name}-fleet-{wid}")
         process.start()
         now = time.monotonic()
@@ -643,11 +609,10 @@ class ProcessFleetBackend(ExecutionBackend):
              if request.label.startswith(prefix)), 0.0)
         self._journal(request.request_id, "dispatched", worker=worker.id,
                       attempt=job.attempts)
-        msg = PlanRequestMessage(
-            ticket=job.key, request=request,
-            queue_seconds=job.queue_seconds, stall_seconds=stall)
+        msg = PlanRequestMessage(ticket=job.key, request=request,
+                                 stall_seconds=stall)
         try:
-            worker.inbox.put(msg.to_wire())
+            worker.inbox.put(msg)
         except (OSError, ValueError):
             self._on_worker_lost(worker, reason="inbox_closed")
             return
@@ -663,7 +628,7 @@ class ProcessFleetBackend(ExecutionBackend):
     def _shutdown_workers(self) -> None:
         for worker in list(self._fleet.values()):
             try:
-                worker.inbox.put(ShutdownMessage(reason="close").to_wire())
+                worker.inbox.put(ShutdownMessage())
             except (OSError, ValueError):
                 pass
         deadline = time.monotonic() + 5.0

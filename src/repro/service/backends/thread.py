@@ -7,10 +7,11 @@ in (priority, arrival) order and run them through
 ``service._run_ticket``.  Results are bit-identical to the historical
 in-service threads because this *is* that code.
 
-``close()`` joins each worker with a bounded timeout; a thread that
-fails to exit in time is surfaced (``worker_join_timeout`` journal
-event + ``RuntimeWarning``) instead of being silently abandoned, and a
-second ``close()`` is a no-op.
+``close()`` joins each worker for at most ``JOIN_TIMEOUT`` seconds (a
+module constant, read at close time); a thread that fails to exit in
+time is surfaced (``worker_join_timeout`` journal event +
+``RuntimeWarning``) instead of being silently abandoned, and a second
+``close()`` is a no-op.
 """
 
 from __future__ import annotations
@@ -22,23 +23,18 @@ from typing import List
 from ...errors import ReproError
 from .base import ExecutionBackend
 
-DEFAULT_JOIN_TIMEOUT = 60.0
+JOIN_TIMEOUT = 60.0
 
 
 class ThreadBackend(ExecutionBackend):
     name = "thread"
 
-    def __init__(self, workers: int = 2, *,
-                 join_timeout: float = DEFAULT_JOIN_TIMEOUT):
+    def __init__(self, workers: int = 2):
         super().__init__()
         if workers < 1:
             raise ReproError(
                 f"thread backend needs workers >= 1, got {workers}")
-        if join_timeout <= 0:
-            raise ReproError(
-                f"join_timeout must be positive, got {join_timeout}")
         self.workers = workers
-        self.join_timeout = join_timeout
         self._threads: List[threading.Thread] = []
         self.stalled_joins = 0
 
@@ -70,18 +66,18 @@ class ThreadBackend(ExecutionBackend):
             return
         self._closed = True
         for thread in self._threads:
-            thread.join(timeout=self.join_timeout)
+            thread.join(timeout=JOIN_TIMEOUT)
             if thread.is_alive():
                 # a worker is stuck mid-request: say so loudly instead
                 # of leaving a live thread behind with no signal
                 self.stalled_joins += 1
                 self.service.recorder.emit(
                     f"{self.service.name}-backend", "worker_join_timeout",
-                    worker=thread.name, timeout=self.join_timeout)
+                    worker=thread.name, timeout=JOIN_TIMEOUT)
                 warnings.warn(
                     f"planning service {self.service.name!r}: worker "
                     f"thread {thread.name} did not exit within "
-                    f"{self.join_timeout:.1f}s of close(); it remains "
+                    f"{JOIN_TIMEOUT:.1f}s of close(); it remains "
                     f"alive (daemon) and will be abandoned",
                     RuntimeWarning, stacklevel=3)
         self._threads.clear()

@@ -14,13 +14,14 @@ objects, and:
 - **dispatches** — to an :class:`~repro.service.backends.base.
   ExecutionBackend`, which serves admitted requests in (priority,
   arrival) order on warm :class:`~repro.service.context.PlanContext`
-  sessions.  ``backend="auto"`` (the default) preserves the historical
-  modes: ``workers=0`` is the inline backend (the whole pipeline on
-  the caller's thread — the mode the :class:`~repro.heterog.HeteroG`
-  facade and the resilience replanner use), anything else the
-  in-process thread pool.  ``backend="fleet"`` serves on persistent
-  worker *processes* with heartbeat failure detection and re-dispatch
-  (:class:`~repro.service.backends.fleet.ProcessFleetBackend`).
+  sessions.  ``backend=None`` (the default) picks one from
+  ``workers``: ``workers=0`` is the inline backend (the whole pipeline
+  on the caller's thread — the mode the :class:`~repro.heterog.HeteroG`
+  facade and the resilience replanner use), anything else an
+  in-process ``ThreadBackend(workers)``.  Passing a
+  :class:`~repro.service.backends.fleet.ProcessFleetBackend` instance
+  serves on persistent worker *processes* with heartbeat failure
+  detection and re-dispatch.
 
 Telemetry (when a session is active): ``service_queue_depth`` gauge,
 ``service_wait_seconds`` / ``service_latency_seconds`` histograms, the
@@ -53,14 +54,16 @@ from ..telemetry.critical_path import critical_path
 from ..telemetry.flight import FlightRecorder, default_recorder
 from ..telemetry.slo import SLOTracker, priority_class
 from ..telemetry.tally import EventTally, Fact
-from .backends.base import ExecutionBackend, make_backend
+from .backends.base import ExecutionBackend
+from .backends.inline import InlineBackend
+from .backends.thread import ThreadBackend
 from .context import PlanContext, lru_context
 from .request import PlanRequest, PlanResult
 
 DEFAULT_WORKERS = 2
 DEFAULT_MAX_QUEUE = 64
-DEFAULT_MAX_CONTEXTS = 16
-DEFAULT_RESULT_CACHE = 256
+MAX_CONTEXTS = 16                # warm PlanContexts kept (LRU)
+RESULT_CACHE_SIZE = 256          # completed results kept (LRU)
 
 
 class PlanTicket:
@@ -162,22 +165,25 @@ class PlanningService:
 
     def __init__(self, *, workers: int = DEFAULT_WORKERS,
                  max_queue: int = DEFAULT_MAX_QUEUE,
-                 max_contexts: int = DEFAULT_MAX_CONTEXTS,
-                 result_cache_size: int = DEFAULT_RESULT_CACHE,
                  name: str = "planning",
                  recorder: Optional[FlightRecorder] = None,
                  slo: Optional[SLOTracker] = None,
-                 backend: object = "auto",
-                 backend_options: Optional[Dict[str, object]] = None):
+                 backend: Optional[ExecutionBackend] = None):
+        """``backend`` says where admitted requests run; ``None`` is
+        inline for ``workers=0`` and a ``ThreadBackend(workers)``
+        otherwise.  ``workers`` is only read when ``backend`` is None."""
         if workers < 0:
             raise ReproError(f"workers must be >= 0, got {workers}")
         if max_queue < 1:
             raise ReproError(f"max_queue must be >= 1, got {max_queue}")
-        if max_contexts < 1:
-            raise ReproError(f"max_contexts must be >= 1, got {max_contexts}")
-        self.workers = workers
+        if backend is None:
+            backend = InlineBackend() if workers == 0 \
+                else ThreadBackend(workers)
+        elif not isinstance(backend, ExecutionBackend):
+            raise ReproError(
+                f"backend must be an ExecutionBackend or None, got "
+                f"{type(backend).__name__}")
         self.max_queue = max_queue
-        self.max_contexts = max_contexts
         self.name = name
         self.recorder = recorder if recorder is not None \
             else default_recorder()
@@ -186,13 +192,12 @@ class PlanningService:
         self._not_empty = threading.Condition(self._lock)
         self._queue: List[Tuple[int, int, str]] = []  # (-priority, seq, fp)
         self._tickets: Dict[str, PlanTicket] = {}     # in-flight by fp
-        self._results = PlanCache(result_cache_size, kind="service")
+        self._results = PlanCache(RESULT_CACHE_SIZE, kind="service")
         self._contexts: "OrderedDict[str, PlanContext]" = OrderedDict()
         self.stats = ServiceStats(self._results, self._contexts)
         self._seq = 0
         self._closed = False
-        self._backend: ExecutionBackend = make_backend(
-            backend, workers=workers, options=backend_options)
+        self._backend = backend
         self._backend.bind(self)
 
     # ------------------------------------------------------------------ #
@@ -230,7 +235,7 @@ class PlanningService:
             "queue": {"depth": depth, "capacity": self.max_queue},
             "inflight": inflight,
             "contexts": {"warm": self.stats.contexts_warm,
-                         "capacity": self.max_contexts},
+                         "capacity": MAX_CONTEXTS},
             "result_cache": {
                 "hits": self._results.hits,
                 "misses": self._results.misses,
@@ -367,8 +372,7 @@ class PlanningService:
         """The (possibly warmed) context a request would be served on;
         a silent lookup that journals nothing."""
         with self._lock:
-            return lru_context(self._contexts, request,
-                               self.max_contexts)[0]
+            return lru_context(self._contexts, request, MAX_CONTEXTS)[0]
 
     # ------------------------------------------------------------------ #
     def _pop_ticket(self) -> Optional[PlanTicket]:
@@ -421,7 +425,7 @@ class PlanningService:
         start = time.perf_counter()
         with self._lock:
             ctx, warm = lru_context(self._contexts, request,
-                                    self.max_contexts)
+                                    MAX_CONTEXTS)
         self._journal(request.request_id,
                       "context_warm" if warm else "context_cold",
                       context=request.context_key[:12])

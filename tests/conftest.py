@@ -7,8 +7,17 @@ import pytest
 from repro.cluster import cluster_4gpu, cluster_8gpu, homogeneous_cluster
 from repro.graph.models import build_model
 from repro.profiling import MeasurementNoise, Profiler
+from repro.service.backends import fleet
 
 from tests.helpers import make_mlp
+
+
+@pytest.fixture
+def fast_heartbeats(monkeypatch):
+    """A fast, deterministic fleet failure detector: workers beat every
+    0.1 s and are declared lost after 1 s of silence."""
+    monkeypatch.setattr(fleet, "HEARTBEAT_INTERVAL", 0.1)
+    monkeypatch.setattr(fleet, "HEARTBEAT_TIMEOUT", 1.0)
 
 
 @pytest.fixture(scope="session")

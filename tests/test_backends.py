@@ -1,6 +1,6 @@
-"""Execution backends: wire protocol, the backend seam, and the
+"""Execution backends: fleet messages, the backend seam, and the
 process-fleet failure paths (kill mid-request, re-dispatch,
-false-positive heartbeats, drain)."""
+false-positive heartbeats, drain, stray frames)."""
 
 import os
 import signal
@@ -14,7 +14,6 @@ from repro.agent import AgentConfig
 from repro.cluster import cluster_4gpu
 from repro.config import HeteroGConfig
 from repro.errors import (
-    FleetProtocolError,
     ReproError,
     ServiceClosedError,
     ServiceOverloadedError,
@@ -26,25 +25,16 @@ from repro.service import (
     PlanningService,
     ProcessFleetBackend,
     ThreadBackend,
-    make_backend,
 )
-from repro.service.messages import (
-    CompletedMessage,
-    HeartbeatMessage,
-    PlanRequestMessage,
-    ShutdownMessage,
-    message_from_wire,
-    rebuild_error,
-)
+from repro.service.backends import fleet as fleet_module
+from repro.service.backends import thread as thread_module
+from repro.service.messages import rebuild_error
 from repro.telemetry.flight import FlightRecorder
 
 from tests.helpers import make_mlp
 
 FAST = AgentConfig(max_groups=8, gat_hidden=16, gat_layers=2, gat_heads=2,
                    strategy_dim=16, strategy_heads=2, strategy_layers=1)
-
-# fleet knobs tuned for fast, deterministic failure tests
-FLEET_KW = dict(heartbeat_interval=0.1, heartbeat_timeout=1.0)
 
 
 def fast_config(seed: int = 0) -> HeteroGConfig:
@@ -72,53 +62,8 @@ def journal_events(service, rid=None, event=None):
 
 
 # --------------------------------------------------------------------- #
-# wire protocol
+# fleet messages
 class TestMessages:
-    def test_round_trip(self):
-        msg = PlanRequestMessage(ticket="fp", request=None,
-                                 queue_seconds=0.5, stall_seconds=0.0)
-        back = message_from_wire(msg.to_wire())
-        assert back == msg
-
-    def test_all_types_round_trip(self):
-        for msg in (ShutdownMessage(reason="r"),
-                    HeartbeatMessage(worker="w0", ts=1.0, served=3),
-                    CompletedMessage(ticket="fp", worker="w0",
-                                     result=None)):
-            assert message_from_wire(msg.to_wire()) == msg
-
-    def test_non_dict_rejected(self):
-        with pytest.raises(FleetProtocolError):
-            message_from_wire("nope")
-
-    def test_missing_version_rejected(self):
-        wire = ShutdownMessage().to_wire()
-        del wire["v"]
-        with pytest.raises(FleetProtocolError, match="missing 'v'"):
-            message_from_wire(wire)
-
-    def test_future_version_rejected(self):
-        wire = ShutdownMessage().to_wire()
-        wire["v"] = 99
-        with pytest.raises(FleetProtocolError, match="version"):
-            message_from_wire(wire)
-
-    def test_unknown_type_rejected(self):
-        wire = ShutdownMessage().to_wire()
-        wire["type"] = "flux_capacitor"
-        with pytest.raises(FleetProtocolError, match="unknown message"):
-            message_from_wire(wire)
-
-    def test_field_mismatch_rejected(self):
-        wire = HeartbeatMessage(worker="w0").to_wire()
-        wire["extra"] = 1
-        with pytest.raises(FleetProtocolError, match="unexpected"):
-            message_from_wire(wire)
-        del wire["extra"]
-        del wire["served"]
-        with pytest.raises(FleetProtocolError, match="missing"):
-            message_from_wire(wire)
-
     def test_rebuild_known_error(self):
         err = rebuild_error("ServiceClosedError", "gone")
         assert isinstance(err, ServiceClosedError)
@@ -140,21 +85,20 @@ class TestMessages:
 # the seam itself
 class TestBackendSeam:
     def test_auto_mapping(self):
-        assert isinstance(make_backend("auto", workers=0), InlineBackend)
-        assert isinstance(make_backend("auto", workers=2), ThreadBackend)
+        with PlanningService(workers=0) as svc:
+            assert isinstance(svc._backend, InlineBackend)
+        with PlanningService(workers=2) as svc:
+            assert isinstance(svc._backend, ThreadBackend)
+            assert svc._backend.workers == 2
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError, match="unknown execution backend"):
-            make_backend("carrier_pigeon", workers=2)
+        """Backends are instances: a name is rejected up front."""
+        with pytest.raises(ReproError, match="ExecutionBackend"):
+            PlanningService(workers=2, backend="fleet")
 
     def test_fleet_needs_workers(self):
         with pytest.raises(ReproError):
-            make_backend("fleet", workers=0)
-
-    def test_instance_with_options_rejected(self):
-        with pytest.raises(ReproError):
-            make_backend(InlineBackend(), workers=0,
-                         options={"x": 1})
+            ProcessFleetBackend(0)
 
     def test_backend_cannot_be_rebound(self):
         backend = InlineBackend()
@@ -171,9 +115,11 @@ class TestBackendSeam:
     @pytest.mark.parametrize("kwargs", [
         dict(workers=0),
         dict(workers=2),
-        dict(workers=2, backend="fleet"),
+        dict(workers=2, backend=ProcessFleetBackend),
     ])
     def test_close_is_idempotent(self, kwargs):
+        if "backend" in kwargs:
+            kwargs = dict(kwargs, backend=kwargs["backend"](2))
         svc = PlanningService(name="idem", **kwargs)
         svc.close()
         svc.close()  # second close must be a no-op, not an error
@@ -193,7 +139,8 @@ class TestBackendSeam:
 
 
 class TestThreadBackendClose:
-    def test_join_timeout_is_surfaced(self, mlp, four_gpu):
+    def test_join_timeout_is_surfaced(self, mlp, four_gpu, monkeypatch):
+        monkeypatch.setattr(thread_module, "JOIN_TIMEOUT", 0.2)
         release = threading.Event()
         entered = threading.Event()
 
@@ -204,7 +151,6 @@ class TestThreadBackendClose:
                 return super()._serve(request, queue_seconds)
 
         svc = StuckService(workers=1, name="stuck",
-                           backend_options={"join_timeout": 0.2},
                            recorder=FlightRecorder())
         ticket = svc.submit(search_request(mlp, four_gpu))
         assert entered.wait(10)
@@ -223,12 +169,10 @@ class TestThreadBackendClose:
 # --------------------------------------------------------------------- #
 # fleet failure paths
 @pytest.mark.slow
+@pytest.mark.usefixtures("fast_heartbeats")
 class TestFleetBackend:
-    def fleet_service(self, name, workers=2, *, stall=None, **kw):
-        opts = dict(FLEET_KW, **kw)
-        if stall:
-            opts["stall_labels"] = stall
-        backend = ProcessFleetBackend(workers, **opts)
+    def fleet_service(self, name, workers=2, *, stall=None):
+        backend = ProcessFleetBackend(workers, stall_labels=stall)
         svc = PlanningService(workers=workers, backend=backend,
                               name=name, recorder=FlightRecorder())
         return svc, backend
@@ -310,13 +254,13 @@ class TestFleetBackend:
         assert backend.snapshot()["stats"]["spawned"] == 3
 
     def test_heartbeat_false_positive_discards_late_result(
-            self, mlp, four_gpu):
+            self, mlp, four_gpu, monkeypatch):
         # SIGSTOP silences heartbeats without killing the worker: the
         # manager declares it lost and re-dispatches; when the worker
         # is resumed its late result must be discarded, not delivered
         # a second time.
-        svc, backend = self.fleet_service(
-            "stall", stall={"slow": 1.5}, heartbeat_timeout=0.5)
+        monkeypatch.setattr(fleet_module, "HEARTBEAT_TIMEOUT", 0.5)
+        svc, backend = self.fleet_service("stall", stall={"slow": 1.5})
         with svc:
             ticket = svc.submit(search_request(mlp, four_gpu,
                                                label="slow-1"))
@@ -340,10 +284,10 @@ class TestFleetBackend:
         assert discards[0].attrs["worker"] == wid
         assert svc.stats.completed == 1  # resolved exactly once
 
-    def test_redispatch_budget_exhausted(self, mlp, four_gpu):
+    def test_redispatch_budget_exhausted(self, mlp, four_gpu, monkeypatch):
+        monkeypatch.setattr(fleet_module, "REDISPATCH_LIMIT", 0)
         svc, backend = self.fleet_service(
-            "budget", workers=1, stall={"doom": 30.0},
-            redispatch_limit=0)
+            "budget", workers=1, stall={"doom": 30.0})
         with svc:
             ticket = svc.submit(search_request(mlp, four_gpu,
                                                label="doom-1"))
@@ -354,6 +298,23 @@ class TestFleetBackend:
             assert excinfo.value.attempts == 1
             assert excinfo.value.workers == [wid]
         assert backend.stats.redispatched == 0
+
+    def test_stray_frame_is_dropped(self, mlp, four_gpu):
+        """A frame that is not a fleet message is dropped by the
+        manager, and the same fleet goes on serving requests."""
+        svc, backend = self.fleet_service("stray", workers=1)
+        with svc:
+            svc.plan(search_request(mlp, four_gpu))  # starts the fleet
+            for frame in ("nope", {"v": 3, "type": "heartbeat"}, None,
+                          object()):
+                backend._inproc.put(frame)
+            fresh = svc.plan(search_request(mlp, four_gpu, seed=3))
+            # the mailbox is FIFO: the strays were handled before the
+            # completion that resolved this request
+            assert not fresh.from_cache and fresh.outcome.time > 0
+            assert backend._manager.is_alive()
+        assert svc.stats.completed == 2
+        assert backend.stats.lost == 0
 
     def test_graceful_drain_under_load(self, mlp, four_gpu):
         svc, backend = self.fleet_service("drain", workers=2)

@@ -760,9 +760,7 @@ def _drive_thread(rec, mlp, four_gpu):
 def _drive_fleet(rec, mlp, four_gpu):
     """The thread workload on a one-worker fleet whose worker is killed
     mid-request (re-dispatched to its replacement)."""
-    backend = ProcessFleetBackend(
-        1, heartbeat_interval=0.1, heartbeat_timeout=1.0,
-        stall_labels={"slow": 1.0})
+    backend = ProcessFleetBackend(1, stall_labels={"slow": 1.0})
     service = PlanningService(workers=1, backend=backend, max_queue=2,
                               recorder=rec)
     first = service.submit(search_request(mlp, four_gpu, seed=41,
@@ -823,6 +821,7 @@ class TestStatsAreJournalFolds:
         _drive_thread,
         pytest.param(_drive_fleet, marks=pytest.mark.slow),
     ], ids=["inline", "thread", "fleet"])
+    @pytest.mark.usefixtures("fast_heartbeats")
     def test_stats_and_counters_fold_from_saved_journal(
             self, drive, mlp, four_gpu, tmp_path):
         """The service and fleet stats of a mixed workload, and their

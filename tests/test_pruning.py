@@ -1,6 +1,5 @@
 """Branch-and-bound candidate pruning: admissibility, winner identity,
-the ``evaluate_many(keep=k)`` threshold, cache soundness and
-wire-protocol versioning.
+the ``evaluate_many(keep=k)`` threshold and cache soundness.
 
 The load-bearing guarantee under test: a pruned search returns the SAME
 winning strategy with a byte-equal winning makespan as the unpruned
@@ -16,7 +15,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import telemetry
 from repro.agent.policy import actions_to_strategy, num_actions
 from repro.cluster import cluster_4gpu
-from repro.errors import FleetProtocolError
 from repro.graph import GraphBuilder, build_training_graph
 from repro.graph.grouping import group_operations
 from repro.graph.models import build_model, model_names
@@ -32,11 +30,6 @@ from repro.parallel.strategy import (
 from repro.plan import EvalOutcome, PlanBuilder
 from repro.profiling import Profiler, exact_profile
 from repro.scheduling import ListScheduler
-from repro.service.messages import (
-    WIRE_VERSION,
-    PlanRequestMessage,
-    message_from_wire,
-)
 from repro.simulation import ProfileCostModel, Simulator
 from repro.simulation.costs import TruthCostModel
 from repro.simulation.kernel import kernel_lower_bound
@@ -386,22 +379,3 @@ class TestCacheSoundness:
         assert builder.outcome_cache.hits == hits_before + 1
         assert (builder.evals_pruned, builder.evals_total) == (2, 3)
         assert fraction == 2 / 3
-
-
-# --------------------------------------------------------------------- #
-class TestWireProtocol:
-    def test_version_bumped_for_prune_fields(self):
-        """v2 added the prune fields of the evaluation frames; v3
-        removed those frames and ``FailedMessage.kind``."""
-        assert WIRE_VERSION == 3
-        msg = PlanRequestMessage(ticket="t", queue_seconds=0.5)
-        wire = msg.to_wire()
-        assert wire["v"] == 3
-        decoded = message_from_wire(wire)
-        assert decoded == msg
-
-    def test_old_version_frame_rejected(self):
-        wire = PlanRequestMessage(ticket="t").to_wire()
-        wire["v"] = 2
-        with pytest.raises(FleetProtocolError):
-            message_from_wire(wire)

@@ -215,6 +215,35 @@ class TestCLIPlan:
             main(["experiment", "table99"])
 
 
+class TestCLIServe:
+    """``repro serve`` on each execution backend: duplicates coalesce
+    or hit the result cache, so only the unique requests execute."""
+
+    BASE = ["serve", "vgg19", "--preset", "tiny", "--requests", "2",
+            "--duplicates", "2", "--episodes", "2"]
+
+    @pytest.mark.parametrize("backend", [
+        ["--workers", "0"],
+        [],
+        pytest.param(["--backend", "fleet", "--workers", "1"],
+                     marks=pytest.mark.slow),
+    ], ids=["inline", "thread", "fleet"])
+    def test_serve_executes_unique_requests(self, capsys, backend):
+        assert main(self.BASE + backend) == 0
+        assert "executed 2," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("knob", [
+        "heartbeat_interval", "heartbeat_timeout", "redispatch_limit"])
+    def test_fleet_knobs_are_not_flags(self, capsys, knob):
+        """The fleet's timing values are module constants: passing one
+        as a flag is an argparse error."""
+        flag = "--" + knob.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(self.BASE + ["--backend", "fleet", flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestCLIResilience:
     """``repro faults`` / ``repro churn``: the recovery each prints and
     the exit code scripts assert on (1 when the run stalled)."""

@@ -170,7 +170,6 @@ class TestServiceValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(workers=-1),
         dict(max_queue=0),
-        dict(max_contexts=0),
     ])
     def test_constructor_bounds(self, kwargs):
         with pytest.raises(ReproError):
