@@ -22,6 +22,14 @@ class ComputationGraph:
         self._ops: Dict[str, Operation] = {}
         self._succ: Dict[str, List[str]] = {}
         self._pred: Dict[str, List[str]] = {}
+        self._version = 0
+
+    @property
+    def version(self) -> int:
+        """Mutation stamp: bumped by every ``add_op`` and ``add_edge``,
+        so a derived form of the graph cached under it (its fingerprint
+        text) is rebuilt after a mutation."""
+        return self._version
 
     # ------------------------------------------------------------------ #
     # construction
@@ -35,6 +43,7 @@ class ComputationGraph:
         self._ops[op.name] = op
         self._succ[op.name] = []
         self._pred[op.name] = []
+        self._version += 1
         for src in inputs:
             self.add_edge(src, op.name)
         return op
@@ -50,6 +59,7 @@ class ComputationGraph:
             return  # idempotent
         self._succ[src].append(dst)
         self._pred[dst].append(src)
+        self._version += 1
 
     # ------------------------------------------------------------------ #
     # queries

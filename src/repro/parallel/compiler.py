@@ -121,25 +121,36 @@ class GraphCompiler:
     """Compiles (graph, strategy) -> :class:`DistGraph`.
 
     One compiler serves any number of compiles; it keeps only tables
-    that depend on the context (per-graph op tables, NIC ports per
-    device pair), never state of one call.
+    that depend on the context (per-graph op tables, and per device
+    pair or tuple the link figures, NIC ports, AllReduce structure and
+    ring resources), never state of one call.
     """
 
     def __init__(self, cluster: Cluster, profile: Optional[Profile] = None):
         self.cluster = cluster
         self.profile = profile
+        self._link_cache: Dict[Tuple[str, str], Tuple[float, float]] = {}
         self._nic_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        # (device tuple, bytes) -> hierarchical?
+        self._allreduce_cache: Dict[Tuple[Tuple[str, ...], float], bool] = {}
+        self._ring_cache: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._tables: Optional[_GraphTables] = None
 
     def _link(self, src: str, dst: str) -> Tuple[float, float]:
         """(bandwidth, latency) of a link: profiled when the profile has
         a model of it, else the cluster's spec."""
-        if self.profile is not None:
-            model = self.profile.link_models.get((src, dst))
-            if model is not None:
-                return model.bandwidth, model.latency
-        link = self.cluster.link(src, dst)
-        return link.bandwidth, link.latency
+        cached = self._link_cache.get((src, dst))
+        if cached is not None:
+            return cached
+        model = (self.profile.link_models.get((src, dst))
+                 if self.profile is not None else None)
+        if model is not None:
+            cached = (model.bandwidth, model.latency)
+        else:
+            link = self.cluster.link(src, dst)
+            cached = (link.bandwidth, link.latency)
+        self._link_cache[(src, dst)] = cached
+        return cached
 
     # ------------------------------------------------------------------ #
     def compile(self, graph: ComputationGraph, strategy: Strategy) -> DistGraph:
@@ -163,7 +174,21 @@ class GraphCompiler:
         self._nic_cache[(src, dst)] = ports
         return ports
 
-    def _ring_resources(self, devices) -> Tuple[str, ...]:
+    def _hierarchical(self, devices: Tuple[str, ...],
+                      size_bytes: float) -> bool:
+        """:func:`choose_allreduce`'s ring-or-hierarchical decision."""
+        key = (devices, size_bytes)
+        cached = self._allreduce_cache.get(key)
+        if cached is None:
+            cached, _ = choose_allreduce(devices, size_bytes, self._link,
+                                         self.cluster)
+            self._allreduce_cache[key] = cached
+        return cached
+
+    def _ring_resources(self, devices: Tuple[str, ...]) -> Tuple[str, ...]:
+        cached = self._ring_cache.get(devices)
+        if cached is not None:
+            return cached
         out = []
         n = len(devices)
         for i in range(n):
@@ -171,7 +196,8 @@ class GraphCompiler:
             for r in res:
                 if r not in out:
                     out.append(r)
-        return tuple(out)
+        cached = self._ring_cache[devices] = tuple(out)
+        return cached
 
 
 class _Compilation:
@@ -477,11 +503,11 @@ class _Compilation:
                         devices: List[str], instances: List[int]) -> None:
         """AllReduce collective followed by a local apply on every device."""
         compiler = self.compiler
-        hierarchical, _ = choose_allreduce(devices, info.full_bytes,
-                                           compiler._link, compiler.cluster)
+        ring = tuple(devices)
         collective = self.emit(self.fresh(f"ar:{info.name}"), (
-            "allreduce", -1, None, None, None, tuple(devices),
-            info.full_bytes, 1.0, hierarchical,
-            compiler._ring_resources(devices)), instances)
+            "allreduce", -1, None, None, None, ring,
+            info.full_bytes, 1.0,
+            compiler._hierarchical(ring, info.full_bytes),
+            compiler._ring_resources(ring)), instances)
         for dev in devices:
             self.add_apply(apply, dev, [collective])

@@ -60,6 +60,11 @@ class OpStrategy:
                 raise StrategyError(f"non-positive replica count: {self.replicas}")
             if self.comm is None:
                 raise StrategyError("DP strategy needs a gradient comm method")
+        # the per-object caches (batch shares, fingerprint text), added
+        # in one order on every instance so that instances keep sharing
+        # their attribute-dict keys
+        object.__setattr__(self, "_shares_cache", None)
+        object.__setattr__(self, "_fingerprint_text", None)
 
     # ------------------------------------------------------------------ #
     @property
@@ -84,7 +89,7 @@ class OpStrategy:
         The mapping is computed once per strategy and shared across
         callers; treat it as read-only.
         """
-        cached = getattr(self, "_shares_cache", None)
+        cached = self._shares_cache
         if cached is not None:
             return cached
         if self.kind is ParallelKind.MP:
@@ -149,6 +154,9 @@ class Strategy:
         # calls get() for every op instance, so the demoted OpStrategy is
         # built once per assignment instead of once per call
         self._demoted: Dict[str, tuple] = {}
+        # context fingerprint -> this strategy's digest in that context
+        # (repro.plan.fingerprint); set() forgets them
+        self._fingerprints: Dict[str, str] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -168,6 +176,7 @@ class Strategy:
             raise StrategyError(f"unknown op {op_name!r}")
         self._per_op[op_name] = strategy
         self._demoted.pop(op_name, None)
+        self._fingerprints.clear()
 
     def get(self, op_name: str) -> OpStrategy:
         """Strategy for an op, demoting DP to MP for non-replicable ops."""

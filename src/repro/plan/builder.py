@@ -8,9 +8,9 @@ now asks a PlanBuilder instead.  The builder is bound to one
 outcomes by content fingerprint, and guarantees cached results are
 bit-identical to fresh ones (the whole chain is deterministic).
 
-It keeps the plans it serves and its best one: every plan
+It keeps the plans it serves and its best ones: every plan
 :meth:`PlanBuilder.build` returns, plus each evaluated plan that is
-feasible and strictly faster than every plan evaluated before it, so a
+feasible and no slower than every plan evaluated before it, so a
 search's winner is a plan-cache hit for the build that deploys it.  Every
 other evaluated plan is dropped once its scalar outcome is taken.
 """
@@ -313,9 +313,11 @@ class PlanBuilder:
         outcome = EvalOutcome(
             time=result.makespan, dist_ops=plan.num_dist_ops,
             peak_memory=result.peak_memory, oom_devices=result.oom_devices)
-        # the same strict < as every search's best-so-far: a winner stays
-        # a plan-cache hit, and every losing plan is dropped here
-        if outcome.feasible and outcome.time < self._best_time:
+        # a search's winner is one of these: a search keeps the first of
+        # equal times, except that a group-action candidate beats the
+        # raw ladder evaluated before it, so a tie is kept too.  Every
+        # losing plan is dropped here
+        if outcome.feasible and outcome.time <= self._best_time:
             self._best_time = outcome.time
             self._plans.put(fp, plan)
         return outcome

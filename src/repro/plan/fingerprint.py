@@ -11,13 +11,23 @@ The expensive context part (graph + cluster + profile + flags) is hashed
 once per :class:`~repro.plan.builder.PlanBuilder`; per-strategy
 fingerprints then only hash the strategy's per-op decisions on top of
 the cached context digest.
+
+Every digest is the sha256 of the canonical JSON text of a payload
+(``json.dumps`` with sorted keys and compact separators), and that text
+is assembled from pieces encoded once: a graph's payload and its
+sorted op-name keys once per graph version, each distinct
+:class:`OpStrategy`'s payload once per object, and each strategy's
+digest once per context (:meth:`Strategy.set` forgets it).  The JSON
+encoder writes a nested value exactly as it writes it alone, so the
+assembled text is byte-identical to encoding the whole payload at once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict
+import sys
+from typing import Any, Dict, List, Tuple
 
 from ..cluster.topology import Cluster
 from ..graph.dag import ComputationGraph
@@ -25,11 +35,26 @@ from ..parallel.strategy import OpStrategy, ParallelKind, Strategy
 from ..profiling.profiler import Profile
 
 
+def _json(payload: Any) -> str:
+    """The canonical JSON text of ``payload``."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      default=str)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _digest(payload: Any) -> str:
     """sha256 of the canonical JSON form of ``payload``."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _sha(_json(payload))
+
+
+def _object_text(parts: Dict[str, str]) -> str:
+    """The canonical JSON text of a dict whose values are given as
+    their canonical JSON texts."""
+    return "{" + ",".join(json.dumps(key) + ":" + parts[key]
+                          for key in sorted(parts)) + "}"
 
 
 def _graph_payload(graph: ComputationGraph) -> Any:
@@ -45,6 +70,24 @@ def _graph_payload(graph: ComputationGraph) -> Any:
         "ops": ops,
         "edges": sorted(graph.edges()),
     }
+
+
+def _graph_pieces(graph: ComputationGraph
+                  ) -> Tuple[int, str, List[str], List[str]]:
+    """``(version, payload text, sorted op names, their encoded keys)``
+    of ``graph``, encoded once per graph version."""
+    cached = getattr(graph, "_fingerprint_pieces", None)
+    if cached is None or cached[0] != graph.version:
+        names = sorted(graph.op_names)
+        cached = (graph.version, _json(_graph_payload(graph)), names,
+                  [json.dumps(name) + ":" for name in names])
+        graph._fingerprint_pieces = cached
+    return cached
+
+
+def _graph_text(graph: ComputationGraph) -> str:
+    """The canonical JSON text of ``graph``'s payload."""
+    return _graph_pieces(graph)[1]
 
 
 def _cluster_payload(cluster: Cluster) -> Any:
@@ -91,12 +134,12 @@ def fingerprint_cluster(cluster: Cluster) -> str:
 def fingerprint_context(graph: ComputationGraph, cluster: Cluster,
                         profile: Profile, *, use_order_scheduling: bool) -> str:
     """Digest of one (graph, cluster, profile, flags) evaluation context."""
-    return _digest({
-        "graph": _graph_payload(graph),
-        "cluster": _cluster_payload(cluster),
-        "profile": _profile_payload(profile),
-        "use_order_scheduling": bool(use_order_scheduling),
-    })
+    return _sha(_object_text({
+        "graph": _graph_text(graph),
+        "cluster": _json(_cluster_payload(cluster)),
+        "profile": _json(_profile_payload(profile)),
+        "use_order_scheduling": _json(bool(use_order_scheduling)),
+    }))
 
 
 def _op_strategy_payload(st: OpStrategy) -> Any:
@@ -110,15 +153,40 @@ def _op_strategy_payload(st: OpStrategy) -> Any:
     )
 
 
+def _op_strategy_text(st: OpStrategy) -> str:
+    """The canonical JSON text of ``st``'s payload, cached on the
+    (frozen) object: groups share one OpStrategy across their ops.  The
+    text is interned: a cluster has a handful of distinct payloads, and
+    a search keeps thousands of OpStrategy objects alive."""
+    text = st._fingerprint_text
+    if text is None:
+        text = sys.intern(_json(_op_strategy_payload(st)))
+        object.__setattr__(st, "_fingerprint_text", text)
+    return text
+
+
+def _per_op_text(strategy: Strategy) -> str:
+    """The canonical JSON text of ``{op name: payload}`` over every op
+    ``strategy`` assigns."""
+    per_op = dict(strategy.items())
+    _, _, names, keys = _graph_pieces(strategy.graph)
+    if len(per_op) != len(names):
+        # a partial strategy: its own names, sorted and encoded here
+        # (every assigned name is an op of the graph)
+        names = sorted(per_op)
+        keys = [json.dumps(name) + ":" for name in names]
+    texts = map(_op_strategy_text, map(per_op.__getitem__, names))
+    return "{" + ",".join(map(str.__add__, keys, texts)) + "}"
+
+
 def fingerprint_strategy(context_fingerprint: str, strategy: Strategy) -> str:
-    """Digest of a candidate strategy within one evaluation context."""
-    # groups share one OpStrategy object: build each payload once, keyed
-    # by identity (the strategy keeps every object alive for the call)
-    payloads: Dict[int, Any] = {}
-    per_op = {}
-    for name, st in strategy.items():
-        payload = payloads.get(id(st))
-        if payload is None:
-            payload = payloads[id(st)] = _op_strategy_payload(st)
-        per_op[name] = payload
-    return _digest({"context": context_fingerprint, "per_op": per_op})
+    """Digest of a candidate strategy within one evaluation context,
+    memoized on the strategy per context."""
+    memo = strategy._fingerprints
+    fp = memo.get(context_fingerprint)
+    if fp is None:
+        fp = memo[context_fingerprint] = _sha(_object_text({
+            "context": _json(context_fingerprint),
+            "per_op": _per_op_text(strategy),
+        }))
+    return fp

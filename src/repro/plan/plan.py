@@ -10,7 +10,8 @@ nothing downstream mutates it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional
 
 from ..cluster.topology import Cluster
 from ..graph.dag import ComputationGraph
@@ -20,6 +21,7 @@ from ..profiling.profiler import Profile
 from ..scheduling.list_scheduler import Schedule
 from ..simulation.kernel import SimKernel
 from ..simulation.metrics import SimulationResult
+from ..telemetry.critical_path import critical_path
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,10 @@ class ExecutionPlan:
     simulation under this plan's resident bytes and capacities — the
     winning candidate's, or the FIFO order's — and evaluating the plan
     reuses it instead of running the simulator again.
+
+    ``blame_fractions`` is the critical-path blame of ``sim_result``,
+    walked on first read and kept: a plan served again (a cached
+    winner, a build after a search) is walked once.
     """
 
     graph: ComputationGraph
@@ -53,6 +59,16 @@ class ExecutionPlan:
     @property
     def num_dist_ops(self) -> int:
         return len(self.dist)
+
+    @cached_property
+    def blame_fractions(self) -> Optional[Dict[str, float]]:
+        """Fraction of the simulated makespan blamed on each resource
+        (:func:`~repro.telemetry.critical_path`); None for an empty run.
+        Shared by every reader: treat it as read-only."""
+        try:
+            return critical_path(self.dist, self.sim_result).blame_fractions()
+        except ValueError:
+            return None
 
 
 @dataclass

@@ -32,10 +32,12 @@ from ..parallel.strategy import Strategy
 from ..plan import EvalOutcome, ExecutionPlan
 from ..plan.fingerprint import (
     _cluster_payload,
-    _digest,
-    _graph_payload,
-    _op_strategy_payload,
+    _graph_text,
+    _json,
+    _object_text,
+    _per_op_text,
     _profile_payload,
+    _sha,
 )
 from ..profiling.profiler import Profile
 
@@ -142,23 +144,21 @@ class PlanRequest:
             else self.config.episodes
 
     # ------------------------------------------------------------------ #
-    def _context_payload(self) -> Any:
-        payload = {
-            "graph": _graph_payload(self.graph),
-            "cluster": _cluster_payload(self.cluster),
-            "use_order_scheduling": bool(self.config.use_order_scheduling),
-            "config": _config_payload(self.config),
-        }
-        if self.profile is not None:
-            payload["profile"] = _profile_payload(self.profile)
-        return payload
-
     @property
     def context_key(self) -> str:
         """Digest of the warm-context identity this request is served on."""
         cached = self.__dict__.get("_context_key")
         if cached is None:
-            cached = _digest(self._context_payload())
+            parts = {
+                "graph": _graph_text(self.graph),
+                "cluster": _json(_cluster_payload(self.cluster)),
+                "use_order_scheduling": _json(
+                    bool(self.config.use_order_scheduling)),
+                "config": _json(_config_payload(self.config)),
+            }
+            if self.profile is not None:
+                parts["profile"] = _json(_profile_payload(self.profile))
+            cached = _sha(_object_text(parts))
             object.__setattr__(self, "_context_key", cached)
         return cached
 
@@ -168,17 +168,14 @@ class PlanRequest:
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
             if self.is_search:
-                mode: Any = ("search", self.budget, self.max_rounds)
+                mode = _json(("search", self.budget, self.max_rounds))
             else:
-                mode = ("build", {
-                    name: _op_strategy_payload(st)
-                    for name, st in self.strategy.items()
-                })
-            cached = _digest({
-                "context": self.context_key,
+                mode = '["build",' + _per_op_text(self.strategy) + "]"
+            cached = _sha(_object_text({
+                "context": _json(self.context_key),
                 "mode": mode,
-                "measure": self.measure_iterations or 0,
-            })
+                "measure": _json(self.measure_iterations or 0),
+            }))
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 

@@ -50,7 +50,6 @@ from ..errors import (
 )
 from ..plan import PlanCache
 from ..telemetry.context import request_scope
-from ..telemetry.critical_path import critical_path
 from ..telemetry.flight import FlightRecorder, default_recorder
 from ..telemetry.slo import SLOTracker, priority_class
 from ..telemetry.tally import EventTally, Fact
@@ -490,15 +489,12 @@ class PlanningService:
 
     @staticmethod
     def _blame(result: PlanResult) -> Optional[Dict[str, float]]:
-        """Critical-path blame fractions of the winner's simulated run."""
+        """Critical-path blame fractions of the winner's simulated run,
+        walked once per plan (:attr:`ExecutionPlan.blame_fractions`)."""
         deployment = result.deployment
-        if deployment is None:
+        if deployment is None or deployment.blame_fractions is None:
             return None
-        try:
-            report = critical_path(deployment.dist, deployment.sim_result)
-        except (ValueError, KeyError):
-            return None
-        return report.blame_fractions()
+        return dict(deployment.blame_fractions)
 
     # ------------------------------------------------------------------ #
     # thin delegates to the shared ambient-session helpers

@@ -42,6 +42,7 @@ prices one op at a time and draws once per op.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from ..graph.op import Operation
@@ -183,7 +184,7 @@ class SimKernel:
     """
 
     __slots__ = (
-        "graph", "version", "n", "names", "recipes", "source_ops",
+        "_graph", "version", "n", "names", "recipes", "source_ops",
         "succ", "pred", "pred_count", "succ_count", "sources",
         "resource_names", "res_ids", "is_link",
         "is_compute", "is_comm", "kind_values",
@@ -196,7 +197,10 @@ class SimKernel:
                  lowering: Optional[Lowering] = None,
                  pred: Optional[List[Tuple[int, ...]]] = None,
                  succ: Optional[List[Tuple[int, ...]]] = None):
-        self.graph = graph
+        # weak: a graph owns its kernel (``lower`` caches it on the
+        # graph), so a strong link back would make every dropped plan a
+        # reference cycle, freed only at the next cyclic collection
+        self._graph = weakref.ref(graph)
         self.version = graph.version
         if lowering is None:
             # lowering reads the graph's internal tables directly: the
@@ -263,6 +267,25 @@ class SimKernel:
         self._bound_cache: Dict[int, Tuple[CostProvider, float]] = {}
         # cost provider -> per-op downstream-chain durations (tails)
         self._tail_cache: Dict[int, Tuple[CostProvider, List[float]]] = {}
+
+    @property
+    def graph(self) -> DistGraph:
+        """The lowered graph (held weakly: keep the graph, not only its
+        kernel)."""
+        graph = self._graph()
+        if graph is None:
+            raise ReferenceError("the kernel's graph was freed")
+        return graph
+
+    def __getstate__(self) -> dict:
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_graph"] = self.graph
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._graph = weakref.ref(state["_graph"])
 
     @property
     def ops(self) -> List[DistOp]:

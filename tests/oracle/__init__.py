@@ -15,7 +15,9 @@ dense masked-attention GAT layer as ``DenseGATLayer`` in
 :mod:`tests.oracle.gat`, and candidate evaluation with every pruning
 layer off as ``unpruned_outcome`` in :mod:`tests.oracle.unpruned`, and
 the per-fit profiling loop as ``reference_profile`` in
-:mod:`tests.oracle.profile`.  :func:`reference_busy` is the one-pass
+:mod:`tests.oracle.profile`, and the name-keyed critical-path walk as
+``reference_critical_path`` in :mod:`tests.oracle.critical_path`, and
+the full-payload fingerprints in :mod:`tests.oracle.fingerprint`.  :func:`reference_busy` is the one-pass
 derivation of a run's busy dicts and walls.
 """
 

@@ -19,7 +19,9 @@ from repro.errors import (
     ServiceOverloadedError,
     ServiceTimeoutError,
 )
+from repro.graph.models import build_model, model_names
 from repro.parallel.compiler import GraphCompiler
+from repro.plan import PlanBuilder
 from repro.service import PlanRequest, PlanningService
 
 from tests.helpers import make_mlp
@@ -238,6 +240,23 @@ class TestInlineService:
         assert measured.deployment is searched.deployment
         assert measured.outcome.time == searched.outcome.time
         assert measured.measured_time is not None
+
+    @pytest.mark.parametrize("model", model_names())
+    def test_tied_winner_compiles_once(self, model, four_gpu, monkeypatch):
+        """On one GPU the raw memory ladder, evaluated first, ties with
+        the group-action seed the search picks: the winner is still the
+        plan its evaluation kept, so no strategy compiles twice."""
+        compiled = []
+        compile_ = PlanBuilder.compile
+        monkeypatch.setattr(
+            PlanBuilder, "compile", lambda self, strategy: compiled.append(
+                self.fingerprint(strategy)) or compile_(self, strategy))
+        one_gpu = four_gpu.without_devices(["gpu1", "gpu2", "gpu3"])
+        graph = build_model(model, "tiny")
+        with PlanningService(workers=0) as service:
+            searched = service.plan(search_request(graph, one_gpu))
+        assert searched.deployment.fingerprint in compiled
+        assert len(compiled) == len(set(compiled))
 
     def test_build_request_compiles_once(self, mlp, four_gpu, monkeypatch):
         """A build request builds before it evaluates: a fresh strategy

@@ -12,8 +12,10 @@ oracle's state, so the next run draws the same stream.
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -432,6 +434,29 @@ def test_lowering_cached_until_mutation():
     assert k2 is not k1
     assert k2.version == g.version
     assert k2.n == len(g)
+
+
+def test_dropped_graph_is_freed_without_a_collection():
+    """A graph owns its kernel and the kernel points back weakly: a
+    compiled graph nothing else holds is freed at once, not at the next
+    cyclic collection, and a pickled graph keeps its kernel's link."""
+    cluster = cluster_4gpu()
+    graph = make_mlp(name="freed")
+    dist = GraphCompiler(cluster).compile(
+        graph, Strategy(graph, cluster, {
+            n: make_mp_strategy("gpu0") for n in graph.op_names}))
+    kernel = lower(dist)
+    assert kernel.graph is dist
+    copy = pickle.loads(pickle.dumps(dist))
+    assert lower(copy).graph is copy
+    assert [op.name for op in lower(copy).ops] == kernel.names
+    gone = weakref.ref(dist)
+    gc.disable()
+    try:
+        del dist, kernel
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_duration_array_cached_per_deterministic_provider():
