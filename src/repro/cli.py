@@ -83,6 +83,14 @@ def _resolve_model(name: str) -> str:
     raise ReproError(f"unknown model {name!r}; {hint}")
 
 
+def _whole_number(text: str) -> int:
+    """An argparse type: a whole number >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_output_args(parser: argparse.ArgumentParser, *,
                      journal: bool = False) -> None:
     """The shared telemetry-output options (one definition, not four)."""
@@ -522,7 +530,7 @@ def cmd_journal(args: argparse.Namespace) -> int:
     events = filter_events(events, request_id=args.request_id,
                            event=args.event, phase=args.phase)
     if args.tail is not None:
-        events = events[-args.tail:]
+        events = events[max(len(events) - args.tail, 0):]
     if not events:
         print("(no matching events)", file=sys.stderr)
         return 0
@@ -791,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase",
                    choices=list(dict.fromkeys(PHASE_OF.values())),
                    help="only events in this lifecycle phase")
-    p.add_argument("--tail", type=int, metavar="N",
+    p.add_argument("--tail", type=_whole_number, metavar="N",
                    help="only the last N matching events")
     p.add_argument("--format", choices=["table", "jsonl"],
                    default="table", help="output format (default: table)")

@@ -132,39 +132,11 @@ class Cluster:
         weakest = min(powers.values())
         return {k: v / weakest for k, v in powers.items()}
 
-    def subcluster(self, device_ids: Sequence[str]) -> "Cluster":
-        """A cluster view restricted to ``device_ids`` (keeps servers/links).
-
-        Used for the paper's 8-GPU vs 12-GPU experiments on one testbed.
-
-        .. note:: This builds a *fresh* cluster, so devices are
-           **renumbered** from ``gpu0`` (``subcluster(["gpu2", "gpu3"])``
-           yields devices ``gpu0``/``gpu1``).  That is right for
-           "pretend the testbed is smaller" experiments, but wrong for a
-           fleet that changed mid-run: use :meth:`without_devices` /
-           :meth:`with_devices`, which preserve device identity, when
-           strategies or plan fingerprints referencing existing ids must
-           stay valid.
-        """
-        keep = set(device_ids)
-        unknown = keep - set(self.device_ids)
-        if unknown:
-            raise PlacementError(f"unknown devices {sorted(unknown)}")
-        per_server: Dict[str, int] = {}
-        for dev in self._devices:
-            if dev.device_id in keep:
-                per_server[dev.server] = per_server.get(dev.server, 0) + 1
-        specs = [
-            ServerSpec(s.name, s.gpu_spec, per_server[s.name], s.nic, s.intra_link)
-            for s in self.servers if per_server.get(s.name)
-        ]
-        return Cluster(specs, self.switch_bandwidth)
-
     # ------------------------------------------------------------------ #
-    # degraded views (resilience layer): unlike subcluster(), these keep
-    # the surviving devices' original ids and link objects, so strategies
-    # and schedules that reference "gpu5" still mean the same GPU after a
-    # failure elsewhere in the cluster
+    # degraded views (resilience layer): these keep the surviving
+    # devices' original ids and link objects, so strategies and schedules
+    # that reference "gpu5" still mean the same GPU after a failure
+    # elsewhere in the cluster
     # ------------------------------------------------------------------ #
     def _derive(self, devices: List[Device],
                 links: Dict[Tuple[str, str], Link],
@@ -186,8 +158,7 @@ class Cluster:
         Every link touching a removed device disappears with it; servers
         whose GPUs all failed are dropped entirely.
 
-        Unlike :meth:`subcluster` (which renumbers from ``gpu0``), the
-        survivors keep their ids, specs and link objects, so placements
+        The survivors keep their ids, specs and link objects, so placements
         and plan fingerprints that mention ``gpu5`` still mean the same
         GPU.  :meth:`with_devices` is the growth dual: removing devices
         and adding the *same* :class:`Device` objects back round-trips

@@ -110,9 +110,6 @@ class ComputationGraph:
     def sources(self) -> List[str]:
         return [n for n in self._ops if not self._pred[n]]
 
-    def sinks(self) -> List[str]:
-        return [n for n in self._ops if not self._succ[n]]
-
     def ops_in_phase(self, phase: OpPhase) -> List[Operation]:
         return [op for op in self._ops.values() if op.phase is phase]
 

@@ -75,18 +75,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return make_op(data, (a, b), backward)
 
 
-def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
-    """x if x > 0 else alpha * x (the GAT attention nonlinearity)."""
-    mask = a.data > 0
-    data = np.where(mask, a.data, alpha * a.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * np.where(mask, 1.0, alpha))
-
-    return make_op(data, (a,), backward)
-
-
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
     """Exponential linear unit."""
     mask = a.data > 0
@@ -288,21 +276,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
             a._accumulate(inv * (term1 - term2 - term3))
 
     return make_op(data, (a, gain, bias), backward)
-
-
-def dropout(a: Tensor, rate: float, rng: Optional[np.random.Generator],
-            training: bool) -> Tensor:
-    """Inverted dropout (identity when not training)."""
-    if not training or rate <= 0.0 or rng is None:
-        return a
-    keep = 1.0 - rate
-    mask = (rng.random(a.shape) < keep) / keep
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * mask)
-
-    return make_op(a.data * mask, (a,), backward)
 
 
 @dataclass(frozen=True, eq=False)

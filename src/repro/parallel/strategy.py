@@ -194,9 +194,6 @@ class Strategy:
             return cached[1]
         return st
 
-    def has(self, op_name: str) -> bool:
-        return op_name in self._per_op
-
     def items(self) -> Iterable:
         return self._per_op.items()
 

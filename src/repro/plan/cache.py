@@ -27,7 +27,6 @@ class PlanCache:
         self.kind = kind
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -60,7 +59,6 @@ class PlanCache:
         self._data[key] = value
         if len(self._data) > self.maxsize:
             self._data.popitem(last=False)
-            self.evictions += 1
 
     def clear(self) -> None:
         self._data.clear()

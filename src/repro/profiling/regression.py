@@ -88,11 +88,6 @@ class OpTimeRegression:
         slopes, intercepts = fit_lines(fractions, times)
         return list(map(cls, slopes.tolist(), intercepts.tolist()))
 
-    @classmethod
-    def fit(cls, fractions: Sequence[float], times: Sequence[float]
-            ) -> "OpTimeRegression":
-        return cls.fit_many(fractions, [times])[0]
-
     def predict(self, batch_fraction: float) -> float:
         if batch_fraction <= 0:
             raise ProfilingError(
@@ -117,11 +112,6 @@ class TransferTimeRegression:
         return [cls(max(slope, 0.0), max(intercept, 0.0))
                 for slope, intercept in zip(slopes.tolist(),
                                             intercepts.tolist())]
-
-    @classmethod
-    def fit(cls, sizes: Sequence[float], times: Sequence[float]
-            ) -> "TransferTimeRegression":
-        return cls.fit_many(sizes, [times])[0]
 
     def predict(self, size_bytes: float) -> float:
         if size_bytes < 0:

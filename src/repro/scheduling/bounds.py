@@ -1,8 +1,7 @@
 """Theorem 1 / Theorem 2 machinery (paper appendix).
 
-- :func:`theorem1_bound` — the (M + M^2) * T* upper bound on the
-  list-scheduled makespan, with the two T* lower bounds from the proof
-  (total work divided by resource count; critical path).
+- :func:`optimal_lower_bound` — the two T* lower bounds from the proof
+  of Theorem 1 (total work divided by resource count; critical path).
 - :func:`worst_case_instance` — the crafted DAG of Theorem 2 on which the
   list schedule approaches the bound: H-1 chains of k*H ops round-robined
   over H devices (duration p on the first device of each batch, e ~ 0
@@ -43,14 +42,6 @@ def optimal_lower_bound(graph: DistGraph, cost, num_resources: int) -> float:
         raise ValueError("need at least one resource")
     return max(total_work(graph, cost) / num_resources,
                critical_path(graph, cost))
-
-
-def theorem1_bound(graph: DistGraph, cost, num_gpus: int) -> float:
-    """(M + M^2) * (T* lower bound) — any list schedule must beat this...
-    more precisely, Theorem 1 guarantees TLS <= (M + M^2) * T*, and since
-    T* >= our lower bound is not usable directly, we return the *provable*
-    cap TLS <= sum_i p_i (first inequality of the proof)."""
-    return total_work(graph, cost)
 
 
 @dataclass

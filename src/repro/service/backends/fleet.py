@@ -123,8 +123,7 @@ def _fleet_worker_main(worker_id: str, inbox, outbox,
     # the forked child inherits the parent's ambient telemetry session,
     # a manager-process concern: drop it so worker-side evaluations
     # stay silent
-    while telemetry.active() is not None:
-        telemetry.disable()
+    telemetry._ACTIVE = None
 
     contexts: "OrderedDict[str, Any]" = OrderedDict()
     stop = threading.Event()

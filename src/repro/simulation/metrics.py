@@ -195,12 +195,6 @@ class SimulationResult:
             return 0.0
         return (self.computation_time + self.communication_time) / self.makespan
 
-    def utilization(self) -> Dict[str, float]:
-        """Per-GPU busy fraction of the iteration."""
-        if self.makespan <= 0:
-            return {d: 0.0 for d in self.device_busy}
-        return {d: b / self.makespan for d, b in self.device_busy.items()}
-
     def summary(self) -> Dict[str, float]:
         return {
             "makespan": self.makespan,

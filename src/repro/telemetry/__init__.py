@@ -6,10 +6,10 @@ The package has two faces:
    :func:`critical_path` can be constructed and used directly.
 2. **Ambient session** — instrumented modules (simulation engine,
    execution engine, REINFORCE trainer, scheduler, the HeteroG facade)
-   call :func:`active` each run; it returns ``None`` unless a session
-   was opened with :func:`enable` or the :func:`session` context
-   manager, so the disabled-path cost is a single attribute read and
-   simulation results are bit-identical with telemetry off.
+   call :func:`active` each run; it returns ``None`` unless a
+   :func:`session` is open, so the disabled-path cost is a single
+   attribute read and simulation results are bit-identical with
+   telemetry off.
 
 Typical use::
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from .context import (
     current_recorder,
@@ -90,8 +90,6 @@ __all__ = [
     "IDLE_KEY",
     "Telemetry",
     "active",
-    "enable",
-    "disable",
     "session",
     "span",
     "emit_count",
@@ -130,43 +128,13 @@ class Telemetry:
     registry: MetricsRegistry
     tracer: Tracer
 
-    def span(self, name: str, **attrs):
-        return self.tracer.span(name, **attrs)
-
 
 _ACTIVE: Optional[Telemetry] = None
-_SESSIONS: List[Telemetry] = []  # nesting stack; _ACTIVE mirrors its top
 
 
 def active() -> Optional[Telemetry]:
     """The ambient session, or ``None`` when telemetry is disabled."""
     return _ACTIVE
-
-
-def enable(registry: Optional[MetricsRegistry] = None,
-           tracer: Optional[Tracer] = None) -> Telemetry:
-    """Open a new ambient telemetry session (stacking over any current
-    one).  Sessions compose: a matching :func:`disable` restores the
-    enclosing session instead of turning telemetry off outright, so
-    per-request recording can coexist with a user-enabled global
-    session."""
-    global _ACTIVE
-    tel = Telemetry(
-        registry=registry if registry is not None else MetricsRegistry(),
-        tracer=tracer if tracer is not None else Tracer(),
-    )
-    _SESSIONS.append(tel)
-    _ACTIVE = tel
-    return tel
-
-
-def disable() -> None:
-    """Close the innermost session, restoring the enclosing one (a
-    no-op when no session is open)."""
-    global _ACTIVE
-    if _SESSIONS:
-        _SESSIONS.pop()
-    _ACTIVE = _SESSIONS[-1] if _SESSIONS else None
 
 
 def span(name: str, **attrs):
@@ -210,19 +178,18 @@ def emit_observe(metric: str, value: float, labels=None,
 
 
 @contextlib.contextmanager
-def session(registry: Optional[MetricsRegistry] = None,
-            tracer: Optional[Tracer] = None) -> Iterator[Telemetry]:
-    """Scoped telemetry: enable on entry, restore the prior state on exit.
-
-    Exit unwinds to the state *before* this session was opened — any
-    sessions pushed inside the block (via :func:`enable` without a
-    matching :func:`disable`) are unwound with it.
-    """
+def session(registry: Optional[MetricsRegistry] = None
+            ) -> Iterator[Telemetry]:
+    """Scoped telemetry: a fresh session on entry (recording into
+    ``registry`` when given), and on exit the session it replaced, so
+    sessions nest."""
     global _ACTIVE
-    depth = len(_SESSIONS)
-    tel = enable(registry, tracer)
+    outer = _ACTIVE
+    tel = Telemetry(
+        registry=registry if registry is not None else MetricsRegistry(),
+        tracer=Tracer())
+    _ACTIVE = tel
     try:
         yield tel
     finally:
-        del _SESSIONS[depth:]
-        _ACTIVE = _SESSIONS[-1] if _SESSIONS else None
+        _ACTIVE = outer

@@ -33,7 +33,8 @@ from ..errors import ReproError
 from .journal import TERMINAL_STATUS, Journal, JournalEvent
 
 DEFAULT_FLIGHT_CAPACITY = 256
-DEFAULT_MAX_EVENTS = 512
+#: events kept per record; later ones only count in ``dropped_events``
+MAX_EVENTS = 512
 
 #: record fields taken from the first event attribute of the same name.
 _HEADER_FIELDS = ("label", "graph", "fingerprint", "parent_id", "priority")
@@ -119,20 +120,18 @@ class FlightRecorder:
     """Always-on, bounded per-request recording (journal + ring buffer).
 
     ``capacity`` bounds how many request records are retained (oldest
-    finished records are evicted first); ``max_events`` bounds the
+    finished records are evicted first); :data:`MAX_EVENTS` bounds the
     per-record timeline (overflow is counted in ``dropped_events``, not
     silently lost).  All events are mirrored into ``journal``, the
     durable stream ``--journal-out`` saves.
     """
 
     def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY,
-                 journal: Optional[Journal] = None,
-                 max_events: int = DEFAULT_MAX_EVENTS):
+                 journal: Optional[Journal] = None):
         if capacity < 1:
             raise ReproError(
                 f"flight-recorder capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.max_events = max_events
         self.journal = journal if journal is not None else Journal()
         self._lock = threading.Lock()
         self._records: "OrderedDict[str, FlightRecord]" = OrderedDict()
@@ -162,7 +161,7 @@ class FlightRecorder:
                                       submitted_ts=entry.ts)
                 self._records[entry.request_id] = record
                 self._evict()
-            if len(record.events) < self.max_events:
+            if len(record.events) < MAX_EVENTS:
                 record.events.append(entry)
             else:
                 record.dropped_events += 1

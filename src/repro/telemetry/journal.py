@@ -9,9 +9,10 @@ schema or fails loudly; the CI smoke step
 (``benchmarks/test_journal_smoke.py``) runs the demo serve workload and
 re-validates every line.
 
-The journal is the durable, grep-able stream (``repro journal`` tails
-and filters it); the :mod:`~repro.telemetry.flight` ring buffer folds
-the same events into per-request records for post-hoc timelines.
+The journal is the durable, grep-able stream: ``--journal-out`` saves
+it as JSONL once a run ends, and ``repro journal`` filters and tails
+that file.  The :mod:`~repro.telemetry.flight` ring buffer folds the
+same events into per-request records for post-hoc timelines.
 Unlike span tracing, journal emission is *not* gated on the ambient
 telemetry session — it is request-scoped, bounded, and cheap (a handful
 of events per request, never per simulated op), which is what keeps the
@@ -199,42 +200,16 @@ class JournalEvent:
 
 
 class Journal:
-    """Bounded, thread-safe event stream with an optional JSONL sink.
+    """Bounded, thread-safe in-memory event stream: the most recent
+    ``capacity`` events, saved as JSONL by :meth:`save_jsonl`."""
 
-    In memory the journal keeps the most recent ``capacity`` events;
-    when constructed with (or bound to) a ``path``, every event is also
-    appended to the file as it is emitted, so the stream survives the
-    process and can be tailed while a run progresses.
-    """
-
-    def __init__(self, capacity: int = 4096,
-                 path: Optional[str] = None):
+    def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise JournalSchemaError(
                 f"journal capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._lock = threading.Lock()
         self._events: "deque[JournalEvent]" = deque(maxlen=capacity)
-        self.emitted = 0
-        self._fh = None
-        self.path = None
-        if path is not None:
-            self.bind_path(path)
-
-    # ------------------------------------------------------------------ #
-    def bind_path(self, path: str) -> None:
-        """Start (or switch to) streaming events into ``path``."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-            self.path = path
-            self._fh = open(path, "a")
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
 
     # ------------------------------------------------------------------ #
     def emit(self, event: str, request_id: str,
@@ -249,30 +224,17 @@ class Journal:
         validate_event(entry.to_dict())
         with self._lock:
             self._events.append(entry)
-            self.emitted += 1
-            if self._fh is not None:
-                line = json.dumps(entry.to_dict())
-                self._fh.write(line + "\n")
-                self._fh.flush()
 
     # ------------------------------------------------------------------ #
-    def events(self, *, request_id: Optional[str] = None,
-               event: Optional[str] = None,
-               phase: Optional[str] = None,
-               tail: Optional[int] = None) -> List[JournalEvent]:
-        """Snapshot of the in-memory stream, oldest first, filtered."""
+    def events(self) -> List[JournalEvent]:
+        """Snapshot of the in-memory stream, oldest first (narrow it
+        with :func:`filter_events`)."""
         with self._lock:
-            out = list(self._events)
-        out = filter_events(out, request_id=request_id, event=event,
-                            phase=phase)
-        if tail is not None:
-            out = out[-tail:]
-        return out
+            return list(self._events)
 
     def clear(self) -> None:
         with self._lock:
             self._events.clear()
-            self.emitted = 0
 
     def __len__(self) -> int:
         return len(self._events)

@@ -3,7 +3,7 @@
 Prometheus-flavoured data model (one registry per telemetry session):
 
 - :class:`Counter` — monotonically increasing float;
-- :class:`Gauge` — set/inc/dec to any value;
+- :class:`Gauge` — set/inc to any value;
 - :class:`Histogram` — bucketed observations with cumulative ``le``
   bucket semantics, plus ``_count`` and ``_sum``.
 
@@ -89,9 +89,6 @@ class Gauge(Metric):
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram(Metric):
     """Bucketed observations (cumulative ``le`` semantics on export)."""
@@ -134,20 +131,6 @@ class Histogram(Metric):
             out.append((bound, running))
         out.append((math.inf, running + self.counts[-1]))
         return out
-
-    def quantile(self, q: float) -> float:
-        """Bucket-upper-bound estimate of the ``q`` quantile (0..1)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.total == 0:
-            return float("nan")
-        target = q * self.total
-        running = 0
-        for bound, count in zip(self.bounds, self.counts):
-            running += count
-            if running >= target:
-                return bound
-        return self.max
 
 
 class MetricsRegistry:

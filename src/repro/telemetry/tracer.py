@@ -1,15 +1,14 @@
 """Nested-span tracing with a context-manager API.
 
 A :class:`Tracer` records wall-clock spans organised into a tree (one
-stack per thread, so concurrent threads trace independently).  Spans are
-near-zero cost when the tracer is disabled: ``span()`` returns a shared
-no-op context manager without allocating anything.
+stack per thread, so concurrent threads trace independently).  Outside a
+telemetry session, :func:`repro.telemetry.span` returns the shared no-op
+:data:`_NULL_SPAN` without allocating anything.
 
 Export surfaces:
 
 - :meth:`Tracer.to_events` — flat list of span dicts;
-- :meth:`Tracer.save_jsonl` — one JSON object per line (stream-friendly);
-- :meth:`Tracer.span_tree` — nested parent/children structure;
+- :meth:`Tracer.save_jsonl` — one JSON object per line;
 - :meth:`Tracer.chrome_events` — ``ph: "X"`` slices for chrome://tracing.
 """
 
@@ -78,7 +77,7 @@ class Span:
 
 
 class _NullSpan:
-    """Shared no-op stand-in returned while tracing is disabled."""
+    """Shared no-op stand-in returned while no session is open."""
 
     __slots__ = ()
 
@@ -96,10 +95,9 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Collects a tree of spans; thread-safe; cheap when disabled."""
+    """Collects a tree of spans; thread-safe."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._epoch = time.perf_counter()
         self._ids = itertools.count(1)
         self._local = threading.local()
@@ -129,8 +127,6 @@ class Tracer:
     # ------------------------------------------------------------------ #
     def span(self, name: str, **attrs: Any):
         """Open a nested span: ``with tracer.span("search", model=m): ...``"""
-        if not self.enabled:
-            return _NULL_SPAN
         stack = self._stack()
         parent_id = stack[-1].span_id if stack else None
         # correlation: every span opened while a request scope is active
@@ -143,11 +139,6 @@ class Tracer:
             attrs = dict(attrs)
         return Span(self, name, next(self._ids), parent_id,
                     threading.get_ident(), attrs)
-
-    def current(self) -> Optional[Span]:
-        """The innermost open span on this thread, if any."""
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
 
     def clear(self) -> None:
         with self._lock:
@@ -164,24 +155,10 @@ class Tracer:
         return [s.to_dict() for s in sorted(spans, key=lambda s: s.start)]
 
     def save_jsonl(self, path: str) -> None:
-        """One JSON object per line — tail-able while a run progresses."""
+        """One JSON object per line."""
         with open(path, "w") as fh:
             for event in self.to_events():
                 fh.write(json.dumps(event) + "\n")
-
-    def span_tree(self) -> List[Dict[str, Any]]:
-        """Spans nested under their parents (list of root spans)."""
-        events = self.to_events()
-        by_id = {e["span_id"]: dict(e, children=[]) for e in events}
-        roots: List[Dict[str, Any]] = []
-        for event in events:
-            node = by_id[event["span_id"]]
-            parent = by_id.get(event["parent_id"])
-            if parent is not None:
-                parent["children"].append(node)
-            else:
-                roots.append(node)
-        return roots
 
     def chrome_events(self, pid: int = 1,
                       process_name: str = "pipeline") -> List[Dict[str, Any]]:

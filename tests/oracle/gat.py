@@ -2,10 +2,11 @@
 
 :class:`DenseGATLayer` is ``GATLayer`` as it was before graph attention
 ran over the neighbourhood's edge list: per head it builds the full
-(O, O) logit matrix, masks non-neighbours with -1e9 through
-:func:`masked_fill` and soft-maxes whole rows.  :func:`adjacency_mask`
-is the (O, O) neighbourhood it consumed, and :func:`one_hot_position_bias`
-the one-hot matmul gather ``RelativePositionBias`` used.  The code is
+(O, O) logit matrix, applies :func:`leaky_relu`, masks non-neighbours
+with -1e9 through :func:`masked_fill` and soft-maxes whole rows.
+:func:`adjacency_mask` is the (O, O) neighbourhood it consumed, and
+:func:`one_hot_position_bias` the one-hot matmul gather
+``RelativePositionBias`` used.  The code is
 unchanged apart from names and imports.
 
 :func:`dense_policy` swaps all three in for the edge-list versions, so a
@@ -41,6 +42,18 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     return make_op(data, (a,), backward)
 
 
+def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
+    """x if x > 0 else alpha * x (the GAT attention nonlinearity)."""
+    mask = a.data > 0
+    data = np.where(mask, a.data, alpha * a.data)
+
+    def backward(grad: np.ndarray) -> None:
+        if a.requires_grad:
+            a._accumulate(grad * np.where(mask, 1.0, alpha))
+
+    return make_op(data, (a,), backward)
+
+
 class DenseGATLayer(Module):
     """One multi-head graph-attention layer (Velickovic et al., 2017).
 
@@ -68,7 +81,7 @@ class DenseGATLayer(Module):
             src_score = F.matmul(wh, self.attn_src[k])       # (O, 1)
             dst_score = F.matmul(wh, self.attn_dst[k])       # (O, 1)
             logits = F.add(src_score, F.transpose(dst_score))  # (O, O)
-            logits = F.leaky_relu(logits)
+            logits = leaky_relu(logits)
             logits = masked_fill(logits, adjacency_mask, -1e9)
             alpha = F.softmax(logits, axis=-1)
             out = F.matmul(alpha, wh)                        # (O, d)

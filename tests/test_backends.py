@@ -29,6 +29,7 @@ from repro.service import (
 from repro.service.backends import fleet as fleet_module
 from repro.service.backends import thread as thread_module
 from repro.service.messages import rebuild_error
+from repro.telemetry import filter_events
 from repro.telemetry.flight import FlightRecorder
 
 from tests.helpers import make_mlp
@@ -57,8 +58,8 @@ def search_request(graph, cluster, *, episodes=2, seed=0, **kw) -> PlanRequest:
 
 
 def journal_events(service, rid=None, event=None):
-    return [e for e in service.recorder.journal.events(
-        request_id=rid, event=event)]
+    return filter_events(service.recorder.journal.events(),
+                         request_id=rid, event=event)
 
 
 # --------------------------------------------------------------------- #

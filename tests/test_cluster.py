@@ -4,8 +4,11 @@ import pytest
 
 from repro.cluster import (
     GTX_1080TI,
+    NIC_50G,
+    NIC_100G,
     TESLA_V100,
     Cluster,
+    ServerSpec,
     cluster_4gpu,
     cluster_8gpu,
     cluster_12gpu,
@@ -119,7 +122,8 @@ class TestComputePower:
         assert sum(shares.values()) == pytest.approx(1.0)
 
     def test_proportional_shares_subset(self):
-        c = cluster_8gpu().subcluster(["gpu0", "gpu2"])  # V100, 1080Ti
+        c = Cluster([ServerSpec("server0", TESLA_V100, 1, NIC_100G),
+                     ServerSpec("server1", GTX_1080TI, 1, NIC_50G)])
         shares = self.proportional_shares(c)
         assert set(shares) == {"gpu0", "gpu1"}
         assert shares["gpu0"] > shares["gpu1"]  # V100 > 1080Ti
@@ -127,20 +131,3 @@ class TestComputePower:
     def test_min_memory(self):
         assert (min(d.memory_bytes for d in cluster_8gpu().devices)
                 == GTX_1080TI.memory_bytes)
-
-
-class TestSubcluster:
-    def test_subcluster_device_count(self):
-        c = cluster_12gpu()
-        sub = c.subcluster([f"gpu{i}" for i in range(6)])
-        assert sub.num_devices == 6
-
-    def test_subcluster_unknown_device(self):
-        with pytest.raises(PlacementError):
-            cluster_4gpu().subcluster(["gpu9"])
-
-    def test_subcluster_preserves_models(self):
-        c = cluster_12gpu()
-        sub = c.subcluster(["gpu0", "gpu4", "gpu5"])
-        models = sorted(d.spec.model for d in sub.devices)
-        assert models == ["GTX 1080Ti", "GTX 1080Ti", "Tesla V100"]

@@ -130,7 +130,7 @@ class TestChurnSchedule:
 # --------------------------------------------------------------------- #
 class TestWithDevices:
     """with_devices is the identity-preserving growth dual of
-    without_devices (subcluster, by contrast, renumbers)."""
+    without_devices."""
 
     @given(removed=st.sets(
         st.sampled_from(["gpu0", "gpu1", "gpu2", "gpu3"]),
@@ -150,12 +150,9 @@ class TestWithDevices:
         # identity, not just equality: same ids in the same order
         assert restored.device_ids == cluster.device_ids
 
-    def test_subcluster_renumbers_but_without_devices_does_not(
-            self, four_gpu):
-        sub = four_gpu.subcluster(["gpu1", "gpu2", "gpu3"])
-        assert sub.device_ids == ["gpu0", "gpu1", "gpu2"]  # renumbered
+    def test_without_devices_does_not_renumber(self, four_gpu):
         kept = four_gpu.without_devices(["gpu0"])
-        assert kept.device_ids == ["gpu1", "gpu2", "gpu3"]  # preserved
+        assert kept.device_ids == ["gpu1", "gpu2", "gpu3"]
 
     def test_joined_devices_get_fresh_ids_and_wired_links(self, four_gpu):
         grown = four_gpu.with_joined_devices("server1", count=2)

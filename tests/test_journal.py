@@ -42,6 +42,7 @@ from repro.telemetry import (
     request_scope,
     validate_event,
 )
+from repro.telemetry import flight
 
 from tests.helpers import make_mlp
 
@@ -124,34 +125,24 @@ class TestJournalSchema:
                      priority=0, queue_depth=0)
         journal.emit("completed", "req-000001", seconds=0.1)
         journal.emit("completed", "req-000002", seconds=0.2)
-        assert len(journal.events(request_id="req-000001")) == 2
-        assert len(journal.events(event="completed")) == 2
-        assert len(journal.events(phase="admission")) == 1
-        assert len(journal.events(tail=1)) == 1
+        events = journal.events()
+        assert len(filter_events(events, request_id="req-000001")) == 2
+        assert len(filter_events(events, event="completed")) == 2
+        assert len(filter_events(events, phase="admission")) == 1
         # prefix match
-        assert len(filter_events(journal.events(), request_id="req-0000")) \
-            == 3
+        assert len(filter_events(events, request_id="req-0000")) == 3
 
     def test_capacity_bounds_memory(self):
         journal = Journal(capacity=4)
         for i in range(10):
             journal.emit("cache_hit", f"req-{i}")
         assert len(journal) == 4
-        assert journal.emitted == 10
         assert journal.events()[0].request_id == "req-6"
 
     def test_validate_event_accepts_extra_attrs(self):
         validate_event({"schema_version": SCHEMA_VERSION,
                         "event": "cache_hit", "request_id": "r",
                         "ts": 0.0, "anything": "extra"})
-
-    def test_streaming_sink(self, tmp_path):
-        path = tmp_path / "stream.jsonl"
-        journal = Journal(path=str(path))
-        journal.emit("cache_hit", "req-1")
-        journal.emit("cache_hit", "req-2")
-        journal.close()
-        assert len(Journal.load(str(path))) == 2
 
 
 # --------------------------------------------------------------------- #
@@ -199,8 +190,9 @@ class TestFlightRecorder:
         assert rec.get("req-b") is not None
         assert rec.get("req-c") is not None
 
-    def test_per_record_event_cap_counts_drops(self):
-        rec = FlightRecorder(max_events=3)
+    def test_per_record_event_cap_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(flight, "MAX_EVENTS", 3)
+        rec = FlightRecorder()
         accept(rec, "req-a")
         for _ in range(4):
             rec.emit("req-a", "cache_hit")
@@ -238,18 +230,18 @@ class TestFlightRecorder:
     def test_sealing_event_past_cap_still_seals(self):
         rec = FlightRecorder()
         accept(rec, "req-long")
-        for i in range(rec.max_events):
+        for i in range(flight.MAX_EVENTS):
             rec.emit("req-long", "candidate_evaluated", feasible=True,
                      time=float(i))
         blame = {"gpu0": 0.75, "idle": 0.25}
         assert rec.emit("req-long", "completed", seconds=3.0, blame=blame)
         record = rec.get("req-long")
         assert record.status == "completed" and record.blame == blame
-        assert len(record.events) == rec.max_events
+        assert len(record.events) == flight.MAX_EVENTS
         assert record.dropped_events == 2
         assert record.events[-1].event == "candidate_evaluated"
         assert record.finished_ts == \
-            rec.journal.events(event="completed")[0].ts
+            filter_events(rec.journal.events(), event="completed")[0].ts
         # the rebuild applies the same cap
         rebuilt = FlightRecorder.from_events(rec.journal.events())
         assert rebuilt.get("req-long").to_dict() == record.to_dict()
@@ -885,21 +877,7 @@ class TestStatsAreJournalFolds:
 
 # --------------------------------------------------------------------- #
 class TestSessionReentrancy:
-    """Satellite: nested/re-entrant telemetry sessions compose."""
-
-    def test_disable_restores_prior_session(self):
-        outer = telemetry.enable()
-        inner = telemetry.enable()
-        assert telemetry.active() is inner
-        telemetry.disable()
-        assert telemetry.active() is outer
-        telemetry.disable()
-        assert telemetry.active() is None
-
-    def test_disable_without_session_is_noop(self):
-        assert telemetry.active() is None
-        telemetry.disable()
-        assert telemetry.active() is None
+    """Nested telemetry sessions compose."""
 
     def test_nested_session_restores_outer(self):
         with telemetry.session() as outer:
@@ -915,10 +893,3 @@ class TestSessionReentrancy:
             == ["inner.work"]
         assert [s["name"] for s in outer.tracer.to_events()] \
             == ["outer.work"]
-
-    def test_session_unwinds_stray_enables(self):
-        with telemetry.session() as tel:
-            telemetry.enable()   # opened inside, never disabled
-            telemetry.enable()
-            assert telemetry.active() is not tel
-        assert telemetry.active() is None

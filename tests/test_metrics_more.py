@@ -65,9 +65,9 @@ class TestSimulationResult:
         assert r.overlap_ratio == 0.0
 
     def test_utilization_values(self):
-        util = self._result().utilization()
-        assert util["gpu0"] == pytest.approx(0.75)
-        assert util["gpu1"] == pytest.approx(0.6)
+        r = self._result()
+        assert r.device_busy["gpu0"] / r.makespan == pytest.approx(0.75)
+        assert r.device_busy["gpu1"] / r.makespan == pytest.approx(0.6)
 
     def test_oom_property(self):
         assert not self._result().oom
@@ -81,4 +81,4 @@ class TestSimulationResult:
     def test_empty_result(self):
         r = run(DistGraph("empty"), {})
         assert r.computation_time == 0.0
-        assert r.utilization() == {}
+        assert r.device_busy == {}

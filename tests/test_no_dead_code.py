@@ -1,34 +1,33 @@
 """No function, method or class in ``src/repro`` goes unreferenced.
 
-Every name defined with ``def`` or ``class`` in the package must occur
-as a word somewhere outside the lines that define it: in the package,
-the tests, the benchmarks, the examples or the docs.  A definition that
-nothing names is dead code.  Dunder names are exempt: the interpreter
-calls them.  Should a definition ever be reached only through a name
-built at run time, exempt it here with the reason.
+Every name defined with ``def`` or ``class`` in the package must be used
+somewhere in the Python code of the package, the tests, the benchmarks
+or the examples.  A use is read off the syntax tree, not off the text:
+the name as a variable or an attribute, as part of an imported name, as
+a keyword argument, or as a string constant that is an identifier or a
+dotted identifier path (``__all__``, ``getattr(obj, "name")``,
+``"Cls.method"``).  Docstrings, comments, f-string text and the docs do
+not keep a definition alive.  A definition that nothing uses is dead
+code.  Dunder names are exempt: the interpreter calls them.
 
-Nor may a definition be named only by the tests and the docs: code that
-no user surface reaches is dead code with a test.  The read-only seams
-in :data:`TEST_SEAMS` are the exceptions, each with its reason.
+Nor may a definition be used only by the tests: code that no user
+surface reaches is dead code with a test.  The seams in
+:data:`TEST_SEAMS` are the exceptions, each with its reason.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from collections import Counter, defaultdict
+from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, Set, Tuple
+from typing import Iterator, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "repro"
-SEARCHED = ("src", "tests", "bench", "benchmarks", "examples", "docs")
-SUFFIXES = {".py", ".md", ".txt", ".json"}
-WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-#: the directories whose references alone do not keep a definition alive
-TEST_ONLY = ("tests", "docs")
+SEARCHED = ("src", "tests", "bench", "benchmarks", "examples")
+#: the directories whose uses alone do not keep a definition alive
+TEST_ONLY = ("tests",)
 
-#: definitions that only the tests and the docs name, kept on purpose
+#: definitions that only the tests use, kept on purpose
 TEST_SEAMS = {
     "load_strategy": "reads back the file `repro plan --save` writes; "
                      "the CLI only writes it",
@@ -36,64 +35,99 @@ TEST_SEAMS = {
                      "set, for asserting what a fault changed",
     "search_cost_estimate": "read-only view of the elastic policy's "
                             "replan-cost average, for pinning its updates",
+    "paper_scale": "the documented paper-scale agent preset, which "
+                   "ROADMAP item 12 must make runnable on the bench box",
 }
 
 
-def _searched_files() -> Iterator[Path]:
-    for top in SEARCHED:
-        for path in sorted((ROOT / top).rglob("*")):
-            if (path.suffix in SUFFIXES and path.is_file()
-                    and "__pycache__" not in path.parts
-                    and not any(p.endswith(".egg-info") for p in path.parts)):
-                yield path
+def _python_files(root: Path, top: str) -> Iterator[Path]:
+    for path in sorted((root / top).rglob("*.py")):
+        if not any(p == "__pycache__" or p.endswith(".egg-info")
+                   for p in path.parts):
+            yield path
 
 
-def _definitions() -> Dict[str, Set[tuple]]:
-    """Name -> the (file, line) of every ``def``/``class`` line that
-    defines it in the package."""
-    defined: Dict[str, Set[tuple]] = defaultdict(set)
-    for path in sorted(PACKAGE.rglob("*.py")):
+def _definitions(root: Path) -> Set[str]:
+    """Every name a ``def`` or ``class`` in the package defines."""
+    defined: Set[str] = set()
+    for path in _python_files(root, "src/repro"):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
+        defined.update(
+            node.name for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defined[node.name].add((path, node.lineno))
+                                 ast.ClassDef)))
     return defined
 
 
-def _reference_counts() -> Tuple[Dict[str, Set[tuple]], Counter, Counter]:
-    """The definitions, and per defined name its occurrences outside its
-    own def lines: everywhere, and outside :data:`TEST_ONLY`."""
-    defined = _definitions()
+def _identifiers(text: str) -> list:
+    """The parts of ``text`` if it is an identifier or a dotted path."""
+    parts = text.split(".")
+    return parts if all(part.isidentifier() for part in parts) else []
+
+
+class _Uses(ast.NodeVisitor):
+    """Counts every name a module's syntax tree uses."""
+
+    def __init__(self) -> None:
+        self.names: Counter = Counter()
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self.names[node.id] += 1
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self.names[node.attr] += 1
+        self.generic_visit(node)
+
+    def visit_alias(self, node: ast.alias) -> None:
+        self.names.update(node.name.split("."))
+        if node.asname:
+            self.names[node.asname] += 1
+
+    def visit_keyword(self, node: ast.keyword) -> None:
+        if node.arg:
+            self.names[node.arg] += 1
+        self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if isinstance(node.value, str):
+            self.names.update(_identifiers(node.value))
+
+    def visit_JoinedStr(self, node: ast.JoinedStr) -> None:
+        # f-string text is prose; only the interpolated expressions use
+        for value in node.values:
+            if isinstance(value, ast.FormattedValue):
+                self.visit(value)
+
+
+def reference_counts(root: Path = ROOT) -> Tuple[Set[str], Counter, Counter]:
+    """The package's defined names, and every name's uses: anywhere, and
+    outside :data:`TEST_ONLY`."""
     anywhere: Counter = Counter()
     live: Counter = Counter()
-    for path in _searched_files():
-        test_only = path.relative_to(ROOT).parts[0] in TEST_ONLY
-        lines = path.read_text(errors="replace").splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            words = WORD.findall(line)
-            for word in set(words):
-                if word in defined and (path, lineno) not in defined[word]:
-                    anywhere[word] += words.count(word)
-                    if not test_only:
-                        live[word] += words.count(word)
-    return defined, anywhere, live
+    for top in SEARCHED:
+        for path in _python_files(root, top):
+            uses = _Uses()
+            uses.visit(ast.parse(path.read_text(), filename=str(path)))
+            anywhere.update(uses.names)
+            if top not in TEST_ONLY:
+                live.update(uses.names)
+    return _definitions(root), anywhere, live
 
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def unreferenced() -> Set[str]:
-    """Defined names that occur nowhere but on their own def lines."""
-    defined, anywhere, _ = _reference_counts()
+def unreferenced(root: Path = ROOT) -> Set[str]:
+    """Defined names that nothing uses."""
+    defined, anywhere, _ = reference_counts(root)
     return {name for name in defined
             if not _is_dunder(name) and not anywhere[name]}
 
 
-def named_only_by_tests() -> Set[str]:
-    """Defined names that only the tests and the docs name."""
-    defined, anywhere, live = _reference_counts()
+def named_only_by_tests(root: Path = ROOT) -> Set[str]:
+    """Defined names that only the tests use."""
+    defined, anywhere, live = reference_counts(root)
     return {name for name in defined
             if not _is_dunder(name) and anywhere[name] and not live[name]}
 
@@ -105,3 +139,57 @@ def test_every_definition_is_referenced():
 def test_every_definition_is_reached_outside_tests():
     # a seam that gains a user stops needing its exemption
     assert sorted(named_only_by_tests()) == sorted(TEST_SEAMS)
+
+
+def test_checker_reads_code_not_words(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text('''\
+"""Module text naming in_module_docstring."""
+
+__all__ = ["exported"]
+
+
+def in_module_docstring():
+    pass
+
+
+def in_own_docstring():
+    """Call in_own_docstring() to do nothing."""
+
+
+def in_comment():  # in_comment
+    pass
+
+
+def in_fstring_text():
+    return f"{0}in_fstring_text"
+
+
+def exported():
+    pass
+
+
+def by_getattr():
+    pass
+
+
+class Cls:
+    def by_dotted_path(self):
+        pass
+
+
+def test_only():
+    pass
+
+
+HOOKS = (getattr(Cls, "by_getattr", None), "Cls.by_dotted_path")
+''')
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text(
+        "from repro.mod import test_only\n\ntest_only()\n")
+    assert unreferenced(tmp_path) == {
+        "in_module_docstring", "in_own_docstring", "in_comment",
+        "in_fstring_text"}
+    assert named_only_by_tests(tmp_path) == {"test_only"}

@@ -93,7 +93,6 @@ class TestPlanCache:
         assert cache.get("b") is None
         assert cache.get("a") == 1
         assert cache.get("c") == 3
-        assert cache.evictions == 1
         assert len(cache) == 2
 
     def test_hit_miss_accounting(self):

@@ -93,7 +93,7 @@ class TestRegressions:
     def test_op_regression_recovers_linear(self):
         fractions = [0.25, 0.5, 1.0]
         times = [0.5 * f + 0.1 for f in fractions]
-        reg = OpTimeRegression.fit(fractions, times)
+        reg = OpTimeRegression.fit_many(fractions, [times])[0]
         assert reg.predict(0.75) == pytest.approx(0.475, rel=1e-6)
 
     def test_op_regression_floor(self):
@@ -102,10 +102,10 @@ class TestRegressions:
 
     def test_op_regression_rejects_empty(self):
         with pytest.raises(ProfilingError):
-            OpTimeRegression.fit([], [])
+            OpTimeRegression.fit_many([], [[]])
 
     def test_op_regression_rejects_nonpositive_fraction(self):
-        reg = OpTimeRegression.fit([0.5, 1.0], [1.0, 2.0])
+        reg = OpTimeRegression.fit_many([0.5, 1.0], [[1.0, 2.0]])[0]
         with pytest.raises(ProfilingError):
             reg.predict(0.0)
 
@@ -113,12 +113,12 @@ class TestRegressions:
         sizes = [1e6, 1e7, 1e8]
         bw, lat = 5e9, 1e-5
         times = [lat + s / bw for s in sizes]
-        reg = TransferTimeRegression.fit(sizes, times)
+        reg = TransferTimeRegression.fit_many(sizes, [times])[0]
         assert reg.bandwidth == pytest.approx(bw, rel=1e-6)
         assert reg.latency == pytest.approx(lat, rel=1e-3)
 
     def test_transfer_regression_negative_size(self):
-        reg = TransferTimeRegression.fit([1e6, 1e7], [0.1, 0.2])
+        reg = TransferTimeRegression.fit_many([1e6, 1e7], [[0.1, 0.2]])[0]
         with pytest.raises(ProfilingError):
             reg.predict(-1)
 
@@ -127,7 +127,7 @@ class TestRegressions:
     def test_transfer_fit_roundtrip(self, bandwidth, latency):
         sizes = [1e5, 1e6, 1e7, 1e8]
         times = [latency + s / bandwidth for s in sizes]
-        reg = TransferTimeRegression.fit(sizes, times)
+        reg = TransferTimeRegression.fit_many(sizes, [times])[0]
         for s in sizes:
             assert reg.predict(s) == pytest.approx(times[sizes.index(s)],
                                                    rel=1e-6)
@@ -222,7 +222,7 @@ class TestStackedFits:
 
     def test_nan_sample_raises_linalg_error(self):
         with pytest.raises(np.linalg.LinAlgError):
-            OpTimeRegression.fit([0.5, 1.0], [float("nan"), 1.0])
+            OpTimeRegression.fit_many([0.5, 1.0], [[float("nan"), 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
             fit_lines([0.5, 1.0], [[1.0, 2.0], [float("nan"), 1.0]])
 

@@ -17,6 +17,7 @@ from repro.reporting import (
 )
 from repro.simulation import ProfileCostModel, Simulator
 from repro.simulation.costs import MappingCostModel
+from repro.telemetry import Journal
 
 from tests.helpers import make_mlp
 
@@ -261,3 +262,38 @@ class TestCLIResilience:
     def test_recovers_or_stalls(self, capsys, command, code, expected):
         assert main(command + self.QUICK) == code
         assert expected in capsys.readouterr().out
+
+
+class TestCLIJournal:
+    """``repro journal --tail N`` keeps the last N matching events."""
+
+    @pytest.fixture
+    def journal_path(self, tmp_path):
+        journal = Journal()
+        for i in range(3):
+            journal.emit("cache_hit", f"req-{i}")
+        path = str(tmp_path / "j.jsonl")
+        journal.save_jsonl(path)
+        return path
+
+    @pytest.mark.parametrize("tail, ids", [
+        ("0", []),
+        ("2", ["req-1", "req-2"]),
+        ("5", ["req-0", "req-1", "req-2"]),
+    ])
+    def test_tail_keeps_last_n(self, capsys, journal_path, tail, ids):
+        assert main(["journal", journal_path, "--tail", tail,
+                     "--format", "jsonl"]) == 0
+        out, err = capsys.readouterr()
+        assert [json.loads(line)["request_id"]
+                for line in out.splitlines()] == ids
+        assert ("(no matching events)" in err) == (not ids)
+
+    def test_negative_tail_rejected(self, capsys, journal_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["journal", journal_path, "--tail", "-2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tail: expected a whole number >= 0, got '-2'" \
+            in err
+        assert "Traceback" not in err

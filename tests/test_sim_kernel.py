@@ -492,13 +492,10 @@ def test_cold_evaluate_runs_exactly_two_simulations():
          for n in graph.op_names},
     )
     builder = PlanBuilder(graph, cluster, profile)
-    tel = telemetry.enable()
-    try:
+    with telemetry.session() as tel:
         outcome = builder.evaluate(strategy)
         runs = tel.registry.get("sim_runs_total")
         assert runs is not None and runs.value == 2
-    finally:
-        telemetry.disable()
     plan = builder.build(strategy)
     assert outcome.time == plan.sim_result.makespan
     assert outcome.peak_memory == plan.sim_result.peak_memory

@@ -151,8 +151,7 @@ class TestMetrics:
         g.add(compute("a", "d0"))
         g.add(compute("b", "d1"), ["a"])
         res = run(g, {"a": 1.0, "b": 1.0})
-        util = res.utilization()
-        assert util["d0"] == pytest.approx(0.5)
+        assert res.device_busy["d0"] / res.makespan == pytest.approx(0.5)
 
     def test_union_length(self):
         assert union_length([(0, 2), (1, 3), (5, 6)]) == pytest.approx(4.0)
