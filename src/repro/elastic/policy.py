@@ -5,15 +5,18 @@ the :class:`~repro.resilience.ResilientTrainer`: *replan now, or ride
 the current plan?*  It prices both sides:
 
 - **expected savings** — the admissible makespan lower bound of the
-  *current* plan's kernel (the same critical-path / busiest-resource
-  bound branch-and-bound pruning uses, see
-  :func:`~repro.simulation.kernel.kernel_lower_bound`) is compared with
-  the floor the enlarged fleet could reach.  A replan repartitions the
-  graph, so *both* bound terms shrink as per-device work drops; the
-  optimistic perfect-scaling floor is
+  *current* plan's kernel (the same bound branch-and-bound pruning
+  uses, see :func:`~repro.simulation.kernel.kernel_lower_bound`: the
+  max of the busiest resource's load, the critical path, and the
+  one-machine term, min head + load + min tail, of each link, NIC port
+  and the NCCL token) is compared with the floor the enlarged fleet
+  could reach.  A replan repartitions the graph, so every bound term
+  shrinks as per-device work drops; the optimistic perfect-scaling
+  floor is
   ``bound_after = bound_before * P_old / P_new`` with ``P`` the fleet's
-  aggregate compute power.  Savings = the bound's relative drop, scaled
-  by the observed healthy iteration time and the steps remaining.
+  aggregate compute power.  Savings = the bound's relative drop
+  (``1 - P_old / P_new``, whatever the bound's value), scaled by the
+  observed healthy iteration time and the steps remaining.
 - **replan cost** — the restart overhead plus a running estimate of
   search wall-clock (an EMA over the searches this trainer already
   paid for; zero until the first one, i.e. optimistic).

@@ -149,7 +149,7 @@ class PlanBuilder:
             # simulations, and every later simulation of the cached plan
             kernel = lower(dist)
             if limit is not None:
-                bound = kernel_lower_bound(kernel, self.cost)
+                bound = kernel_lower_bound(kernel, self.cost, limit)
                 if bound is not None and _exceeds(bound, limit):
                     return None, self._pruned_outcome(
                         stage="bound", bound=bound, threshold=limit,

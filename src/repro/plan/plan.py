@@ -83,8 +83,10 @@ class EvalOutcome:
     A *pruned* outcome means evaluation was cut short because the
     candidate provably cannot beat the caller's best-so-far threshold:
     ``bound`` is an admissible lower bound on its true makespan (the
-    static ``kernel_lower_bound`` for ``prune_stage="bound"``, the
-    partial simulated clock for ``prune_stage="midsim"``), ``time`` is
+    static ``kernel_lower_bound`` for ``prune_stage="bound"``; for
+    ``prune_stage="midsim"``, the event loop's partial bound: the clock,
+    or the clock plus a completed op's tail or plus the load still
+    unstarted on a resource it freed), ``time`` is
     ``inf`` and ``feasible`` is False, so no argmin consumer can ever
     select it.
     """

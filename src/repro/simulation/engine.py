@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -114,15 +115,19 @@ class Simulator:
 
         ``prune_above``: cooperative mid-simulation pruning.  The event
         loop aborts as soon as it can prove the makespan strictly
-        exceeds this threshold — either the simulated clock itself
-        passes it, or a completing op's downstream chain
-        (:meth:`SimKernel.tails_for`) pushes ``now + tail`` past it,
-        which fires long before the clock does on a losing schedule —
-        and returns a partial result with ``pruned=True`` whose
-        ``makespan`` is a lower bound on the true one.  Under a
-        stochastic provider only the clock check fires (there is no
-        tail array), and the provider keeps exactly the jitter draws of
-        the ops started before the cut.
+        exceeds this threshold — the simulated clock itself passes it,
+        a completing op's downstream chain (:meth:`SimKernel.tails_for`)
+        pushes ``now + tail`` past it, or a link, NIC port or token the
+        op frees still has unstarted load (:meth:`SimKernel.loads_for`,
+        counted down as ops finish; devices are not watched) that
+        pushes ``now + remaining`` past it; the two
+        bound cuts fire long before the clock does on a losing
+        schedule.  It returns a partial result with ``pruned=True``
+        whose ``makespan`` is a lower bound on the true one (the bound
+        that fired), with the op whose completion tripped the cut still
+        in flight.  Under a stochastic provider only the clock check
+        fires (there are no duration arrays), and the provider keeps
+        exactly the jitter draws of the ops started before the cut.
         """
         if kernel is None:
             kernel = lower(graph)
@@ -201,9 +206,19 @@ class Simulator:
         # tail-based abort: once op i completes at t, the makespan is at
         # least t + tails[i] (its downstream chain must still run), so a
         # losing simulation is detected long before the clock itself
-        # crosses the threshold.  Only priced for deterministic costs.
-        tails = (kernel.tails_for(self.cost)
-                 if prune_above is not None else None)
+        # crosses the threshold.  Remaining-load abort: once r frees at
+        # t, remaining[r] is the load of the ops on r not yet started, and
+        # the makespan is at least t + remaining[r].  It watches the
+        # resources comm ops alone hold (a device's stays -inf), so only
+        # a comm op's completion pays for it.  Only priced for
+        # deterministic costs.
+        tails = remaining = None
+        is_comm = kernel.is_comm
+        if prune_above is not None:
+            tails = kernel.tails_for(cost)
+            if tails is not None:
+                remaining = [-math.inf if device else load for load, device
+                             in zip(kernel.loads_for(cost), kernel.is_device)]
 
         # strict mode: per-resource queues in priority order; an op may only
         # start while it is at the head of every one of its resource queues
@@ -363,13 +378,31 @@ class Simulator:
                 # the threshold and ``now`` is an admissible lower bound
                 was_pruned = True
                 break
-            if tails is not None and now + tails[i] > tail_limit:
-                # ``i``'s downstream chain alone pushes the makespan past
-                # the threshold; report the violated bound as the partial
-                # makespan (still admissible, strictly tighter than now)
-                was_pruned = True
-                now += tails[i]
-                break
+            if tails is not None:
+                if now + tails[i] > tail_limit:
+                    # ``i``'s downstream chain alone pushes the makespan
+                    # past the threshold; report the violated bound as
+                    # the partial makespan (still admissible, strictly
+                    # tighter than now)
+                    was_pruned = True
+                    now += tails[i]
+                    break
+                # likewise the load not yet started on a resource ``i``
+                # frees at ``now``.  Ops on one resource start and finish
+                # in the same order, so counting ``i`` off at its finish
+                # leaves the same sums, in the same float order, as
+                # counting it off at its start
+                if is_comm[i]:
+                    d = durations[i]
+                    for r in res_of[i]:
+                        left = remaining[r] - d
+                        remaining[r] = left
+                        if now + left > tail_limit:
+                            was_pruned = True
+                            now += left
+                            break
+                    if was_pruned:
+                        break
             finished[i] = now
             executed += 1
             # memory on finish: release one reference on each input; a

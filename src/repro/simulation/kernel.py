@@ -42,6 +42,8 @@ prices one op at a time and draws once per op.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import weakref
 from typing import Dict, List, Optional, Tuple
 
@@ -78,7 +80,7 @@ class Lowering:
     __slots__ = (
         "names", "recipes", "source_ops", "resource_names", "res_ids",
         "mem_dev_names", "mem_dev_index", "charge_dev", "out_bytes",
-        "_resource_ids", "_placed", "_source_index",
+        "device_ids", "_resource_ids", "_placed", "_source_index",
     )
 
     def __init__(self, source_ops: Optional[List[Operation]] = None) -> None:
@@ -92,6 +94,8 @@ class Lowering:
         self.mem_dev_index: Dict[str, int] = {}
         self.charge_dev: List[int] = []
         self.out_bytes: List[float] = []
+        # resource ids compute ops hold: their devices
+        self.device_ids: set = set()
         self._resource_ids: Dict[str, int] = {}
         # placement key -> (resource-id tuple, charge-device index)
         self._placed: Dict[tuple, Tuple[Tuple[int, ...], int]] = {}
@@ -145,8 +149,10 @@ class Lowering:
             device = recipe[2]
             placed = self._placed.get(device)
             if placed is None:
+                rid = self._intern(device)
+                self.device_ids.add(rid)
                 placed = self._placed[device] = (
-                    (self._intern(device),), self._mem_dev(device))
+                    (rid,), self._mem_dev(device))
         if nbytes is None:
             nbytes = float(recipe[6])
         self.names.append(name)
@@ -186,11 +192,11 @@ class SimKernel:
     __slots__ = (
         "_graph", "version", "n", "names", "recipes", "source_ops",
         "succ", "pred", "pred_count", "succ_count", "sources",
-        "resource_names", "res_ids", "is_link",
+        "resource_names", "res_ids", "is_link", "is_device",
         "is_compute", "is_comm", "kind_values",
         "charge_dev", "out_bytes", "mem_dev_names", "mem_dev_index",
         "topo", "has_cycle", "_dur_cache", "_topo_pos", "_bound_cache",
-        "_tail_cache",
+        "_tail_cache", "_load_cache",
     )
 
     def __init__(self, graph: DistGraph,
@@ -231,6 +237,11 @@ class SimKernel:
         self.is_link: List[bool] = [
             r.startswith("link:") for r in self.resource_names
         ]
+        # a compute op holds only its device; every other resource
+        # (links, NIC ports, the NCCL token) is held by comm ops alone
+        self.is_device: List[bool] = [
+            r in lowering.device_ids for r in range(len(self.resource_names))
+        ]
         self.kind_values: List[str] = [r[0] for r in self.recipes]
         self.is_comm: List[bool] = [
             k == "transfer" or k == "allreduce" for k in self.kind_values]
@@ -267,6 +278,8 @@ class SimKernel:
         self._bound_cache: Dict[int, Tuple[CostProvider, float]] = {}
         # cost provider -> per-op downstream-chain durations (tails)
         self._tail_cache: Dict[int, Tuple[CostProvider, List[float]]] = {}
+        # cost provider -> per-resource summed durations (loads)
+        self._load_cache: Dict[int, Tuple[CostProvider, List[float]]] = {}
 
     @property
     def graph(self) -> DistGraph:
@@ -345,6 +358,55 @@ class SimKernel:
         self._tail_cache[key] = (cost, tails)
         return tails
 
+    def loads_for(self, cost: CostProvider) -> Optional[List[float]]:
+        """Per-resource *load*: the summed duration of every op that
+        holds the resource, by resource id, summed in op-index order.
+
+        Ops hold each of their resources exclusively for their whole
+        duration, so a resource that frees at ``t`` with load ``L`` still
+        unstarted on it proves a makespan of at least ``t + L``: the
+        engine's remaining-load cut counts this array down, and
+        :func:`kernel_lower_bound` builds its per-resource terms on it.
+        ``None`` for stochastic cost providers (same contract and
+        caching discipline as :meth:`tails_for`).
+        """
+        durations = self.durations_for(cost)
+        if durations is None:
+            return None
+        key = id(cost)
+        entry = self._load_cache.get(key)
+        if entry is not None and entry[0] is cost:
+            return entry[1]
+        loads = [0.0] * len(self.resource_names)
+        for rids, d in zip(self.res_ids, durations):
+            for r in rids:
+                loads[r] += d
+        if len(self._load_cache) >= _DURATION_CACHE_SLOTS:
+            self._load_cache.clear()
+        self._load_cache[key] = (cost, loads)
+        return loads
+
+    def heads_for(self, cost: CostProvider) -> Optional[List[float]]:
+        """Per-op *head*: the duration-weighted longest chain of
+        predecessors that must run before the op can start, the mirror
+        of :meth:`tails_for` (``head[i] = max over pred p of
+        (head[p] + dur[p])``, 0 at sources).  Not cached:
+        :func:`kernel_lower_bound` caches what it builds on it.
+        """
+        durations = self.durations_for(cost)
+        if durations is None:
+            return None
+        pred_of = self.pred
+        heads = [0.0] * self.n
+        for i in self.topo:
+            head = 0.0
+            for p in pred_of[i]:
+                h = heads[p] + durations[p]
+                if h > head:
+                    head = h
+            heads[i] = head
+        return heads
+
     def topo_positions(self) -> List[int]:
         """Op index -> position in the topological order (memoized)."""
         pos = self._topo_pos
@@ -377,19 +439,37 @@ class SimKernel:
 PRUNE_GUARD = 1e-9
 
 
-def kernel_lower_bound(kernel: SimKernel,
-                       cost: CostProvider) -> Optional[float]:
+def kernel_lower_bound(kernel: SimKernel, cost: CostProvider,
+                       limit: Optional[float] = None) -> Optional[float]:
     """Admissible makespan lower bound for ``kernel`` under ``cost``.
 
-    The bound is the max of two quantities no schedule can beat:
+    The bound is the max of three quantities no schedule can beat:
 
+    - the **busiest resource**: for each device, link and token, its
+      load (:meth:`SimKernel.loads_for`) — ops hold all their resources
+      exclusively for their whole duration, so this is per-device
+      assigned work / throughput and per-link bytes / bandwidth in one
+      pass;
     - the **critical path**: the longest duration-weighted path through
       the precedence DAG (raw durations, no comm-weight inflation);
-    - the **busiest resource**: for each device, link and token, the sum
-      of durations of every op that holds it — ops hold all their
-      resources exclusively for their whole duration, so this is
-      per-device assigned work / throughput and per-link bytes /
-      bandwidth in one pass.
+    - the **one-machine terms** (release + processing + delivery): for
+      each resource that is not a device (a link, NIC port or the NCCL
+      token, held by communication ops alone), the earliest any of its
+      ops can start (min head, :meth:`SimKernel.heads_for`) plus its
+      load plus the shortest chain that must still run after its last
+      op (min tail).  Such a resource cannot start its first transfer
+      before the compute chain producing that tensor has run, where the
+      busiest-resource term counts it busy from time zero.  Devices are
+      left out, which keeps the pass to the communication ops, a small
+      share of a kernel.
+
+    With ``limit``, the terms are taken cheapest first and the first one
+    that proves the makespan exceeds ``limit`` beyond
+    :data:`PRUNE_GUARD` is returned at once.  The one-machine pass is
+    skipped when an upper estimate of its terms (load plus critical
+    path) cannot get there, and its head pass when a tighter estimate
+    cannot.  Either way the value returned is still admissible; only a
+    complete bound is cached.
 
     Returns ``None`` for stochastic cost providers: pricing the graph
     would consume jitter RNG draws and perturb later simulations, and a
@@ -403,26 +483,66 @@ def kernel_lower_bound(kernel: SimKernel,
     entry = kernel._bound_cache.get(key)
     if entry is not None and entry[0] is cost:
         return entry[1]
+    over = float("inf") if limit is None else limit * (1.0 + PRUNE_GUARD)
 
+    loads = kernel.loads_for(cost)
+    best = max(loads, default=0.0)
+    if best > over:
+        return best
     # longest path: dur[i] + exclusive tail, maximized over all ops (the
     # tails array is shared with the engine's mid-simulation abort)
     tails = kernel.tails_for(cost)
-    best = 0.0
-    for i in range(kernel.n):
-        total = durations[i] + tails[i]
-        if total > best:
-            best = total
+    path = max(map(operator.add, durations, tails), default=0.0)
+    best = max(best, path)
+    if best > over:
+        return best
+    # every op j has head_j + tail_j <= path - dur_j, so a one-machine
+    # term is at most its resource's load plus the critical path
+    if limit is not None and path + max(
+            (load for load, device in zip(loads, kernel.is_device)
+             if not device), default=0.0) <= over:
+        return best
 
-    # busiest exclusive resource
-    res_busy = [0.0] * len(kernel.resource_names)
-    for i, rids in enumerate(kernel.res_ids):
-        d = durations[i]
-        for r in rids:
-            res_busy[r] += d
-    if res_busy:
-        busiest = max(res_busy)
-        if busiest > best:
-            best = busiest
+    # one-machine terms: group the comm ops by the resource tuple they
+    # hold (the lowering shares one tuple per placement), then fold the
+    # groups into per-resource min tail and max(dur + tail)
+    res_ids = kernel.res_ids
+    # id(resource tuple) -> [the tuple, its ops, min tail, max(dur + tail)]
+    groups: Dict[int, list] = {}
+    for i in itertools.compress(range(kernel.n), kernel.is_comm):
+        t = tails[i]
+        dt = durations[i] + t
+        group = groups.get(id(res_ids[i]))
+        if group is None:
+            groups[id(res_ids[i])] = [res_ids[i], [i], t, dt]
+            continue
+        group[1].append(i)
+        if t < group[2]:
+            group[2] = t
+        if dt > group[3]:
+            group[3] = dt
+    # resource id -> [min tail, max(dur + tail), its groups]
+    held: Dict[int, list] = {}
+    for group in groups.values():
+        for r in group[0]:
+            if kernel.is_device[r]:
+                continue
+            acc = held.get(r)
+            if acc is None:
+                held[r] = [group[2], group[3], [group]]
+                continue
+            acc[0] = min(acc[0], group[2])
+            acc[1] = max(acc[1], group[3])
+            acc[2].append(group)
+    # and at most load + min tail + min(path - dur - tail) over its ops
+    if limit is not None and not any(
+            loads[r] + tail + path - dt > over
+            for r, (tail, dt, _) in held.items()):
+        return best
+    heads = kernel.heads_for(cost) if held else []
+    for r, (tail, _, on) in held.items():
+        head = min(heads[i] for group in on for i in group[1])
+        best = max(best, head + loads[r] + tail)
 
     if len(kernel._bound_cache) >= _DURATION_CACHE_SLOTS:
         kernel._bound_cache.clear()

@@ -162,6 +162,20 @@ def run_reference(
                         tail = t
                 tails[name] = tail
 
+    # remaining-load abort mirror: per resource comm ops alone hold, the
+    # summed duration of the ops not yet started, summed in op order and
+    # counted down in start order as the kernel engine does
+    remaining: Optional[Dict[str, float]] = None
+    if (prune_above is not None
+            and getattr(cost, "deterministic", False)):
+        devices = {op.device for op in ops.values() if op.is_compute}
+        remaining = {}
+        for name, op in ops.items():
+            d = op_duration(cost, op)
+            for r in resources_of[name]:
+                if r not in devices:
+                    remaining[r] = remaining.get(r, 0.0) + d
+
     memory = MemoryTracker(graph, resident_bytes or {})
     use_fifo = priorities is None
     counter = itertools.count()
@@ -214,6 +228,10 @@ def run_reference(
             raise SimulationError(
                 f"negative duration for {name}: {duration}"
             )
+        if remaining is not None:
+            for r in resources_of[name]:
+                if r in remaining:
+                    remaining[r] -= duration
         memory.on_start(op)
         started[name] = now
         heapq.heappush(completions,
@@ -251,6 +269,14 @@ def run_reference(
             was_pruned = True
             now += tails[name]
             break
+        if remaining is not None:
+            # a freed resource must still run its unstarted load
+            over = next((r for r in resources_of[name] if r in remaining
+                         and now + remaining[r] > tail_limit), None)
+            if over is not None:
+                was_pruned = True
+                now += remaining[over]
+                break
         op = ops[name]
         finished[name] = now
         executed += 1

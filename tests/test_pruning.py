@@ -13,12 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import telemetry
+from repro.agent import seed_action_vectors
 from repro.agent.policy import actions_to_strategy, num_actions
+from repro.baselines.dp import all_dp_strategies
 from repro.cluster import cluster_4gpu
 from repro.graph import GraphBuilder, build_training_graph
 from repro.graph.grouping import group_operations
 from repro.graph.models import build_model, model_names
 from repro.parallel import GraphCompiler
+from repro.parallel.distgraph import DistGraph, DistOp, DistOpKind
 from repro.parallel.strategy import (
     CommMethod,
     ReplicaAllocation,
@@ -31,8 +34,13 @@ from repro.plan import EvalOutcome, PlanBuilder
 from repro.profiling import Profiler, exact_profile
 from repro.scheduling import ListScheduler
 from repro.simulation import ProfileCostModel, Simulator
-from repro.simulation.costs import TruthCostModel
-from repro.simulation.kernel import kernel_lower_bound
+from repro.simulation.costs import MappingCostModel, TruthCostModel
+from repro.simulation.kernel import (
+    PRUNE_GUARD,
+    SimKernel,
+    kernel_lower_bound,
+    lower,
+)
 
 from tests.helpers import make_mlp, pruned_sweep
 from tests.oracle.unpruned import unpruned_outcome
@@ -203,6 +211,136 @@ class TestLowerBoundAdmissibility:
             graph, np.random.default_rng(1), 1)[0])
         first = kernel_lower_bound(plan.kernel, builder.cost)
         assert kernel_lower_bound(plan.kernel, builder.cost) == first
+
+
+# --------------------------------------------------------------------- #
+class TestOneMachineBound:
+    """The static bound's per-resource one-machine terms and the
+    engine's remaining-load cut, against complete simulations of every
+    candidate order: every DP baseline, every exploration seed, random
+    group actions and every one-group edit of the best seed."""
+
+    FAMILIES = ("inception_v3", "transformer")
+    #: prune limits, as fractions of an order's true makespan
+    LIMIT_FRACTIONS = (0.7, 0.9, 0.99, 1.0, 1.01)
+
+    def test_link_waiting_on_compute(self):
+        """Three transfers on one link wait for the 4 s split feeding
+        them: the link's term (head 4 + load 9 + tail 1) is the true
+        makespan, where the critical path (8) and the busiest resource
+        (9) fall short, and the remaining-load cut fires when the first
+        transfer finishes at 7, since 7 + the 6 s still queued on the
+        link exceeds a limit of 10."""
+        graph = DistGraph("link_wait")
+        graph.add(DistOp("split", DistOpKind.SPLIT, device="gpu0",
+                         size_bytes=64.0))
+        durations = {"split": 4.0}
+        for k in range(3):
+            graph.add(DistOp(f"send{k}", DistOpKind.TRANSFER,
+                             src_device="gpu0", dst_device="gpu1",
+                             size_bytes=64.0), deps=["split"])
+            graph.add(DistOp(f"use{k}", DistOpKind.SPLIT, device="gpu1",
+                             size_bytes=64.0), deps=[f"send{k}"])
+            durations.update({f"send{k}": 3.0, f"use{k}": 1.0})
+        cost = MappingCostModel(durations)
+        sim = Simulator(cost)
+        assert sim.run(graph).makespan == 14.0
+        assert kernel_lower_bound(lower(graph), cost) == 14.0
+        cut = sim.run(graph, prune_above=10.0)
+        assert cut.pruned
+        assert cut.makespan == 13.0
+
+    @staticmethod
+    def candidates(builder):
+        graph = builder.graph
+        grouping = group_operations(
+            graph, {op: 1.0 for op in graph.op_names}, 6)
+
+        def decode(actions):
+            return actions_to_strategy(graph, CLUSTER, grouping, actions)
+
+        seeds = seed_action_vectors(graph, CLUSTER, grouping)
+        best = min(seeds,
+                   key=lambda v: unpruned_outcome(builder, decode(v)).time)
+        vectors = list(seeds)
+        rng = np.random.default_rng(0)
+        vectors += [rng.integers(0, num_actions(CLUSTER), grouping.num_groups)
+                    for _ in range(8)]
+        for g in range(grouping.num_groups):
+            for action in range(num_actions(CLUSTER)):
+                if action != best[g]:
+                    edit = best.copy()
+                    edit[g] = action
+                    vectors.append(edit)
+        return (list(all_dp_strategies(graph, CLUSTER).values())
+                + [decode(v) for v in vectors])
+
+    @staticmethod
+    def load_cut_fired(sim, dist, order, limit, kw, monkeypatch):
+        """A pruned run was cut by its remaining load: without the load
+        array the same run reports a different verdict or partial."""
+        cut = sim.run(dist, order=order, prune_above=limit, **kw)
+        with monkeypatch.context() as patch:
+            patch.setattr(SimKernel, "loads_for", lambda self, cost: [
+                -math.inf] * len(self.resource_names))
+            tail_only = sim.run(dist, order=order, prune_above=limit, **kw)
+        return (cut.pruned, cut.makespan) != (tail_only.pruned,
+                                              tail_only.makespan)
+
+    @pytest.mark.parametrize("model", FAMILIES)
+    def test_bound_and_load_cut_admissible(self, model, monkeypatch):
+        graph = build_model(model, "tiny")
+        builder = PlanBuilder(graph, CLUSTER,
+                              Profiler(seed=0).profile(graph, CLUSTER))
+        cost = builder.cost
+        sim = Simulator(cost)
+        checked = load_cuts = 0
+        for strategy in self.candidates(builder):
+            outcome = unpruned_outcome(builder, strategy)
+            if outcome.infeasible:
+                continue
+            dist, resident = builder.compile(strategy)
+            kernel = lower(dist)
+            kw = dict(resident_bytes=resident,
+                      capacities=builder.capacities, kernel=kernel)
+            times = {name: run.makespan for name, run in outcome.runs.items()}
+            true = min(times.values())
+            # a limited bound stops at the first term over the limit, and
+            # is still a lower bound
+            for frac in self.LIMIT_FRACTIONS:
+                partial = kernel_lower_bound(kernel, cost, frac * true)
+                assert partial <= true * (1 + PRUNE_GUARD)
+            bound = kernel_lower_bound(kernel, cost)
+            for time in times.values():
+                assert bound <= time * (1 + PRUNE_GUARD)
+            # never below the critical path and the busiest resource
+            durations = kernel.durations_for(cost)
+            busy = [0.0] * len(kernel.resource_names)
+            for i, rids in enumerate(kernel.res_ids):
+                for r in rids:
+                    busy[r] += durations[i]
+            path = max(d + t for d, t in zip(durations,
+                                              kernel.tails_for(cost)))
+            assert bound >= max(path, max(busy))
+
+            orders = {"rank": ListScheduler()._rank_priorities(kernel, cost),
+                      "earliest": None}
+            for name, order in orders.items():
+                for frac in self.LIMIT_FRACTIONS:
+                    limit = frac * times[name]
+                    cut = sim.run(dist, order=order, prune_above=limit, **kw)
+                    checked += 1
+                    if not cut.pruned:
+                        assert cut.makespan == times[name]
+                        continue
+                    assert times[name] > limit
+                    # like the tail cut's, the load cut's partial sums
+                    # round differently from the event loop's clock
+                    assert cut.makespan <= times[name] * (1 + PRUNE_GUARD)
+                    load_cuts += self.load_cut_fired(
+                        sim, dist, order, limit, kw, monkeypatch)
+        assert checked >= 300
+        assert load_cuts > 0
 
 
 # --------------------------------------------------------------------- #

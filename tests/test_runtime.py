@@ -90,7 +90,7 @@ class TestPriceCacheLifetime:
         for plan in plans:
             kernel = plan.kernel
             for cache in (kernel._dur_cache, kernel._tail_cache,
-                          kernel._bound_cache):
+                          kernel._bound_cache, kernel._load_cache):
                 for cost, _ in cache.values():
                     assert not isinstance(cost, TruthCostModel)
 
