@@ -47,13 +47,15 @@ def test_table4_larger_batches_than_table1(rows):
     """Strong scaling: per-iteration times grow with the 1.5x batch for
     the same model (matching Table 4 > Table 1 in the paper)."""
     from repro.cluster import cluster_8gpu
-    from repro.experiments import ExperimentContext
+    from repro.experiments import experiment_config, run_strategy
     from repro.baselines import dp_strategy
     from repro.graph.models import build_model
+    from repro.service import PlanningService
     cluster8 = cluster_8gpu()
-    ctx8 = ExperimentContext(cluster8, seed=0)
     g8 = build_model("vgg19", "bench")
-    t8 = ctx8.measure(g8, dp_strategy("CP-AR", g8, cluster8), "CP-AR",
-                      use_order_scheduling=False).time
+    with PlanningService(workers=0) as service:
+        t8 = run_strategy(service, dp_strategy("CP-AR", g8, cluster8),
+                          "CP-AR", experiment_config(
+                              0, use_order_scheduling=False)).time
     row12 = next(r for r in rows if r.model == "vgg19")
     assert row12.baselines["CP-AR"].time > t8 * 0.9

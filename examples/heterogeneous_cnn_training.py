@@ -14,8 +14,14 @@ import sys
 
 from repro.baselines import DP_BASELINES, dp_strategy
 from repro.cluster import cluster_8gpu
-from repro.experiments import ExperimentContext, format_table
+from repro.experiments import (
+    experiment_config,
+    format_table,
+    measure,
+    run_strategy,
+)
 from repro.graph.models import build_model
+from repro.service import PlanningService, PlanRequest
 
 
 def main(model: str = "vgg19"):
@@ -25,21 +31,26 @@ def main(model: str = "vgg19"):
           f"params={graph.total_param_bytes() / 2 ** 20:.0f} MiB")
     print(f"cluster: {cluster}")
 
-    ctx = ExperimentContext(cluster, seed=0)
-    print("\nsearching deployment strategy (GNN + order scheduling)...")
-    heterog = ctx.run_heterog(graph, episodes=24)
+    # baselines run with the framework's default FIFO execution order
+    fifo = experiment_config(0, use_order_scheduling=False)
+    with PlanningService(workers=0) as service:
+        print("\nsearching deployment strategy (GNN + order scheduling)...")
+        found = service.plan(PlanRequest(graph=graph, cluster=cluster,
+                                         episodes=24, max_rounds=1,
+                                         config=experiment_config(0)))
+        heterog = measure(found.deployment, "HeteroG", seed=0)
 
-    rows = [["HeteroG", heterog.display_time, "-"]]
-    for name in DP_BASELINES:
-        # baselines run with the framework's default FIFO execution order
-        measured = ctx.measure(graph, dp_strategy(name, graph, cluster),
-                               name, use_order_scheduling=False)
-        if measured.oom:
-            rows.append([name, "OOM", "-"])
-        else:
-            speedup = heterog.speedup_over(measured)
-            rows.append([name, measured.display_time,
-                         f"{speedup * 100:.1f}%"])
+        rows = [["HeteroG", heterog.display_time, "-"]]
+        for name in DP_BASELINES:
+            measured = run_strategy(service,
+                                    dp_strategy(name, graph, cluster),
+                                    name, fifo)
+            if measured.oom:
+                rows.append([name, "OOM", "-"])
+            else:
+                speedup = heterog.speedup_over(measured)
+                rows.append([name, measured.display_time,
+                             f"{speedup * 100:.1f}%"])
 
     print()
     print(format_table(
@@ -48,8 +59,8 @@ def main(model: str = "vgg19"):
     for label, fraction in sorted(heterog.mix.items(), key=lambda kv: -kv[1]):
         if fraction > 0:
             print(f"  {label:10s} {fraction * 100:5.1f}%")
-    print(f"\nsearch took {heterog.extras['search_seconds']:.1f}s "
-          f"(simulated best: {heterog.extras['simulated_time']:.3f}s)")
+    print(f"\nsearch took {found.service_seconds:.1f}s "
+          f"(simulated best: {found.outcome.time:.3f}s)")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,14 @@ HeteroG finds a feasible (mostly model-parallel) deployment:
 
 from repro.baselines import DP_BASELINES, dp_strategy
 from repro.cluster import cluster_8gpu
-from repro.experiments import ExperimentContext, format_table
+from repro.experiments import (
+    experiment_config,
+    format_table,
+    run_heterog,
+    run_strategy,
+)
 from repro.graph.models import build_model
+from repro.service import PlanningService
 
 
 def main():
@@ -20,19 +26,20 @@ def main():
     print(f"model: {graph.name}  ops={len(graph)}  "
           f"params={graph.total_param_bytes() / 2 ** 30:.2f} GiB")
 
-    ctx = ExperimentContext(cluster, seed=0)
+    fifo = experiment_config(0, use_order_scheduling=False)
+    with PlanningService(workers=0) as service:
+        print("\ndata-parallel baselines:")
+        rows = []
+        for name in DP_BASELINES:
+            measured = run_strategy(service,
+                                    dp_strategy(name, graph, cluster),
+                                    name, fifo, iterations=2)
+            rows.append([name, measured.display_time])
+        print(format_table(["Scheme", "Per-iteration (s)"], rows))
 
-    print("\ndata-parallel baselines:")
-    rows = []
-    for name in DP_BASELINES:
-        measured = ctx.measure(graph, dp_strategy(name, graph, cluster),
-                               name, use_order_scheduling=False,
-                               iterations=2)
-        rows.append([name, measured.display_time])
-    print(format_table(["Scheme", "Per-iteration (s)"], rows))
-
-    print("\nsearching a feasible HeteroG deployment...")
-    heterog = ctx.run_heterog(graph, episodes=10, iterations=2)
+        print("\nsearching a feasible HeteroG deployment...")
+        heterog = run_heterog(service, graph, cluster, experiment_config(0),
+                              episodes=10, iterations=2)
     print(f"HeteroG per-iteration time: {heterog.display_time} s")
 
     mp_share = sum(v for k, v in heterog.mix.items() if k.startswith("MP:"))

@@ -17,7 +17,7 @@ from ..graph.dag import ComputationGraph
 from ..graph.grouping import group_operations
 from ..parallel.strategy import Strategy
 from ..plan import PlanBuilder
-from ..profiling.profiler import Profile, Profiler
+from ..profiling.profiler import Profiler
 from .features import FeatureEncoder
 from .policy import PolicyNetwork, num_actions
 from .reinforce import GraphContext, ReinforceTrainer
@@ -62,31 +62,27 @@ class HeteroGAgent:
         self.cluster = cluster
         self.config = config or AgentConfig()
         self._contexts: List[GraphContext] = []
-        self._profiles: Dict[str, Profile] = {}
         self._policy: Optional[PolicyNetwork] = None
         self._trainer: Optional[ReinforceTrainer] = None
 
     # ------------------------------------------------------------------ #
     def add_graph(self, graph: ComputationGraph,
-                  profile: Optional[Profile] = None,
                   name: Optional[str] = None, *,
                   builder: Optional[PlanBuilder] = None) -> GraphContext:
-        """Register a DNN graph; profiles it if no profile is supplied.
+        """Register a DNN graph.
 
         ``builder`` is the :class:`PlanBuilder` the search evaluates
         candidates with, so a caller that owns one for this graph shares
-        its plan and outcome caches with the search; it then supplies
-        the profile too.  Without it the agent makes its own, with
+        its profile and its plan and outcome caches with the search.
+        Without it the agent profiles the graph and makes its own, with
         HeteroG's order scheduling; a FIFO search passes a FIFO builder."""
         name = name or graph.name
         if any(ctx.name == name for ctx in self._contexts):
             raise StrategyError(f"graph {name!r} already registered")
-        if builder is not None:
-            profile = builder.profile
-        elif profile is None:
-            profile = Profiler(seed=self.config.seed).profile(graph,
-                                                              self.cluster)
-        self._profiles[name] = profile
+        if builder is None:
+            builder = PlanBuilder(graph, self.cluster, Profiler(
+                seed=self.config.seed).profile(graph, self.cluster))
+        profile = builder.profile
         encoder = FeatureEncoder(self.cluster, profile)
         features = encoder.encode(graph)
         neighbourhood = encoder.neighbourhood(graph)
@@ -95,8 +91,6 @@ class HeteroGAgent:
         )
         index = {n: i for i, n in enumerate(graph.op_names)}
         assignment = grouping.assignment_matrix(index)
-        if builder is None:
-            builder = PlanBuilder(graph, self.cluster, profile)
         ctx = GraphContext(
             name=name, graph=graph, grouping=grouping, features=features,
             neighbourhood=neighbourhood, assignment=assignment,
@@ -154,9 +148,6 @@ class HeteroGAgent:
             if ctx.name == name:
                 return ctx
         raise StrategyError(f"unknown graph {name!r}")
-
-    def profile(self, name: str) -> Profile:
-        return self._profiles[name]
 
     # ------------------------------------------------------------------ #
     def policy_state(self) -> Dict[str, np.ndarray]:

@@ -238,8 +238,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     """``repro plan``: search a strategy for one model, then measure it
     on the execution engine — a search request, then a build request,
     on one inline planning service."""
-    from .config import HeteroGConfig
-    from .experiments.common import bench_agent_config, env_iterations
+    from .experiments.common import env_iterations, experiment_config
     from .reporting import describe_strategy
     from .service import PlanRequest, PlanningService
     cluster = CLUSTERS[args.cluster]()
@@ -247,8 +246,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(f"searching strategy for {graph.name} on {cluster} "
           f"({args.episodes} episodes)...",
           file=sys.stderr)
-    config = HeteroGConfig(seed=args.seed,
-                           agent=bench_agent_config(args.seed))
+    config = experiment_config(args.seed)
     with PlanningService(workers=0, name="plan") as service:
         found = service.plan(PlanRequest(
             graph=graph, cluster=cluster, episodes=args.episodes,
@@ -270,17 +268,18 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_baselines(args: argparse.Namespace) -> int:
-    """``repro baselines``: measure the four DP baselines."""
+    """``repro baselines``: measure the four DP baselines, built under
+    the framework's default FIFO order on one inline planning service."""
     from .baselines import DP_BASELINES, dp_strategy
-    from .experiments import ExperimentContext, format_table
+    from .experiments import experiment_config, format_table, run_strategy
+    from .service import PlanningService
     cluster = CLUSTERS[args.cluster]()
     graph = build_model(args.model, args.preset)
-    ctx = ExperimentContext(cluster, seed=args.seed)
-    rows: List[List[str]] = []
-    for name in DP_BASELINES:
-        measured = ctx.measure(graph, dp_strategy(name, graph, cluster),
-                               name, use_order_scheduling=False)
-        rows.append([name, measured.display_time])
+    fifo = experiment_config(args.seed, use_order_scheduling=False)
+    with PlanningService(workers=0, name="baselines") as service:
+        rows = [[name, run_strategy(service, dp_strategy(name, graph, cluster),
+                                    name, fifo).display_time]
+                for name in DP_BASELINES]
     print(format_table(["Baseline", "Per-iteration (s)"], rows))
     return 0
 

@@ -8,19 +8,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..agent import HeteroGAgent
+import numpy as np
+
 from ..agent.policy import actions_to_strategy
+from ..baselines import dp_strategy
 from ..cluster.topology import Cluster
 from ..graph.models import build_model
+from ..service import PlanningService, PlanRequest
 from .common import (
-    ExperimentContext,
-    bench_agent_config,
-    env_episodes,
     env_preset,
+    experiment_config,
     format_table,
+    run_heterog,
+    run_strategy,
+    search_request,
 )
 
 
@@ -32,16 +37,12 @@ class AblationRow:
     oom: bool = False
 
 
-def _restrict_actions(agent: HeteroGAgent, name: str,
+def _restrict_actions(actions: np.ndarray, m: int,
                       allowed_offsets: List[int],
-                      allow_mp: bool) -> None:
+                      allow_mp: bool) -> np.ndarray:
     """Clamp the best-found actions to a restricted space by re-mapping
-    disallowed actions onto the nearest allowed DP action."""
-    ctx = agent.context(name)
-    m = agent.cluster.num_devices
-    actions = ctx.best_actions
-    if actions is None:
-        return
+    disallowed actions onto the nearest allowed DP action (``m`` is the
+    number of devices, the first DP action)."""
     fixed = actions.copy()
     fallback = m + allowed_offsets[-1]
     for i, a in enumerate(fixed):
@@ -50,7 +51,7 @@ def _restrict_actions(agent: HeteroGAgent, name: str,
                 fixed[i] = fallback
         elif (a - m) not in allowed_offsets:
             fixed[i] = fallback
-    ctx.best_actions = fixed
+    return fixed
 
 
 def communication_ablation(cluster: Cluster, model: str = "bert_large", *,
@@ -60,32 +61,28 @@ def communication_ablation(cluster: Cluster, model: str = "bert_large", *,
     """Hybrid PS+AR vs AR-only vs PS-only for the searched strategy."""
     preset = preset or env_preset()
     graph = build_model(model, preset)
-    ctx = ExperimentContext(cluster, seed=seed)
-    agent = HeteroGAgent(cluster, bench_agent_config(seed))
-    agent.add_graph(graph, ctx.profile(graph))
-    agent.train(episodes if episodes is not None else env_episodes())
-    name = graph.name
+    config = experiment_config(seed)
+    request = search_request(graph, cluster, config, episodes)
 
     rows: List[AblationRow] = []
-    baseline_actions = agent.context(name).best_actions.copy()
-    grouping = agent.context(name).grouping
-
     variants = [
         ("hybrid (HeteroG)", [0, 1, 2, 3], True),
         ("AllReduce-only", [1, 3], True),
         ("PS-only", [0, 2], True),
         ("no model parallelism", [0, 1, 2, 3], False),
     ]
-    for label, offsets, allow_mp in variants:
-        agent.context(name).best_actions = baseline_actions.copy()
-        _restrict_actions(agent, name, offsets, allow_mp)
-        strategy = actions_to_strategy(
-            graph, cluster, grouping, agent.context(name).best_actions
-        )
-        measured = ctx.measure(graph, strategy, label)
-        rows.append(AblationRow(variant=label, time=measured.time,
-                                oom=measured.oom))
-    agent.context(name).best_actions = baseline_actions
+    with PlanningService(workers=0, name="experiments") as service:
+        service.plan(request)
+        searched = service.context_for(request).agent.context(graph.name)
+        for label, offsets, allow_mp in variants:
+            actions = _restrict_actions(searched.best_actions,
+                                        cluster.num_devices, offsets,
+                                        allow_mp)
+            strategy = actions_to_strategy(graph, cluster,
+                                           searched.grouping, actions)
+            measured = run_strategy(service, strategy, label, config)
+            rows.append(AblationRow(variant=label, time=measured.time,
+                                    oom=measured.oom))
     return rows
 
 
@@ -97,18 +94,16 @@ def grouping_ablation(cluster: Cluster, model: str = "inception_v3", *,
     """Strategy quality vs the maximal number of op groups N."""
     preset = preset or env_preset()
     graph = build_model(model, preset)
+    base = experiment_config(seed)
     rows: List[AblationRow] = []
-    for n in group_sizes or [4, 16, 40]:
-        config = bench_agent_config(seed)
-        config.max_groups = n
-        agent = HeteroGAgent(cluster, config)
-        agent.add_graph(graph)
-        agent.train(episodes if episodes is not None else env_episodes())
-        ctx = ExperimentContext(cluster, seed=seed)
-        measured = ctx.measure(graph, agent.best_strategy(graph.name),
-                               f"N={n}")
-        rows.append(AblationRow(variant=f"N={n}", time=measured.time,
-                                oom=measured.oom))
+    with PlanningService(workers=0, name="experiments") as service:
+        for n in group_sizes or [4, 16, 40]:
+            config = dataclasses.replace(
+                base, agent=dataclasses.replace(base.agent, max_groups=n))
+            measured = run_heterog(service, graph, cluster, config,
+                                   episodes=episodes)
+            rows.append(AblationRow(variant=f"N={n}", time=measured.time,
+                                    oom=measured.oom))
     return rows
 
 
@@ -117,13 +112,14 @@ def jitter_sensitivity(cluster: Cluster, model: str = "vgg19", *,
                        sigmas: Optional[List[float]] = None,
                        seed: int = 0) -> Dict[float, float]:
     """Coefficient of variation of per-iteration time vs kernel jitter."""
-    from ..baselines import dp_strategy
     from ..runtime.execution_engine import ExecutionEngine
     preset = preset or env_preset()
     graph = build_model(model, preset)
-    ctx = ExperimentContext(cluster, seed=seed)
-    strategy = dp_strategy("CP-AR", graph, cluster)
-    deployment = ctx.builder(graph).build(strategy)
+    with PlanningService(workers=0, name="experiments") as service:
+        deployment = service.plan(PlanRequest(
+            graph=graph, cluster=cluster,
+            strategy=dp_strategy("CP-AR", graph, cluster),
+            config=experiment_config(seed))).deployment
     out: Dict[float, float] = {}
     for sigma in sigmas or [0.0, 0.02, 0.05, 0.1]:
         engine = ExecutionEngine(cluster, jitter_sigma=sigma, seed=seed)
@@ -142,15 +138,16 @@ def fusion_ablation(cluster: Cluster, model: str = "resnet200", *,
     Reproduces the Horovod tensor-fusion U-curve: no fusion pays the
     per-collective launch overhead hundreds of times; over-fusion delays
     the first collective until every gradient is ready."""
-    from ..baselines import dp_strategy
     from ..parallel.fusion import count_collectives, fuse_allreduces
     from ..runtime.execution_engine import ExecutionEngine
     from ..scheduling.list_scheduler import ListScheduler
 
     preset = preset or env_preset()
     graph = build_model(model, preset)
-    ctx = ExperimentContext(cluster, seed=seed)
-    builder = ctx.builder(graph)
+    with PlanningService(workers=0, name="experiments") as service:
+        builder = service.context_for(PlanRequest(
+            graph=graph, cluster=cluster,
+            config=experiment_config(seed))).builder
     # compile-only: the fused variants re-schedule a transformed graph,
     # which is exactly what PlanBuilder.compile exists for
     dist, resident = builder.compile(dp_strategy("EV-AR", graph, cluster))
@@ -159,16 +156,16 @@ def fusion_ablation(cluster: Cluster, model: str = "resnet200", *,
 
     rows: List[AblationRow] = []
 
-    def measure(graph_, label):
+    def run(graph_, label):
         schedule = ListScheduler().schedule(graph_, cost)
         stats = engine.measure(graph_, schedule, resident, iterations=3)
         rows.append(AblationRow(variant=label, time=stats.mean))
 
-    measure(dist, f"unfused ({count_collectives(dist)} collectives)")
+    run(dist, f"unfused ({count_collectives(dist)} collectives)")
     for mb in bucket_sizes_mb or [4, 32, 256]:
         fused = fuse_allreduces(dist, mb * 1024 * 1024)
-        measure(fused, f"{mb}MB buckets ({count_collectives(fused)} "
-                       f"collectives)")
+        run(fused, f"{mb}MB buckets ({count_collectives(fused)} "
+                   f"collectives)")
     return rows
 
 

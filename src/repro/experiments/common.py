@@ -2,26 +2,28 @@
 
 Everything reported by the harness is measured on the ExecutionEngine
 (the testbed stand-in); the Strategy Maker's simulator is only used for
-search, mirroring the paper's methodology.  ``preset`` selects the model
-scale: ``bench`` regenerates every table/figure in minutes on CPU,
-``paper`` uses the faithful model depths (slower).
+search, mirroring the paper's methodology.  Every search and build goes
+through an inline planning service, whose warm contexts are the
+harness's only cache of profiles and plan builders.  ``preset`` selects
+the model scale: ``bench`` regenerates every table/figure in minutes on
+CPU, ``paper`` uses the faithful model depths (slower).
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..agent import AgentConfig, HeteroGAgent
+from ..agent import AgentConfig
 from ..cluster.topology import Cluster
-from ..errors import OutOfMemoryError
+from ..config import HeteroGConfig
+from ..errors import CompileError, OutOfMemoryError
 from ..graph.dag import ComputationGraph
 from ..parallel.strategy import Strategy
-from ..plan import PlanBuilder
-from ..profiling.profiler import Profile, Profiler
+from ..plan import ExecutionPlan
 from ..runtime.execution_engine import ExecutionEngine
+from ..service import PlanningService, PlanRequest
 
 
 def env_preset(default: str = "bench") -> str:
@@ -104,85 +106,74 @@ class MeasuredStrategy:
         return (other.time - self.time) / self.time
 
 
-class ExperimentContext:
-    """Caches profiles/plan-builders per graph object on one cluster
-    across measurements, so sweeps that revisit a strategy reuse its
-    plan.  Keys are the graphs themselves, not their names: two builds
-    of a model at different batch sizes share a name, not a profile."""
+def experiment_config(seed: int = 0, *,
+                      use_order_scheduling: bool = True) -> HeteroGConfig:
+    """The planning config of every experiment request: the bench agent,
+    one ``seed`` for profiling, search and the engine.  DP and FIFO rows
+    pass ``use_order_scheduling=False``, the framework's default order."""
+    return HeteroGConfig(seed=seed, agent=bench_agent_config(seed),
+                         use_order_scheduling=use_order_scheduling)
 
-    def __init__(self, cluster: Cluster, seed: int = 0):
-        self.cluster = cluster
-        self.seed = seed
-        self._profiles: Dict[ComputationGraph, Profile] = {}
-        self._builders: Dict[Tuple[ComputationGraph, bool],
-                             PlanBuilder] = {}
 
-    def profile(self, graph: ComputationGraph) -> Profile:
-        if graph not in self._profiles:
-            self._profiles[graph] = Profiler(seed=self.seed).profile(
-                graph, self.cluster
-            )
-        return self._profiles[graph]
-
-    def builder(self, graph: ComputationGraph, *,
-                use_order_scheduling: bool = True) -> PlanBuilder:
-        """Shared PlanBuilder for (graph, order flag) on this cluster."""
-        key = (graph, use_order_scheduling)
-        if key not in self._builders:
-            self._builders[key] = PlanBuilder(
-                graph, self.cluster, self.profile(graph),
-                use_order_scheduling=use_order_scheduling,
-            )
-        return self._builders[key]
-
-    def measure(self, graph: ComputationGraph, strategy: Strategy,
-                label: str, *, use_order_scheduling: bool = True,
-                iterations: Optional[int] = None) -> MeasuredStrategy:
-        """Deploy + run a strategy on the engine; OOM becomes a row value."""
-        deployment = self.builder(
-            graph, use_order_scheduling=use_order_scheduling
-        ).build(strategy)
-        engine = ExecutionEngine(self.cluster, seed=self.seed + 1)
-        try:
-            stats = engine.measure(
-                deployment.dist, deployment.schedule,
-                deployment.resident_bytes,
-                iterations=iterations or env_iterations(),
-            )
-        except OutOfMemoryError:
-            return MeasuredStrategy(label=label, time=float("inf"), oom=True,
-                                    strategy=strategy,
-                                    mix=strategy.strategy_mix())
-        last = stats.last_result
-        extras = {}
-        if last is not None:
-            extras = {
-                "computation_time": last.computation_time,
-                "communication_time": last.communication_time,
-                "overlap_ratio": last.overlap_ratio,
-            }
-        return MeasuredStrategy(label=label, time=stats.mean,
+def measure(deployment: Optional[ExecutionPlan], label: str, *, seed: int,
+            iterations: Optional[int] = None) -> MeasuredStrategy:
+    """Run a built deployment on the engine (seeded ``seed + 1``, as the
+    planning service measures); an OOM becomes a row value."""
+    if deployment is None:
+        raise CompileError(f"{label}: the strategy does not compile")
+    strategy = deployment.strategy
+    engine = ExecutionEngine(deployment.cluster, seed=seed + 1)
+    try:
+        stats = engine.measure(
+            deployment.dist, deployment.schedule, deployment.resident_bytes,
+            iterations=iterations or env_iterations(),
+        )
+    except OutOfMemoryError:
+        return MeasuredStrategy(label=label, time=float("inf"), oom=True,
                                 strategy=strategy,
-                                mix=strategy.strategy_mix(), extras=extras)
+                                mix=strategy.strategy_mix())
+    last = stats.last_result    # set by every measured iteration
+    extras = {"computation_time": last.computation_time,
+              "communication_time": last.communication_time,
+              "overlap_ratio": last.overlap_ratio}
+    return MeasuredStrategy(label=label, time=stats.mean, strategy=strategy,
+                            mix=strategy.strategy_mix(), extras=extras)
 
-    def run_heterog(self, graph: ComputationGraph, *,
-                    episodes: Optional[int] = None,
-                    agent_config: Optional[AgentConfig] = None,
-                    iterations: Optional[int] = None) -> MeasuredStrategy:
-        """Full HeteroG pipeline: search on the simulator, measure on the
-        engine."""
-        config = agent_config or bench_agent_config(self.seed)
-        agent = HeteroGAgent(self.cluster, config)
-        agent.add_graph(graph, builder=self.builder(graph))
-        start = time.time()
-        agent.train(episodes if episodes is not None else env_episodes())
-        search_seconds = time.time() - start
-        strategy = agent.best_strategy(graph.name)
-        measured = self.measure(graph, strategy, "HeteroG",
-                                iterations=iterations)
-        measured.extras["search_seconds"] = search_seconds
-        measured.extras["simulated_time"] = agent.best_time(graph.name)
-        return measured
+
+def run_strategy(service: PlanningService, strategy: Strategy, label: str,
+                 config: HeteroGConfig, *,
+                 iterations: Optional[int] = None) -> MeasuredStrategy:
+    """Build ``strategy`` with a build request, then measure it."""
+    built = service.plan(PlanRequest(
+        graph=strategy.graph, cluster=strategy.cluster, strategy=strategy,
+        config=config, label=label))
+    return measure(built.deployment, label, seed=config.seed,
+                   iterations=iterations)
+
+
+def search_request(graph: ComputationGraph, cluster: Cluster,
+                   config: HeteroGConfig,
+                   episodes: Optional[int] = None) -> PlanRequest:
+    """One round of search on the simulator: the service raises
+    :class:`~repro.errors.StrategyError` when it finds no feasible
+    strategy instead of searching again."""
+    return PlanRequest(
+        graph=graph, cluster=cluster, config=config, max_rounds=1,
+        episodes=episodes if episodes is not None else env_episodes(),
+        label="search")
+
+
+def run_heterog(service: PlanningService, graph: ComputationGraph,
+                cluster: Cluster, config: HeteroGConfig, *,
+                episodes: Optional[int] = None,
+                iterations: Optional[int] = None) -> MeasuredStrategy:
+    """Full HeteroG pipeline: search on the simulator, then measure the
+    winner on the engine."""
+    found = service.plan(search_request(graph, cluster, config, episodes))
+    measured = measure(found.deployment, "HeteroG", seed=config.seed,
+                       iterations=iterations)
+    measured.extras["simulated_time"] = found.outcome.time
+    return measured
 
 
 def format_table(headers: List[str], rows: List[List[str]]) -> str:

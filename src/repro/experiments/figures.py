@@ -19,13 +19,16 @@ from ..cluster.presets import cluster_4gpu, cluster_12gpu
 from ..graph.models import build_model
 from ..graph.op import Operation, TensorSpec
 from ..profiling import cost_model
+from ..service import PlanningService, PlanRequest
 from .common import (
-    ExperimentContext,
     MeasuredStrategy,
     env_episodes,
     env_iterations,
     env_preset,
+    experiment_config,
     format_table,
+    run_heterog,
+    run_strategy,
 )
 
 # ---------------------------------------------------------------------- #
@@ -59,18 +62,21 @@ def fig3a_proportional_allocation(*, preset: Optional[str] = None,
     """
     preset = preset or env_preset()
     cluster = cluster_4gpu()
-    ctx = ExperimentContext(cluster, seed=seed)
+    fifo = experiment_config(seed, use_order_scheduling=False)
     points: List[Fig3aPoint] = []
-    for model in models or FIG3A_MODELS:
-        # 4 GPUs: halve the 8-GPU global batch (strong scaling)
-        overrides = {"batch_size": 360 if model == "transformer" else 96}
-        graph = build_model(model, preset, **overrides)
-        even = ctx.measure(graph, dp_strategy("EV-AR", graph, cluster),
-                           "even", use_order_scheduling=False)
-        prop = ctx.measure(graph, dp_strategy("CP-AR", graph, cluster),
-                           "proportional", use_order_scheduling=False)
-        points.append(Fig3aPoint(model=model, even=even.time,
-                                 proportional=prop.time))
+    with PlanningService(workers=0, name="experiments") as service:
+        for model in models or FIG3A_MODELS:
+            # 4 GPUs: halve the 8-GPU global batch (strong scaling)
+            overrides = {"batch_size": 360 if model == "transformer" else 96}
+            graph = build_model(model, preset, **overrides)
+            even = run_strategy(service,
+                                dp_strategy("EV-AR", graph, cluster),
+                                "even", fifo)
+            prop = run_strategy(service,
+                                dp_strategy("CP-AR", graph, cluster),
+                                "proportional", fifo)
+            points.append(Fig3aPoint(model=model, even=even.time,
+                                     proportional=prop.time))
     return points
 
 
@@ -189,19 +195,23 @@ def fig8_time_breakdown(*, preset: Optional[str] = None,
     from ..cluster.presets import cluster_8gpu
     preset = preset or env_preset()
     cluster = cluster_8gpu()
-    ctx = ExperimentContext(cluster, seed=seed)
+    config = experiment_config(seed)
+    fifo = experiment_config(seed, use_order_scheduling=False)
     bars: List[Fig8Bar] = []
-    for model, baseline in (("vgg19", "CP-AR"), ("bert_large", "CP-PS")):
-        graph = build_model(model, preset)
-        base = ctx.measure(graph, dp_strategy(baseline, graph, cluster),
-                           baseline, use_order_scheduling=False)
-        heterog = ctx.run_heterog(graph, episodes=episodes)
-        for m, scheme in ((base, baseline), (heterog, "HeteroG")):
-            bars.append(Fig8Bar(
-                model=model, scheme=scheme, per_iteration=m.time,
-                computation=m.extras.get("computation_time", 0.0),
-                communication=m.extras.get("communication_time", 0.0),
-            ))
+    with PlanningService(workers=0, name="experiments") as service:
+        for model, baseline in (("vgg19", "CP-AR"), ("bert_large", "CP-PS")):
+            graph = build_model(model, preset)
+            base = run_strategy(service,
+                                dp_strategy(baseline, graph, cluster),
+                                baseline, fifo)
+            heterog = run_heterog(service, graph, cluster, config,
+                                  episodes=episodes)
+            for m, scheme in ((base, baseline), (heterog, "HeteroG")):
+                bars.append(Fig8Bar(
+                    model=model, scheme=scheme, per_iteration=m.time,
+                    computation=m.extras.get("computation_time", 0.0),
+                    communication=m.extras.get("communication_time", 0.0),
+                ))
     return bars
 
 
@@ -223,8 +233,7 @@ FIG9_MODELS = ["resnet200", "inception_v3", "transformer", "bert_large"]
 FIG9_SCHEMES = ["HeteroG", "HetPipe", "FlexFlow", "Horovod", "Post"]
 
 
-def _measure_hetpipe(ctx: ExperimentContext, graph, cluster
-                     ) -> MeasuredStrategy:
+def _measure_hetpipe(builder, seed: int) -> MeasuredStrategy:
     """HetPipe runs micro-batch pipelines inside each virtual worker and
     synchronizes with bounded staleness (WSP): gradient traffic overlaps
     subsequent iterations instead of gating this one.  Steady-state
@@ -240,14 +249,15 @@ def _measure_hetpipe(ctx: ExperimentContext, graph, cluster
     from ..runtime.execution_engine import ExecutionEngine
     from ..scheduling.list_scheduler import FifoScheduler
 
-    strategy = hetpipe_strategy(graph, cluster)
+    cluster = builder.cluster
+    strategy = hetpipe_strategy(builder.graph, cluster)
     # compile-only plan-layer path: the pipeline transform reshapes the
     # dist graph before scheduling, so the cached build() is no use here
-    dist, resident = ctx.builder(graph).compile(strategy)
+    dist, resident = builder.compile(strategy)
     piped = pipeline_graph(dist, 8)
     compute_only, grad_bytes = strip_gradient_sync(piped)
-    schedule = FifoScheduler(seed=ctx.seed).schedule(compute_only, None)
-    engine = ExecutionEngine(cluster, seed=ctx.seed + 1)
+    schedule = FifoScheduler(seed=seed).schedule(compute_only, None)
+    engine = ExecutionEngine(cluster, seed=seed + 1)
     try:
         stats = engine.measure(compute_only, schedule,
                                resident,
@@ -281,34 +291,33 @@ def fig9_existing_schemes(*, preset: Optional[str] = None,
     """Measure HeteroG vs HetPipe/FlexFlow/Horovod/Post on 12 GPUs."""
     preset = preset or env_preset()
     cluster = cluster_12gpu()
-    ctx = ExperimentContext(cluster, seed=seed)
+    config = experiment_config(seed)
+    fifo = experiment_config(seed, use_order_scheduling=False)
     bars: List[Fig9Bar] = []
-    for model in models or FIG9_MODELS:
-        batch = {"transformer": 1080, "bert_large": 72}.get(model, 288)
-        graph = build_model(model, preset, batch_size=batch)
-        profile = ctx.profile(graph)
-        measured: Dict[str, MeasuredStrategy] = {}
-        heterog = ctx.run_heterog(graph, episodes=episodes)
-        measured["HeteroG"] = heterog
-        measured["HetPipe"] = _measure_hetpipe(ctx, graph, cluster)
-        measured["FlexFlow"] = ctx.measure(
-            graph,
-            flexflow_strategy(graph, cluster, profile,
-                              iterations=max(80,
-                                             3 * (episodes or env_episodes())),
-                              seed=seed),
-            "FlexFlow", use_order_scheduling=False)
-        measured["Horovod"] = ctx.measure(
-            graph, horovod_strategy(graph, cluster), "Horovod",
-            use_order_scheduling=False)
-        measured["Post"] = ctx.measure(
-            graph, post_strategy(graph, cluster, profile, seed=seed),
-            "Post", use_order_scheduling=False)
-        speeds = {
-            name: (0.0 if m.oom else batch / m.time)
-            for name, m in measured.items()
-        }
-        bars.append(Fig9Bar(model=model, speeds=speeds))
+    with PlanningService(workers=0, name="experiments") as service:
+        for model in models or FIG9_MODELS:
+            batch = {"transformer": 1080, "bert_large": 72}.get(model, 288)
+            graph = build_model(model, preset, batch_size=batch)
+            context = service.context_for(
+                PlanRequest(graph=graph, cluster=cluster, config=config))
+            measured: Dict[str, MeasuredStrategy] = {
+                "HeteroG": run_heterog(service, graph, cluster, config,
+                                       episodes=episodes),
+                "HetPipe": _measure_hetpipe(context.builder, seed),
+            }
+            # the other schemes run under the framework's default order
+            for name, strategy in (
+                    ("FlexFlow", flexflow_strategy(
+                        graph, cluster, context.profile,
+                        iterations=max(80, 3 * (episodes or env_episodes())),
+                        seed=seed)),
+                    ("Horovod", horovod_strategy(graph, cluster)),
+                    ("Post", post_strategy(graph, cluster, context.profile,
+                                           seed=seed))):
+                measured[name] = run_strategy(service, strategy, name, fifo)
+            bars.append(Fig9Bar(model=model, speeds={
+                name: 0.0 if m.oom else batch / m.time
+                for name, m in measured.items()}))
     return bars
 
 

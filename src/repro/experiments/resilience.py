@@ -38,11 +38,12 @@ from ..resilience import (
     ResilientTrainer,
 )
 from ..runtime.execution_engine import ExecutionEngine
+from ..service import PlanningService
 from .common import (
-    ExperimentContext,
     bench_agent_config,
     env_episodes,
     format_table,
+    search_request,
 )
 
 
@@ -124,16 +125,15 @@ def resilience_sweep(cluster: Cluster,
     replans and scale-ups that reach the same fleet reuse its warmed
     search session (the benchmarks assert the plan-cache hits).
     """
-    config = agent_config or bench_agent_config(seed)
-    ctx = ExperimentContext(cluster, seed=seed)
+    config = HeteroGConfig(seed=seed,
+                           agent=agent_config or bench_agent_config(seed))
     rows: List[ResilienceRow] = []
     for model, graph in graphs.items():
-        searched = ctx.run_heterog(
-            graph, episodes=episodes if episodes is not None
-            else env_episodes(8), agent_config=config)
-        deployment = ctx.builder(graph).build(searched.strategy)
-        replanner = Replanner(graph, cluster,
-                              config=HeteroGConfig(seed=seed, agent=config),
+        with PlanningService(workers=0, name="experiments") as service:
+            deployment = service.plan(search_request(
+                graph, cluster, config, episodes if episodes is not None
+                else env_episodes(8))).deployment
+        replanner = Replanner(graph, cluster, config=config,
                               episodes=replan_episodes)
         for name, schedule in scenarios:
             for policy in policies if not schedule.is_empty else ("-",):

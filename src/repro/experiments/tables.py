@@ -8,17 +8,21 @@ from typing import Dict, List, Optional
 from ..baselines.dp import DP_BASELINES, dp_strategy
 from ..cluster.presets import cluster_8gpu, cluster_12gpu
 from ..cluster.topology import Cluster
+from ..graph.dag import ComputationGraph
 from ..graph.models import CNN_MODELS, build_model
 from ..graph.models.registry import ALL_MODELS
 from ..runtime.trainer_loop import end_to_end_minutes
+from ..service import PlanningService
 from .common import (
     LARGE_MODEL_ROWS,
     SMALL_MODEL_LABELS,
-    ExperimentContext,
     MeasuredStrategy,
     env_episodes,
     env_preset,
+    experiment_config,
     format_table,
+    run_heterog,
+    run_strategy,
 )
 
 
@@ -42,6 +46,25 @@ def _batch_for(model: str, num_gpus: int) -> Dict[str, object]:
     return {"batch_size": int(base * num_gpus / 8)}
 
 
+def _per_iteration_row(service: PlanningService, cluster: Cluster,
+                       graph: ComputationGraph, model: str, label: str, *,
+                       seed: int, episodes: Optional[int],
+                       iterations: Optional[int] = None) -> PerIterationRow:
+    """HeteroG and the DP baselines on one graph.  The baselines run
+    under the framework's default FIFO order, as in the paper; order
+    scheduling is part of HeteroG."""
+    heterog = run_heterog(service, graph, cluster, experiment_config(seed),
+                          episodes=episodes, iterations=iterations)
+    fifo = experiment_config(seed, use_order_scheduling=False)
+    baselines = {
+        name: run_strategy(service, dp_strategy(name, graph, cluster), name,
+                           fifo, iterations=iterations)
+        for name in DP_BASELINES
+    }
+    return PerIterationRow(model=model, label=label, heterog=heterog,
+                           baselines=baselines)
+
+
 def per_iteration_table(cluster: Cluster, num_gpus: int, *,
                         preset: Optional[str] = None,
                         episodes: Optional[int] = None,
@@ -51,24 +74,14 @@ def per_iteration_table(cluster: Cluster, num_gpus: int, *,
     """Generate the Table 1 (8 GPUs) / Table 4 (12 GPUs) rows."""
     preset = preset or env_preset()
     episodes = episodes if episodes is not None else env_episodes()
-    ctx = ExperimentContext(cluster, seed=seed)
     rows: List[PerIterationRow] = []
-
-    for model in models or ALL_MODELS:
-        graph = build_model(model, preset, **_batch_for(model, num_gpus))
-        heterog = ctx.run_heterog(graph, episodes=episodes)
-        baselines = {
-            # DP baselines run under the framework's default FIFO order,
-            # as in the paper; order scheduling is part of HeteroG.
-            name: ctx.measure(graph, dp_strategy(name, graph, cluster),
-                              name, use_order_scheduling=False)
-            for name in DP_BASELINES
-        }
-        rows.append(PerIterationRow(
-            model=model, label=SMALL_MODEL_LABELS.get(model, model),
-            heterog=heterog, baselines=baselines,
-        ))
-
+    with PlanningService(workers=0, name="experiments") as service:
+        for model in models or ALL_MODELS:
+            graph = build_model(model, preset, **_batch_for(model, num_gpus))
+            rows.append(_per_iteration_row(
+                service, cluster, graph, model,
+                SMALL_MODEL_LABELS.get(model, model), seed=seed,
+                episodes=episodes))
     if include_large:
         rows.extend(large_model_rows(cluster, num_gpus, preset=preset,
                                      episodes=episodes, seed=seed))
@@ -90,22 +103,16 @@ def large_model_rows(cluster: Cluster, num_gpus: int, *,
     # memory-balanced MP ladders) decide feasibility, so a short search
     # suffices and keeps the benchmark in CPU minutes
     episodes = min(episodes if episodes is not None else env_episodes(), 10)
-    ctx = ExperimentContext(cluster, seed=seed)
     rows: List[PerIterationRow] = []
     scale = num_gpus / 8
-    for label, model, overrides in LARGE_MODEL_ROWS:
-        kwargs = dict(overrides)
-        kwargs["batch_size"] = int(kwargs["batch_size"] * scale)
-        graph = build_model(model, preset, **kwargs)
-        heterog = ctx.run_heterog(graph, episodes=episodes, iterations=2)
-        baselines = {
-            name: ctx.measure(graph, dp_strategy(name, graph, cluster),
-                              name, use_order_scheduling=False,
-                              iterations=2)
-            for name in DP_BASELINES
-        }
-        rows.append(PerIterationRow(model=model, label=label,
-                                    heterog=heterog, baselines=baselines))
+    with PlanningService(workers=0, name="experiments") as service:
+        for label, model, overrides in LARGE_MODEL_ROWS:
+            kwargs = dict(overrides)
+            kwargs["batch_size"] = int(kwargs["batch_size"] * scale)
+            graph = build_model(model, preset, **kwargs)
+            rows.append(_per_iteration_row(
+                service, cluster, graph, model, label, seed=seed,
+                episodes=episodes, iterations=2))
     return rows
 
 
@@ -175,28 +182,26 @@ def end_to_end_table(*, preset: Optional[str] = None,
                      ) -> List[EndToEndRow]:
     """Table 5: convergence minutes = iterations(batch) x per-iter time."""
     preset = preset or env_preset()
+    config = experiment_config(seed)
+    fifo = experiment_config(seed, use_order_scheduling=False)
     rows: List[EndToEndRow] = []
-    for gpus, cluster in ((8, cluster_8gpu()), (12, cluster_12gpu())):
-        ctx = ExperimentContext(cluster, seed=seed)
-        for model in models or CNN_MODELS:
-            overrides = _batch_for(model, gpus)
-            graph = build_model(model, preset, **overrides)
-            batch = overrides.get("batch_size", 192)
-            minutes: Dict[str, float] = {}
-            heterog = ctx.run_heterog(graph, episodes=episodes)
-            minutes["HeteroG"] = (
-                float("inf") if heterog.oom
-                else end_to_end_minutes(model, batch, heterog.time)
-            )
-            for name in ("CP-PS", "CP-AR"):
-                m = ctx.measure(graph, dp_strategy(name, graph, cluster),
-                                name, use_order_scheduling=False)
-                minutes[name] = (
-                    float("inf") if m.oom
+    with PlanningService(workers=0, name="experiments") as service:
+        for gpus, cluster in ((8, cluster_8gpu()), (12, cluster_12gpu())):
+            for model in models or CNN_MODELS:
+                graph = build_model(model, preset, **_batch_for(model, gpus))
+                batch = graph.batch_size()
+                measured = {"HeteroG": run_heterog(service, graph, cluster,
+                                                   config, episodes=episodes)}
+                for name in ("CP-PS", "CP-AR"):
+                    measured[name] = run_strategy(
+                        service, dp_strategy(name, graph, cluster), name,
+                        fifo)
+                minutes = {
+                    name: float("inf") if m.oom
                     else end_to_end_minutes(model, batch, m.time)
-                )
-            rows.append(EndToEndRow(model=model, gpus=gpus,
-                                    global_batch=batch, minutes=minutes))
+                    for name, m in measured.items()}
+                rows.append(EndToEndRow(model=model, gpus=gpus,
+                                        global_batch=batch, minutes=minutes))
     return rows
 
 
@@ -237,16 +242,19 @@ def order_scheduling_table(cluster: Cluster, *,
                            seed: int = 0) -> List[OrderSchedulingRow]:
     """Table 7: same HeteroG strategy executed with rank order vs FIFO."""
     preset = preset or env_preset()
-    ctx = ExperimentContext(cluster, seed=seed)
+    config = experiment_config(seed)
+    fifo = experiment_config(seed, use_order_scheduling=False)
     rows: List[OrderSchedulingRow] = []
-    for model in models or ALL_MODELS:
-        graph = build_model(model, preset)
-        heterog = ctx.run_heterog(graph, episodes=episodes)
-        assert heterog.strategy is not None
-        fifo = ctx.measure(graph, heterog.strategy, "FIFO",
-                           use_order_scheduling=False)
-        rows.append(OrderSchedulingRow(model=model, with_order=heterog.time,
-                                       fifo=fifo.time))
+    with PlanningService(workers=0, name="experiments") as service:
+        for model in models or ALL_MODELS:
+            graph = build_model(model, preset)
+            heterog = run_heterog(service, graph, cluster, config,
+                                  episodes=episodes)
+            assert heterog.strategy is not None
+            default = run_strategy(service, heterog.strategy, "FIFO", fifo)
+            rows.append(OrderSchedulingRow(model=model,
+                                           with_order=heterog.time,
+                                           fifo=default.time))
     return rows
 
 

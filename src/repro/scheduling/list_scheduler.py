@@ -33,7 +33,6 @@ class Schedule:
     kernel's op ``i`` (smaller runs first), an int32 permutation."""
 
     order: np.ndarray
-    estimated_makespan: Optional[float] = None
     chosen: Optional[str] = None  # which candidate order won
     # the winning candidate's simulation, when the scheduler already
     # ran it under the caller's resident_bytes/capacities — PlanBuilder
@@ -149,12 +148,10 @@ class ListScheduler:
                              help="which candidate execution order won")
         if chosen == "rank":
             return Schedule(order=np.array(rank_order, dtype=np.int32),
-                            estimated_makespan=rank_run.makespan,
                             chosen="rank",
                             sim_result=rank_run)
         return Schedule(
             order=earliest_run.start_order(),
-            estimated_makespan=earliest_run.makespan,
             chosen="earliest",
             sim_result=earliest_run,
         )

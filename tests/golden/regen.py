@@ -38,7 +38,14 @@ from repro.cluster import cluster_2gpu, cluster_4gpu
 from repro.config import HeteroGConfig
 from repro.experiments import (
     churn_scenarios,
+    communication_ablation,
     fault_scenarios,
+    fig3a_proportional_allocation,
+    fig8_time_breakdown,
+    fig9_existing_schemes,
+    grouping_ablation,
+    order_scheduling_table,
+    per_iteration_table,
     resilience_sweep,
 )
 from repro.graph.models import build_model, model_names
@@ -480,6 +487,58 @@ def blame_answer() -> dict:
                 f"{_hex(s.end)} {s.blocked_by}" for s in report.segments])}
 
 
+#: the pinned paper-experiment scale: tiny models, seed-only searches
+EXPERIMENTS = dict(preset="tiny", episodes=4, seed=0)
+
+
+def _measured(m) -> dict:
+    """One engine-measured row: its time, strategy mix and the
+    engine's breakdown (no wall-clock field)."""
+    return {"time": _hex(m.time), "oom": m.oom,
+            "mix": {k: _hex(v) for k, v in sorted(m.mix.items())},
+            "extras": {k: _hex(m.extras[k]) for k in sorted(m.extras)
+                       if k != "search_seconds"}}
+
+
+def experiments_answer() -> dict:
+    """Tiny-preset rows of the paper experiments that search and measure:
+    Table 1 and Table 7 (two models, four GPUs), Fig 3a, Fig 8, Fig 9
+    (one model) and the communication and grouping ablations."""
+    cluster = cluster_4gpu()
+    models = ["vgg19", "transformer"]
+    table1 = per_iteration_table(cluster, 8, models=models,
+                                 include_large=False, **EXPERIMENTS)
+    table7 = order_scheduling_table(cluster, models=models, **EXPERIMENTS)
+    fig3a = fig3a_proportional_allocation(
+        preset="tiny", seed=0, models=["vgg19", "inception_v3"])
+    fig8 = fig8_time_breakdown(**EXPERIMENTS)
+    fig9 = fig9_existing_schemes(models=["inception_v3"], **EXPERIMENTS)
+    ablations = {
+        "communication": communication_ablation(cluster, **EXPERIMENTS),
+        "grouping": grouping_ablation(cluster, **EXPERIMENTS)}
+    return {
+        "table1": {row.model: {
+            "heterog": _measured(row.heterog),
+            "baselines": {name: _measured(m)
+                          for name, m in row.baselines.items()}}
+            for row in table1},
+        "table7": {row.model: {"with_order": _hex(row.with_order),
+                               "fifo": _hex(row.fifo)} for row in table7},
+        "fig3a": {p.model: {"even": _hex(p.even),
+                            "proportional": _hex(p.proportional)}
+                  for p in fig3a},
+        "fig8": {f"{b.model}/{b.scheme}": {
+            "per_iteration": _hex(b.per_iteration),
+            "computation": _hex(b.computation),
+            "communication": _hex(b.communication)} for b in fig8},
+        "fig9": {b.model: {k: _hex(v) for k, v in sorted(b.speeds.items())}
+                 for b in fig9},
+        "ablations": {name: {r.variant: {"time": _hex(r.time), "oom": r.oom}
+                             for r in rows}
+                      for name, rows in ablations.items()},
+    }
+
+
 def compute_answers() -> dict:
     """Every golden entry, in the form a JSON round trip gives back."""
     answers = {"_note": NOTE}
@@ -496,6 +555,7 @@ def compute_answers() -> dict:
     answers.update(sweep_answers())
     answers["random/faults"] = random_faults_answer()
     answers["service/blame"] = blame_answer()
+    answers["experiments/tiny"] = experiments_answer()
     return json.loads(json.dumps(answers))
 
 

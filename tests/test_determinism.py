@@ -4,8 +4,10 @@ import pytest
 
 from repro.cluster import cluster_4gpu
 from repro.baselines import dp_strategy, post_strategy
-from repro.experiments import ExperimentContext
+from repro.config import HeteroGConfig
+from repro.experiments import experiment_config, run_heterog, run_strategy
 from repro.profiling import Profiler
+from repro.service import PlanningService
 
 from tests.helpers import make_mlp
 
@@ -15,22 +17,24 @@ def four_gpu():
     return cluster_4gpu()
 
 
+def _measure_cp_ar(graph, cluster, seed):
+    with PlanningService(workers=0) as service:
+        return run_strategy(service, dp_strategy("CP-AR", graph, cluster),
+                            "CP-AR", experiment_config(seed)).time
+
+
 def test_profile_then_measure_reproducible(four_gpu):
     """Same seeds end to end -> identical measured iteration time."""
     def run():
-        g = make_mlp(name="det_e2e")
-        ctx = ExperimentContext(four_gpu, seed=11)
-        return ctx.measure(g, dp_strategy("CP-AR", g, four_gpu), "CP-AR").time
+        return _measure_cp_ar(make_mlp(name="det_e2e"), four_gpu, 11)
 
     assert run() == run()
 
 
 def test_engine_seed_changes_measurement(four_gpu):
     g = make_mlp(name="det_e2e2")
-    a = ExperimentContext(four_gpu, seed=1)
-    b = ExperimentContext(four_gpu, seed=2)
-    ta = a.measure(g, dp_strategy("CP-AR", g, four_gpu), "CP-AR").time
-    tb = b.measure(g, dp_strategy("CP-AR", g, four_gpu), "CP-AR").time
+    ta = _measure_cp_ar(g, four_gpu, 1)
+    tb = _measure_cp_ar(g, four_gpu, 2)
     assert ta != tb
     assert ta == pytest.approx(tb, rel=0.2)  # jitter, not chaos
 
@@ -44,8 +48,10 @@ def test_heterog_search_reproducible(four_gpu):
 
     def run():
         g = make_mlp(name="det_search")
-        ctx = ExperimentContext(four_gpu, seed=5)
-        return ctx.run_heterog(g, episodes=6, agent_config=cfg).time
+        with PlanningService(workers=0) as service:
+            return run_heterog(service, g, four_gpu,
+                               HeteroGConfig(seed=5, agent=cfg),
+                               episodes=6).time
 
     assert run() == run()
 

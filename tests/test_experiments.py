@@ -2,16 +2,21 @@
 
 import pytest
 
+from repro.baselines import dp_strategy
 from repro.cluster import cluster_4gpu
+from repro.config import HeteroGConfig
 from repro.experiments import (
-    ExperimentContext,
     bench_agent_config,
+    experiment_config,
     fig3b_op_speedups,
     format_table,
     paper_values,
+    run_heterog,
+    run_strategy,
 )
 from repro.experiments.tables import _batch_for, mp_fraction
 from repro.graph.models import build_model
+from repro.service import PlanningService, PlanRequest
 
 
 class TestCommon:
@@ -22,45 +27,64 @@ class TestCommon:
         assert all(len(line) == len(lines[0]) for line in lines)
 
     def test_measure_roundtrip(self, four_gpu):
-        from repro.baselines import dp_strategy
         g = build_model("vgg19", "tiny")
-        ctx = ExperimentContext(four_gpu, seed=0)
-        m = ctx.measure(g, dp_strategy("CP-AR", g, four_gpu), "CP-AR")
+        with PlanningService(workers=0) as service:
+            m = run_strategy(service, dp_strategy("CP-AR", g, four_gpu),
+                             "CP-AR", experiment_config(0))
         assert m.time > 0 and not m.oom
         assert m.extras["computation_time"] > 0
         assert "CP-AR" in m.mix
 
-    def test_profile_cached(self, four_gpu):
-        g = build_model("vgg19", "tiny")
-        ctx = ExperimentContext(four_gpu, seed=0)
-        assert ctx.profile(g) is ctx.profile(g)
-
     def test_same_named_graphs_are_measured_apart(self, four_gpu):
         """Two builds of one model at different batch sizes share a
-        name; each is measured on its own profile and plan builder."""
-        from repro.baselines import dp_strategy
+        name; each is served on its own context, with its own profile
+        and plan builder."""
+        config = experiment_config(0)
 
-        def measure(ctx, graph):
-            return ctx.measure(graph, dp_strategy("CP-AR", graph, four_gpu),
-                               "CP-AR", iterations=1).time
+        def measure(service, graph):
+            return run_strategy(service, dp_strategy("CP-AR", graph,
+                                                     four_gpu),
+                                "CP-AR", config, iterations=1).time
+
+        def profile(service, graph):
+            return service.context_for(PlanRequest(
+                graph=graph, cluster=four_gpu, config=config)).profile
 
         small = build_model("vgg19", "tiny", batch_size=16)
         large = build_model("vgg19", "tiny", batch_size=64)
         assert small.name == large.name
-        shared = ExperimentContext(four_gpu, seed=0)
-        measure(shared, small)
-        assert measure(shared, large) == measure(
-            ExperimentContext(four_gpu, seed=0), large)
-        assert shared.profile(small) is not shared.profile(large)
+        with PlanningService(workers=0) as shared, \
+                PlanningService(workers=0) as fresh:
+            measure(shared, small)
+            assert measure(shared, large) == measure(fresh, large)
+            assert profile(shared, small) is not profile(shared, large)
 
     def test_run_heterog_records_search_stats(self, four_gpu):
-        ctx = ExperimentContext(four_gpu, seed=0)
         g = build_model("transformer", "tiny")
-        m = ctx.run_heterog(g, episodes=6,
-                            agent_config=_tiny_agent_config())
+        config = HeteroGConfig(seed=0, agent=_tiny_agent_config())
+        with PlanningService(workers=0) as service:
+            m = run_heterog(service, g, four_gpu, config, episodes=6)
         assert not m.oom
-        assert m.extras["search_seconds"] > 0
         assert m.extras["simulated_time"] > 0
+
+    def test_end_to_end_uses_the_graph_batch(self):
+        """Table 5 prices each row at the batch its graph was built
+        with: the tiny preset's 8-GPU graphs have batch 8, not 192."""
+        from repro.cluster import cluster_8gpu
+        from repro.experiments import end_to_end_table
+        from repro.runtime.trainer_loop import end_to_end_minutes
+        rows = end_to_end_table(preset="tiny", episodes=2,
+                                models=["vgg19"])
+        assert [(r.gpus, r.global_batch) for r in rows] == [(8, 8),
+                                                             (12, 288)]
+        cluster = cluster_8gpu()
+        graph = build_model("vgg19", "tiny")
+        with PlanningService(workers=0) as service:
+            cp_ar = run_strategy(
+                service, dp_strategy("CP-AR", graph, cluster), "CP-AR",
+                experiment_config(0, use_order_scheduling=False))
+        assert rows[0].minutes["CP-AR"] == end_to_end_minutes(
+            "vgg19", 8, cp_ar.time)
 
     def test_batch_for_scales(self):
         assert _batch_for("vgg19", 8) == {}

@@ -96,7 +96,7 @@ def test_priority_order_never_beats_critical_path(payload):
     cost = ProfileCostModel(CLUSTER, profile)
     schedule = ListScheduler().schedule(dist, cost)
     again = Simulator(cost).run(dist, order=schedule.order)
-    assert again.makespan == pytest.approx(schedule.estimated_makespan,
+    assert again.makespan == pytest.approx(schedule.sim_result.makespan,
                                            rel=1e-9)
 
 

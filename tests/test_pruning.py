@@ -422,7 +422,7 @@ class TestWinnerIdentity:
         cut_cost = TruthCostModel(CLUSTER, jitter_sigma=0.05, seed=11)
         cut = ListScheduler().schedule(dist, cut_cost, prune_above=1e-12)
         assert cut.chosen == ref.chosen
-        assert cut.estimated_makespan == ref.estimated_makespan
+        assert cut.sim_result.makespan == ref.sim_result.makespan
         assert not cut.sim_result.pruned
 
 
