@@ -76,6 +76,9 @@ class GraphContext:
     best_raw_time: float = float("inf")
     # simulated time per episode (inf unless feasible: OOM, pruned, ...)
     time_history: List[float] = field(default_factory=list)
+    # 1-based episode the best candidate came from (0: the raw per-op
+    # ladder; None before any feasible candidate)
+    best_episode: Optional[int] = None
 
     @property
     def incumbent(self) -> float:
@@ -83,12 +86,21 @@ class GraphContext:
         included (inf before any)."""
         return min(self.best_time, self.best_raw_time)
 
+    @property
+    def seed_limit(self) -> Optional[float]:
+        """The best-so-far a seed races: the incumbent once a
+        group-action candidate is feasible, else None (evaluate to
+        completion, so an OOM outcome is exact for the ladder repairs)."""
+        return self.incumbent if self.best_actions is not None else None
+
     def record(self, actions: np.ndarray, outcome: EvalOutcome) -> None:
         self.time_history.append(
             outcome.time if outcome.feasible else float("inf"))
         if outcome.feasible and outcome.time < self.best_time:
             self.best_time = outcome.time
             self.best_actions = actions.copy()
+            if not self.best_raw_time < outcome.time:
+                self.best_episode = len(self.time_history)
 
 
 class ReinforceTrainer:
@@ -132,26 +144,29 @@ class ReinforceTrainer:
 
     def _sweep(self, ctx: GraphContext) -> bool:
         """Evaluate ``ctx``'s next seed; False when seeds are off or none
-        is left.  The first call builds the queue and evaluates the raw
-        memory ladder.  A seed is pruned only when it provably loses to
-        the incumbent, so the best found matches an unpruned sweep; until
-        a group-action seed is feasible, seeds run to completion, because
-        the ladder repair reads an exact OOM outcome."""
+        is left.  The first call builds the queue, evaluates its head
+        (uniform CP-AR) and then the raw memory ladder, which races that
+        seed when it is feasible.  A seed is pruned only when it provably
+        loses to the incumbent, so the best found matches an unpruned
+        sweep; until a group-action seed is feasible, seeds and the
+        ladder run to completion, because the ladder repairs read an
+        exact OOM outcome."""
         if not self.config.use_seeds:
             return False
         queue = self._seed_queues.get(ctx.name)
-        if queue is None:
+        first = queue is None
+        if first:
             queue = self._seed_queues[ctx.name] = seed_action_vectors(
                 ctx.graph, ctx.builder.cluster, ctx.grouping)
-            self._evaluate_raw_seeds(ctx)
         if not queue:
             return False
         actions = queue.pop(0)
-        limit = ctx.incumbent if ctx.best_actions is not None else None
         strategy = actions_to_strategy(
             ctx.graph, ctx.builder.cluster, ctx.grouping, actions)
-        self._record(ctx, actions,
-                     ctx.builder.evaluate(strategy, prune_above=limit))
+        self._record(ctx, actions, ctx.builder.evaluate(
+            strategy, prune_above=ctx.seed_limit))
+        if first:
+            self._evaluate_raw_seeds(ctx)
         return True
 
     def _sample(self, ctx: GraphContext) -> Tensor:
@@ -218,16 +233,25 @@ class ReinforceTrainer:
 
     def _evaluate_raw_seeds(self, ctx: GraphContext) -> None:
         """Evaluate the per-op memory-ladder strategy with a bounded
-        rebalance loop (feasibility fallback for the large-model rows)."""
+        rebalance loop (feasibility fallback for the large-model rows).
+
+        Once a group-action seed is feasible, each attempt races the
+        incumbent: a pruned attempt is provably slower than a feasible
+        plan, and (having no measured peaks) ends the loop.  Without
+        one, the attempts run to completion and an OOM rebalances the
+        ladder from its measured peaks."""
         cluster = ctx.builder.cluster
+        limit = ctx.seed_limit
         weights = None
         for _ in range(4):
             strategy = memory_ladder_strategy(ctx.graph, cluster, weights)
-            outcome = ctx.builder.evaluate(strategy)
+            outcome = ctx.builder.evaluate(strategy, prune_above=limit)
             if outcome.feasible:
                 if outcome.time < ctx.best_raw_time:
                     ctx.best_raw_time = outcome.time
                     ctx.best_raw_strategy = strategy
+                    if ctx.best_raw_time < ctx.best_time:
+                        ctx.best_episode = 0
                 return
             if not outcome.peak_memory:
                 return

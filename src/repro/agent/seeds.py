@@ -5,6 +5,8 @@ smaller, so the trainer's ``_sweep`` evaluates canonical candidates
 before its policy samples: the four uniform DP schemes, parameter-heavy-
 group MP hybrids, PS/AllReduce mixes and memory-balanced MP ladders,
 plus a per-op memory ladder as a raw strategy for the large models.
+The queue opens with uniform CP-AR, the strongest DP baseline and the
+usual winner, so every later seed races a strong incumbent.
 Every ladder is one ``_staircase``: items in topological order fill the
 devices in turn, each up to its weighted share of the pinned bytes; the
 rebalancing functions reweight the shares from measured peaks.
@@ -75,12 +77,17 @@ def _anchor_topo_positions(graph: ComputationGraph, grouping: Grouping
 
 def seed_action_vectors(graph: ComputationGraph, cluster: Cluster,
                         grouping: Grouping) -> List[np.ndarray]:
-    """Candidate per-group action vectors worth trying first."""
+    """Candidate per-group action vectors worth trying first, in sweep
+    order: uniform CP-AR, then EV-PS, EV-AR and CP-PS, the two group
+    ladders at positions 4 and 5, then the MP and communication hybrids.
+    """
     m = cluster.num_devices
     candidates: List[np.ndarray] = []
 
-    # 1) the four uniform DP schemes (the Sec. 6.1 baselines)
-    for allocation, comm in DP_ACTIONS:
+    # 1) the four uniform DP schemes (the Sec. 6.1 baselines), CP-AR
+    #    (the last DP action) first: it is the strongest DP baseline,
+    #    and the admissible pruning cuts most later seeds against it
+    for allocation, comm in DP_ACTIONS[-1:] + DP_ACTIONS[:-1]:
         candidates.append(np.asarray(
             uniform_action_vector(cluster, grouping, allocation, comm)
         ))

@@ -148,10 +148,13 @@ class PlanContext:
             # plan-cache hit: the builder kept the winner's plan as the
             # fastest it had evaluated
             deployment = builder.build(strategy)
+        winner_episode = agent.context(self.graph.name).best_episode
         record_event("plan_built", dist_ops=deployment.num_dist_ops,
-                     makespan=outcome.time, episodes=ran)
+                     makespan=outcome.time, episodes=ran,
+                     winner_episode=winner_episode)
         return dict(strategy=strategy, outcome=outcome,
-                    deployment=deployment, episodes=ran)
+                    deployment=deployment, episodes=ran,
+                    winner_episode=winner_episode)
 
     def _build(self, request: PlanRequest) -> Dict[str, Any]:
         """Build (and optionally engine-measure) an explicit strategy."""

@@ -197,6 +197,8 @@ class PlanResult:
     deployment: Optional[ExecutionPlan]
     profile: Profile
     episodes: int = 0                # RL episodes actually trained
+    # search only: the episode the winner came from (0: raw ladder)
+    winner_episode: Optional[int] = None
     reused_context: bool = False     # served on a pre-warmed context
     from_cache: bool = False
     coalesced: int = 0

@@ -454,13 +454,19 @@ class PlanningService:
         rid = ticket.request.request_id
         slo_class = priority_class(ticket.request.priority)
         if result is not None:
+            # a fleet worker's own events never reach this journal, so
+            # the winner's blame and episode ride on the result
+            extra: Dict[str, object] = {}
             blame = self._blame(result)
+            if blame:
+                extra["blame"] = blame
+            if result.winner_episode is not None:
+                extra["winner_episode"] = result.winner_episode
             self._journal(
                 rid, "completed", seconds=seconds, slo_class=slo_class,
                 queue_seconds=result.queue_seconds,
                 service_seconds=result.service_seconds,
-                coalesced=result.coalesced,
-                **({"blame": blame} if blame else {}))
+                coalesced=result.coalesced, **extra)
         else:
             if getattr(error, "request_id", None) is None:
                 error.request_id = rid

@@ -7,6 +7,7 @@ import pytest
 
 from repro.agent import AgentConfig, HeteroGAgent, seed_action_vectors
 from repro.agent.policy import actions_to_strategy, num_actions
+from repro.agent.seeds import memory_ladder_strategy, rebalance_weights
 from repro.cluster.device import CUDA_RESERVED_BYTES, GTX_1080TI, TESLA_V100
 from repro.cluster.link import NIC_50G, NIC_100G, NVLINK, PCIE3
 from repro.cluster.presets import SWITCH_BANDWIDTH
@@ -116,8 +117,9 @@ class TestSeeds:
         grouping = group_operations(g, {n: 1.0 for n in g.op_names}, 8)
         seeds = seed_action_vectors(g, four_gpu, grouping)
         m = four_gpu.num_devices
-        for i in range(4):
-            assert (seeds[i] == m + i).all()
+        # CP-AR (action m + 3) opens the sweep, then EV-PS, EV-AR, CP-PS
+        for i, offset in enumerate((3, 0, 1, 2)):
+            assert (seeds[i] == m + offset).all()
 
     def test_ladder_uses_every_device_for_many_groups(self, four_gpu):
         g = make_mlp(name="seed_mlp3", layers=6)
@@ -156,6 +158,27 @@ def _swept(cluster, model: str, *, pruned: bool) -> HeteroGAgent:
     return agent
 
 
+def _fresh(cluster, graph):
+    """An untrained agent on ``graph`` (8 groups) and its context."""
+    agent = HeteroGAgent(cluster, dataclasses.replace(SMALL, max_groups=8))
+    return agent, agent.add_graph(graph, name=graph.name)
+
+
+def _record_evaluations(builder: PlanBuilder) -> list:
+    """Wrap ``builder.evaluate``; returns the list it appends each
+    call's ``(prune_above, outcome)`` to."""
+    calls = []
+    evaluate = builder.evaluate
+
+    def recording(strategy, prune_above=None, **kwargs):
+        outcome = evaluate(strategy, prune_above=prune_above, **kwargs)
+        calls.append((prune_above, outcome))
+        return outcome
+
+    builder.evaluate = recording
+    return calls
+
+
 class TestSeedSweep:
     """The seeds are swept against the incumbent: no policy pass, no
     gradient, and a losing seed is pruned without moving the winner."""
@@ -178,6 +201,62 @@ class TestSeedSweep:
         if cluster is not four_gpu:
             assert got.trainer._repair_attempts == {model: 1}
             assert want.trainer._repair_attempts == {model: 1}
+
+    def test_raw_ladder_races_a_feasible_seed(self):
+        """Uniform CP-AR is feasible for the mlp on 8 GPUs, so the first
+        episode races the raw ladder against it: the ladder is pruned,
+        and the pruned attempt is not rebalanced."""
+        from repro.cluster import cluster_8gpu
+        agent, ctx = _fresh(cluster_8gpu(), make_mlp(name="race_mlp"))
+        calls = _record_evaluations(ctx.builder)
+        agent.train(1)
+        seed, ladder = calls
+        assert seed[0] is None and seed[1].feasible
+        assert ctx.best_actions is not None
+        assert ladder[0] == seed[1].time == ctx.incumbent
+        assert ladder[1].pruned
+        assert ctx.best_raw_strategy is None
+        assert ctx.best_episode == 1
+
+    def test_raw_ladder_unpruned_without_a_feasible_seed(self):
+        """On the tight cluster uniform CP-AR overflows, so the raw
+        ladder runs to completion and is rebalanced from its measured
+        peaks, and the group ladder is repaired once as before."""
+        cluster = _tight_cluster()
+        agent, ctx = _fresh(cluster, build_model("transformer", "tiny"))
+        calls = _record_evaluations(ctx.builder)
+        agent.train(1)
+        assert calls[0][1].oom
+        assert ctx.best_actions is None
+        assert len(calls) > 2  # the ladder was rebalanced at least once
+        assert all(limit is None for limit, _ in calls)
+        assert all(not outcome.pruned for _, outcome in calls)
+        agent.train(len(seed_action_vectors(ctx.graph, cluster,
+                                            ctx.grouping)) - 1)
+        assert agent.trainer._repair_attempts == {ctx.name: 1}
+
+    @pytest.mark.parametrize("model", ["vgg19", "transformer", "bert_large"])
+    def test_sweep_finds_the_unpruned_minimum(self, four_gpu, model):
+        """With a budget covering every seed, the best time is the
+        minimum over unpruned evaluations of every seed and of the raw
+        ladder's rebalance loop."""
+        got = _swept(four_gpu, model, pruned=True)
+        _, ctx = _fresh(four_gpu, build_model(model, "tiny"))
+        builder = unpruned_evaluate(ctx.builder)
+        times = [builder.evaluate(actions_to_strategy(
+                     ctx.graph, four_gpu, ctx.grouping, actions)).time
+                 for actions in seed_action_vectors(
+                     ctx.graph, four_gpu, ctx.grouping)]
+        weights = None
+        for _ in range(4):
+            outcome = builder.evaluate(
+                memory_ladder_strategy(ctx.graph, four_gpu, weights))
+            times.append(outcome.time)
+            if outcome.feasible or not outcome.peak_memory:
+                break
+            weights = rebalance_weights(four_gpu, outcome.peak_memory)
+        assert got.trainer._repair_attempts == {}
+        assert got.best_time(model).hex() == min(times).hex()
 
     def test_seeds_take_no_gradient(self, four_gpu):
         graph = build_model("vgg19", "tiny")

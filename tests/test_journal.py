@@ -309,6 +309,38 @@ class TestServiceObservability:
         assert result.request_id in report
         assert "queue wait" in report and "timeline:" in report
 
+    @pytest.mark.parametrize("model,devices", [("vgg19", 4), ("mlp", 8)])
+    def test_plan_built_names_the_winner_episode(self, model, devices):
+        """A search's ``plan_built`` carries the episode its winner came
+        from: 0 when the raw per-op ladder wins (tiny vgg19 on 4 GPUs),
+        else the first episode that reached the best time (the mlp on 8
+        GPUs, where the ladder loses to uniform CP-AR)."""
+        from repro.cluster import cluster_8gpu
+        from repro.graph.models import build_model
+
+        graph = (make_mlp(name="winner_mlp") if model == "mlp"
+                 else build_model(model, "tiny"))
+        cluster = cluster_8gpu() if devices == 8 else cluster_4gpu()
+        rec = FlightRecorder()
+        with PlanningService(workers=0, recorder=rec) as service:
+            request = search_request(graph, cluster, episodes=4)
+            result = service.plan(request)
+            ctx = service.context_for(request).agent.context(graph.name)
+        events = {e.event: e for e in rec.get(result.request_id).events}
+        winner = events["plan_built"].attrs["winner_episode"]
+        assert winner == ctx.best_episode == result.winner_episode
+        assert events["completed"].attrs["winner_episode"] == winner
+        history = ctx.time_history
+        assert len(history) == 4
+        if model == "mlp":
+            assert winner == history.index(min(history)) + 1
+            assert result.outcome.time == history[winner - 1]
+        else:
+            assert winner == 0
+            assert result.outcome.time == ctx.best_raw_time < min(history)
+        assert f"winner_episode={winner}" in postmortem_report(
+            rec.get(result.request_id))
+
     def test_context_lookup_journals_nothing(self, mlp, four_gpu):
         """The facade's profile step looks a context up without serving
         a request: it opens no flight record (such a record would never
