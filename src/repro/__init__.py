@@ -50,7 +50,6 @@ from .api import (
     get_runner,
     parse_device_info,
     postmortem,
-    service_status,
     submit,
 )
 from .api import plan as plan_request
@@ -88,7 +87,6 @@ __all__ = [
     "default_service",
     "plan_request",
     "submit",
-    "service_status",
     "postmortem",
     "ReproError",
     "JournalSchemaError",

@@ -149,13 +149,6 @@ def submit(request: PlanRequest) -> PlanTicket:
     return default_service().submit(request)
 
 
-def service_status() -> dict:
-    """One-shot live snapshot of the default service (queue depth,
-    inflight requests with ages, cache hit rates, warm contexts, SLO
-    burn) — what ``repro status`` renders."""
-    return default_service().snapshot()
-
-
 def postmortem(request_id: str) -> str:
     """Post-hoc timeline for one request (or resilience episode) from
     the process-wide flight recorder; accepts a unique id prefix.

@@ -1,17 +1,15 @@
 """Baselines: the four DP schemes and the related-work systems of Fig. 9."""
 
-from .dp import DP_BASELINES, all_dp_strategies, dp_strategy
+from .dp import DP_BASELINES, dp_strategy
 from .flexflow import FlexFlowSearch, flexflow_strategy
 from .hetpipe import hetpipe_strategy, virtual_workers
-from .horovod import horovod_deployment, horovod_strategy
+from .horovod import horovod_strategy
 from .post import PostSearch, post_strategy
 
 __all__ = [
     "DP_BASELINES",
     "dp_strategy",
-    "all_dp_strategies",
     "horovod_strategy",
-    "horovod_deployment",
     "flexflow_strategy",
     "FlexFlowSearch",
     "hetpipe_strategy",

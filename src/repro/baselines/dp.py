@@ -8,8 +8,6 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..cluster.topology import Cluster
 from ..graph.dag import ComputationGraph
 from ..parallel.strategy import (
@@ -41,9 +39,3 @@ def dp_strategy(name: str, graph: ComputationGraph,
         ) from None
     return uniform_strategy(graph, cluster,
                             make_dp_strategy(cluster, allocation, comm))
-
-
-def all_dp_strategies(graph: ComputationGraph,
-                      cluster: Cluster) -> Dict[str, Strategy]:
-    """All four DP baseline strategies keyed by name."""
-    return {name: dp_strategy(name, graph, cluster) for name in DP_BASELINES}

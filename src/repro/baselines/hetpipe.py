@@ -82,7 +82,7 @@ def strip_gradient_sync(dist):
     ``max(compute-pipeline makespan, background gradient traffic time)``
     — see :func:`hetpipe_iteration_time`.
     """
-    from ..parallel.distgraph import DistGraph, DistOp, DistOpKind
+    from ..parallel.distgraph import DistGraph, DistOpKind
 
     # ops reachable *forward* from any parameter-gradient output form the
     # sync path: PS pushes, AGGREGATE, APPLY, pulls, AllReduce
@@ -111,16 +111,8 @@ def strip_gradient_sync(dist):
             if op.is_communication:
                 grad_bytes += op.size_bytes
             continue
-        op = dist.op(name)
         deps = [p for p in dist.predecessors(name) if p not in drop]
-        stripped.add(DistOp(
-            name=op.name, kind=op.kind, source_op=op.source_op,
-            device=op.device, src_device=op.src_device,
-            dst_device=op.dst_device, devices=op.devices,
-            size_bytes=op.size_bytes, batch_fraction=op.batch_fraction,
-            hierarchical=op.hierarchical,
-            extra_resources=op.extra_resources,
-        ), deps)
+        stripped.add(dist.op(name), deps)
     stripped.validate()
     return stripped, grad_bytes
 

@@ -17,7 +17,6 @@ from .presets import (
     cluster_4gpu,
     cluster_8gpu,
     cluster_12gpu,
-    homogeneous_cluster,
     paper_testbed,
 )
 from .topology import Cluster, ServerSpec
@@ -46,5 +45,4 @@ __all__ = [
     "cluster_8gpu",
     "cluster_4gpu",
     "cluster_2gpu",
-    "homogeneous_cluster",
 ]

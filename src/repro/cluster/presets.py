@@ -76,19 +76,3 @@ def cluster_4gpu() -> Cluster:
         ],
         switch_bandwidth=SWITCH_BANDWIDTH,
     )
-
-
-def homogeneous_cluster(num_gpus: int = 4, gpus_per_server: int = 2) -> Cluster:
-    """An all-V100 cluster, for homogeneous-vs-heterogeneous comparisons."""
-    servers = []
-    remaining = num_gpus
-    idx = 0
-    while remaining > 0:
-        count = min(gpus_per_server, remaining)
-        servers.append(
-            ServerSpec(f"server{idx}", TESLA_V100, count, NIC_100G,
-                       intra_link=NVLINK)
-        )
-        remaining -= count
-        idx += 1
-    return Cluster(servers, switch_bandwidth=SWITCH_BANDWIDTH)

@@ -3,7 +3,7 @@
 from . import functional
 from .functional import Neighbourhood
 from .layers import Dense, GATLayer, LayerNorm, Module, MultiHeadSelfAttention
-from .optim import SGD, Adam, Optimizer
+from .optim import Adam, Optimizer
 from .tensor import Tensor, make_op, parameter
 from .transformer_xl import EncoderLayer, RelativePositionBias, StrategyNetwork
 
@@ -22,6 +22,5 @@ __all__ = [
     "EncoderLayer",
     "RelativePositionBias",
     "Optimizer",
-    "SGD",
     "Adam",
 ]

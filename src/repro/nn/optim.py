@@ -38,26 +38,6 @@ class Optimizer:
                     p.grad = p.grad * factor
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with momentum."""
-    def __init__(self, params: List[Tensor], lr: float = 0.01,
-                 momentum: float = 0.0, clip_norm: Optional[float] = None):
-        super().__init__(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.clip_norm = clip_norm
-        self._velocity = [np.zeros_like(p.data) for p in params]
-
-    def step(self) -> None:
-        self._clip(self.clip_norm)
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            v *= self.momentum
-            v += p.grad
-            p.data = p.data - self.lr * v
-
-
 class Adam(Optimizer):
     """Adam with bias correction."""
     def __init__(self, params: List[Tensor], lr: float = 1e-3,

@@ -10,11 +10,7 @@ from .aggregation import (
 )
 from .compiler import GraphCompiler
 from .fusion import count_collectives, fuse_allreduces
-from .pipeline import (
-    pipeline_graph,
-    pipeline_ladder_strategy,
-    pipeline_speedup_estimate,
-)
+from .pipeline import pipeline_graph
 from .distgraph import NCCL_RESOURCE, DistGraph, DistOp, DistOpKind
 from .strategy import (
     CommMethod,
@@ -35,8 +31,6 @@ __all__ = [
     "fuse_allreduces",
     "count_collectives",
     "pipeline_graph",
-    "pipeline_ladder_strategy",
-    "pipeline_speedup_estimate",
     "DistGraph",
     "DistOp",
     "DistOpKind",

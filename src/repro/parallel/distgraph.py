@@ -43,12 +43,6 @@ class DistOpKind(enum.Enum):
     APPLY = "apply"            # parameter update (compute)
 
 
-#: every kind except TRANSFER and ALLREDUCE executes on a single GPU
-_COMPUTE_KINDS = frozenset({
-    DistOpKind.COMPUTE, DistOpKind.SPLIT, DistOpKind.CONCAT,
-    DistOpKind.AGGREGATE, DistOpKind.APPLY,
-})
-
 #: A dist-op's *recipe*: the values a :class:`DistOp` is built from, in
 #: its field order after the name.  ``kind`` is the kind's value string
 #: and ``source`` an index into a training-op table (-1: none), so a

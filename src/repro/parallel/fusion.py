@@ -67,7 +67,8 @@ def fuse_allreduces(dist: DistGraph, bucket_bytes: int = DEFAULT_BUCKET_BYTES
     out = DistGraph(f"{dist.name}:fused")
     fused_name: Dict[int, str] = {}
 
-    # pass 1: create every node (fused collectives + clones of the rest)
+    # pass 1: create every node (fused collectives, plus the input's
+    # other ops as they are)
     for idx, members in enumerate(buckets):
         rep = dist.op(members[0])
         fused = DistOp(
@@ -83,16 +84,8 @@ def fuse_allreduces(dist: DistGraph, bucket_bytes: int = DEFAULT_BUCKET_BYTES
         fused_name[idx] = fused.name
     for name in topo:
         op = dist.op(name)
-        if op.kind is DistOpKind.ALLREDUCE:
-            continue
-        out.add(DistOp(
-            name=op.name, kind=op.kind, source_op=op.source_op,
-            device=op.device, src_device=op.src_device,
-            dst_device=op.dst_device, devices=op.devices,
-            size_bytes=op.size_bytes, batch_fraction=op.batch_fraction,
-            hierarchical=op.hierarchical,
-            extra_resources=op.extra_resources,
-        ))
+        if op.kind is not DistOpKind.ALLREDUCE:
+            out.add(op)
 
     # pass 2: re-wire edges through the fused nodes
     def mapped(name: str) -> str:

@@ -22,7 +22,8 @@ micro-batches are summed before one apply):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import dataclasses
+from typing import Dict, List
 
 from ..errors import CompileError
 from .distgraph import DistGraph, DistOp, DistOpKind
@@ -74,23 +75,6 @@ def pipeline_graph(dist: DistGraph, num_microbatches: int) -> DistGraph:
             ) and all(split[s] for s in succs)
 
     out = DistGraph(f"{dist.name}:pipeline{k}")
-
-    def clone(op: DistOp, suffix: str, fraction_scale: float,
-              size_scale: float) -> DistOp:
-        return DistOp(
-            name=f"{op.name}{suffix}",
-            kind=op.kind,
-            source_op=op.source_op,
-            device=op.device,
-            src_device=op.src_device,
-            dst_device=op.dst_device,
-            devices=op.devices,
-            size_bytes=op.size_bytes * size_scale,
-            batch_fraction=op.batch_fraction * fraction_scale,
-            hierarchical=op.hierarchical,
-            extra_resources=op.extra_resources,
-        )
-
     # instance names per original dist-op: either [name] or k micro names
     instances: Dict[str, List[str]] = {}
     # for micro-grads: the name of the micro-sum node consumers attach to
@@ -99,16 +83,18 @@ def pipeline_graph(dist: DistGraph, num_microbatches: int) -> DistGraph:
     for name in dist.topological_order():
         op = dist.op(name)
         if split[name]:
+            # transfers and batch re-partitioning move 1/k of the bytes
+            size_scale = 1.0 / k if op.kind in (
+                DistOpKind.TRANSFER, DistOpKind.SPLIT,
+                DistOpKind.CONCAT) else 1.0
             names = []
             for m in range(k):
-                micro = clone(op, f"~mb{m}", 1.0 / k,
-                              1.0 / k if op.kind is DistOpKind.TRANSFER
-                              or op.kind in (DistOpKind.SPLIT,
-                                             DistOpKind.CONCAT)
-                              else 1.0)
-                deps = _micro_deps(dist, out, instances, microsum_of,
-                                   name, m)
-                out.add(micro, deps)
+                micro = dataclasses.replace(
+                    op, name=f"{name}~mb{m}",
+                    size_bytes=op.size_bytes * size_scale,
+                    batch_fraction=op.batch_fraction * (1.0 / k))
+                out.add(micro, _micro_deps(dist, instances, microsum_of,
+                                           name, m))
                 names.append(micro.name)
             instances[name] = names
             if _is_micro_grad(op):
@@ -123,12 +109,11 @@ def pipeline_graph(dist: DistGraph, num_microbatches: int) -> DistGraph:
                 out.add(microsum, names)
                 microsum_of[name] = microsum.name
         else:
-            single = clone(op, "", 1.0, 1.0)
             deps: List[str] = []
             for pred in dist.predecessors(name):
                 deps.extend(_attach_points(instances, microsum_of, pred))
-            out.add(single, deps)
-            instances[name] = [single.name]
+            out.add(op, deps)
+            instances[name] = [name]
 
     out.validate()
     return out
@@ -142,8 +127,7 @@ def _attach_points(instances: Dict[str, List[str]],
     return instances[pred]
 
 
-def _micro_deps(dist: DistGraph, out: DistGraph,
-                instances: Dict[str, List[str]],
+def _micro_deps(dist: DistGraph, instances: Dict[str, List[str]],
                 microsum_of: Dict[str, str],
                 name: str, m: int) -> List[str]:
     """Dependencies of micro-batch ``m`` of op ``name``."""
@@ -155,45 +139,3 @@ def _micro_deps(dist: DistGraph, out: DistGraph,
         else:
             deps.extend(_attach_points(instances, microsum_of, pred))
     return deps
-
-
-def pipeline_ladder_strategy(graph, cluster, stages: Optional[int] = None):
-    """A model-parallel pipeline ladder: forward ops are partitioned into
-    contiguous FLOP-balanced stages across devices; each backward/apply op
-    is colocated with its forward op's stage (the standard pipeline
-    layout: activations flow down the ladder, gradients flow back up)."""
-    import numpy as np
-
-    from ..graph.op import OpPhase
-    from .strategy import Strategy, make_mp_strategy
-
-    stages = stages or cluster.num_devices
-    stages = min(stages, cluster.num_devices)
-    order = [n for n in graph.topological_order()
-             if graph.op(n).phase in (OpPhase.INPUT, OpPhase.FORWARD,
-                                      OpPhase.LOSS)]
-    flops = np.asarray([max(graph.op(n).flops, 1.0) for n in order])
-    cumulative = np.cumsum(flops)
-    total = cumulative[-1]
-    stage_of: Dict[str, int] = {}
-    for i, name in enumerate(order):
-        stage_of[name] = min(int(cumulative[i] / total * stages), stages - 1)
-    per = {}
-    for name in graph.op_names:
-        op = graph.op(name)
-        if name in stage_of:
-            stage = stage_of[name]
-        elif op.forward_ref is not None and op.forward_ref in stage_of:
-            stage = stage_of[op.forward_ref]
-        else:
-            stage = stages - 1  # loss gradient etc.
-        per[name] = make_mp_strategy(cluster.device_ids[stage])
-    return Strategy(graph, cluster, per)
-
-
-def pipeline_speedup_estimate(num_stages: int, num_microbatches: int
-                              ) -> float:
-    """Ideal pipeline efficiency: k / (k + s - 1) for s stages."""
-    if num_stages < 1 or num_microbatches < 1:
-        raise CompileError("stages and micro-batches must be >= 1")
-    return num_microbatches / (num_microbatches + num_stages - 1)

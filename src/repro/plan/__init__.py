@@ -23,7 +23,6 @@ Cache behaviour is observable through the ``plan_cache_hits_total`` and
 from .builder import PlanBuilder
 from .cache import PlanCache
 from .fingerprint import (
-    fingerprint_cluster,
     fingerprint_context,
     fingerprint_strategy,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "ExecutionPlan",
     "PlanBuilder",
     "PlanCache",
-    "fingerprint_cluster",
     "fingerprint_context",
     "fingerprint_strategy",
 ]

@@ -45,11 +45,6 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _digest(payload: Any) -> str:
-    """sha256 of the canonical JSON form of ``payload``."""
-    return _sha(_json(payload))
-
-
 def _object_text(parts: Dict[str, str]) -> str:
     """The canonical JSON text of a dict whose values are given as
     their canonical JSON texts."""
@@ -118,17 +113,6 @@ def _profile_payload(profile: Profile) -> Any:
         "op_models": op_models,
         "link_models": link_models,
     }
-
-
-def fingerprint_cluster(cluster: Cluster) -> str:
-    """Digest of a cluster topology alone (devices, in order, + links).
-
-    Two clusters with equal fingerprints are interchangeable for the
-    plan layer.  The elastic subsystem relies on this to check that
-    :meth:`~repro.cluster.topology.Cluster.with_devices` round-trips
-    :meth:`~repro.cluster.topology.Cluster.without_devices` exactly.
-    """
-    return _digest(_cluster_payload(cluster))
 
 
 def fingerprint_context(graph: ComputationGraph, cluster: Cluster,

@@ -13,13 +13,12 @@ from .measurements import (
     DEFAULT_SIZES,
     MeasurementNoise,
 )
-from .profiler import Profile, Profiler, exact_profile
+from .profiler import Profile, Profiler
 from .regression import OpTimeRegression, TransferTimeRegression
 
 __all__ = [
     "Profile",
     "Profiler",
-    "exact_profile",
     "OpTimeRegression",
     "TransferTimeRegression",
     "MeasurementNoise",

@@ -116,11 +116,3 @@ class Profiler:
             for link in links
         }
         return profile
-
-
-def exact_profile(graph: ComputationGraph, cluster: Cluster) -> Profile:
-    """A noise-free profile (predictors match the analytic truth exactly).
-
-    Useful for tests that need deterministic, bias-free predictions.
-    """
-    return Profiler(noise=MeasurementNoise(sigma=0.0)).profile(graph, cluster)

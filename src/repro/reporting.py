@@ -1,8 +1,8 @@
-"""Reporting utilities: schedule timelines, Gantt export, strategy diffs.
+"""Reporting utilities: schedule timelines and strategy summaries.
 
 These are inspection tools for the artifacts the pipeline produces: a
-text Gantt chart of one simulated iteration, a JSON trace in Chrome
-``chrome://tracing`` format, and summaries comparing two strategies.
+JSON trace of one simulated iteration in Chrome ``chrome://tracing``
+format, and a summary of a strategy.
 """
 
 from __future__ import annotations
@@ -24,36 +24,6 @@ def _resource_of(dist: DistGraph, name: str) -> str:
     if op.kind is DistOpKind.TRANSFER:
         return f"link {op.src_device}->{op.dst_device}"
     return "nccl"
-
-
-def text_gantt(dist: DistGraph, result: SimulationResult, *,
-               width: int = 80, max_rows: int = 40,
-               only_devices: bool = True) -> str:
-    """ASCII Gantt chart of a simulated iteration's per-op schedule."""
-    if not result.schedule:
-        raise ValueError("result has no per-op schedule")
-    makespan = result.makespan or 1.0
-    rows: Dict[str, List[Tuple[float, float]]] = {}
-    for name, (start, end) in result.schedule.items():
-        resource = _resource_of(dist, name)
-        if only_devices and resource.startswith("link "):
-            continue
-        rows.setdefault(resource, []).append((start, end))
-
-    lines: List[str] = [f"0{' ' * (width - 12)}{makespan * 1e3:.2f} ms"]
-    ordered = sorted(rows)
-    for resource in ordered[:max_rows]:
-        cells = [" "] * width
-        for start, end in rows[resource]:
-            lo = int(start / makespan * (width - 1))
-            hi = max(lo + 1, int(end / makespan * (width - 1)))
-            for i in range(lo, min(hi, width)):
-                cells[i] = "#" if resource != "nccl" else "="
-        lines.append(f"{resource:>22s} |{''.join(cells)}|")
-    hidden = len(ordered) - max_rows
-    if hidden > 0:
-        lines.append(f"(+{hidden} more resources)")
-    return "\n".join(lines)
 
 
 SIM_PID = 0       # simulated resources (devices, links, nccl)

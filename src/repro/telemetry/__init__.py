@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .context import (
-    current_recorder,
     current_request,
     record_event,
     request_scope,
@@ -39,7 +38,6 @@ from .critical_path import (
     IDLE_KEY,
     CriticalPathReport,
     PathSegment,
-    blame_resource,
     critical_path,
 )
 from .flight import (
@@ -86,7 +84,6 @@ __all__ = [
     "CriticalPathReport",
     "PathSegment",
     "critical_path",
-    "blame_resource",
     "IDLE_KEY",
     "Telemetry",
     "active",
@@ -97,7 +94,6 @@ __all__ = [
     "emit_observe",
     # request-scoped observability
     "current_request",
-    "current_recorder",
     "record_event",
     "request_scope",
     "Journal",

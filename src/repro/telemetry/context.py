@@ -40,12 +40,6 @@ def current_request() -> Optional[str]:
     return stack[-1][0] if stack else None
 
 
-def current_recorder() -> Optional[Any]:
-    """The flight recorder attached to the innermost scope, if any."""
-    stack = getattr(_LOCAL, "scopes", None)
-    return stack[-1][1] if stack else None
-
-
 @contextlib.contextmanager
 def request_scope(request_id: str,
                   recorder: Optional[Any] = None) -> Iterator[str]:

@@ -28,22 +28,12 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 
 import numpy as np
 
-from ..parallel.distgraph import (NCCL_RESOURCE, DistGraph, DistOp,
-                                  DistOpKind)
+from ..parallel.distgraph import NCCL_RESOURCE, DistGraph
 from ..simulation.kernel import SimKernel, lower
 from ..simulation.metrics import union_length
 
 IDLE_KEY = "(idle)"
 _EPS = 1e-9
-
-
-def blame_resource(op: DistOp) -> str:
-    """The single resource an op's runtime is blamed on."""
-    if op.is_compute:
-        return op.device  # type: ignore[return-value]
-    if op.kind is DistOpKind.TRANSFER:
-        return f"link:{op.src_device}->{op.dst_device}"
-    return NCCL_RESOURCE
 
 
 @dataclass(frozen=True)
@@ -310,7 +300,8 @@ def critical_path(dist: DistGraph, result) -> CriticalPathReport:
         return best[1] if best is not None else -1
 
     def blamed(i: int) -> str:
-        """:func:`blame_resource` of op ``i``."""
+        """The single resource op ``i``'s runtime is blamed on: its
+        device, its link, or the NCCL token."""
         if kinds[i] == "allreduce":
             return NCCL_RESOURCE
         return resource_names[res_ids[i][0]]

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import cluster_4gpu, cluster_8gpu, homogeneous_cluster
+from repro.cluster import cluster_4gpu, cluster_8gpu
 from repro.graph.models import build_model
 from repro.profiling import MeasurementNoise, Profiler
 from repro.service.backends import fleet
 
-from tests.helpers import make_mlp
+from tests.helpers import homogeneous_cluster, make_mlp
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ from repro.agent.seeds import (
     rebalanced_ladder,
 )
 from repro.baselines import PostSearch
-from repro.baselines.dp import all_dp_strategies
+from repro.baselines.dp import DP_BASELINES, dp_strategy
 from repro.cluster import cluster_2gpu, cluster_4gpu
 from repro.config import HeteroGConfig
 from repro.experiments import (
@@ -43,6 +43,7 @@ from repro.experiments import (
     fig3a_proportional_allocation,
     fig8_time_breakdown,
     fig9_existing_schemes,
+    fusion_ablation,
     grouping_ablation,
     order_scheduling_table,
     per_iteration_table,
@@ -158,8 +159,9 @@ def dp_answers() -> Dict[str, dict]:
         builder = PlanBuilder(graph, cluster,
                               Profiler(seed=0).profile(graph, cluster))
         sim = Simulator(builder.cost)
-        for name, strategy in all_dp_strategies(graph, cluster).items():
-            dist, resident = builder.compile(strategy)
+        for name in DP_BASELINES:
+            dist, resident = builder.compile(
+                dp_strategy(name, graph, cluster))
             kernel = lower(dist)
             # twice each device's resident state: a budget whose OOM
             # set depends on how far each order lets activations pile up
@@ -328,7 +330,7 @@ def replan_answer() -> dict:
     graph = build_model("transformer", "tiny")
     profile = Profiler(seed=0).profile(graph, cluster)
     deployment = PlanBuilder(graph, cluster, profile).build(
-        all_dp_strategies(graph, cluster)["CP-AR"])
+        dp_strategy("CP-AR", graph, cluster))
     injector = FaultInjector(cluster, FaultSchedule.parse("crash:gpu1@2"))
     engine = ExecutionEngine(cluster, seed=21, fault_injector=injector)
     replanner = Replanner(
@@ -360,7 +362,7 @@ def faults_answer() -> dict:
     graph = build_model("transformer", "tiny")
     profile = Profiler(seed=0).profile(graph, cluster)
     deployment = PlanBuilder(graph, cluster, profile).build(
-        all_dp_strategies(graph, cluster)["CP-AR"])
+        dp_strategy("CP-AR", graph, cluster))
     injector = FaultInjector(cluster, FaultSchedule.parse(FAULT_SCHEDULE))
     engine = ExecutionEngine(cluster, seed=21, fault_injector=injector)
     replanner = Replanner(
@@ -394,7 +396,7 @@ def elastic_answer(model: str) -> dict:
     graph = build_model(model, "tiny")
     profile = Profiler(seed=0).profile(graph, cluster)
     deployment = PlanBuilder(graph, cluster, profile).build(
-        all_dp_strategies(graph, cluster)["CP-AR"])
+        dp_strategy("CP-AR", graph, cluster))
     out: Dict[str, dict] = {}
     for policy in ("replan", "elastic"):
         injector = FaultInjector(cluster,
@@ -539,6 +541,13 @@ def experiments_answer() -> dict:
     }
 
 
+def fusion_answer() -> Dict[str, str]:
+    """The gradient-fusion sweep (tiny resnet200, four GPUs): every
+    variant's engine-measured time, unfused and per bucket size."""
+    rows = fusion_ablation(cluster_4gpu(), preset="tiny", seed=0)
+    return {row.variant: _hex(row.time) for row in rows}
+
+
 def compute_answers() -> dict:
     """Every golden entry, in the form a JSON round trip gives back."""
     answers = {"_note": NOTE}
@@ -556,6 +565,7 @@ def compute_answers() -> dict:
     answers["random/faults"] = random_faults_answer()
     answers["service/blame"] = blame_answer()
     answers["experiments/tiny"] = experiments_answer()
+    answers["experiments/fusion"] = fusion_answer()
     return json.loads(json.dumps(answers))
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from repro.cluster import NIC_100G, NVLINK, TESLA_V100, Cluster, ServerSpec
+from repro.cluster.presets import SWITCH_BANDWIDTH
 from repro.graph import GraphBuilder, build_training_graph
 from repro.graph.dag import ComputationGraph
+from repro.profiling import MeasurementNoise, Profile, Profiler
 
 
 def make_mlp(batch_size: int = 8, layers: int = 3, width: int = 32,
@@ -16,6 +19,28 @@ def make_mlp(batch_size: int = 8, layers: int = 3, width: int = 32,
         x = b.activation(x, layer=f"fc{i}")
     b.softmax_loss(x, 10)
     return build_training_graph(b)
+
+
+def exact_profile(graph: ComputationGraph, cluster: Cluster) -> Profile:
+    """A noise-free profile: its predictors match the analytic truth
+    exactly, for deterministic, bias-free predictions."""
+    return Profiler(noise=MeasurementNoise(sigma=0.0)).profile(graph, cluster)
+
+
+def homogeneous_cluster(num_gpus: int = 4, gpus_per_server: int = 2) -> Cluster:
+    """An all-V100 cluster, for homogeneous-vs-heterogeneous comparisons."""
+    servers = []
+    remaining = num_gpus
+    idx = 0
+    while remaining > 0:
+        count = min(gpus_per_server, remaining)
+        servers.append(
+            ServerSpec(f"server{idx}", TESLA_V100, count, NIC_100G,
+                       intra_link=NVLINK)
+        )
+        remaining -= count
+        idx += 1
+    return Cluster(servers, switch_bandwidth=SWITCH_BANDWIDTH)
 
 
 def pruned_sweep(builder, strategies):

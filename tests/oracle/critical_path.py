@@ -54,7 +54,8 @@ def reference_critical_path(dist: DistGraph, result) -> ReferenceReport:
         return [resource_names[r] for r in res_ids[index[name]]]
 
     def blamed(name: str) -> str:
-        """:func:`blame_resource` of the op called ``name``."""
+        """The single resource the op called ``name`` is blamed on: its
+        device, its link, or the NCCL token."""
         i = index[name]
         if kinds[i] == "allreduce":
             return NCCL_RESOURCE

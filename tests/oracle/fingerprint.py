@@ -10,16 +10,24 @@ keys.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Any
 
 from repro.plan.fingerprint import (
     _cluster_payload,
-    _digest,
     _graph_payload,
     _op_strategy_payload,
     _profile_payload,
 )
 from repro.service.request import _config_payload
+
+
+def _digest(payload: Any) -> str:
+    """sha256 of the canonical JSON text of ``payload``."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      default=str)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def reference_context(graph, cluster, profile, *,

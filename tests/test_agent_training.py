@@ -318,11 +318,12 @@ class TestTrainer:
                                                   four_gpu):
         """Seeded exploration guarantees HeteroG >= best uniform DP in the
         simulator (the paper's Table 1 invariant)."""
-        from repro.baselines import all_dp_strategies
+        from repro.baselines import DP_BASELINES, dp_strategy
         ctx = trained_agent.context("train_mlp")
         best = trained_agent.best_time("train_mlp")
-        for name, st in all_dp_strategies(ctx.graph, four_gpu).items():
-            outcome = ctx.builder.evaluate(st)
+        for name in DP_BASELINES:
+            outcome = ctx.builder.evaluate(
+                dp_strategy(name, ctx.graph, four_gpu))
             if outcome.feasible:
                 assert best <= outcome.time + 1e-9, name
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import cluster_4gpu, cluster_8gpu, homogeneous_cluster
+from repro.cluster import cluster_4gpu, cluster_8gpu
 from repro.errors import CompileError
 from repro.parallel.aggregation import (
     choose_allreduce,
@@ -11,6 +11,8 @@ from repro.parallel.aggregation import (
     hierarchical_allreduce_time,
     ring_allreduce_time,
 )
+
+from tests.helpers import homogeneous_cluster
 
 
 @pytest.fixture(scope="module")

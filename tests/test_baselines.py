@@ -7,15 +7,14 @@ from repro.baselines import (
     DP_BASELINES,
     FlexFlowSearch,
     PostSearch,
-    all_dp_strategies,
     dp_strategy,
     hetpipe_strategy,
-    horovod_deployment,
     horovod_strategy,
     virtual_workers,
 )
 from repro.baselines.post import sample_placements
 from repro.parallel import CommMethod, ParallelKind
+from repro.plan import PlanBuilder
 
 from tests.helpers import make_mlp
 from tests.oracle.unpruned import unpruned_outcome
@@ -23,8 +22,9 @@ from tests.oracle.unpruned import unpruned_outcome
 
 class TestDPBaselines:
     def test_all_four_build(self, mlp_graph, four_gpu):
-        strategies = all_dp_strategies(mlp_graph, four_gpu)
-        assert set(strategies) == set(DP_BASELINES)
+        for name in DP_BASELINES:
+            strategy = dp_strategy(name, mlp_graph, four_gpu)
+            assert {n for n, _ in strategy.items()} == set(mlp_graph.op_names)
 
     def test_unknown_rejected(self, mlp_graph, four_gpu):
         with pytest.raises(ValueError):
@@ -57,7 +57,8 @@ class TestHorovod:
     def test_deployment_uses_default_order(self, mlp_graph, four_gpu):
         """Horovod keeps the framework's (nondeterministic) order, not
         HeteroG's rank order."""
-        dep = horovod_deployment(mlp_graph, four_gpu)
+        dep = PlanBuilder(mlp_graph, four_gpu, use_order_scheduling=False
+                          ).build(horovod_strategy(mlp_graph, four_gpu))
         assert dep.schedule.chosen is None
 
 

@@ -26,9 +26,8 @@ from repro.cluster import cluster_4gpu
 from repro.graph import GraphBuilder, build_training_graph
 from repro.graph.grouping import group_operations
 from repro.plan import PlanBuilder
-from repro.profiling import exact_profile
 
-from tests.helpers import pruned_sweep
+from tests.helpers import exact_profile, pruned_sweep
 from tests.oracle import reference_simulator
 from tests.oracle.unpruned import unpruned_outcome
 

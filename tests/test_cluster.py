@@ -12,7 +12,6 @@ from repro.cluster import (
     cluster_4gpu,
     cluster_8gpu,
     cluster_12gpu,
-    homogeneous_cluster,
 )
 from repro.errors import PlacementError
 from repro.parallel import (
@@ -23,7 +22,7 @@ from repro.parallel import (
     uniform_strategy,
 )
 
-from tests.helpers import make_mlp
+from tests.helpers import homogeneous_cluster, make_mlp
 
 
 class TestPresets:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.dp import all_dp_strategies
+from repro.baselines.dp import DP_BASELINES, dp_strategy
 from repro.cluster import cluster_4gpu, cluster_8gpu, cluster_12gpu
 from repro.graph.dag import ComputationGraph
 from repro.graph.models import build_model, model_names
@@ -75,8 +75,8 @@ def _options(cluster, rng: random.Random):
 def _draw_strategy(graph, cluster, kind: str, seed: int) -> Strategy:
     rng = random.Random(seed)
     if kind == "dp":
-        dps = all_dp_strategies(graph, cluster)
-        return dps[sorted(dps)[seed % len(dps)]]
+        names = sorted(DP_BASELINES)
+        return dp_strategy(names[seed % len(names)], graph, cluster)
     options = _options(cluster, rng)
     names = graph.op_names
     if kind == "per_op":

@@ -22,11 +22,11 @@ from repro.cluster import cluster_4gpu
 from repro.graph.grouping import group_operations
 from repro.graph.models import build_model, model_names
 from repro.plan import PlanBuilder
-from repro.profiling import exact_profile
 from repro.simulation import Simulator
 from repro.simulation.kernel import lower
 from repro.telemetry import critical_path
 
+from tests.helpers import exact_profile
 from tests.oracle.critical_path import reference_critical_path
 
 

@@ -12,7 +12,8 @@ from repro.config import HeteroGConfig
 from repro.elastic import ChurnSchedule, ElasticPolicy
 from repro.errors import ReproError
 from repro.parallel.strategy import single_device_strategy
-from repro.plan import PlanBuilder, fingerprint_cluster
+from repro.plan import PlanBuilder
+from repro.plan.fingerprint import _cluster_payload
 from repro.profiling import MeasurementNoise, Profiler
 from repro.resilience import (
     CAPACITY_KINDS,
@@ -145,8 +146,7 @@ class TestWithDevices:
         restored = shrunk.with_devices(
             [cluster.device(d) for d in sorted(removed)],
             templates={s.name: s for s in cluster.servers})
-        assert fingerprint_cluster(restored) \
-            == fingerprint_cluster(cluster)
+        assert _cluster_payload(restored) == _cluster_payload(cluster)
         # identity, not just equality: same ids in the same order
         assert restored.device_ids == cluster.device_ids
 
@@ -215,7 +215,7 @@ class TestInjectorCapacityLifecycle:
         injector.advance(4)
         restored = injector.current_cluster()
         assert "gpu2" in restored.device_ids
-        assert fingerprint_cluster(restored) == fingerprint_cluster(four_gpu)
+        assert _cluster_payload(restored) == _cluster_payload(four_gpu)
 
     def test_reclaim_without_death_rejected(self, four_gpu):
         injector = FaultInjector(

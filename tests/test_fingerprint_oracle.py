@@ -19,9 +19,8 @@ from repro.parallel.strategy import (CommMethod, ReplicaAllocation,
                                      make_mp_strategy)
 from repro.plan import (PlanBuilder, fingerprint_context,
                         fingerprint_strategy)
-from repro.profiling import exact_profile
 
-from tests.helpers import make_mlp
+from tests.helpers import exact_profile, make_mlp
 from tests.oracle.fingerprint import (reference_context,
                                       reference_context_key,
                                       reference_request,

@@ -7,11 +7,10 @@ from repro.cluster import cluster_4gpu
 from repro.errors import CompileError
 from repro.parallel import DistOpKind, GraphCompiler
 from repro.parallel.fusion import count_collectives, fuse_allreduces
-from repro.profiling import exact_profile
 from repro.scheduling import ListScheduler
 from repro.simulation import ProfileCostModel, Simulator
 
-from tests.helpers import make_mlp
+from tests.helpers import exact_profile, make_mlp
 
 
 @pytest.fixture(scope="module")

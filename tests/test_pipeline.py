@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro.baselines.hetpipe import _layer_blocks
 from repro.errors import CompileError
 from repro.parallel import GraphCompiler, DistOpKind
-from repro.parallel.pipeline import pipeline_graph, pipeline_speedup_estimate
-from repro.profiling import exact_profile
+from repro.parallel.pipeline import pipeline_graph
+from repro.parallel.strategy import Strategy, make_mp_strategy
 from repro.scheduling import ListScheduler
 from repro.simulation import ProfileCostModel, Simulator
 
-from tests.helpers import make_mlp
+from tests.helpers import exact_profile, homogeneous_cluster, make_mlp
 
 
 @pytest.fixture(scope="module")
@@ -17,15 +18,17 @@ def cluster():
     # single NVLink server: per-stage compute dominates transfers, the
     # regime where pipelining pays (cross-server stage boundaries at NIC
     # bandwidth would be transfer-bound and pipelining would not help)
-    from repro.cluster import homogeneous_cluster
     return homogeneous_cluster(4, gpus_per_server=4)
 
 
 def ladder_strategy(graph, cluster, stages=4):
-    """FLOP-balanced forward stages with colocated backward (the pipeline
-    layout pipeline_ladder_strategy produces)."""
-    from repro.parallel.pipeline import pipeline_ladder_strategy
-    return pipeline_ladder_strategy(graph, cluster, stages)
+    """The pipeline layout: FLOP-balanced forward stages, one per
+    device, with each backward op colocated with its forward op (the
+    layer blocks HetPipe places inside a virtual worker)."""
+    devices = cluster.device_ids
+    return Strategy(graph, cluster, {
+        name: make_mp_strategy(devices[block])
+        for name, block in _layer_blocks(graph, stages).items()})
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +88,11 @@ class TestTransformation:
                 total = sum(m.batch_fraction for m in micros)
                 assert total == pytest.approx(op.batch_fraction)
 
-    def test_pipelining_overlaps_stages(self, compiled):
+    def test_pipelining_overlaps_stages(self, cluster, compiled):
         """On a compute-heavy MP ladder, pipelining must cut the makespan
         toward the ideal k/(k+s-1) bound."""
         _, profile, compiler, dist = compiled
-        from repro.cluster import homogeneous_cluster
-        cost = ProfileCostModel(homogeneous_cluster(4, gpus_per_server=4),
-                                profile)
+        cost = ProfileCostModel(cluster, profile)
         base = Simulator(cost).run(
             dist, order=ListScheduler().schedule(dist, cost).order
         ).makespan
@@ -103,9 +104,3 @@ class TestTransformation:
         # measurable gain; full 1F1B efficiency would need memory-aware
         # micro-batch interleaving beyond this extension's scope
         assert t < base * 0.98
-
-    def test_speedup_estimate(self):
-        assert pipeline_speedup_estimate(4, 8) == pytest.approx(8 / 11)
-        assert pipeline_speedup_estimate(1, 4) == 1.0
-        with pytest.raises(CompileError):
-            pipeline_speedup_estimate(0, 4)

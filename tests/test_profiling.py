@@ -12,12 +12,13 @@ from repro.profiling import (
     OpTimeRegression,
     Profiler,
     TransferTimeRegression,
-    exact_profile,
     op_class,
     op_time,
 )
 from repro.profiling.cost_model import bytes_touched, op_memory_bytes
 from repro.profiling.regression import fit_lines
+
+from tests.helpers import exact_profile
 
 
 def conv_op(flops=1e10, out=(32, 56, 56, 64)):

@@ -13,9 +13,10 @@ from repro.graph import GraphBuilder, build_training_graph
 from repro.graph.grouping import group_operations
 from repro.agent.policy import actions_to_strategy, num_actions
 from repro.parallel import GraphCompiler
-from repro.profiling import exact_profile
 from repro.scheduling import ListScheduler, critical_path, total_work
 from repro.simulation import ProfileCostModel, Simulator
+
+from tests.helpers import exact_profile
 
 CLUSTER = cluster_4gpu()
 

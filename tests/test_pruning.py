@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import telemetry
 from repro.agent import seed_action_vectors
 from repro.agent.policy import actions_to_strategy, num_actions
-from repro.baselines.dp import all_dp_strategies
+from repro.baselines.dp import DP_BASELINES, dp_strategy
 from repro.cluster import cluster_4gpu
 from repro.graph import GraphBuilder, build_training_graph
 from repro.graph.grouping import group_operations
@@ -31,7 +31,7 @@ from repro.parallel.strategy import (
     single_device_strategy,
 )
 from repro.plan import EvalOutcome, PlanBuilder
-from repro.profiling import Profiler, exact_profile
+from repro.profiling import Profiler
 from repro.scheduling import ListScheduler
 from repro.simulation import ProfileCostModel, Simulator
 from repro.simulation.costs import MappingCostModel, TruthCostModel
@@ -42,7 +42,7 @@ from repro.simulation.kernel import (
     lower,
 )
 
-from tests.helpers import make_mlp, pruned_sweep
+from tests.helpers import exact_profile, make_mlp, pruned_sweep
 from tests.oracle.unpruned import unpruned_outcome
 
 CLUSTER = cluster_4gpu()
@@ -272,7 +272,7 @@ class TestOneMachineBound:
                     edit = best.copy()
                     edit[g] = action
                     vectors.append(edit)
-        return (list(all_dp_strategies(graph, CLUSTER).values())
+        return ([dp_strategy(name, graph, CLUSTER) for name in DP_BASELINES]
                 + [decode(v) for v in vectors])
 
     @staticmethod

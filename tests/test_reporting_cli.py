@@ -7,19 +7,15 @@ import pytest
 from repro.cli import build_parser, main
 from repro.cluster import cluster_4gpu
 from repro.parallel import GraphCompiler, make_mp_strategy, single_device_strategy
-from repro.parallel.distgraph import DistGraph
-from repro.profiling import exact_profile
 from repro.reporting import (
     chrome_trace,
     describe_strategy,
     save_chrome_trace,
-    text_gantt,
 )
 from repro.simulation import ProfileCostModel, Simulator
-from repro.simulation.costs import MappingCostModel
 from repro.telemetry import Journal
 
-from tests.helpers import make_mlp
+from tests.helpers import exact_profile, make_mlp
 
 
 @pytest.fixture(scope="module")
@@ -36,19 +32,6 @@ def traced():
 
 
 class TestReporting:
-    def test_text_gantt(self, traced):
-        _, _, _, dist, result = traced
-        chart = text_gantt(dist, result)
-        assert "gpu0" in chart
-        assert "#" in chart
-
-    def test_gantt_requires_trace(self, traced):
-        """The run of an empty graph has no per-op schedule to draw."""
-        _, _, _, dist, _ = traced
-        empty = Simulator(MappingCostModel({})).run(DistGraph("empty"))
-        with pytest.raises(ValueError, match="no per-op schedule"):
-            text_gantt(dist, empty)
-
     def test_chrome_trace_events(self, traced):
         _, _, _, dist, result = traced
         events = chrome_trace(dist, result)

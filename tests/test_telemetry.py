@@ -12,7 +12,6 @@ from repro.baselines import dp_strategy
 from repro.cluster import cluster_4gpu
 from repro.parallel import GraphCompiler, single_device_strategy
 from repro.parallel.distgraph import DistGraph, DistOp, DistOpKind
-from repro.profiling import exact_profile
 from repro.scheduling import ListScheduler
 from repro.simulation import ProfileCostModel, Simulator
 from repro.simulation.kernel import lower
@@ -24,7 +23,7 @@ from repro.telemetry import (
     critical_path,
 )
 
-from tests.helpers import make_mlp
+from tests.helpers import exact_profile, make_mlp
 
 
 # --------------------------------------------------------------------- #
