@@ -1,9 +1,11 @@
 """Horovod baseline (Sergeev & Del Balso, 2018).
 
-Horovod's model: one full model replica per device, ring AllReduce for
-every gradient, framework-default execution order (no order scheduling),
-no heterogeneity awareness.  Equivalent to EV-AR compiled without
-HeteroG's rank-based order enforcement.
+Horovod's model: one full model replica per device, ring AllReduce with
+Tensor Fusion (the compiler's shared 4 MiB buckets, not Horovod's 64 MB
+default, so no scheme gets its own bucket size), framework-default
+execution order (no order scheduling), no heterogeneity awareness.
+Equivalent to EV-AR compiled without HeteroG's rank-based order
+enforcement.
 """
 
 from __future__ import annotations

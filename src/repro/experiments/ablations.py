@@ -135,10 +135,12 @@ def fusion_ablation(cluster: Cluster, model: str = "resnet200", *,
                     seed: int = 0) -> List[AblationRow]:
     """Gradient-fusion sweep: per-iteration time vs AllReduce bucket size.
 
-    Reproduces the Horovod tensor-fusion U-curve: no fusion pays the
-    per-collective launch overhead hundreds of times; over-fusion delays
-    the first collective until every gradient is ready."""
-    from ..parallel.fusion import count_collectives, fuse_allreduces
+    EV-AR is compiled once per row, unfused and then at each bucket
+    size.  Reproduces the Horovod tensor-fusion U-curve: no fusion pays
+    the per-collective launch overhead hundreds of times; over-fusion
+    delays the first collective until every gradient is ready."""
+    from ..parallel.compiler import GraphCompiler
+    from ..parallel.distgraph import DistOpKind
     from ..runtime.execution_engine import ExecutionEngine
     from ..scheduling.list_scheduler import ListScheduler
 
@@ -148,24 +150,22 @@ def fusion_ablation(cluster: Cluster, model: str = "resnet200", *,
         builder = service.context_for(PlanRequest(
             graph=graph, cluster=cluster,
             config=experiment_config(seed))).builder
-    # compile-only: the fused variants re-schedule a transformed graph,
-    # which is exactly what PlanBuilder.compile exists for
-    dist, resident = builder.compile(dp_strategy("EV-AR", graph, cluster))
+    strategy = dp_strategy("EV-AR", graph, cluster)
     cost = builder.cost
     engine = ExecutionEngine(cluster, seed=seed + 1)
 
     rows: List[AblationRow] = []
-
-    def run(graph_, label):
-        schedule = ListScheduler().schedule(graph_, cost)
-        stats = engine.measure(graph_, schedule, resident, iterations=3)
-        rows.append(AblationRow(variant=label, time=stats.mean))
-
-    run(dist, f"unfused ({count_collectives(dist)} collectives)")
-    for mb in bucket_sizes_mb or [4, 32, 256]:
-        fused = fuse_allreduces(dist, mb * 1024 * 1024)
-        run(fused, f"{mb}MB buckets ({count_collectives(fused)} "
-                   f"collectives)")
+    for mb in [None] + (bucket_sizes_mb or [4, 32, 256]):
+        dist = GraphCompiler(cluster, builder.profile, bucket_bytes=(
+            None if mb is None else mb * 1024 * 1024)).compile(graph,
+                                                               strategy)
+        collectives = dist.counts_by_kind().get(DistOpKind.ALLREDUCE, 0)
+        label = "unfused" if mb is None else f"{mb}MB buckets"
+        schedule = ListScheduler().schedule(dist, cost)
+        stats = engine.measure(dist, schedule, dist.resident_bytes,
+                               iterations=3)
+        rows.append(AblationRow(variant=f"{label} ({collectives} collectives)",
+                                time=stats.mean))
     return rows
 
 

@@ -28,12 +28,6 @@ class Grouping:
     def num_groups(self) -> int:
         return len(self.anchors)
 
-    def members(self) -> List[List[str]]:
-        out: List[List[str]] = [[] for _ in range(self.num_groups)]
-        for name, g in self.group_of.items():
-            out[g].append(name)
-        return out
-
     def assignment_matrix(self, op_index: Mapping[str, int]) -> np.ndarray:
         """(N, O) binary matrix S with S[g, o] = 1 iff op o is in group g."""
         mat = np.zeros((self.num_groups, len(op_index)), dtype=np.float64)

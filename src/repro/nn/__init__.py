@@ -3,7 +3,7 @@
 from . import functional
 from .functional import Neighbourhood
 from .layers import Dense, GATLayer, LayerNorm, Module, MultiHeadSelfAttention
-from .optim import Adam, Optimizer
+from .optim import Adam
 from .tensor import Tensor, make_op, parameter
 from .transformer_xl import EncoderLayer, RelativePositionBias, StrategyNetwork
 
@@ -21,6 +21,5 @@ __all__ = [
     "StrategyNetwork",
     "EncoderLayer",
     "RelativePositionBias",
-    "Optimizer",
     "Adam",
 ]

@@ -9,19 +9,25 @@ import numpy as np
 from .tensor import Tensor
 
 
-class Optimizer:
-    """Base optimizer: parameter list + gradient clipping."""
-    def __init__(self, params: List[Tensor]):
+class Adam:
+    """Adam with bias correction and optional gradient-norm clipping."""
+    def __init__(self, params: List[Tensor], lr: float = 1e-3,
+                 betas=(0.9, 0.999), eps: float = 1e-8,
+                 clip_norm: Optional[float] = None):
         if not params:
             raise ValueError("optimizer received no parameters")
         self.params = params
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.clip_norm = clip_norm
+        self._m = [np.zeros_like(p.data) for p in params]
+        self._v = [np.zeros_like(p.data) for p in params]
+        self._t = 0
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
 
     def _clip(self, max_norm: Optional[float]) -> None:
         if max_norm is None:
@@ -36,21 +42,6 @@ class Optimizer:
             for p in self.params:
                 if p.grad is not None:
                     p.grad = p.grad * factor
-
-
-class Adam(Optimizer):
-    """Adam with bias correction."""
-    def __init__(self, params: List[Tensor], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
-                 clip_norm: Optional[float] = None):
-        super().__init__(params)
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.clip_norm = clip_norm
-        self._m = [np.zeros_like(p.data) for p in params]
-        self._v = [np.zeros_like(p.data) for p in params]
-        self._t = 0
 
     def step(self) -> None:
         self._clip(self.clip_norm)

@@ -9,7 +9,6 @@ from .aggregation import (
     ring_allreduce_time,
 )
 from .compiler import GraphCompiler
-from .fusion import count_collectives, fuse_allreduces
 from .pipeline import pipeline_graph
 from .distgraph import NCCL_RESOURCE, DistGraph, DistOp, DistOpKind
 from .strategy import (
@@ -28,8 +27,6 @@ from .strategy import (
 
 __all__ = [
     "GraphCompiler",
-    "fuse_allreduces",
-    "count_collectives",
     "pipeline_graph",
     "DistGraph",
     "DistOp",

@@ -15,6 +15,11 @@ distributed training graph:
   communication method.  The PS is colocated with the replica device that
   minimizes aggregation completion time; AllReduce picks ring vs
   hierarchical per collective.
+- **Gradient fusion** — AllReduced gradients are bucketed per device
+  ring, as Horovod's Tensor Fusion does (Sergeev & Del Balso 2018): each
+  collective pays a launch overhead and waits for the NCCL token, so one
+  collective per bucket of up to :data:`ALLREDUCE_BUCKET_BYTES` replaces
+  one per gradient.
 
 Parameter-gradient and ApplyGradient ops are canonicalized to follow the
 *forward* op's placement (parameters live where the forward replicas are;
@@ -56,6 +61,11 @@ from .distgraph import DistGraph
 from .strategy import CommMethod, OpStrategy, Strategy
 
 _SHARE_TOL = 1e-9
+
+#: Byte limit of one fused AllReduce bucket, the same for every plan.
+#: A bucket closes when the next gradient of its ring would push it past
+#: the limit; a larger gradient gets a bucket of its own.
+ALLREDUCE_BUCKET_BYTES = 4 * 1024 * 1024
 
 
 class _OpInfo:
@@ -115,6 +125,11 @@ class _GraphTables:
         # parameter gradient, not on their own
         self.lowered = [info for info in infos
                         if info.op.phase is not OpPhase.APPLY]
+        # ops that read an apply's output: the open AllReduce buckets
+        # are flushed before routing them, so the applies exist
+        self.reads_apply = frozenset(
+            info.index for info in self.lowered
+            if any(p.op.phase is OpPhase.APPLY for p in info.preds))
 
 
 class GraphCompiler:
@@ -124,11 +139,18 @@ class GraphCompiler:
     that depend on the context (per-graph op tables, and per device
     pair or tuple the link figures, NIC ports, AllReduce structure and
     ring resources), never state of one call.
+
+    ``bucket_bytes`` is the AllReduce bucket limit; ``None`` emits one
+    collective per gradient.
     """
 
-    def __init__(self, cluster: Cluster, profile: Optional[Profile] = None):
+    def __init__(self, cluster: Cluster, profile: Optional[Profile] = None,
+                 bucket_bytes: Optional[int] = ALLREDUCE_BUCKET_BYTES):
+        if bucket_bytes is not None and bucket_bytes <= 0:
+            raise CompileError(f"bucket_bytes must be positive: {bucket_bytes}")
         self.cluster = cluster
         self.profile = profile
+        self.bucket_bytes = bucket_bytes
         self._link_cache: Dict[Tuple[str, str], Tuple[float, float]] = {}
         self._nic_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         # (device tuple, bytes) -> hierarchical?
@@ -200,9 +222,28 @@ class GraphCompiler:
         return cached
 
 
+class _Bucket:
+    """Replicated gradients of one ring waiting for their AllReduce."""
+
+    __slots__ = ("nbytes", "grads", "preds")
+
+    def __init__(self):
+        self.nbytes = 0.0
+        # (gradient, its apply) pairs, in emission order
+        self.grads: List[Tuple[_OpInfo, _OpInfo]] = []
+        # ids of the gradients' instances
+        self.preds: List[int] = []
+
+    def add(self, grad: _OpInfo, apply: _OpInfo, instances: List[int]) -> None:
+        self.nbytes += grad.full_bytes
+        self.grads.append((grad, apply))
+        self.preds.extend(instances)
+
+
 class _Compilation:
     """State of one compile: the graph being emitted, its lowering, the
-    route caches, the name counter, PS load and resident bytes.
+    route caches, the name counter, PS load, resident bytes and the open
+    AllReduce buckets.
 
     Dist-ops are referred to by their integer id (emission order)."""
 
@@ -230,14 +271,20 @@ class _Compilation:
         self.instance_ids: List[Optional[List[int]]] = [None] * n
         # (training-op index, device) -> id of its compute/apply instance
         self.instance_at: Dict[Tuple[int, str], int] = {}
+        # device ring -> its open bucket, in the order rings first appeared
+        self.buckets: Dict[Tuple[str, ...], _Bucket] = {}
 
     def run(self) -> DistGraph:
+        reads_apply = self.tables.reads_apply
         for info in self.tables.lowered:
+            if info.index in reads_apply:
+                self.flush()
             st = self.resolve(info)
             if info.pgrad:
                 self.lower_param_gradient(info, st)
             else:
                 self.lower_regular(info, st)
+        self.flush()
         preds = self.preds
         succ: List[list] = [[] for _ in preds]
         for i, ps in enumerate(preds):
@@ -501,13 +548,38 @@ class _Compilation:
 
     def lower_allreduce(self, info: _OpInfo, apply: _OpInfo,
                         devices: List[str], instances: List[int]) -> None:
-        """AllReduce collective followed by a local apply on every device."""
-        compiler = self.compiler
+        """Add the gradient to its ring's bucket; the collective and the
+        local applies on every device follow when the bucket closes."""
         ring = tuple(devices)
-        collective = self.emit(self.fresh(f"ar:{info.name}"), (
-            "allreduce", -1, None, None, None, ring,
-            info.full_bytes, 1.0,
-            compiler._hierarchical(ring, info.full_bytes),
-            compiler._ring_resources(ring)), instances)
-        for dev in devices:
-            self.add_apply(apply, dev, [collective])
+        limit = self.compiler.bucket_bytes
+        bucket = self.buckets.get(ring)
+        if bucket is not None and bucket.nbytes + info.full_bytes > limit:
+            self.close(ring, bucket)
+            bucket = None
+        if bucket is None:
+            bucket = self.buckets[ring] = _Bucket()
+        bucket.add(info, apply, instances)
+        if limit is None:
+            self.close(ring, self.buckets.pop(ring))
+
+    def flush(self) -> None:
+        """Close every open bucket."""
+        for ring, bucket in self.buckets.items():
+            self.close(ring, bucket)
+        self.buckets.clear()
+
+    def close(self, ring: Tuple[str, ...], bucket: _Bucket) -> None:
+        """One collective over ``ring`` for the bucket's gradients, then
+        each gradient's apply on every device."""
+        compiler = self.compiler
+        grads, nbytes = bucket.grads, bucket.nbytes
+        name = grads[0][0].name
+        if len(grads) > 1:
+            name = f"{name}(x{len(grads)})"
+        collective = self.emit(self.fresh(f"ar:{name}"), (
+            "allreduce", -1, None, None, None, ring, nbytes, 1.0,
+            compiler._hierarchical(ring, nbytes),
+            compiler._ring_resources(ring)), bucket.preds)
+        for _, apply in grads:
+            for dev in ring:
+                self.add_apply(apply, dev, [collective])

@@ -103,8 +103,8 @@ class PlanBuilder:
 
         Every call compiles afresh (no plan cache), through the context's
         one :class:`GraphCompiler`, whose per-graph tables persist across
-        calls.  For consumers that post-process the dist graph (gradient
-        fusion, pipeline transforms) before scheduling it themselves;
+        calls.  For consumers that post-process the dist graph (the
+        pipeline transform) before scheduling it themselves;
         standard consumers should use :meth:`build`.  The graph comes
         with its simulation kernel attached (``lower(dist)`` is free).
         """

@@ -6,7 +6,10 @@ goes through ``DistGraph.add`` with string dependencies, per-op
 strategies are re-resolved on every use, and ``dist.validate()`` lowers
 the finished graph in a second walk.  The code is unchanged apart from
 its name and imports (absolute, unused ones dropped), and it keeps the old per-call contract
-(``compiler.resident_bytes`` after ``compile``).
+(``compiler.resident_bytes`` after ``compile``).  It also holds the
+reference AllReduce bucketing (``bucket_bytes``): pending gradients are
+kept per ring as ``(op, apply op, instance names)`` entries and fused
+into one ``DistOp`` when their ring's bucket closes.
 ``tests/test_compile_oracle.py`` pairs :class:`repro.parallel.GraphCompiler`
 against it field for field.
 
@@ -48,6 +51,7 @@ from repro.profiling.cost_model import op_resident_bytes
 from repro.profiling.profiler import Profile
 from repro.parallel.aggregation import (LinkLookup, choose_allreduce,
                                         choose_ps_device)
+from repro.parallel.compiler import ALLREDUCE_BUCKET_BYTES
 from repro.parallel.distgraph import DistGraph, DistOp, DistOpKind
 from repro.parallel.strategy import OpStrategy, Strategy
 
@@ -57,9 +61,11 @@ _SHARE_TOL = 1e-9
 class ReferenceCompiler:
     """Compiles (graph, strategy) -> :class:`DistGraph`."""
 
-    def __init__(self, cluster: Cluster, profile: Optional[Profile] = None):
+    def __init__(self, cluster: Cluster, profile: Optional[Profile] = None,
+                 bucket_bytes: Optional[int] = ALLREDUCE_BUCKET_BYTES):
         self.cluster = cluster
         self.profile = profile
+        self.bucket_bytes = bucket_bytes
         self._lookup = self._make_lookup()
         self._nic_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
 
@@ -93,17 +99,24 @@ class ReferenceCompiler:
         self._ps_load: Dict[str, float] = {}
         # device -> resident bytes (parameters + optimizer state)
         self.resident_bytes: Dict[str, int] = {d: 0 for d in self.cluster.device_ids}
+        # device ring -> gradients waiting for its next collective
+        self._pending: Dict[Tuple[str, ...],
+                            List[Tuple[Operation, Operation, List[str]]]] = {}
 
         topo = graph.topological_order()
         for name in topo:
             op = graph.op(name)
             if op.phase is OpPhase.APPLY:
                 continue  # generated by the aggregation lowering below
+            if any(graph.op(p).phase is OpPhase.APPLY
+                   for p in graph.predecessors(name)):
+                self._close_all()  # its applies must exist first
             st = self._resolved_strategy(graph, strategy, op)
             if op.produces_param_gradient:
                 self._lower_param_gradient(graph, strategy, op, st)
             else:
                 self._lower_regular(graph, strategy, op, st)
+        self._close_all()
 
         dist.validate()
         return dist
@@ -398,18 +411,46 @@ class ReferenceCompiler:
     def _lower_allreduce(self, op: Operation, apply_op: Operation,
                          st: OpStrategy, instances: List[str],
                          grad_bytes: float) -> None:
-        """AllReduce collective followed by a local apply on every device."""
-        devices = st.devices()
-        hierarchical, _ = choose_allreduce(devices, grad_bytes, self._lookup,
-                                           self.cluster)
+        """AllReduce collective followed by a local apply on every device:
+        queued on the ring's bucket, emitted when the bucket closes."""
+        ring = tuple(st.devices())
+        pending = self._pending.setdefault(ring, [])
+        if self.bucket_bytes is not None and pending and (
+                self._bucket_bytes(pending) + grad_bytes > self.bucket_bytes):
+            self._close(ring, pending)
+            pending = self._pending[ring] = []
+        pending.append((op, apply_op, instances))
+        if self.bucket_bytes is None:
+            self._close(ring, pending)
+            del self._pending[ring]
+
+    @staticmethod
+    def _bucket_bytes(pending) -> float:
+        return sum(float(op.output.size_bytes) for op, _, _ in pending)
+
+    def _close_all(self) -> None:
+        for ring, pending in self._pending.items():
+            self._close(ring, pending)
+        self._pending = {}
+
+    def _close(self, ring: Tuple[str, ...], pending) -> None:
+        """One collective for every gradient in ``pending``."""
+        grad_bytes = self._bucket_bytes(pending)
+        hierarchical, _ = choose_allreduce(list(ring), grad_bytes,
+                                           self._lookup, self.cluster)
+        label = pending[0][0].name
+        if len(pending) > 1:
+            label += f"(x{len(pending)})"
         collective = DistOp(
-            name=self._fresh(f"ar:{op.name}"),
+            name=self._fresh(f"ar:{label}"),
             kind=DistOpKind.ALLREDUCE,
-            devices=tuple(devices),
+            devices=ring,
             size_bytes=grad_bytes,
             hierarchical=hierarchical,
-            extra_resources=self._ring_resources(devices),
+            extra_resources=self._ring_resources(ring),
         )
-        self._dist.add(collective, instances)
-        for dev in devices:
-            self._add_apply(apply_op, dev, deps=[collective.name])
+        self._dist.add(collective,
+                       [inst for _, _, insts in pending for inst in insts])
+        for _, apply_op, _ in pending:
+            for dev in ring:
+                self._add_apply(apply_op, dev, deps=[collective.name])

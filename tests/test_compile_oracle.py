@@ -1,11 +1,12 @@
 """Paired fuzz: the one-pass ``GraphCompiler`` against the reference
 compiler kept in ``tests/oracle``.
 
-For every drawn (model family, cluster, strategy) both
-compilers must produce the same distributed graph field for field: op
-insertion order and names (``#n`` suffixes included), every ``DistOp``
-field, per-op edge order, ``instances``, ``resident_bytes`` (order and
-values) and ``version``.  The kernel the compile attaches must equal an
+For every drawn (model family, cluster, strategy), with one collective
+per gradient (``bucket_bytes=None``) and with the default AllReduce
+buckets, both compilers must produce the same distributed graph field
+for field: op insertion order and names (``#n`` suffixes included),
+every ``DistOp`` field, per-op edge order, ``instances``,
+``resident_bytes`` (order and values) and ``version``.  The kernel the compile attaches must equal an
 independent lowering of the finished graph, its recipe pricing
 (``ProfileCostModel.prices``) must equal ``duration`` op by op, and every
 ``CompileError`` must carry the same text.
@@ -26,6 +27,7 @@ from repro.graph.dag import ComputationGraph
 from repro.graph.models import build_model, model_names
 from repro.graph.op import Operation, OpPhase, TensorSpec
 from repro.parallel import GraphCompiler
+from repro.parallel.compiler import ALLREDUCE_BUCKET_BYTES
 from repro.parallel.strategy import (
     CommMethod,
     OpStrategy,
@@ -45,16 +47,18 @@ from tests.oracle import op_duration
 from tests.oracle.compiler import ReferenceCompiler
 
 CLUSTERS = {"cluster_4gpu": cluster_4gpu, "cluster_8gpu": cluster_8gpu}
+BUCKETS = (None, ALLREDUCE_BUCKET_BYTES)
 
 
 @functools.lru_cache(maxsize=None)
 def _context(model: str, cluster_name: str):
-    """Graph, cluster, profile and one shared new compiler (so its
-    per-graph tables are reused across drawn strategies)."""
+    """Graph, cluster, profile and one shared new compiler per bucket
+    limit (so its per-graph tables are reused across drawn strategies)."""
     graph = build_model(model, "tiny")
     cluster = CLUSTERS[cluster_name]()
     profile = Profiler(seed=0).profile(graph, cluster)
-    return graph, cluster, profile, GraphCompiler(cluster, profile)
+    return graph, cluster, profile, [
+        GraphCompiler(cluster, profile, bucket_bytes=b) for b in BUCKETS]
 
 
 def _options(cluster, rng: random.Random):
@@ -144,7 +148,8 @@ def _compile_both(compiler, graph, cluster, profile, strategy):
     """(result, error) of the new and the reference compiler."""
     results = []
     for make in (lambda: compiler,
-                 lambda: ReferenceCompiler(cluster, profile)):
+                 lambda: ReferenceCompiler(cluster, profile,
+                                           compiler.bucket_bytes)):
         comp = make()
         try:
             dist = comp.compile(graph, strategy)
@@ -188,13 +193,14 @@ def _assert_same(new, ref, make_cost=None):
        kind=st.sampled_from(("dp", "per_op", "per_group")),
        seed=st.integers(0, 2 ** 16))
 def test_compiler_matches_reference(model, cluster_name, kind, seed):
-    graph, cluster, profile, compiler = _context(model, cluster_name)
+    graph, cluster, profile, compilers = _context(model, cluster_name)
     strategy = _draw_strategy(graph, cluster, kind, seed)
-    new, ref = _compile_both(compiler, graph, cluster, profile, strategy)
-    if ref[1] is not None:
-        assert new[1] == ref[1]
-        return
-    _assert_same(new, ref, lambda: ProfileCostModel(cluster, profile))
+    for compiler in compilers:
+        new, ref = _compile_both(compiler, graph, cluster, profile, strategy)
+        if ref[1] is not None:
+            assert new[1] == ref[1]
+            continue
+        _assert_same(new, ref, lambda: ProfileCostModel(cluster, profile))
 
 
 # --------------------------------------------------------------------- #
@@ -258,13 +264,15 @@ def test_failure_parity(make_graph, choice):
     if choice == "missing":
         strategy = Strategy(graph, cluster, {
             n: op_strategy for n in graph.op_names[:-1]})
-    new, ref = _compile_both(GraphCompiler(cluster), graph, cluster, None,
-                             strategy)
-    assert new[1] == ref[1]
-    if ref[1] is None:
-        _assert_same(new, ref)
-    elif make_graph is _two_applies and choice != "missing":
-        assert "must feed exactly one ApplyGradient" in ref[1][1]
+    for bucket_bytes in BUCKETS:
+        new, ref = _compile_both(
+            GraphCompiler(cluster, bucket_bytes=bucket_bytes), graph,
+            cluster, None, strategy)
+        assert new[1] == ref[1]
+        if ref[1] is None:
+            _assert_same(new, ref)
+        elif make_graph is _two_applies and choice != "missing":
+            assert "must feed exactly one ApplyGradient" in ref[1][1]
 
 
 def test_prices_cover_every_kind():

@@ -15,8 +15,8 @@ from repro.parallel import (
 )
 
 
-def compile_with(graph, cluster, strategy, profile=None):
-    compiler = GraphCompiler(cluster, profile)
+def compile_with(graph, cluster, strategy, profile=None, **kwargs):
+    compiler = GraphCompiler(cluster, profile, **kwargs)
     return compiler, compiler.compile(graph, strategy)
 
 
@@ -58,7 +58,7 @@ class TestDataParallel:
     def test_allreduce_per_param_gradient(self, mlp_graph, four_gpu):
         st = uniform_strategy(mlp_graph, four_gpu, make_dp_strategy(
             four_gpu, ReplicaAllocation.EVEN, CommMethod.ALLREDUCE))
-        _, dist = compile_with(mlp_graph, four_gpu, st)
+        _, dist = compile_with(mlp_graph, four_gpu, st, bucket_bytes=None)
         pgrads = [o for o in mlp_graph if o.produces_param_gradient]
         collectives = [o for o in dist if o.kind is DistOpKind.ALLREDUCE]
         assert len(collectives) == len(pgrads)
@@ -66,7 +66,7 @@ class TestDataParallel:
     def test_allreduce_followed_by_local_applies(self, mlp_graph, four_gpu):
         st = uniform_strategy(mlp_graph, four_gpu, make_dp_strategy(
             four_gpu, ReplicaAllocation.EVEN, CommMethod.ALLREDUCE))
-        _, dist = compile_with(mlp_graph, four_gpu, st)
+        _, dist = compile_with(mlp_graph, four_gpu, st, bucket_bytes=None)
         for op in dist:
             if op.kind is DistOpKind.ALLREDUCE:
                 succ = [dist.op(s) for s in dist.successors(op.name)]
@@ -169,8 +169,9 @@ class TestResources:
         monkeypatch.setattr(_Compilation, "fresh", lambda self, prefix: "x")
         st = uniform_strategy(mlp_graph, four_gpu, make_dp_strategy(
             four_gpu, ReplicaAllocation.EVEN, CommMethod.ALLREDUCE))
+        # one collective per gradient: every one of them is named "x"
         with pytest.raises(CompileError, match="duplicate dist-op name 'x'"):
-            compile_with(mlp_graph, four_gpu, st)
+            compile_with(mlp_graph, four_gpu, st, bucket_bytes=None)
 
     def test_transfer_seizes_nics_across_servers(self, mlp_graph, four_gpu):
         st = uniform_strategy(mlp_graph, four_gpu, make_dp_strategy(

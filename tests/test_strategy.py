@@ -175,5 +175,5 @@ class TestGrouping:
     def test_members_cover_graph(self, mlp_graph):
         avg = {n: 1.0 for n in mlp_graph.op_names}
         g = group_operations(mlp_graph, avg, max_groups=6)
-        members = g.members()
-        assert sum(len(m) for m in members) == len(mlp_graph)
+        assert sorted(g.group_of) == sorted(mlp_graph.op_names)
+        assert set(g.group_of.values()) <= set(range(g.num_groups))
