@@ -32,7 +32,9 @@ creates no :class:`DistOp`: per emitted dist-op it records a name, a
 recipe tuple of plain values
 (:data:`~repro.parallel.distgraph.RECIPE_FIELDS`) and a tuple of
 predecessor ids, all lowered at once
-(:meth:`~repro.simulation.kernel.Lowering.append`).  Successors are
+(:meth:`~repro.simulation.kernel.Lowering.append`), and, given a cost,
+priced there too, so a compile against a limit stops as soon as one
+resource's load proves the candidate loses.  Successors are
 derived from the predecessor tuples at the end, and the result is a
 :class:`DistGraph` view of its :class:`~repro.simulation.kernel.SimKernel`
 that builds ``DistOp`` objects only if something asks for them, so
@@ -55,6 +57,7 @@ from ..graph.dag import ComputationGraph
 from ..graph.op import Operation, OpPhase
 from ..profiling.cost_model import op_memory_bytes, op_resident_bytes
 from ..profiling.profiler import Profile
+from ..simulation.costs import ProfileCostModel
 from ..simulation.kernel import Lowering, SimKernel
 from .aggregation import choose_allreduce, choose_ps_device
 from .distgraph import DistGraph
@@ -175,14 +178,23 @@ class GraphCompiler:
         return cached
 
     # ------------------------------------------------------------------ #
-    def compile(self, graph: ComputationGraph, strategy: Strategy) -> DistGraph:
+    def compile(self, graph: ComputationGraph, strategy: Strategy, *,
+                cost: Optional[ProfileCostModel] = None,
+                prune_above: Optional[float] = None) -> DistGraph:
         """The distributed graph of ``strategy``, with its simulation
         kernel attached and its per-device resident bytes in
-        ``resident_bytes``."""
+        ``resident_bytes``.
+
+        With ``cost``, each dist-op is priced as it is emitted and the kernel arrives
+        with its durations and resource loads cached under ``cost``.
+        With ``prune_above`` as well, the compile stops with
+        :class:`~repro.simulation.kernel.LoadExceeded` as soon as one
+        resource's load exceeds ``prune_above`` beyond
+        :data:`~repro.simulation.kernel.PRUNE_GUARD`."""
         tables = self._tables
         if tables is None or tables.graph is not graph:
             tables = self._tables = _GraphTables(graph)
-        return _Compilation(self, tables, strategy).run()
+        return _Compilation(self, tables, strategy, cost, prune_above).run()
 
     def _comm_resources(self, src: str, dst: str) -> Tuple[str, ...]:
         """NIC ports seized by an inter-server path (shared bottleneck of
@@ -248,11 +260,12 @@ class _Compilation:
     Dist-ops are referred to by their integer id (emission order)."""
 
     def __init__(self, compiler: GraphCompiler, tables: _GraphTables,
-                 strategy: Strategy):
+                 strategy: Strategy, cost: Optional[ProfileCostModel],
+                 prune_above: Optional[float]):
         self.compiler = compiler
         self.tables = tables
         self.strategy = strategy
-        self.lowering = Lowering(tables.source_ops)
+        self.lowering = Lowering(tables.source_ops, cost, prune_above)
         self.names = self.lowering.names
         # each dist-op's predecessor ids
         self.preds: List[Tuple[int, ...]] = []

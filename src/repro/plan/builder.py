@@ -32,7 +32,8 @@ from ..profiling.profiler import Profile, Profiler
 from ..scheduling.list_scheduler import FifoScheduler, ListScheduler
 from ..simulation.costs import ProfileCostModel
 from ..simulation.engine import Simulator
-from ..simulation.kernel import PRUNE_GUARD, kernel_lower_bound, lower
+from ..simulation.kernel import (PRUNE_GUARD, LoadExceeded,
+                                 kernel_lower_bound, lower)
 from .cache import PlanCache
 from .fingerprint import fingerprint_context, fingerprint_strategy
 from .plan import EvalOutcome, ExecutionPlan
@@ -98,7 +99,8 @@ class PlanBuilder:
         return self._outcomes
 
     # ------------------------------------------------------------------ #
-    def compile(self, strategy: Strategy) -> "tuple[DistGraph, Dict[str, int]]":
+    def compile(self, strategy: Strategy, prune_above: Optional[float] = None
+                ) -> "tuple[DistGraph, Dict[str, int]]":
         """Compile only: the dist graph plus per-device resident bytes.
 
         Every call compiles afresh (no plan cache), through the context's
@@ -106,9 +108,13 @@ class PlanBuilder:
         calls.  For consumers that post-process the dist graph (the
         pipeline transform) before scheduling it themselves;
         standard consumers should use :meth:`build`.  The graph comes
-        with its simulation kernel attached (``lower(dist)`` is free).
+        with its simulation kernel attached (``lower(dist)`` is free),
+        priced under :attr:`cost`.  With ``prune_above``, the compile
+        raises :class:`LoadExceeded` once one resource's load proves
+        the makespan exceeds it (beyond :data:`PRUNE_GUARD`).
         """
-        dist = self._compiler.compile(self.graph, strategy)
+        dist = self._compiler.compile(self.graph, strategy, cost=self.cost,
+                                      prune_above=prune_above)
         return dist, dist.resident_bytes
 
     def build(self, strategy: Strategy) -> ExecutionPlan:
@@ -135,7 +141,9 @@ class PlanBuilder:
 
         Returns ``(plan, None)`` on a full build and ``(None, outcome)``
         when the candidate was pruned — either by the static
-        :func:`kernel_lower_bound` before any simulation, or because
+        :func:`kernel_lower_bound` before any simulation (its
+        busiest-resource term already while compiling, once the loads
+        of the ops emitted so far exceed ``limit``), or because
         the chosen order's simulation exceeded ``limit`` (both
         candidate orders', under order scheduling).  A cached plan is
         served as-is; a fresh one is left for the caller to cache.
@@ -144,9 +152,15 @@ class PlanBuilder:
         if cached is not None:
             return cached, None
         with telemetry.span("plan.build", graph=self.graph.name):
-            dist, resident = self.compile(strategy)
-            # the compile's array lowering serves ranking, the order's
-            # simulations, and every later simulation of the cached plan
+            try:
+                dist, resident = self.compile(strategy, prune_above=limit)
+            except LoadExceeded as cut:
+                return None, self._pruned_outcome(
+                    stage="bound", bound=cut.bound, threshold=limit,
+                    dist_ops=cut.emitted)
+            # the compile's priced array lowering serves the bound,
+            # ranking, the order's simulations, and every later
+            # simulation of the cached plan
             kernel = lower(dist)
             if limit is not None:
                 bound = kernel_lower_bound(kernel, self.cost, limit)
@@ -185,7 +199,7 @@ class PlanBuilder:
             "plan_pruned_total", labels={"stage": stage},
             help="candidates pruned against the best-so-far, by stage")
         record_event("candidate_pruned", stage=stage, bound=bound,
-                     threshold=threshold)
+                     threshold=threshold, dist_ops=dist_ops)
         return EvalOutcome(time=float("inf"), dist_ops=dist_ops,
                            pruned=True, bound=bound, prune_stage=stage)
 

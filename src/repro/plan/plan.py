@@ -89,6 +89,11 @@ class EvalOutcome:
     unstarted on a resource it freed), ``time`` is
     ``inf`` and ``feasible`` is False, so no argmin consumer can ever
     select it.
+
+    ``dist_ops`` counts the dist-ops compiled: all of them, except for
+    a ``"bound"`` prune cut while compiling, where it is the number
+    emitted before a resource's load crossed the threshold (and
+    ``bound`` is that load).  An infeasible outcome has 0.
     """
 
     time: float                  # simulated per-iteration seconds

@@ -44,10 +44,11 @@ _PRICE_CACHE_SLOTS = 4
 class CostProvider(Protocol):
     """Interface the simulator uses to time dist-ops.
 
-    A provider prices whole kernels, never single ops.
-    ``deterministic`` declares that ``prices(kernel)`` is a pure
-    function of the kernel: the simulation kernel then prices every op
-    once per lowering, from its recipes (so a compiled graph never
+    A provider prices whole kernels; :meth:`ProfileCostModel.price`
+    also prices one op from its recipe, for the graph compiler, which
+    prices each op as it emits it.  ``deterministic`` declares that
+    ``prices(kernel)`` is a pure function of the kernel: the
+    simulation kernel then prices every op once per lowering, from its recipes (so a compiled graph never
     builds its ``DistOp`` objects), and shares the array across ranking
     and repeated simulations.  Stochastic providers (per-execution
     jitter) leave ``deterministic`` False and implement
@@ -114,12 +115,14 @@ class ProfileCostModel(_BaseCost):
         """The predicted duration of every op of ``kernel``, from its
         recipes."""
         sources = kernel.source_ops
-        price = self._price
+        price = self.price
         return [price(r, sources[r[1]] if r[1] >= 0 else None)
                 for r in kernel.recipes]
 
-    def _price(self, recipe: tuple, source_op) -> float:
-        """Duration of the op with this recipe and source op."""
+    def price(self, recipe: tuple, source_op) -> float:
+        """Duration of the op with this recipe and source op: what
+        :meth:`prices` gives for it, so the graph compiler can price
+        each op as it emits it."""
         (kind, _, device, src_device, dst_device, devices, size_bytes,
          batch_fraction, hierarchical, _) = recipe
         if kind == "compute" or kind == "apply":

@@ -30,8 +30,13 @@ ranking, both candidate-order simulations in
 re-simulation of the plan.
 
 Durations are only cached on the kernel for *deterministic* cost
-providers (``cost.deterministic`` is True), priced from the recipes by
-``cost.prices(kernel)``.  The stochastic truth model prices the same
+providers (``cost.deterministic`` is True).  Compiled kernels arrive
+priced: the planner compiles with its cost, whose ``price(recipe,
+source_op)`` the lowering calls on each op as it is emitted, so the
+kernel is built with its duration and load arrays cached (and the
+compile can stop at a limit, :class:`LoadExceeded`).  Any other kernel
+is priced from its recipes on first use by ``cost.prices(kernel)``,
+which gives the same bits.  The stochastic truth model prices the same
 recipes per run instead (``TruthCostModel.draw``): its base durations
 are cached on the provider per fault overlay, and its jitter is one
 batch per run that the event loop reads in start order.  That keeps
@@ -49,11 +54,23 @@ from typing import Dict, List, Optional, Tuple
 
 from ..graph.op import Operation
 from ..parallel.distgraph import NCCL_RESOURCE, DistGraph, DistOp
-from .costs import CostProvider
+from .costs import CostProvider, ProfileCostModel
 from .memory import output_bytes
 
 #: max distinct cost providers whose duration arrays one kernel retains
 _DURATION_CACHE_SLOTS = 4
+
+
+class LoadExceeded(Exception):
+    """A priced :class:`Lowering` stopped: one resource's running load
+    passed the limit.  ``bound`` is that load, an admissible lower bound
+    on the makespan; ``emitted`` is the number of ops lowered so far,
+    the one that crossed included."""
+
+    def __init__(self, bound: float, emitted: int):
+        super().__init__(f"resource load {bound!r} after {emitted} ops")
+        self.bound = bound
+        self.emitted = emitted
 
 
 class Lowering:
@@ -75,15 +92,29 @@ class Lowering:
     ``source_ops`` is the training-op table recipes index into: the
     compiler passes its per-graph table, :meth:`add` fills a table of
     its own (do not mix the two on one lowering).
+
+    With a ``cost``, :meth:`append` also prices each op
+    (``durations``) and adds its duration to the load of every resource
+    it holds (``loads``, by resource id).  Op and resource ids are
+    emission order, so both arrays come out bit for bit as
+    ``cost.prices(kernel)`` and :meth:`SimKernel.loads_for` compute
+    them, and the kernel is built with them cached.  With ``prune_above`` as well, the first load to
+    pass ``prune_above * (1 + PRUNE_GUARD)`` raises
+    :class:`LoadExceeded`: durations are non-negative, so a load only
+    grows, and the busiest-resource term of :func:`kernel_lower_bound`
+    is already proved to exceed the limit.
     """
 
     __slots__ = (
         "names", "recipes", "source_ops", "resource_names", "res_ids",
         "mem_dev_names", "mem_dev_index", "charge_dev", "out_bytes",
-        "device_ids", "_resource_ids", "_placed", "_source_index",
+        "device_ids", "cost", "durations", "loads", "_over",
+        "_resource_ids", "_placed", "_source_index",
     )
 
-    def __init__(self, source_ops: Optional[List[Operation]] = None) -> None:
+    def __init__(self, source_ops: Optional[List[Operation]] = None,
+                 cost: Optional[ProfileCostModel] = None,
+                 prune_above: Optional[float] = None) -> None:
         self.names: List[str] = []
         self.recipes: List[tuple] = []
         self.source_ops: List[Operation] = (
@@ -96,6 +127,12 @@ class Lowering:
         self.out_bytes: List[float] = []
         # resource ids compute ops hold: their devices
         self.device_ids: set = set()
+        self.cost = cost
+        # with a cost: per op its duration, per resource id its load
+        self.durations: List[float] = []
+        self.loads: List[float] = []
+        self._over = (float("inf") if prune_above is None
+                      else prune_above * (1.0 + PRUNE_GUARD))
         self._resource_ids: Dict[str, int] = {}
         # placement key -> (resource-id tuple, charge-device index)
         self._placed: Dict[tuple, Tuple[Tuple[int, ...], int]] = {}
@@ -108,6 +145,7 @@ class Lowering:
             rid = len(self.resource_names)
             self._resource_ids[resource] = rid
             self.resource_names.append(resource)
+            self.loads.append(0.0)
         return rid
 
     def _mem_dev(self, device: str) -> int:
@@ -122,7 +160,9 @@ class Lowering:
                nbytes: Optional[float] = None) -> None:
         """Lower the op ``recipe`` describes.  ``nbytes`` is its
         ``output_bytes``; None stands for ``size_bytes`` (right for
-        every kind but compute and apply, whose callers pass it)."""
+        every kind but compute and apply, whose callers pass it).
+        With a cost, price it and count its load, raising
+        :class:`LoadExceeded` once a load passes the limit."""
         kind = recipe[0]
         if kind == "transfer":
             key = (recipe[3], recipe[4], recipe[9])
@@ -160,6 +200,18 @@ class Lowering:
         self.res_ids.append(placed[0])
         self.charge_dev.append(placed[1])
         self.out_bytes.append(nbytes)
+        cost = self.cost
+        if cost is None:
+            return
+        source = recipe[1]
+        d = cost.price(recipe,
+                       self.source_ops[source] if source >= 0 else None)
+        self.durations.append(d)
+        loads, over = self.loads, self._over
+        for r in placed[0]:
+            load = loads[r] = loads[r] + d
+            if load > over:
+                raise LoadExceeded(load, len(self.names))
 
     def add(self, op: DistOp) -> None:
         """:meth:`append` for a :class:`DistOp`."""
@@ -280,6 +332,11 @@ class SimKernel:
         self._tail_cache: Dict[int, Tuple[CostProvider, List[float]]] = {}
         # cost provider -> per-resource summed durations (loads)
         self._load_cache: Dict[int, Tuple[CostProvider, List[float]]] = {}
+        cost = lowering.cost
+        if cost is not None:
+            # a priced lowering arrives with both arrays
+            self._dur_cache[id(cost)] = (cost, lowering.durations)
+            self._load_cache[id(cost)] = (cost, lowering.loads)
 
     @property
     def graph(self) -> DistGraph:

@@ -57,7 +57,7 @@ def op_duration(cost: CostProvider, op: DistOp) -> float:
             return float(cost.default)
         raise SimulationError(f"no duration registered for {op.name!r}")
     if isinstance(cost, ProfileCostModel):
-        return cost._price(op.recipe(), op.source_op)
+        return cost.price(op.recipe(), op.source_op)
     device, base = cost._price(op.recipe(), op.source_op)
     if device is not None:
         raise DeviceLostError(device, op.name)

@@ -341,6 +341,46 @@ class TestServiceObservability:
         assert f"winner_episode={winner}" in postmortem_report(
             rec.get(result.request_id))
 
+    def test_compile_cut_prune_journals_emitted_dist_ops(self, four_gpu):
+        """A candidate cut while compiling journals how many dist-ops
+        were emitted, fewer than its full compile holds; a prune after
+        a full compile journals the full count."""
+        from repro.baselines.dp import dp_strategy
+        from repro.graph.models import build_model
+        from repro.plan import PlanBuilder
+        from repro.simulation import lower
+        from repro.simulation.kernel import kernel_lower_bound
+
+        graph = build_model("vgg19", "tiny")
+        builder = PlanBuilder(graph, four_gpu)
+        strategy = dp_strategy("CP-AR", graph, four_gpu)
+        dist, _ = builder.compile(strategy)
+        loads = lower(dist).loads_for(builder.cost)
+        rec = FlightRecorder()
+        accept(rec, "req-cut")
+        with request_scope("req-cut", rec):
+            cut = builder.evaluate(strategy, prune_above=max(loads) / 2)
+        pruned = [e for e in rec.get("req-cut").events
+                  if e.event == "candidate_pruned"]
+        assert len(pruned) == 1
+        validate_event(pruned[0].to_dict())
+        attrs = pruned[0].attrs
+        assert attrs["stage"] == cut.prune_stage == "bound"
+        assert attrs["bound"] == cut.bound > max(loads) / 2
+        assert attrs["dist_ops"] == cut.dist_ops < len(dist)
+
+        # the critical path proves the loss only once compiled in full
+        fresh = PlanBuilder(graph, four_gpu, builder.profile)
+        bound = kernel_lower_bound(lower(dist), builder.cost)
+        assert max(loads) < bound * 0.999
+        accept(rec, "req-full")
+        with request_scope("req-full", rec):
+            full = fresh.evaluate(strategy, prune_above=bound * 0.999)
+        attrs = [e.attrs for e in rec.get("req-full").events
+                 if e.event == "candidate_pruned"][0]
+        assert full.prune_stage == "bound"
+        assert attrs["dist_ops"] == full.dist_ops == len(dist)
+
     def test_context_lookup_journals_nothing(self, mlp, four_gpu):
         """The facade's profile step looks a context up without serving
         a request: it opens no flight record (such a record would never

@@ -140,7 +140,7 @@ class TestEvaluationCaching:
 
         calls = {"n": 0}
 
-        def failing_compile(self, graph, strategy):
+        def failing_compile(self, graph, strategy, **kwargs):
             calls["n"] += 1
             raise CompileError("forced failure")
 
@@ -236,7 +236,8 @@ def test_losing_candidate_plan_dropped_and_rebuilt(mlp_graph, four_gpu,
     compile_ = GraphCompiler.compile
     monkeypatch.setattr(
         GraphCompiler, "compile",
-        lambda self, *args: compiles.append(args) or compile_(self, *args))
+        lambda self, *args, **kw: compiles.append(args) or compile_(
+            self, *args, **kw))
     b = fresh_builder(mlp_graph, four_gpu, mlp_profile)
     best, loser = float("inf"), None
     for name in DP_BASELINES:

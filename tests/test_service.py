@@ -223,7 +223,8 @@ class TestInlineService:
         compile_ = GraphCompiler.compile
         monkeypatch.setattr(
             GraphCompiler, "compile",
-            lambda self, *args: compiles.append(args) or compile_(self, *args))
+            lambda self, *args, **kw: compiles.append(args) or compile_(
+                self, *args, **kw))
         request = search_request(mlp, four_gpu)
         with PlanningService(workers=0) as service:
             searched = service.plan(request)
@@ -249,8 +250,9 @@ class TestInlineService:
         compiled = []
         compile_ = PlanBuilder.compile
         monkeypatch.setattr(
-            PlanBuilder, "compile", lambda self, strategy: compiled.append(
-                self.fingerprint(strategy)) or compile_(self, strategy))
+            PlanBuilder, "compile",
+            lambda self, strategy, **kw: compiled.append(
+                self.fingerprint(strategy)) or compile_(self, strategy, **kw))
         one_gpu = four_gpu.without_devices(["gpu1", "gpu2", "gpu3"])
         graph = build_model(model, "tiny")
         with PlanningService(workers=0) as service:
@@ -267,7 +269,8 @@ class TestInlineService:
         compile_ = GraphCompiler.compile
         monkeypatch.setattr(
             GraphCompiler, "compile",
-            lambda self, *args: compiles.append(args) or compile_(self, *args))
+            lambda self, *args, **kw: compiles.append(args) or compile_(
+                self, *args, **kw))
         good = dp_strategy("EV-AR", mlp, four_gpu)
         request = PlanRequest(graph=mlp, cluster=four_gpu, strategy=good,
                               config=fast_config())
@@ -278,7 +281,7 @@ class TestInlineService:
             builder = service.context_for(request).builder
             assert built.deployment is builder.build(good)
 
-            def failing(self, *args):
+            def failing(self, *args, **kwargs):
                 compiles.append(args)
                 raise CompileError("forced failure")
 
