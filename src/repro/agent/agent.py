@@ -30,9 +30,10 @@ class AgentConfig:
     Paper defaults: 12 GAT layers x 8 heads, 8 Transformer-XL layers,
     N = 2000 groups.  The defaults here are CPU-feasible reductions of the
     same architecture; pass ``paper_scale()`` for the faithful sizes.
-    ``learning_rate``, the entropy schedule, ``use_seeds`` and ``seed``
-    configure the
-    :class:`~repro.agent.reinforce.ReinforceTrainer` directly.
+    ``use_seeds`` and ``seed`` configure the
+    :class:`~repro.agent.reinforce.ReinforceTrainer` directly; its
+    learning rate and entropy schedule are the constants beside
+    :data:`~repro.agent.reinforce.CLIP_NORM`.
     """
 
     max_groups: int = 60
@@ -42,9 +43,6 @@ class AgentConfig:
     strategy_dim: int = 64
     strategy_heads: int = 4
     strategy_layers: int = 2
-    learning_rate: float = 3e-3
-    entropy_weight: float = 5e-3
-    entropy_decay: float = 0.995
     use_seeds: bool = True
     seed: int = 0
 

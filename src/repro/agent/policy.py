@@ -112,19 +112,16 @@ class PolicyNetwork(Module):
         return self.strategy_net(groups)
 
     def sample(self, features: np.ndarray, neighbourhood: Neighbourhood,
-               assignment: np.ndarray, rng: np.random.Generator,
-               greedy: bool = False) -> PolicySample:
+               assignment: np.ndarray, rng: np.random.Generator
+               ) -> PolicySample:
         logits = self.logits(features, neighbourhood, assignment)
         logp = F.log_softmax(logits, axis=-1)          # (N, A)
         probs = np.exp(logp.data)
         n = probs.shape[0]
-        if greedy:
-            actions = probs.argmax(axis=-1)
-        else:
-            cumulative = probs.cumsum(axis=-1)
-            draws = rng.random((n, 1))
-            actions = (draws > cumulative).sum(axis=-1)
-            actions = np.minimum(actions, self.actions - 1)
+        cumulative = probs.cumsum(axis=-1)
+        draws = rng.random((n, 1))
+        actions = np.minimum((draws > cumulative).sum(axis=-1),
+                             self.actions - 1)
         one_hot = np.eye(self.actions)[actions]        # (N, A)
         log_prob = F.sum(F.mul(logp, Tensor(one_hot)))
         entropy = F.scale(

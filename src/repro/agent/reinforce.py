@@ -52,6 +52,12 @@ _REWARD_BUCKETS = tuple(-(4.0 ** i) for i in range(8, -1, -1)) + (
 
 #: global gradient-norm clip of the policy optimizer
 CLIP_NORM = 5.0
+#: the policy optimizer's learning rate
+LEARNING_RATE = 3e-3
+#: the entropy bonus's weight in the first episode, and its per-episode
+#: decay factor
+ENTROPY_WEIGHT = 5e-3
+ENTROPY_DECAY = 0.995
 
 
 @dataclass
@@ -68,8 +74,9 @@ class GraphContext:
     baseline: MovingAverageBaseline = field(
         default_factory=lambda: MovingAverageBaseline(0.9)
     )
-    best_time: float = float("inf")
-    best_actions: Optional[np.ndarray] = None
+    # the best group-action candidate so far: the trainer's to update
+    best_time: float = field(default=float("inf"), init=False)
+    best_actions: Optional[np.ndarray] = field(default=None, init=False)
     # best raw Strategy seed (per-op expressiveness the group action
     # space cannot emit, e.g. the per-op memory ladder)
     best_raw_strategy: Optional[Strategy] = None
@@ -113,11 +120,11 @@ class ReinforceTrainer:
         self.policy = policy
         self.contexts = list(contexts)
         self.config = config
-        self.optimizer = Adam(policy.parameters(), lr=config.learning_rate,
+        self.optimizer = Adam(policy.parameters(), lr=LEARNING_RATE,
                               clip_norm=CLIP_NORM)
         self.rng = np.random.default_rng(config.seed)
         self.episode = 0
-        self._entropy_weight = config.entropy_weight
+        self._entropy_weight = ENTROPY_WEIGHT
         # per context, the seeds left to sweep; built on its first sweep
         self._seed_queues: Dict[str, List[np.ndarray]] = {}
         self._repair_attempts: Dict[str, int] = {}
@@ -138,7 +145,7 @@ class ReinforceTrainer:
                 total.backward()
                 self.optimizer.step()
             self.episode += 1
-            self._entropy_weight *= self.config.entropy_decay
+            self._entropy_weight *= ENTROPY_DECAY
             telemetry.emit_count("agent_episodes_total",
                                  help="REINFORCE episodes trained")
 

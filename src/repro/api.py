@@ -54,7 +54,6 @@ class Dataset:
 
     batch_size: int
     num_samples: int = 1_000_000
-    sample_shape: tuple = ()
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:

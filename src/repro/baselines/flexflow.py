@@ -24,6 +24,9 @@ from ..parallel.strategy import Strategy
 from ..plan import PlanBuilder
 from ..profiling.profiler import Profile, Profiler
 
+#: the Metropolis temperature, as a share of the current time
+TEMPERATURE = 0.05
+
 
 @dataclass
 class MCMCResult:
@@ -67,8 +70,7 @@ class FlexFlowSearch:
             return float("inf")
         return outcome.time
 
-    def search(self, iterations: int = 120,
-               temperature: float = 0.05) -> MCMCResult:
+    def search(self, iterations: int = 120) -> MCMCResult:
         m = self.cluster.num_devices
         n = self.grouping.num_groups
         # start from the better of even / proportional AllReduce DP,
@@ -96,7 +98,7 @@ class FlexFlowSearch:
                 ]
             time = self._evaluate(proposal)
             delta = time - current_time
-            scale = max(current_time, 1e-9) * temperature
+            scale = max(current_time, 1e-9) * TEMPERATURE
             if delta <= 0 or (
                 np.isfinite(time)
                 and self.rng.random() < np.exp(-delta / scale)

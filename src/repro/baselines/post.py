@@ -27,6 +27,12 @@ from ..plan import PlanBuilder
 from ..profiling.profiler import Profile, Profiler
 
 
+#: the share of a round's samples the distribution is refit to
+ELITE_FRACTION = 0.25
+#: the weight the old distribution keeps in each refit
+SMOOTHING = 0.7
+
+
 def sample_placements(rng: np.random.Generator, probs: np.ndarray,
                       samples: int) -> np.ndarray:
     """``samples`` rows of one device draw per group, row ``s`` column
@@ -89,16 +95,15 @@ class PostSearch:
         # provably outside the elite cut, so their exact time is moot
         return [o.time if o.feasible else float("inf") for o in outcomes]
 
-    def search(self, rounds: int = 8, samples_per_round: int = 12,
-               elite_fraction: float = 0.25,
-               smoothing: float = 0.7) -> CEMResult:
+    def search(self, rounds: int = 8,
+               samples_per_round: int = 12) -> CEMResult:
         m = self.cluster.num_devices
         n = self.grouping.num_groups
         probs = np.full((n, m), 1.0 / m)
         best: Optional[np.ndarray] = None
         best_time = float("inf")
         evaluations = 0
-        num_elite = max(1, int(samples_per_round * elite_fraction))
+        num_elite = max(1, int(samples_per_round * ELITE_FRACTION))
         for _ in range(rounds):
             batch = list(sample_placements(self.rng, probs,
                                            samples_per_round))
@@ -118,7 +123,7 @@ class PostSearch:
             for row in elite:
                 counts[np.arange(n), row] += 1.0
             refit = counts / counts.sum(axis=1, keepdims=True)
-            probs = smoothing * probs + (1 - smoothing) * refit
+            probs = SMOOTHING * probs + (1 - SMOOTHING) * refit
         if best is None:  # pragma: no cover - defensive
             best = np.zeros(n, dtype=np.int64)
             best_time = self._evaluate(best)
@@ -129,7 +134,7 @@ class PostSearch:
 
 
 def post_strategy(graph: ComputationGraph, cluster: Cluster,
-                  profile: Optional[Profile] = None, *, seed: int = 0,
-                  rounds: int = 8) -> Strategy:
+                  profile: Optional[Profile] = None, *,
+                  seed: int = 0) -> Strategy:
     """Convenience wrapper: run the CEM placement search, return its best strategy."""
-    return PostSearch(graph, cluster, profile, seed=seed).search(rounds).strategy
+    return PostSearch(graph, cluster, profile, seed=seed).search().strategy

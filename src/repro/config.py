@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .agent.agent import AgentConfig
+from .errors import ReproError
 
 
 @dataclass
@@ -31,3 +32,13 @@ class HeteroGConfig:
     seed: int = 0
     profile_noise_sigma: float = 0.03
     engine_jitter_sigma: float = 0.04
+
+    def __post_init__(self) -> None:
+        if self.episodes < 1:
+            raise ReproError(
+                f"HeteroGConfig.episodes must be >= 1, got {self.episodes}")
+        for name in ("profile_noise_sigma", "engine_jitter_sigma"):
+            sigma = getattr(self, name)
+            if sigma < 0:
+                raise ReproError(
+                    f"HeteroGConfig.{name} must be >= 0, got {sigma}")

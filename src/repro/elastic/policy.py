@@ -52,13 +52,15 @@ class ScaleDecision:
 
 #: weight of the newest search in the search-cost moving average
 SEARCH_COST_SMOOTHING = 0.5
+#: seconds a recovery adds for process respawn and weight re-shard, on
+#: top of detection and search (the simulated fleet restarts for free)
+RESTART_OVERHEAD = 0.0
 
 
 class ElasticPolicy:
     """Decides whether new capacity pays for a replan."""
 
-    def __init__(self, *, restart_overhead: float = 0.0):
-        self.restart_overhead = restart_overhead
+    def __init__(self) -> None:
         self._search_cost = 0.0      # EMA of observed search wall-clock
         self._searches = 0
 
@@ -90,7 +92,7 @@ class ElasticPolicy:
             # deterministic; be optimistic and let the post-search
             # adoption guard protect the trainer
             return ScaleDecision(True, float("inf"),
-                                 self.restart_overhead + self._search_cost,
+                                 RESTART_OVERHEAD + self._search_cost,
                                  float("nan"), float("nan"),
                                  "no deterministic bound; replanning")
 
@@ -98,7 +100,7 @@ class ElasticPolicy:
         power_new = sum(d.compute_power for d in new_cluster.devices)
         if power_new <= power_old or bound_before <= 0.0:
             return ScaleDecision(False, 0.0,
-                                 self.restart_overhead + self._search_cost,
+                                 RESTART_OVERHEAD + self._search_cost,
                                  bound_before, bound_before,
                                  "fleet did not gain compute power")
         # a replan repartitions the graph, so per-device work on every
@@ -108,7 +110,7 @@ class ElasticPolicy:
         per_iter = healthy_mean if healthy_mean is not None else bound_before
         frac = max(0.0, 1.0 - bound_after / bound_before)
         expected_savings = per_iter * frac * max(0, remaining_steps)
-        replan_cost = self.restart_overhead + self._search_cost
+        replan_cost = RESTART_OVERHEAD + self._search_cost
         replan = expected_savings > replan_cost
         reason = (f"bound {bound_before:.4f}s -> {bound_after:.4f}s over "
                   f"{remaining_steps} steps: savings "

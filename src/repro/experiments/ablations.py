@@ -20,6 +20,7 @@ from ..cluster.topology import Cluster
 from ..graph.models import build_model
 from ..service import PlanningService, PlanRequest
 from .common import (
+    SEED,
     env_preset,
     experiment_config,
     format_table,
@@ -27,6 +28,12 @@ from .common import (
     run_strategy,
     search_request,
 )
+
+
+#: the kernel jitter sigmas :func:`jitter_sensitivity` sweeps
+JITTER_SIGMAS = [0.0, 0.02, 0.05, 0.1]
+#: the AllReduce bucket sizes :func:`fusion_ablation` sweeps, in MiB
+FUSION_BUCKETS_MB = [4, 32, 256]
 
 
 @dataclass
@@ -56,12 +63,12 @@ def _restrict_actions(actions: np.ndarray, m: int,
 
 def communication_ablation(cluster: Cluster, model: str = "bert_large", *,
                            preset: Optional[str] = None,
-                           episodes: Optional[int] = None,
-                           seed: int = 0) -> List[AblationRow]:
+                           episodes: Optional[int] = None
+                           ) -> List[AblationRow]:
     """Hybrid PS+AR vs AR-only vs PS-only for the searched strategy."""
     preset = preset or env_preset()
     graph = build_model(model, preset)
-    config = experiment_config(seed)
+    config = experiment_config(SEED)
     request = search_request(graph, cluster, config, episodes)
 
     rows: List[AblationRow] = []
@@ -89,12 +96,11 @@ def communication_ablation(cluster: Cluster, model: str = "bert_large", *,
 def grouping_ablation(cluster: Cluster, model: str = "inception_v3", *,
                       preset: Optional[str] = None,
                       group_sizes: Optional[List[int]] = None,
-                      episodes: Optional[int] = None,
-                      seed: int = 0) -> List[AblationRow]:
+                      episodes: Optional[int] = None) -> List[AblationRow]:
     """Strategy quality vs the maximal number of op groups N."""
     preset = preset or env_preset()
     graph = build_model(model, preset)
-    base = experiment_config(seed)
+    base = experiment_config(SEED)
     rows: List[AblationRow] = []
     with PlanningService(workers=0, name="experiments") as service:
         for n in group_sizes or [4, 16, 40]:
@@ -107,22 +113,20 @@ def grouping_ablation(cluster: Cluster, model: str = "inception_v3", *,
     return rows
 
 
-def jitter_sensitivity(cluster: Cluster, model: str = "vgg19", *,
-                       preset: Optional[str] = None,
-                       sigmas: Optional[List[float]] = None,
-                       seed: int = 0) -> Dict[float, float]:
-    """Coefficient of variation of per-iteration time vs kernel jitter."""
+def jitter_sensitivity(cluster: Cluster, model: str = "vgg19"
+                       ) -> Dict[float, float]:
+    """Coefficient of variation of per-iteration time vs kernel jitter,
+    at each of :data:`JITTER_SIGMAS`."""
     from ..runtime.execution_engine import ExecutionEngine
-    preset = preset or env_preset()
-    graph = build_model(model, preset)
+    graph = build_model(model, env_preset())
     with PlanningService(workers=0, name="experiments") as service:
         deployment = service.plan(PlanRequest(
             graph=graph, cluster=cluster,
             strategy=dp_strategy("CP-AR", graph, cluster),
-            config=experiment_config(seed))).deployment
+            config=experiment_config(SEED))).deployment
     out: Dict[float, float] = {}
-    for sigma in sigmas or [0.0, 0.02, 0.05, 0.1]:
-        engine = ExecutionEngine(cluster, jitter_sigma=sigma, seed=seed)
+    for sigma in JITTER_SIGMAS:
+        engine = ExecutionEngine(cluster, jitter_sigma=sigma, seed=SEED)
         stats = engine.measure(deployment.dist, deployment.schedule,
                                deployment.resident_bytes, iterations=10)
         out[sigma] = stats.std / stats.mean if stats.mean else 0.0
@@ -130,15 +134,14 @@ def jitter_sensitivity(cluster: Cluster, model: str = "vgg19", *,
 
 
 def fusion_ablation(cluster: Cluster, model: str = "resnet200", *,
-                    preset: Optional[str] = None,
-                    bucket_sizes_mb: Optional[List[int]] = None,
-                    seed: int = 0) -> List[AblationRow]:
+                    preset: Optional[str] = None) -> List[AblationRow]:
     """Gradient-fusion sweep: per-iteration time vs AllReduce bucket size.
 
-    EV-AR is compiled once per row, unfused and then at each bucket
-    size.  Reproduces the Horovod tensor-fusion U-curve: no fusion pays
-    the per-collective launch overhead hundreds of times; over-fusion
-    delays the first collective until every gradient is ready."""
+    EV-AR is compiled once per row, unfused and then at each size of
+    :data:`FUSION_BUCKETS_MB`.  Reproduces the Horovod tensor-fusion
+    U-curve: no fusion pays the per-collective launch overhead hundreds
+    of times; over-fusion delays the first collective until every
+    gradient is ready."""
     from ..parallel.compiler import GraphCompiler
     from ..parallel.distgraph import DistOpKind
     from ..runtime.execution_engine import ExecutionEngine
@@ -149,13 +152,13 @@ def fusion_ablation(cluster: Cluster, model: str = "resnet200", *,
     with PlanningService(workers=0, name="experiments") as service:
         builder = service.context_for(PlanRequest(
             graph=graph, cluster=cluster,
-            config=experiment_config(seed))).builder
+            config=experiment_config(SEED))).builder
     strategy = dp_strategy("EV-AR", graph, cluster)
     cost = builder.cost
-    engine = ExecutionEngine(cluster, seed=seed + 1)
+    engine = ExecutionEngine(cluster, seed=SEED + 1)
 
     rows: List[AblationRow] = []
-    for mb in [None] + (bucket_sizes_mb or [4, 32, 256]):
+    for mb in [None] + FUSION_BUCKETS_MB:
         dist = GraphCompiler(cluster, builder.profile, bucket_bytes=(
             None if mb is None else mb * 1024 * 1024)).compile(graph,
                                                                strategy)

@@ -21,6 +21,7 @@ from ..graph.op import Operation, TensorSpec
 from ..profiling import cost_model
 from ..service import PlanningService, PlanRequest
 from .common import (
+    SEED,
     MeasuredStrategy,
     env_episodes,
     env_iterations,
@@ -52,7 +53,6 @@ class Fig3aPoint:
 
 
 def fig3a_proportional_allocation(*, preset: Optional[str] = None,
-                                  seed: int = 0,
                                   models: Optional[List[str]] = None
                                   ) -> List[Fig3aPoint]:
     """Even vs compute-power-proportional DP on 2x V100 + 2x 1080Ti.
@@ -62,7 +62,7 @@ def fig3a_proportional_allocation(*, preset: Optional[str] = None,
     """
     preset = preset or env_preset()
     cluster = cluster_4gpu()
-    fifo = experiment_config(seed, use_order_scheduling=False)
+    fifo = experiment_config(SEED, use_order_scheduling=False)
     points: List[Fig3aPoint] = []
     with PlanningService(workers=0, name="experiments") as service:
         for model in models or FIG3A_MODELS:
@@ -189,14 +189,13 @@ class Fig8Bar:
 
 
 def fig8_time_breakdown(*, preset: Optional[str] = None,
-                        episodes: Optional[int] = None,
-                        seed: int = 0) -> List[Fig8Bar]:
+                        episodes: Optional[int] = None) -> List[Fig8Bar]:
     """VGG19 (vs CP-AR) and BERT-large (vs CP-PS) on 8 GPUs."""
     from ..cluster.presets import cluster_8gpu
     preset = preset or env_preset()
     cluster = cluster_8gpu()
-    config = experiment_config(seed)
-    fifo = experiment_config(seed, use_order_scheduling=False)
+    config = experiment_config(SEED)
+    fifo = experiment_config(SEED, use_order_scheduling=False)
     bars: List[Fig8Bar] = []
     with PlanningService(workers=0, name="experiments") as service:
         for model, baseline in (("vgg19", "CP-AR"), ("bert_large", "CP-PS")):
@@ -233,7 +232,7 @@ FIG9_MODELS = ["resnet200", "inception_v3", "transformer", "bert_large"]
 FIG9_SCHEMES = ["HeteroG", "HetPipe", "FlexFlow", "Horovod", "Post"]
 
 
-def _measure_hetpipe(builder, seed: int) -> MeasuredStrategy:
+def _measure_hetpipe(builder) -> MeasuredStrategy:
     """HetPipe runs micro-batch pipelines inside each virtual worker and
     synchronizes with bounded staleness (WSP): gradient traffic overlaps
     subsequent iterations instead of gating this one.  Steady-state
@@ -256,8 +255,8 @@ def _measure_hetpipe(builder, seed: int) -> MeasuredStrategy:
     dist, resident = builder.compile(strategy)
     piped = pipeline_graph(dist, 8)
     compute_only, grad_bytes = strip_gradient_sync(piped)
-    schedule = FifoScheduler(seed=seed).schedule(compute_only, None)
-    engine = ExecutionEngine(cluster, seed=seed + 1)
+    schedule = FifoScheduler(seed=SEED).schedule(compute_only, None)
+    engine = ExecutionEngine(cluster, seed=SEED + 1)
     try:
         stats = engine.measure(compute_only, schedule,
                                resident,
@@ -285,14 +284,13 @@ class Fig9Bar:
 
 def fig9_existing_schemes(*, preset: Optional[str] = None,
                           episodes: Optional[int] = None,
-                          seed: int = 0,
                           models: Optional[List[str]] = None
                           ) -> List[Fig9Bar]:
     """Measure HeteroG vs HetPipe/FlexFlow/Horovod/Post on 12 GPUs."""
     preset = preset or env_preset()
     cluster = cluster_12gpu()
-    config = experiment_config(seed)
-    fifo = experiment_config(seed, use_order_scheduling=False)
+    config = experiment_config(SEED)
+    fifo = experiment_config(SEED, use_order_scheduling=False)
     bars: List[Fig9Bar] = []
     with PlanningService(workers=0, name="experiments") as service:
         for model in models or FIG9_MODELS:
@@ -303,17 +301,17 @@ def fig9_existing_schemes(*, preset: Optional[str] = None,
             measured: Dict[str, MeasuredStrategy] = {
                 "HeteroG": run_heterog(service, graph, cluster, config,
                                        episodes=episodes),
-                "HetPipe": _measure_hetpipe(context.builder, seed),
+                "HetPipe": _measure_hetpipe(context.builder),
             }
             # the other schemes run under the framework's default order
             for name, strategy in (
                     ("FlexFlow", flexflow_strategy(
                         graph, cluster, context.profile,
                         iterations=max(80, 3 * (episodes or env_episodes())),
-                        seed=seed)),
+                        seed=SEED)),
                     ("Horovod", horovod_strategy(graph, cluster)),
                     ("Post", post_strategy(graph, cluster, context.profile,
-                                           seed=seed))):
+                                           seed=SEED))):
                 measured[name] = run_strategy(service, strategy, name, fifo)
             bars.append(Fig9Bar(model=model, speeds={
                 name: 0.0 if m.oom else batch / m.time

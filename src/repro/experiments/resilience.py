@@ -80,8 +80,15 @@ class ResilienceRow:
         return sum(r.plan_cache_hits for r in self.report.recoveries)
 
 
-def fault_scenarios(cluster: Cluster, *, at: int = 3,
-                    ) -> List[Tuple[str, FaultSchedule]]:
+#: the training step every :func:`fault_scenarios` fault strikes at
+FAULT_STEP = 3
+#: the step :func:`churn_scenarios`' servers join at (the preemption
+#: notice comes one step later), and the notice's length in steps
+CHURN_STEP = 2
+PREEMPT_NOTICE = 2
+
+
+def fault_scenarios(cluster: Cluster) -> List[Tuple[str, FaultSchedule]]:
     """The no-faults baseline and three single-fault scenarios."""
     victim = cluster.device_ids[-1]       # crash the last-added GPU
     straggler = cluster.device_ids[0]
@@ -89,23 +96,23 @@ def fault_scenarios(cluster: Cluster, *, at: int = 3,
     return [
         ("(no faults)", FaultSchedule.empty()),
         (f"crash {victim}",
-         FaultSchedule.parse(f"crash:{victim}@{at}")),
+         FaultSchedule.parse(f"crash:{victim}@{FAULT_STEP}")),
         (f"NIC {server} x0.4",
-         FaultSchedule.parse(f"degrade:{server}@{at}x0.4")),
+         FaultSchedule.parse(f"degrade:{server}@{FAULT_STEP}x0.4")),
         (f"straggler {straggler} x2",
-         FaultSchedule.parse(f"straggler:{straggler}@{at}x2.0")),
+         FaultSchedule.parse(f"straggler:{straggler}@{FAULT_STEP}x2.0")),
     ]
 
 
-def churn_scenarios(cluster: Cluster, *, at: int = 2, notice: int = 2,
-                    ) -> List[Tuple[str, FaultSchedule]]:
+def churn_scenarios(cluster: Cluster) -> List[Tuple[str, FaultSchedule]]:
     """The two canonical capacity-event scenarios on ``cluster``."""
     victim = cluster.device_ids[-1]
     return [
         ("arrival +2xV100",
-         FaultSchedule.parse(f"server_join:v100@{at}x2")),
-        (f"preempt {victim} (notice {notice})",
-         FaultSchedule.parse(f"preempt:{victim}@{at + 1}x{notice}")),
+         FaultSchedule.parse(f"server_join:v100@{CHURN_STEP}x2")),
+        (f"preempt {victim} (notice {PREEMPT_NOTICE})",
+         FaultSchedule.parse(
+             f"preempt:{victim}@{CHURN_STEP + 1}x{PREEMPT_NOTICE}")),
     ]
 
 

@@ -15,6 +15,7 @@ from ..runtime.trainer_loop import end_to_end_minutes
 from ..service import PlanningService
 from .common import (
     LARGE_MODEL_ROWS,
+    SEED,
     SMALL_MODEL_LABELS,
     MeasuredStrategy,
     env_episodes,
@@ -48,14 +49,14 @@ def _batch_for(model: str, num_gpus: int) -> Dict[str, object]:
 
 def _per_iteration_row(service: PlanningService, cluster: Cluster,
                        graph: ComputationGraph, model: str, label: str, *,
-                       seed: int, episodes: Optional[int],
+                       episodes: Optional[int],
                        iterations: Optional[int] = None) -> PerIterationRow:
     """HeteroG and the DP baselines on one graph.  The baselines run
     under the framework's default FIFO order, as in the paper; order
     scheduling is part of HeteroG."""
-    heterog = run_heterog(service, graph, cluster, experiment_config(seed),
+    heterog = run_heterog(service, graph, cluster, experiment_config(SEED),
                           episodes=episodes, iterations=iterations)
-    fifo = experiment_config(seed, use_order_scheduling=False)
+    fifo = experiment_config(SEED, use_order_scheduling=False)
     baselines = {
         name: run_strategy(service, dp_strategy(name, graph, cluster), name,
                            fifo, iterations=iterations)
@@ -69,8 +70,7 @@ def per_iteration_table(cluster: Cluster, num_gpus: int, *,
                         preset: Optional[str] = None,
                         episodes: Optional[int] = None,
                         models: Optional[List[str]] = None,
-                        include_large: bool = True,
-                        seed: int = 0) -> List[PerIterationRow]:
+                        include_large: bool = True) -> List[PerIterationRow]:
     """Generate the Table 1 (8 GPUs) / Table 4 (12 GPUs) rows."""
     preset = preset or env_preset()
     episodes = episodes if episodes is not None else env_episodes()
@@ -80,18 +80,17 @@ def per_iteration_table(cluster: Cluster, num_gpus: int, *,
             graph = build_model(model, preset, **_batch_for(model, num_gpus))
             rows.append(_per_iteration_row(
                 service, cluster, graph, model,
-                SMALL_MODEL_LABELS.get(model, model), seed=seed,
-                episodes=episodes))
+                SMALL_MODEL_LABELS.get(model, model), episodes=episodes))
     if include_large:
         rows.extend(large_model_rows(cluster, num_gpus, preset=preset,
-                                     episodes=episodes, seed=seed))
+                                     episodes=episodes))
     return rows
 
 
 def large_model_rows(cluster: Cluster, num_gpus: int, *,
                      preset: Optional[str] = None,
-                     episodes: Optional[int] = None,
-                     seed: int = 0) -> List[PerIterationRow]:
+                     episodes: Optional[int] = None
+                     ) -> List[PerIterationRow]:
     """The OOM rows: DP infeasible, HeteroG finds a feasible deployment.
 
     These rows are only meaningful at ``paper`` preset (the bench-scale
@@ -111,8 +110,8 @@ def large_model_rows(cluster: Cluster, num_gpus: int, *,
             kwargs["batch_size"] = int(kwargs["batch_size"] * scale)
             graph = build_model(model, preset, **kwargs)
             rows.append(_per_iteration_row(
-                service, cluster, graph, model, label, seed=seed,
-                episodes=episodes, iterations=2))
+                service, cluster, graph, model, label, episodes=episodes,
+                iterations=2))
     return rows
 
 
@@ -177,13 +176,12 @@ class EndToEndRow:
 
 def end_to_end_table(*, preset: Optional[str] = None,
                      episodes: Optional[int] = None,
-                     seed: int = 0,
                      models: Optional[List[str]] = None
                      ) -> List[EndToEndRow]:
     """Table 5: convergence minutes = iterations(batch) x per-iter time."""
     preset = preset or env_preset()
-    config = experiment_config(seed)
-    fifo = experiment_config(seed, use_order_scheduling=False)
+    config = experiment_config(SEED)
+    fifo = experiment_config(SEED, use_order_scheduling=False)
     rows: List[EndToEndRow] = []
     with PlanningService(workers=0, name="experiments") as service:
         for gpus, cluster in ((8, cluster_8gpu()), (12, cluster_12gpu())):
@@ -238,12 +236,12 @@ class OrderSchedulingRow:
 def order_scheduling_table(cluster: Cluster, *,
                            preset: Optional[str] = None,
                            episodes: Optional[int] = None,
-                           models: Optional[List[str]] = None,
-                           seed: int = 0) -> List[OrderSchedulingRow]:
+                           models: Optional[List[str]] = None
+                           ) -> List[OrderSchedulingRow]:
     """Table 7: same HeteroG strategy executed with rank order vs FIFO."""
     preset = preset or env_preset()
-    config = experiment_config(seed)
-    fifo = experiment_config(seed, use_order_scheduling=False)
+    config = experiment_config(SEED)
+    fifo = experiment_config(SEED, use_order_scheduling=False)
     rows: List[OrderSchedulingRow] = []
     with PlanningService(workers=0, name="experiments") as service:
         for model in models or ALL_MODELS:

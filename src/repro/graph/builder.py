@@ -86,7 +86,6 @@ class GraphBuilder:
         *,
         layer: Optional[str] = None,
         depthwise: bool = False,
-        name: Optional[str] = None,
     ) -> str:
         in_spec = self.graph.op(src).output
         if len(in_spec.shape) != 4:
@@ -108,38 +107,10 @@ class GraphBuilder:
             op_type,
             out,
             [src],
-            name=name,
             flops=flops,
             param_bytes=params,
             layer=layer,
             attrs={"kernel": kernel, "stride": stride, "in_channels": in_ch},
-        )
-
-    def conv1d(
-        self,
-        src: str,
-        out_channels: int,
-        kernel: int = 3,
-        *,
-        layer: Optional[str] = None,
-        name: Optional[str] = None,
-    ) -> str:
-        in_spec = self.graph.op(src).output
-        if len(in_spec.shape) != 3:
-            raise GraphError(f"conv1d expects [B, L, C] input, got {in_spec.shape}")
-        batch, length, in_ch = in_spec.shape
-        out = TensorSpec((batch, length, out_channels))
-        flops = 2.0 * batch * length * kernel * in_ch * out_channels
-        params = kernel * in_ch * out_channels * DTYPE_BYTES
-        return self.add(
-            "Conv1D",
-            out,
-            [src],
-            name=name,
-            flops=flops,
-            param_bytes=params,
-            layer=layer,
-            attrs={"kernel": kernel, "in_channels": in_ch},
         )
 
     def dense(
@@ -174,7 +145,6 @@ class GraphBuilder:
         hidden: int,
         *,
         layer: Optional[str] = None,
-        name: Optional[str] = None,
     ) -> str:
         """Embedding lookup — huge parameter table, tiny compute."""
         in_spec = self.graph.op(src).output
@@ -185,7 +155,6 @@ class GraphBuilder:
             "Embedding",
             out,
             [src],
-            name=name,
             flops=flops,
             param_bytes=params,
             layer=layer,
@@ -193,64 +162,61 @@ class GraphBuilder:
         )
 
     def pool(self, src: str, stride: int = 2, *, kind: str = "MaxPool",
-             layer: Optional[str] = None, name: Optional[str] = None) -> str:
+             layer: Optional[str] = None) -> str:
         in_spec = self.graph.op(src).output
         batch, height, width, ch = in_spec.shape
         out = TensorSpec(
             (batch, max(1, height // stride), max(1, width // stride), ch)
         )
         flops = float(in_spec.num_elements)
-        return self.add(kind, out, [src], name=name, flops=flops, layer=layer,
+        return self.add(kind, out, [src], flops=flops, layer=layer,
                         attrs={"stride": stride})
 
-    def global_pool(self, src: str, *, layer: Optional[str] = None,
-                    name: Optional[str] = None) -> str:
+    def global_pool(self, src: str, *, layer: Optional[str] = None) -> str:
         in_spec = self.graph.op(src).output
         batch = in_spec.shape[0]
         ch = in_spec.shape[-1]
         out = TensorSpec((batch, ch))
-        return self.add("AvgPool", out, [src], name=name,
+        return self.add("AvgPool", out, [src],
                         flops=float(in_spec.num_elements), layer=layer)
 
     def activation(self, src: str, *, kind: str = "Relu",
-                   layer: Optional[str] = None, name: Optional[str] = None) -> str:
+                   layer: Optional[str] = None) -> str:
         spec = self.graph.op(src).output
-        return self.add(kind, spec, [src], name=name,
+        return self.add(kind, spec, [src],
                         flops=float(spec.num_elements), layer=layer)
 
-    def batch_norm(self, src: str, *, layer: Optional[str] = None,
-                   name: Optional[str] = None) -> str:
+    def batch_norm(self, src: str, *, layer: Optional[str] = None) -> str:
         spec = self.graph.op(src).output
         params = 2 * spec.shape[-1] * DTYPE_BYTES
-        return self.add("BatchNorm", spec, [src], name=name,
+        return self.add("BatchNorm", spec, [src],
                         flops=4.0 * spec.num_elements, param_bytes=params,
                         layer=layer)
 
-    def layer_norm(self, src: str, *, layer: Optional[str] = None,
-                   name: Optional[str] = None) -> str:
+    def layer_norm(self, src: str, *, layer: Optional[str] = None) -> str:
         spec = self.graph.op(src).output
         params = 2 * spec.shape[-1] * DTYPE_BYTES
-        return self.add("LayerNorm", spec, [src], name=name,
+        return self.add("LayerNorm", spec, [src],
                         flops=5.0 * spec.num_elements, param_bytes=params,
                         layer=layer)
 
-    def add_n(self, srcs: Sequence[str], *, layer: Optional[str] = None,
-              name: Optional[str] = None) -> str:
+    def add_n(self, srcs: Sequence[str], *,
+              layer: Optional[str] = None) -> str:
         specs = [self.graph.op(s).output for s in srcs]
         if len({s.shape for s in specs}) != 1:
             raise GraphError(
                 f"add_n requires matching shapes, got {[s.shape for s in specs]}"
             )
-        return self.add("AddN", specs[0], srcs, name=name,
+        return self.add("AddN", specs[0], srcs,
                         flops=float(specs[0].num_elements * len(srcs)),
                         layer=layer)
 
-    def concat(self, srcs: Sequence[str], *, layer: Optional[str] = None,
-               name: Optional[str] = None) -> str:
+    def concat(self, srcs: Sequence[str], *,
+               layer: Optional[str] = None) -> str:
         specs = [self.graph.op(s).output for s in srcs]
         last = sum(s.shape[-1] for s in specs)
         out = TensorSpec(specs[0].shape[:-1] + (last,), specs[0].batch_dim)
-        return self.add("ConcatV2", out, srcs, name=name,
+        return self.add("ConcatV2", out, srcs,
                         flops=float(out.num_elements), layer=layer)
 
     def self_attention(
@@ -287,7 +253,7 @@ class GraphBuilder:
                          name=self._fresh(f"{layer}_attnout" if layer else "attnout"))
         return out
 
-    def softmax_loss(self, src: str, classes: int, name: str = "loss") -> str:
+    def softmax_loss(self, src: str, classes: int) -> str:
         in_spec = self.graph.op(src).output
         batch = in_spec.shape[0]
         logits = src
@@ -295,7 +261,7 @@ class GraphBuilder:
             logits = self.dense(src, classes, layer="classifier",
                                 name="logits")
         op = Operation(
-            name,
+            "loss",
             "SoftmaxCrossEntropy",
             TensorSpec((batch,)),
             flops=4.0 * batch * classes,
@@ -303,7 +269,7 @@ class GraphBuilder:
             layer="loss",
         )
         self.graph.add_op(op, [logits])
-        return name
+        return "loss"
 
 
 def build_training_graph(builder: GraphBuilder) -> ComputationGraph:

@@ -38,13 +38,11 @@ class HeteroG:
     """One strategy-search session for a single DNN graph."""
 
     def __init__(self, cluster: Cluster,
-                 config: Optional[HeteroGConfig] = None,
-                 service: Optional[PlanningService] = None):
+                 config: Optional[HeteroGConfig] = None):
         self.cluster = cluster
         self.config = config or HeteroGConfig()
         # inline service: deterministic, serial, same caches as `serve`
-        self.service = service if service is not None \
-            else PlanningService(workers=0, name="heterog")
+        self.service = PlanningService(workers=0, name="heterog")
         self._analysis: Optional[GraphAnalysis] = None
 
     # ------------------------------------------------------------------ #
@@ -60,41 +58,30 @@ class HeteroG:
 
     # ------------------------------------------------------------------ #
     def _request(self, graph: ComputationGraph,
-                 strategy: Optional[Strategy] = None,
-                 profile: Optional[Profile] = None,
-                 episodes: Optional[int] = None) -> PlanRequest:
+                 strategy: Optional[Strategy] = None) -> PlanRequest:
         return PlanRequest(
             graph=graph,
             cluster=self.cluster,
             strategy=strategy,
-            profile=profile,
-            episodes=episodes if episodes is not None
-            else self.config.episodes,
+            episodes=self.config.episodes,
             config=self.config,
             label="heterog",
         )
 
     def plan_result(self, graph: ComputationGraph,
-                    strategy: Optional[Strategy] = None,
-                    profile: Optional[Profile] = None,
-                    episodes: Optional[int] = None) -> PlanResult:
+                    strategy: Optional[Strategy] = None) -> PlanResult:
         """Route one typed request through the planning service."""
-        return self.service.plan(
-            self._request(graph, strategy, profile, episodes))
+        return self.service.plan(self._request(graph, strategy))
 
-    def plan(self, graph: ComputationGraph,
-             profile: Optional[Profile] = None,
-             episodes: Optional[int] = None) -> Strategy:
+    def plan(self, graph: ComputationGraph) -> Strategy:
         """Search for the best deployment strategy for ``graph``."""
         self.analyze(graph)
-        return self.plan_result(graph, profile=profile,
-                                episodes=episodes).strategy
+        return self.plan_result(graph).strategy
 
     def deploy(self, graph: ComputationGraph,
-               strategy: Optional[Strategy] = None,
-               profile: Optional[Profile] = None) -> ExecutionPlan:
+               strategy: Optional[Strategy] = None) -> ExecutionPlan:
         """Compile + schedule a strategy (searching one if not given)."""
-        result = self.plan_result(graph, strategy=strategy, profile=profile)
+        result = self.plan_result(graph, strategy=strategy)
         assert result.deployment is not None  # searches raise when infeasible
         return result.deployment
 

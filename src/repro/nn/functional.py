@@ -9,6 +9,11 @@ import numpy as np
 
 from .tensor import Tensor, _unbroadcast, make_op
 
+#: added to :func:`log`'s input, so a zero probability stays finite
+LOG_EPS = 1e-12
+#: added to :func:`layer_norm`'s variance
+LAYER_NORM_EPS = 1e-5
+
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise addition with numpy broadcasting."""
@@ -75,16 +80,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return make_op(data, (a, b), backward)
 
 
-def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
-    """Exponential linear unit."""
+def elu(a: Tensor) -> Tensor:
+    """Exponential linear unit (alpha 1)."""
     mask = a.data > 0
-    data = np.where(mask, a.data,
-                    alpha * (np.exp(np.minimum(a.data, 0.0)) - 1.0))
+    data = np.where(mask, a.data, np.exp(np.minimum(a.data, 0.0)) - 1.0)
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            # d/dx alpha (e^x - 1) = alpha e^x = data + alpha where x <= 0
-            a._accumulate(grad * np.where(mask, 1.0, data + alpha))
+            # d/dx (e^x - 1) = e^x = data + 1 where x <= 0
+            a._accumulate(grad * np.where(mask, 1.0, data + 1.0))
 
     return make_op(data, (a,), backward)
 
@@ -111,13 +115,13 @@ def exp(a: Tensor) -> Tensor:
     return make_op(data, (a,), backward)
 
 
-def log(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Elementwise natural log (stabilized with eps)."""
-    data = np.log(a.data + eps)
+def log(a: Tensor) -> Tensor:
+    """Elementwise natural log (stabilized with :data:`LOG_EPS`)."""
+    data = np.log(a.data + LOG_EPS)
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(grad / (a.data + eps))
+            a._accumulate(grad / (a.data + LOG_EPS))
 
     return make_op(data, (a,), backward)
 
@@ -252,12 +256,11 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return make_op(data, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """LayerNorm over the last axis."""
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     norm = (a.data - mu) * inv
     data = norm * gain.data + bias.data
 

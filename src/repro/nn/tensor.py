@@ -63,13 +63,11 @@ class Tensor:
             self.grad = self.grad + grad
 
     # ------------------------------------------------------------------ #
-    def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError(
-                    "backward() without a gradient needs a scalar output"
-                )
-            grad = np.ones_like(self.data)
+    def backward(self) -> None:
+        """Back-propagate from this scalar output (seed gradient 1)."""
+        if self.data.size != 1:
+            raise ValueError("backward() needs a scalar output")
+        grad = np.ones_like(self.data)
         # topological order of the tape reachable from self
         order: List[Tensor] = []
         seen = set()

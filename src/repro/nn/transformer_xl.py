@@ -57,6 +57,10 @@ class EncoderLayer(Module):
         return self.norm2(F.add(x, ff))
 
 
+#: the relative distance beyond which the position bias is clipped
+MAX_REL_DISTANCE = 32
+
+
 class StrategyNetwork(Module):
     """Group embeddings (N, in_dim) -> per-group action logits (N, actions)."""
 
@@ -68,16 +72,15 @@ class StrategyNetwork(Module):
         dim: int = 64,
         heads: int = 4,
         layers: int = 2,
-        ffn_dim: Optional[int] = None,
-        max_rel_distance: int = 32,
         seed: int = 0,
     ):
         rng = np.random.default_rng(seed)
-        ffn_dim = ffn_dim or 2 * dim
         self.input_proj = Dense(in_dim, dim, rng)
-        self.position_bias = RelativePositionBias(heads, max_rel_distance, rng)
+        self.position_bias = RelativePositionBias(heads, MAX_REL_DISTANCE,
+                                                  rng)
+        # feed-forward width: twice the model width
         self.layers: List[EncoderLayer] = [
-            EncoderLayer(dim, heads, ffn_dim, rng) for _ in range(layers)
+            EncoderLayer(dim, heads, 2 * dim, rng) for _ in range(layers)
         ]
         self.head = Dense(dim, num_actions, rng)
         self.num_actions = num_actions

@@ -64,21 +64,15 @@ class Profile:
 
 
 class Profiler:
-    """Runs (synthetic) profiling and fits prediction models."""
+    """Runs (synthetic) profiling and fits prediction models: ops at the
+    batch fractions :data:`DEFAULT_FRACTIONS`, links at the transfer
+    sizes :data:`DEFAULT_SIZES`."""
 
     def __init__(
         self,
-        fractions=DEFAULT_FRACTIONS,
-        sizes=DEFAULT_SIZES,
         noise: MeasurementNoise = MeasurementNoise(),
         seed: int = 0,
     ):
-        if not fractions:
-            raise ProfilingError("need at least one batch fraction")
-        if not sizes:
-            raise ProfilingError("need at least one transfer size")
-        self.fractions = tuple(fractions)
-        self.sizes = tuple(sizes)
         self.noise = noise
         self.seed = seed
 
@@ -94,8 +88,9 @@ class Profiler:
         specs = {d.spec.model: d.spec for d in cluster.devices}
         table = np.fromiter(
             (op_time(op, spec, f) for op in graph for spec in specs.values()
-             for f in self.fractions), float).reshape(-1, len(self.fractions))
-        fits = OpTimeRegression.fit_many(self.fractions,
+             for f in DEFAULT_FRACTIONS), float).reshape(
+                 -1, len(DEFAULT_FRACTIONS))
+        fits = OpTimeRegression.fit_many(DEFAULT_FRACTIONS,
                                          self.noise.apply(table, rng))
         profile.op_models = dict(zip(
             [(op.name, model) for op in graph for model in specs], fits))
@@ -108,9 +103,9 @@ class Profiler:
             classes.setdefault((link.bandwidth, link.latency), link)
         table = np.fromiter(
             (transfer_time(link, s) for link in classes.values()
-             for s in self.sizes), float).reshape(-1, len(self.sizes))
+             for s in DEFAULT_SIZES), float).reshape(-1, len(DEFAULT_SIZES))
         class_fit = dict(zip(classes, TransferTimeRegression.fit_many(
-            self.sizes, self.noise.apply(table, rng))))
+            DEFAULT_SIZES, self.noise.apply(table, rng))))
         profile.link_models = {
             (link.src, link.dst): class_fit[(link.bandwidth, link.latency)]
             for link in links

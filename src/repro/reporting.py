@@ -28,6 +28,8 @@ def _resource_of(dist: DistGraph, name: str) -> str:
 
 SIM_PID = 0       # simulated resources (devices, links, nccl)
 PIPELINE_PID = 1  # wall-clock pipeline spans from the tracer
+#: the MP parameter owners :func:`describe_strategy` lists
+DESCRIBE_TOP = 10
 
 
 def _resource_rows(dist: DistGraph,
@@ -91,9 +93,8 @@ def _utilization_counters(dist: DistGraph,
 
 def chrome_trace(dist: DistGraph, result: SimulationResult, *,
                  tracer: Optional[Tracer] = None,
-                 resident_bytes: Optional[Dict[str, int]] = None,
-                 include_flows: bool = True,
-                 include_counters: bool = True) -> List[dict]:
+                 resident_bytes: Optional[Dict[str, int]] = None
+                 ) -> List[dict]:
     """Events in Chrome tracing format (chrome://tracing or Perfetto).
 
     Emits, in addition to one ``X`` slice per dist-op:
@@ -101,11 +102,10 @@ def chrome_trace(dist: DistGraph, result: SimulationResult, *,
     - ``M`` metadata events (``process_name``/``thread_name`` plus
       ``thread_sort_index``) so resources group deterministically:
       devices first, then links, then the NCCL token;
-    - ``s``/``f`` flow events for every dependency edge
-      (``include_flows``);
+    - ``s``/``f`` flow events for every dependency edge;
     - ``C`` counter tracks for per-device memory and per-link/NCCL
-      utilization (``include_counters``; pass the deployment's
-      ``resident_bytes`` to include parameters + optimizer state);
+      utilization (pass the deployment's ``resident_bytes`` to include
+      parameters + optimizer state);
     - the tracer's wall-clock pipeline span tree on a second process
       when ``tracer`` is given.
     """
@@ -145,30 +145,28 @@ def chrome_trace(dist: DistGraph, result: SimulationResult, *,
             "args": args,
         })
 
-    if include_flows:
-        flow_id = 0
-        for name in ordered:
-            for succ in dist.successors(name):
-                if succ not in schedule:
-                    continue
-                flow_id += 1
-                events.append({
-                    "name": "dep", "cat": "dependency", "ph": "s",
-                    "id": flow_id, "ts": schedule[name][1] * 1e6,
-                    "pid": SIM_PID,
-                    "tid": tid_of[_resource_of(dist, name)],
-                })
-                events.append({
-                    "name": "dep", "cat": "dependency", "ph": "f",
-                    "bp": "e", "id": flow_id,
-                    "ts": schedule[succ][0] * 1e6,
-                    "pid": SIM_PID,
-                    "tid": tid_of[_resource_of(dist, succ)],
-                })
+    flow_id = 0
+    for name in ordered:
+        for succ in dist.successors(name):
+            if succ not in schedule:
+                continue
+            flow_id += 1
+            events.append({
+                "name": "dep", "cat": "dependency", "ph": "s",
+                "id": flow_id, "ts": schedule[name][1] * 1e6,
+                "pid": SIM_PID,
+                "tid": tid_of[_resource_of(dist, name)],
+            })
+            events.append({
+                "name": "dep", "cat": "dependency", "ph": "f",
+                "bp": "e", "id": flow_id,
+                "ts": schedule[succ][0] * 1e6,
+                "pid": SIM_PID,
+                "tid": tid_of[_resource_of(dist, succ)],
+            })
 
-    if include_counters:
-        events.extend(_memory_counters(dist, schedule, resident_bytes))
-        events.extend(_utilization_counters(dist, schedule))
+    events.extend(_memory_counters(dist, schedule, resident_bytes))
+    events.extend(_utilization_counters(dist, schedule))
 
     if tracer is not None:
         events.extend(tracer.chrome_events(pid=PIPELINE_PID))
@@ -186,8 +184,9 @@ def save_chrome_trace(dist: DistGraph, result: SimulationResult,
         json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, fh)
 
 
-def describe_strategy(strategy: Strategy, top: int = 10) -> str:
-    """Human-readable strategy summary: mix + the heaviest MP placements."""
+def describe_strategy(strategy: Strategy) -> str:
+    """Human-readable strategy summary: mix + the :data:`DESCRIBE_TOP`
+    heaviest MP placements."""
     mix = strategy.strategy_mix()
     lines = ["strategy mix:"]
     for label, fraction in sorted(mix.items(), key=lambda kv: -kv[1]):
@@ -201,6 +200,6 @@ def describe_strategy(strategy: Strategy, top: int = 10) -> str:
     if heavy:
         heavy.sort(reverse=True)
         lines.append("largest unreplicated (MP) parameter owners:")
-        for bytes_, name, label in heavy[:top]:
+        for bytes_, name, label in heavy[:DESCRIBE_TOP]:
             lines.append(f"  {name:40s} {bytes_ / 2 ** 20:8.1f} MiB  {label}")
     return "\n".join(lines)

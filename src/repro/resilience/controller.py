@@ -34,8 +34,9 @@ Recovery accounting follows the usual MTTR / lost-work decomposition:
 - **downtime (MTTR)** — detection lag (the failed iteration had to run
   before the fault was noticed: one healthy-mean iteration) plus the
   replanning wall-clock (strategy search is real CPU work the cluster
-  sits idle through) plus a fixed ``restart_overhead`` for process
-  respawn and weight re-shard.
+  sits idle through) plus a fixed
+  :data:`~repro.elastic.policy.RESTART_OVERHEAD` for process respawn
+  and weight re-shard.
 
 Both are exported through the telemetry registry
 (``resilience_mttr_seconds``, ``resilience_lost_work_seconds_total``)
@@ -57,7 +58,7 @@ from ..runtime.trainer_loop import DetectionEvent, FailureDetector
 from ..telemetry.context import request_scope
 from ..telemetry.flight import FlightRecorder, default_recorder
 from ..telemetry.journal import new_request_id
-from ..elastic.policy import ElasticPolicy
+from ..elastic import policy as elastic
 from .faults import FaultEvent, FaultInjector, FaultKind
 from .replan import RecoveryPlan, Replanner
 
@@ -169,9 +170,7 @@ class ResilientTrainer:
     def __init__(self, deployment: ExecutionPlan, injector: FaultInjector, *,
                  engine: Optional[ExecutionEngine] = None,
                  replanner: Optional[Replanner] = None,
-                 policy: str = "replan",
-                 restart_overhead: float = 0.0,
-                 recorder: Optional[FlightRecorder] = None):
+                 policy: str = "replan"):
         if policy not in POLICIES:
             raise ReproError(
                 f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -187,11 +186,8 @@ class ResilientTrainer:
         self.replanner = replanner
         self.detector = FailureDetector()
         self.policy = policy
-        self.restart_overhead = restart_overhead
-        self.recorder = recorder if recorder is not None \
-            else default_recorder()
-        self.elastic_policy = ElasticPolicy(
-            restart_overhead=restart_overhead)
+        self.recorder: FlightRecorder = default_recorder()
+        self.elastic_policy = elastic.ElasticPolicy()
         self.episode_id = ""         # assigned per run()
         self._healthy_mean: Optional[float] = None
 
@@ -332,7 +328,7 @@ class ResilientTrainer:
         # training: only the restart is paid, and nothing is lost
         self._adopt(i, report, recovery, cause=cause, action="replan",
                     trigger="preempt_notice",
-                    downtime_seconds=self.restart_overhead)
+                    downtime_seconds=elastic.RESTART_OVERHEAD)
 
     def _scale_up(self, i: int, arrivals: List[FaultEvent], steps: int,
                   report: ResilienceReport) -> None:
@@ -380,7 +376,7 @@ class ResilientTrainer:
         # adoption costs one restart, no work is thrown away
         self._adopt(i, report, recovery, plan=adopted, cause=cause,
                     action="scale_up", trigger="arrival",
-                    downtime_seconds=self.restart_overhead)
+                    downtime_seconds=elastic.RESTART_OVERHEAD)
 
     def _skip_scale_up(self, expected_savings: float, replan_cost: float,
                        reason: str) -> None:
@@ -441,7 +437,6 @@ class ResilientTrainer:
         self.engine = ExecutionEngine(
             self.injector.physical_cluster(),
             jitter_sigma=old.cost.jitter_sigma,
-            interserver_discount=old.cost.interserver_discount,
             rng=old.rng,
             fault_injector=self.injector,
         )
@@ -470,7 +465,7 @@ class ResilientTrainer:
         recovery = self._replan(i, self._usable_cluster(), cause)
         self._adopt(i, report, recovery, cause=cause, action="replan",
                     downtime_seconds=detection_lag
-                    + recovery.search_seconds + self.restart_overhead,
+                    + recovery.search_seconds + elastic.RESTART_OVERHEAD,
                     lost_work_seconds=detection_lag if event.is_hard
                     else 0.0)
         return True

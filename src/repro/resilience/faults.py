@@ -269,11 +269,11 @@ class FaultInjector:
     fault clearing.
     """
 
-    def __init__(self, cluster: Cluster, schedule: FaultSchedule,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, cluster: Cluster, schedule: FaultSchedule):
         self.cluster = cluster
         self.schedule = schedule
-        self.rng = rng  # shared engine stream once bound
+        # the engine's stream, once bound
+        self.rng: Optional[np.random.Generator] = None
         self._next = 0  # index of the first not-yet-fired event
         self._cost_models: List[object] = []
         self.failed_devices: set = set()

@@ -30,6 +30,9 @@ from ..graph.dag import ComputationGraph
 from ..plan import EvalOutcome, ExecutionPlan
 from ..service import PlanningService, PlanRequest
 
+#: the batches of ``episodes`` a replan searches before giving up
+MAX_ROUNDS = 3
+
 
 @dataclass
 class RecoveryPlan:
@@ -60,7 +63,7 @@ class Replanner:
 
     def __init__(self, graph: ComputationGraph, base_cluster: Cluster, *,
                  config: Optional[HeteroGConfig] = None,
-                 episodes: int = 6, max_rounds: int = 3,
+                 episodes: int = 6,
                  service: Optional[PlanningService] = None):
         if episodes < 1:
             raise ReproError(f"episodes must be >= 1, got {episodes}")
@@ -68,27 +71,24 @@ class Replanner:
         self.base_cluster = base_cluster
         self.config = config if config is not None else HeteroGConfig()
         self.episodes = episodes
-        self.max_rounds = max_rounds
         self.service = service if service is not None \
             else PlanningService(workers=0, name="replanner")
 
     # ---------------------------------------------------------------- #
-    def _request(self, cluster: Cluster,
-                 episodes: Optional[int]) -> PlanRequest:
+    def _request(self, cluster: Cluster) -> PlanRequest:
         return PlanRequest(
             graph=self.graph,
             cluster=cluster,
-            episodes=episodes if episodes is not None else self.episodes,
-            max_rounds=self.max_rounds,
+            episodes=self.episodes,
+            max_rounds=MAX_ROUNDS,
             config=self.config,
             label="replan",
         )
 
-    def replan(self, cluster: Cluster, *,
-               episodes: Optional[int] = None) -> RecoveryPlan:
+    def replan(self, cluster: Cluster) -> RecoveryPlan:
         """Search a feasible deployment on ``cluster`` (the survivors).
 
-        Runs up to ``max_rounds`` batches of ``episodes`` RL episodes
+        Runs up to :data:`MAX_ROUNDS` batches of ``episodes`` RL episodes
         until the best strategy is feasible (no OOM, compiles); raises
         :class:`ReproError` if none is found — the cluster may simply be
         too small for the model.
@@ -96,7 +96,7 @@ class Replanner:
         start = time.time()
         with telemetry.span("resilience.replan", graph=self.graph.name,
                             devices=cluster.num_devices):
-            result = self.service.plan(self._request(cluster, episodes))
+            result = self.service.plan(self._request(cluster))
         elapsed = time.time() - start
         telemetry.emit_count("resilience_replans_total",
                              help="replacement-plan searches completed")

@@ -23,6 +23,9 @@ from ..simulation.costs import TruthCostModel
 from ..simulation.engine import Simulator
 from ..simulation.metrics import SimulationResult
 
+#: iterations :meth:`ExecutionEngine.measure` runs before it keeps stats
+WARMUP = 1
+
 
 @dataclass
 class IterationStats:
@@ -58,7 +61,7 @@ class ExecutionEngine:
     """
 
     def __init__(self, cluster: Cluster, *, jitter_sigma: float = 0.04,
-                 interserver_discount: float = 0.92, seed: int = 1234,
+                 seed: int = 1234,
                  rng: Optional[np.random.Generator] = None,
                  fault_injector=None):
         self.cluster = cluster
@@ -67,7 +70,6 @@ class ExecutionEngine:
         # must not restart the jitter sequence); otherwise seed a fresh one
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.cost = TruthCostModel(cluster, jitter_sigma=jitter_sigma,
-                                   interserver_discount=interserver_discount,
                                    rng=self.rng)
         self._simulator = Simulator(self.cost)
         self.capacities = {d.device_id: d.usable_memory_bytes
@@ -106,16 +108,16 @@ class ExecutionEngine:
         return result
 
     def measure(self, dist: DistGraph, schedule: Schedule,
-                resident_bytes: Dict[str, int], *, iterations: int = 10,
-                warmup: int = 1) -> IterationStats:
-        """Run ``warmup + iterations`` iterations; keep stats of the last
-        ``iterations`` (the paper averages over 500 real iterations)."""
+                resident_bytes: Dict[str, int], *, iterations: int = 10
+                ) -> IterationStats:
+        """Run one warm-up iteration, then ``iterations`` more whose stats
+        are kept (the paper averages over 500 real iterations)."""
         stats = IterationStats()
         with telemetry.span("engine.measure", graph=dist.name,
-                            iterations=iterations, warmup=warmup):
-            for i in range(warmup + iterations):
+                            iterations=iterations, warmup=WARMUP):
+            for i in range(WARMUP + iterations):
                 result = self.run_iteration(dist, schedule, resident_bytes)
-                if i >= warmup:
+                if i >= WARMUP:
                     stats.times.append(result.makespan)
                     stats.last_result = result
         if stats.iterations >= 2 and stats.mean > 0:

@@ -166,7 +166,6 @@ class PlanningService:
                  max_queue: int = DEFAULT_MAX_QUEUE,
                  name: str = "planning",
                  recorder: Optional[FlightRecorder] = None,
-                 slo: Optional[SLOTracker] = None,
                  backend: Optional[ExecutionBackend] = None):
         """``backend`` says where admitted requests run; ``None`` is
         inline for ``workers=0`` and a ``ThreadBackend(workers)``
@@ -186,7 +185,7 @@ class PlanningService:
         self.name = name
         self.recorder = recorder if recorder is not None \
             else default_recorder()
-        self.slo = slo if slo is not None else SLOTracker()
+        self.slo = SLOTracker()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._queue: List[Tuple[int, int, str]] = []  # (-priority, seq, fp)

@@ -181,17 +181,21 @@ class MappingCostModel:
         return float("inf"), 0.0
 
 
+#: the share of its profiled bandwidth a cross-machine link delivers
+INTERSERVER_DISCOUNT = 0.92
+
+
 class TruthCostModel(_BaseCost):
     """Ground-truth durations with jitter — the stand-in for real hardware.
 
     ``jitter_sigma`` is the log-normal sigma applied per execution;
-    ``interserver_discount`` scales down cross-machine bandwidth (switch
-    contention, protocol overhead) relative to what profiling measured.
+    :data:`INTERSERVER_DISCOUNT` scales down cross-machine bandwidth
+    (switch contention, protocol overhead) relative to what profiling
+    measured.
 
-    ``rng`` shares an existing seeded generator (the ExecutionEngine
-    passes its own so the engine -> cost model -> fault injector chain
-    draws from one reproducible stream); when omitted, a fresh generator
-    is created from ``seed`` — the two forms produce identical draws.
+    ``rng`` is the seeded generator the jitter draws come from (the
+    ExecutionEngine passes its own so the engine -> cost model -> fault
+    injector chain draws from one reproducible stream).
 
     The resilience layer applies faults through the overlay hooks
     (:meth:`set_fault_overlay` / :meth:`clear_fault_overlay`): crashed
@@ -205,19 +209,11 @@ class TruthCostModel(_BaseCost):
     and one batch of jitter factors per run.
     """
 
-    def __init__(self, cluster: Cluster, jitter_sigma: float = 0.04,
-                 interserver_discount: float = 0.92,
-                 seed: Optional[int] = 1234,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, cluster: Cluster, jitter_sigma: float = 0.04, *,
+                 rng: np.random.Generator):
         super().__init__(cluster)
-        if not 0.0 < interserver_discount <= 1.0:
-            raise SimulationError(
-                f"interserver_discount must be in (0, 1], got "
-                f"{interserver_discount}"
-            )
         self.jitter_sigma = jitter_sigma
-        self.interserver_discount = interserver_discount
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
+        self._rng = rng
         self._overlay = None
         # id(kernel) -> (kernel, overlay, base durations, lost ops)
         self._price_cache: Dict[int, tuple] = {}
@@ -255,7 +251,7 @@ class TruthCostModel(_BaseCost):
         link = self.cluster.link(src, dst)
         bandwidth = link.bandwidth
         if not link.intra_server:
-            bandwidth *= self.interserver_discount
+            bandwidth *= INTERSERVER_DISCOUNT
         overlay = self._overlay
         if overlay is not None:
             scale = overlay.link_scale.get((src, dst))

@@ -141,9 +141,9 @@ def span(name: str, **attrs):
     return tel.tracer.span(name, **attrs)
 
 
-def emit_count(metric: str, labels=None, value: float = 1.0,
-               help: str = "") -> None:
-    """Increment a counter on the ambient registry (no-op when disabled).
+def emit_count(metric: str, labels=None, help: str = "") -> None:
+    """Increment a counter by one on the ambient registry (no-op when
+    disabled).
 
     The one shared implementation of the ``_count`` shim the planning
     service, the plan cache and the execution backends all need: a
@@ -152,7 +152,7 @@ def emit_count(metric: str, labels=None, value: float = 1.0,
     """
     tel = _ACTIVE
     if tel is not None:
-        tel.registry.counter(metric, labels=labels, help=help).inc(value)
+        tel.registry.counter(metric, labels=labels, help=help).inc()
 
 
 def emit_gauge(metric: str, value: float, labels=None,

@@ -33,6 +33,8 @@ from ..simulation.kernel import SimKernel, lower
 from ..simulation.metrics import union_length
 
 IDLE_KEY = "(idle)"
+#: the resources :meth:`CriticalPathReport.summary` lists
+SUMMARY_TOP = 12
 _EPS = 1e-9
 
 
@@ -123,8 +125,10 @@ class CriticalPathReport:
             return None
         return max(sorted(devices), key=lambda d: devices[d])
 
-    def summary(self, top: int = 12) -> str:
-        """Human-readable blame table (largest share first)."""
+    def summary(self) -> str:
+        """Human-readable blame table (the :data:`SUMMARY_TOP` largest
+        shares first)."""
+        top = SUMMARY_TOP
         fractions = self.blame_fractions()
         lines = [f"critical path over {self.makespan * 1e3:.2f} ms "
                  f"({len(self.segments)} ops):"]

@@ -33,6 +33,8 @@ from ..errors import ReproError
 from .journal import TERMINAL_STATUS, Journal, JournalEvent
 
 DEFAULT_FLIGHT_CAPACITY = 256
+#: records :meth:`FlightRecorder.from_events` keeps from a replayed journal
+REPLAY_CAPACITY = 100_000
 #: events kept per record; later ones only count in ``dropped_events``
 MAX_EVENTS = 512
 
@@ -207,12 +209,9 @@ class FlightRecorder:
                        if rid.startswith(request_id)]
         return matches[0] if len(matches) == 1 else None
 
-    def records(self, *, status: Optional[str] = None) -> List[FlightRecord]:
+    def records(self) -> List[FlightRecord]:
         with self._lock:
-            out = list(self._records.values())
-        if status is not None:
-            out = [r for r in out if r.status == status]
-        return out
+            return list(self._records.values())
 
     def clear(self) -> None:
         with self._lock:
@@ -224,11 +223,12 @@ class FlightRecorder:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_events(cls, events: Iterable[JournalEvent],
-                    capacity: int = 100_000) -> "FlightRecorder":
-        """Rebuild records from a journal stream (e.g. a JSONL file) —
-        the path ``repro postmortem`` takes in a fresh process."""
-        recorder = cls(capacity=capacity, journal=Journal(capacity=1))
+    def from_events(cls, events: Iterable[JournalEvent]
+                    ) -> "FlightRecorder":
+        """Rebuild up to :data:`REPLAY_CAPACITY` records from a journal
+        stream (e.g. a JSONL file) — the path ``repro postmortem`` takes
+        in a fresh process."""
+        recorder = cls(capacity=REPLAY_CAPACITY, journal=Journal(capacity=1))
         for entry in events:
             recorder.fold(entry)
         return recorder

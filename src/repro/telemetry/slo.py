@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping
 
 from ..errors import ReproError
 from .flight import FlightRecorder
@@ -79,10 +79,8 @@ class _ClassState:
 class SLOTracker:
     """Error-budget accounting over per-request latency observations."""
 
-    def __init__(self,
-                 targets: Optional[Mapping[str, SLOTarget]] = None):
-        self.targets: Dict[str, SLOTarget] = dict(
-            targets if targets is not None else DEFAULT_TARGETS)
+    def __init__(self) -> None:
+        self.targets: Dict[str, SLOTarget] = dict(DEFAULT_TARGETS)
         self._lock = threading.Lock()
         self._classes: Dict[str, _ClassState] = {}
 
@@ -143,12 +141,10 @@ class SLOTracker:
         return out
 
 
-def replay_tracker(events: Iterable[JournalEvent],
-                   targets: Optional[Mapping[str, SLOTarget]] = None,
-                   ) -> SLOTracker:
+def replay_tracker(events: Iterable[JournalEvent]) -> SLOTracker:
     """Rebuild an :class:`SLOTracker` from a journal stream — what
     ``repro status --journal`` uses in a fresh process."""
-    tracker = SLOTracker(targets)
+    tracker = SLOTracker()
     recorder = FlightRecorder.from_events(())
     for entry in events:
         if recorder.fold(entry):

@@ -160,12 +160,12 @@ class Tracer:
             for event in self.to_events():
                 fh.write(json.dumps(event) + "\n")
 
-    def chrome_events(self, pid: int = 1,
-                      process_name: str = "pipeline") -> List[Dict[str, Any]]:
-        """Complete-event slices (+ metadata) for chrome://tracing."""
+    def chrome_events(self, pid: int = 1) -> List[Dict[str, Any]]:
+        """Complete-event slices (+ metadata) for chrome://tracing, in
+        a process named ``pipeline``."""
         events: List[Dict[str, Any]] = [{
             "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": process_name},
+            "args": {"name": "pipeline"},
         }]
         tids = sorted({e["thread_id"] for e in self.to_events()})
         tid_of = {t: i for i, t in enumerate(tids)}

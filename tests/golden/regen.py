@@ -490,7 +490,7 @@ def blame_answer() -> dict:
 
 
 #: the pinned paper-experiment scale: tiny models, seed-only searches
-EXPERIMENTS = dict(preset="tiny", episodes=4, seed=0)
+EXPERIMENTS = dict(preset="tiny", episodes=4)
 
 
 def _measured(m) -> dict:
@@ -512,7 +512,7 @@ def experiments_answer() -> dict:
                                  include_large=False, **EXPERIMENTS)
     table7 = order_scheduling_table(cluster, models=models, **EXPERIMENTS)
     fig3a = fig3a_proportional_allocation(
-        preset="tiny", seed=0, models=["vgg19", "inception_v3"])
+        preset="tiny", models=["vgg19", "inception_v3"])
     fig8 = fig8_time_breakdown(**EXPERIMENTS)
     fig9 = fig9_existing_schemes(models=["inception_v3"], **EXPERIMENTS)
     ablations = {
@@ -544,7 +544,7 @@ def experiments_answer() -> dict:
 def fusion_answer() -> Dict[str, str]:
     """The gradient-fusion sweep (tiny resnet200, four GPUs): every
     variant's engine-measured time, unfused and per bucket size."""
-    rows = fusion_ablation(cluster_4gpu(), preset="tiny", seed=0)
+    rows = fusion_ablation(cluster_4gpu(), preset="tiny")
     return {row.variant: _hex(row.time) for row in rows}
 
 

@@ -17,6 +17,7 @@ from repro.cluster.topology import Cluster
 from repro.errors import ProfilingError
 from repro.graph.dag import ComputationGraph
 from repro.profiling import cost_model
+from repro.profiling import profiler as profiling
 from repro.profiling.profiler import Profile, Profiler
 from repro.profiling.regression import OpTimeRegression, TransferTimeRegression
 
@@ -55,9 +56,9 @@ def reference_profile(profiler: Profiler, graph: ComputationGraph,
         for model_name, spec in specs.items():
             times: List[float] = [
                 _noisy(cost_model.op_time(op, spec, f), sigma, rng)
-                for f in profiler.fractions
+                for f in profiling.DEFAULT_FRACTIONS
             ]
-            slope, intercept = _fit_line(profiler.fractions, times)
+            slope, intercept = _fit_line(profiling.DEFAULT_FRACTIONS, times)
             profile.op_models[(op.name, model_name)] = OpTimeRegression(
                 slope, intercept)
     class_fit: Dict[Tuple[float, float], TransferTimeRegression] = {}
@@ -65,8 +66,8 @@ def reference_profile(profiler: Profiler, graph: ComputationGraph,
         key = (link.bandwidth, link.latency)
         if key not in class_fit:
             times = [_noisy(cost_model.transfer_time(link, s), sigma, rng)
-                     for s in profiler.sizes]
-            slope, intercept = _fit_line(profiler.sizes, times)
+                     for s in profiling.DEFAULT_SIZES]
+            slope, intercept = _fit_line(profiling.DEFAULT_SIZES, times)
             class_fit[key] = TransferTimeRegression(max(slope, 0.0),
                                                     max(intercept, 0.0))
         profile.link_models[(link.src, link.dst)] = class_fit[key]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import cluster_4gpu
-from repro.baselines import dp_strategy, post_strategy
+from repro.baselines import PostSearch, dp_strategy
 from repro.config import HeteroGConfig
 from repro.experiments import experiment_config, run_heterog, run_strategy
 from repro.profiling import Profiler
@@ -60,9 +60,10 @@ def test_post_search_independent_of_call_order(four_gpu):
     """Searches must not leak RNG state between invocations."""
     g1 = make_mlp(name="det_post1")
     g2 = make_mlp(name="det_post2", layers=2)
-    t_alone = post_strategy(g1, four_gpu, seed=9, rounds=2)
-    post_strategy(g2, four_gpu, seed=1, rounds=2)  # interleaved other work
-    t_again = post_strategy(g1, four_gpu, seed=9, rounds=2)
+    t_alone = PostSearch(g1, four_gpu, seed=9).search(rounds=2).strategy
+    # interleaved other work
+    PostSearch(g2, four_gpu, seed=1).search(rounds=2)
+    t_again = PostSearch(g1, four_gpu, seed=9).search(rounds=2).strategy
     mix_a = t_alone.strategy_mix()
     mix_b = t_again.strategy_mix()
     assert mix_a == mix_b

@@ -327,15 +327,16 @@ class TestElasticTrainer:
         assert late.lost_work > 0.0
 
     def test_scale_up_skipped_when_it_does_not_pay(
-            self, two_gpu, deployment, replanner):
+            self, two_gpu, deployment, replanner, monkeypatch):
+        from repro.elastic import policy
+        # an absurd restart cost: no savings can justify replanning
+        monkeypatch.setattr(policy, "RESTART_OVERHEAD", 1e9)
         injector = FaultInjector(
             two_gpu, FaultSchedule.parse("server_join:v100@2x2"))
         engine = ExecutionEngine(two_gpu, seed=21,
                                  fault_injector=injector)
-        # an absurd restart cost: no savings can justify replanning
         trainer = ResilientTrainer(deployment, injector, engine=engine,
-                                   replanner=replanner, policy="elastic",
-                                   restart_overhead=1e9)
+                                   replanner=replanner, policy="elastic")
         report = trainer.run(6)
         assert not report.stalled
         assert report.recoveries == []
@@ -402,7 +403,8 @@ class TestElasticTrainer:
             deployment, injector,
             engine=ExecutionEngine(two_gpu, seed=21,
                                    fault_injector=injector),
-            replanner=replanner, policy=policy, recorder=rec)
+            replanner=replanner, policy=policy)
+        trainer.recorder = rec
         report = trainer.run(6)
         assert [r.action for r in report.recoveries] == ["scale_up"]
         names = [e.event for e in rec.get(trainer.episode_id).events]
@@ -429,20 +431,22 @@ class TestElasticPolicy:
         assert not decision.replan
         assert decision.expected_savings == 0.0
 
-    def test_decide_prices_savings_against_cost(self, two_gpu, deployment):
+    def test_decide_prices_savings_against_cost(self, two_gpu, deployment,
+                                                monkeypatch):
+        from repro.elastic import policy
         injector = FaultInjector(
             two_gpu, FaultSchedule.parse("server_join:v100@1x2"))
         injector.advance(1)
         grown = injector.current_cluster()
-        cheap = ElasticPolicy(restart_overhead=0.0)
-        decision = cheap.decide(deployment, grown,
-                                healthy_mean=0.5, remaining_steps=10)
+        pricing = ElasticPolicy()
+        decision = pricing.decide(deployment, grown,
+                                  healthy_mean=0.5, remaining_steps=10)
         assert decision.replan
         assert decision.expected_savings > 0.0
         assert decision.bound_after < decision.bound_before
-        pricey = ElasticPolicy(restart_overhead=1e9)
-        assert not pricey.decide(deployment, grown, healthy_mean=0.5,
-                                 remaining_steps=10).replan
+        monkeypatch.setattr(policy, "RESTART_OVERHEAD", 1e9)
+        assert not pricing.decide(deployment, grown, healthy_mean=0.5,
+                                  remaining_steps=10).replan
 
     def test_should_adopt_requires_strict_improvement(self):
         policy = ElasticPolicy()

@@ -103,22 +103,23 @@ class TestCostProviders:
         compiler = GraphCompiler(four_gpu, profile)
         dist = compiler.compile(mlp_graph,
                                 single_device_strategy(mlp_graph, four_gpu))
-        a = Simulator(TruthCostModel(four_gpu, seed=5)).run(dist).makespan
-        b = Simulator(TruthCostModel(four_gpu, seed=5)).run(dist).makespan
+        a = Simulator(TruthCostModel(
+            four_gpu, rng=np.random.default_rng(5))).run(dist).makespan
+        b = Simulator(TruthCostModel(
+            four_gpu, rng=np.random.default_rng(5))).run(dist).makespan
         assert a == b
 
-    def test_interserver_discount_slows_cross_traffic(self, four_gpu):
-        fast = TruthCostModel(four_gpu, jitter_sigma=0,
-                              interserver_discount=1.0)
-        slow = TruthCostModel(four_gpu, jitter_sigma=0,
-                              interserver_discount=0.5)
+    def test_interserver_discount_slows_cross_traffic(self, four_gpu,
+                                                      monkeypatch):
+        from repro.simulation import costs
         t = DistOp(name="t", kind=DistOpKind.TRANSFER, src_device="gpu0",
                    dst_device="gpu2", size_bytes=100e6)
-        assert price(slow, t) > price(fast, t)
-
-    def test_invalid_discount_rejected(self, four_gpu):
-        with pytest.raises(SimulationError):
-            TruthCostModel(four_gpu, interserver_discount=0.0)
+        monkeypatch.setattr(costs, "INTERSERVER_DISCOUNT", 1.0)
+        rng = np.random.default_rng(0)
+        fast = price(TruthCostModel(four_gpu, jitter_sigma=0, rng=rng), t)
+        monkeypatch.setattr(costs, "INTERSERVER_DISCOUNT", 0.5)
+        assert price(TruthCostModel(four_gpu, jitter_sigma=0, rng=rng),
+                     t) > fast
 
     def test_mapping_cost_requires_registration(self):
         cost = MappingCostModel({})

@@ -5,6 +5,7 @@ import pytest
 from repro.agent import AgentConfig
 from repro.cluster import cluster_4gpu
 from repro.config import HeteroGConfig
+from repro.errors import ReproError
 from repro.heterog import HeteroG
 from repro.parallel import single_device_strategy
 from repro.plan import ExecutionPlan
@@ -99,6 +100,15 @@ class TestConfig:
         assert cfg.episodes > 0
         assert cfg.use_order_scheduling
         assert isinstance(cfg.agent, AgentConfig)
+
+    @pytest.mark.parametrize("field, value", [
+        ("episodes", 0), ("episodes", -3),
+        ("profile_noise_sigma", -0.01), ("engine_jitter_sigma", -1.0)])
+    def test_rejects_values_that_cannot_work(self, field, value):
+        # zero episodes trains nothing; a negative sigma would act as
+        # "no noise" yet fingerprint apart from 0
+        with pytest.raises(ReproError, match=f"HeteroGConfig.{field}"):
+            HeteroGConfig(**{field: value})
 
     def test_paper_scale_config(self):
         cfg = AgentConfig.paper_scale()

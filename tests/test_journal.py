@@ -389,8 +389,8 @@ class TestServiceObservability:
 
         rec = FlightRecorder()
         with PlanningService(workers=0, recorder=rec) as service:
-            facade = HeteroG(four_gpu, config=fast_config(),
-                             service=service)
+            facade = HeteroG(four_gpu, config=fast_config())
+            facade.service = service
             for _ in range(3):
                 facade.profile(mlp)
             assert rec.records() == [] and len(rec.journal) == 0
@@ -513,9 +513,11 @@ class TestSLO:
         assert priority_class(9) == "interactive"
         assert priority_class(10) == "critical"
 
-    def test_error_budget_accounting(self):
-        tracker = SLOTracker({"batch": SLOTarget(objective_seconds=1.0,
-                                                 target=0.9)})
+    def test_error_budget_accounting(self, monkeypatch):
+        from repro.telemetry import slo
+        monkeypatch.setitem(slo.DEFAULT_TARGETS, "batch",
+                            SLOTarget(objective_seconds=1.0, target=0.9))
+        tracker = SLOTracker()
         for _ in range(8):
             tracker.observe("batch", 0.5)
         tracker.observe("batch", 5.0)           # too slow
@@ -578,11 +580,14 @@ def run_resilient_episode(graph, cluster, rec, slo=None):
     engine = ExecutionEngine(cluster, seed=9, fault_injector=injector)
     replanner = Replanner(
         graph, cluster, config=HeteroGConfig(seed=3, agent=config),
-        episodes=2,
-        service=PlanningService(workers=0, name="replanner",
-                                recorder=rec, slo=slo))
+        episodes=2)
+    replanner.service = PlanningService(workers=0, name="replanner",
+                                        recorder=rec)
+    if slo is not None:
+        replanner.service.slo = slo
     trainer = ResilientTrainer(deployment, injector, engine=engine,
-                               replanner=replanner, recorder=rec)
+                               replanner=replanner)
+    trainer.recorder = rec
     report = trainer.run(6)
     assert not report.stalled
     return trainer
@@ -634,12 +639,12 @@ class TestLiveReplayParity:
         from repro.parallel import single_device_strategy
 
         rec = FlightRecorder()
-        slo = SLOTracker()
 
         # fresh search with blame, then its result-cache hit; then a
         # wait-stage timeout whose computation completes later, and a
         # duplicate coalesced onto it, on a one-worker thread backend
-        threaded = GatedService(workers=1, recorder=rec, slo=slo)
+        threaded = GatedService(workers=1, recorder=rec)
+        slo = threaded.slo
         threaded.gate.set()
         fresh = threaded.plan(search_request(mlp, four_gpu, seed=7))
         threaded.plan(search_request(mlp, four_gpu, seed=7))
@@ -655,7 +660,8 @@ class TestLiveReplayParity:
         threaded.close()
 
         # inline: an admission rejection, a queue timeout, a failure
-        inline = GatedInline(max_queue=1, recorder=rec, slo=slo)
+        inline = GatedInline(max_queue=1, recorder=rec)
+        inline.slo = slo
         blocked = threading.Thread(
             target=lambda: inline.plan(search_request(mlp, four_gpu,
                                                       seed=9)),
@@ -716,7 +722,7 @@ class TestLiveReplayParity:
         event: sealed records, one ``stats.failed`` and one SLO breach
         each, and the same records and SLO state rebuilt from JSONL."""
         rec = FlightRecorder()
-        service = GatedService(workers=1, recorder=rec, slo=SLOTracker())
+        service = GatedService(workers=1, recorder=rec)
         running = service.submit(search_request(mlp, four_gpu, seed=12))
         assert service.entered.wait(30)
         queued = [search_request(mlp, four_gpu, seed=seed)

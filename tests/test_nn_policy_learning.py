@@ -61,14 +61,15 @@ class TestPolicyLearning:
         assert (probs.argmax(axis=-1) == target).all()
         assert probs[np.arange(3), target].min() > 0.8
 
-    def test_entropy_decay_in_trainer(self):
+    def test_entropy_decay_in_trainer(self, monkeypatch):
         """The trainer anneals its entropy weight per episode."""
-        from repro.agent import AgentConfig, HeteroGAgent
+        from repro.agent import AgentConfig, HeteroGAgent, reinforce
         from repro.cluster import cluster_4gpu
         from tests.helpers import make_mlp
+        monkeypatch.setattr(reinforce, "ENTROPY_DECAY", 0.9)
         cfg = AgentConfig(max_groups=6, gat_hidden=16, gat_layers=2,
                           gat_heads=2, strategy_dim=16, strategy_heads=2,
-                          strategy_layers=1, entropy_decay=0.9)
+                          strategy_layers=1)
         agent = HeteroGAgent(cluster_4gpu(), cfg)
         agent.add_graph(make_mlp(name="entropy_mlp"))
         before = agent.trainer._entropy_weight

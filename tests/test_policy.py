@@ -112,12 +112,6 @@ class TestPolicyNetwork:
         assert sample.probs.shape == (4, 8)
         assert np.allclose(sample.probs.sum(axis=-1), 1.0)
 
-    def test_greedy_picks_argmax(self):
-        policy = self._policy()
-        f, a, s = self._inputs()
-        sample = policy.sample(f, a, s, np.random.default_rng(1), greedy=True)
-        assert (sample.actions == sample.probs.argmax(axis=-1)).all()
-
     def test_log_prob_matches_probs(self):
         policy = self._policy()
         f, a, s = self._inputs()

@@ -212,10 +212,14 @@ class TestStackedFits:
                         == _coefficients(reference_profile(profiler, graph,
                                                            cluster))
 
-    def test_one_fraction_profile_matches_oracle(self, mlp_graph, four_gpu):
+    def test_one_fraction_profile_matches_oracle(self, mlp_graph, four_gpu,
+                                                 monkeypatch):
+        from repro.profiling import profiler as profiling
         from tests.oracle.profile import reference_profile
 
-        profiler = Profiler(fractions=(0.5,), sizes=(1e6,), seed=3)
+        monkeypatch.setattr(profiling, "DEFAULT_FRACTIONS", (0.5,))
+        monkeypatch.setattr(profiling, "DEFAULT_SIZES", (1e6,))
+        profiler = Profiler(seed=3)
         profile = profiler.profile(mlp_graph, four_gpu)
         assert _coefficients(profile) == _coefficients(
             reference_profile(profiler, mlp_graph, four_gpu))

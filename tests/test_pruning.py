@@ -199,7 +199,8 @@ class TestLowerBoundAdmissibility:
         builder = PlanBuilder(graph, CLUSTER, profile)
         plan = builder.build(candidate_strategies(
             graph, np.random.default_rng(0), 1)[0])
-        jittered = TruthCostModel(CLUSTER, jitter_sigma=0.1, seed=7)
+        jittered = TruthCostModel(CLUSTER, jitter_sigma=0.1,
+                                  rng=np.random.default_rng(7))
         assert not jittered.deterministic
         assert kernel_lower_bound(plan.kernel, jittered) is None
 
@@ -417,9 +418,11 @@ class TestWinnerIdentity:
         strategy = candidate_strategies(
             graph, np.random.default_rng(5), 1)[0]
         dist = GraphCompiler(CLUSTER, profile).compile(graph, strategy)
-        ref_cost = TruthCostModel(CLUSTER, jitter_sigma=0.05, seed=11)
+        ref_cost = TruthCostModel(CLUSTER, jitter_sigma=0.05,
+                                  rng=np.random.default_rng(11))
         ref = ListScheduler().schedule(dist, ref_cost)
-        cut_cost = TruthCostModel(CLUSTER, jitter_sigma=0.05, seed=11)
+        cut_cost = TruthCostModel(CLUSTER, jitter_sigma=0.05,
+                                  rng=np.random.default_rng(11))
         cut = ListScheduler().schedule(dist, cut_cost, prune_above=1e-12)
         assert cut.chosen == ref.chosen
         assert cut.sim_result.makespan == ref.sim_result.makespan

@@ -173,7 +173,7 @@ class TestInjector:
             injector.advance(0)
             stats = engine.measure(deployment.dist, deployment.schedule,
                                    deployment.resident_bytes,
-                                   iterations=3, warmup=0)
+                                   iterations=3)
             return stats.mean
 
         healthy = mean_time(FaultSchedule.empty())
@@ -189,7 +189,7 @@ class TestInjector:
             injector.advance(0)
             stats = engine.measure(deployment.dist, deployment.schedule,
                                    deployment.resident_bytes,
-                                   iterations=3, warmup=0)
+                                   iterations=3)
             return stats.mean
 
         healthy = mean_time(FaultSchedule.empty())

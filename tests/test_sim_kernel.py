@@ -173,7 +173,8 @@ def compiled(request):
 def _faulted(overlay_of):
     """A jittered truth model under the overlay ``overlay_of(cluster)``."""
     def make(cluster, profile):
-        cost = TruthCostModel(cluster, jitter_sigma=0.05, seed=7)
+        cost = TruthCostModel(cluster, jitter_sigma=0.05,
+                              rng=np.random.default_rng(7))
         cost.set_fault_overlay(overlay_of(cluster))
         return cost
     return make
@@ -181,10 +182,10 @@ def _faulted(overlay_of):
 
 COST_MAKERS = [
     ("profile", lambda cl, pr: ProfileCostModel(cl, pr)),
-    ("truth-jitter", lambda cl, pr: TruthCostModel(cl, jitter_sigma=0.05,
-                                                   seed=7)),
-    ("truth-exact", lambda cl, pr: TruthCostModel(cl, jitter_sigma=0.0,
-                                                  seed=7)),
+    ("truth-jitter", lambda cl, pr: TruthCostModel(
+        cl, jitter_sigma=0.05, rng=np.random.default_rng(7))),
+    ("truth-exact", lambda cl, pr: TruthCostModel(
+        cl, jitter_sigma=0.0, rng=np.random.default_rng(7))),
     # every random strategy of the fixture places ops on every GPU
     ("truth-crash", _faulted(lambda cl: FaultOverlay(
         failed_devices=frozenset({cl.device_ids[1]})))),
@@ -466,7 +467,8 @@ def test_duration_array_cached_per_deterministic_provider():
     first = kernel.durations_for(det)
     assert first == [2.0] * len(g)
     assert kernel.durations_for(det) is first
-    stochastic = TruthCostModel(cluster_4gpu(), jitter_sigma=0.1, seed=3)
+    stochastic = TruthCostModel(cluster_4gpu(), jitter_sigma=0.1,
+                                rng=np.random.default_rng(3))
     assert kernel.durations_for(stochastic) is None
 
 
