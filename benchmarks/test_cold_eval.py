@@ -78,7 +78,7 @@ def _legacy_evaluate(graph, cluster, profile, candidates):
     caps = {d.device_id: d.usable_memory_bytes for d in cluster.devices}
     makespans = []
     for strategy in candidates:
-        compiler = GraphCompiler(cluster, profile)
+        compiler = GraphCompiler(cost)
         dist = compiler.compile(graph, strategy)
         resident = dist.resident_bytes
         kernel = lower(dist)

@@ -4,8 +4,8 @@ in heterogeneous GPU clusters (Yi et al., CoNEXT 2020).
 Public surface:
 
 - :func:`get_runner` / :class:`Dataset` — the paper's client API.
-- :class:`HeteroG` — the full pipeline facade (analyze / profile / plan /
-  deploy / run).
+- :class:`HeteroG` — the full pipeline facade (profile / plan / deploy /
+  run).
 - ``repro.graph`` — computation-graph IR and the benchmark model zoo.
 - ``repro.cluster`` — heterogeneous cluster model and testbed presets.
 - ``repro.parallel`` — strategies, distributed-graph IR, graph compiler.

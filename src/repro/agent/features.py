@@ -49,10 +49,6 @@ class FeatureEncoder:
                 seen.append(dev.spec.model)
         return seen
 
-    @property
-    def feature_dim(self) -> int:
-        return len(self.gpu_models()) + 2 + 2 + len(_PHASES) + 3
-
     def encode(self, graph: ComputationGraph) -> np.ndarray:
         models = self.gpu_models()
         # one representative device per GPU model for time predictions

@@ -188,17 +188,8 @@ def rebalanced_ladder(graph: ComputationGraph, cluster: Cluster,
     *measured* attempt left it and rebuilds the stage boundaries —
     a one-step multiplicative-weights correction.
     """
-    weights = []
-    for dev in cluster.devices:
-        cap = float(dev.usable_memory_bytes)
-        peak = float(peak_memory.get(dev.device_id, 0.0))
-        if peak <= 0:
-            correction = 2.0  # unused device: attract more work
-        else:
-            correction = min(2.0, max(0.4, (cap / peak) ** 1.2))
-        weights.append(cap * correction)
-    return ladder_from_targets(graph, cluster, grouping,
-                               np.asarray(weights))
+    return ladder_from_targets(graph, cluster, grouping, _reweighted(
+        cluster, peak_memory, unused=2.0, ceiling=2.0))
 
 
 def memory_ladder_strategy(graph: ComputationGraph, cluster: Cluster,
@@ -238,14 +229,24 @@ def memory_ladder_strategy(graph: ComputationGraph, cluster: Cluster,
 
 def rebalance_weights(cluster: Cluster, peak_memory: Dict[str, float]
                       ) -> np.ndarray:
-    """Multiplicative-weights capacity correction from measured peaks."""
+    """Multiplicative-weights capacity correction from measured peaks,
+    for the per-op memory ladder."""
+    return _reweighted(cluster, peak_memory, unused=1.5, ceiling=1.8)
+
+
+def _reweighted(cluster: Cluster, peak_memory: Dict[str, float], *,
+                unused: float, ceiling: float) -> np.ndarray:
+    """Each device's usable memory times a multiplicative correction
+    from its measured peak: ``(capacity / peak) ** 1.2`` clamped to
+    ``[0.4, ceiling]``, and ``unused`` for a device that held nothing
+    (it attracts more work)."""
     weights = []
     for dev in cluster.devices:
         cap = float(dev.usable_memory_bytes)
         peak = float(peak_memory.get(dev.device_id, 0.0))
         if peak <= 0:
-            correction = 1.5
+            correction = unused
         else:
-            correction = min(1.8, max(0.4, (cap / peak) ** 1.2))
+            correction = min(ceiling, max(0.4, (cap / peak) ** 1.2))
         weights.append(cap * correction)
     return np.asarray(weights)

@@ -159,7 +159,7 @@ def fusion_ablation(cluster: Cluster, model: str = "resnet200", *,
 
     rows: List[AblationRow] = []
     for mb in [None] + FUSION_BUCKETS_MB:
-        dist = GraphCompiler(cluster, builder.profile, bucket_bytes=(
+        dist = GraphCompiler(cost, bucket_bytes=(
             None if mb is None else mb * 1024 * 1024)).compile(graph,
                                                                strategy)
         collectives = dist.counts_by_kind().get(DistOpKind.ALLREDUCE, 0)

@@ -140,10 +140,6 @@ class Operation:
     def produces_param_gradient(self) -> bool:
         return self.phase is OpPhase.BACKWARD and self.param_bytes > 0
 
-    @property
-    def output_bytes(self) -> int:
-        return self.output.size_bytes
-
     def scaled_flops(self, batch_fraction: float) -> float:
         """FLOPs when processing ``batch_fraction`` of the mini-batch."""
         if not self.batch_scaled:

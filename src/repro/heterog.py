@@ -6,19 +6,17 @@ of an inline :class:`~repro.service.PlanningService` (``workers=0`` —
 everything runs synchronously on the caller's thread): ``plan`` and
 ``deploy`` assemble typed :class:`~repro.service.PlanRequest` objects
 and let the service's warm per-(graph, cluster, config) contexts do the
-profiling, search, compilation and scheduling.  Repeated calls on the
-same facade therefore hit the service's plan and result caches instead
-of re-driving the pipeline.
+Graph Analyzer's checks, profiling, search, compilation and
+scheduling.  Repeated calls on the same facade therefore hit the
+service's plan and result caches instead of re-driving the pipeline.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from . import telemetry
 from .cluster.topology import Cluster
 from .config import HeteroGConfig
-from .graph.analyzer import GraphAnalysis, GraphAnalyzer
 from .graph.dag import ComputationGraph
 from .parallel.strategy import Strategy
 from .plan import ExecutionPlan
@@ -43,15 +41,8 @@ class HeteroG:
         self.config = config or HeteroGConfig()
         # inline service: deterministic, serial, same caches as `serve`
         self.service = PlanningService(workers=0, name="heterog")
-        self._analysis: Optional[GraphAnalysis] = None
 
     # ------------------------------------------------------------------ #
-    def analyze(self, graph: ComputationGraph) -> GraphAnalysis:
-        """Run the Graph Analyzer (Sec. 3.2)."""
-        with telemetry.span("pipeline.analyze", graph=graph.name):
-            self._analysis = GraphAnalyzer().analyze(graph)
-        return self._analysis
-
     def profile(self, graph: ComputationGraph) -> Profile:
         """Run the Profiler (Sec. 3.3) on the service's warm context."""
         return self.service.context_for(self._request(graph)).profile
@@ -75,7 +66,6 @@ class HeteroG:
 
     def plan(self, graph: ComputationGraph) -> Strategy:
         """Search for the best deployment strategy for ``graph``."""
-        self.analyze(graph)
         return self.plan_result(graph).strategy
 
     def deploy(self, graph: ComputationGraph,

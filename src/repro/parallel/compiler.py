@@ -32,10 +32,11 @@ creates no :class:`DistOp`: per emitted dist-op it records a name, a
 recipe tuple of plain values
 (:data:`~repro.parallel.distgraph.RECIPE_FIELDS`) and a tuple of
 predecessor ids, all lowered at once
-(:meth:`~repro.simulation.kernel.Lowering.append`), and, given a cost,
-priced there too, so a compile against a limit stops as soon as one
-resource's load proves the candidate loses.  Successors are
-derived from the predecessor tuples at the end, and the result is a
+(:meth:`~repro.simulation.kernel.Lowering.append`) and priced there
+too, under the planner's cost model, so a compile against a limit
+stops as soon as one resource's load proves the candidate loses.
+Successors are derived from the predecessor tuples at the end, and
+the result is a
 :class:`DistGraph` view of its :class:`~repro.simulation.kernel.SimKernel`
 that builds ``DistOp`` objects only if something asks for them, so
 ``lower(dist)`` is a lookup and a cached plan keeps a few dozen objects
@@ -51,15 +52,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..cluster.topology import Cluster
 from ..errors import CompileError
 from ..graph.dag import ComputationGraph
 from ..graph.op import Operation, OpPhase
 from ..profiling.cost_model import op_memory_bytes, op_resident_bytes
-from ..profiling.profiler import Profile
 from ..simulation.costs import ProfileCostModel
 from ..simulation.kernel import Lowering, SimKernel
-from .aggregation import choose_allreduce, choose_ps_device
+from .aggregation import choose_ps_device
 from .distgraph import DistGraph
 from .strategy import CommMethod, OpStrategy, Strategy
 
@@ -138,63 +137,48 @@ class _GraphTables:
 class GraphCompiler:
     """Compiles (graph, strategy) -> :class:`DistGraph`.
 
+    ``cost`` is the planner's cost model: the compiler reads the cluster
+    from it, places each PS with its :meth:`~ProfileCostModel.link_lookup`,
+    asks it each collective's structure
+    (:meth:`~ProfileCostModel.hierarchical`), and prices every dist-op
+    with it as it emits it, so every compiled kernel arrives priced.
     One compiler serves any number of compiles; it keeps only tables
     that depend on the context (per-graph op tables, and per device
-    pair or tuple the link figures, NIC ports, AllReduce structure and
-    ring resources), never state of one call.
+    pair or tuple the NIC ports and ring resources), never state of one
+    call.
 
     ``bucket_bytes`` is the AllReduce bucket limit; ``None`` emits one
     collective per gradient.
     """
 
-    def __init__(self, cluster: Cluster, profile: Optional[Profile] = None,
+    def __init__(self, cost: ProfileCostModel,
                  bucket_bytes: Optional[int] = ALLREDUCE_BUCKET_BYTES):
         if bucket_bytes is not None and bucket_bytes <= 0:
             raise CompileError(f"bucket_bytes must be positive: {bucket_bytes}")
-        self.cluster = cluster
-        self.profile = profile
+        self.cost = cost
+        self.cluster = cost.cluster
         self.bucket_bytes = bucket_bytes
-        self._link_cache: Dict[Tuple[str, str], Tuple[float, float]] = {}
         self._nic_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        # (device tuple, bytes) -> hierarchical?
-        self._allreduce_cache: Dict[Tuple[Tuple[str, ...], float], bool] = {}
         self._ring_cache: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._tables: Optional[_GraphTables] = None
 
-    def _link(self, src: str, dst: str) -> Tuple[float, float]:
-        """(bandwidth, latency) of a link: profiled when the profile has
-        a model of it, else the cluster's spec."""
-        cached = self._link_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        model = (self.profile.link_models.get((src, dst))
-                 if self.profile is not None else None)
-        if model is not None:
-            cached = (model.bandwidth, model.latency)
-        else:
-            link = self.cluster.link(src, dst)
-            cached = (link.bandwidth, link.latency)
-        self._link_cache[(src, dst)] = cached
-        return cached
-
     # ------------------------------------------------------------------ #
     def compile(self, graph: ComputationGraph, strategy: Strategy, *,
-                cost: Optional[ProfileCostModel] = None,
                 prune_above: Optional[float] = None) -> DistGraph:
         """The distributed graph of ``strategy``, with its simulation
-        kernel attached and its per-device resident bytes in
+        kernel attached, its durations and resource loads cached under
+        :attr:`cost`, and its per-device resident bytes in
         ``resident_bytes``.
 
-        With ``cost``, each dist-op is priced as it is emitted and the kernel arrives
-        with its durations and resource loads cached under ``cost``.
-        With ``prune_above`` as well, the compile stops with
+        With ``prune_above``, the compile stops with
         :class:`~repro.simulation.kernel.LoadExceeded` as soon as one
         resource's load exceeds ``prune_above`` beyond
         :data:`~repro.simulation.kernel.PRUNE_GUARD`."""
         tables = self._tables
         if tables is None or tables.graph is not graph:
             tables = self._tables = _GraphTables(graph)
-        return _Compilation(self, tables, strategy, cost, prune_above).run()
+        return _Compilation(self, tables, strategy, self.cost,
+                            prune_above).run()
 
     def _comm_resources(self, src: str, dst: str) -> Tuple[str, ...]:
         """NIC ports seized by an inter-server path (shared bottleneck of
@@ -207,17 +191,6 @@ class GraphCompiler:
         ports = () if a == b else (f"nic_out:{a}", f"nic_in:{b}")
         self._nic_cache[(src, dst)] = ports
         return ports
-
-    def _hierarchical(self, devices: Tuple[str, ...],
-                      size_bytes: float) -> bool:
-        """:func:`choose_allreduce`'s ring-or-hierarchical decision."""
-        key = (devices, size_bytes)
-        cached = self._allreduce_cache.get(key)
-        if cached is None:
-            cached, _ = choose_allreduce(devices, size_bytes, self._link,
-                                         self.cluster)
-            self._allreduce_cache[key] = cached
-        return cached
 
     def _ring_resources(self, devices: Tuple[str, ...]) -> Tuple[str, ...]:
         cached = self._ring_cache.get(devices)
@@ -260,7 +233,7 @@ class _Compilation:
     Dist-ops are referred to by their integer id (emission order)."""
 
     def __init__(self, compiler: GraphCompiler, tables: _GraphTables,
-                 strategy: Strategy, cost: Optional[ProfileCostModel],
+                 strategy: Strategy, cost: ProfileCostModel,
                  prune_above: Optional[float]):
         self.compiler = compiler
         self.tables = tables
@@ -531,7 +504,8 @@ class _Compilation:
         """PS chain: push gradients -> aggregate -> apply -> pull params."""
         compiler = self.compiler
         grad_bytes = info.full_bytes
-        ps_dev = choose_ps_device(devices, grad_bytes, compiler._link,
+        ps_dev = choose_ps_device(devices, grad_bytes,
+                                  compiler.cost.link_lookup,
                                   load=self.ps_load)
 
         pushes: List[int] = []
@@ -591,7 +565,7 @@ class _Compilation:
             name = f"{name}(x{len(grads)})"
         collective = self.emit(self.fresh(f"ar:{name}"), (
             "allreduce", -1, None, None, None, ring, nbytes, 1.0,
-            compiler._hierarchical(ring, nbytes),
+            compiler.cost.hierarchical(ring, nbytes),
             compiler._ring_resources(ring)), bucket.preds)
         for _, apply in grads:
             for dev in ring:

@@ -11,8 +11,8 @@ A graph built with :meth:`DistGraph.add` holds its ops from the start.
 A compiled graph is a *view* of its
 :class:`~repro.simulation.kernel.SimKernel`: the compiler emits only the
 kernel's flat arrays, one :data:`RECIPE_FIELDS` tuple of plain values
-per dist-op among them, and the view builds its :class:`DistOp` objects,
-adjacency lists and ``instances`` once, on first access.  Its name,
+per dist-op among them, and the view builds its :class:`DistOp` objects
+and adjacency lists once, on first access.  Its name,
 length, membership, ``op_names``, ``version``, ``resident_bytes`` and
 :meth:`~DistGraph.validate` never build them, and neither does the
 search loop (compile, bound, schedule, simulate), which reads the
@@ -128,24 +128,6 @@ class DistOp:
                 self.batch_fraction, self.hierarchical,
                 self.extra_resources)
 
-    def resources(self) -> Tuple[str, ...]:
-        """Exclusive resources this op occupies while executing."""
-        if self.is_compute:
-            return (self.device,)  # type: ignore[return-value]
-        if self.kind is DistOpKind.TRANSFER:
-            return (
-                f"link:{self.src_device}->{self.dst_device}",
-            ) + self.extra_resources
-        # AllReduce: the ring's directed links, plus the global NCCL token
-        # (NCCL cannot launch two collectives simultaneously, Sec. 6.2).
-        links = []
-        n = len(self.devices)
-        for i in range(n):
-            a, b = self.devices[i], self.devices[(i + 1) % n]
-            if a != b:
-                links.append(f"link:{a}->{b}")
-        return tuple(links) + self.extra_resources + (NCCL_RESOURCE,)
-
 
 class DistGraph:
     """DAG of :class:`DistOp` nodes with dependency edges.
@@ -155,9 +137,9 @@ class DistGraph:
     successors / predecessors in edge-insertion order.  The name-keyed
     accessors derive from it on demand.
 
-    A compiled graph (:meth:`view`) builds ``_ops``, the adjacency lists
-    and ``instances`` from its kernel when something first reads them;
-    a mutation builds them first.
+    A compiled graph (:meth:`view`) builds ``_ops`` and the adjacency
+    lists from its kernel when something first reads them; a mutation
+    builds them first.
     """
 
     def __init__(self, name: str):
@@ -166,8 +148,6 @@ class DistGraph:
         self._id_of: Dict[str, int] = {}
         self._succ_ids: Optional[List[List[int]]] = []
         self._pred_ids: Optional[List[List[int]]] = []
-        # original op name -> its compute instances (per device)
-        self._instances: Optional[Dict[str, List[str]]] = {}
         # device -> resident bytes (parameters + optimizer state), filled
         # by the GraphCompiler; empty for hand-built graphs
         self.resident_bytes: Dict[str, int] = {}
@@ -184,7 +164,6 @@ class DistGraph:
         ``source_ops``, ``pred`` and ``succ``), on first access."""
         graph = cls(name)
         graph._ops = graph._succ_ids = graph._pred_ids = None
-        graph._instances = None
         graph._id_of = id_of
         graph._version = version
         graph.resident_bytes = resident_bytes
@@ -201,20 +180,17 @@ class DistGraph:
         kernel = self._sim_kernel
         sources = kernel.source_ops
         ops = []
-        instances: Dict[str, List[str]] = {}
         for name, recipe in zip(kernel.names, kernel.recipes):
-            kind, source = recipe[0], recipe[1]
-            source_op = sources[source] if source >= 0 else None
-            ops.append(DistOp(name, DistOpKind(kind), source_op, *recipe[2:]))
-            if kind == "compute" or kind == "apply":
-                instances.setdefault(source_op.name, []).append(name)
+            source = recipe[1]
+            ops.append(DistOp(name, DistOpKind(recipe[0]),
+                              sources[source] if source >= 0 else None,
+                              *recipe[2:]))
         pred_ids = list(map(list, kernel.pred))
         succ_ids = list(map(list, kernel.succ))
         with _MATERIALIZE_LOCK:
             if self._ops is None:
                 self._pred_ids = pred_ids
                 self._succ_ids = succ_ids
-                self._instances = instances
                 self._ops = ops  # last: readers test this one
         return self._ops
 
@@ -222,13 +198,6 @@ class DistGraph:
     def version(self) -> int:
         """Monotone mutation counter (bumped by add/add_edge)."""
         return self._version
-
-    @property
-    def instances(self) -> Dict[str, List[str]]:
-        """Original op name -> names of its compute (or apply)
-        instances, in emission order."""
-        self._materialize()
-        return self._instances
 
     # ------------------------------------------------------------------ #
     def add(self, op: DistOp, deps: Sequence[str] = ()) -> DistOp:

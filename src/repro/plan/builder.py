@@ -70,7 +70,7 @@ class PlanBuilder:
         self._simulator = Simulator(self.cost)
         # one compiler per context: its per-graph tables are built on the
         # first compile and shared by every later one
-        self._compiler = GraphCompiler(cluster, self.profile)
+        self._compiler = GraphCompiler(self.cost)
         self.context_fingerprint = fingerprint_context(
             graph, cluster, self.profile,
             use_order_scheduling=use_order_scheduling,
@@ -113,7 +113,7 @@ class PlanBuilder:
         raises :class:`LoadExceeded` once one resource's load proves
         the makespan exceeds it (beyond :data:`PRUNE_GUARD`).
         """
-        dist = self._compiler.compile(self.graph, strategy, cost=self.cost,
+        dist = self._compiler.compile(self.graph, strategy,
                                       prune_above=prune_above)
         return dist, dist.resident_bytes
 

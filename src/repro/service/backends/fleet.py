@@ -203,8 +203,10 @@ class _WorkerHandle:
 
 class FleetStats(EventTally):
     """Always-on fleet accounting: a fold over the fleet's journal
-    events, except ``heartbeats``, which are deliberately not
-    journaled and are counted as they arrive."""
+    events, except ``heartbeats``, which stay hand-counted as they
+    arrive: heartbeats are deliberately not journaled (each worker
+    beats every ``HEARTBEAT_INTERVAL``, which would swamp the
+    journal)."""
 
     FIELDS = ("spawned", "exited", "lost", "heartbeat_misses",
               "dispatched", "redispatched", "discarded")
@@ -555,10 +557,12 @@ class ProcessFleetBackend(ExecutionBackend):
         return f"{self.service.name}-fleet-{worker.id}"
 
     def _journal(self, rid: str, event: str, **attrs: object) -> None:
-        """Journal one fleet event; the fleet stats and their session
+        """Journal one fleet event; the fleet stats, the service stats
+        (a job's first dispatch is its execution) and their session
         counters are a fold over it."""
         self.service.recorder.emit(rid, event, **attrs)
         self.stats.account(event, attrs)
+        self.service.stats.account(event, attrs)
 
     # ------------------------------------------------------------------ #
     def _assign_work(self) -> None:
@@ -598,11 +602,6 @@ class ProcessFleetBackend(ExecutionBackend):
         worker.job = job
         self._jobs[job.key] = job
         request = job.ticket.request
-        if job.attempts == 1:
-            # the worker-side evaluation is this service's
-            # "executed" unit, re-dispatches don't re-count
-            with self.service._lock:
-                self.service.stats.executed += 1
         stall = next(
             (s for prefix, s in self.stall_labels.items()
              if request.label.startswith(prefix)), 0.0)

@@ -18,12 +18,26 @@ from __future__ import annotations
 
 import threading
 import warnings
-from typing import List
+from typing import Any, List, Mapping, Sequence
 
 from ...errors import ReproError
+from ...telemetry.tally import EventTally, Fact
 from .base import ExecutionBackend
 
 JOIN_TIMEOUT = 60.0
+
+
+class ThreadStats(EventTally):
+    """Thread-backend accounting: a fold over its journal events."""
+
+    FIELDS = KEYS = ("stalled_joins",)
+    HELP = "thread-backend accounting"
+
+    @staticmethod
+    def facts(event: str, attrs: Mapping[str, Any]) -> Sequence[Fact]:
+        if event == "worker_join_timeout":
+            return (("stalled_joins", None, None),)
+        return ()
 
 
 class ThreadBackend(ExecutionBackend):
@@ -36,7 +50,7 @@ class ThreadBackend(ExecutionBackend):
                 f"thread backend needs workers >= 1, got {workers}")
         self.workers = workers
         self._threads: List[threading.Thread] = []
-        self.stalled_joins = 0
+        self.stats = ThreadStats()
 
     # ------------------------------------------------------------------ #
     def ensure_started(self) -> None:
@@ -70,10 +84,11 @@ class ThreadBackend(ExecutionBackend):
             if thread.is_alive():
                 # a worker is stuck mid-request: say so loudly instead
                 # of leaving a live thread behind with no signal
-                self.stalled_joins += 1
+                attrs = dict(worker=thread.name, timeout=JOIN_TIMEOUT)
                 self.service.recorder.emit(
                     f"{self.service.name}-backend", "worker_join_timeout",
-                    worker=thread.name, timeout=JOIN_TIMEOUT)
+                    **attrs)
+                self.stats.account("worker_join_timeout", attrs)
                 warnings.warn(
                     f"planning service {self.service.name!r}: worker "
                     f"thread {thread.name} did not exit within "
@@ -87,6 +102,6 @@ class ThreadBackend(ExecutionBackend):
             "name": self.name,
             "workers": self.workers,
             "threads_alive": sum(1 for t in self._threads if t.is_alive()),
-            "stalled_joins": self.stalled_joins,
+            "stalled_joins": self.stats.stalled_joins,
             "closed": self._closed,
         }

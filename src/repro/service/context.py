@@ -26,6 +26,7 @@ from .. import telemetry
 from ..telemetry.context import record_event
 from ..agent.agent import HeteroGAgent
 from ..errors import CompileError, OutOfMemoryError, StrategyError
+from ..graph.analyzer import check_training_graph
 from ..parallel.strategy import Strategy
 from ..plan import EvalOutcome, ExecutionPlan, PlanBuilder
 from ..profiling.measurements import MeasurementNoise
@@ -52,9 +53,14 @@ def lru_context(contexts: "OrderedDict[str, PlanContext]",
 
 
 class PlanContext:
-    """One warmed planning session keyed by ``PlanRequest.context_key``."""
+    """One warmed planning session keyed by ``PlanRequest.context_key``.
+
+    Creating one runs the Graph Analyzer's checks on the request's
+    graph, so a graph that is not a training graph fails every request
+    with :class:`~repro.errors.GraphError` before any work."""
 
     def __init__(self, request: PlanRequest):
+        check_training_graph(request.graph)
         self.key = request.context_key
         self.graph = request.graph
         self.cluster = request.cluster

@@ -220,10 +220,3 @@ class PlanResult:
         if self.measured_time is not None:
             return self.measured_time
         return self.outcome.time
-
-    def speed(self, global_batch: int) -> float:
-        """Training speed in samples/sec (0.0 for infeasible plans)."""
-        t = self.time
-        if not self.feasible or t <= 0 or t == float("inf"):
-            return 0.0
-        return global_batch / t

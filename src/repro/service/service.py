@@ -109,12 +109,16 @@ class PlanTicket:
 
 class ServiceStats(EventTally):
     """Always-on service accounting: the ``FIELDS`` fold over the
-    service's journal events, ``executed`` counts the requests actually
-    evaluated, and the result-cache and warm-context figures are read
-    from the cache and the context LRU."""
+    service's journal events, and the result-cache and warm-context
+    figures read from the cache and the context LRU.
 
-    FIELDS = ("submitted", "coalesced", "rejected", "timeouts",
-              "completed", "failed")
+    ``executed`` counts the requests actually evaluated: the
+    ``context_warm``/``context_cold`` event that starts serving one
+    in-process, or a job's first ``dispatched`` to a fleet worker
+    (re-dispatches do not re-count)."""
+
+    FIELDS = ("submitted", "executed", "coalesced", "rejected",
+              "timeouts", "completed", "failed")
     KEYS = ("submitted", "executed", "coalesced", "result_hits",
             "result_misses", "rejected", "timeouts", "completed",
             "failed", "contexts_warm")
@@ -123,7 +127,6 @@ class ServiceStats(EventTally):
     def __init__(self, results: PlanCache,
                  contexts: "OrderedDict[str, PlanContext]"):
         super().__init__()
-        self.executed = 0
         self._results = results
         self._contexts = contexts
 
@@ -131,6 +134,9 @@ class ServiceStats(EventTally):
     def facts(event: str, attrs: Mapping[str, Any]) -> Sequence[Fact]:
         if event == "request_accepted":
             return (("submitted", None, None),)
+        if event in ("context_warm", "context_cold") or (
+                event == "dispatched" and attrs["attempt"] == 1):
+            return (("executed", None, None),)
         if event == "coalesced":
             return (("coalesced", "service_coalesced_total", None),)
         if event == "rejected":
@@ -431,8 +437,6 @@ class PlanningService:
                             kind="search" if request.is_search else "build",
                             label=request.label):
             with ctx.lock:
-                with self._lock:
-                    self.stats.executed += 1
                 result = ctx.handle(request)
         result.queue_seconds = queue_seconds
         result.service_seconds = time.perf_counter() - start

@@ -21,7 +21,7 @@ import numpy as np
 from ..cluster.device import GPUSpec
 from ..cluster.topology import Cluster
 from ..errors import SimulationError
-from ..parallel.aggregation import allreduce_time
+from ..parallel.aggregation import allreduce_time, choose_allreduce
 from ..parallel.distgraph import DistOpKind
 from ..profiling import cost_model
 from ..profiling.profiler import Profile
@@ -46,8 +46,9 @@ class CostProvider(Protocol):
 
     A provider prices whole kernels; :meth:`ProfileCostModel.price`
     also prices one op from its recipe, for the graph compiler, which
-    prices each op as it emits it.  ``deterministic`` declares that
-    ``prices(kernel)`` is a pure function of the kernel: the
+    prices each op as it emits it under the planner's model.
+    ``deterministic`` declares that ``prices(kernel)`` is a pure
+    function of the kernel: the
     simulation kernel then prices every op once per lowering, from its recipes (so a compiled graph never
     builds its ``DistOp`` objects), and shares the array across ranking
     and repeated simulations.  Stochastic providers (per-execution
@@ -88,7 +89,12 @@ class _BaseCost:
 
 
 class ProfileCostModel(_BaseCost):
-    """Durations from the profiler's regression predictions."""
+    """Durations from the profiler's regression predictions.
+
+    It is also the graph compiler's only source of link figures: PS
+    placement reads :meth:`link_lookup` and each collective's structure
+    comes from :meth:`hierarchical`, so the compiler decides with the
+    model that prices its result."""
 
     deterministic = True
 
@@ -101,15 +107,39 @@ class ProfileCostModel(_BaseCost):
         self._op_time_cache: dict = {}
         self._transfer_cache: dict = {}
         self._allreduce_cache: dict = {}
+        # (device tuple, bytes) -> hierarchical?
+        self._structure_cache: Dict[Tuple[Tuple[str, ...], float], bool] = {}
+        self._link_cache: Dict[Tuple[str, str], Tuple[float, float]] = {}
         self._spec_of = {d: self.cluster.device(d).spec
                          for d in self.cluster.device_ids}
 
     def link_lookup(self, src: str, dst: str) -> Tuple[float, float]:
-        model = self.profile.link_models.get((src, dst))
-        if model is None:
-            link = self.cluster.link(src, dst)
-            return link.bandwidth, link.latency
-        return model.bandwidth, model.latency
+        """(bandwidth, latency) of a link: profiled when the profile has
+        a model of it, else the cluster's spec."""
+        cached = self._link_cache.get((src, dst))
+        if cached is None:
+            model = self.profile.link_models.get((src, dst))
+            if model is None:
+                link = self.cluster.link(src, dst)
+                cached = (link.bandwidth, link.latency)
+            else:
+                cached = (model.bandwidth, model.latency)
+            self._link_cache[(src, dst)] = cached
+        return cached
+
+    def hierarchical(self, devices: Tuple[str, ...],
+                     size_bytes: float) -> bool:
+        """:func:`choose_allreduce`'s ring-or-hierarchical decision for a
+        collective; the time it returns is kept as the price of the
+        collective so built."""
+        key = (devices, size_bytes)
+        cached = self._structure_cache.get(key)
+        if cached is None:
+            cached, t = choose_allreduce(devices, size_bytes,
+                                         self.link_lookup, self.cluster)
+            self._structure_cache[key] = cached
+            self._allreduce_cache[key + (cached,)] = t
+        return cached
 
     def prices(self, kernel) -> List[float]:
         """The predicted duration of every op of ``kernel``, from its

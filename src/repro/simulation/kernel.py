@@ -30,14 +30,17 @@ ranking, both candidate-order simulations in
 re-simulation of the plan.
 
 Durations are only cached on the kernel for *deterministic* cost
-providers (``cost.deterministic`` is True).  Compiled kernels arrive
-priced: the planner compiles with its cost, whose ``price(recipe,
-source_op)`` the lowering calls on each op as it is emitted, so the
-kernel is built with its duration and load arrays cached (and the
-compile can stop at a limit, :class:`LoadExceeded`).  Any other kernel
-is priced from its recipes on first use by ``cost.prices(kernel)``,
-which gives the same bits.  The stochastic truth model prices the same
-recipes per run instead (``TruthCostModel.draw``): its base durations
+providers (``cost.deterministic`` is True), in one price record per
+provider: durations, and once asked, tails, loads and the complete
+lower bound.  Every compiled kernel arrives priced: the compiler holds
+the planner's cost, whose ``price(recipe, source_op)`` the lowering
+calls on each op as it is emitted, so the kernel is built with its
+record holding the duration and load arrays (and the compile can stop
+at a limit, :class:`LoadExceeded`).  A kernel built by hand, or priced
+under another provider, is priced from its recipes on first use by
+``cost.prices(kernel)``, which gives the same bits.  The stochastic
+truth model prices the same recipes per run instead
+(``TruthCostModel.draw``): its base durations
 are cached on the provider per fault overlay, and its jitter is one
 batch per run that the event loop reads in start order.  That keeps
 the jitter draw sequence, and therefore the results, bit-identical to
@@ -57,8 +60,8 @@ from ..parallel.distgraph import NCCL_RESOURCE, DistGraph, DistOp
 from .costs import CostProvider, ProfileCostModel
 from .memory import output_bytes
 
-#: max distinct cost providers whose duration arrays one kernel retains
-_DURATION_CACHE_SLOTS = 4
+#: max distinct cost providers whose price records one kernel retains
+_PRICE_RECORD_SLOTS = 4
 
 
 class LoadExceeded(Exception):
@@ -86,8 +89,10 @@ class Lowering:
     lowering (charge-device index and output bytes).  Resources
     are interned by *structure* (device, link endpoints plus extra
     ports), so each distinct resource tuple is built once rather than
-    once per op; the name table comes out identical to interning
-    ``op.resources()`` strings op by op.
+    once per op.  This is the one rule for which resources an op holds:
+    its device for a compute op, ``link:src->dst`` plus the extra
+    ports for a transfer, and for an AllReduce the ring's directed
+    links, the extra ports and the NCCL token.
 
     ``source_ops`` is the training-op table recipes index into: the
     compiler passes its per-graph table, :meth:`add` fills a table of
@@ -98,11 +103,12 @@ class Lowering:
     it holds (``loads``, by resource id).  Op and resource ids are
     emission order, so both arrays come out bit for bit as
     ``cost.prices(kernel)`` and :meth:`SimKernel.loads_for` compute
-    them, and the kernel is built with them cached.  With ``prune_above`` as well, the first load to
-    pass ``prune_above * (1 + PRUNE_GUARD)`` raises
-    :class:`LoadExceeded`: durations are non-negative, so a load only
-    grows, and the busiest-resource term of :func:`kernel_lower_bound`
-    is already proved to exceed the limit.
+    them, and the kernel is built with them in its price record.  With
+    ``prune_above`` as well, the first load to pass
+    ``prune_above * (1 + PRUNE_GUARD)`` raises :class:`LoadExceeded`:
+    durations are non-negative, so a load only grows, and the
+    busiest-resource term of :func:`kernel_lower_bound` is already
+    proved to exceed the limit.
     """
 
     __slots__ = (
@@ -225,6 +231,21 @@ class Lowering:
         self.append(op.name, op.recipe(source), output_bytes(op))
 
 
+class _PriceRecord:
+    """What a kernel knows under one deterministic cost provider: the
+    per-op durations, and once asked, the per-op tails, the
+    per-resource loads and the complete makespan lower bound."""
+
+    __slots__ = ("cost", "durations", "tails", "loads", "bound")
+
+    def __init__(self, cost: CostProvider, durations: List[float]):
+        self.cost = cost
+        self.durations = durations
+        self.tails: Optional[List[float]] = None
+        self.loads: Optional[List[float]] = None
+        self.bound: Optional[float] = None
+
+
 class SimKernel:
     """A :class:`DistGraph` lowered to integer-indexed flat arrays.
 
@@ -247,8 +268,7 @@ class SimKernel:
         "resource_names", "res_ids", "is_link", "is_device",
         "is_compute", "is_comm", "kind_values",
         "charge_dev", "out_bytes", "mem_dev_names", "mem_dev_index",
-        "topo", "has_cycle", "_dur_cache", "_topo_pos", "_bound_cache",
-        "_tail_cache", "_load_cache",
+        "topo", "has_cycle", "_topo_pos", "_records",
     )
 
     def __init__(self, graph: DistGraph,
@@ -321,22 +341,17 @@ class SimKernel:
         self.topo = topo
         self.has_cycle = len(topo) != n
 
-        # cost provider -> per-op duration array (deterministic providers)
-        self._dur_cache: Dict[int, Tuple[CostProvider, List[float]]] = {}
         # op index -> topo position, built on first use (the kernel is an
         # immutable snapshot, so no further invalidation is needed)
         self._topo_pos: Optional[List[int]] = None
-        # cost provider -> admissible makespan lower bound
-        self._bound_cache: Dict[int, Tuple[CostProvider, float]] = {}
-        # cost provider -> per-op downstream-chain durations (tails)
-        self._tail_cache: Dict[int, Tuple[CostProvider, List[float]]] = {}
-        # cost provider -> per-resource summed durations (loads)
-        self._load_cache: Dict[int, Tuple[CostProvider, List[float]]] = {}
+        # id(deterministic cost provider) -> what the kernel knows under it
+        self._records: Dict[int, _PriceRecord] = {}
         cost = lowering.cost
         if cost is not None:
-            # a priced lowering arrives with both arrays
-            self._dur_cache[id(cost)] = (cost, lowering.durations)
-            self._load_cache[id(cost)] = (cost, lowering.loads)
+            # a priced lowering arrives with its durations and loads
+            record = self._records[id(cost)] = _PriceRecord(
+                cost, lowering.durations)
+            record.loads = lowering.loads
 
     @property
     def graph(self) -> DistGraph:
@@ -364,24 +379,30 @@ class SimKernel:
         return self.graph._materialize()
 
     # ------------------------------------------------------------------ #
-    def durations_for(self, cost: CostProvider) -> Optional[List[float]]:
-        """Per-op durations under ``cost``, or None for stochastic costs.
+    def record_for(self, cost: CostProvider) -> Optional[_PriceRecord]:
+        """The kernel's price record under ``cost``, or None for
+        stochastic costs.
 
         Deterministic providers (``cost.deterministic`` truthy) price
-        the recipes once per (kernel, provider), cached, so ranking and
-        every simulation of the same lowering share one pricing pass.
+        the recipes once per (kernel, provider), unless the compile
+        already did, so ranking, bounding and every simulation of the
+        same lowering share one pricing pass.  At most
+        ``_PRICE_RECORD_SLOTS`` providers' records are kept.
         """
         if not cost.deterministic:
             return None
-        key = id(cost)
-        entry = self._dur_cache.get(key)
-        if entry is not None and entry[0] is cost:
-            return entry[1]
-        durations = cost.prices(self)
-        if len(self._dur_cache) >= _DURATION_CACHE_SLOTS:
-            self._dur_cache.clear()
-        self._dur_cache[key] = (cost, durations)
-        return durations
+        record = self._records.get(id(cost))
+        if record is None or record.cost is not cost:
+            if len(self._records) >= _PRICE_RECORD_SLOTS:
+                self._records.clear()
+            record = self._records[id(cost)] = _PriceRecord(
+                cost, cost.prices(self))
+        return record
+
+    def durations_for(self, cost: CostProvider) -> Optional[List[float]]:
+        """Per-op durations under ``cost``, or None for stochastic costs."""
+        record = self.record_for(cost)
+        return None if record is None else record.durations
 
     def tails_for(self, cost: CostProvider) -> Optional[List[float]]:
         """Per-op *exclusive tail*: the duration-weighted longest chain of
@@ -391,29 +412,24 @@ class SimKernel:
         Whatever the schedule, once op ``i`` completes at time ``t`` the
         makespan is at least ``t + tail[i]`` — the engine's mid-simulation
         abort and :func:`kernel_lower_bound` both build on this array.
-        ``None`` for stochastic cost providers (same contract and caching
-        discipline as :meth:`durations_for`).
+        ``None`` for stochastic cost providers; kept in the price record
+        like the durations.
         """
-        durations = self.durations_for(cost)
-        if durations is None:
+        record = self.record_for(cost)
+        if record is None:
             return None
-        key = id(cost)
-        entry = self._tail_cache.get(key)
-        if entry is not None and entry[0] is cost:
-            return entry[1]
-        succ_of = self.succ
-        tails = [0.0] * self.n
-        for i in reversed(self.topo):
-            tail = 0.0
-            for s in succ_of[i]:
-                t = durations[s] + tails[s]
-                if t > tail:
-                    tail = t
-            tails[i] = tail
-        if len(self._tail_cache) >= _DURATION_CACHE_SLOTS:
-            self._tail_cache.clear()
-        self._tail_cache[key] = (cost, tails)
-        return tails
+        if record.tails is None:
+            durations, succ_of = record.durations, self.succ
+            tails = [0.0] * self.n
+            for i in reversed(self.topo):
+                tail = 0.0
+                for s in succ_of[i]:
+                    t = durations[s] + tails[s]
+                    if t > tail:
+                        tail = t
+                tails[i] = tail
+            record.tails = tails
+        return record.tails
 
     def loads_for(self, cost: CostProvider) -> Optional[List[float]]:
         """Per-resource *load*: the summed duration of every op that
@@ -424,24 +440,19 @@ class SimKernel:
         unstarted on it proves a makespan of at least ``t + L``: the
         engine's remaining-load cut counts this array down, and
         :func:`kernel_lower_bound` builds its per-resource terms on it.
-        ``None`` for stochastic cost providers (same contract and
-        caching discipline as :meth:`tails_for`).
+        ``None`` for stochastic cost providers; kept in the price record
+        like the durations.
         """
-        durations = self.durations_for(cost)
-        if durations is None:
+        record = self.record_for(cost)
+        if record is None:
             return None
-        key = id(cost)
-        entry = self._load_cache.get(key)
-        if entry is not None and entry[0] is cost:
-            return entry[1]
-        loads = [0.0] * len(self.resource_names)
-        for rids, d in zip(self.res_ids, durations):
-            for r in rids:
-                loads[r] += d
-        if len(self._load_cache) >= _DURATION_CACHE_SLOTS:
-            self._load_cache.clear()
-        self._load_cache[key] = (cost, loads)
-        return loads
+        if record.loads is None:
+            loads = [0.0] * len(self.resource_names)
+            for rids, d in zip(self.res_ids, record.durations):
+                for r in rids:
+                    loads[r] += d
+            record.loads = loads
+        return record.loads
 
     def heads_for(self, cost: CostProvider) -> Optional[List[float]]:
         """Per-op *head*: the duration-weighted longest chain of
@@ -530,16 +541,15 @@ def kernel_lower_bound(kernel: SimKernel, cost: CostProvider,
 
     Returns ``None`` for stochastic cost providers: pricing the graph
     would consume jitter RNG draws and perturb later simulations, and a
-    jittered "bound" would not be admissible anyway.  The bound is
-    cached per (kernel, provider) like the duration arrays.
+    jittered "bound" would not be admissible anyway.  A complete bound
+    is kept in the kernel's price record under ``cost``.
     """
-    durations = kernel.durations_for(cost)
-    if durations is None:
+    record = kernel.record_for(cost)
+    if record is None:
         return None
-    key = id(cost)
-    entry = kernel._bound_cache.get(key)
-    if entry is not None and entry[0] is cost:
-        return entry[1]
+    if record.bound is not None:
+        return record.bound
+    durations = record.durations
     over = float("inf") if limit is None else limit * (1.0 + PRUNE_GUARD)
 
     loads = kernel.loads_for(cost)
@@ -601,9 +611,7 @@ def kernel_lower_bound(kernel: SimKernel, cost: CostProvider,
         head = min(heads[i] for group in on for i in group[1])
         best = max(best, head + loads[r] + tail)
 
-    if len(kernel._bound_cache) >= _DURATION_CACHE_SLOTS:
-        kernel._bound_cache.clear()
-    kernel._bound_cache[key] = (cost, best)
+    record.bound = best
     return best
 
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from typing import Dict, List
+
 from repro.cluster import NIC_100G, NVLINK, TESLA_V100, Cluster, ServerSpec
 from repro.cluster.presets import SWITCH_BANDWIDTH
 from repro.graph import GraphBuilder, build_training_graph
 from repro.graph.dag import ComputationGraph
+from repro.parallel.distgraph import DistGraph, DistOpKind
 from repro.profiling import MeasurementNoise, Profile, Profiler
 
 
@@ -25,6 +28,16 @@ def exact_profile(graph: ComputationGraph, cluster: Cluster) -> Profile:
     """A noise-free profile: its predictors match the analytic truth
     exactly, for deterministic, bias-free predictions."""
     return Profiler(noise=MeasurementNoise(sigma=0.0)).profile(graph, cluster)
+
+
+def instances(dist: DistGraph) -> Dict[str, List[str]]:
+    """Training-op name -> names of its compute (or apply) instances in
+    ``dist``, in emission order."""
+    out: Dict[str, List[str]] = {}
+    for op in dist:
+        if op.kind is DistOpKind.COMPUTE or op.kind is DistOpKind.APPLY:
+            out.setdefault(op.source_op.name, []).append(op.name)
+    return out
 
 
 def homogeneous_cluster(num_gpus: int = 4, gpus_per_server: int = 2) -> Cluster:

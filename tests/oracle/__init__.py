@@ -6,8 +6,8 @@ memory, the OOM set, the prune verdict and partial makespan, and
 deadlock error text.  :func:`reference_simulator` swaps it in for
 ``Simulator.run`` so whole pipelines can be paired against it too.
 The loop prices one op at a time with :func:`op_duration`, drawing one
-scalar jitter factor per op, and returns a plain
-:class:`ReferenceResult`.
+scalar jitter factor per op, holds the resources :func:`resources`
+names, and returns a plain :class:`ReferenceResult`.
 
 The original string-keyed graph compiler lives next to it, as
 ``ReferenceCompiler`` in :mod:`tests.oracle.compiler`, and the original
@@ -33,7 +33,8 @@ from unittest import mock
 import numpy as np
 
 from repro.errors import DeviceLostError, SimulationError
-from repro.parallel.distgraph import DistGraph, DistOp
+from repro.parallel.distgraph import (NCCL_RESOURCE, DistGraph, DistOp,
+                                      DistOpKind)
 from repro.simulation.costs import (
     CostProvider,
     MappingCostModel,
@@ -43,6 +44,24 @@ from repro.simulation.engine import Simulator
 from repro.simulation.kernel import PRUNE_GUARD
 from repro.simulation.memory import MemoryTracker
 from repro.simulation.metrics import RunTimes, union_length
+
+
+def resources(op: DistOp) -> Tuple[str, ...]:
+    """Exclusive resources ``op`` occupies while executing, by name: its
+    device for a compute op, the link plus extra ports for a transfer,
+    and for an AllReduce the ring's directed links, extra ports and the
+    global NCCL token (NCCL cannot launch two collectives at once,
+    Sec. 6.2)."""
+    if op.is_compute:
+        return (op.device,)
+    if op.kind is DistOpKind.TRANSFER:
+        return (f"link:{op.src_device}->{op.dst_device}",) \
+            + op.extra_resources
+    n = len(op.devices)
+    links = tuple(f"link:{op.devices[i]}->{op.devices[(i + 1) % n]}"
+                  for i in range(n)
+                  if op.devices[i] != op.devices[(i + 1) % n])
+    return links + op.extra_resources + (NCCL_RESOURCE,)
 
 
 def op_duration(cost: CostProvider, op: DistOp) -> float:
@@ -109,7 +128,7 @@ def run_reference(
     ops: Dict[str, DistOp] = {name: graph.op(name)
                               for name in graph.op_names}
     resources_of: Dict[str, Tuple[str, ...]] = {
-        name: op.resources() for name, op in ops.items()
+        name: resources(op) for name, op in ops.items()
     }
     pending_deps: Dict[str, int] = {
         name: len(graph.predecessors(name)) for name in ops

@@ -6,7 +6,8 @@ goes through ``DistGraph.add`` with string dependencies, per-op
 strategies are re-resolved on every use, and ``dist.validate()`` lowers
 the finished graph in a second walk.  The code is unchanged apart from
 its name and imports (absolute, unused ones dropped), and it keeps the old per-call contract
-(``compiler.resident_bytes`` after ``compile``).  It also holds the
+(``compiler.resident_bytes`` after ``compile``) and the instance table
+the compiled graph used to carry (``compiler.instances``).  It also holds the
 reference AllReduce bucketing (``bucket_bytes``): pending gradients are
 kept per ring as ``(op, apply op, instance names)`` entries and fused
 into one ``DistOp`` when their ring's bucket closes.
@@ -92,6 +93,8 @@ class ReferenceCompiler:
     def compile(self, graph: ComputationGraph, strategy: Strategy) -> DistGraph:
         dist = DistGraph(f"{graph.name}:distributed")
         self._dist = dist
+        # original op name -> names of its compute (or apply) instances
+        self.instances: Dict[str, List[str]] = {}
         self._counter = 0
         self._route_cache: Dict[Tuple, str] = {}
         # bytes of parameters already hosted per PS device (round-robin
@@ -175,7 +178,7 @@ class ReferenceCompiler:
             deps = self._route_inputs(graph, strategy, op, device, fraction)
             self._dist.add(inst, deps)
             instance_names.append(inst.name)
-        self._dist.instances[op.name] = instance_names
+        self.instances[op.name] = instance_names
         # parameters (and optimizer state) are resident wherever the op is
         if op.param_bytes > 0 and op.phase in (OpPhase.FORWARD, OpPhase.LOSS):
             for device in shares:
@@ -213,7 +216,7 @@ class ReferenceCompiler:
                             ) -> str:
         pred_st = self._resolved_strategy(graph, strategy, pred)
         pred_shares = pred_st.batch_shares()
-        pred_instances = self._dist.instances[pred.name]
+        pred_instances = self.instances[pred.name]
         full_bytes = float(pred.output.size_bytes)
 
         # unbatched tensor: single producer broadcasts the full tensor
@@ -318,7 +321,7 @@ class ReferenceCompiler:
         """Lower a parameter-gradient op plus its ApplyGradient consumer."""
         # the gradient compute replicas themselves
         self._lower_regular(graph, strategy, op, st)
-        instances = self._dist.instances[op.name]
+        instances = self.instances[op.name]
         devices = st.devices()
         grad_bytes = float(op.output.size_bytes)
 
@@ -357,7 +360,7 @@ class ReferenceCompiler:
             device=device,
         )
         self._dist.add(inst, deps)
-        self._dist.instances.setdefault(apply_op.name, []).append(inst.name)
+        self.instances.setdefault(apply_op.name, []).append(inst.name)
         return inst.name
 
     def _lower_ps(self, op: Operation, apply_op: Operation, st: OpStrategy,

@@ -159,7 +159,7 @@ class TestThreadBackendClose:
             warnings.simplefilter("always")
             svc.close()
         assert any("did not exit" in str(w.message) for w in caught)
-        assert svc._backend.stalled_joins == 1
+        assert svc._backend.stats.stalled_joins == 1
         stalls = journal_events(svc, event="worker_join_timeout")
         assert len(stalls) == 1
         assert stalls[0].attrs["worker"].startswith("stuck-worker")

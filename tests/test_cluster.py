@@ -21,8 +21,10 @@ from repro.parallel import (
     make_dp_strategy,
     uniform_strategy,
 )
+from repro.simulation import ProfileCostModel
 
-from tests.helpers import homogeneous_cluster, make_mlp
+from tests.helpers import (exact_profile, homogeneous_cluster, instances,
+                           make_mlp)
 
 
 class TestPresets:
@@ -112,8 +114,9 @@ class TestComputePower:
         graph = make_mlp(name="shares_mlp")
         strategy = uniform_strategy(graph, cluster, make_dp_strategy(
             cluster, ReplicaAllocation.PROPORTIONAL, CommMethod.ALLREDUCE))
-        dist = GraphCompiler(cluster).compile(graph, strategy)
-        replicas = [dist.op(n) for n in dist.instances[graph.op_names[1]]]
+        dist = GraphCompiler(ProfileCostModel(
+            cluster, exact_profile(graph, cluster))).compile(graph, strategy)
+        replicas = [dist.op(n) for n in instances(dist)[graph.op_names[1]]]
         return {op.device: op.batch_fraction for op in replicas}
 
     def test_proportional_shares_sum_to_one(self):

@@ -1,13 +1,13 @@
 """Paired test: the priced compile and its cut against the oracle walk.
 
-``GraphCompiler.compile(..., cost=cost, prune_above=limit)`` prices each
+``GraphCompiler(cost).compile(..., prune_above=limit)`` prices each
 dist-op as it emits it, adds the price to the load of every resource the
 op holds, and stops with :class:`LoadExceeded` once a load passes
 ``limit * (1 + PRUNE_GUARD)``.  The reference is the oracle compiler's
 full compile (``tests/oracle``) walked in op order with the same prices:
 the compile must be cut exactly when the walk crosses, after the same
 number of ops and at a bound with the same bits, and a compile that is
-not cut must equal the unpriced one.  The candidates are what a search
+not cut must equal the one without a limit.  The candidates are what a search
 compiles: the exploration seeds, one cross-entropy round's samples and
 one-group edits of uniform CP-AR, on every model family (tiny preset)
 on four and eight GPUs.
@@ -28,19 +28,21 @@ import pytest
 from repro.agent import seed_action_vectors
 from repro.agent.policy import (DP_ACTIONS, actions_to_strategy,
                                 uniform_action_vector)
+from repro.baselines import dp_strategy
 from repro.baselines.post import sample_placements
 from repro.cluster import cluster_4gpu, cluster_8gpu
 from repro.errors import CompileError
 from repro.graph.grouping import group_operations
 from repro.graph.models import build_model, model_names
 from repro.parallel import GraphCompiler
+from repro.parallel import compiler as compiler_mod
 from repro.parallel.strategy import CommMethod, ReplicaAllocation
 from repro.profiling import Profiler
 from repro.simulation import ProfileCostModel
-from repro.simulation.kernel import (PRUNE_GUARD, LoadExceeded, SimKernel,
-                                     kernel_lower_bound, lower)
+from repro.simulation.kernel import (PRUNE_GUARD, LoadExceeded, Lowering,
+                                     SimKernel, kernel_lower_bound, lower)
 
-from tests.oracle import op_duration
+from tests.oracle import op_duration, resources
 from tests.oracle.compiler import ReferenceCompiler
 
 CLUSTERS = {"cluster_4gpu": cluster_4gpu, "cluster_8gpu": cluster_8gpu}
@@ -89,7 +91,7 @@ def _walk(ref_dist, cost):
     for op in ref_dist:
         d = op_duration(cost, op)
         reached = []
-        for r in op.resources():
+        for r in resources(op):
             load = loads[r] = loads.get(r, 0.0) + d
             reached.append(load)
         after.append(reached)
@@ -141,15 +143,15 @@ def _assert_priced_like_fresh(dist, cost, make_cost, top):
 @pytest.mark.parametrize("model", model_names())
 def test_cut_matches_oracle_walk(model, cluster_name):
     graph, cluster, profile, grouping = _context(model, cluster_name)
-    compiler = GraphCompiler(cluster, profile)
     cost = ProfileCostModel(cluster, profile)
+    compiler = GraphCompiler(cost)
     cut_count = 0
     for strategy in _candidates(graph, cluster, grouping):
         try:
             ref = ReferenceCompiler(cluster, profile).compile(graph, strategy)
         except CompileError as exc:
             with pytest.raises(CompileError, match=str(exc)):
-                compiler.compile(graph, strategy, cost=cost)
+                compiler.compile(graph, strategy)
             continue
         plain = _fields(compiler.compile(graph, strategy))
         after, top = _walk(ref, cost)
@@ -159,8 +161,7 @@ def test_cut_matches_oracle_walk(model, cluster_name):
             # only a limit below the busiest load can be crossed
             assert (crossing is not None) == (factor < 1.0)
             try:
-                dist = compiler.compile(graph, strategy, cost=cost,
-                                        prune_above=limit)
+                dist = compiler.compile(graph, strategy, prune_above=limit)
             except LoadExceeded as cut:
                 assert crossing is not None
                 assert cut.emitted == crossing[0] + 1
@@ -183,10 +184,34 @@ def test_priced_compile_is_not_priced_again():
                                                  "cluster_4gpu")
     cost = ProfileCostModel(cluster, profile)
     strategy = _candidates(graph, cluster, grouping)[0]
-    dist = GraphCompiler(cluster, profile).compile(graph, strategy,
-                                                   cost=cost)
+    dist = GraphCompiler(cost).compile(graph, strategy)
     cost.prices = None   # any call would raise
     kernel = lower(dist)
     assert len(kernel.durations_for(cost)) == kernel.n
     assert len(kernel.loads_for(cost)) == len(kernel.resource_names)
     assert kernel_lower_bound(kernel, cost) > 0
+
+
+def test_compile_outside_the_builder_arrives_priced(monkeypatch):
+    """A compile made outside a PlanBuilder, as the fusion ablation makes
+    one, is priced under the compiler's cost: the kernel serves the very
+    duration and load lists the compile built."""
+    graph, cluster, profile, _ = _context("inception_v3", "cluster_4gpu")
+    lowerings = []
+
+    class Recorded(Lowering):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            lowerings.append(self)
+
+    monkeypatch.setattr(compiler_mod, "Lowering", Recorded)
+    compiler = GraphCompiler(ProfileCostModel(cluster, profile),
+                             bucket_bytes=None)
+    dist = compiler.compile(graph, dp_strategy("EV-AR", graph, cluster))
+    (lowering,) = lowerings
+    kernel = lower(dist)
+    assert kernel.durations_for(compiler.cost) is lowering.durations
+    assert kernel.loads_for(compiler.cost) is lowering.loads
+    assert len(lowering.durations) == kernel.n

@@ -43,7 +43,8 @@ from repro.simulation import ProfileCostModel
 from repro.simulation.kernel import lower
 from repro.simulation.memory import charge_device, output_bytes
 
-from tests.oracle import op_duration
+from tests.helpers import exact_profile, instances
+from tests.oracle import op_duration, resources
 from tests.oracle.compiler import ReferenceCompiler
 
 CLUSTERS = {"cluster_4gpu": cluster_4gpu, "cluster_8gpu": cluster_8gpu}
@@ -58,7 +59,8 @@ def _context(model: str, cluster_name: str):
     cluster = CLUSTERS[cluster_name]()
     profile = Profiler(seed=0).profile(graph, cluster)
     return graph, cluster, profile, [
-        GraphCompiler(cluster, profile, bucket_bytes=b) for b in BUCKETS]
+        GraphCompiler(ProfileCostModel(cluster, profile), bucket_bytes=b)
+        for b in BUCKETS]
 
 
 def _options(cluster, rng: random.Random):
@@ -93,7 +95,8 @@ def _draw_strategy(graph, cluster, kind: str, seed: int) -> Strategy:
 
 
 # --------------------------------------------------------------------- #
-def _graph_fields(dist):
+def _graph_fields(dist, table):
+    """The graph's fields, with ``table`` as its instance table."""
     ops = []
     for op in dist:
         ops.append((op.name, op.kind, id(op.source_op), op.device,
@@ -107,18 +110,19 @@ def _graph_fields(dist):
         "ops": ops,
         "pred": [dist.predecessors(n) for n in names],
         "succ": [dist.successors(n) for n in names],
-        "instances": list(dist.instances.items()),
+        "instances": table,
         "version": dist.version,
     }
 
 
 def _independent_lowering(dist):
-    """Kernel arrays computed straight from the public DistOp API."""
-    resources, res_ids = {}, []
+    """Kernel arrays computed straight from the graph's DistOp objects
+    (their resources named as the oracle's event loop names them)."""
+    interned, res_ids = {}, []
     mem_devs, charge, nbytes = {}, [], []
     for op in dist:
-        res_ids.append(tuple(resources.setdefault(r, len(resources))
-                             for r in op.resources()))
+        res_ids.append(tuple(interned.setdefault(r, len(interned))
+                             for r in resources(op)))
         device = charge_device(op)
         if device is None:
             charge.append(-1)
@@ -126,7 +130,7 @@ def _independent_lowering(dist):
         else:
             charge.append(mem_devs.setdefault(device, len(mem_devs)))
             nbytes.append(output_bytes(op).hex())
-    return {"resource_names": list(resources), "res_ids": res_ids,
+    return {"resource_names": list(interned), "res_ids": res_ids,
             "mem_dev_names": list(mem_devs), "charge_dev": charge,
             "out_bytes": nbytes,
             "kind_values": [op.kind.value for op in dist],
@@ -156,17 +160,20 @@ def _compile_both(compiler, graph, cluster, profile, strategy):
         except Exception as exc:  # parity of every failure, text included
             results.append((None, (type(exc), str(exc))))
         else:
-            resident = (dist.resident_bytes if comp is compiler
-                        else comp.resident_bytes)
-            results.append(((dist, list(resident.items())), None))
+            if comp is compiler:
+                resident, table = dist.resident_bytes, instances(dist)
+            else:
+                resident, table = comp.resident_bytes, comp.instances
+            results.append(((dist, list(resident.items()),
+                             list(table.items())), None))
     return results
 
 
 def _assert_same(new, ref, make_cost=None):
-    (dist, resident), error = new
-    (ref_dist, ref_resident), ref_error = ref
+    (dist, resident, table), error = new
+    (ref_dist, ref_resident, ref_table), ref_error = ref
     assert error == ref_error
-    assert _graph_fields(dist) == _graph_fields(ref_dist)
+    assert _graph_fields(dist, table) == _graph_fields(ref_dist, ref_table)
     assert resident == ref_resident
     # the compile attached its kernel: lowering is a lookup, no walk
     kernel = dist._sim_kernel
@@ -264,10 +271,12 @@ def test_failure_parity(make_graph, choice):
     if choice == "missing":
         strategy = Strategy(graph, cluster, {
             n: op_strategy for n in graph.op_names[:-1]})
+    profile = exact_profile(graph, cluster)
     for bucket_bytes in BUCKETS:
         new, ref = _compile_both(
-            GraphCompiler(cluster, bucket_bytes=bucket_bytes), graph,
-            cluster, None, strategy)
+            GraphCompiler(ProfileCostModel(cluster, profile),
+                          bucket_bytes=bucket_bytes), graph,
+            cluster, profile, strategy)
         assert new[1] == ref[1]
         if ref[1] is None:
             _assert_same(new, ref)
@@ -299,8 +308,9 @@ def test_prices_cover_every_kind():
                 allocation=ReplicaAllocation.EVEN))
         else:
             strategy = _draw_strategy(graph, cluster, kind, seed)
-        new, ref = _compile_both(GraphCompiler(cluster, profile), graph,
-                                 cluster, profile, strategy)
+        new, ref = _compile_both(
+            GraphCompiler(ProfileCostModel(cluster, profile)), graph,
+            cluster, profile, strategy)
         _assert_same(new, ref, lambda: ProfileCostModel(cluster, profile))
         dist = new[0][0]
         kinds.update(op.kind.value for op in dist)

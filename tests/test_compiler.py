@@ -13,10 +13,16 @@ from repro.parallel import (
     single_device_strategy,
     uniform_strategy,
 )
+from repro.simulation import ProfileCostModel
+
+from tests.helpers import exact_profile, instances
+from tests.oracle import resources
 
 
 def compile_with(graph, cluster, strategy, profile=None, **kwargs):
-    compiler = GraphCompiler(cluster, profile, **kwargs)
+    if profile is None:
+        profile = exact_profile(graph, cluster)
+    compiler = GraphCompiler(ProfileCostModel(cluster, profile), **kwargs)
     return compiler, compiler.compile(graph, strategy)
 
 
@@ -53,7 +59,7 @@ class TestDataParallel:
         # each replicable op has one instance per device
         for op in mlp_graph:
             if op.is_replicable and op.phase is not OpPhase.APPLY:
-                assert len(dist.instances[op.name]) == 4
+                assert len(instances(dist)[op.name]) == 4
 
     def test_allreduce_per_param_gradient(self, mlp_graph, four_gpu):
         st = uniform_strategy(mlp_graph, four_gpu, make_dp_strategy(
@@ -122,7 +128,7 @@ class TestMixedStrategies:
                   if o.phase is OpPhase.FORWARD and o.param_bytes][1]
         st.set(target.name, make_mp_strategy("gpu3"))
         _, dist = compile_with(mlp_graph, four_gpu, st)
-        assert len(dist.instances[target.name]) == 1
+        assert len(instances(dist)[target.name]) == 1
         kinds = dist.counts_by_kind()
         assert kinds.get(DistOpKind.SPLIT, 0) >= 1
         assert kinds.get(DistOpKind.CONCAT, 0) >= 1
@@ -136,7 +142,7 @@ class TestMixedStrategies:
         _, dist = compile_with(mlp_graph, four_gpu, st)
         # the pinned op's gradient op must have no collective
         pgrad = f"{target.name}_pgrad"
-        for succ in dist.successors(dist.instances[pgrad][0]):
+        for succ in dist.successors(instances(dist)[pgrad][0]):
             assert dist.op(succ).kind is not DistOpKind.ALLREDUCE
 
     def test_aligned_replicas_no_transfers(self, mlp_graph, four_gpu):
@@ -156,7 +162,7 @@ class TestMixedStrategies:
                if o.phase is OpPhase.FORWARD and o.param_bytes][0]
         st.set(fwd.name, make_mp_strategy("gpu1"))
         _, dist = compile_with(mlp_graph, four_gpu, st)
-        pgrad_instances = dist.instances[f"{fwd.name}_pgrad"]
+        pgrad_instances = instances(dist)[f"{fwd.name}_pgrad"]
         assert len(pgrad_instances) == 1
         assert dist.op(pgrad_instances[0]).device == "gpu1"
 
@@ -182,9 +188,9 @@ class TestResources:
                  != four_gpu.device(o.dst_device).server]
         assert cross
         for op in cross:
-            resources = op.resources()
-            assert any(r.startswith("nic_out:") for r in resources)
-            assert any(r.startswith("nic_in:") for r in resources)
+            held = resources(op)
+            assert any(r.startswith("nic_out:") for r in held)
+            assert any(r.startswith("nic_in:") for r in held)
 
     def test_intra_server_transfer_no_nic(self, mlp_graph, four_gpu):
         st = uniform_strategy(mlp_graph, four_gpu, make_dp_strategy(
@@ -194,7 +200,7 @@ class TestResources:
                  and four_gpu.device(o.src_device).server
                  == four_gpu.device(o.dst_device).server]
         for op in intra:
-            assert not any("nic" in r for r in op.resources())
+            assert not any("nic" in r for r in resources(op))
 
     def test_allreduce_seizes_nccl(self, mlp_graph, four_gpu):
         st = uniform_strategy(mlp_graph, four_gpu, make_dp_strategy(
@@ -202,7 +208,7 @@ class TestResources:
         _, dist = compile_with(mlp_graph, four_gpu, st)
         for op in dist:
             if op.kind is DistOpKind.ALLREDUCE:
-                assert "nccl" in op.resources()
+                assert "nccl" in resources(op)
 
     def test_dist_graph_is_dag(self, tiny_vgg, four_gpu, vgg_profile):
         st = uniform_strategy(tiny_vgg, four_gpu, make_dp_strategy(
@@ -228,7 +234,7 @@ def _fields(dist):
             op.size_bytes, op.batch_fraction, op.hierarchical,
             op.extra_resources) for op in dist]
     return (dist.name, ops, dist._pred_ids, dist._succ_ids,
-            list(dist.instances.items()), dist.version,
+            list(instances(dist).items()), dist.version,
             list(dist.resident_bytes.items()))
 
 
@@ -253,8 +259,8 @@ class TestCompiledView:
     def view(self, tiny_vgg, four_gpu, vgg_profile):
         strategy = uniform_strategy(tiny_vgg, four_gpu, make_dp_strategy(
             four_gpu, ReplicaAllocation.PROPORTIONAL, CommMethod.PS))
-        return GraphCompiler(four_gpu, vgg_profile).compile(tiny_vgg,
-                                                            strategy)
+        return GraphCompiler(ProfileCostModel(four_gpu, vgg_profile)).compile(
+            tiny_vgg, strategy)
 
     def test_cheap_accessors_do_not_materialise(self, view, materialised):
         from repro.simulation.kernel import lower
@@ -320,7 +326,7 @@ class TestCompiledView:
         import os
         import sys
         import threading
-        compiler = GraphCompiler(four_gpu, vgg_profile)
+        compiler = GraphCompiler(ProfileCostModel(four_gpu, vgg_profile))
         strategy = uniform_strategy(tiny_vgg, four_gpu, make_dp_strategy(
             four_gpu, ReplicaAllocation.EVEN, CommMethod.ALLREDUCE))
         expected = _fields(compiler.compile(tiny_vgg, strategy))
@@ -335,7 +341,7 @@ class TestCompiledView:
 
                 def first_access(k):
                     barrier.wait()
-                    seen[k] = (list(view), view.instances, view._pred_ids)
+                    seen[k] = (list(view), view._succ_ids, view._pred_ids)
 
                 threads = [threading.Thread(target=first_access, args=(k,))
                            for k in range(workers)]
@@ -344,10 +350,10 @@ class TestCompiledView:
                 for thread in threads:
                     thread.join(timeout=30)
                     assert not thread.is_alive()
-                ops, instances, preds = seen[0]
+                ops, succs, preds = seen[0]
                 for other in seen:
                     assert all(a is b for a, b in zip(other[0], ops))
-                    assert other[1] is instances and other[2] is preds
+                    assert other[1] is succs and other[2] is preds
                 assert _fields(view) == expected
         finally:
             sys.setswitchinterval(interval)

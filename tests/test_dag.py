@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.analyzer import GraphAnalyzer
 from repro.graph.dag import ComputationGraph
 from repro.graph.op import Operation, OpPhase, TensorSpec
 
@@ -71,14 +70,6 @@ class TestQueries:
         g = chain(3)
         assert sorted(g.edges()) == [("n0", "n1"), ("n1", "n2")]
         assert g.num_edges() == 2
-
-    def test_phases_partition(self):
-        g = ComputationGraph("g")
-        g.add_op(_op("f", phase=OpPhase.FORWARD))
-        g.add_op(_op("b", phase=OpPhase.BACKWARD), ["f"])
-        phases = GraphAnalyzer().analyze(g).phases
-        assert phases[OpPhase.FORWARD] == ["f"]
-        assert phases[OpPhase.BACKWARD] == ["b"]
 
 
 class TestTopology:

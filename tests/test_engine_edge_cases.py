@@ -100,7 +100,7 @@ class TestCostProviders:
     def test_truth_jitter_deterministic_per_seed(self, mlp_graph, four_gpu):
         from repro.parallel import GraphCompiler, single_device_strategy
         profile = Profiler(seed=0).profile(mlp_graph, four_gpu)
-        compiler = GraphCompiler(four_gpu, profile)
+        compiler = GraphCompiler(ProfileCostModel(four_gpu, profile))
         dist = compiler.compile(mlp_graph,
                                 single_device_strategy(mlp_graph, four_gpu))
         a = Simulator(TruthCostModel(

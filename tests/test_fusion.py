@@ -28,7 +28,7 @@ from repro.runtime import ExecutionEngine
 from repro.scheduling import ListScheduler
 from repro.simulation import ProfileCostModel, Simulator
 
-from tests.helpers import exact_profile, make_mlp
+from tests.helpers import exact_profile, instances, make_mlp
 
 GB = 10 ** 9
 
@@ -72,8 +72,9 @@ def cases():
             grads = _replicated_gradients(graph, strategy)
             sizes = sorted(nbytes for _, nbytes in grads.values())
             tight = sizes[-1] + sizes[0] - 1  # the two largest never fit
+            cost = ProfileCostModel(cluster, profile)
             compiled = {limit: GraphCompiler(
-                cluster, profile, bucket_bytes=limit).compile(graph, strategy)
+                cost, bucket_bytes=limit).compile(graph, strategy)
                 for limit in (None, tight, ALLREDUCE_BUCKET_BYTES, GB)}
             out.append((graph, grads, tight, compiled, profile))
     return out
@@ -125,7 +126,7 @@ class TestFusion:
                 dist.validate()
                 assert len(dist) - len(_collectives(dist)) == others
                 for name in grads:
-                    for inst in dist.instances[name]:
+                    for inst in instances(dist)[name]:
                         kinds = [dist.op(s).kind
                                  for s in dist.successors(inst)]
                         assert kinds.count(DistOpKind.ALLREDUCE) == 1
@@ -136,11 +137,11 @@ class TestFusion:
             for dist in compiled.values():
                 for grad, (ring, _) in grads.items():
                     (collective,) = {
-                        s for inst in dist.instances[grad]
+                        s for inst in instances(dist)[grad]
                         for s in dist.successors(inst)
                         if dist.op(s).kind is DistOpKind.ALLREDUCE}
                     (apply_name,) = graph.successors(grad)
-                    applies = dist.instances[apply_name]
+                    applies = instances(dist)[apply_name]
                     assert len(applies) == len(ring)
                     for name in applies:
                         assert dist.predecessors(name) == [collective]
@@ -162,8 +163,11 @@ class TestFusion:
                 assert len(_members(dist, op)) == 1
 
     def test_invalid_bucket(self):
+        cluster = cluster_4gpu()
+        cost = ProfileCostModel(cluster, exact_profile(
+            make_mlp(name="bucket_mlp"), cluster))
         with pytest.raises(CompileError):
-            GraphCompiler(cluster_4gpu(), bucket_bytes=0)
+            GraphCompiler(cost, bucket_bytes=0)
 
     def test_simulation_still_runs(self, cases):
         """The simulator and the execution engine order every fused plan
@@ -194,9 +198,8 @@ class TestFusion:
         cost = ProfileCostModel(cluster, profile)
 
         def run(bucket_bytes):
-            dist = GraphCompiler(cluster, profile,
-                                 bucket_bytes=bucket_bytes).compile(
-                                     graph, strategy)
+            dist = GraphCompiler(cost, bucket_bytes=bucket_bytes).compile(
+                graph, strategy)
             schedule = ListScheduler().schedule(dist, cost)
             return Simulator(cost).run(dist, order=schedule.order).makespan
 

@@ -28,14 +28,6 @@ def module(four_gpu):
 
 
 class TestFacade:
-    def test_analyze_returns_analysis(self, module):
-        graph = make_mlp(name="facade_a")
-        analysis = module.analyze(graph)
-        assert len(analysis.topo_order) == len(graph)
-        assert analysis.param_ops()
-        assert analysis.gradient_ops()
-        assert analysis.longest_path_flops() > 0
-
     def test_profile_covers_graph(self, module, four_gpu):
         graph = make_mlp(name="facade_b")
         profile = module.profile(graph)
@@ -86,12 +78,6 @@ class TestFacade:
         sa, sb = a.plan(ga), b.plan(gb)
         assert {n: s.label() for n, s in sa.items()} == \
                {n: s.label() for n, s in sb.items()}
-
-    def test_analysis_summary_keys(self, module):
-        graph = make_mlp(name="facade_g")
-        summary = module.analyze(graph).summary()
-        assert {"ops", "edges", "param_ops", "gradient_ops",
-                "critical_path_flops"} <= set(summary)
 
 
 class TestConfig:

@@ -917,7 +917,7 @@ class TestStatsAreJournalFolds:
         assert all(folded.values()), folded   # every fact was exercised
         # the keys that are not folds are read from their owners
         assert set(stats) - set(ServiceStats.FIELDS) == {
-            "executed", "result_hits", "result_misses", "contexts_warm"}
+            "result_hits", "result_misses", "contexts_warm"}
         hits = sum(e.event == "cache_hit" for e in loaded)
         assert stats["result_hits"] == hits == 1
         assert stats["result_misses"] == stats["submitted"] - hits

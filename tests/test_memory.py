@@ -74,7 +74,7 @@ class TestRefcounting:
         cluster = cluster_4gpu()
         profile = Profiler(seed=0).profile(mlp_graph, cluster)
         st = single_device_strategy(mlp_graph, cluster)
-        compiler = GraphCompiler(cluster, profile)
+        compiler = GraphCompiler(ProfileCostModel(cluster, profile))
         dist = compiler.compile(mlp_graph, st)
         sim = Simulator(ProfileCostModel(cluster, profile))
         res = sim.run(dist, resident_bytes=dist.resident_bytes)
@@ -90,7 +90,7 @@ class TestOOMInSimulation:
         profile = Profiler(seed=0).profile(mlp_graph, cluster)
         st = uniform_strategy(mlp_graph, cluster, make_dp_strategy(
             cluster, ReplicaAllocation.EVEN, CommMethod.ALLREDUCE))
-        compiler = GraphCompiler(cluster, profile)
+        compiler = GraphCompiler(ProfileCostModel(cluster, profile))
         dist = compiler.compile(mlp_graph, st)
         sim = Simulator(ProfileCostModel(cluster, profile))
         res = sim.run(dist, resident_bytes=dist.resident_bytes,
@@ -103,7 +103,7 @@ class TestOOMInSimulation:
         profile = Profiler(seed=0).profile(mlp_graph, cluster)
         st = uniform_strategy(mlp_graph, cluster, make_dp_strategy(
             cluster, ReplicaAllocation.EVEN, CommMethod.ALLREDUCE))
-        compiler = GraphCompiler(cluster, profile)
+        compiler = GraphCompiler(ProfileCostModel(cluster, profile))
         dist = compiler.compile(mlp_graph, st)
         sim = Simulator(ProfileCostModel(cluster, profile))
         res = sim.run(dist, resident_bytes=dist.resident_bytes,

@@ -32,9 +32,9 @@ def numeric_grad(fn, x, eps=1e-6):
         idx = it.multi_index
         orig = x.data[idx]
         x.data[idx] = orig + eps
-        hi = fn().item()
+        hi = float(fn().data)
         x.data[idx] = orig - eps
-        lo = fn().item()
+        lo = float(fn().data)
         x.data[idx] = orig
         g[idx] = (hi - lo) / (2 * eps)
     return g

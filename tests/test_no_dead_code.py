@@ -6,8 +6,11 @@ or the examples.  A use is read off the syntax tree, not off the text:
 the name as a variable or an attribute, as part of an imported name, as
 a keyword argument, or as a string constant that is an identifier or a
 dotted identifier path (``__all__``, ``getattr(obj, "name")``,
-``"Cls.method"``).  Docstrings, comments, f-string text and the docs do
-not keep a definition alive, and neither does a package ``__init__.py``
+``"Cls.method"``).  A method (a ``def`` in a class body) is only ever
+reached through an object, so only an attribute or an identifier string
+of its name uses it: a variable, parameter or keyword of the same name
+does not.  Docstrings, comments, f-string text and the docs do not keep
+a definition alive, and neither does a package ``__init__.py``
 re-exporting it: there an imported name or a string in ``__all__`` is
 not a use, though every other use in the ``__init__`` body is.  A
 definition that nothing uses is dead code.  Dunder names are exempt:
@@ -73,17 +76,26 @@ def _python_files(root: Path, top: str) -> Iterator[Path]:
             yield path
 
 
-def _definitions(root: Path) -> Dict[str, List[str]]:
+#: a ``def`` or ``class``: the ``file:line`` where it is, and whether it
+#: is a method (a ``def`` in a class body)
+Definition = Tuple[str, bool]
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _definitions(root: Path) -> Dict[str, List[Definition]]:
     """Every name a ``def`` or ``class`` in the package defines, with
-    the ``file:line`` of each definition."""
-    defined: Dict[str, List[str]] = {}
+    each definition."""
+    defined: Dict[str, List[Definition]] = {}
     for path in _python_files(root, "src/repro"):
         tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(stmt) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)
+                   for stmt in node.body if isinstance(stmt, _DEFS)}
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
+            if isinstance(node, _DEFS + (ast.ClassDef,)):
                 defined.setdefault(node.name, []).append(
-                    f"{path.relative_to(root)}:{node.lineno}")
+                    (f"{path.relative_to(root)}:{node.lineno}",
+                     id(node) in methods))
     return defined
 
 
@@ -94,16 +106,20 @@ def _identifiers(text: str) -> list:
 
 
 class _Uses(ast.NodeVisitor):
-    """Counts every name a module's syntax tree uses."""
+    """Counts every name a module's syntax tree uses (``names``), and
+    apart the uses that can reach a method (``members``): attributes
+    and identifier strings."""
 
     def __init__(self) -> None:
         self.names: Counter = Counter()
+        self.members: Counter = Counter()
 
     def visit_Name(self, node: ast.Name) -> None:
         self.names[node.id] += 1
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         self.names[node.attr] += 1
+        self.members[node.attr] += 1
         self.generic_visit(node)
 
     def visit_alias(self, node: ast.alias) -> None:
@@ -119,6 +135,7 @@ class _Uses(ast.NodeVisitor):
     def visit_Constant(self, node: ast.Constant) -> None:
         if isinstance(node.value, str):
             self.names.update(_identifiers(node.value))
+            self.members.update(_identifiers(node.value))
 
     def visit_JoinedStr(self, node: ast.JoinedStr) -> None:
         # f-string text is prose; only the interpolated expressions use
@@ -140,26 +157,32 @@ class _ReexportBlindUses(_Uses):
             self.generic_visit(node)
 
 
-def _uses(path: Path, top: str) -> Counter:
+def _uses(path: Path, top: str) -> _Uses:
     """Every name the module at ``path`` uses."""
     reexports = top == "src" and path.name == "__init__.py"
     uses = _ReexportBlindUses() if reexports else _Uses()
     uses.visit(ast.parse(path.read_text(), filename=str(path)))
-    return uses.names
+    return uses
+
+
+#: uses of each name, indexed by whether the definition is a method:
+#: every use of it, or the uses that can reach a method
+Counts = Tuple[Counter, Counter]
 
 
 def reference_counts(root: Path = ROOT
-                     ) -> Tuple[Dict[str, List[str]], Counter, Counter]:
+                     ) -> Tuple[Dict[str, List[Definition]], Counts, Counts]:
     """The package's definitions, and every name's uses: anywhere, and
     outside :data:`TEST_ONLY`."""
-    anywhere: Counter = Counter()
-    live: Counter = Counter()
+    anywhere: Counts = (Counter(), Counter())
+    live: Counts = (Counter(), Counter())
     for top in SEARCHED:
         for path in _python_files(root, top):
-            names = _uses(path, top)
-            anywhere.update(names)
-            if top not in TEST_ONLY:
-                live.update(names)
+            uses = _uses(path, top)
+            kept = [anywhere] if top in TEST_ONLY else [anywhere, live]
+            for names, members in kept:
+                names.update(uses.names)
+                members.update(uses.members)
     return _definitions(root), anywhere, live
 
 
@@ -167,19 +190,30 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _flagged(defined: Dict[str, List[Definition]],
+             dead) -> Dict[str, List[str]]:
+    """Where each non-dunder definition is for which ``dead(name,
+    method)`` holds, by name."""
+    found: Dict[str, List[str]] = {}
+    for name, places in defined.items():
+        for where, method in places:
+            if not _is_dunder(name) and dead(name, method):
+                found.setdefault(name, []).append(where)
+    return found
+
+
 def unreferenced(root: Path = ROOT) -> Dict[str, List[str]]:
     """Defined names that nothing uses, with where each is defined."""
     defined, anywhere, _ = reference_counts(root)
-    return {name: where for name, where in defined.items()
-            if not _is_dunder(name) and not anywhere[name]}
+    return _flagged(defined, lambda name, method: not anywhere[method][name])
 
 
 def named_only_by_tests(root: Path = ROOT) -> Dict[str, List[str]]:
     """Defined names that only the tests use, with where each is
     defined."""
     defined, anywhere, live = reference_counts(root)
-    return {name: where for name, where in defined.items()
-            if not _is_dunder(name) and anywhere[name] and not live[name]}
+    return _flagged(defined, lambda name, method: (
+        anywhere[method][name] and not live[method][name]))
 
 
 def _located(found: Dict[str, List[str]]) -> str:
@@ -252,6 +286,23 @@ def reexported():
 
 def called_by_init():
     pass
+
+
+class Shadowed:
+    def speed(self):
+        pass
+
+    def called(self):
+        pass
+
+
+def by_bare_name():
+    pass
+
+
+speed = 2.0
+Shadowed().called()
+RESULT = (speed, by_bare_name())
 ''')
     (package / "__init__.py").write_text('''\
 """A package that re-exports one name and calls another."""
@@ -269,8 +320,10 @@ DEFAULT = called_by_init()
     found = unreferenced(tmp_path)
     assert set(found) == {
         "in_module_docstring", "in_own_docstring", "in_comment",
-        "in_fstring_text", "reexported"}
+        "in_fstring_text", "reexported", "speed"}
     assert found["reexported"] == ["src/repro/mod.py:42"]
+    # a local of its name does not keep a method alive
+    assert found["speed"] == ["src/repro/mod.py:51"]
     assert set(named_only_by_tests(tmp_path)) == {"test_only"}
 
 

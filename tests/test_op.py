@@ -36,7 +36,7 @@ class TestOperation:
 
     def test_basic_fields(self):
         op = self._op()
-        assert op.output_bytes == 4 * 8 * DTYPE_BYTES
+        assert op.output.size_bytes == 4 * 8 * DTYPE_BYTES
         assert op.is_replicable
 
     def test_empty_name_rejected(self):

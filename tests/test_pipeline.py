@@ -37,7 +37,7 @@ def compiled(cluster):
     # transfer latency for pipelining to pay off (as for real models)
     graph = make_mlp(layers=12, width=4096, batch_size=512, name="pipe_mlp")
     profile = exact_profile(graph, cluster)
-    compiler = GraphCompiler(cluster, profile)
+    compiler = GraphCompiler(ProfileCostModel(cluster, profile))
     dist = compiler.compile(graph, ladder_strategy(graph, cluster))
     return graph, profile, compiler, dist
 

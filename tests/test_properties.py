@@ -60,7 +60,7 @@ def test_random_strategy_compiles_and_simulates(payload):
     graph, grouping, actions = payload
     strategy = actions_to_strategy(graph, CLUSTER, grouping, actions)
     profile = exact_profile(graph, CLUSTER)
-    compiler = GraphCompiler(CLUSTER, profile)
+    compiler = GraphCompiler(ProfileCostModel(CLUSTER, profile))
     dist = compiler.compile(graph, strategy)
     dist.validate()
 
@@ -92,7 +92,7 @@ def test_priority_order_never_beats_critical_path(payload):
     graph, grouping, actions = payload
     strategy = actions_to_strategy(graph, CLUSTER, grouping, actions)
     profile = exact_profile(graph, CLUSTER)
-    compiler = GraphCompiler(CLUSTER, profile)
+    compiler = GraphCompiler(ProfileCostModel(CLUSTER, profile))
     dist = compiler.compile(graph, strategy)
     cost = ProfileCostModel(CLUSTER, profile)
     schedule = ListScheduler().schedule(dist, cost)
@@ -123,7 +123,7 @@ def test_single_device_time_exceeds_distributed_lower_bound(layers, width):
     graph = random_graph(layers, width, 16, False)
     profile = exact_profile(graph, CLUSTER)
     from repro.parallel import single_device_strategy
-    compiler = GraphCompiler(CLUSTER, profile)
+    compiler = GraphCompiler(ProfileCostModel(CLUSTER, profile))
     dist = compiler.compile(graph, single_device_strategy(graph, CLUSTER))
     cost = ProfileCostModel(CLUSTER, profile)
     result = Simulator(cost).run(dist)

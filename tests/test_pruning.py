@@ -395,7 +395,7 @@ class TestWinnerIdentity:
         profile = exact_profile(graph, CLUSTER)
         strategy = candidate_strategies(
             graph, np.random.default_rng(3), 1)[0]
-        compiler = GraphCompiler(CLUSTER, profile)
+        compiler = GraphCompiler(ProfileCostModel(CLUSTER, profile))
         dist = compiler.compile(graph, strategy)
         cost = ProfileCostModel(CLUSTER, profile)
         sim = Simulator(cost)
@@ -417,7 +417,8 @@ class TestWinnerIdentity:
         profile = exact_profile(graph, CLUSTER)
         strategy = candidate_strategies(
             graph, np.random.default_rng(5), 1)[0]
-        dist = GraphCompiler(CLUSTER, profile).compile(graph, strategy)
+        dist = GraphCompiler(ProfileCostModel(CLUSTER, profile)).compile(
+            graph, strategy)
         ref_cost = TruthCostModel(CLUSTER, jitter_sigma=0.05,
                                   rng=np.random.default_rng(11))
         ref = ListScheduler().schedule(dist, ref_cost)

@@ -23,7 +23,7 @@ def traced():
     cluster = cluster_4gpu()
     graph = make_mlp(name="report_mlp")
     profile = exact_profile(graph, cluster)
-    compiler = GraphCompiler(cluster, profile)
+    compiler = GraphCompiler(ProfileCostModel(cluster, profile))
     strategy = single_device_strategy(graph, cluster)
     strategy.set(graph.op_names[2], make_mp_strategy("gpu2"))
     dist = compiler.compile(graph, strategy)

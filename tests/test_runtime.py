@@ -89,10 +89,8 @@ class TestPriceCacheLifetime:
         assert plans
         for plan in plans:
             kernel = plan.kernel
-            for cache in (kernel._dur_cache, kernel._tail_cache,
-                          kernel._bound_cache, kernel._load_cache):
-                for cost, _ in cache.values():
-                    assert not isinstance(cost, TruthCostModel)
+            for record in kernel._records.values():
+                assert not isinstance(record.cost, TruthCostModel)
 
     def test_dropped_engine_dies_with_its_price_arrays(self, mlp_graph,
                                                        four_gpu):
@@ -255,4 +253,36 @@ class TestHeteroGFacade:
         x = b.input((8,))
         b.dense(x, 4)
         with pytest.raises(GraphError):
-            module.analyze(b.graph)
+            module.plan(b.graph)
+
+    def test_every_front_door_rejects_a_forward_only_graph(self):
+        """The Graph Analyzer's checks run once per planning context, so
+        the facade's plan and deploy, the client API and the planning
+        service all reject a graph without backward ops."""
+        from repro.cluster import cluster_2gpu
+        from repro.errors import GraphError
+        from repro.graph import GraphBuilder
+
+        def forward_only():
+            b = GraphBuilder("fwd_loss_only", 4)
+            b.softmax_loss(b.dense(b.input((8,)), 4), 4)
+            return b.graph
+
+        cluster = cluster_2gpu()
+        doors = {
+            "HeteroG.plan": lambda: repro.HeteroG(cluster).plan(
+                forward_only()),
+            "HeteroG.deploy": lambda: repro.HeteroG(cluster).deploy(
+                forward_only()),
+            "get_runner": lambda: repro.get_runner(
+                forward_only, lambda: repro.Dataset(batch_size=4), cluster,
+                TestClientAPI.CFG),
+        }
+        for name, door in doors.items():
+            with pytest.raises(GraphError, match="no backward ops"):
+                door()
+        with PlanningService(workers=0) as service:
+            with pytest.raises(GraphError, match="no backward ops"):
+                service.plan(PlanRequest(graph=forward_only(),
+                                         cluster=cluster))
+            assert service.stats.executed == 0

@@ -17,8 +17,9 @@ from repro.scheduling import (
 )
 from repro.scheduling.ranking import kernel_ranks
 from repro.simulation import Simulator, lower
-from repro.simulation.costs import MappingCostModel
+from repro.simulation.costs import MappingCostModel, ProfileCostModel
 
+from tests.helpers import exact_profile
 from tests.oracle import trace_order
 
 
@@ -201,7 +202,8 @@ class TestScheduleOrder:
             plan.kernel.names, schedule.sim_result.schedule)
 
     def test_fifo_order(self, tiny_vgg, four_gpu):
-        dist = GraphCompiler(four_gpu).compile(
+        dist = GraphCompiler(ProfileCostModel(
+            four_gpu, exact_profile(tiny_vgg, four_gpu))).compile(
             tiny_vgg, dp_strategy("CP-PS", tiny_vgg, four_gpu))
         for g in (dist, _contention_graph()[0]):
             schedule = FifoScheduler(seed=3).schedule(g)

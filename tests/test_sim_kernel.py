@@ -52,7 +52,7 @@ from repro.service import PlanningService, PlanRequest
 from repro.simulation.kernel import lower
 from repro.simulation.metrics import RunTimes
 
-from tests.helpers import make_mlp
+from tests.helpers import exact_profile, make_mlp
 from tests.oracle import (
     op_duration,
     reference_busy,
@@ -164,7 +164,7 @@ def compiled(request):
     strategy = Strategy(
         graph, cluster, {n: rng.choice(options) for n in graph.op_names}
     )
-    compiler = GraphCompiler(cluster, profile)
+    compiler = GraphCompiler(ProfileCostModel(cluster, profile))
     dist = compiler.compile(graph, strategy)
     caps = {d.device_id: d.usable_memory_bytes for d in cluster.devices}
     return cluster, profile, dist, dict(dist.resident_bytes), caps
@@ -443,7 +443,8 @@ def test_dropped_graph_is_freed_without_a_collection():
     cyclic collection, and a pickled graph keeps its kernel's link."""
     cluster = cluster_4gpu()
     graph = make_mlp(name="freed")
-    dist = GraphCompiler(cluster).compile(
+    dist = GraphCompiler(ProfileCostModel(
+        cluster, exact_profile(graph, cluster))).compile(
         graph, Strategy(graph, cluster, {
             n: make_mp_strategy("gpu0") for n in graph.op_names}))
     kernel = lower(dist)

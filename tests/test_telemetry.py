@@ -245,7 +245,7 @@ class TestCriticalPath:
         cluster = cluster_4gpu()
         graph = make_mlp(name="cp_mlp")
         profile = exact_profile(graph, cluster)
-        dist = GraphCompiler(cluster, profile).compile(
+        dist = GraphCompiler(ProfileCostModel(cluster, profile)).compile(
             graph, single_device_strategy(graph, cluster))
         result = Simulator(ProfileCostModel(cluster, profile)).run(dist)
         report = critical_path(dist, result)
@@ -276,7 +276,7 @@ class TestAmbientSession:
         cluster = cluster_4gpu()
         graph = make_mlp(name="tel_mlp")
         profile = exact_profile(graph, cluster)
-        dist = GraphCompiler(cluster, profile).compile(
+        dist = GraphCompiler(ProfileCostModel(cluster, profile)).compile(
             graph, single_device_strategy(graph, cluster))
         sim = Simulator(ProfileCostModel(cluster, profile))
 
@@ -304,7 +304,7 @@ class TestAmbientSession:
         cluster = cluster_4gpu()
         graph = make_mlp(name="tel_dp")
         profile = exact_profile(graph, cluster)
-        dist = GraphCompiler(cluster, profile).compile(
+        dist = GraphCompiler(ProfileCostModel(cluster, profile)).compile(
             graph, dp_strategy("EV-AR", graph, cluster))
         cost = ProfileCostModel(cluster, profile)
         sim = Simulator(cost)
@@ -366,7 +366,7 @@ class TestAmbientSession:
         cluster = cluster_4gpu()
         graph = make_mlp(name="tel_mlp2")
         profile = exact_profile(graph, cluster)
-        dist = GraphCompiler(cluster, profile).compile(
+        dist = GraphCompiler(ProfileCostModel(cluster, profile)).compile(
             graph, single_device_strategy(graph, cluster))
         sim = Simulator(ProfileCostModel(cluster, profile))
         with telemetry.session() as tel:
